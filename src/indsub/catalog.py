@@ -1,10 +1,10 @@
 """Catalogs of isomorphism classes of k-vertex graphs, k <= 8.
 
-For k <= 6 the classes come from canonical-form filtering of all 2^C(k,2)
-edge subsets; for k in {7, 8} from one-vertex extensions of the previous
-catalog with canonical-form deduplication.  Each entry carries the
-automorphism count and the number of labeled copies k!/#Aut; the copies
-must sum to 2^C(k,2), which the builder asserts.
+The classes on k vertices come from one-vertex extensions of the (k-1)
+catalog with canonical-form deduplication, starting from the 0-vertex
+graph.  Each entry carries the automorphism count and the number of
+labeled copies k!/#Aut; the copies must sum to 2^C(k,2), which the
+builder asserts.
 
 Catalogs are cached on disk, one "graph6 aut" line per class under a
 versioned header.  The cache directory comes from INDSUB_CACHE_DIR or
@@ -13,7 +13,9 @@ defaults to ~/.cache/indsub.
 
 from __future__ import annotations
 
+import logging
 import os
+import uuid
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -27,6 +29,8 @@ from .graphs import SmallGraph, pair_count
 MAX_CATALOG_K = 8
 CACHE_ENV_VAR = "INDSUB_CACHE_DIR"
 _CACHE_HEADER = "# indsub catalog v1"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -72,26 +76,18 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "indsub"
 
 
-def _sweep_classes(k: int, lo: int, hi: int) -> dict[int, int]:
-    """Canonical edge-bitset -> aut over the labeled graphs lo <= edges < hi."""
+def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
+    """Canonical edge-bitset -> aut for every class on k vertices: extend
+    each (k-1)-vertex representative by one vertex in all ways.  The base
+    case is the 0-vertex graph."""
+    if k == 1:
+        parents = [0]
+    else:
+        parents = [e.graph.edges
+                   for e in _catalog_cached(k - 1, cache_dir_str).entries]
     found: dict[int, int] = {}
-    for mask in range(lo, hi):
-        cf, aut = _canonical_data(SmallGraph(k, mask))
-        if cf.edges not in found:
-            found[cf.edges] = aut
-    return found
-
-
-def _sweep_chunk(args):
-    return _sweep_classes(*args)
-
-
-def _extend_classes(k: int, parent_edges: list[int]) -> dict[int, int]:
-    """Extend (k-1)-vertex representatives by one vertex in all ways."""
-    found: dict[int, int] = {}
-    for pedges in parent_edges:
-        parent = SmallGraph(k - 1, pedges)
-        epairs = parent.edge_pairs()
+    for pedges in parents:
+        epairs = SmallGraph(k - 1, pedges).edge_pairs()
         for nbmask in range(1 << (k - 1)):
             pairs = list(epairs)
             for i in range(k - 1):
@@ -103,55 +99,16 @@ def _extend_classes(k: int, parent_edges: list[int]) -> dict[int, int]:
     return found
 
 
-def _extend_chunk(args):
-    return _extend_classes(*args)
-
-
-def _build_classes(k: int, workers: int) -> dict[int, int]:
-    if k <= 6:
-        total = 1 << pair_count(k)
-        if workers > 1 and total >= 1 << 12:
-            jobs = _parallel_map(_sweep_chunk, [
-                (k, lo, min(lo + (total + workers - 1) // workers, total))
-                for lo in range(0, total, (total + workers - 1) // workers)
-            ], workers)
-        else:
-            jobs = [_sweep_classes(k, 0, total)]
-    else:
-        parents = [e.graph.edges for e in build_catalog(k - 1).entries]
-        if workers > 1:
-            step = (len(parents) + workers - 1) // workers
-            jobs = _parallel_map(_extend_chunk, [
-                (k, parents[lo:lo + step]) for lo in range(0, len(parents), step)
-            ], workers)
-        else:
-            jobs = [_extend_classes(k, parents)]
-    merged: dict[int, int] = {}
-    for job in jobs:
-        for edges, aut in job.items():
-            merged.setdefault(edges, aut)
-    return merged
-
-
-def _parallel_map(fn, argslist, workers):
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    with ctx.Pool(min(workers, len(argslist))) as pool:
-        return pool.map(fn, argslist)
-
-
 @lru_cache(maxsize=None)
-def _catalog_cached(k: int, cache_dir_str: str | None, use_cache: bool,
-                    workers: int) -> GraphCatalog:
+def _catalog_cached(k: int, cache_dir_str: str | None) -> GraphCatalog:
     cache_dir = Path(cache_dir_str) if cache_dir_str else default_cache_dir()
     path = cache_dir / f"k{k}.catalog"
-    if use_cache and path.exists():
+    if path.exists():
         try:
             return _read_cache(k, path)
-        except FormatError:
-            pass  # stale or corrupt: rebuild below
-    classes = _build_classes(k, workers)
+        except FormatError as exc:
+            log.warning("rebuilding catalog k=%d: %s", k, exc)
+    classes = _build_classes(k, cache_dir_str)
     kfact = factorial(k)
     entries = tuple(
         CatalogEntry(SmallGraph(k, edges), aut, kfact // aut)
@@ -163,39 +120,42 @@ def _catalog_cached(k: int, cache_dir_str: str | None, use_cache: bool,
         raise InternalConsistencyError(
             f"catalog k={k}: labeled copies sum to {cat.labeled_total}, "
             f"expected 2^{pair_count(k)}")
-    if use_cache:
-        try:
-            _write_cache(cat, path)
-        except OSError:
-            pass
+    try:
+        _write_cache(cat, path)
+    except OSError as exc:
+        log.warning("could not write catalog cache %s: %s", path, exc)
     return cat
 
 
-def build_catalog(k: int, *, cache_dir=None, use_cache: bool = True,
-                  workers: int = 1) -> GraphCatalog:
+def build_catalog(k: int, *, cache_dir=None) -> GraphCatalog:
     if not 1 <= k <= MAX_CATALOG_K:
         raise ValueError(f"catalog supports 1 <= k <= {MAX_CATALOG_K}")
-    return _catalog_cached(k, str(cache_dir) if cache_dir else None,
-                           use_cache, workers)
+    return _catalog_cached(k, str(cache_dir) if cache_dir else None)
 
 
 def _write_cache(cat: GraphCatalog, path: Path) -> None:
+    """Write through a temporary file unique to this writer, then rename it
+    into place, so concurrent writers never expose a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(f"{_CACHE_HEADER} k={cat.k} classes={cat.class_count}\n")
-        for e in cat.entries:
-            fh.write(f"{e.graph.to_graph6()} {e.aut}\n")
-    tmp.replace(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(f"{_CACHE_HEADER} k={cat.k} classes={cat.class_count}\n")
+            for e in cat.entries:
+                fh.write(f"{e.graph.to_graph6()} {e.aut}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_cache(k: int, path: Path) -> GraphCatalog:
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(_CACHE_HEADER):
         raise FormatError(f"{path}: bad header")
-    head = dict(tok.split("=") for tok in lines[0].split() if "=" in tok)
-    if int(head.get("k", -1)) != k:
+    head = dict(tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
+    if head.get("k") != str(k):
         raise FormatError(f"{path}: header k mismatch")
     kfact = factorial(k)
     entries = []
@@ -208,10 +168,10 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
             aut = int(aut_s)
         except (ValueError, FormatError) as exc:
             raise FormatError(f"{path}: bad line {ln!r}") from exc
-        if g.n != k:
-            raise FormatError(f"{path}: entry on {g.n} vertices")
+        if g.n != k or aut <= 0 or kfact % aut:
+            raise FormatError(f"{path}: bad entry {ln!r}")
         entries.append(CatalogEntry(g, aut, kfact // aut))
-    if len(entries) != int(head.get("classes", -1)):
+    if head.get("classes") != str(len(entries)):
         raise FormatError(f"{path}: class count mismatch")
     cat = GraphCatalog(k, tuple(entries))
     if cat.labeled_total != 1 << pair_count(k):

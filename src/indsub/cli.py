@@ -147,7 +147,7 @@ KNOWN_CRITICAL_EDGES = {
 def _cmd_catalog(args) -> int:
     if not 1 <= args.k <= MAX_CATALOG_K:
         raise UsageError(f"--k must be between 1 and {MAX_CATALOG_K}")
-    cat = build_catalog(args.k, workers=args.workers)
+    cat = build_catalog(args.k)
     d = args.k * (args.k - 1) // 2
     report = {
         "k": cat.k,
@@ -526,7 +526,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--list", action="store_true",
                    help="include one entry per isomorphism class")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true", help="emit JSON (default)")
     p.set_defaults(func=_cmd_catalog)
 

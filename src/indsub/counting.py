@@ -3,8 +3,9 @@
 count_brute enumerates the C(n,k) vertex subsets and applies the
 predicate; count_basis evaluates the homomorphism-basis vector against
 exact per-pattern homomorphism counts.  The two must agree on every
-input, and count_basis insists on an integral, nonnegative total before
-returning.
+input.  count_basis hands k = 0 and k > n to count_brute (at most one
+predicate call) and otherwise insists on an integral, nonnegative total
+before returning.
 """
 
 from __future__ import annotations
@@ -52,10 +53,12 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
     canonical key of a pattern to its homomorphism count and lets repeated
     calls against one host share the expensive part.
     """
+    if hv is not None and hv.k != k:
+        raise ValueError(f"vector is for k={hv.k}, requested k={k}")
+    if k <= 0 or k > host.n:
+        return count_brute(phi, k, host)
     if hv is None:
         hv = hom_vector(phi, k, cache_dir=cache_dir)
-    elif hv.k != k:
-        raise ValueError(f"vector is for k={hv.k}, requested k={k}")
     total = Fraction(0)
     for g, coef in hv.entries:
         if hom_cache is None:

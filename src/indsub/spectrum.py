@@ -17,27 +17,20 @@ from math import comb, factorial
 
 from .catalog import build_catalog
 from .errors import InternalConsistencyError
-from .graphs import SmallGraph, pair_count
+from .graphs import pair_count
 from .properties import PropertySpec, evaluate
 
 
 def f_vector(phi: PropertySpec, k: int, *, cache_dir=None) -> tuple[int, ...]:
     """(f_0, ..., f_d) with d = C(k,2); f_i = #labeled k-vertex graphs with
-    i edges satisfying phi."""
+    i edges satisfying phi, summed over isomorphism classes as
+    phi(C) * copies(C)."""
     if k < 1:
         raise ValueError("k must be positive")
-    d = pair_count(k)
-    out = [0] * (d + 1)
-    if k <= 6:
-        # direct sweep over labeled graphs; at k=6 this is 2^15 predicate calls
-        for mask in range(1 << d):
-            if evaluate(phi, SmallGraph(k, mask)):
-                out[mask.bit_count()] += 1
-    else:
-        fact = factorial(k)
-        for entry in build_catalog(k, cache_dir=cache_dir).entries:
-            if evaluate(phi, entry.graph):
-                out[entry.graph.edge_count] += fact // entry.aut
+    out = [0] * (pair_count(k) + 1)
+    for entry in build_catalog(k, cache_dir=cache_dir).entries:
+        if evaluate(phi, entry.graph):
+            out[entry.graph.edge_count] += entry.copies
     return tuple(out)
 
 

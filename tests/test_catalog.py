@@ -1,4 +1,11 @@
+import importlib.util
+import logging
+import os
+import sys
+import threading
+import time
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +24,8 @@ CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_catalog_matches_orbit_oracle(k):
-    cat = build_catalog(k, use_cache=False)
+def test_catalog_matches_orbit_oracle(k, tmp_path):
+    cat = build_catalog(k, cache_dir=tmp_path)
     orbits = orbit_partition(k)
     assert cat.class_count == len(orbits) == CLASS_COUNTS[k]
     by_start = {}
@@ -41,9 +48,9 @@ def test_catalog_aut_matches_brute(k):
         assert entry.aut == brute_automorphism_count(entry.graph)
 
 
-def test_catalog_entry_order_is_deterministic():
-    cat1 = build_catalog(5, use_cache=False)
-    cat2 = build_catalog(5, use_cache=False)
+def test_catalog_entry_order_is_deterministic(tmp_path):
+    cat1 = build_catalog(5, cache_dir=tmp_path / "a")
+    cat2 = build_catalog(5, cache_dir=tmp_path / "b")
     assert [e.graph for e in cat1.entries] == [e.graph for e in cat2.entries]
     edge_counts = [e.graph.edge_count for e in cat1.entries]
     assert edge_counts == sorted(edge_counts)
@@ -67,7 +74,7 @@ def test_index_of_and_by_edge_count():
 
 def test_disk_cache_round_trip(tmp_path):
     from indsub.catalog import _read_cache
-    first = build_catalog(5, cache_dir=tmp_path, use_cache=True)
+    first = build_catalog(5, cache_dir=tmp_path)
     assert (tmp_path / "k5.catalog").exists()
     again = _read_cache(5, tmp_path / "k5.catalog")
     assert again.entries == first.entries
@@ -85,12 +92,93 @@ def test_corrupt_cache_rejected(tmp_path):
     path.write_text("# indsub catalog v1 k=4 classes=1\nBw 6\n")
     with pytest.raises(FormatError):       # header k mismatch
         _read_cache(3, path)
+    path.write_text("# indsub catalog v1 k=x=3 classes=1\nBw 6\n")
+    with pytest.raises(FormatError):       # malformed header field
+        _read_cache(3, path)
+    path.write_text("# indsub catalog v1 k=3 classes=1\nBw 0\n")
+    with pytest.raises(FormatError):       # automorphism count of zero
+        _read_cache(3, path)
+    path.write_bytes(b"# indsub catalog v1 k=3 classes=1\n\xff\xfe 6\n")
+    with pytest.raises(FormatError):       # not text
+        _read_cache(3, path)
 
 
-def test_parallel_build_matches_serial():
-    serial = build_catalog(5, use_cache=False, workers=1)
-    parallel = build_catalog(5, use_cache=False, workers=3)
-    assert serial.entries == parallel.entries
+def test_corrupt_cache_is_rebuilt_and_logged(tmp_path, caplog):
+    from indsub.catalog import _read_cache
+    path = tmp_path / "k3.catalog"
+    path.write_text("junk\n")
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        cat = build_catalog(3, cache_dir=tmp_path)
+    assert cat.class_count == CLASS_COUNTS[3]
+    assert _read_cache(3, path).entries == cat.entries
+    assert any("rebuilding catalog k=3" in r.getMessage()
+               for r in caplog.records)
+
+
+def test_cache_write_failure_is_logged(tmp_path, caplog):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        cat = build_catalog(2, cache_dir=blocker)
+    assert cat.class_count == CLASS_COUNTS[2]
+    assert sum("could not write catalog cache" in r.getMessage()
+               for r in caplog.records) == 2      # k = 2 and its parent
+
+
+def test_concurrent_cache_writers(tmp_path):
+    from indsub.catalog import _read_cache, _write_cache
+    cat = build_catalog(5)
+    path = tmp_path / "k5.catalog"
+    threads = (os.cpu_count() or 1) + 2
+    barrier = threading.Barrier(threads)
+    deadline = time.monotonic() + 2.0
+    errors = []
+
+    def writer():
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(25):
+                _write_cache(cat, path)
+                assert _read_cache(5, path).entries == cat.entries
+                if time.monotonic() > deadline:
+                    break
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    pool = [threading.Thread(target=writer) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    assert errors == []
+    assert _read_cache(5, path).entries == cat.entries
+    assert [p.name for p in tmp_path.iterdir()] == ["k5.catalog"]
+
+
+def test_parent_catalog_uses_the_given_cache_dir(tmp_path, monkeypatch):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(env_dir))
+    build_catalog(7, cache_dir=tmp_path / "explicit")
+    assert list(env_dir.iterdir()) == []
+    assert sorted(p.name for p in (tmp_path / "explicit").iterdir()) == \
+        [f"k{k}.catalog" for k in range(1, 8)]
+
+
+def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
+    script = Path(__file__).parent.parent / "scripts" / "build_catalogs.py"
+    spec = importlib.util.spec_from_file_location("build_catalogs", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--kmax", "4", "--cache-dir", str(tmp_path)]) == 0
+    assert "k=4: 11 classes" in capsys.readouterr().out
+    assert (tmp_path / "k4.catalog").exists()
 
 
 @pytest.mark.parametrize("k", [7, 8])

@@ -51,10 +51,10 @@ def test_basis_and_brute_on_named_hosts():
 def test_k_edge_cases():
     host = random_host(random.Random(7), 6, p=0.5)
     phi = get_property("connected")
-    # k = 0: the empty graph is vacuously connected under the builtin.
-    assert count_brute(phi, 0, host) in (0, 1)
-    assert count_brute(phi, 7, host) == 0
-    assert count_basis(phi, 7, host) == 0
+    # k = 0: the one 0-subset induces K_0; both routes must agree on it.
+    assert count_basis(phi, 0, host) == count_brute(phi, 0, host) in (0, 1)
+    for k in (7, 9):
+        assert count_basis(phi, k, host) == count_brute(phi, k, host) == 0
     with pytest.raises(ValueError):
         count_brute(phi, -1, host)
 

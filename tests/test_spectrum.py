@@ -33,7 +33,7 @@ def brute_f_vector(phi, k):
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROPERTIES))
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_f_vector_matches_mask_sweep(name, k):
     phi = get_property(name)
     assert f_vector(phi, k) == brute_f_vector(phi, k)
