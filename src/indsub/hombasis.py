@@ -2,18 +2,25 @@
 
 For a property phi and size k there is a unique finitely supported vector
 a with  #IndSub(phi, k, G) = sum_H a(H) * #Hom(H, G)  for every simple
-host G.  It is computed here in three exact steps:
+host G.  It is computed here in three exact steps, each over the classes
+of the k-vertex catalog rather than over labeled graphs:
 
-  1. a signed subset transform turns the predicate values phi(A), taken
-     over all labeled k-vertex graphs A, into s(A) = sum_{L <= A}
-     (-1)^(|A|-|L|) phi(L), an isomorphism invariant;
-  2. each k-vertex class C receives the coefficient a(C) = s(C)/#Aut(C);
-  3. vertex-identification is pushed through every set partition rho of
-     the k vertices with Moebius weight prod_B -(-1)^|B| (|B|-1)!, which
-     spills weight onto smaller quotient patterns; quotients acquiring a
-     loop are dropped because they admit no map into a simple host.
+  1. phi is evaluated once per class C, on its representative;
+  2. the signed transform s(C) = sum_{L <= C} (-1)^(|C|-|L|) phi(L) over
+     the spanning subgraphs L of the representative comes from a
+     recursion over one-edge deletions.  With S_r(C) the number of
+     spanning subgraphs satisfying phi that miss exactly r edges of C,
+         S_0(C) = phi(C),   r * S_r(C) = sum_C' N1(C', C) * S_(r-1)(C'),
+     where N1(C', C) counts the edges of C whose deletion gives class C',
+     and s(C) = sum_r (-1)^r S_r(C).  N1 does not depend on phi.  C then
+     receives the coefficient a(C) = s(C)/#Aut(C);
+  3. vertex identification spreads a(C) over the quotients of C by the
+     set partitions rho of its vertices into independent sets, with
+     Moebius weight prod_B -(-1)^|B| (|B|-1)!.  Every other partition
+     gives a quotient with a loop, which admits no map into a simple host.
+     The sum of weights per quotient class does not depend on phi either.
 
-All arithmetic is over Fraction; every denominator divides k!.
+All arithmetic is over integers and Fraction; every denominator divides k!.
 """
 
 from __future__ import annotations
@@ -23,11 +30,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .canon import canon_key, canonical_form
-from .catalog import build_catalog, extension_counts_by_class
+from .canon import canon_key
+from .catalog import build_catalog
 from .errors import InternalConsistencyError
-from .graphs import SmallGraph, pair_count
-from .partitions import partitions_with_moebius, quotient
+from .graphs import SmallGraph, bits_of, pair_count
+from .partitions import independent_partitions_with_moebius, quotient
 from .properties import PropertySpec, evaluate
 
 MAX_HOM_VECTOR_K = 7
@@ -67,78 +74,81 @@ class HomVector:
         return best
 
 
-def _signed_subset_transform(vals: list[int], d: int) -> None:
-    """In place: vals[A] <- sum over subsets L of A of (-1)^(|A|-|L|) vals[L]."""
-    for b in range(d):
-        bit = 1 << b
-        step = bit << 1
-        for base in range(0, len(vals), step):
-            for a in range(base + bit, base + step):
-                vals[a] -= vals[a - bit]
-
-
 def hom_vector(phi: PropertySpec, k: int, *, cache_dir=None) -> HomVector:
     if not 1 <= k <= MAX_HOM_VECTOR_K:
         raise ValueError(f"hom_vector supports 1 <= k <= {MAX_HOM_VECTOR_K}")
     return _hom_vector_cached(phi, k, None if cache_dir is None else str(cache_dir))
 
 
+@lru_cache(maxsize=None)
+def _edge_deletion_map(k: int, cache_dir: str | None) -> tuple:
+    """Per k-vertex catalog class C, the pairs (index of C', N1(C', C))."""
+    cat = build_catalog(k, cache_dir=cache_dir)
+    out = []
+    for entry in cat.entries:
+        edges = entry.graph.edges
+        n1: dict[int, int] = {}
+        for b in bits_of(edges):
+            child = cat.index_of(SmallGraph(k, edges & ~(1 << b)))
+            n1[child] = n1.get(child, 0) + 1
+        out.append(tuple(n1.items()))
+    return tuple(out)
+
+
+def _spanning_subgraph_counts(phi: PropertySpec, k: int,
+                              cache_dir: str | None) -> list[list[int]]:
+    """S[i][r] for r = 0..e(C_i): spanning subgraphs of the i-th catalog
+    representative that satisfy phi and miss exactly r of its edges.
+    Catalog order is by edge count, so every C' is done before C."""
+    cat = build_catalog(k, cache_dir=cache_dir)
+    deletions = _edge_deletion_map(k, cache_dir)
+    counts: list[list[int]] = []
+    for entry, children in zip(cat.entries, deletions):
+        row = [1 if evaluate(phi, entry.graph) else 0]
+        for r in range(1, entry.graph.edge_count + 1):
+            total = sum(n1 * counts[j][r - 1] for j, n1 in children)
+            q, rem = divmod(total, r)
+            if rem:
+                raise InternalConsistencyError(
+                    f"{total} subgraph-edge pairs of {entry.graph.to_graph6()} "
+                    f"missing {r} edges are not divisible by {r}")
+            row.append(q)
+        counts.append(row)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _quotient_row(g: SmallGraph) -> tuple:
+    """(canonical key, sum of Moebius values) per quotient class of g over
+    its partitions into independent sets; zero sums are left out.  Only
+    catalog representatives with k <= MAX_HOM_VECTOR_K come here, which
+    bounds the cache."""
+    row: dict[tuple[int, int, int], int] = {}
+    for rho, mu in independent_partitions_with_moebius(g):
+        key = canon_key(quotient(g, rho))
+        row[key] = row.get(key, 0) + mu
+    return tuple((key, mu) for key, mu in row.items() if mu)
+
+
 @lru_cache(maxsize=64)
 def _hom_vector_cached(phi: PropertySpec, k: int, cache_dir: str | None) -> HomVector:
-    d = pair_count(k)
-    vals = [1 if evaluate(phi, SmallGraph(k, mask)) else 0
-            for mask in range(1 << d)]
-    _signed_subset_transform(vals, d)
-    kfact = factorial(k)
-    acc: dict[tuple, Fraction] = {}
-    reps: dict[tuple, SmallGraph] = {}
-    for entry in build_catalog(k, cache_dir=cache_dir).entries:
-        s = vals[entry.graph.edges]
+    cat = build_catalog(k, cache_dir=cache_dir)
+    spanning = _spanning_subgraph_counts(phi, k, cache_dir)
+    # a(C) = s(C)/#Aut(C) = s(C) * copies(C) / k!, so sums stay integral
+    # until the final division by k!.
+    acc: dict[tuple[int, int, int], int] = {}
+    for entry, counts in zip(cat.entries, spanning):
+        s = sum(counts[0::2]) - sum(counts[1::2])
         if s == 0:
             continue
-        a = Fraction(s, entry.aut)
-        for rho, mu in partitions_with_moebius(k):
-            q = quotient(entry.graph, rho)
-            if q.loops:
-                continue
-            form = canonical_form(q)
-            key = form.key
-            if key not in reps:
-                reps[key] = form.graph()
-            acc[key] = acc.get(key, Fraction(0)) + a * mu
-    entries = []
-    for key, coef in acc.items():
-        if coef == 0:
-            continue
-        if kfact % coef.denominator:
-            raise InternalConsistencyError(
-                f"coefficient denominator {coef.denominator} does not divide {k}!")
-        entries.append((reps[key], coef))
+        weight = s * entry.copies
+        for key, mu in _quotient_row(entry.graph):
+            acc[key] = acc.get(key, 0) + weight * mu
+    kfact = factorial(k)
+    entries = [(SmallGraph(*key), Fraction(total, kfact))
+               for key, total in acc.items() if total]
     entries.sort(key=lambda e: (e[0].edge_count, e[0].to_graph6()))
     return HomVector(phi.name, k, tuple(entries))
-
-
-def k_vertex_coefficient(phi: PropertySpec, g: SmallGraph, *,
-                         cache_dir=None) -> Fraction:
-    """Coefficient of a k-vertex pattern, computed without the subset
-    transform: a(K) = sum over satisfying classes H of
-    (-1)^(e(K)-e(H)) * ext_H(K) / #Aut(H), where ext_H(K) counts the edge
-    supersets of a fixed copy of H that are isomorphic to K."""
-    if g.loops:
-        raise ValueError("patterns are loop-free")
-    k = g.n
-    target = canon_key(g)
-    m_k = g.edge_count
-    total = Fraction(0)
-    for entry in build_catalog(k, cache_dir=cache_dir).entries:
-        h = entry.graph
-        if h.edge_count > m_k or not evaluate(phi, h):
-            continue
-        ext = extension_counts_by_class(h, m_k).get(target, 0)
-        if ext:
-            sign = -1 if (m_k - h.edge_count) % 2 else 1
-            total += Fraction(sign * ext, entry.aut)
-    return total
 
 
 def h_tilde_vector(hv: HomVector) -> tuple[Fraction, ...]:

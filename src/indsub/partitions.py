@@ -52,35 +52,63 @@ def moebius_from_discrete(p: VertexPartition) -> int:
     return mu
 
 
-@lru_cache(maxsize=None)
-def _partition_list(n: int) -> tuple[tuple[VertexPartition, int], ...]:
-    if n > MAX_PARTITION_N:
-        raise ValueError(f"partition enumeration capped at n={MAX_PARTITION_N}")
-    if n < 1:
-        raise ValueError("need n >= 1")
+def _grow_partitions(n: int, rows) -> tuple[tuple[VertexPartition, int], ...]:
+    """Partitions of {0..n-1} whose blocks contain no pair u, v with v in
+    rows[u], grown vertex by vertex: vertex i joins each earlier block in
+    turn, then opens a new one.  A block that fails stays failed as it
+    grows, so pruning it keeps the order of the unpruned sweep."""
     out = []
     blocks: list[list[int]] = []
+    members: list[int] = []
 
     def rec(i):
         if i == n:
             p = VertexPartition(tuple(tuple(b) for b in blocks))
             out.append((p, moebius_from_discrete(p)))
             return
-        for b in blocks:
+        for j, b in enumerate(blocks):
+            if members[j] & rows[i]:
+                continue
             b.append(i)
+            members[j] |= 1 << i
             rec(i + 1)
+            members[j] ^= 1 << i
             b.pop()
         blocks.append([i])
+        members.append(1 << i)
         rec(i + 1)
+        members.pop()
         blocks.pop()
 
     rec(0)
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _partition_list(n: int) -> tuple[tuple[VertexPartition, int], ...]:
+    if n > MAX_PARTITION_N:
+        raise ValueError(f"partition enumeration capped at n={MAX_PARTITION_N}")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _grow_partitions(n, [0] * n)
+
+
 def partitions_with_moebius(n: int):
     """All partitions of {0..n-1} with Moebius values, deterministic order."""
     return iter(_partition_list(n))
+
+
+def independent_partitions_with_moebius(
+        g: SmallGraph) -> tuple[tuple[VertexPartition, int], ...]:
+    """The partitions of g's vertices into independent sets, with Moebius
+    values, in the order of partitions_with_moebius(g.n).  They are exactly
+    the partitions whose quotient has no loop; a graph with a looped vertex
+    has none."""
+    if g.n > MAX_PARTITION_N:
+        raise ValueError(f"partition enumeration capped at n={MAX_PARTITION_N}")
+    if g.loops:
+        return ()
+    return _grow_partitions(g.n, g.adj_rows())
 
 
 def discrete_partition(n: int) -> VertexPartition:

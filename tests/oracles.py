@@ -5,6 +5,12 @@ correct algorithm available -- full permutation sweeps, exhaustive map
 enumeration, orbit walks under the symmetric group -- and touches only
 the plain graph accessors of the package (vertex/edge reads), never the
 algorithmic modules it is used to check.
+
+The two homomorphism-basis references at the end are the exception: they
+name classes and quotients through the package's catalog, canonical forms
+and partition lattice, so that their output can be compared entry for
+entry, but they reach the coefficients by labeled edge-set sweeps instead
+of the class-level recursion and independent-set partitions of hombasis.
 """
 from __future__ import annotations
 
@@ -13,7 +19,11 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from indsub.graphs import HostGraph, SmallGraph
+from indsub.canon import canon_key, canonical_form
+from indsub.catalog import build_catalog, extension_counts_by_class
+from indsub.graphs import HostGraph, SmallGraph, pair_count
+from indsub.hombasis import HomVector
+from indsub.partitions import partitions_with_moebius, quotient
 
 # ----------------------------------------------------------- permutations
 
@@ -323,3 +333,64 @@ def brute_largest_clique_minor(g: SmallGraph) -> int:
     for u, v in g.edge_pairs():
         best = max(best, brute_largest_clique_minor(contract_edge(g, u, v)))
     return best
+
+
+# ------------------------------------------------ homomorphism-basis references
+
+
+def _signed_subset_transform(vals: list[int], d: int) -> None:
+    """In place: vals[A] <- sum over subsets L of A of (-1)^(|A|-|L|) vals[L]."""
+    for b in range(d):
+        bit = 1 << b
+        step = bit << 1
+        for base in range(0, len(vals), step):
+            for a in range(base + bit, base + step):
+                vals[a] -= vals[a - bit]
+
+
+def labelled_hom_vector(phi, k: int) -> HomVector:
+    """hom_vector by the labeled route: phi on all 2^C(k,2) labeled
+    k-vertex graphs, the signed subset transform over their edge sets,
+    a(C) = s(C)/#Aut(C) per class, then every set partition of the k
+    vertices with its Moebius weight, dropping quotients with a loop."""
+    d = pair_count(k)
+    vals = [1 if phi(SmallGraph(k, mask)) else 0 for mask in range(1 << d)]
+    _signed_subset_transform(vals, d)
+    acc: dict[tuple, Fraction] = {}
+    reps: dict[tuple, SmallGraph] = {}
+    for entry in build_catalog(k).entries:
+        s = vals[entry.graph.edges]
+        if s == 0:
+            continue
+        a = Fraction(s, entry.aut)
+        for rho, mu in partitions_with_moebius(k):
+            q = quotient(entry.graph, rho)
+            if q.loops:
+                continue
+            form = canonical_form(q)
+            reps.setdefault(form.key, form.graph())
+            acc[form.key] = acc.get(form.key, Fraction(0)) + a * mu
+    entries = sorted(((reps[key], c) for key, c in acc.items() if c),
+                     key=lambda e: (e[0].edge_count, e[0].to_graph6()))
+    return HomVector(phi.name, k, tuple(entries))
+
+
+def k_vertex_coefficient(phi, g: SmallGraph) -> Fraction:
+    """Coefficient of a k-vertex pattern without any subset transform:
+    a(K) = sum over satisfying classes H of
+    (-1)^(e(K)-e(H)) * ext_H(K) / #Aut(H), where ext_H(K) counts the edge
+    supersets of a fixed copy of H that are isomorphic to K."""
+    if g.loops:
+        raise ValueError("patterns are loop-free")
+    target = canon_key(g)
+    m_k = g.edge_count
+    total = Fraction(0)
+    for entry in build_catalog(g.n).entries:
+        h = entry.graph
+        if h.edge_count > m_k or not phi(h):
+            continue
+        ext = extension_counts_by_class(h, m_k).get(target, 0)
+        if ext:
+            sign = -1 if (m_k - h.edge_count) % 2 else 1
+            total += Fraction(sign * ext, entry.aut)
+    return total

@@ -5,9 +5,14 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from indsub import hombasis
 from indsub.catalog import build_catalog
-from indsub.graphs import SmallGraph
+from indsub.counting import count_basis, count_brute
+from indsub.errors import InternalConsistencyError
+from indsub.graphs import HostGraph, SmallGraph, pair_table
 from indsub.hombasis import (
     MAX_HOM_VECTOR_K,
     HomVector,
@@ -15,14 +20,23 @@ from indsub.hombasis import (
     expected_support_bound,
     h_tilde_vector,
     hom_vector,
-    k_vertex_coefficient,
     witness_dense_graph,
 )
 from indsub.homcount import count_hom, exact_treewidth
-from indsub.properties import BUILTIN_PROPERTIES, evaluate, get_property
+from indsub.properties import (
+    BUILTIN_PROPERTIES,
+    evaluate,
+    get_property,
+    truth_table_property,
+)
 from indsub.spectrum import f_vector, h_vector
 
-from oracles import brute_indsub_count, random_host
+from oracles import (
+    brute_indsub_count,
+    k_vertex_coefficient,
+    labelled_hom_vector,
+    random_host,
+)
 
 
 def test_no_edges_k2_coefficients_by_hand():
@@ -92,10 +106,69 @@ def test_k_vertex_coefficient_agrees_with_full_vector(prop_name):
     # The direct alternating-extension formula for top-order coefficients
     # must agree with the entry produced by the full transform pipeline.
     phi = get_property(prop_name)
-    hv = hom_vector(phi, 4)
-    for entry in build_catalog(4).entries:
-        assert k_vertex_coefficient(phi, entry.graph) == \
-            hv.coefficient(entry.graph)
+    for k in (4, 5):
+        hv = hom_vector(phi, k)
+        for entry in build_catalog(k).entries:
+            assert k_vertex_coefficient(phi, entry.graph) == \
+                hv.coefficient(entry.graph)
+
+
+@pytest.mark.parametrize("prop_name", sorted(BUILTIN_PROPERTIES))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_matches_labelled_reference(prop_name, k):
+    phi = get_property(prop_name)
+    assert hom_vector(phi, k) == labelled_hom_vector(phi, k)
+
+
+@pytest.mark.parametrize("prop_name", ["connected", "triangle-free", "perfect"])
+def test_matches_labelled_reference_k6(prop_name):
+    phi = get_property(prop_name)
+    assert hom_vector(phi, 6) == labelled_hom_vector(phi, 6)
+
+
+@st.composite
+def truth_tables_and_hosts(draw):
+    k = draw(st.integers(1, 5))
+    classes = build_catalog(k).class_count
+    bits = "".join(draw(st.sampled_from("01")) for _ in range(classes))
+    n = draw(st.integers(0, 9))
+    pairs = [p for p in pair_table(n) if draw(st.booleans())]
+    return k, bits, HostGraph.from_edges(n, pairs)
+
+
+@given(truth_tables_and_hosts())
+def test_truth_table_properties_match_reference_and_brute(case):
+    # Truth tables give arbitrary, non-hereditary properties.
+    k, bits, host = case
+    phi = truth_table_property({k: bits})
+    hv = hom_vector(phi, k)
+    assert hv == labelled_hom_vector(phi, k)
+    assert count_basis(phi, k, host, hv=hv) == count_brute(phi, k, host)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_spanning_subgraph_counts_closed_forms(k):
+    # Every spanning subgraph satisfies "true": S_r(C) = C(e(C), r).
+    # Only the edgeless one satisfies "no-edges": S_r(C) = [r = e(C)].
+    entries = build_catalog(k).entries
+    true_counts = hombasis._spanning_subgraph_counts(
+        get_property("true"), k, None)
+    empty_counts = hombasis._spanning_subgraph_counts(
+        get_property("no-edges"), k, None)
+    for entry, t, e in zip(entries, true_counts, empty_counts):
+        m = entry.graph.edge_count
+        assert t == [comb(m, r) for r in range(m + 1)]
+        assert e == [int(r == m) for r in range(m + 1)]
+
+
+def test_spanning_subgraph_division_must_be_exact(monkeypatch):
+    # With every multiplicity N1 set to 1, P3 at k = 3 has 1 subgraph-edge
+    # pair missing 2 edges, which 2 does not divide.
+    ones = tuple(tuple((j, 1) for j, _ in children)
+                 for children in hombasis._edge_deletion_map(3, None))
+    monkeypatch.setattr(hombasis, "_edge_deletion_map", lambda k, d: ones)
+    with pytest.raises(InternalConsistencyError):
+        hombasis._spanning_subgraph_counts(get_property("true"), 3, None)
 
 
 def test_k_vertex_coefficient_rejects_loops():

@@ -3,10 +3,12 @@ from math import factorial
 
 import pytest
 
+from indsub.catalog import build_catalog
 from indsub.graphs import SmallGraph
 from indsub.partitions import (
     MAX_PARTITION_N,
     discrete_partition,
+    independent_partitions_with_moebius,
     moebius_from_discrete,
     partitions_with_moebius,
     quotient,
@@ -58,6 +60,25 @@ def test_moebius_sums_to_zero_above_discrete():
         assert sum(mu for _, mu in partitions_with_moebius(n)) == 0
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_independent_partitions_are_the_loop_free_quotients(k):
+    for entry in build_catalog(k).entries:
+        g = entry.graph
+        expected = [(p, mu) for p, mu in partitions_with_moebius(k)
+                    if not quotient(g, p).loops]
+        assert list(independent_partitions_with_moebius(g)) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_independent_partitions_edge_cases(n):
+    assert independent_partitions_with_moebius(SmallGraph.complete(n)) == \
+        ((discrete_partition(n), 1),)
+    assert independent_partitions_with_moebius(SmallGraph(n, 0)) == \
+        tuple(partitions_with_moebius(n))
+    assert len(independent_partitions_with_moebius(SmallGraph(n, 0))) == BELL[n]
+    assert independent_partitions_with_moebius(SmallGraph(n, 0, loops=1)) == ()
+
+
 def test_discrete_partition():
     p = discrete_partition(4)
     assert p.blocks == ((0,), (1,), (2,), (3,))
@@ -67,6 +88,8 @@ def test_discrete_partition():
 def test_partition_cap():
     with pytest.raises(ValueError):
         list(partitions_with_moebius(MAX_PARTITION_N + 1))
+    with pytest.raises(ValueError):
+        independent_partitions_with_moebius(SmallGraph(MAX_PARTITION_N + 1))
 
 
 def test_quotient_discrete_is_identity():
