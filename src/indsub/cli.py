@@ -472,6 +472,9 @@ def _cmd_selftest(args) -> int:
     k3 = HostGraph.from_small(SmallGraph.complete(3))
     expect(count_hom(path3, k3) == 12,
            "hom count P3 -> K3 equals 3*2*2")
+    expect(count_hom(SmallGraph.cycle(5),
+                     HostGraph.from_small(SmallGraph.complete(4))) == 240,
+           "hom count C5 -> K4 equals 3^5 - 3 (a bag joined by a fill edge)")
 
     host = HostGraph.from_edges(
         8, [(a, b) for a in range(4) for b in range(4, 8)

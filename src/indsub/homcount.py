@@ -1,10 +1,21 @@
 """Exact homomorphism counting into simple host graphs.
 
 count_hom runs dynamic programming over a tree decomposition of the
-pattern, so its host-side cost is n^(tw+1) rather than n^k.  Treewidth is
-computed exactly by the elimination-ordering DP over vertex subsets, which
-is fine for the pattern sizes this package handles (k <= 8, decomposition
-solver capped at 12 vertices).
+pattern, one iterative bottom-up pass over the bags.  A bag's table counts
+the homomorphisms of the pattern below it per assignment of its interface
+with the parent bag, stored as a trie keyed in the parent's vertex order.
+A bag's own assignments are enumerated as a join: each vertex's candidates
+are the host neighbourhoods of its pattern-neighbours already assigned in
+the bag, intersected with the keys of every child trie at that child's
+current prefix.  In the decompositions tree_decomposition builds, every
+other vertex of a bag is joined to the bag's eliminated vertex, which is
+assigned first, by a pattern edge or by a fill edge that lies in some
+child's scope, so only that first vertex may range over all host vertices.
+The cost is bounded by n^(tw+1) but follows the child-table sizes, which
+are far smaller on sparse hosts.  Treewidth is computed exactly by the
+elimination-ordering DP over vertex subsets, which is fine for the pattern
+sizes this package handles (k <= 8, decomposition solver capped at 12
+vertices).
 """
 
 from __future__ import annotations
@@ -158,6 +169,8 @@ def count_hom(pattern: SmallGraph, host: HostGraph, *,
     """Number of homomorphisms pattern -> host.  Loop-marked patterns map
     to 0 because hosts are simple; disconnected patterns factor into the
     product of their components' counts."""
+    if td is not None and td.graph != pattern:
+        raise ValueError("tree decomposition belongs to a different pattern")
     if pattern.loops:
         return 0
     if pattern.n == 0:
@@ -172,9 +185,27 @@ def count_hom(pattern: SmallGraph, host: HostGraph, *,
         return total
     if td is None:
         td = tree_decomposition(pattern)
-    elif td.graph != pattern:
-        raise ValueError("tree decomposition belongs to a different pattern")
     return _count_hom_connected(pattern, host, td)
+
+
+def _join_order(bag: tuple[int, ...], scopes: list[set[int]],
+                prows: list[int]) -> tuple[int, ...]:
+    """Order in which a bag's vertices are assigned: greedily the vertex
+    with the most pattern edges to those already placed, then the most
+    child scopes already holding a placed vertex, then the most child
+    scopes, then the earliest in the bag."""
+    order: list[int] = []
+    rest = list(bag)
+    while rest:
+        placed = set(order)
+        placed_mask = sum(1 << w for w in order)
+        best = max(rest, key=lambda u: (
+            (prows[u] & placed_mask).bit_count(),
+            sum(1 for s in scopes if u in s and placed & s),
+            sum(1 for s in scopes if u in s)))
+        order.append(best)
+        rest.remove(best)
+    return tuple(order)
 
 
 def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
@@ -184,7 +215,8 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
         return 0
     adj = host.adj_bits
     prows = pattern.adj_rows()
-    children: list[list[int]] = [[] for _ in td.bags]
+    bags = td.bags
+    children: list[list[int]] = [[] for _ in bags]
     root = -1
     for b, p in enumerate(td.parent):
         if p == -1:
@@ -193,48 +225,138 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
             root = b
         else:
             children[p].append(b)
+    if root == -1:
+        raise InternalConsistencyError("decomposition has no root")
+    top_down = [root]
+    for b in top_down:
+        top_down.extend(children[b])
+    orders = [_join_order(bag, [set(bags[c]) & set(bag) for c in children[b]],
+                          prows)
+              for b, bag in enumerate(bags)]
 
-    def solve(b: int) -> dict[tuple[int, ...], int]:
-        """Table mapping the bag's parent-interface assignment to the
-        number of consistent assignments of the whole subtree below."""
-        bag = td.bags[b]
-        tables = [solve(c) for c in children[b]]
-        interfaces = []
+    # tables[c], once child c is done: the number of homomorphisms of the
+    # pattern below c's interface with its parent, per assignment of that
+    # interface, as a trie keyed in the parent's order (an int when the
+    # interface is empty); it is dropped as soon as the parent has used it
+    tables: list = [None] * len(bags)
+    for b in reversed(top_down):
+        order = orders[b]
+        m = len(order)
+        pos = {u: i for i, u in enumerate(order)}
+        # per position i: the earlier positions joined to it by a pattern
+        # edge, and (slot, depth, last) for every child trie it descends;
+        # nodes[slot][depth] is that trie's node for the current prefix
+        nbr_pos = [[j for j in range(i) if prows[order[i]] >> order[j] & 1]
+                   for i in range(m)]
+        reads: list[list[tuple[int, int, bool]]] = [[] for _ in range(m)]
+        nodes: list[list] = []
+        base = 1
         for c in children[b]:
-            cbag = td.bags[c]
-            interfaces.append(tuple(bag.index(v) for v in cbag if v in bag))
+            scope = sorted(pos[u] for u in bags[c] if u in pos)
+            if scope:
+                for depth, i in enumerate(scope):
+                    reads[i].append((len(nodes), depth, i == scope[-1]))
+                nodes.append([tables[c]] + [None] * (len(scope) - 1))
+            else:
+                base *= tables[c]
+            tables[c] = None
+        parent_order = orders[td.parent[b]] if b != root else ()
+        key_pos = sorted(pos[u] for u in parent_order if u in pos)
+        last = m - 1
+        last_kept = bool(key_pos) and key_pos[-1] == last
+        prefix_pos = key_pos[:-1] if last_kept else key_pos
+
+        # depth-first join over positions 0..last: a position's candidates
+        # are the host vertices adjacent to its assigned pattern-neighbours
+        # that are also keys of every child trie it descends; the last
+        # position adds all its candidates to acc at once
         acc: dict[tuple[int, ...], int] = {}
-        p = td.parent[b]
-        keep = tuple(i for i, v in enumerate(bag)
-                     if p != -1 and v in td.bags[p])
-        current: list[int] = []
+        if not m and base:
+            acc[()] = base
+        vals = [0] * m
+        weights = [base] + [0] * m
+        cands: list = [None] * m
+        nexts = [0] * m
+        i = 0 if m and base else -1
+        entering = True
+        while i >= 0:
+            if entering:
+                mask = None
+                for j in nbr_pos[i]:
+                    mask = adj[vals[j]] if mask is None else mask & adj[vals[j]]
+                dicts = [nodes[s][d] for s, d, _ in reads[i]]
+                if not dicts:
+                    cand = range(n_host) if mask is None else list(bits_of(mask))
+                else:
+                    if len(dicts) > 1:
+                        dicts.sort(key=len)
+                    first, others = dicts[0], dicts[1:]
+                    if mask is not None and mask.bit_count() < len(first):
+                        cand = [x for x in bits_of(mask) if x in first
+                                and all(x in o for o in others)]
+                    else:
+                        cand = [x for x in first
+                                if (mask is None or mask >> x & 1)
+                                and all(x in o for o in others)]
+                if i == last:
+                    w = weights[i]
+                    prefix = tuple(vals[j] for j in prefix_pos)
+                    if not dicts:
+                        totals = [1] * len(cand)
+                    elif not others:
+                        totals = [first[x] for x in cand]
+                    else:
+                        totals = []
+                        for x in cand:
+                            t = first[x]
+                            for o in others:
+                                t *= o[x]
+                            totals.append(t)
+                    if last_kept:
+                        for x, t in zip(cand, totals):
+                            key = prefix + (x,)
+                            acc[key] = acc.get(key, 0) + w * t
+                    elif cand:
+                        acc[prefix] = acc.get(prefix, 0) + w * sum(totals)
+                    i -= 1
+                    entering = False
+                    continue
+                cands[i] = cand
+                nexts[i] = 0
+            k = nexts[i]
+            if k == len(cands[i]):
+                i -= 1
+                entering = False
+                continue
+            x = cands[i][k]
+            nexts[i] = k + 1
+            w = weights[i]
+            for s, d, end in reads[i]:
+                if end:
+                    w *= nodes[s][d][x]
+                else:
+                    nodes[s][d + 1] = nodes[s][d][x]
+            vals[i] = x
+            weights[i + 1] = w
+            i += 1
+            entering = True
 
-        def backtrack(i):
-            if i == len(bag):
-                weight = 1
-                for t, iface in zip(tables, interfaces):
-                    weight *= t.get(tuple(current[j] for j in iface), 0)
-                    if not weight:
-                        return
-                key = tuple(current[j] for j in keep)
-                acc[key] = acc.get(key, 0) + weight
-                return
-            v = bag[i]
-            mask = None
-            for j in range(i):
-                if prows[v] >> bag[j] & 1:
-                    m = adj[current[j]]
-                    mask = m if mask is None else mask & m
-            candidates = range(n_host) if mask is None else bits_of(mask)
-            for x in candidates:
-                current.append(x)
-                backtrack(i + 1)
-                current.pop()
-
-        backtrack(0)
-        return acc
-
-    return solve(root).get((), 0)
+        # re-key the table in the parent's order, as a trie
+        perm = [key_pos.index(pos[u]) for u in parent_order if u in pos]
+        if not perm:
+            tables[b] = acc.get((), 0)
+            continue
+        trie: dict = {}
+        for key, count in acc.items():
+            node = trie
+            for t in perm[:-1]:
+                sub = node.get(key[t])
+                if sub is None:
+                    sub = node[key[t]] = {}
+                node = sub
+            node[key[perm[-1]]] = count
+        tables[b] = trie
+    return tables[root]
 
 
 def avg_degree_tw_bound(h: SmallGraph) -> Fraction:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
+    TreeDecomposition,
     avg_degree_tw_bound,
     count_hom,
     exact_treewidth,
@@ -99,11 +101,92 @@ def test_count_hom_matches_map_enumeration():
             (pattern.to_graph6(), host.to_graph6())
 
 
+def _connected_pattern(rng, n):
+    while True:
+        g = random_small_graph(rng, n, p=rng.choice([0.4, 0.6]))
+        if len(g.components()) == 1:
+            return g
+
+
+# Connected 5- and 6-vertex patterns whose decompositions hold bags with a
+# fill edge: C5 (DLo) and three treewidth-2/3 graphs from the support of
+# connected at k = 6; C6 and K3,3 are added below.
+FILL_EDGE_PATTERNS = ("DLo", "EBj?", "EImo", "EFz_")
+
+
+def test_count_hom_matches_map_enumeration_with_fill_edges():
+    rng = random.Random(45)
+    patterns = [SmallGraph.from_graph6(text) for text in FILL_EDGE_PATTERNS]
+    patterns += [SmallGraph.cycle(6), SmallGraph.complete_bipartite(3, 3)]
+    patterns += [_connected_pattern(rng, rng.choice([5, 6])) for _ in range(6)]
+    for pattern in patterns:
+        for _ in range(2):
+            host = random_host(rng, rng.randrange(3, 7),
+                               p=rng.choice([0.4, 0.7]))
+            assert count_hom(pattern, host) == brute_hom_count(pattern, host), \
+                (pattern.to_graph6(), host.to_graph6())
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def test_count_hom_cycles_and_stars_on_larger_hosts():
+    """hom(C_l, G) = trace(A^l) and hom(K_{1,t}, G) = sum of deg(v)^t, on
+    hosts large enough that the DP's join, not the host, bounds the work."""
+    rng = random.Random(46)
+    for n, p in ((30, 0.2), (45, 0.12), (60, 0.08)):
+        host = random_host(rng, n, p)
+        a1 = [[1 if host.has_edge(u, v) else 0 for v in range(n)]
+              for u in range(n)]
+        a2 = _matmul(a1, a1)
+        a3 = _matmul(a2, a1)
+        for length, (x, y) in ((4, (a2, a2)), (5, (a2, a3)), (6, (a3, a3))):
+            trace = sum(x[u][v] * y[v][u] for u in range(n) for v in range(n))
+            assert count_hom(SmallGraph.cycle(length), host) == trace, (n, length)
+        for t in range(1, 6):
+            assert count_hom(SmallGraph.complete_bipartite(1, t), host) == \
+                sum(len(nbrs) ** t for nbrs in host.neighbors), (n, t)
+
+
+def test_count_hom_accepts_any_valid_decomposition():
+    """Hand-built decompositions: one bag, a path rooted at its far end,
+    and empty bags as leaf and as root."""
+    c5 = SmallGraph.cycle(5)
+    host = random_host(random.Random(47), 7, p=0.6)
+    expected = brute_hom_count(c5, host)
+    whole = (0, 1, 2, 3, 4)
+    for bags, parent in (((whole,), (-1,)),
+                         (((0, 1, 4), (1, 2, 4), (2, 3, 4)), (1, 2, -1)),
+                         ((whole, ()), (-1, 0)),
+                         (((), whole), (-1, 0))):
+        td = TreeDecomposition(c5, bags, parent)
+        td.validate()
+        assert count_hom(c5, host, td=td) == expected, bags
+
+
+def test_count_hom_leaves_no_cyclic_garbage():
+    c5 = SmallGraph.cycle(5)
+    host = HostGraph.from_small(c5)
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_hom(c5, host) == 10
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_count_hom_rejects_foreign_decomposition():
     td = tree_decomposition(SmallGraph.path(3))
     host = HostGraph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         count_hom(SmallGraph.complete(3), host, td=td)
+    # a disconnected pattern is checked before it is split into components
+    with pytest.raises(ValueError):
+        count_hom(SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+                  HostGraph.from_small(SmallGraph.complete(4)), td=td)
     # matching decomposition is accepted
     assert count_hom(SmallGraph.path(3), host,
                      td=tree_decomposition(SmallGraph.path(3))) == 2
