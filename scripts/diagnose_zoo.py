@@ -13,24 +13,10 @@ Usage:
 import argparse
 import json
 import sys
-from fractions import Fraction
 
+from indsub.cli import _enc
 from indsub.hardness import MAX_DIAGNOSE_K, diagnose
 from indsub.properties import BUILTIN_PROPERTIES, get_property
-
-
-def encode(value):
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: encode(v) for k, v in value.items()}
-    raise TypeError(f"cannot encode {type(value)!r}")
 
 
 def text_block(report) -> str:
@@ -62,36 +48,39 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object instead of text")
     args = parser.parse_args(argv)
-
-    names = (args.properties.split(",") if args.properties
-             else sorted(BUILTIN_PROPERTIES))
-    reports = []
-    for name in names:
-        reports.append(diagnose(get_property(name.strip()), args.kmax))
+    if not 1 <= args.kmax <= MAX_DIAGNOSE_K:
+        parser.error(f"--kmax must be in 1..{MAX_DIAGNOSE_K}")
+    names = ([name.strip() for name in args.properties.split(",")]
+             if args.properties else sorted(BUILTIN_PROPERTIES))
+    unknown = [name for name in names if name not in BUILTIN_PROPERTIES]
+    if unknown:
+        parser.error(f"unknown properties {unknown} "
+                     f"(known: {', '.join(sorted(BUILTIN_PROPERTIES))})")
+    reports = [diagnose(get_property(name), args.kmax) for name in names]
 
     if args.json:
         payload = []
         for rep in reports:
             payload.append({
                 "property": rep.property_name,
-                "k_max": encode(rep.k_max),
+                "k_max": _enc(rep.k_max),
                 "flags": list(rep.flags_declared),
-                "flag_violations": encode(
+                "flag_violations": _enc(
                     [v.flag for v in rep.flag_violations]),
                 "records": [
                     {
-                        "k": encode(rec.k),
-                        "d": encode(rec.d),
-                        "hw": encode(rec.hamming_weight),
-                        "beta": encode(rec.beta),
+                        "k": _enc(rec.k),
+                        "d": _enc(rec.d),
+                        "hw": _enc(rec.hamming_weight),
+                        "beta": _enc(rec.beta),
                         "poised": rec.poised,
                         "witness": rec.witness,
-                        "witness_edges": encode(rec.witness_edges),
-                        "witness_treewidth": encode(rec.witness_treewidth),
+                        "witness_edges": _enc(rec.witness_edges),
+                        "witness_treewidth": _enc(rec.witness_treewidth),
                     }
                     for rec in rep.records
                 ],
-                "support_prefix": encode(list(rep.support_prefix)),
+                "support_prefix": _enc(list(rep.support_prefix)),
                 "classification": list(rep.classification),
             })
         json.dump(payload, sys.stdout, indent=2)

@@ -7,8 +7,9 @@ labeled copies k!/#Aut; the copies must sum to 2^C(k,2), which the
 builder asserts.
 
 Catalogs are cached on disk, one "graph6 aut" line per class under a
-versioned header.  The cache directory comes from INDSUB_CACHE_DIR or
-defaults to ~/.cache/indsub.
+versioned header, in the builder's order: by edge count, then by edge
+bitset.  The cache directory comes from INDSUB_CACHE_DIR or defaults to
+~/.cache/indsub; build_catalog(cache_dir=) overrides it.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
         raise FormatError(f"{path}: header k mismatch")
     kfact = factorial(k)
     entries = []
+    last = (-1, -1)
     for ln in lines[1:]:
         if not ln.strip():
             continue
@@ -170,6 +172,11 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
             raise FormatError(f"{path}: bad line {ln!r}") from exc
         if g.n != k or aut <= 0 or kfact % aut:
             raise FormatError(f"{path}: bad entry {ln!r}")
+        # Truth tables and the deletion maps index classes by this order.
+        key = (g.edge_count, g.edges)
+        if key <= last:
+            raise FormatError(f"{path}: entry {ln!r} out of catalog order")
+        last = key
         entries.append(CatalogEntry(g, aut, kfact // aut))
     if head.get("classes") != str(len(entries)):
         raise FormatError(f"{path}: class count mismatch")
@@ -177,6 +184,25 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
     if cat.labeled_total != 1 << pair_count(k):
         raise FormatError(f"{path}: labeled total mismatch")
     return cat
+
+
+@lru_cache(maxsize=None)
+def edge_deletions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Per class: class index after each edge deletion, in edge_pairs order."""
+    cat = build_catalog(k)
+    return tuple(
+        tuple(cat.index_of(e.graph.without_edge(i, j))
+              for i, j in e.graph.edge_pairs())
+        for e in cat.entries)
+
+
+@lru_cache(maxsize=None)
+def vertex_deletions(k: int) -> tuple[tuple[int, ...], ...]:
+    """Per class (k >= 2): (k-1)-catalog index after each vertex deletion."""
+    cat, below = build_catalog(k), build_catalog(k - 1)
+    return tuple(
+        tuple(below.index_of(e.graph.delete_vertex(v)) for v in range(k))
+        for e in cat.entries)
 
 
 def extension_counts_by_class(h: SmallGraph, ell: int) -> dict[tuple, int]:

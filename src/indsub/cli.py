@@ -23,6 +23,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import counting
+from .canon import is_isomorphic
 from .catalog import MAX_CATALOG_K, build_catalog
 from .errors import (
     BudgetExceededError,
@@ -345,7 +346,7 @@ def _cmd_critical(args) -> int:
                 "explosions_checked": check.checked,
             },
         }
-        if known is not None and known[0].n == h.n and _same_class(known[0], h):
+        if known is not None and is_isomorphic(known[0], h):
             edge = next(iter(h.edge_pairs()))
             kcheck = bounded_critical_check(phi, h, edge, bound=args.bound)
             if kcheck.refuted:
@@ -372,11 +373,6 @@ def _cmd_critical(args) -> int:
     return 0
 
 
-def _same_class(a: SmallGraph, b: SmallGraph) -> bool:
-    from .canon import is_isomorphic
-    return is_isomorphic(a, b)
-
-
 def _cmd_reduce_demo(args) -> int:
     host = load_host_graph(args.bipartite)
     forbidden = load_graph_list(args.forbidden)
@@ -397,7 +393,7 @@ def _cmd_reduce_demo(args) -> int:
         phi = forbidden_induced_property(
             forbidden, name=f"forbidden-induced:{args.forbidden}")
     known = KNOWN_CRITICAL_EDGES.get(args.property) if args.property else None
-    if known is not None and known[0].n == h.n and _same_class(known[0], h):
+    if known is not None and is_isomorphic(known[0], h):
         phi_use, h_use = phi, h
         edge = next(iter(h.edge_pairs()))
         basis = "known"

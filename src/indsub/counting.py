@@ -45,8 +45,7 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
 
 def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
                 hv: HomVector | None = None,
-                hom_cache: dict | None = None,
-                cache_dir=None) -> int:
+                hom_cache: dict | None = None) -> int:
     """#IndSub(phi, k, host) as sum_H a(H) * #Hom(H, host).
 
     hom_cache, when given, must be dedicated to this host; it maps the
@@ -58,7 +57,7 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
     if hv is None:
-        hv = hom_vector(phi, k, cache_dir=cache_dir)
+        hv = hom_vector(phi, k)
     total = Fraction(0)
     for g, coef in hv.entries:
         if hom_cache is None:

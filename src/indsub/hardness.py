@@ -94,7 +94,7 @@ class TuranCheck:
     violating_indices: tuple[int, ...]
 
 
-def turan_check(phi: PropertySpec, k: int, *, cache_dir=None) -> TuranCheck:
+def turan_check(phi: PropertySpec, k: int) -> TuranCheck:
     """For a monotone property with a declared forbidden subgraph on r
     vertices, every satisfying k-vertex graph has at most (1-1/r)k^2/2
     edges, so the f-vector must vanish above that threshold."""
@@ -102,7 +102,7 @@ def turan_check(phi: PropertySpec, k: int, *, cache_dir=None) -> TuranCheck:
         raise ValueError("turan_check needs a declared forbidden subgraph")
     r = min(h.n for h in phi.forbidden_subgraphs)
     threshold = Fraction((r - 1) * k * k, 2 * r)
-    f = f_vector(phi, k, cache_dir=cache_dir)
+    f = f_vector(phi, k)
     bad = tuple(i for i in range(len(f)) if i > threshold and f[i] != 0)
     return TuranCheck(r, threshold, not bad, bad)
 
@@ -143,14 +143,14 @@ class HardnessReport:
         return not self.flag_violations
 
 
-def density_prefix(phi: PropertySpec, k_max: int, *, cache_dir=None
+def density_prefix(phi: PropertySpec, k_max: int
                    ) -> tuple[tuple[int, ...], Optional[Fraction]]:
     """Sizes k <= k_max admitting at least one satisfying graph, plus the
     largest ratio between consecutive members (including 1 -> first); small
     ratios over a long prefix are evidence of a dense support set."""
     prefix = []
     for k in range(1, k_max + 1):
-        if hamming_weight(f_vector(phi, k, cache_dir=cache_dir)) > 0:
+        if hamming_weight(f_vector(phi, k)) > 0:
             prefix.append(k)
     ratio = None
     if prefix:
@@ -160,16 +160,16 @@ def density_prefix(phi: PropertySpec, k_max: int, *, cache_dir=None
 
 
 def _record_for_k(phi: PropertySpec, k: int, spec: Spectrum, *,
-                  monotone_ok: bool, cache_dir=None) -> HardnessRecord:
+                  monotone_ok: bool) -> HardnessRecord:
     d = spec.d
     turan = None
     if monotone_ok and phi.forbidden_subgraphs:
-        turan = turan_check(phi, k, cache_dir=cache_dir)
+        turan = turan_check(phi, k)
     if spec.hamming_weight == 0:
         return HardnessRecord(k, d, spec.f, spec.h, 0, spec.beta,
                               spec.max_nonzero_h_index, spec.poised,
                               None, None, None, None, None, None, turan)
-    hv = hom_vector(phi, k, cache_dir=cache_dir)
+    hv = hom_vector(phi, k)
     witness = witness_dense_graph(hv)
     if witness is None:
         raise InternalConsistencyError(
@@ -260,18 +260,17 @@ def _classification_lines(phi: PropertySpec, records, prefix, ratio,
     return tuple(lines)
 
 
-def diagnose(phi: PropertySpec, k_max: int, *, cache_dir=None) -> HardnessReport:
+def diagnose(phi: PropertySpec, k_max: int) -> HardnessReport:
     if not 1 <= k_max <= MAX_DIAGNOSE_K:
         raise ValueError(f"diagnose supports 1 <= k_max <= {MAX_DIAGNOSE_K}")
     verified_to = min(k_max, 6)
-    flag_report = verify_flags(phi, verified_to, cache_dir=cache_dir)
+    flag_report = verify_flags(phi, verified_to)
     flags_ok = flag_report.ok
     records = []
     for k in range(1, k_max + 1):
-        spec = spectrum_report(phi, k, cache_dir=cache_dir)
+        spec = spectrum_report(phi, k)
         records.append(_record_for_k(phi, k, spec,
-                                     monotone_ok=flags_ok and phi.monotone,
-                                     cache_dir=cache_dir))
+                                     monotone_ok=flags_ok and phi.monotone))
     prefix = tuple(r.k for r in records if r.hamming_weight > 0)
     ratio = None
     if prefix:

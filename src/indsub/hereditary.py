@@ -256,8 +256,8 @@ def count_independent_sets_via_reduction(host: HostGraph, parts, k: int,
                                          phi: PropertySpec, h: SmallGraph,
                                          edge: tuple[int, int], *,
                                          method: str = "brute",
-                                         budget: int = DEFAULT_SUBSET_BUDGET,
-                                         cache_dir=None) -> int:
+                                         budget: int = DEFAULT_SUBSET_BUDGET
+                                         ) -> int:
     """Number of k-vertex independent sets of the bipartite host, computed
     through 2^r property-counting calls on the glued instance: the terms
     sum, with inclusion-exclusion signs over deleted distinguished
@@ -279,7 +279,7 @@ def count_independent_sets_via_reduction(host: HostGraph, parts, k: int,
         if method == "brute":
             term = count_brute(phi, k + inst.r, sub, budget=budget)
         elif method == "basis":
-            term = count_basis(phi, k + inst.r, sub, cache_dir=cache_dir)
+            term = count_basis(phi, k + inst.r, sub)
         else:
             raise ValueError(f"unknown method {method!r}")
         total += -term if len(victims) % 2 else term

@@ -5,14 +5,15 @@ a with  #IndSub(phi, k, G) = sum_H a(H) * #Hom(H, G)  for every simple
 host G.  It is computed here in three exact steps, each over the classes
 of the k-vertex catalog rather than over labeled graphs:
 
-  1. phi is evaluated once per class C, on its representative;
+  1. phi is read once per class C from properties.class_values;
   2. the signed transform s(C) = sum_{L <= C} (-1)^(|C|-|L|) phi(L) over
      the spanning subgraphs L of the representative comes from a
      recursion over one-edge deletions.  With S_r(C) the number of
      spanning subgraphs satisfying phi that miss exactly r edges of C,
          S_0(C) = phi(C),   r * S_r(C) = sum_C' N1(C', C) * S_(r-1)(C'),
-     where N1(C', C) counts the edges of C whose deletion gives class C',
-     and s(C) = sum_r (-1)^r S_r(C).  N1 does not depend on phi.  C then
+     where N1(C', C) counts the edges of C whose deletion gives class C'
+     (read from catalog.edge_deletions, which does not depend on phi),
+     and s(C) = sum_r (-1)^r S_r(C).  C then
      receives the coefficient a(C) = s(C)/#Aut(C);
   3. vertex identification spreads a(C) over the quotients of C by the
      set partitions rho of its vertices into independent sets, with
@@ -31,11 +32,11 @@ from functools import lru_cache
 from math import factorial
 
 from .canon import canon_key
-from .catalog import build_catalog
+from .catalog import build_catalog, edge_deletions
 from .errors import InternalConsistencyError
-from .graphs import SmallGraph, bits_of, pair_count
+from .graphs import SmallGraph, pair_count
 from .partitions import independent_partitions_with_moebius, quotient
-from .properties import PropertySpec, evaluate
+from .properties import PropertySpec, class_values
 
 MAX_HOM_VECTOR_K = 7
 
@@ -74,39 +75,17 @@ class HomVector:
         return best
 
 
-def hom_vector(phi: PropertySpec, k: int, *, cache_dir=None) -> HomVector:
-    if not 1 <= k <= MAX_HOM_VECTOR_K:
-        raise ValueError(f"hom_vector supports 1 <= k <= {MAX_HOM_VECTOR_K}")
-    return _hom_vector_cached(phi, k, None if cache_dir is None else str(cache_dir))
-
-
-@lru_cache(maxsize=None)
-def _edge_deletion_map(k: int, cache_dir: str | None) -> tuple:
-    """Per k-vertex catalog class C, the pairs (index of C', N1(C', C))."""
-    cat = build_catalog(k, cache_dir=cache_dir)
-    out = []
-    for entry in cat.entries:
-        edges = entry.graph.edges
-        n1: dict[int, int] = {}
-        for b in bits_of(edges):
-            child = cat.index_of(SmallGraph(k, edges & ~(1 << b)))
-            n1[child] = n1.get(child, 0) + 1
-        out.append(tuple(n1.items()))
-    return tuple(out)
-
-
-def _spanning_subgraph_counts(phi: PropertySpec, k: int,
-                              cache_dir: str | None) -> list[list[int]]:
+def _spanning_subgraph_counts(phi: PropertySpec, k: int) -> list[list[int]]:
     """S[i][r] for r = 0..e(C_i): spanning subgraphs of the i-th catalog
     representative that satisfy phi and miss exactly r of its edges.
     Catalog order is by edge count, so every C' is done before C."""
-    cat = build_catalog(k, cache_dir=cache_dir)
-    deletions = _edge_deletion_map(k, cache_dir)
+    cat = build_catalog(k)
     counts: list[list[int]] = []
-    for entry, children in zip(cat.entries, deletions):
-        row = [1 if evaluate(phi, entry.graph) else 0]
+    for entry, val, children in zip(cat.entries, class_values(phi, k),
+                                    edge_deletions(k)):
+        row = [int(val)]
         for r in range(1, entry.graph.edge_count + 1):
-            total = sum(n1 * counts[j][r - 1] for j, n1 in children)
+            total = sum(counts[j][r - 1] for j in children)
             q, rem = divmod(total, r)
             if rem:
                 raise InternalConsistencyError(
@@ -131,9 +110,11 @@ def _quotient_row(g: SmallGraph) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _hom_vector_cached(phi: PropertySpec, k: int, cache_dir: str | None) -> HomVector:
-    cat = build_catalog(k, cache_dir=cache_dir)
-    spanning = _spanning_subgraph_counts(phi, k, cache_dir)
+def hom_vector(phi: PropertySpec, k: int) -> HomVector:
+    if not 1 <= k <= MAX_HOM_VECTOR_K:
+        raise ValueError(f"hom_vector supports 1 <= k <= {MAX_HOM_VECTOR_K}")
+    cat = build_catalog(k)
+    spanning = _spanning_subgraph_counts(phi, k)
     # a(C) = s(C)/#Aut(C) = s(C) * copies(C) / k!, so sums stay integral
     # until the final division by k!.
     acc: dict[tuple[int, int, int], int] = {}

@@ -14,11 +14,12 @@ truth table over the catalog order of a fixed k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional
 
 from .canon import canon_key
-from .catalog import build_catalog
+from .catalog import build_catalog, edge_deletions, vertex_deletions
 from .errors import FormatError, PredicateError, UnknownPropertyError
 from .graphs import SmallGraph, bits_of, pair_count
 
@@ -418,9 +419,17 @@ class FlagReport:
         return not self.violations
 
 
-def verify_flags(phi: PropertySpec, k_max: int, *, cache_dir=None) -> FlagReport:
+@lru_cache(maxsize=64)
+def class_values(phi: PropertySpec, k: int) -> tuple[bool, ...]:
+    """phi on every k-vertex catalog class, in catalog order.  phi is
+    isomorphism-invariant, so this is the one place it is evaluated on
+    catalog classes."""
+    return tuple(evaluate(phi, e.graph) for e in build_catalog(k).entries)
+
+
+def verify_flags(phi: PropertySpec, k_max: int) -> FlagReport:
     """Exhaustively check the declared flags on all isomorphism classes with
-    at most k_max vertices (k_max <= 6)."""
+    at most k_max vertices (k_max <= 6), deletions by catalog lookup."""
     if not 1 <= k_max <= 6:
         raise ValueError("verify_flags supports 1 <= k_max <= 6")
     violations: list[FlagViolation] = []
@@ -429,12 +438,18 @@ def verify_flags(phi: PropertySpec, k_max: int, *, cache_dir=None) -> FlagReport
         if not ok:
             violations.append(FlagViolation(flag, g.to_graph6(), detail))
 
+    below = None                       # phi on the (k-1)-vertex classes
     for k in range(1, k_max + 1):
-        cat = build_catalog(k, cache_dir=cache_dir)
+        cat = build_catalog(k)
+        vals = class_values(phi, k)
+        drop_edge = edge_deletions(k)
+        drop_vertex = vertex_deletions(k) if k > 1 else ((0,),)
+        if k == 1 and vals[0] and (phi.monotone or phi.hereditary):
+            # the 0-vertex graph has no catalog
+            below = (evaluate(phi, SmallGraph(0, 0)),)
         by_m: dict[int, set[bool]] = {}
-        for entry in cat.entries:
+        for idx, (entry, val) in enumerate(zip(cat.entries, vals)):
             g = entry.graph
-            val = evaluate(phi, g)
             by_m.setdefault(g.edge_count, set()).add(val)
             if phi.sparse_bound is not None and val:
                 check(f"sparse({phi.sparse_bound})", g,
@@ -443,29 +458,29 @@ def verify_flags(phi: PropertySpec, k_max: int, *, cache_dir=None) -> FlagReport
             if not val:
                 continue
             if phi.monotone:
-                for i, j in g.edge_pairs():
-                    check("monotone", g, evaluate(phi, g.without_edge(i, j)),
+                for (i, j), c in zip(g.edge_pairs(), drop_edge[idx]):
+                    check("monotone", g, vals[c],
                           f"fails after deleting edge ({i},{j})")
-                for v in range(g.n):
-                    check("monotone", g, evaluate(phi, g.delete_vertex(v)),
+                for v, c in enumerate(drop_vertex[idx]):
+                    check("monotone", g, below[c],
                           f"fails after deleting vertex {v}")
             if phi.hereditary:
-                for v in range(g.n):
-                    check("hereditary", g, evaluate(phi, g.delete_vertex(v)),
+                for v, c in enumerate(drop_vertex[idx]):
+                    check("hereditary", g, below[c],
                           f"fails after deleting vertex {v}")
         if phi.edge_count_only:
-            for m, vals in sorted(by_m.items()):
-                if len(vals) > 1:
+            for m, seen in sorted(by_m.items()):
+                if len(seen) > 1:
                     wit = next(e.graph for e in cat.entries
                                if e.graph.edge_count == m)
                     violations.append(FlagViolation(
                         "edge-count-only", wit.to_graph6(),
                         f"value not constant on ({k},{m}) classes"))
+        below = vals
     checked = phi.flags
     return FlagReport(phi.name, k_max, checked, tuple(violations))
 
 
-def property_support_at(phi: PropertySpec, k: int, *, cache_dir=None) -> bool:
+def property_support_at(phi: PropertySpec, k: int) -> bool:
     """Does any k-vertex graph satisfy phi?"""
-    cat = build_catalog(k, cache_dir=cache_dir)
-    return any(evaluate(phi, e.graph) for e in cat.entries)
+    return any(class_values(phi, k))

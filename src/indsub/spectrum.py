@@ -18,18 +18,18 @@ from math import comb, factorial
 from .catalog import build_catalog
 from .errors import InternalConsistencyError
 from .graphs import pair_count
-from .properties import PropertySpec, evaluate
+from .properties import PropertySpec, class_values
 
 
-def f_vector(phi: PropertySpec, k: int, *, cache_dir=None) -> tuple[int, ...]:
+def f_vector(phi: PropertySpec, k: int) -> tuple[int, ...]:
     """(f_0, ..., f_d) with d = C(k,2); f_i = #labeled k-vertex graphs with
     i edges satisfying phi, summed over isomorphism classes as
     phi(C) * copies(C)."""
     if k < 1:
         raise ValueError("k must be positive")
     out = [0] * (pair_count(k) + 1)
-    for entry in build_catalog(k, cache_dir=cache_dir).entries:
-        if evaluate(phi, entry.graph):
+    for entry, val in zip(build_catalog(k).entries, class_values(phi, k)):
+        if val:
             out[entry.graph.edge_count] += entry.copies
     return tuple(out)
 
@@ -189,8 +189,8 @@ class Spectrum:
     poised: bool
 
 
-def spectrum_report(phi: PropertySpec, k: int, *, cache_dir=None) -> Spectrum:
-    f = f_vector(phi, k, cache_dir=cache_dir)
+def spectrum_report(phi: PropertySpec, k: int) -> Spectrum:
+    f = f_vector(phi, k)
     h = h_vector(f)
     d = len(f) - 1
     w = hamming_weight(f)

@@ -11,6 +11,9 @@ name classes and quotients through the package's catalog, canonical forms
 and partition lattice, so that their output can be compared entry for
 entry, but they reach the coefficients by labeled edge-set sweeps instead
 of the class-level recursion and independent-set partitions of hombasis.
+The flag-verification reference likewise walks the package's catalog, but
+evaluates the property on labeled deletions instead of reading the
+catalog's deletion maps.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from indsub.catalog import build_catalog, extension_counts_by_class
 from indsub.graphs import HostGraph, SmallGraph, pair_count
 from indsub.hombasis import HomVector
 from indsub.partitions import partitions_with_moebius, quotient
+from indsub.properties import FlagReport, FlagViolation
 
 # ----------------------------------------------------------- permutations
 
@@ -394,3 +398,51 @@ def k_vertex_coefficient(phi, g: SmallGraph) -> Fraction:
             sign = -1 if (m_k - h.edge_count) % 2 else 1
             total += Fraction(sign * ext, entry.aut)
     return total
+
+
+# ---------------------------------------------- flag-verification reference
+
+
+def labelled_verify_flags(phi, k_max: int) -> FlagReport:
+    """verify_flags by evaluating phi on every labeled one-edge and
+    one-vertex deletion of each satisfying catalog representative,
+    instead of looking the deletions up in the catalog's deletion maps."""
+    violations: list[FlagViolation] = []
+
+    def check(flag, g, ok, detail):
+        if not ok:
+            violations.append(FlagViolation(flag, g.to_graph6(), detail))
+
+    for k in range(1, k_max + 1):
+        cat = build_catalog(k)
+        by_m: dict[int, set[bool]] = {}
+        for entry in cat.entries:
+            g = entry.graph
+            val = phi(g)
+            by_m.setdefault(g.edge_count, set()).add(val)
+            if phi.sparse_bound is not None and val:
+                check(f"sparse({phi.sparse_bound})", g,
+                      g.edge_count <= phi.sparse_bound * g.n,
+                      f"{g.edge_count} edges on {g.n} vertices")
+            if not val:
+                continue
+            if phi.monotone:
+                for i, j in g.edge_pairs():
+                    check("monotone", g, phi(g.without_edge(i, j)),
+                          f"fails after deleting edge ({i},{j})")
+                for v in range(g.n):
+                    check("monotone", g, phi(g.delete_vertex(v)),
+                          f"fails after deleting vertex {v}")
+            if phi.hereditary:
+                for v in range(g.n):
+                    check("hereditary", g, phi(g.delete_vertex(v)),
+                          f"fails after deleting vertex {v}")
+        if phi.edge_count_only:
+            for m, vals in sorted(by_m.items()):
+                if len(vals) > 1:
+                    wit = next(e.graph for e in cat.entries
+                               if e.graph.edge_count == m)
+                    violations.append(FlagViolation(
+                        "edge-count-only", wit.to_graph6(),
+                        f"value not constant on ({k},{m}) classes"))
+    return FlagReport(phi.name, k_max, phi.flags, tuple(violations))

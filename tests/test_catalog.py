@@ -115,6 +115,28 @@ def test_corrupt_cache_is_rebuilt_and_logged(tmp_path, caplog):
                for r in caplog.records)
 
 
+def test_out_of_order_cache_is_rebuilt(tmp_path, caplog):
+    # Truth tables and the deletion maps index classes by the builder's
+    # order, so a file with the right classes in another order is corrupt.
+    from indsub.catalog import _read_cache, _write_cache
+    cat = build_catalog(4)
+    path = tmp_path / "k4.catalog"
+    _write_cache(cat, path)
+    head, *body = path.read_text().splitlines()
+    i = next(i for i, (a, b) in enumerate(zip(cat.entries, cat.entries[1:]))
+             if a.graph.edge_count == b.graph.edge_count)
+    swapped = body[:i] + [body[i + 1], body[i]] + body[i + 2:]
+    for lines in (swapped, body[::-1]):
+        path.write_text("\n".join([head, *lines]) + "\n")
+        with pytest.raises(FormatError):
+            _read_cache(4, path)
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        assert build_catalog(4, cache_dir=tmp_path).entries == cat.entries
+    assert any("rebuilding catalog k=4" in r.getMessage()
+               for r in caplog.records)
+    assert _read_cache(4, path).entries == cat.entries
+
+
 def test_cache_write_failure_is_logged(tmp_path, caplog):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")

@@ -1,12 +1,17 @@
 """Tests for the hardness-diagnosis pipeline: clique minors, edge-density
 thresholds, satisfiable-size prefixes, and the per-property report."""
 
+import importlib.util
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, comb
+from pathlib import Path
 
 import pytest
 
+from indsub.catalog import build_catalog
 from indsub.graphs import SmallGraph
 from indsub.hardness import (
     MAX_DIAGNOSE_K,
@@ -247,3 +252,42 @@ def test_diagnose_suppresses_turan_when_flags_refuted():
     report = diagnose(liar, 4)
     assert not report.flags_ok
     assert all(rec.turan is None for rec in report.records)
+
+
+@pytest.mark.parametrize("name, deletion_flag", [("connected", False),
+                                                 ("triangle-free", True)])
+def test_diagnose_evaluates_each_class_at_most_once(name, deletion_flag):
+    # Only the 0-vertex graph, for the deletion checks of verify_flags,
+    # lies outside the catalog.
+    base = get_property(name)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return base.predicate(g)
+
+    diagnose(replace(base, predicate=counted), 6)
+    classes = sum(build_catalog(k).class_count for k in range(1, 7))
+    assert classes == 208
+    assert len(calls) <= classes + deletion_flag
+
+
+def test_diagnose_zoo_script(capsys, monkeypatch):
+    script = Path(__file__).parent.parent / "scripts" / "diagnose_zoo.py"
+    spec = importlib.util.spec_from_file_location("diagnose_zoo", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--kmax", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [p["property"] for p in payload] == sorted(BUILTIN_PROPERTIES)
+    assert all(len(p["records"]) == 3 for p in payload)
+
+    def refuse(*args):
+        raise AssertionError("diagnosis ran on bad input")
+
+    monkeypatch.setattr(module, "diagnose", refuse)
+    for argv in (["--kmax", "9"], ["--properties", "connected,nope"]):
+        with pytest.raises(SystemExit) as exc:
+            module.main(argv)
+        assert exc.value.code != 0
+        assert "error:" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from indsub import hombasis
-from indsub.catalog import build_catalog
+from indsub.catalog import build_catalog, edge_deletions
 from indsub.counting import count_basis, count_brute
 from indsub.errors import InternalConsistencyError
 from indsub.graphs import HostGraph, SmallGraph, pair_table
@@ -151,10 +151,9 @@ def test_spanning_subgraph_counts_closed_forms(k):
     # Every spanning subgraph satisfies "true": S_r(C) = C(e(C), r).
     # Only the edgeless one satisfies "no-edges": S_r(C) = [r = e(C)].
     entries = build_catalog(k).entries
-    true_counts = hombasis._spanning_subgraph_counts(
-        get_property("true"), k, None)
+    true_counts = hombasis._spanning_subgraph_counts(get_property("true"), k)
     empty_counts = hombasis._spanning_subgraph_counts(
-        get_property("no-edges"), k, None)
+        get_property("no-edges"), k)
     for entry, t, e in zip(entries, true_counts, empty_counts):
         m = entry.graph.edge_count
         assert t == [comb(m, r) for r in range(m + 1)]
@@ -162,13 +161,14 @@ def test_spanning_subgraph_counts_closed_forms(k):
 
 
 def test_spanning_subgraph_division_must_be_exact(monkeypatch):
-    # With every multiplicity N1 set to 1, P3 at k = 3 has 1 subgraph-edge
-    # pair missing 2 edges, which 2 does not divide.
-    ones = tuple(tuple((j, 1) for j, _ in children)
-                 for children in hombasis._edge_deletion_map(3, None))
-    monkeypatch.setattr(hombasis, "_edge_deletion_map", lambda k, d: ones)
+    # With each child class counted once per class instead of once per
+    # deleted edge, P3 at k = 3 has 1 subgraph-edge pair missing 2 edges,
+    # which 2 does not divide.
+    once = tuple(tuple(dict.fromkeys(children))
+                 for children in edge_deletions(3))
+    monkeypatch.setattr(hombasis, "edge_deletions", lambda k: once)
     with pytest.raises(InternalConsistencyError):
-        hombasis._spanning_subgraph_counts(get_property("true"), 3, None)
+        hombasis._spanning_subgraph_counts(get_property("true"), 3)
 
 
 def test_k_vertex_coefficient_rejects_loops():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,7 @@ from indsub.properties import (
     truth_table_property,
     verify_flags,
 )
-from oracles import brute_planar, random_small_graph
+from oracles import brute_planar, labelled_verify_flags, random_small_graph
 
 
 def all_graphs(max_n):
@@ -182,6 +183,38 @@ def test_verify_flags_catches_lies():
                          edge_count_only=True)
     report = verify_flags(bogus, 4)
     assert any(v.flag == "edge-count-only" for v in report.violations)
+
+
+def _declared_case(name):
+    """A property with declared flags, by name; built lazily because the
+    truth table needs the catalogs."""
+    if name in BUILTIN_PROPERTIES:
+        return get_property(name)
+    if name == "connected-flagged":
+        return replace(get_property("connected"), monotone=True,
+                       hereditary=True, edge_count_only=True, sparse_bound=1)
+    if name == "chordal-flagged":
+        return replace(get_property("chordal"), monotone=True,
+                       edge_count_only=True, sparse_bound=2)
+    if name == "nonempty":
+        return PropertySpec("nonempty", lambda g: g.n != 0, monotone=True,
+                            hereditary=True)
+    rng = random.Random(7)
+    tables = {k: "".join(rng.choice("01")
+                         for _ in range(build_catalog(k).class_count))
+              for k in range(1, 6)}
+    return replace(truth_table_property(tables), monotone=True,
+                   hereditary=True, edge_count_only=True, sparse_bound=1)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PROPERTIES) + [
+    "connected-flagged", "chordal-flagged", "nonempty", "truth-table"])
+def test_verify_flags_matches_labelled_reference(name):
+    phi = _declared_case(name)
+    for k_max in range(1, 7):
+        assert verify_flags(phi, k_max) == labelled_verify_flags(phi, k_max)
+    if name not in BUILTIN_PROPERTIES:
+        assert not verify_flags(phi, 6).ok
 
 
 def test_negate_and_invert():
