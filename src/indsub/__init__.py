@@ -7,7 +7,7 @@ counting routes -- the homomorphism-basis evaluation and direct subset
 enumeration -- are kept independent so that each can verify the other.
 """
 
-from .catalog import GraphCatalog, build_catalog, extension_count
+from .catalog import GraphCatalog, build_catalog
 from .counting import count_basis, count_brute
 from .errors import (
     BudgetExceededError,
@@ -64,7 +64,6 @@ __all__ = [
     "diagnose",
     "exact_treewidth",
     "explode",
-    "extension_count",
     "f_vector",
     "forbidden_induced_property",
     "forbidden_subgraph_property",

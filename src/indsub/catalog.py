@@ -2,9 +2,11 @@
 
 The classes on k vertices come from one-vertex extensions of the (k-1)
 catalog with canonical-form deduplication, starting from the 0-vertex
-graph.  Each entry carries the automorphism count and the number of
-labeled copies k!/#Aut; the copies must sum to 2^C(k,2), which the
-builder asserts.
+graph.  Neighbor masks in one orbit of the parent's automorphism group
+give isomorphic extensions, so only one mask per orbit is canonicalised.
+Each entry carries the automorphism count and the number of labeled
+copies k!/#Aut; the copies must sum to 2^C(k,2), which the builder
+asserts.
 
 Catalogs are cached on disk, one "graph6 aut" line per class under a
 versioned header, in the builder's order: by edge count, then by edge
@@ -19,13 +21,12 @@ import os
 import uuid
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb, factorial
+from math import factorial
 from pathlib import Path
 
-from .canon import _canonical_data, canon_key
+from .canon import _canonical_data, automorphism_generators, canon_key
 from .errors import FormatError, InternalConsistencyError
-from .graphs import SmallGraph, pair_count
+from .graphs import SmallGraph, bits_of, pair_count, pair_index, pair_table
 
 MAX_CATALOG_K = 8
 CACHE_ENV_VAR = "INDSUB_CACHE_DIR"
@@ -79,25 +80,65 @@ def default_cache_dir() -> Path:
 
 def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
     """Canonical edge-bitset -> aut for every class on k vertices: extend
-    each (k-1)-vertex representative by one vertex in all ways.  The base
+    each (k-1)-vertex representative by one vertex, joined to one neighbor
+    mask per orbit of the representative's automorphism group.  The base
     case is the 0-vertex graph."""
     if k == 1:
-        parents = [0]
+        parents = [(0, 1)]
     else:
-        parents = [e.graph.edges
+        parents = [(e.graph.edges, e.aut)
                    for e in _catalog_cached(k - 1, cache_dir_str).entries]
+    # Edge bits of the k-vertex graph: lift[b] for the parent's pair b, and
+    # nb_bits[mask] for the new vertex joined to the vertices in mask.
+    lift = [1 << pair_index(k, i, j) for i, j in pair_table(k - 1)]
+    new_pair = [1 << pair_index(k, i, k - 1) for i in range(k - 1)]
+    nb_bits = [0] * (1 << (k - 1))
+    for mask in range(1, 1 << (k - 1)):
+        low = mask & -mask
+        nb_bits[mask] = nb_bits[mask ^ low] | new_pair[low.bit_length() - 1]
     found: dict[int, int] = {}
-    for pedges in parents:
-        epairs = SmallGraph(k - 1, pedges).edge_pairs()
-        for nbmask in range(1 << (k - 1)):
-            pairs = list(epairs)
-            for i in range(k - 1):
-                if nbmask >> i & 1:
-                    pairs.append((i, k - 1))
-            cf, aut = _canonical_data(SmallGraph.from_edges(k, pairs))
+    for pedges, paut in parents:
+        base = 0
+        for b in bits_of(pedges):
+            base |= lift[b]
+        if paut == 1:
+            masks = range(1 << (k - 1))
+        else:
+            masks = _orbit_representatives(
+                k - 1, automorphism_generators(SmallGraph(k - 1, pedges)))
+        for nbmask in masks:
+            cf, aut = _canonical_data(SmallGraph(k, base | nb_bits[nbmask]))
             if cf.edges not in found:
                 found[cf.edges] = aut
     return found
+
+
+def _orbit_representatives(m: int, gens) -> list[int]:
+    """The least subset of range(m), as a bitmask, in each orbit of the
+    group that the vertex permutations gens generate."""
+    images = []
+    for gen in gens:
+        img = [0] * (1 << m)
+        for mask in range(1, 1 << m):
+            low = mask & -mask
+            img[mask] = img[mask ^ low] | 1 << gen[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(1 << m)
+    reps = []
+    for mask in range(1 << m):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for img in images:
+                y = img[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return reps
 
 
 @lru_cache(maxsize=None)
@@ -203,32 +244,3 @@ def vertex_deletions(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(below.index_of(e.graph.delete_vertex(v)) for v in range(k))
         for e in cat.entries)
-
-
-def extension_counts_by_class(h: SmallGraph, ell: int) -> dict[tuple, int]:
-    """How often each isomorphism class arises by adding edges to h until
-    it has ell edges, keyed by canonical key.  Counts labeled supersets of
-    the given labeled graph, so the values sum to C(d - #E(h), ell - #E(h))."""
-    if h.loops:
-        raise ValueError("loop-marked graph in extension count")
-    d = pair_count(h.n)
-    m = h.edge_count
-    if ell < m or ell > d:
-        return {}
-    free = [b for b in range(d) if not h.edges >> b & 1]
-    if comb(len(free), ell - m) > 10 ** 6:
-        raise ValueError("extension enumeration too large")
-    out: dict[tuple, int] = {}
-    for extra in combinations(free, ell - m):
-        mask = h.edges
-        for b in extra:
-            mask |= 1 << b
-        key = canon_key(SmallGraph(h.n, mask))
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def extension_count(h: SmallGraph, ell: int) -> int:
-    """Total count of ell-edge supersets of h inside K_n, summed over the
-    classes they land in; equals C(d - #E(h), ell - #E(h))."""
-    return sum(extension_counts_by_class(h, ell).values())

@@ -117,10 +117,13 @@ class SmallGraph:
         """Neighbor bitmask per vertex (loops not included)."""
         rows = [0] * self.n
         pt = pair_table(self.n)
-        for b in bits_of(self.edges):
-            i, j = pt[b]
+        mask = self.edges
+        while mask:
+            low = mask & -mask
+            i, j = pt[low.bit_length() - 1]
             rows[i] |= 1 << j
             rows[j] |= 1 << i
+            mask ^= low
         return rows
 
     def degrees(self) -> list[int]:
@@ -201,7 +204,9 @@ class SmallGraph:
     def to_graph6(self) -> str:
         if self.loops:
             raise ValueError("graph6 cannot encode loops")
-        return _encode_graph6(self.n, lambda i, j: self.has_edge(i, j))
+        e = self.edges
+        return _encode_graph6(self.n,
+                              [e >> b & 1 for b in _graph6_order(self.n)])
 
     @classmethod
     def from_graph6(cls, text: str) -> "SmallGraph":
@@ -300,7 +305,9 @@ class HostGraph:
         return HostGraph.from_edges(self.n, pairs)
 
     def to_graph6(self) -> str:
-        return _encode_graph6(self.n, self.has_edge)
+        return _encode_graph6(self.n, [1 if self.has_edge(i, j) else 0
+                                       for j in range(1, self.n)
+                                       for i in range(j)])
 
     def to_edge_list_text(self) -> str:
         lines = [f"{self.n} {self.edge_count}"]
@@ -310,17 +317,20 @@ class HostGraph:
 
 # ---------------------------------------------------------------- graph6
 
-def _encode_graph6(n: int, has_edge) -> str:
+@lru_cache(maxsize=None)
+def _graph6_order(n: int) -> tuple[int, ...]:
+    """Pair indices in graph6 bit order: (0,1), (0,2), (1,2), (0,3), ..."""
+    return tuple(pair_index(n, i, j) for j in range(1, n) for i in range(j))
+
+
+def _encode_graph6(n: int, bits: list[int]) -> str:
+    """graph6 text of n vertices whose pair bits come in graph6 order."""
     if n <= 62:
         head = chr(n + 63)
     elif n <= 258047:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for this graph6 writer")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if has_edge(i, j) else 0)
     while len(bits) % 6:
         bits.append(0)
     chunks = []
@@ -398,12 +408,16 @@ def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int]]]:
     return _decode_graph6(lines[0])
 
 
-def load_host_graph(path) -> HostGraph:
+def _read_text(path) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def load_host_graph(path) -> HostGraph:
+    text = _read_text(path)
     try:
         n, pairs = parse_graph_text(text)
         return HostGraph.from_edges(n, pairs)
@@ -412,11 +426,7 @@ def load_host_graph(path) -> HostGraph:
 
 
 def load_small_graph(path) -> SmallGraph:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    text = _read_text(path)
     try:
         n, pairs = parse_graph_text(text)
         return SmallGraph.from_edges(n, pairs)
@@ -426,13 +436,8 @@ def load_small_graph(path) -> SmallGraph:
 
 def load_graph_list(path) -> list[SmallGraph]:
     """Read a list of small graphs, one graph6 string per line."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
     out = []
-    for ln in lines:
+    for ln in _read_text(path).splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue

@@ -13,7 +13,13 @@ entry, but they reach the coefficients by labeled edge-set sweeps instead
 of the class-level recursion and independent-set partitions of hombasis.
 The flag-verification reference likewise walks the package's catalog, but
 evaluates the property on labeled deletions instead of reading the
-catalog's deletion maps.
+catalog's deletion maps.  The extension counts name classes by the
+package's canonical keys, but enumerate every labeled edge superset.
+
+The reference canoniser reaches the package's canonical labeling by a
+slower route: refinement by sorted neighbor-color tuples, and a search
+that visits every leaf of least words.  The package's canoniser must
+agree with it on the form, the relabeling and the automorphism count.
 """
 from __future__ import annotations
 
@@ -22,9 +28,9 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from indsub.canon import canon_key, canonical_form
-from indsub.catalog import build_catalog, extension_counts_by_class
-from indsub.graphs import HostGraph, SmallGraph, pair_count
+from indsub.canon import CanonicalForm, canon_key, canonical_form
+from indsub.catalog import build_catalog
+from indsub.graphs import HostGraph, SmallGraph, bits_of, pair_count, pair_index
 from indsub.hombasis import HomVector
 from indsub.partitions import partitions_with_moebius, quotient
 from indsub.properties import FlagReport, FlagViolation
@@ -75,6 +81,93 @@ def brute_automorphism_count(g: SmallGraph) -> int:
     target = g.edges
     return sum(1 for perm in itertools.permutations(range(g.n))
                if relabeled_edge_mask(g, perm) == target)
+
+
+# ---------------------------------------------------- reference canoniser
+
+
+def _reference_refined_colors(n: int, rows: list[int], loops: int) -> list[int]:
+    sig = [((loops >> i) & 1, rows[i].bit_count()) for i in range(n)]
+    palette = {s: c for c, s in enumerate(sorted(set(sig)))}
+    col = [palette[s] for s in sig]
+    while True:
+        sig2 = [(col[i], tuple(sorted(col[j] for j in bits_of(rows[i]))))
+                for i in range(n)]
+        palette2 = {s: c for c, s in enumerate(sorted(set(sig2)))}
+        new = [palette2[s] for s in sig2]
+        if new == col:
+            return col
+        col = new
+
+
+def _reference_canonical_search(n, rows, loops, blocks):
+    """Minimize the position-by-position adjacency words over all orderings
+    compatible with the refinement blocks.  Returns (order, aut_count)."""
+    posblock = []
+    for bi, blk in enumerate(blocks):
+        posblock.extend([bi] * len(blk))
+    used = [False] * n
+    order: list[int] = []
+
+    def rec(p):
+        if p == n:
+            return (), 1, ()
+        best_w = None
+        cand = []
+        for v in blocks[posblock[p]]:
+            if used[v]:
+                continue
+            w = ((loops >> v) & 1) << p
+            rv = rows[v]
+            for t in range(p):
+                if rv >> order[t] & 1:
+                    w |= 1 << (p - 1 - t)
+            if best_w is None or w < best_w:
+                best_w = w
+                cand = [v]
+            elif w == best_w:
+                cand.append(v)
+        best_key = None
+        best_tail = ()
+        total = 0
+        for v in cand:
+            used[v] = True
+            order.append(v)
+            key, cnt, tail = rec(p + 1)
+            order.pop()
+            used[v] = False
+            if best_key is None or key < best_key:
+                best_key, total, best_tail = key, cnt, (v,) + tail
+            elif key == best_key:
+                total += cnt
+        return (best_w,) + (best_key or ()), total, best_tail
+
+    _, aut, ordering = rec(0)
+    return ordering, aut
+
+
+def reference_canonical_data(g: SmallGraph) -> tuple[CanonicalForm, int]:
+    """(canonical form, automorphism count) by the reference canoniser."""
+    n = g.n
+    if n == 0:
+        return CanonicalForm(0, 0, 0, ()), 1
+    rows = g.adj_rows()
+    colors = _reference_refined_colors(n, rows, g.loops)
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        groups.setdefault(c, []).append(v)
+    blocks = [groups[c] for c in sorted(groups)]
+    ordering, aut = _reference_canonical_search(n, rows, g.loops, blocks)
+    rel = [0] * n
+    for pos, v in enumerate(ordering):
+        rel[v] = pos
+    edges = 0
+    for i, j in g.edge_pairs():
+        edges |= 1 << pair_index(n, rel[i], rel[j])
+    loops = 0
+    for v in bits_of(g.loops):
+        loops |= 1 << rel[v]
+    return CanonicalForm(n, edges, loops, tuple(rel)), aut
 
 
 # ------------------------------------------------- isomorphism-orbit walk
@@ -337,6 +430,38 @@ def brute_largest_clique_minor(g: SmallGraph) -> int:
     for u, v in g.edge_pairs():
         best = max(best, brute_largest_clique_minor(contract_edge(g, u, v)))
     return best
+
+
+# -------------------------------------------------------- extension counts
+
+
+def extension_counts_by_class(h: SmallGraph, ell: int) -> dict[tuple, int]:
+    """How often each isomorphism class arises by adding edges to h until
+    it has ell edges, keyed by canonical key.  Counts labeled supersets of
+    the given labeled graph, so the values sum to C(d - #E(h), ell - #E(h))."""
+    if h.loops:
+        raise ValueError("loop-marked graph in extension count")
+    d = pair_count(h.n)
+    m = h.edge_count
+    if ell < m or ell > d:
+        return {}
+    free = [b for b in range(d) if not h.edges >> b & 1]
+    if comb(len(free), ell - m) > 10 ** 6:
+        raise ValueError("extension enumeration too large")
+    out: dict[tuple, int] = {}
+    for extra in itertools.combinations(free, ell - m):
+        mask = h.edges
+        for b in extra:
+            mask |= 1 << b
+        key = canon_key(SmallGraph(h.n, mask))
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def extension_count(h: SmallGraph, ell: int) -> int:
+    """Total count of ell-edge supersets of h inside K_n, summed over the
+    classes they land in; equals C(d - #E(h), ell - #E(h))."""
+    return sum(extension_counts_by_class(h, ell).values())
 
 
 # ------------------------------------------------ homomorphism-basis references

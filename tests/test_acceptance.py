@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from indsub.catalog import build_catalog, extension_counts_by_class
+from indsub.catalog import build_catalog
 from indsub.counting import count_basis, count_brute
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.hombasis import h_tilde_vector, hom_vector, witness_dense_graph
@@ -39,6 +39,7 @@ from oracles import (
     brute_hom_count,
     brute_independent_set_count,
     determinant_poised,
+    extension_counts_by_class,
     orbit_partition,
     random_bipartite_host,
     random_host,

@@ -1,21 +1,33 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from indsub.canon import (
+    _canonical_data,
     automorphism_count,
+    automorphism_generators,
     canon_key,
     canonical_form,
     is_isomorphic,
 )
+from indsub.catalog import build_catalog
 from indsub.graphs import SmallGraph, pair_count
 from oracles import (
     brute_automorphism_count,
     brute_is_isomorphic,
     orbit_partition,
     random_small_graph,
+    reference_canonical_data,
 )
+
+
+def petersen() -> SmallGraph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return SmallGraph.from_edges(10, outer + inner + spokes)
 
 
 def test_canonical_form_is_isomorphic_to_input():
@@ -81,11 +93,81 @@ def test_automorphism_known_values():
 
 
 def test_petersen_automorphisms():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    petersen = SmallGraph.from_edges(10, outer + inner + spokes)
-    assert automorphism_count(petersen) == 120
+    assert automorphism_count(petersen()) == 120
+
+
+# The canonical form fixes catalog order and truth-table indexing, so the
+# fast canoniser must reproduce the reference one exactly: the form, the
+# relabeling that reaches it and the automorphism count.
+
+@pytest.mark.parametrize("n", range(7))
+def test_canon_matches_reference_on_every_graph(n):
+    for mask in range(1 << pair_count(n)):
+        g = SmallGraph(n, mask)
+        assert _canonical_data(g) == reference_canonical_data(g), g
+
+
+def test_canon_matches_reference_with_loops():
+    # Quotients carry loop marks, which take part in colors and words.
+    for n in range(1, 5):
+        for mask in range(1 << pair_count(n)):
+            for loops in range(1 << n):
+                g = SmallGraph(n, mask, loops)
+                assert _canonical_data(g) == reference_canonical_data(g), g
+
+
+def test_canon_matches_reference_on_larger_samples():
+    rng = random.Random(41)
+    graphs = [petersen(), SmallGraph.cycle(12),
+              SmallGraph.complete_bipartite(4, 4),
+              SmallGraph.from_edges(9, [(3 * b + i, 3 * b + (i + 1) % 3)
+                                        for b in range(3) for i in range(3)])]
+    for n in range(7, 13):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(12):
+                g = random_small_graph(rng, n, p)
+                loops = rng.getrandbits(n) if rng.random() < 0.3 else 0
+                graphs.append(SmallGraph(n, g.edges, loops))
+    for g in list(graphs):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(g.relabel(perm))
+    for g in graphs:
+        assert _canonical_data(g) == reference_canonical_data(g), g
+
+
+def _group_order(n, gens) -> int:
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        elem = frontier.pop()
+        for gen in gens:
+            prod = tuple(gen[elem[v]] for v in range(n))
+            if prod not in seen:
+                seen.add(prod)
+                frontier.append(prod)
+    return len(seen)
+
+
+def test_automorphism_generators_generate_the_group():
+    graphs = [e.graph for k in range(1, 7) for e in build_catalog(k).entries]
+    graphs.append(petersen())
+    for g in graphs:
+        gens = automorphism_generators(g)
+        for gen in gens:
+            assert sorted(gen) == list(range(g.n))
+            assert g.relabel(gen) == g
+        assert _group_order(g.n, gens) == automorphism_count(g), g
+
+
+def test_automorphism_generators_with_loops():
+    g = SmallGraph(4, SmallGraph.cycle(4).edges, 0b0101)
+    gens = automorphism_generators(g)
+    assert all(g.relabel(gen) == g for gen in gens)
+    assert _group_order(4, gens) == automorphism_count(g) == 4
+    assert automorphism_generators(SmallGraph(0)) == []
+    assert automorphism_generators(SmallGraph.path(1)) == []
 
 
 @given(st.integers(1, 6), st.randoms(use_true_random=False))

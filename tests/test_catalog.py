@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import itertools
 import logging
 import os
 import sys
@@ -10,15 +12,15 @@ from pathlib import Path
 import pytest
 
 from indsub.canon import automorphism_count, canon_key
-from indsub.catalog import (
-    MAX_CATALOG_K,
-    build_catalog,
-    extension_count,
-    extension_counts_by_class,
-)
+from indsub.catalog import MAX_CATALOG_K, build_catalog
 from indsub.errors import FormatError
 from indsub.graphs import SmallGraph, pair_count
-from oracles import brute_automorphism_count, orbit_partition
+from oracles import (
+    brute_automorphism_count,
+    extension_count,
+    extension_counts_by_class,
+    orbit_partition,
+)
 
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
@@ -201,6 +203,33 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
     assert module.main(["--kmax", "4", "--cache-dir", str(tmp_path)]) == 0
     assert "k=4: 11 classes" in capsys.readouterr().out
     assert (tmp_path / "k4.catalog").exists()
+
+
+def test_cold_build_is_byte_identical(tmp_path):
+    # Catalog order and truth-table indexing depend on the canonical form.
+    # The digest is that of the files built by extending every neighbor
+    # mask of every parent with the reference canoniser.
+    build_catalog(7, cache_dir=tmp_path)
+    digest = hashlib.sha256()
+    for k in range(1, 8):
+        digest.update((tmp_path / f"k{k}.catalog").read_bytes())
+    assert digest.hexdigest() == \
+        "7510301eecb0e3815a0be212446549ccdf7300d0ed6aba2a27e00e0ab0d734c2"
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_orbit_representatives_one_per_orbit(k):
+    from indsub.canon import automorphism_generators
+    from indsub.catalog import _orbit_representatives
+    for entry in build_catalog(k).entries:
+        g = entry.graph
+        auts = [p for p in itertools.permutations(range(k))
+                if g.relabel(p) == g]
+        orbits = {min(sum(1 << p[v] for v in range(k) if mask >> v & 1)
+                      for p in auts)
+                  for mask in range(1 << k)}
+        assert _orbit_representatives(k, automorphism_generators(g)) == \
+            sorted(orbits)
 
 
 @pytest.mark.parametrize("k", [7, 8])

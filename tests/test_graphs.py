@@ -204,6 +204,25 @@ def test_file_loaders(tmp_path):
         load_graph_list(tmp_path / "missing.g6")
 
 
+@pytest.mark.parametrize("loader",
+                         [load_host_graph, load_small_graph, load_graph_list])
+def test_loaders_reject_non_utf8_files(tmp_path, loader):
+    path = tmp_path / "binary.g6"
+    path.write_bytes(b"\xff\xfe" + "Bw\n".encode("utf-16-le"))
+    with pytest.raises(FormatError) as err:
+        loader(path)
+    assert str(path) in str(err.value)
+
+
+def test_graph6_writers_agree():
+    rng = random.Random(31)
+    for n in range(12):
+        g = random_small_graph(rng, n)
+        text = g.to_graph6()
+        assert HostGraph.from_small(g).to_graph6() == text
+        assert SmallGraph.from_graph6(text) == g
+
+
 def test_edge_list_text_round_trip():
     g = SmallGraph.cycle(6)
     n, pairs = parse_graph_text(g.to_edge_list_text())
