@@ -20,9 +20,15 @@ proves the candidate an automorphic image of the best one, which then adds
 the best one's count without further search.  Those leaves are the
 automorphisms that automorphism_generators returns.
 
+refinement_invariant condenses the stable refinement into a value that
+isomorphic graphs share, so a catalog can settle most lookups without a
+search: a class whose invariant no other class of its catalog has is the
+only candidate for a graph with that invariant.
+
 No hashing shortcuts: equality of canonical forms is exact isomorphism on
-the supported range.  Loop marks participate in the vertex colors and in
-the canonical encoding.
+the supported range, and a lookup settled by the invariant is a proof too,
+since any graph whose invariant several classes share goes to the search.
+Loop marks participate in the vertex colors and in the canonical encoding.
 """
 
 from __future__ import annotations
@@ -92,6 +98,26 @@ def _refined_cells(n: int, rows: list[int], loops: int) -> list[int]:
                 new_fresh.extend(parts)
         cells, fresh = split, new_fresh
     return cells
+
+
+def refinement_invariant(g: SmallGraph) -> tuple[int, ...]:
+    """(n, edge count, loop count), then for each cell of _refined_cells in
+    order its size and one representative's neighbor count in every cell.
+
+    The value is an isomorphism invariant.  Refinement never looks at
+    vertex names, so relabeling g maps its cells onto the cells of the
+    relabeled graph in the same order.  The stable refinement is
+    equitable: all vertices of a cell have equal neighbor counts in each
+    cell, so the representative chosen does not matter."""
+    n = g.n
+    rows = g.adj_rows()
+    cells = _refined_cells(n, rows, g.loops)
+    inv = [n, g.edges.bit_count(), g.loops.bit_count()]
+    for cell in cells:
+        r = rows[(cell & -cell).bit_length() - 1]
+        inv.append(cell.bit_count())
+        inv += [(r & m).bit_count() for m in cells]
+    return tuple(inv)
 
 
 _ABOVE, _BELOW = 1, -1
@@ -189,7 +215,12 @@ def _canonical_search(n, rows, loops, cells, gens=None):
                 return found
         return _ABOVE
 
-    _, aut, leaf = search(0)
+    try:
+        _, aut, leaf = search(0)
+    finally:
+        # search and bounded reach themselves through their closure cells;
+        # unbinding them leaves no cycle for the collector.
+        search = bounded = None
     return leaf, aut
 
 

@@ -12,6 +12,13 @@ Catalogs are cached on disk, one "graph6 aut" line per class under a
 versioned header, in the builder's order: by edge count, then by edge
 bitset.  The cache directory comes from INDSUB_CACHE_DIR or defaults to
 ~/.cache/indsub; build_catalog(cache_dir=) overrides it.
+
+GraphCatalog.index_of finds a graph's class, which the deletion maps and
+truth tables do for every lookup.  On its first lookup a catalog buckets
+its classes by canon.refinement_invariant; a graph whose invariant only
+one class has belongs to that class, and only a graph whose invariant
+several classes share, or none, is canonicalised.  Building or loading a
+catalog computes no invariant.
 """
 
 from __future__ import annotations
@@ -24,7 +31,12 @@ from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
-from .canon import _canonical_data, automorphism_generators, canon_key
+from .canon import (
+    _canonical_data,
+    automorphism_generators,
+    canon_key,
+    refinement_invariant,
+)
 from .errors import FormatError, InternalConsistencyError
 from .graphs import SmallGraph, bits_of, pair_count, pair_index, pair_table
 
@@ -56,7 +68,26 @@ class GraphCatalog:
         return sum(e.copies for e in self.entries)
 
     def index_of(self, g: SmallGraph) -> int:
+        """Catalog index of g's class; KeyError when g is in none.  A class
+        alone in its refinement-invariant bucket needs no canonical form."""
+        i = self._buckets.get(refinement_invariant(g))
+        if i is not None:
+            return i
         return self._index[canon_key(g)]
+
+    @property
+    def _buckets(self) -> dict:
+        """Refinement invariant -> index of the only class that has it, or
+        None when several classes share it.  Built on the first lookup,
+        never when a catalog is built or loaded."""
+        buckets = getattr(self, "_buckets_cache", None)
+        if buckets is None:
+            buckets = {}
+            for i, e in enumerate(self.entries):
+                inv = refinement_invariant(e.graph)
+                buckets[inv] = None if inv in buckets else i
+            object.__setattr__(self, "_buckets_cache", buckets)
+        return buckets
 
     @property
     def _index(self) -> dict:

@@ -11,6 +11,7 @@ line is "n m" followed by one "u v" pair per line (0-indexed).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -71,6 +72,9 @@ class SmallGraph:
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "SmallGraph":
+        # Checked before pair_index builds its table of all C(n, 2) pairs.
+        if not 0 <= n <= MAX_SMALL_VERTICES:
+            raise ValueError(f"vertex count {n} outside 0..{MAX_SMALL_VERTICES}")
         mask = 0
         for u, v in pairs:
             if u == v:
@@ -210,10 +214,15 @@ class SmallGraph:
 
     @classmethod
     def from_graph6(cls, text: str) -> "SmallGraph":
-        n, pairs = _decode_graph6(text)
+        """FormatError for malformed graph6 text, ValueError for a graph
+        on more than MAX_SMALL_VERTICES vertices."""
+        n, body = _graph6_body(text)
         if n > MAX_SMALL_VERTICES:
             raise ValueError(f"graph6 graph has {n} > {MAX_SMALL_VERTICES} vertices")
-        return cls.from_edges(n, pairs)
+        edges = 0
+        for table, d in zip(_graph6_chunk_edges(n), body):
+            edges |= table[d]
+        return cls(n, edges)
 
     def to_edge_list_text(self) -> str:
         lines = [f"{self.n} {self.edge_count}"]
@@ -342,7 +351,27 @@ def _encode_graph6(n: int, bits: list[int]) -> str:
     return head + "".join(chunks)
 
 
-def _decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
+@lru_cache(maxsize=None)
+def _graph6_chunk_edges(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per graph6 body character: the edge bitset that each of its 64
+    values encodes.  Padding bits past the last pair encode nothing."""
+    order = _graph6_order(n)
+    tables = []
+    for t in range(0, len(order), 6):
+        # The character's bit 5 - i carries the pair at position t + i.
+        weights = [1 << b for b in order[t:t + 6]]
+        weights += [0] * (6 - len(weights))
+        table = [0] * 64
+        for d in range(1, 64):
+            low = d & -d
+            table[d] = table[d ^ low] | weights[6 - low.bit_length()]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _graph6_body(text: str) -> tuple[int, list[int]]:
+    """Vertex count and 6-bit body values of graph6 text, after the
+    header, character and body-length checks."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -362,6 +391,11 @@ def _decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
     need = (pair_count(n) + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body length {len(body)}, expected {need}")
+    return n, body
+
+
+def _decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
+    n, body = _graph6_body(text)
     bits = []
     for d in body:
         for s6 in (5, 4, 3, 2, 1, 0):
@@ -378,29 +412,44 @@ def _decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
 
 # ------------------------------------------------------------- file text
 
+_INT_TOKEN = re.compile(r"-?\d+")
+
+
+def _int_tokens(line: str) -> list[int] | None:
+    """The line's whitespace-separated tokens as integers, or None when
+    one is not an integer that int() converts."""
+    toks = line.split()
+    if not all(_INT_TOKEN.fullmatch(tok) for tok in toks):
+        return None
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError:      # more digits than int() converts
+        return None
+
+
 def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse a single graph, either graph6 or "n m" edge-list text."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("no graph data found")
-    head = lines[0].split()
-    if all(tok.lstrip("-").isdigit() for tok in head):
+    head = _int_tokens(lines[0])
+    if head is not None:
         if len(head) not in (1, 2):
             raise FormatError(f"bad edge-list header {lines[0]!r}")
-        n = int(head[0])
+        n = head[0]
         if n < 0:
             raise FormatError("negative vertex count")
         pairs = []
         for ln in lines[1:]:
-            toks = ln.split()
-            if len(toks) != 2 or not all(t.lstrip("-").isdigit() for t in toks):
+            uv = _int_tokens(ln)
+            if uv is None or len(uv) != 2:
                 raise FormatError(f"bad edge line {ln!r}")
-            u, v = int(toks[0]), int(toks[1])
+            u, v = uv
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise FormatError(f"edge ({u},{v}) invalid for n={n}")
             pairs.append((u, v))
-        if len(head) == 2 and int(head[1]) != len(set(frozenset(p) for p in pairs)):
+        if len(head) == 2 and head[1] != len(set(frozenset(p) for p in pairs)):
             raise FormatError(f"edge count mismatch: header says {head[1]}")
         return n, pairs
     if len(lines) != 1:

@@ -19,9 +19,14 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .canon import canon_key
-from .catalog import build_catalog, edge_deletions, vertex_deletions
+from .catalog import (
+    MAX_CATALOG_K,
+    build_catalog,
+    edge_deletions,
+    vertex_deletions,
+)
 from .errors import FormatError, PredicateError, UnknownPropertyError
-from .graphs import SmallGraph, bits_of, pair_count
+from .graphs import SmallGraph, _read_text, bits_of, pair_count
 
 
 @dataclass(frozen=True)
@@ -351,6 +356,9 @@ def truth_table_property(tables: dict[int, str], name="truth-table") -> Property
     no table do not satisfy the property."""
     parsed = {}
     for k, bitstring in tables.items():
+        if not 1 <= k <= MAX_CATALOG_K:
+            raise FormatError(
+                f"truth table for k={k}: catalogs cover 1 <= k <= {MAX_CATALOG_K}")
         bits = bitstring.strip()
         if set(bits) - {"0", "1"}:
             raise FormatError(f"truth table for k={k} is not a bit string")
@@ -374,11 +382,7 @@ def truth_table_property(tables: dict[int, str], name="truth-table") -> Property
 def load_truth_table(path) -> dict[int, str]:
     """Parse a truth-table file: "k=<int>" header lines, each followed by
     one bit-string line; several sections allowed."""
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines()]
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    lines = [ln.strip() for ln in _read_text(path).splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     tables: dict[int, str] = {}
     i = 0

@@ -14,7 +14,9 @@ of the class-level recursion and independent-set partitions of hombasis.
 The flag-verification reference likewise walks the package's catalog, but
 evaluates the property on labeled deletions instead of reading the
 catalog's deletion maps.  The extension counts name classes by the
-package's canonical keys, but enumerate every labeled edge superset.
+package's canonical keys, but enumerate every labeled edge superset.  The
+reference deletion maps find every deleted graph's class through its
+canonical form, without the catalog's refinement-invariant buckets.
 
 The reference canoniser reaches the package's canonical labeling by a
 slower route: refinement by sorted neighbor-color tuples, and a search
@@ -462,6 +464,31 @@ def extension_count(h: SmallGraph, ell: int) -> int:
     """Total count of ell-edge supersets of h inside K_n, summed over the
     classes they land in; equals C(d - #E(h), ell - #E(h))."""
     return sum(extension_counts_by_class(h, ell).values())
+
+
+# ------------------------------------------------------------ deletion maps
+
+
+def _class_positions(k: int) -> dict[int, int]:
+    return {e.graph.edges: i for i, e in enumerate(build_catalog(k).entries)}
+
+
+def reference_edge_deletions(k: int) -> tuple[tuple[int, ...], ...]:
+    """catalog.edge_deletions(k), every class found by canonical form."""
+    pos = _class_positions(k)
+    return tuple(
+        tuple(pos[canonical_form(e.graph.without_edge(i, j)).edges]
+              for i, j in e.graph.edge_pairs())
+        for e in build_catalog(k).entries)
+
+
+def reference_vertex_deletions(k: int) -> tuple[tuple[int, ...], ...]:
+    """catalog.vertex_deletions(k), every class found by canonical form."""
+    pos = _class_positions(k - 1)
+    return tuple(
+        tuple(pos[canonical_form(e.graph.delete_vertex(v)).edges]
+              for v in range(k))
+        for e in build_catalog(k).entries)
 
 
 # ------------------------------------------------ homomorphism-basis references

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from indsub import canon
 from indsub.canon import (
     _canonical_data,
     automorphism_count,
@@ -11,6 +13,7 @@ from indsub.canon import (
     canon_key,
     canonical_form,
     is_isomorphic,
+    refinement_invariant,
 )
 from indsub.catalog import build_catalog
 from indsub.graphs import SmallGraph, pair_count
@@ -60,6 +63,32 @@ def test_canon_key_separates_all_classes_up_to_5():
             masks_by_key.setdefault(canon_key(SmallGraph(n, mask)), []).append(mask)
         orbits = {frozenset(o) for o in orbit_partition(n)}
         assert {frozenset(ms) for ms in masks_by_key.values()} == orbits
+
+
+def test_refinement_invariant_constant_on_relabelings():
+    rng = random.Random(15)
+    for _ in range(60):
+        n = rng.randrange(1, 10)
+        g = SmallGraph(n, random_small_graph(rng, n).edges, rng.getrandbits(n))
+        inv = refinement_invariant(g)
+        assert inv[:3] == (n, g.edge_count, g.loops.bit_count())
+        for _ in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert refinement_invariant(g.relabel(perm)) == inv
+
+
+def test_canon_leaves_no_cyclic_garbage():
+    c6 = SmallGraph.cycle(6)
+    canon._cache.pop((c6.n, c6.edges, c6.loops), None)
+    gc.collect()
+    gc.disable()
+    try:
+        assert automorphism_count(c6) == 12
+        assert len(automorphism_generators(c6)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_is_isomorphic_matches_brute():

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import logging
 import os
+import random
 import sys
 import threading
 import time
@@ -11,8 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from indsub.canon import automorphism_count, canon_key
-from indsub.catalog import MAX_CATALOG_K, build_catalog
+from indsub import canon, catalog
+from indsub.canon import automorphism_count, canon_key, refinement_invariant
+from indsub.catalog import (
+    MAX_CATALOG_K,
+    build_catalog,
+    edge_deletions,
+    vertex_deletions,
+)
 from indsub.errors import FormatError
 from indsub.graphs import SmallGraph, pair_count
 from oracles import (
@@ -20,6 +27,9 @@ from oracles import (
     extension_count,
     extension_counts_by_class,
     orbit_partition,
+    random_small_graph,
+    reference_edge_deletions,
+    reference_vertex_deletions,
 )
 
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -72,6 +82,91 @@ def test_index_of_and_by_edge_count():
     assert cat.index_of(SmallGraph.cycle(4)) == cat.index_of(
         SmallGraph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]))
     assert [len(cat.by_edge_count(m)) for m in range(7)] == [1, 1, 2, 3, 2, 1, 1]
+
+
+def _canon_index(cat, g):
+    return cat._index[canon_key(g)]
+
+
+def _check_index_of(cat, graphs):
+    """index_of agrees with the canonical-form lookup, and each graph has
+    its class's invariant, so a singleton bucket always settles it."""
+    invariants = [refinement_invariant(e.graph) for e in cat.entries]
+    for g in graphs:
+        want = _canon_index(cat, g)
+        assert cat.index_of(g) == want
+        assert refinement_invariant(g) == invariants[want]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_index_of_matches_canon_on_every_labelled_graph(k):
+    _check_index_of(build_catalog(k),
+                    (SmallGraph(k, mask) for mask in range(1 << pair_count(k))))
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_index_of_matches_canon_on_seeded_samples(k):
+    rng = random.Random(70 + k)
+    _check_index_of(build_catalog(k),
+                    (random_small_graph(rng, k, p)
+                     for p in (0.2, 0.35, 0.5, 0.65, 0.8) for _ in range(300)))
+
+
+def test_index_of_finds_shuffled_representatives():
+    rng = random.Random(77)
+    for k in range(1, 8):
+        cat = build_catalog(k)
+        for i, entry in enumerate(cat.entries):
+            for _ in range(3):
+                perm = list(range(k))
+                rng.shuffle(perm)
+                assert cat.index_of(entry.graph.relabel(perm)) == i
+
+
+def test_index_of_raises_canon_key_error_outside_the_catalog():
+    cat = build_catalog(4)
+    outside = [SmallGraph(4, 0b11, loops=0b1), SmallGraph(4, 0, loops=0b1111),
+               SmallGraph(4, SmallGraph.cycle(4).edges, loops=0b0101),
+               SmallGraph.cycle(5), SmallGraph.complete(3)]
+    for g in outside:
+        with pytest.raises(KeyError) as want:
+            _canon_index(cat, g)
+        with pytest.raises(KeyError) as got:
+            cat.index_of(g)
+        assert got.value.args == want.value.args == (canon_key(g),)
+
+
+def test_deletion_maps_match_canon_only_reference():
+    for k in range(1, 8):
+        assert edge_deletions(k) == reference_edge_deletions(k)
+    for k in range(2, 8):
+        assert vertex_deletions(k) == reference_vertex_deletions(k)
+
+
+def test_edge_deletions_canonicalise_few_graphs():
+    build_catalog(7).index_of(SmallGraph.empty(7))
+    saved = dict(canon._cache)
+    canon._cache.clear()
+    try:
+        edge_deletions.__wrapped__(7)
+        assert len(canon._cache) < 1000
+    finally:
+        canon._cache.update(saved)
+
+
+def test_building_or_loading_never_computes_the_invariant(tmp_path,
+                                                          monkeypatch):
+    def refuse(g):
+        raise AssertionError("refinement invariant computed")
+
+    monkeypatch.setattr(catalog, "refinement_invariant", refuse)
+    build_catalog(5, cache_dir=tmp_path)
+    for k in range(1, 6):
+        cat = catalog._read_cache(k, tmp_path / f"k{k}.catalog")
+        assert cat.class_count == CLASS_COUNTS[k]
+        assert not hasattr(cat, "_buckets_cache")
+    monkeypatch.undo()
+    assert cat.index_of(SmallGraph.complete(5)) == cat.class_count - 1
 
 
 def test_disk_cache_round_trip(tmp_path):

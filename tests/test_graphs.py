@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from indsub.errors import FormatError
 from indsub.graphs import (
+    MAX_SMALL_VERTICES,
     HostGraph,
     SmallGraph,
     bits_of,
@@ -15,6 +16,7 @@ from indsub.graphs import (
     load_graph_list,
     load_host_graph,
     load_small_graph,
+    _pair_index_map,
 )
 from oracles import random_small_graph
 
@@ -27,6 +29,13 @@ def test_pair_indexing_round_trip():
             assert a < b
             assert pair_index(n, a, b) == i
             assert pair_index(n, b, a) == i
+
+
+def test_from_edges_checks_vertex_count_before_indexing_pairs():
+    tables = _pair_index_map.cache_info().currsize
+    with pytest.raises(ValueError):
+        SmallGraph.from_edges(MAX_SMALL_VERTICES + 1, [(0, 1)])
+    assert _pair_index_map.cache_info().currsize == tables
 
 
 def test_bits_of():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from indsub.catalog import build_catalog
-from indsub.errors import PredicateError, UnknownPropertyError
+from indsub.errors import FormatError, PredicateError, UnknownPropertyError
 from indsub.graphs import SmallGraph
 from indsub.properties import (
     BUILTIN_PROPERTIES,
@@ -293,9 +293,22 @@ def test_truth_table_property(tmp_path):
 
     bad = tmp_path / "bad.txt"
     bad.write_text("k=3\n10\n")
-    from indsub.errors import FormatError
     with pytest.raises(FormatError):
         truth_table_property(load_truth_table(bad))
+
+
+def test_truth_table_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"k=3\n\xff\xfe\n")
+    with pytest.raises(FormatError) as err:
+        load_truth_table(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("k", [0, -1, 99])
+def test_truth_table_rejects_k_without_catalog(k):
+    with pytest.raises(FormatError):
+        truth_table_property({k: "1"})
 
 
 def test_predicate_errors_are_wrapped():
