@@ -44,8 +44,6 @@ from .hereditary import (
 from .hombasis import MAX_HOM_VECTOR_K, hom_vector
 from .homcount import count_hom
 from .properties import (
-    BUILTIN_PROPERTIES,
-    evaluate,
     forbidden_induced_property,
     forbidden_subgraph_property,
     get_property,
@@ -606,6 +604,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _fail(prefix: str, exc: Exception) -> int:
+    """Exit status 1 with one stderr line: line breaks that a file name or
+    an argument value brings into the message are escaped."""
+    message = "\\n".join(str(exc).splitlines())
+    print(f"{prefix}: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -614,23 +620,17 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required (see --help)")
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("usage error", exc)
     except UnknownPropertyError as exc:
-        print(f"unknown property: {exc}", file=sys.stderr)
-        return 1
+        return _fail("unknown property", exc)
     except FormatError as exc:
-        print(f"malformed graph file: {exc}", file=sys.stderr)
-        return 1
+        return _fail("malformed graph file", exc)
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 1
+        return _fail("budget exceeded", exc)
     except PredicateError as exc:
-        print(f"property evaluation failed: {exc}", file=sys.stderr)
-        return 1
+        return _fail("property evaluation failed", exc)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("usage error", exc)
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,9 @@ from math import comb
 from .canon import canon_key
 from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import HostGraph
-from .hombasis import HomVector, hom_vector
+from .hombasis import hom_vector
 from .homcount import count_hom
-from .properties import PropertySpec, evaluate, negate
+from .properties import PropertySpec, evaluate
 
 DEFAULT_SUBSET_BUDGET = 10 ** 8
 
@@ -44,7 +44,6 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
 
 
 def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
-                hv: HomVector | None = None,
                 hom_cache: dict | None = None) -> int:
     """#IndSub(phi, k, host) as sum_H a(H) * #Hom(H, host).
 
@@ -52,14 +51,10 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
     canonical key of a pattern to its homomorphism count and lets repeated
     calls against one host share the expensive part.
     """
-    if hv is not None and hv.k != k:
-        raise ValueError(f"vector is for k={hv.k}, requested k={k}")
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
-    if hv is None:
-        hv = hom_vector(phi, k)
     total = Fraction(0)
-    for g, coef in hv.entries:
+    for g, coef in hom_vector(phi, k).entries:
         if hom_cache is None:
             homs = count_hom(g, host)
         else:
@@ -74,22 +69,3 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
             f"basis evaluation produced {total}, not a count")
     return int(total)
 
-
-def negation_identity(phi: PropertySpec, k: int, host: HostGraph, *,
-                      budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, int, int]:
-    """Returns (#IndSub(phi), #IndSub(not phi), C(n,k)); the first two must
-    sum to the third."""
-    a = count_brute(phi, k, host, budget=budget)
-    b = count_brute(negate(phi), k, host, budget=budget)
-    return a, b, comb(host.n, k)
-
-
-def inversion_identity(phi: PropertySpec, k: int, host: HostGraph, *,
-                       budget: int = DEFAULT_SUBSET_BUDGET) -> tuple[int, int]:
-    """Returns (#IndSub(phi o complement, k, host), #IndSub(phi, k, host
-    complement)); the two must be equal."""
-    from .properties import invert
-
-    a = count_brute(invert(phi), k, host, budget=budget)
-    b = count_brute(phi, k, host.complement(), budget=budget)
-    return a, b

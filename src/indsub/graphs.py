@@ -19,6 +19,9 @@ from itertools import combinations
 from .errors import FormatError
 
 MAX_SMALL_VERTICES = 16
+# The largest n that a 4-byte graph6 header can declare; edge-list headers
+# are held to the same bound, since a host allocates per declared vertex.
+MAX_HOST_VERTICES = 258047
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +339,7 @@ def _encode_graph6(n: int, bits: list[int]) -> str:
     """graph6 text of n vertices whose pair bits come in graph6 order."""
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    elif n <= MAX_HOST_VERTICES:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for this graph6 writer")
@@ -440,6 +443,9 @@ def parse_graph_text(text: str) -> tuple[int, list[tuple[int, int]]]:
         n = head[0]
         if n < 0:
             raise FormatError("negative vertex count")
+        if n > MAX_HOST_VERTICES:
+            raise FormatError(
+                f"vertex count {n} exceeds the limit {MAX_HOST_VERTICES}")
         pairs = []
         for ln in lines[1:]:
             uv = _int_tokens(ln)

@@ -20,8 +20,8 @@ from .errors import InternalConsistencyError
 from .graphs import SmallGraph, bits_of
 from .hombasis import MAX_HOM_VECTOR_K, hom_vector, witness_dense_graph
 from .homcount import exact_treewidth
-from .properties import FlagViolation, PropertySpec, verify_flags
-from .spectrum import Spectrum, f_vector, hamming_weight, spectrum_report
+from .properties import MAX_FLAG_K, FlagViolation, PropertySpec, verify_flags
+from .spectrum import Spectrum, f_vector, spectrum_report
 
 MAX_MINOR_N = 8
 MAX_DIAGNOSE_K = MAX_HOM_VECTOR_K
@@ -101,7 +101,9 @@ def turan_check(phi: PropertySpec, k: int) -> TuranCheck:
     if not phi.forbidden_subgraphs:
         raise ValueError("turan_check needs a declared forbidden subgraph")
     r = min(h.n for h in phi.forbidden_subgraphs)
-    threshold = Fraction((r - 1) * k * k, 2 * r)
+    # every graph contains the 0-vertex graph: forbidding it leaves no
+    # satisfying graph, so the f-vector vanishes above any threshold
+    threshold = Fraction((r - 1) * k * k, 2 * r) if r else Fraction(0)
     f = f_vector(phi, k)
     bad = tuple(i for i in range(len(f)) if i > threshold and f[i] != 0)
     return TuranCheck(r, threshold, not bad, bad)
@@ -141,22 +143,6 @@ class HardnessReport:
     @property
     def flags_ok(self) -> bool:
         return not self.flag_violations
-
-
-def density_prefix(phi: PropertySpec, k_max: int
-                   ) -> tuple[tuple[int, ...], Optional[Fraction]]:
-    """Sizes k <= k_max admitting at least one satisfying graph, plus the
-    largest ratio between consecutive members (including 1 -> first); small
-    ratios over a long prefix are evidence of a dense support set."""
-    prefix = []
-    for k in range(1, k_max + 1):
-        if hamming_weight(f_vector(phi, k)) > 0:
-            prefix.append(k)
-    ratio = None
-    if prefix:
-        anchors = [1] + prefix
-        ratio = max(Fraction(b, a) for a, b in zip(anchors, anchors[1:]))
-    return tuple(prefix), ratio
 
 
 def _record_for_k(phi: PropertySpec, k: int, spec: Spectrum, *,
@@ -263,7 +249,7 @@ def _classification_lines(phi: PropertySpec, records, prefix, ratio,
 def diagnose(phi: PropertySpec, k_max: int) -> HardnessReport:
     if not 1 <= k_max <= MAX_DIAGNOSE_K:
         raise ValueError(f"diagnose supports 1 <= k_max <= {MAX_DIAGNOSE_K}")
-    verified_to = min(k_max, 6)
+    verified_to = min(k_max, MAX_FLAG_K)
     flag_report = verify_flags(phi, verified_to)
     flags_ok = flag_report.ok
     records = []

@@ -64,16 +64,6 @@ class HomVector:
     def k_vertex_entries(self) -> tuple[tuple[SmallGraph, Fraction], ...]:
         return tuple((g, c) for g, c in self.entries if g.n == self.k)
 
-    def max_treewidth_entry(self):
-        from .homcount import exact_treewidth
-
-        best = None
-        for g, _ in self.entries:
-            tw = exact_treewidth(g)
-            if best is None or tw > best[1]:
-                best = (g, tw)
-        return best
-
 
 def _spanning_subgraph_counts(phi: PropertySpec, k: int) -> list[list[int]]:
     """S[i][r] for r = 0..e(C_i): spanning subgraphs of the i-th catalog
@@ -142,16 +132,6 @@ def h_tilde_vector(hv: HomVector) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def coefficient_sums(hv: HomVector) -> dict[str, Fraction]:
-    """Aggregate identities used in reports: the all-pattern sum, the
-    k-vertex sum, and the alternating k-vertex sum."""
-    total = sum((c for _, c in hv.entries), Fraction(0))
-    kv = hv.k_vertex_entries()
-    ksum = sum((c for _, c in kv), Fraction(0))
-    kalt = sum(((-1) ** g.edge_count * c for g, c in kv), Fraction(0))
-    return {"all": total, "k_vertex": ksum, "k_vertex_alternating": kalt}
-
-
 def witness_dense_graph(hv: HomVector) -> SmallGraph | None:
     """Densest k-vertex pattern carrying a nonzero coefficient, or None
     when the property holds for no k-vertex graph."""
@@ -161,8 +141,3 @@ def witness_dense_graph(hv: HomVector) -> SmallGraph | None:
             best = g
     return best
 
-
-def expected_support_bound(k: int) -> int:
-    """Number of isomorphism classes on at most k vertices; the support of
-    any size-k vector is contained in that set."""
-    return sum(build_catalog(j).class_count for j in range(1, k + 1))

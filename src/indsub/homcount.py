@@ -21,7 +21,6 @@ vertices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of
@@ -358,10 +357,3 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
         tables[b] = trie
     return tables[root]
 
-
-def avg_degree_tw_bound(h: SmallGraph) -> Fraction:
-    """Half the average degree, |E|/|V|: a lower bound on treewidth, since
-    a graph of treewidth t has at most t*|V| edges."""
-    if h.n == 0:
-        return Fraction(0)
-    return Fraction(h.edge_count, h.n)

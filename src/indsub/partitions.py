@@ -8,7 +8,6 @@ partition is the product over blocks B of (-1)^(|B|-1) * (|B|-1)!.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from .graphs import SmallGraph, pair_index
@@ -19,11 +18,6 @@ MAX_PARTITION_N = 10
 @dataclass(frozen=True)
 class VertexPartition:
     blocks: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "VertexPartition":
-        norm = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        return cls(norm)
 
     @property
     def n(self) -> int:
@@ -36,13 +30,6 @@ class VertexPartition:
         if any(not b for b in self.blocks):
             raise ValueError("empty block")
 
-    def block_of(self) -> list[int]:
-        out = [0] * self.n
-        for i, b in enumerate(self.blocks):
-            for v in b:
-                out[v] = i
-        return out
-
 
 def moebius_from_discrete(p: VertexPartition) -> int:
     mu = 1
@@ -52,11 +39,23 @@ def moebius_from_discrete(p: VertexPartition) -> int:
     return mu
 
 
-def _grow_partitions(n: int, rows) -> tuple[tuple[VertexPartition, int], ...]:
-    """Partitions of {0..n-1} whose blocks contain no pair u, v with v in
-    rows[u], grown vertex by vertex: vertex i joins each earlier block in
-    turn, then opens a new one.  A block that fails stays failed as it
-    grows, so pruning it keeps the order of the unpruned sweep."""
+def independent_partitions_with_moebius(
+        g: SmallGraph) -> tuple[tuple[VertexPartition, int], ...]:
+    """The partitions of g's vertices into independent sets, with Moebius
+    values.  They are exactly the partitions whose quotient has no loop, so
+    the edgeless graph on n vertices gets every partition of {0..n-1}, and
+    a graph with a looped vertex gets none.
+
+    Partitions are grown vertex by vertex: vertex i joins each earlier
+    block in turn, then opens a new one.  A block holding a neighbour of i
+    stays failed as it grows, so pruning it keeps the order of the edgeless
+    graph's sweep."""
+    if g.n > MAX_PARTITION_N:
+        raise ValueError(f"partition enumeration capped at n={MAX_PARTITION_N}")
+    if g.loops:
+        return ()
+    n = g.n
+    rows = g.adj_rows()
     out = []
     blocks: list[list[int]] = []
     members: list[int] = []
@@ -82,37 +81,6 @@ def _grow_partitions(n: int, rows) -> tuple[tuple[VertexPartition, int], ...]:
 
     rec(0)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _partition_list(n: int) -> tuple[tuple[VertexPartition, int], ...]:
-    if n > MAX_PARTITION_N:
-        raise ValueError(f"partition enumeration capped at n={MAX_PARTITION_N}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _grow_partitions(n, [0] * n)
-
-
-def partitions_with_moebius(n: int):
-    """All partitions of {0..n-1} with Moebius values, deterministic order."""
-    return iter(_partition_list(n))
-
-
-def independent_partitions_with_moebius(
-        g: SmallGraph) -> tuple[tuple[VertexPartition, int], ...]:
-    """The partitions of g's vertices into independent sets, with Moebius
-    values, in the order of partitions_with_moebius(g.n).  They are exactly
-    the partitions whose quotient has no loop; a graph with a looped vertex
-    has none."""
-    if g.n > MAX_PARTITION_N:
-        raise ValueError(f"partition enumeration capped at n={MAX_PARTITION_N}")
-    if g.loops:
-        return ()
-    return _grow_partitions(g.n, g.adj_rows())
-
-
-def discrete_partition(n: int) -> VertexPartition:
-    return VertexPartition(tuple((v,) for v in range(n)))
 
 
 def quotient(g: SmallGraph, p: VertexPartition) -> SmallGraph:

@@ -13,7 +13,7 @@ truth table over the catalog order of a fixed k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional
@@ -26,7 +26,7 @@ from .catalog import (
     vertex_deletions,
 )
 from .errors import FormatError, PredicateError, UnknownPropertyError
-from .graphs import SmallGraph, _read_text, bits_of, pair_count
+from .graphs import SmallGraph, _read_text, bits_of
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,6 @@ def evaluate(phi: PropertySpec, g: SmallGraph) -> bool:
     except Exception as exc:  # noqa: BLE001 - echo the offending graph
         raise PredicateError(
             f"property {phi.name!r} failed on {g.to_graph6()!r}: {exc}") from exc
-
-
-def negate(phi: PropertySpec) -> PropertySpec:
-    """Pointwise negation.  Only edge-count-only survives the flip."""
-    pred = phi.predicate
-    return PropertySpec(
-        name=f"not-{phi.name}",
-        predicate=lambda g: not pred(g),
-        edge_count_only=phi.edge_count_only,
-    )
 
 
 def invert(phi: PropertySpec) -> PropertySpec:
@@ -318,10 +308,6 @@ def get_property(name: str) -> PropertySpec:
 
 # ------------------------------------------------- user-defined properties
 
-def h_free_property(h: SmallGraph, name: str | None = None) -> PropertySpec:
-    return forbidden_induced_property((h,), name or f"{h.to_graph6()}-free")
-
-
 def forbidden_induced_property(graphs, name="forbidden-induced") -> PropertySpec:
     gs = tuple(graphs)
 
@@ -339,16 +325,6 @@ def forbidden_subgraph_property(graphs, name="forbidden-subgraph") -> PropertySp
 
     return PropertySpec(name, pred, monotone=True, hereditary=True,
                         forbidden_subgraphs=gs)
-
-
-def edge_count_in_property(values, name=None) -> PropertySpec:
-    vals = frozenset(values)
-
-    def pred(g):
-        return g.edge_count in vals
-
-    return PropertySpec(name or f"edge-count-in-{sorted(vals)}", pred,
-                        edge_count_only=True)
 
 
 def truth_table_property(tables: dict[int, str], name="truth-table") -> PropertySpec:
@@ -404,6 +380,9 @@ def load_truth_table(path) -> dict[int, str]:
 
 # ------------------------------------------------------ flag verification
 
+MAX_FLAG_K = 6
+
+
 @dataclass(frozen=True)
 class FlagViolation:
     flag: str
@@ -433,9 +412,10 @@ def class_values(phi: PropertySpec, k: int) -> tuple[bool, ...]:
 
 def verify_flags(phi: PropertySpec, k_max: int) -> FlagReport:
     """Exhaustively check the declared flags on all isomorphism classes with
-    at most k_max vertices (k_max <= 6), deletions by catalog lookup."""
-    if not 1 <= k_max <= 6:
-        raise ValueError("verify_flags supports 1 <= k_max <= 6")
+    at most k_max vertices (k_max <= MAX_FLAG_K), deletions by catalog
+    lookup."""
+    if not 1 <= k_max <= MAX_FLAG_K:
+        raise ValueError(f"verify_flags supports 1 <= k_max <= {MAX_FLAG_K}")
     violations: list[FlagViolation] = []
 
     def check(flag, g, ok, detail):
@@ -484,7 +464,3 @@ def verify_flags(phi: PropertySpec, k_max: int) -> FlagReport:
     checked = phi.flags
     return FlagReport(phi.name, k_max, checked, tuple(violations))
 
-
-def property_support_at(phi: PropertySpec, k: int) -> bool:
-    """Does any k-vertex graph satisfy phi?"""
-    return any(class_values(phi, k))

@@ -66,10 +66,6 @@ class FPolynomial:
         d = len(f) - 1
         return cls(tuple(f[d - j] for j in range(d + 1)))
 
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -136,26 +132,6 @@ def polya_poised(matrix: BirkhoffMatrix) -> bool:
             f"matrix prescribes {matrix.ones} conditions, need {d + 1}")
     counts = matrix.column_counts()
     return all(counts[j] >= j + 1 for j in range(d))
-
-
-def condition_matrix(matrix: BirkhoffMatrix) -> list[list[Fraction]]:
-    """Square matrix of the linear conditions applied to the monomial basis
-    1, x, ..., x^d; nodes are x=-1 (row 0 of the incidence matrix) and x=0."""
-    d = matrix.order
-    nodes = (Fraction(-1), Fraction(0))
-    rows = []
-    for i in (0, 1):
-        for j in range(d + 1):
-            if not matrix.rows[i][j]:
-                continue
-            row = []
-            for t in range(d + 1):
-                ff = 1
-                for s in range(j):
-                    ff *= t - s
-                row.append(ff * nodes[i] ** (t - j) if t >= j else Fraction(0))
-            rows.append(row)
-    return rows
 
 
 def derivative_vanishing_matrix(f: tuple[int, ...]) -> BirkhoffMatrix:

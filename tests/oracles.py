@@ -8,9 +8,11 @@ algorithmic modules it is used to check.
 
 The two homomorphism-basis references at the end are the exception: they
 name classes and quotients through the package's catalog, canonical forms
-and partition lattice, so that their output can be compared entry for
-entry, but they reach the coefficients by labeled edge-set sweeps instead
-of the class-level recursion and independent-set partitions of hombasis.
+and partition lattice (every set partition, enumerated as the edgeless
+graph's partitions into independent sets), so that their output can be
+compared entry for entry, but they reach the coefficients by labeled
+edge-set sweeps and the loop filter over all partitions instead of the
+class-level recursion and independent-set partitions of hombasis.
 The flag-verification reference likewise walks the package's catalog, but
 evaluates the property on labeled deletions instead of reading the
 catalog's deletion maps.  The extension counts name classes by the
@@ -34,7 +36,7 @@ from indsub.canon import CanonicalForm, canon_key, canonical_form
 from indsub.catalog import build_catalog
 from indsub.graphs import HostGraph, SmallGraph, bits_of, pair_count, pair_index
 from indsub.hombasis import HomVector
-from indsub.partitions import partitions_with_moebius, quotient
+from indsub.partitions import independent_partitions_with_moebius, quotient
 from indsub.properties import FlagReport, FlagViolation
 
 # ----------------------------------------------------------- permutations
@@ -514,12 +516,14 @@ def labelled_hom_vector(phi, k: int) -> HomVector:
     _signed_subset_transform(vals, d)
     acc: dict[tuple, Fraction] = {}
     reps: dict[tuple, SmallGraph] = {}
+    # every set partition of the k vertices: those of the edgeless graph
+    partitions = independent_partitions_with_moebius(SmallGraph(k, 0))
     for entry in build_catalog(k).entries:
         s = vals[entry.graph.edges]
         if s == 0:
             continue
         a = Fraction(s, entry.aut)
-        for rho, mu in partitions_with_moebius(k):
+        for rho, mu in partitions:
             q = quotient(entry.graph, rho)
             if q.loops:
                 continue

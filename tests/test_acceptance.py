@@ -76,9 +76,6 @@ def test_criterion_1_basis_equals_brute(capsys):
         rng = random.Random(0xACC1)
         properties = {name: get_property(name)
                       for name in CRITERION_1_PROPERTIES}
-        vectors = {(name, k): hom_vector(phi, k)
-                   for name, phi in properties.items()
-                   for k in (2, 3, 4, 5)}
         for _ in range(50):
             n = rng.randint(8, 12)
             host = random_host(rng, n, p=rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)))
@@ -86,9 +83,7 @@ def test_criterion_1_basis_equals_brute(capsys):
             for k in (2, 3, 4, 5):
                 for name, phi in properties.items():
                     brute = count_brute(phi, k, host)
-                    basis = count_basis(phi, k, host,
-                                        hv=vectors[(name, k)],
-                                        hom_cache=hom_cache)
+                    basis = count_basis(phi, k, host, hom_cache=hom_cache)
                     assert basis == brute, (name, k, host.n)
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -221,6 +222,23 @@ def test_loaders_reject_non_utf8_files(tmp_path, loader):
     with pytest.raises(FormatError) as err:
         loader(path)
     assert str(path) in str(err.value)
+
+
+def test_edge_list_header_vertex_cap(tmp_path):
+    # A bare header declares that many isolated vertices; above the graph6
+    # limit it is rejected before a host allocates anything per vertex.
+    path = tmp_path / "header.txt"
+    for header in ("100000000", "258048"):
+        path.write_text(header)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                load_host_graph(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+    assert parse_graph_text("258047") == (258047, [])
 
 
 def test_graph6_writers_agree():

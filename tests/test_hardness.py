@@ -16,7 +16,6 @@ from indsub.graphs import SmallGraph
 from indsub.hardness import (
     MAX_DIAGNOSE_K,
     MAX_MINOR_N,
-    density_prefix,
     diagnose,
     largest_clique_minor,
     turan_check,
@@ -109,23 +108,24 @@ def test_turan_check_catches_false_declaration():
 
 
 def test_density_prefix_full_and_empty():
-    prefix, ratio = density_prefix(get_property("connected"), 5)
-    assert prefix == (1, 2, 3, 4, 5)
-    assert ratio == 2  # the jump from the anchor 1 to the first member
-    prefix, ratio = density_prefix(get_property("false"), 5)
-    assert prefix == ()
-    assert ratio is None
+    report = diagnose(get_property("connected"), 5)
+    assert report.support_prefix == (1, 2, 3, 4, 5)
+    # the jump from the anchor 1 to the first member
+    assert report.max_consecutive_ratio == 2
+    report = diagnose(get_property("false"), 5)
+    assert report.support_prefix == ()
+    assert report.max_consecutive_ratio is None
 
 
 def test_density_prefix_gaps_raise_ratio():
     evens = PropertySpec("even-order", lambda g: g.n % 2 == 0)
-    prefix, ratio = density_prefix(evens, 6)
-    assert prefix == (2, 4, 6)
-    assert ratio == 2
+    report = diagnose(evens, 6)
+    assert report.support_prefix == (2, 4, 6)
+    assert report.max_consecutive_ratio == 2
     sparse = PropertySpec("order-5-only", lambda g: g.n == 5)
-    prefix, ratio = density_prefix(sparse, 6)
-    assert prefix == (5,)
-    assert ratio == 5
+    report = diagnose(sparse, 6)
+    assert report.support_prefix == (5,)
+    assert report.max_consecutive_ratio == 5
 
 
 def test_diagnose_k_range():
@@ -172,15 +172,6 @@ def test_diagnose_record_invariants(prop_name):
             assert rec.witness_treewidth >= rec.avg_degree_bound
         else:
             assert rec.avg_degree_bound is None
-
-
-def test_diagnose_prefix_matches_density_prefix():
-    for prop_name in ("connected", "false", "no-edges"):
-        phi = get_property(prop_name)
-        report = diagnose(phi, 5)
-        prefix, ratio = density_prefix(phi, 5)
-        assert report.support_prefix == prefix
-        assert report.max_consecutive_ratio == ratio
 
 
 def test_diagnose_turan_only_for_monotone_with_forbidden():

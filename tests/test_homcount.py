@@ -7,7 +7,6 @@ from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
     TreeDecomposition,
-    avg_degree_tw_bound,
     count_hom,
     exact_treewidth,
     tree_decomposition,
@@ -190,10 +189,3 @@ def test_count_hom_rejects_foreign_decomposition():
     # matching decomposition is accepted
     assert count_hom(SmallGraph.path(3), host,
                      td=tree_decomposition(SmallGraph.path(3))) == 2
-
-
-def test_avg_degree_tw_bound():
-    from fractions import Fraction
-    g = SmallGraph.complete(5)
-    assert avg_degree_tw_bound(g) == Fraction(10, 5)
-    assert exact_treewidth(g) >= avg_degree_tw_bound(g)

@@ -33,8 +33,9 @@ def path(tmp_path_factory):
 
 
 def _small_host(text: str) -> bool:
-    """A host allocates per declared vertex: a header naming millions of
-    isolated vertices is valid input, but too large to build here."""
+    """A host allocates per declared vertex: a header may name up to
+    MAX_HOST_VERTICES isolated vertices, which is valid input but too large
+    to build in every example."""
     try:
         n, _ = parse_graph_text(text)
     except FormatError:

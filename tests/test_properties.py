@@ -16,11 +16,8 @@ from indsub.properties import (
     forbidden_induced_property,
     forbidden_subgraph_property,
     get_property,
-    h_free_property,
     invert,
     load_truth_table,
-    negate,
-    property_support_at,
     truth_table_property,
     verify_flags,
 )
@@ -222,11 +219,8 @@ def test_negate_and_invert():
     conn = get_property("connected")
     for _ in range(25):
         g = random_small_graph(rng, rng.randrange(7))
-        assert evaluate(negate(conn), g) == (not evaluate(conn, g))
         assert evaluate(invert(conn), g) == evaluate(conn, g.complement())
-    assert negate(get_property("edge-count-even")).edge_count_only
     assert invert(get_property("chordal")).hereditary
-    assert not negate(conn).monotone
 
 
 def test_contains_induced_and_subgraph():
@@ -264,12 +258,6 @@ def test_forbidden_subgraph_property_matches_definition():
         g = random_small_graph(rng, rng.randrange(7))
         assert evaluate(phi, g) == evaluate(tf, g)
     assert phi.monotone and phi.hereditary
-
-
-def test_h_free_property_name():
-    phi = h_free_property(SmallGraph.cycle(5))
-    assert evaluate(phi, SmallGraph.cycle(5)) is False
-    assert evaluate(phi, SmallGraph.cycle(6)) is True
 
 
 def test_truth_table_property(tmp_path):
@@ -324,9 +312,3 @@ def test_loops_rejected():
     loopy = SmallGraph(2, 0, loops=0b01)
     with pytest.raises(ValueError):
         evaluate(phi, loopy)
-
-
-def test_property_support_at():
-    assert property_support_at(get_property("no-edges"), 4)
-    assert not property_support_at(get_property("false"), 4)
-    assert property_support_at(get_property("connected"), 1)

@@ -10,7 +10,6 @@ from indsub.properties import BUILTIN_PROPERTIES, get_property
 from indsub.spectrum import (
     BirkhoffMatrix,
     FPolynomial,
-    condition_matrix,
     derivative_vanishing_matrix,
     f_vector,
     h_vector,
@@ -126,15 +125,6 @@ def test_polya_requires_square_system():
     matrix = BirkhoffMatrix(((1, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         polya_poised(matrix)
-
-
-def test_condition_matrix_agrees_with_oracle_rows():
-    rows = ((1, 1, 0), (1, 0, 0))
-    matrix = BirkhoffMatrix(rows)
-    ours = condition_matrix(matrix)
-    assert len(ours) == 3 and all(len(r) == 3 for r in ours)
-    # value row at 0 is the indicator of the constant term
-    assert ours[-1] == [Fraction(1), Fraction(0), Fraction(0)]
 
 
 def test_derivative_vanishing_matrix_structure():
