@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .canon import canon_key
 from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import HostGraph
 from .hombasis import hom_vector
@@ -47,9 +46,10 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
                 hom_cache: dict | None = None) -> int:
     """#IndSub(phi, k, host) as sum_H a(H) * #Hom(H, host).
 
-    hom_cache, when given, must be dedicated to this host; it maps the
-    canonical key of a pattern to its homomorphism count and lets repeated
-    calls against one host share the expensive part.
+    hom_cache, when given, must be dedicated to this host; it maps each
+    pattern, the canonical representative its hom_vector entry carries, to
+    its homomorphism count and lets repeated calls against one host share
+    the expensive part.
     """
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
@@ -58,11 +58,10 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
         if hom_cache is None:
             homs = count_hom(g, host)
         else:
-            key = canon_key(g)
-            homs = hom_cache.get(key)
+            homs = hom_cache.get(g)
             if homs is None:
                 homs = count_hom(g, host)
-                hom_cache[key] = homs
+                hom_cache[g] = homs
         total += coef * homs
     if total.denominator != 1 or total < 0:
         raise InternalConsistencyError(

@@ -163,6 +163,8 @@ def bounded_critical_check(phi: PropertySpec, h: SmallGraph,
     """Evaluate phi on every explosion of the edge with clone counts on
     the grid 0..bound; a single failure refutes criticality and is
     returned with its witness pair."""
+    if bound < 0:
+        raise ValueError(f"grid bound must be >= 0, got {bound}")
     u, v = edge
     checked = 0
     for x in range(bound + 1):

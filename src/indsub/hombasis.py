@@ -17,9 +17,16 @@ of the k-vertex catalog rather than over labeled graphs:
      receives the coefficient a(C) = s(C)/#Aut(C);
   3. vertex identification spreads a(C) over the quotients of C by the
      set partitions rho of its vertices into independent sets, with
-     Moebius weight prod_B -(-1)^|B| (|B|-1)!.  Every other partition
+     Moebius weight prod_B (-1)^(|B|-1) (|B|-1)!.  Every other partition
      gives a quotient with a loop, which admits no map into a simple host.
-     The sum of weights per quotient class does not depend on phi either.
+     The partitions are grown over plain integers: vertex i joins each
+     earlier block that holds none of its neighbours, then opens a new
+     block, so blocks stay in order of their least vertex.  A block keeps
+     its vertex mask and the union of its members' adjacency rows, and
+     joining a block of size s multiplies the weight by -s.  Blocks a < b
+     are adjacent in the quotient iff the row union of a meets the mask
+     of b.  The sum of weights per quotient class does not depend on phi
+     either.
 
 All arithmetic is over integers and Fraction; every denominator divides k!.
 """
@@ -34,8 +41,7 @@ from math import factorial
 from .canon import canon_key
 from .catalog import build_catalog, edge_deletions
 from .errors import InternalConsistencyError
-from .graphs import SmallGraph, pair_count
-from .partitions import independent_partitions_with_moebius, quotient
+from .graphs import SmallGraph, pair_count, pair_table
 from .properties import PropertySpec, class_values
 
 MAX_HOM_VECTOR_K = 7
@@ -88,14 +94,42 @@ def _spanning_subgraph_counts(phi: PropertySpec, k: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def _quotient_row(g: SmallGraph) -> tuple:
-    """(canonical key, sum of Moebius values) per quotient class of g over
-    its partitions into independent sets; zero sums are left out.  Only
-    catalog representatives with k <= MAX_HOM_VECTOR_K come here, which
-    bounds the cache."""
+    """(canonical key, sum of Moebius values) per quotient class of the
+    loop-free g over its partitions into independent sets, by the block-mask
+    recursion of step 3; zero sums are left out.  Only catalog
+    representatives with k <= MAX_HOM_VECTOR_K come here, which bounds the
+    cache."""
+    n = g.n
+    rows = g.adj_rows()
+    members: list[int] = []
+    nbrs: list[int] = []
     row: dict[tuple[int, int, int], int] = {}
-    for rho, mu in independent_partitions_with_moebius(g):
-        key = canon_key(quotient(g, rho))
-        row[key] = row.get(key, 0) + mu
+
+    def rec(i: int, mu: int) -> None:
+        if i == n:
+            m = len(members)
+            edges = 0
+            for bit, (a, b) in enumerate(pair_table(m)):
+                if nbrs[a] & members[b]:
+                    edges |= 1 << bit
+            key = canon_key(SmallGraph(m, edges))
+            row[key] = row.get(key, 0) + mu
+            return
+        vertex, adjacent = 1 << i, rows[i]
+        for j, block in enumerate(members):
+            if block & adjacent:
+                continue
+            reach = nbrs[j]
+            members[j], nbrs[j] = block | vertex, reach | adjacent
+            rec(i + 1, -mu * block.bit_count())
+            members[j], nbrs[j] = block, reach
+        members.append(vertex)
+        nbrs.append(adjacent)
+        rec(i + 1, mu)
+        members.pop()
+        nbrs.pop()
+
+    rec(0, 1)
     return tuple((key, mu) for key, mu in row.items() if mu)
 
 

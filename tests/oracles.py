@@ -6,13 +6,14 @@ enumeration, orbit walks under the symmetric group -- and touches only
 the plain graph accessors of the package (vertex/edge reads), never the
 algorithmic modules it is used to check.
 
-The two homomorphism-basis references at the end are the exception: they
-name classes and quotients through the package's catalog, canonical forms
-and partition lattice (every set partition, enumerated as the edgeless
-graph's partitions into independent sets), so that their output can be
-compared entry for entry, but they reach the coefficients by labeled
-edge-set sweeps and the loop filter over all partitions instead of the
-class-level recursion and independent-set partitions of hombasis.
+The partition lattice lives here too: every set partition, its Moebius
+value from the product formula, and a quotient that marks loops.  The
+reference quotient row and the homomorphism-basis references at the end
+name classes and quotients through the package's catalog and canonical
+forms, so that their output can be compared entry for entry, but they
+reach the coefficients by labeled edge-set sweeps and the loop filter over
+all partitions instead of the class-level recursion and the block-mask
+enumeration of independent-set partitions in hombasis.
 The flag-verification reference likewise walks the package's catalog, but
 evaluates the property on labeled deletions instead of reading the
 catalog's deletion maps.  The extension counts name classes by the
@@ -36,7 +37,6 @@ from indsub.canon import CanonicalForm, canon_key, canonical_form
 from indsub.catalog import build_catalog
 from indsub.graphs import HostGraph, SmallGraph, bits_of, pair_count, pair_index
 from indsub.hombasis import HomVector
-from indsub.partitions import independent_partitions_with_moebius, quotient
 from indsub.properties import FlagReport, FlagViolation
 
 # ----------------------------------------------------------- permutations
@@ -493,6 +493,65 @@ def reference_vertex_deletions(k: int) -> tuple[tuple[int, ...], ...]:
         for e in build_catalog(k).entries)
 
 
+# ------------------------------------------------------- partition lattice
+
+
+def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every set partition of range(n), grown element by element: x joins
+    each earlier block in turn, then opens a new one.  Blocks are listed in
+    order of their least element."""
+    parts: list[tuple[tuple[int, ...], ...]] = [()]
+    for x in range(n):
+        grown = []
+        for p in parts:
+            for i in range(len(p)):
+                grown.append(p[:i] + (p[i] + (x,),) + p[i + 1:])
+            grown.append(p + ((x,),))
+        parts = grown
+    return parts
+
+
+def partition_moebius(blocks) -> int:
+    """mu(discrete, rho) = prod over blocks B of (-1)^(|B|-1) (|B|-1)!."""
+    mu = 1
+    for block in blocks:
+        mu *= (-1) ** (len(block) - 1) * factorial(len(block) - 1)
+    return mu
+
+
+def quotient(g: SmallGraph, blocks) -> SmallGraph:
+    """Contract each block to one vertex; a block with an internal edge or
+    a looped member gets a loop.  Blocks are ordered by least element."""
+    blocks = sorted(blocks, key=min)
+    idx = {v: i for i, block in enumerate(blocks) for v in block}
+    assert sorted(idx) == list(range(g.n)), "blocks must partition g"
+    m = len(blocks)
+    edges = loops = 0
+    for a, b in g.edge_pairs():
+        ia, ib = idx[a], idx[b]
+        if ia == ib:
+            loops |= 1 << ia
+        else:
+            edges |= 1 << pair_index(m, ia, ib)
+    for v in bits_of(g.loops):
+        loops |= 1 << idx[v]
+    return SmallGraph(m, edges, loops)
+
+
+def reference_quotient_row(g: SmallGraph) -> tuple:
+    """hombasis._quotient_row over every set partition: quotient, drop the
+    looped quotients, sum mu per canonical key in first-seen order, drop
+    zero sums."""
+    row: dict[tuple, int] = {}
+    for rho in set_partitions(g.n):
+        q = quotient(g, rho)
+        if q.loops:
+            continue
+        key = canon_key(q)
+        row[key] = row.get(key, 0) + partition_moebius(rho)
+    return tuple((key, mu) for key, mu in row.items() if mu)
+
+
 # ------------------------------------------------ homomorphism-basis references
 
 
@@ -516,8 +575,7 @@ def labelled_hom_vector(phi, k: int) -> HomVector:
     _signed_subset_transform(vals, d)
     acc: dict[tuple, Fraction] = {}
     reps: dict[tuple, SmallGraph] = {}
-    # every set partition of the k vertices: those of the edgeless graph
-    partitions = independent_partitions_with_moebius(SmallGraph(k, 0))
+    partitions = [(rho, partition_moebius(rho)) for rho in set_partitions(k)]
     for entry in build_catalog(k).entries:
         s = vals[entry.graph.edges]
         if s == 0:

@@ -235,6 +235,23 @@ def test_critical_empty_file(capsys, tmp_path):
     assert code == 1 and err.startswith("malformed graph file:")
 
 
+def test_critical_rejects_negative_bound(capsys, c5_file):
+    code, out, err = run(capsys, ["critical", "--forbidden", c5_file,
+                                  "--bound", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
+def test_reduce_demo_rejects_negative_bound(capsys, c5_file, tmp_path):
+    host_file = tmp_path / "host.g6"
+    host_file.write_text(SmallGraph.from_edges(2, [(0, 1)]).to_graph6() + "\n")
+    code, out, err = run(capsys, ["reduce-demo", "--bipartite",
+                                  str(host_file), "--k", "1",
+                                  "--forbidden", c5_file, "--bound", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
 def test_reduce_demo_known_edge(capsys, c4_file, tmp_path):
     host_small = SmallGraph.from_edges(6, [(0, 3), (0, 4), (1, 4), (2, 5)])
     host_file = tmp_path / "host.g6"

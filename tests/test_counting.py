@@ -10,7 +10,7 @@ import indsub.counting as counting_module
 from indsub.counting import DEFAULT_SUBSET_BUDGET, count_basis, count_brute
 from indsub.errors import BudgetExceededError, InternalConsistencyError
 from indsub.graphs import HostGraph, SmallGraph
-from indsub.hombasis import HomVector
+from indsub.hombasis import HomVector, hom_vector
 from indsub.properties import PropertySpec, get_property, invert
 
 from oracles import brute_indsub_count, random_host
@@ -70,7 +70,8 @@ def test_count_basis_accepts_prebuilt_vector_and_cache():
     cache: dict = {}
     first = count_basis(phi, k, host, hom_cache=cache)
     assert first == count_brute(phi, k, host)
-    assert cache  # populated with per-pattern counts
+    # one count per pattern, keyed by the entry's canonical representative
+    assert set(cache) == {g for g, _ in hom_vector(phi, k).entries}
     before = dict(cache)
     again = count_basis(phi, k, host, hom_cache=cache)
     assert again == first

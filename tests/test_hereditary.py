@@ -202,6 +202,14 @@ def test_bounded_critical_check_default_bound():
     assert res.checked == (DEFAULT_CRITICAL_BOUND + 1) ** 2
 
 
+def test_bounded_critical_check_rejects_negative_bound():
+    # An empty grid would report "consistent" with nothing checked.
+    with pytest.raises(ValueError):
+        bounded_critical_check(get_property("perfect"), C5, (0, 1), bound=-1)
+    res = bounded_critical_check(get_property("perfect"), C5, (0, 1), bound=0)
+    assert res.status == "consistent" and res.checked == 1
+
+
 def test_bounded_critical_check_refutes_non_critical_edge():
     # For the path-free property, a center edge of the path is not
     # critical: cloning the far endpoint recreates an induced path.

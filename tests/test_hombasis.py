@@ -1,5 +1,6 @@
 """Tests for the homomorphism-basis expansion of induced-subgraph counts."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -122,6 +123,21 @@ def test_matches_labelled_reference(prop_name, k):
 def test_matches_labelled_reference_k6(prop_name):
     phi = get_property(prop_name)
     assert hom_vector(phi, 6) == labelled_hom_vector(phi, 6)
+
+
+def test_hom_vectors_are_bit_identical():
+    # Pins every coefficient of the 11 built-ins at k = 1..6 and of
+    # triangle-free at k = 7, in entry order, so that a rewrite of any step
+    # of the pipeline must reproduce the same vectors.
+    digest = hashlib.sha256()
+    runs = [(name, k) for name in sorted(BUILTIN_PROPERTIES)
+            for k in range(1, 7)] + [("triangle-free", 7)]
+    for name, k in runs:
+        for g, c in hom_vector(get_property(name), k).entries:
+            digest.update(f"{name} {k} {g.to_graph6()} "
+                          f"{c.numerator}/{c.denominator}\n".encode())
+    assert digest.hexdigest() == \
+        "8a8c959cb97db2c73b820b7e37c542f676d4683d3c72ffabdd3515dbc296e3ae"
 
 
 @st.composite

@@ -1,16 +1,22 @@
+"""The partition lattice behind the quotient expansion, and the block-mask
+enumerator of hombasis checked against it."""
+
 import itertools
+import random
 from math import factorial
 
 import pytest
 
+from indsub import hombasis
+from indsub.canon import canon_key
 from indsub.catalog import build_catalog
 from indsub.graphs import SmallGraph
-from indsub.partitions import (
-    MAX_PARTITION_N,
-    VertexPartition,
-    independent_partitions_with_moebius,
-    moebius_from_discrete,
+
+from oracles import (
+    partition_moebius,
     quotient,
+    reference_quotient_row,
+    set_partitions,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -30,102 +36,101 @@ def brute_partitions(n):
     return {frozenset(frozenset(b) for b in p) for p in parts}
 
 
+def signed_stirling_first(n, m):
+    """s(n, m): the coefficient of x^m in x(x-1)...(x-n+1)."""
+    poly = [1]
+    for i in range(n):
+        poly = [(poly[j - 1] if j else 0) - i * (poly[j] if j < len(poly) else 0)
+                for j in range(len(poly) + 1)]
+    return poly[m]
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_partition_enumeration_matches_brute(n):
-    # The edgeless graph's partitions into independent sets are all of them.
     seen = set()
-    for part, _ in independent_partitions_with_moebius(SmallGraph(n, 0)):
-        key = frozenset(frozenset(b) for b in part.blocks)
+    for blocks in set_partitions(n):
+        key = frozenset(frozenset(b) for b in blocks)
         assert key not in seen
         seen.add(key)
-        assert sorted(v for b in part.blocks for v in b) == list(range(n))
+        assert sorted(v for b in blocks for v in b) == list(range(n))
+        assert [min(b) for b in blocks] == sorted(min(b) for b in blocks)
     assert len(seen) == BELL[n]
     assert seen == brute_partitions(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_moebius_weights(n):
-    for part, mu in independent_partitions_with_moebius(SmallGraph(n, 0)):
+    for blocks in set_partitions(n):
         expected = 1
-        for block in part.blocks:
+        for block in blocks:
             sign = -1 if (len(block) - 1) % 2 else 1
             expected *= sign * factorial(len(block) - 1)
-        assert mu == expected == moebius_from_discrete(part)
+        assert partition_moebius(blocks) == expected
 
 
 def test_moebius_sums_to_zero_above_discrete():
     # Sum over the whole lattice of mu(discrete, rho) is zero for n >= 2:
     # the defining recurrence telescopes.
     for n in range(2, 7):
-        assert sum(mu for _, mu in
-                   independent_partitions_with_moebius(SmallGraph(n, 0))) == 0
+        assert sum(map(partition_moebius, set_partitions(n))) == 0
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_independent_partitions_are_the_loop_free_quotients(k):
-    everything = independent_partitions_with_moebius(SmallGraph(k, 0))
+    # The block-mask enumerator visits exactly the partitions whose
+    # quotient has no loop, in the order of the sweep over all of them.
     for entry in build_catalog(k).entries:
-        g = entry.graph
-        expected = [(p, mu) for p, mu in everything
-                    if not quotient(g, p).loops]
-        assert list(independent_partitions_with_moebius(g)) == expected
+        assert hombasis._quotient_row(entry.graph) == \
+            reference_quotient_row(entry.graph)
+
+
+def test_quotient_rows_match_reference_on_sampled_k7_classes():
+    entries = build_catalog(7).entries
+    for i in random.Random(7).sample(range(len(entries)), 60):
+        g = entries[i].graph
+        assert hombasis._quotient_row(g) == reference_quotient_row(g)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_independent_partitions_edge_cases(n):
-    discrete = VertexPartition(tuple((v,) for v in range(n)))
-    assert independent_partitions_with_moebius(SmallGraph.complete(n)) == \
-        ((discrete, 1),)
-    assert len(independent_partitions_with_moebius(SmallGraph(n, 0))) == BELL[n]
-    assert independent_partitions_with_moebius(SmallGraph(n, 0, loops=1)) == ()
+    # K_n admits only the discrete partition.  Every partition of the
+    # edgeless graph is independent; those with m blocks give the edgeless
+    # quotient on m vertices and their mu sum to s(n, m).
+    complete = SmallGraph.complete(n)
+    assert hombasis._quotient_row(complete) == ((canon_key(complete), 1),)
+    assert hombasis._quotient_row(SmallGraph(n, 0)) == tuple(
+        (canon_key(SmallGraph(m, 0)), signed_stirling_first(n, m))
+        for m in range(1, n + 1))
 
 
 def test_discrete_partition():
-    p = VertexPartition(tuple((v,) for v in range(4)))
-    assert p.blocks == ((0,), (1,), (2,), (3,))
-    assert moebius_from_discrete(p) == 1
-
-
-def test_partition_cap():
-    with pytest.raises(ValueError):
-        independent_partitions_with_moebius(SmallGraph(MAX_PARTITION_N + 1))
+    blocks = tuple((v,) for v in range(4))
+    assert set_partitions(4)[-1] == blocks
+    assert partition_moebius(blocks) == 1
 
 
 def test_quotient_discrete_is_identity():
     g = SmallGraph.cycle(5)
-    q = quotient(g, VertexPartition(tuple((v,) for v in range(5))))
-    assert q == g
+    assert quotient(g, tuple((v,) for v in range(5))) == g
 
 
 def test_quotient_merging_cycle_endpoints():
-    # C4 with two opposite vertices merged becomes a path with a doubled
-    # edge collapsed: vertices {0,2},{1},{3}; edges (01),(12),(23),(30)
-    # project to block edges; no block has an internal edge.
-    g = SmallGraph.cycle(4)
-    part = next(p for p, _ in independent_partitions_with_moebius(
-                    SmallGraph(4, 0))
-                if sorted(map(sorted, p.blocks)) == [[0, 2], [1], [3]])
-    q = quotient(g, part)
+    # C4 with two opposite vertices merged: blocks {0,2},{1},{3}; the four
+    # edges project onto two block pairs and no block has an internal edge.
+    q = quotient(SmallGraph.cycle(4), ((0, 2), (1,), (3,)))
     assert q.n == 3 and q.loops == 0
     assert q.edge_count == 2
 
 
 def test_quotient_adjacent_merge_creates_loop():
-    g = SmallGraph.complete(3)
-    part = next(p for p, _ in independent_partitions_with_moebius(
-                    SmallGraph(3, 0))
-                if sorted(map(sorted, p.blocks)) == [[0, 1], [2]])
-    q = quotient(g, part)
+    q = quotient(SmallGraph.complete(3), ((0, 1), (2,)))
     assert q.n == 2
     assert q.loops != 0
 
 
 def test_quotient_respects_block_min_order():
     g = SmallGraph.from_edges(4, [(0, 3), (1, 2)])
-    part = next(p for p, _ in independent_partitions_with_moebius(
-                    SmallGraph(4, 0))
-                if sorted(map(sorted, p.blocks)) == [[0, 3], [1, 2]])
-    q = quotient(g, part)
+    q = quotient(g, ((1, 2), (0, 3)))
     # blocks ordered by smallest member: {0,3} then {1,2}; both carry a loop
     assert q.n == 2 and q.loops == 0b11
 
@@ -151,10 +156,9 @@ def test_hom_expansion_identity_via_quotients():
                     SmallGraph.from_edges(4, [(0, 1), (2, 3)])):
         injective = count_maps(pattern, True)
         expansion = 0
-        for part, mu in independent_partitions_with_moebius(
-                SmallGraph(pattern.n, 0)):
-            q = quotient(pattern, part)
+        for blocks in set_partitions(pattern.n):
+            q = quotient(pattern, blocks)
             if q.loops:
                 continue  # no homomorphisms into a loop-free host
-            expansion += mu * count_maps(q, False)
+            expansion += partition_moebius(blocks) * count_maps(q, False)
         assert expansion == injective
