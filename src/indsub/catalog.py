@@ -98,9 +98,6 @@ class GraphCatalog:
             object.__setattr__(self, "_index_cache", idx)
         return idx
 
-    def by_edge_count(self, m: int) -> list[CatalogEntry]:
-        return [e for e in self.entries if e.graph.edge_count == m]
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get(CACHE_ENV_VAR)

@@ -147,13 +147,14 @@ def _cmd_catalog(args) -> int:
     if not 1 <= args.k <= MAX_CATALOG_K:
         raise UsageError(f"--k must be between 1 and {MAX_CATALOG_K}")
     cat = build_catalog(args.k)
-    d = args.k * (args.k - 1) // 2
+    by_edge_count = [0] * (args.k * (args.k - 1) // 2 + 1)
+    for e in cat.entries:
+        by_edge_count[e.graph.edge_count] += 1
     report = {
         "k": cat.k,
         "classes": cat.class_count,
         "labeled_total": cat.labeled_total,
-        "classes_by_edge_count": [len(cat.by_edge_count(m))
-                                  for m in range(d + 1)],
+        "classes_by_edge_count": by_edge_count,
     }
     if args.list:
         report["entries"] = [

@@ -1,26 +1,40 @@
 """Induced-subgraph counting: direct enumeration and basis evaluation.
 
-count_brute enumerates the C(n,k) vertex subsets and applies the
-predicate; count_basis evaluates the homomorphism-basis vector against
-exact per-pattern homomorphism counts.  The two must agree on every
-input.  count_basis hands k = 0 and k > n to count_brute (at most one
-predicate call) and otherwise insists on an integral, nonnegative total
-before returning.
+count_brute enumerates the C(n,k) vertex subsets depth-first, in the order
+of combinations(range(n), k), and builds each subset's induced edge
+bitset incrementally: a per-depth table turns the mask of earlier
+positions adjacent to a vertex into that vertex's pair_index(k, ., .) edge
+bits.  The subsets under one (k-1)-prefix are grouped by induced labelled
+graph, and the predicate's value is remembered per labelled edge bitset
+for the rest of the call, up to MEMO_CAP graphs, so memory stays bounded
+at large k.  Evaluation order is the order in which each labelled graph
+first occurs, so a failing predicate is reported on the same graph as by
+a plain subset sweep.  count_brute is the independent check on the basis
+route, so it uses neither the catalog, canonical forms, the hom basis nor
+the hom DP.
+
+count_basis evaluates the homomorphism-basis vector against exact
+per-pattern homomorphism counts.  The two must agree on every input.
+count_basis hands k = 0 and k > n to count_brute (at most one predicate
+call) and otherwise insists on an integral, nonnegative total before
+returning.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceededError, InternalConsistencyError
-from .graphs import HostGraph
+from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, pair_index
 from .hombasis import hom_vector
 from .homcount import count_hom
 from .properties import PropertySpec, evaluate
 
 DEFAULT_SUBSET_BUDGET = 10 ** 8
+# count_brute remembers Phi for at most this many labelled graphs per call
+MEMO_CAP = 1 << 16
 
 
 def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
@@ -28,6 +42,8 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
     """#IndSub(phi, k, host) by enumerating every k-subset of the host."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     n = host.n
     if k > n:
         return 0
@@ -35,11 +51,67 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
     if work > budget:
         raise BudgetExceededError(
             f"C({n},{k}) = {work} subsets exceeds budget {budget}")
+    if k > MAX_SMALL_VERTICES:
+        raise ValueError(f"vertex count {k} outside 0..{MAX_SMALL_VERTICES}")
+    if k == 0:
+        return 1 if evaluate(phi, SmallGraph(0)) else 0
+    joins = _join_bits(k)
+    nbrs = host.neighbors
+    memo: dict[int, bool] = {}
+    # Subsets v_0 < ... < v_{k-1} are grown depth-first in the order of
+    # combinations(range(n), k).  row[u] has bit j set while u is adjacent
+    # to v_j; edge_sets[i] is the induced edge bitset of v_0..v_{i-1}.
+    row = [0] * n
+    chosen = [0] * k
+    edge_sets = [0] * k
+    last = k - 1
     total = 0
-    for subset in combinations(range(n), k):
-        if evaluate(phi, host.induced_small(subset)):
-            total += 1
+    i, v = 0, 0
+    while i >= 0:
+        if i == last:
+            # the leaves under this prefix, grouped by induced graph in the
+            # order each graph first occurs
+            base, table = edge_sets[last], joins[last]
+            for mask, copies in Counter(row[v:]).items():
+                edges = base | table[mask]
+                holds = memo.get(edges)
+                if holds is None:
+                    holds = evaluate(phi, SmallGraph(k, edges))
+                    if len(memo) < MEMO_CAP:
+                        memo[edges] = holds
+                if holds:
+                    total += copies
+        elif v <= n - k + i:
+            chosen[i] = v
+            edge_sets[i + 1] = edge_sets[i] | joins[i][row[v]]
+            bit = 1 << i
+            for u in nbrs[v]:
+                row[u] |= bit
+            i += 1
+            v += 1
+            continue
+        # position i is exhausted: move the vertex at position i - 1 on
+        i -= 1
+        if i >= 0:
+            v = chosen[i]
+            keep = ~(1 << i)
+            for u in nbrs[v]:
+                row[u] &= keep
+            v += 1
     return total
+
+
+def _join_bits(k: int) -> list[list[int]]:
+    """joins[i][mask]: the edge bits, in pair_index(k, ., .) order, that
+    join position i to the earlier positions set in mask."""
+    joins = []
+    for i in range(k):
+        table = [0]
+        for j in range(i):
+            bit = 1 << pair_index(k, j, i)
+            table += [edges | bit for edges in table]
+        joins.append(table)
+    return joins
 
 
 def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,

@@ -7,10 +7,21 @@ with the parent bag, stored as a trie keyed in the parent's vertex order.
 A bag's own assignments are enumerated as a join: each vertex's candidates
 are the host neighbourhoods of its pattern-neighbours already assigned in
 the bag, intersected with the keys of every child trie at that child's
-current prefix.  In the decompositions tree_decomposition builds, every
-other vertex of a bag is joined to the bag's eliminated vertex, which is
-assigned first, by a pattern edge or by a fill edge that lies in some
-child's scope, so only that first vertex may range over all host vertices.
+current prefix.  A vertex with one assigned pattern-neighbour and no child
+trie takes that neighbour's host adjacency list as it is.  In the
+decompositions tree_decomposition builds, every other vertex of a bag is
+joined to the bag's eliminated vertex, which is assigned first, by a
+pattern edge or by a fill edge that lies in some child's scope, so only
+that first vertex may range over all host vertices.
+
+Join orders are fixed top-down, so each bag knows the order its parent
+keys it in, and each bag's last-assigned vertex writes the bag's table
+straight into the trie the parent will read: the root adds to a scalar, a
+vertex the parent does not share adds its candidate count to one entry,
+and a shared vertex adds each candidate at its own trie level, which is
+the deepest one when the join order can defer it.  No table is built in
+the bag's own order and re-keyed.
+
 The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
 elimination-ordering DP over vertex subsets, which is fine for the pattern
@@ -188,11 +199,17 @@ def count_hom(pattern: SmallGraph, host: HostGraph, *,
 
 
 def _join_order(bag: tuple[int, ...], scopes: list[set[int]],
-                prows: list[int]) -> tuple[int, ...]:
+                prows: list[int], parent_order: tuple[int, ...]
+                ) -> tuple[int, ...]:
     """Order in which a bag's vertices are assigned: greedily the vertex
     with the most pattern edges to those already placed, then the most
     child scopes already holding a placed vertex, then the most child
-    scopes, then the earliest in the bag."""
+    scopes, then any vertex other than the one the parent's table keys
+    deepest, then the earliest in the bag.  Deferring that vertex lets the
+    last position write each of its candidates straight into the deepest
+    level of the trie the parent reads."""
+    shared = [u for u in parent_order if u in bag]
+    deepest = shared[-1] if shared else None
     order: list[int] = []
     rest = list(bag)
     while rest:
@@ -201,7 +218,8 @@ def _join_order(bag: tuple[int, ...], scopes: list[set[int]],
         best = max(rest, key=lambda u: (
             (prows[u] & placed_mask).bit_count(),
             sum(1 for s in scopes if u in s and placed & s),
-            sum(1 for s in scopes if u in s)))
+            sum(1 for s in scopes if u in s),
+            u != deepest))
         order.append(best)
         rest.remove(best)
     return tuple(order)
@@ -213,11 +231,13 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
     if n_host == 0:
         return 0
     adj = host.adj_bits
+    nbrs = host.neighbors
     prows = pattern.adj_rows()
     bags = td.bags
+    parents = td.parent
     children: list[list[int]] = [[] for _ in bags]
     root = -1
-    for b, p in enumerate(td.parent):
+    for b, p in enumerate(parents):
         if p == -1:
             if root != -1:
                 raise InternalConsistencyError("connected pattern must give one root")
@@ -229,9 +249,12 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
     top_down = [root]
     for b in top_down:
         top_down.extend(children[b])
-    orders = [_join_order(bag, [set(bags[c]) & set(bag) for c in children[b]],
-                          prows)
-              for b, bag in enumerate(bags)]
+    # top-down, so that every bag knows the order its parent keys it in
+    orders: list[tuple[int, ...]] = [()] * len(bags)
+    for b in top_down:
+        bag = bags[b]
+        orders[b] = _join_order(bag, [set(bags[c]) & set(bag) for c in children[b]],
+                                prows, orders[parents[b]] if b != root else ())
 
     # tables[c], once child c is done: the number of homomorphisms of the
     # pattern below c's interface with its parent, per assignment of that
@@ -259,36 +282,70 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
             else:
                 base *= tables[c]
             tables[c] = None
-        parent_order = orders[td.parent[b]] if b != root else ()
-        key_pos = sorted(pos[u] for u in parent_order if u in pos)
+        if not m:
+            tables[b] = base
+            continue
+
+        # levels[t]: the position whose vertex keys level t of this bag's
+        # own trie.  The last position writes there directly: it walks the
+        # levels above its own once per prefix, and, when it keys an inner
+        # level, the levels below it once per candidate; when it keys no
+        # level, only the number of its candidates is needed
         last = m - 1
-        last_kept = bool(key_pos) and key_pos[-1] == last
-        prefix_pos = key_pos[:-1] if last_kept else key_pos
+        levels = [pos[u] for u in orders[parents[b]] if u in pos] \
+            if b != root else []
+        keyed = last in levels
+        if keyed:
+            at = levels.index(last)
+            upper, lower = levels[:at], levels[at + 1:]
+        else:
+            upper, lower = levels[:-1], []
+        middle = lower[:-1]
+        single = [js[0] if len(js) == 1 else -1 for js in nbr_pos]
+        trie: dict = {}
+        total = 0
 
         # depth-first join over positions 0..last: a position's candidates
         # are the host vertices adjacent to its assigned pattern-neighbours
-        # that are also keys of every child trie it descends; the last
-        # position adds all its candidates to acc at once
-        acc: dict[tuple[int, ...], int] = {}
-        if not m and base:
-            acc[()] = base
+        # that are also keys of every child trie it descends
         vals = [0] * m
         weights = [base] + [0] * m
-        cands: list = [None] * m
-        nexts = [0] * m
-        i = 0 if m and base else -1
+        iters: list = [None] * m
+        i = 0 if base else -1
         entering = True
         while i >= 0:
             if entering:
                 mask = None
                 for j in nbr_pos[i]:
                     mask = adj[vals[j]] if mask is None else mask & adj[vals[j]]
-                dicts = [nodes[s][d] for s, d, _ in reads[i]]
-                if not dicts:
-                    cand = range(n_host) if mask is None else list(bits_of(mask))
+                rd = reads[i]
+                counts = None
+                if not rd:
+                    if mask is None:
+                        cand = range(n_host)
+                    elif single[i] >= 0:
+                        cand = nbrs[vals[single[i]]]
+                    elif i == last and not keyed:
+                        cand = None  # only their number is needed
+                    else:
+                        cand = list(bits_of(mask))
+                elif len(rd) == 1:
+                    s, d, _ = rd[0]
+                    first = nodes[s][d]
+                    if mask is None:
+                        cand = first.keys()
+                        if i == last:
+                            counts = first.values()
+                    elif single[i] >= 0 and len(nbrs[vals[single[i]]]) < len(first):
+                        cand = [x for x in nbrs[vals[single[i]]] if x in first]
+                    elif mask.bit_count() < len(first):
+                        cand = [x for x in bits_of(mask) if x in first]
+                    else:
+                        cand = [x for x in first if mask >> x & 1]
+                    if counts is None and i == last:
+                        counts = [first[x] for x in cand]
                 else:
-                    if len(dicts) > 1:
-                        dicts.sort(key=len)
+                    dicts = sorted((nodes[s][d] for s, d, _ in rd), key=len)
                     first, others = dicts[0], dicts[1:]
                     if mask is not None and mask.bit_count() < len(first):
                         cand = [x for x in bits_of(mask) if x in first
@@ -297,38 +354,64 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
                         cand = [x for x in first
                                 if (mask is None or mask >> x & 1)
                                 and all(x in o for o in others)]
-                if i == last:
-                    w = weights[i]
-                    prefix = tuple(vals[j] for j in prefix_pos)
-                    if not dicts:
-                        totals = [1] * len(cand)
-                    elif not others:
-                        totals = [first[x] for x in cand]
-                    else:
-                        totals = []
+                    if i == last:
+                        counts = []
                         for x in cand:
                             t = first[x]
                             for o in others:
                                 t *= o[x]
-                            totals.append(t)
-                    if last_kept:
-                        for x, t in zip(cand, totals):
-                            key = prefix + (x,)
-                            acc[key] = acc.get(key, 0) + w * t
-                    elif cand:
-                        acc[prefix] = acc.get(prefix, 0) + w * sum(totals)
+                            counts.append(t)
+                if i == last:
                     i -= 1
                     entering = False
+                    w = weights[last]
+                    if not keyed:
+                        if counts is not None:
+                            found = sum(counts)
+                        else:
+                            found = mask.bit_count() if cand is None else len(cand)
+                        if not found:
+                            continue
+                        if not levels:
+                            total += w * found
+                            continue
+                    elif not cand:
+                        continue
+                    node = trie
+                    for p in upper:
+                        sub = node.get(vals[p])
+                        if sub is None:
+                            sub = node[vals[p]] = {}
+                        node = sub
+                    if not keyed:
+                        key = vals[levels[-1]]
+                        node[key] = node.get(key, 0) + w * found
+                    elif not lower:
+                        if counts is None:
+                            for x in cand:
+                                node[x] = node.get(x, 0) + w
+                        else:
+                            for x, t in zip(cand, counts):
+                                node[x] = node.get(x, 0) + w * t
+                    else:
+                        key = vals[lower[-1]]
+                        for x, t in zip(cand, counts or (1,) * len(cand)):
+                            sub = node.get(x)
+                            if sub is None:
+                                sub = node[x] = {}
+                            for p in middle:
+                                deeper = sub.get(vals[p])
+                                if deeper is None:
+                                    deeper = sub[vals[p]] = {}
+                                sub = deeper
+                            sub[key] = sub.get(key, 0) + w * t
                     continue
-                cands[i] = cand
-                nexts[i] = 0
-            k = nexts[i]
-            if k == len(cands[i]):
+                iters[i] = iter(cand)
+            x = next(iters[i], None)
+            if x is None:
                 i -= 1
                 entering = False
                 continue
-            x = cands[i][k]
-            nexts[i] = k + 1
             w = weights[i]
             for s, d, end in reads[i]:
                 if end:
@@ -339,21 +422,5 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
             weights[i + 1] = w
             i += 1
             entering = True
-
-        # re-key the table in the parent's order, as a trie
-        perm = [key_pos.index(pos[u]) for u in parent_order if u in pos]
-        if not perm:
-            tables[b] = acc.get((), 0)
-            continue
-        trie: dict = {}
-        for key, count in acc.items():
-            node = trie
-            for t in perm[:-1]:
-                sub = node.get(key[t])
-                if sub is None:
-                    sub = node[key[t]] = {}
-                node = sub
-            node[key[perm[-1]]] = count
-        tables[b] = trie
+        tables[b] = trie if levels else total
     return tables[root]
-

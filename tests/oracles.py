@@ -37,6 +37,7 @@ from indsub.canon import CanonicalForm, canon_key, canonical_form
 from indsub.catalog import build_catalog
 from indsub.graphs import HostGraph, SmallGraph, bits_of, pair_count, pair_index
 from indsub.hombasis import HomVector
+from indsub.homcount import TreeDecomposition
 from indsub.properties import FlagReport, FlagViolation
 
 # ----------------------------------------------------------- permutations
@@ -283,6 +284,25 @@ def brute_treewidth(g: SmallGraph) -> int:
         else:
             best = min(best, width)
     return best
+
+
+def elimination_decomposition(g: SmallGraph, order) -> TreeDecomposition:
+    """The rooted decomposition an elimination order induces, optimal or
+    not: after fill-in, one bag per vertex holding it and its neighbours
+    eliminated later, hung below the bag of the earliest of those."""
+    rank = {v: i for i, v in enumerate(order)}
+    adj = [set() for _ in range(g.n)]
+    for a, b in g.edge_pairs():
+        adj[a].add(b)
+        adj[b].add(a)
+    bags, parent = [], []
+    for v in order:
+        later = sorted(u for u in adj[v] if rank[u] > rank[v])
+        for a in later:
+            adj[a].update(u for u in later if u != a)
+        bags.append((v, *later))
+        parent.append(rank[min(later, key=rank.__getitem__)] if later else -1)
+    return TreeDecomposition(g, tuple(bags), tuple(parent))
 
 
 # ------------------------------------------------------- poisedness oracle

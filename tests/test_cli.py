@@ -162,6 +162,14 @@ def test_count_budget_exceeded(capsys, petersen_file):
     assert err.startswith("budget exceeded:")
 
 
+def test_count_rejects_negative_budget(capsys, petersen_file):
+    code, out, err = run(capsys, ["count", "--property", "connected",
+                                  "--graph", petersen_file, "--k", "3",
+                                  "--method", "brute", "--budget", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
 def test_count_method_disagreement_exits_2(capsys, petersen_file, monkeypatch):
     monkeypatch.setattr(counting_module, "count_basis",
                         lambda phi, k, host, **kw: 12345)
@@ -248,6 +256,18 @@ def test_reduce_demo_rejects_negative_bound(capsys, c5_file, tmp_path):
     code, out, err = run(capsys, ["reduce-demo", "--bipartite",
                                   str(host_file), "--k", "1",
                                   "--forbidden", c5_file, "--bound", "-1"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
+
+
+def test_reduce_demo_rejects_negative_budget(capsys, c4_file, tmp_path):
+    host_file = tmp_path / "host.g6"
+    host_file.write_text(SmallGraph.from_edges(4, [(0, 2), (1, 3)]).to_graph6()
+                         + "\n")
+    code, out, err = run(capsys, ["reduce-demo", "--bipartite",
+                                  str(host_file), "--k", "2",
+                                  "--forbidden", c4_file, "--property",
+                                  "chordal", "--budget", "-1"])
     assert code == 1 and out == ""
     assert err.startswith("usage error:")
 

@@ -8,10 +8,10 @@ import pytest
 
 import indsub.counting as counting_module
 from indsub.counting import DEFAULT_SUBSET_BUDGET, count_basis, count_brute
-from indsub.errors import BudgetExceededError, InternalConsistencyError
+from indsub.errors import BudgetExceededError, InternalConsistencyError, PredicateError
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.hombasis import HomVector, hom_vector
-from indsub.properties import PropertySpec, get_property, invert
+from indsub.properties import BUILTIN_PROPERTIES, PropertySpec, get_property, invert
 
 from oracles import brute_indsub_count, random_host
 
@@ -60,6 +60,61 @@ def test_budget_enforced():
         count_brute(get_property("connected"), 6, host, budget=100)
     # comb(12, 6) = 924 fits in the default budget.
     assert DEFAULT_SUBSET_BUDGET >= comb(12, 6)
+
+
+def test_negative_budget_rejected_before_any_work():
+    calls = []
+    phi = PropertySpec("recording", lambda g: calls.append(g) or True)
+    host = random_host(random.Random(2), 5, p=0.5)
+    for k in (0, 2, 6):
+        with pytest.raises(ValueError):
+            count_brute(phi, k, host, budget=-1)
+    assert calls == []
+    assert count_brute(phi, 2, host, budget=comb(5, 2)) == comb(5, 2)
+
+
+def _brute_hosts():
+    rng = random.Random(60)
+    return [HostGraph.from_edges(0, [])] + [
+        random_host(rng, n, p) for n, p in ((1, 0.5), (5, 0.5), (8, 0.3),
+                                            (10, 0.5))]
+
+
+@pytest.mark.parametrize("prop_name", sorted(BUILTIN_PROPERTIES))
+def test_brute_matches_subset_oracle(prop_name):
+    phi = get_property(prop_name)
+    for host in _brute_hosts():
+        for k in range(host.n + 2):
+            assert count_brute(phi, k, host) == \
+                brute_indsub_count(phi, k, host), (host.to_graph6(), k)
+
+
+def test_brute_matches_subset_oracle_with_a_tiny_memo(monkeypatch):
+    monkeypatch.setattr(counting_module, "MEMO_CAP", 8)
+    for prop_name in ("bipartite", "chordal", "edge-count-even"):
+        phi = get_property(prop_name)
+        for host in _brute_hosts():
+            for k in range(host.n + 2):
+                assert count_brute(phi, k, host) == \
+                    brute_indsub_count(phi, k, host), (prop_name, k)
+
+
+def test_brute_names_the_first_graph_the_predicate_fails_on():
+    def fussy(g):
+        # a labelled condition, so the offending graph depends on the order
+        # in which subsets are visited; graphs seen before it do not raise
+        if g.edge_count == 2 and not g.has_edge(0, 1):
+            raise RuntimeError("boom")
+        return g.edge_count % 3 == 0
+
+    phi = PropertySpec("fussy", fussy)
+    host = random_host(random.Random(61), 9, p=0.4)
+    for k in (3, 4, 5):
+        with pytest.raises(PredicateError) as expected:
+            brute_indsub_count(phi, k, host)
+        with pytest.raises(PredicateError) as got:
+            count_brute(phi, k, host)
+        assert str(got.value) == str(expected.value)
 
 
 def test_count_basis_accepts_prebuilt_vector_and_cache():

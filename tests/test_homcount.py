@@ -2,16 +2,25 @@ import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
     TreeDecomposition,
+    _join_order,
     count_hom,
     exact_treewidth,
     tree_decomposition,
 )
-from oracles import brute_hom_count, brute_treewidth, random_host, random_small_graph
+from oracles import (
+    brute_hom_count,
+    brute_treewidth,
+    elimination_decomposition,
+    random_host,
+    random_small_graph,
+)
 
 
 def test_treewidth_known_values():
@@ -163,6 +172,84 @@ def test_count_hom_accepts_any_valid_decomposition():
         td = TreeDecomposition(c5, bags, parent)
         td.validate()
         assert count_hom(c5, host, td=td) == expected, bags
+
+
+@st.composite
+def _pattern_host_and_decomposition(draw):
+    """A connected pattern on at most 6 vertices (a random spanning tree
+    plus random edges), the decomposition of a random elimination order,
+    and a host on at most 7 vertices."""
+    n = draw(st.integers(1, 6))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 1:
+        pairs |= draw(st.sets(st.sampled_from(
+            [(a, b) for b in range(n) for a in range(b)])))
+    pattern = SmallGraph.from_edges(n, pairs)
+    td = elimination_decomposition(pattern, draw(st.permutations(range(n))))
+    host_n = draw(st.integers(1, 7))
+    host_pairs = draw(st.sets(st.sampled_from(
+        [(a, b) for b in range(host_n) for a in range(b)]))) if host_n > 1 else ()
+    return pattern, td, HostGraph.from_edges(host_n, host_pairs)
+
+
+@settings(max_examples=200)
+@given(_pattern_host_and_decomposition())
+def test_count_hom_matches_map_enumeration_on_any_elimination_order(case):
+    pattern, td, host = case
+    td.validate()
+    assert count_hom(pattern, host, td=td) == brute_hom_count(pattern, host)
+
+
+def _last_position_writes(pattern, td):
+    """How each bag's last-assigned vertex enters the bag's table: the
+    root's 'scalar', 'sum' when the parent does not share the vertex, else
+    'deepest' or 'inner' by the parent's trie level it keys."""
+    children = [[] for _ in td.bags]
+    for b, p in enumerate(td.parent):
+        if p != -1:
+            children[p].append(b)
+    top_down = [td.parent.index(-1)]
+    for b in top_down:
+        top_down.extend(children[b])
+    orders = {-1: ()}
+    writes = []
+    for b in top_down:
+        bag = td.bags[b]
+        orders[b] = _join_order(bag, [set(td.bags[c]) & set(bag)
+                                      for c in children[b]],
+                                pattern.adj_rows(), orders[td.parent[b]])
+        shared = [u for u in orders[td.parent[b]] if u in bag]
+        if not bag:
+            continue
+        last = orders[b][-1]
+        writes.append("scalar" if not shared else "sum" if last not in shared
+                      else "deepest" if last == shared[-1] else "inner")
+    return writes
+
+
+_K4_MINUS_EDGE = SmallGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+
+# In the deepest, inner and sum cases a bag that writes that way has first
+# multiplied in a child's count, so a write that drops this weight fails.
+@pytest.mark.parametrize("write, pattern, td", [
+    ("scalar", SmallGraph.cycle(5),
+     TreeDecomposition(SmallGraph.cycle(5), ((0, 1, 2, 3, 4),), (-1,))),
+    ("deepest", SmallGraph.cycle(5),
+     elimination_decomposition(SmallGraph.cycle(5), (0, 2, 1, 3, 4))),
+    ("inner", _K4_MINUS_EDGE,
+     elimination_decomposition(_K4_MINUS_EDGE, (0, 1, 3, 2))),
+    ("sum", SmallGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
+     TreeDecomposition(SmallGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
+                       ((0, 1), (0, 1, 2), (1, 3)), (-1, 0, 1))),
+])
+def test_count_hom_each_way_the_last_position_writes(write, pattern, td):
+    td.validate()
+    assert write in _last_position_writes(pattern, td)
+    rng = random.Random(48)
+    for n, p in ((1, 0.0), (4, 1.0), (6, 0.5), (7, 0.3)):
+        host = random_host(rng, n, p)
+        assert count_hom(pattern, host, td=td) == brute_hom_count(pattern, host)
 
 
 def test_count_hom_leaves_no_cyclic_garbage():
