@@ -16,11 +16,12 @@ that first vertex may range over all host vertices.
 
 Join orders are fixed top-down, so each bag knows the order its parent
 keys it in, and each bag's last-assigned vertex writes the bag's table
-straight into the trie the parent will read: the root adds to a scalar, a
-vertex the parent does not share adds its candidate count to one entry,
-and a shared vertex adds each candidate at its own trie level, which is
-the deepest one when the join order can defer it.  No table is built in
-the bag's own order and re-keyed.
+straight into the trie the parent will read.  A bag that shares a vertex
+with its parent always assigns the one its parent keys deepest last, so
+that write has two forms only: the root, or a bag sharing nothing, adds
+its candidates' total to a scalar, and every other bag walks the upper
+trie levels once per prefix and adds each candidate at the deepest one.
+No table is built in the bag's own order and re-keyed.
 
 The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
@@ -32,6 +33,7 @@ vertices).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of
@@ -99,6 +101,18 @@ class TreeDecomposition:
     def validate(self) -> None:
         g = self.graph
         n = g.n
+        m = len(self.bags)
+        if len(self.parent) != m or not all(-1 <= p < m for p in self.parent):
+            raise InternalConsistencyError("parent pointers do not match the bags")
+        for b in range(m):
+            # a chain of parents longer than the bag count has a cycle
+            up = b
+            for _ in range(m):
+                up = self.parent[up]
+                if up == -1:
+                    break
+            else:
+                raise InternalConsistencyError("parent pointers form a cycle")
         covered = [False] * n
         for bag in self.bags:
             for v in bag:
@@ -179,8 +193,13 @@ def count_hom(pattern: SmallGraph, host: HostGraph, *,
     """Number of homomorphisms pattern -> host.  Loop-marked patterns map
     to 0 because hosts are simple; disconnected patterns factor into the
     product of their components' counts."""
-    if td is not None and td.graph != pattern:
-        raise ValueError("tree decomposition belongs to a different pattern")
+    if td is not None:
+        if td.graph != pattern:
+            raise ValueError("tree decomposition belongs to a different pattern")
+        try:
+            td.validate()
+        except InternalConsistencyError as exc:
+            raise ValueError(f"invalid tree decomposition: {exc}") from exc
     if pattern.loops:
         return 0
     if pattern.n == 0:
@@ -201,28 +220,26 @@ def count_hom(pattern: SmallGraph, host: HostGraph, *,
 def _join_order(bag: tuple[int, ...], scopes: list[set[int]],
                 prows: list[int], parent_order: tuple[int, ...]
                 ) -> tuple[int, ...]:
-    """Order in which a bag's vertices are assigned: greedily the vertex
-    with the most pattern edges to those already placed, then the most
-    child scopes already holding a placed vertex, then the most child
-    scopes, then any vertex other than the one the parent's table keys
-    deepest, then the earliest in the bag.  Deferring that vertex lets the
-    last position write each of its candidates straight into the deepest
-    level of the trie the parent reads."""
-    shared = [u for u in parent_order if u in bag]
-    deepest = shared[-1] if shared else None
+    """Order in which a bag's vertices are assigned: the vertex the
+    parent's table keys deepest last, so that the last position writes
+    each of its candidates straight into the deepest level of the trie the
+    parent reads; before it, greedily the vertex with the most pattern
+    edges to those already placed, then the most child scopes already
+    holding a placed vertex, then the most child scopes, then the earliest
+    in the bag."""
+    deepest = [u for u in parent_order if u in bag][-1:]
     order: list[int] = []
-    rest = list(bag)
+    rest = [u for u in bag if u not in deepest]
     while rest:
         placed = set(order)
         placed_mask = sum(1 << w for w in order)
         best = max(rest, key=lambda u: (
             (prows[u] & placed_mask).bit_count(),
             sum(1 for s in scopes if u in s and placed & s),
-            sum(1 for s in scopes if u in s),
-            u != deepest))
+            sum(1 for s in scopes if u in s)))
         order.append(best)
         rest.remove(best)
-    return tuple(order)
+    return tuple(order + deepest)
 
 
 def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
@@ -235,26 +252,25 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
     prows = pattern.adj_rows()
     bags = td.bags
     parents = td.parent
+    # a valid decomposition of a connected pattern may still carry extra
+    # roots, whose trees hold only empty bags and each count 1
     children: list[list[int]] = [[] for _ in bags]
-    root = -1
+    roots: list[int] = []
     for b, p in enumerate(parents):
         if p == -1:
-            if root != -1:
-                raise InternalConsistencyError("connected pattern must give one root")
-            root = b
+            roots.append(b)
         else:
             children[p].append(b)
-    if root == -1:
-        raise InternalConsistencyError("decomposition has no root")
-    top_down = [root]
+    top_down = list(roots)
     for b in top_down:
         top_down.extend(children[b])
     # top-down, so that every bag knows the order its parent keys it in
     orders: list[tuple[int, ...]] = [()] * len(bags)
     for b in top_down:
         bag = bags[b]
+        p = parents[b]
         orders[b] = _join_order(bag, [set(bags[c]) & set(bag) for c in children[b]],
-                                prows, orders[parents[b]] if b != root else ())
+                                prows, orders[p] if p != -1 else ())
 
     # tables[c], once child c is done: the number of homomorphisms of the
     # pattern below c's interface with its parent, per assignment of that
@@ -287,20 +303,13 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
             continue
 
         # levels[t]: the position whose vertex keys level t of this bag's
-        # own trie.  The last position writes there directly: it walks the
-        # levels above its own once per prefix, and, when it keys an inner
-        # level, the levels below it once per candidate; when it keys no
-        # level, only the number of its candidates is needed
+        # own trie.  _join_order assigns the deepest one last, so the last
+        # position writes there directly, walking the levels above once per
+        # prefix; with no levels, only the number of its candidates is needed
         last = m - 1
         levels = [pos[u] for u in orders[parents[b]] if u in pos] \
-            if b != root else []
-        keyed = last in levels
-        if keyed:
-            at = levels.index(last)
-            upper, lower = levels[:at], levels[at + 1:]
-        else:
-            upper, lower = levels[:-1], []
-        middle = lower[:-1]
+            if parents[b] != -1 else []
+        upper = levels[:-1]
         single = [js[0] if len(js) == 1 else -1 for js in nbr_pos]
         trie: dict = {}
         total = 0
@@ -325,7 +334,7 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
                         cand = range(n_host)
                     elif single[i] >= 0:
                         cand = nbrs[vals[single[i]]]
-                    elif i == last and not keyed:
+                    elif i == last and not levels:
                         cand = None  # only their number is needed
                     else:
                         cand = list(bits_of(mask))
@@ -365,17 +374,14 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
                     i -= 1
                     entering = False
                     w = weights[last]
-                    if not keyed:
+                    if not levels:
                         if counts is not None:
-                            found = sum(counts)
+                            total += w * sum(counts)
                         else:
-                            found = mask.bit_count() if cand is None else len(cand)
-                        if not found:
-                            continue
-                        if not levels:
-                            total += w * found
-                            continue
-                    elif not cand:
+                            total += w * (mask.bit_count() if cand is None
+                                          else len(cand))
+                        continue
+                    if not cand:
                         continue
                     node = trie
                     for p in upper:
@@ -383,28 +389,12 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
                         if sub is None:
                             sub = node[vals[p]] = {}
                         node = sub
-                    if not keyed:
-                        key = vals[levels[-1]]
-                        node[key] = node.get(key, 0) + w * found
-                    elif not lower:
-                        if counts is None:
-                            for x in cand:
-                                node[x] = node.get(x, 0) + w
-                        else:
-                            for x, t in zip(cand, counts):
-                                node[x] = node.get(x, 0) + w * t
+                    if counts is None:
+                        for x in cand:
+                            node[x] = node.get(x, 0) + w
                     else:
-                        key = vals[lower[-1]]
-                        for x, t in zip(cand, counts or (1,) * len(cand)):
-                            sub = node.get(x)
-                            if sub is None:
-                                sub = node[x] = {}
-                            for p in middle:
-                                deeper = sub.get(vals[p])
-                                if deeper is None:
-                                    deeper = sub[vals[p]] = {}
-                                sub = deeper
-                            sub[key] = sub.get(key, 0) + w * t
+                        for x, t in zip(cand, counts):
+                            node[x] = node.get(x, 0) + w * t
                     continue
                 iters[i] = iter(cand)
             x = next(iters[i], None)
@@ -423,4 +413,4 @@ def _count_hom_connected(pattern: SmallGraph, host: HostGraph,
             i += 1
             entering = True
         tables[b] = trie if levels else total
-    return tables[root]
+    return prod(tables[r] for r in roots)

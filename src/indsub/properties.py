@@ -371,6 +371,8 @@ def load_truth_table(path) -> dict[int, str]:
             raise FormatError(f"{path}: bad header {lines[i]!r}") from None
         if i + 1 >= len(lines):
             raise FormatError(f"{path}: missing bit string for k={k}")
+        if k in tables:
+            raise FormatError(f"{path}: repeated section for k={k}")
         tables[k] = lines[i + 1]
         i += 2
     if not tables:

@@ -108,6 +108,15 @@ def test_spectrum_from_truth_table(capsys, tmp_path):
     assert got["f"] == want["f"] and got["h"] == want["h"]
 
 
+def test_spectrum_rejects_repeated_truth_table_section(capsys, tmp_path):
+    table = tmp_path / "twice.tt"
+    table.write_text("k=2\n01\nk=2\n10\n")
+    code, out, err = run(capsys, ["spectrum", "--truth-table", str(table),
+                                  "--k", "2"])
+    assert code == 1 and not out
+    assert "repeated section for k=2" in err
+
+
 def test_spectrum_property_options_are_exclusive(capsys, c4_file):
     code, _, err = run(capsys, ["spectrum", "--property", "connected",
                                 "--forbidden-induced", c4_file, "--k", "3"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indsub.catalog import build_catalog
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
@@ -160,7 +161,7 @@ def test_count_hom_cycles_and_stars_on_larger_hosts():
 
 def test_count_hom_accepts_any_valid_decomposition():
     """Hand-built decompositions: one bag, a path rooted at its far end,
-    and empty bags as leaf and as root."""
+    empty bags as leaf and as root, and an empty bag as a second root."""
     c5 = SmallGraph.cycle(5)
     host = random_host(random.Random(47), 7, p=0.6)
     expected = brute_hom_count(c5, host)
@@ -168,7 +169,8 @@ def test_count_hom_accepts_any_valid_decomposition():
     for bags, parent in (((whole,), (-1,)),
                          (((0, 1, 4), (1, 2, 4), (2, 3, 4)), (1, 2, -1)),
                          ((whole, ()), (-1, 0)),
-                         (((), whole), (-1, 0))):
+                         (((), whole), (-1, 0)),
+                         ((whole, ()), (-1, -1))):
         td = TreeDecomposition(c5, bags, parent)
         td.validate()
         assert count_hom(c5, host, td=td) == expected, bags
@@ -197,27 +199,37 @@ def _pattern_host_and_decomposition(draw):
 def test_count_hom_matches_map_enumeration_on_any_elimination_order(case):
     pattern, td, host = case
     td.validate()
+    assert set(_last_position_writes(pattern, td)) <= {"scalar", "deepest"}
     assert count_hom(pattern, host, td=td) == brute_hom_count(pattern, host)
 
 
-def _last_position_writes(pattern, td):
-    """How each bag's last-assigned vertex enters the bag's table: the
-    root's 'scalar', 'sum' when the parent does not share the vertex, else
-    'deepest' or 'inner' by the parent's trie level it keys."""
+def _join_orders(pattern, td):
+    """Each bag's join order, fixed top-down as the DP fixes it, keyed by
+    bag index (-1 keys the empty order a root's parent would have)."""
     children = [[] for _ in td.bags]
     for b, p in enumerate(td.parent):
         if p != -1:
             children[p].append(b)
-    top_down = [td.parent.index(-1)]
+    top_down = [b for b, p in enumerate(td.parent) if p == -1]
     for b in top_down:
         top_down.extend(children[b])
     orders = {-1: ()}
-    writes = []
     for b in top_down:
         bag = td.bags[b]
         orders[b] = _join_order(bag, [set(td.bags[c]) & set(bag)
                                       for c in children[b]],
                                 pattern.adj_rows(), orders[td.parent[b]])
+    return orders
+
+
+def _last_position_writes(pattern, td):
+    """How each bag's last-assigned vertex enters the bag's table: the
+    root's 'scalar', 'sum' when the parent does not share the vertex, else
+    'deepest' or 'inner' by the parent's trie level it keys.  The DP
+    implements only 'scalar' and 'deepest'."""
+    orders = _join_orders(pattern, td)
+    writes = []
+    for b, bag in enumerate(td.bags):
         shared = [u for u in orders[td.parent[b]] if u in bag]
         if not bag:
             continue
@@ -230,26 +242,49 @@ def _last_position_writes(pattern, td):
 _K4_MINUS_EDGE = SmallGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 
 
-# In the deepest, inner and sum cases a bag that writes that way has first
-# multiplied in a child's count, so a write that drops this weight fails.
+# In the deepest cases a bag that writes that way has first multiplied in a
+# child's count, so a write that drops this weight fails.  The third case's
+# greedy order would place the parent's deepest key before the last
+# position, and the fourth's would end on a vertex the parent does not share.
 @pytest.mark.parametrize("write, pattern, td", [
     ("scalar", SmallGraph.cycle(5),
      TreeDecomposition(SmallGraph.cycle(5), ((0, 1, 2, 3, 4),), (-1,))),
     ("deepest", SmallGraph.cycle(5),
      elimination_decomposition(SmallGraph.cycle(5), (0, 2, 1, 3, 4))),
-    ("inner", _K4_MINUS_EDGE,
+    ("deepest", _K4_MINUS_EDGE,
      elimination_decomposition(_K4_MINUS_EDGE, (0, 1, 3, 2))),
-    ("sum", SmallGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
+    ("deepest", SmallGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
      TreeDecomposition(SmallGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
                        ((0, 1), (0, 1, 2), (1, 3)), (-1, 0, 1))),
 ])
 def test_count_hom_each_way_the_last_position_writes(write, pattern, td):
     td.validate()
-    assert write in _last_position_writes(pattern, td)
+    writes = _last_position_writes(pattern, td)
+    assert write in writes
+    assert set(writes) <= {"scalar", "deepest"}
     rng = random.Random(48)
     for n, p in ((1, 0.0), (4, 1.0), (6, 0.5), (7, 0.3)):
         host = random_host(rng, n, p)
         assert count_hom(pattern, host, td=td) == brute_hom_count(pattern, host)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_join_order_starts_eliminated_and_ends_on_parents_deepest_key(k):
+    """On every connected class, each non-root bag of tree_decomposition
+    assigns its eliminated vertex first and the vertex its parent keys
+    deepest last."""
+    for entry in build_catalog(k).entries:
+        pattern = entry.graph
+        if not pattern.is_connected():
+            continue
+        td = tree_decomposition(pattern)
+        orders = _join_orders(pattern, td)
+        for b, bag in enumerate(td.bags):
+            if td.parent[b] == -1:
+                continue
+            shared = [u for u in orders[td.parent[b]] if u in bag]
+            assert orders[b][0] == bag[0], (pattern.edges, bag)
+            assert orders[b][-1] == shared[-1], (pattern.edges, bag)
 
 
 def test_count_hom_leaves_no_cyclic_garbage():
@@ -276,3 +311,16 @@ def test_count_hom_rejects_foreign_decomposition():
     # matching decomposition is accepted
     assert count_hom(SmallGraph.path(3), host,
                      td=tree_decomposition(SmallGraph.path(3))) == 2
+    # invalid decompositions of the pattern itself: an uncovered edge, the
+    # bags holding vertex 0 disconnected, bags cut off from the root by a
+    # parent cycle, a parent index out of range and a bag with no parent
+    # entry.  Unchecked, into K3 they count 18, 36, 6, IndexError and 6
+    p3, k3 = SmallGraph.path(3), HostGraph.from_small(SmallGraph.complete(3))
+    assert count_hom(p3, k3) == 12
+    for bags, parent in ((((0, 1), (2,)), (-1, 0)),
+                         (((0, 1), (1, 2), (0,)), (-1, 0, 1)),
+                         (((0, 1), (1, 2), (1, 2)), (-1, 2, 1)),
+                         (((0, 1), (1, 2)), (-1, 5)),
+                         (((0, 1), (1, 2)), (-1,))):
+        with pytest.raises(ValueError, match="invalid tree decomposition"):
+            count_hom(p3, k3, td=TreeDecomposition(p3, bags, parent))

@@ -285,6 +285,13 @@ def test_truth_table_property(tmp_path):
         truth_table_property(load_truth_table(bad))
 
 
+def test_truth_table_rejects_repeated_section(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("k=2\n01\nk=2\n10\n")
+    with pytest.raises(FormatError, match="repeated section for k=2"):
+        load_truth_table(path)
+
+
 def test_truth_table_rejects_non_utf8_file(tmp_path):
     path = tmp_path / "table.txt"
     path.write_bytes(b"k=3\n\xff\xfe\n")
