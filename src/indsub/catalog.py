@@ -3,10 +3,23 @@
 The classes on k vertices come from one-vertex extensions of the (k-1)
 catalog with canonical-form deduplication, starting from the 0-vertex
 graph.  Neighbor masks in one orbit of the parent's automorphism group
-give isomorphic extensions, so only one mask per orbit is canonicalised.
+give isomorphic extensions, so only one mask per orbit is considered.
 Each entry carries the automorphism count and the number of labeled
 copies k!/#Aut; the copies must sum to 2^C(k,2), which the builder
 asserts.
+
+Of those masks, only the ones whose new vertex has the largest vertex key
+in the extension are canonicalised, as in McKay's canonical augmentation
+(J. Algorithms 1998).  The key is the vertex's degree, then the sum of its
+neighbors' degrees; it is computed from the parent's degrees and the mask
+bits, and the sums only when degrees tie.  No class is lost.  Take a class
+C and a vertex w of C with the largest key.  C - w is isomorphic to a
+parent P through some phi, and an automorphism of P carries phi(N(w)) to
+its orbit representative; together they extend to an isomorphism from C
+onto that representative's extension which sends w to the new vertex.
+The key is an isomorphism invariant, so the new vertex has the largest key
+too, and the extension is canonicalised.  Over k <= 8 this canonicalises
+14,655 extensions for 13,598 classes; one mask per orbit alone took 85,023.
 
 Catalogs are cached on disk, one "graph6 aut" line per class under a
 versioned header, in the builder's order: by edge count, then by edge
@@ -109,8 +122,9 @@ def default_cache_dir() -> Path:
 def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
     """Canonical edge-bitset -> aut for every class on k vertices: extend
     each (k-1)-vertex representative by one vertex, joined to one neighbor
-    mask per orbit of the representative's automorphism group.  The base
-    case is the 0-vertex graph."""
+    mask per orbit of the representative's automorphism group whose new
+    vertex has the largest vertex key.  The base case is the 0-vertex
+    graph."""
     if k == 1:
         parents = [(0, 1)]
     else:
@@ -126,6 +140,7 @@ def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
         nb_bits[mask] = nb_bits[mask ^ low] | new_pair[low.bit_length() - 1]
     found: dict[int, int] = {}
     for pedges, paut in parents:
+        parent = SmallGraph(k - 1, pedges)
         base = 0
         for b in bits_of(pedges):
             base |= lift[b]
@@ -133,12 +148,49 @@ def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
             masks = range(1 << (k - 1))
         else:
             masks = _orbit_representatives(
-                k - 1, automorphism_generators(SmallGraph(k - 1, pedges)))
-        for nbmask in masks:
+                k - 1, automorphism_generators(parent))
+        for nbmask in _key_maximal_masks(parent.adj_rows(), masks):
             cf, aut = _canonical_data(SmallGraph(k, base | nb_bits[nbmask]))
             if cf.edges not in found:
                 found[cf.edges] = aut
     return found
+
+
+def _key_maximal_masks(rows: list[int], masks):
+    """The masks, in order, whose new vertex has the largest vertex key in
+    the extension of the parent with neighbor bitmasks rows by a vertex
+    joined to the mask.  A vertex's key is its degree, then the sum of its
+    neighbors' degrees; ties with the new vertex are allowed.
+
+    Degrees settle most masks: a parent vertex beats the new one when its
+    degree exceeds the mask's size, or equals it and the vertex is in the
+    mask.  Neighbor-degree sums are compared only with the parent vertices
+    whose degree in the extension equals the mask's size."""
+    m = len(rows)
+    deg = [r.bit_count() for r in rows]
+    nbsum = [sum(deg[x] for x in bits_of(r)) for r in rows]
+    # exact[d]: the parent vertices of degree d; above[d]: those above d.
+    exact = [0] * (m + 2)
+    for u, du in enumerate(deg):
+        exact[du] |= 1 << u
+    above = [0] * (m + 2)
+    for d in range(m, -1, -1):
+        above[d] = above[d + 1] | exact[d + 1]
+    for mask in masks:
+        d = mask.bit_count()
+        if above[d] or exact[d] & mask:
+            continue
+        # With d == 0 every vertex is isolated and all keys are (0, 0).
+        ties = exact[d] | exact[d - 1] & mask if d else 0
+        if ties:
+            # In the extension a vertex in the mask gains one degree and
+            # the new vertex as a neighbor of degree d.
+            own = d + sum(deg[u] for u in bits_of(mask))
+            if any(nbsum[u] + (rows[u] & mask).bit_count()
+                   + (d if mask >> u & 1 else 0) > own
+                   for u in bits_of(ties)):
+                continue
+        yield mask
 
 
 def _orbit_representatives(m: int, gens) -> list[int]:

@@ -291,18 +291,6 @@ class HostGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_bits[u] >> v & 1)
 
-    def induced_small(self, vertices) -> SmallGraph:
-        vs = sorted(vertices)
-        m = len(vs)
-        edges = 0
-        bit = self.adj_bits
-        for a in range(m):
-            row = bit[vs[a]]
-            for b in range(a + 1, m):
-                if row >> vs[b] & 1:
-                    edges |= 1 << pair_index(m, a, b)
-        return SmallGraph(m, edges)
-
     def delete_vertices(self, drop) -> "HostGraph":
         dropped = set(drop)
         keep = [v for v in range(self.n) if v not in dropped]

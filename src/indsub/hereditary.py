@@ -77,12 +77,6 @@ class TwinPartition:
     blocks: tuple[tuple[int, ...], ...]
     collapsed: SmallGraph
 
-    def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise ValueError(f"vertex {v} not covered")
-
     def singleton_vertices(self) -> frozenset[int]:
         return frozenset(b[0] for b in self.blocks if len(b) == 1)
 

@@ -21,6 +21,12 @@ package's canonical keys, but enumerate every labeled edge superset.  The
 reference deletion maps find every deleted graph's class through its
 canonical form, without the catalog's refinement-invariant buckets.
 
+The unpruned catalog builder is the package's builder without its
+vertex-key test: it canonicalises the extension by one neighbor mask per
+orbit of every parent's automorphism group, through the package's orbit
+representatives and canonical forms.  vertex_key is the key that test
+compares, read off the graph's adjacency rows.
+
 The reference canoniser reaches the package's canonical labeling by a
 slower route: refinement by sorted neighbor-color tuples, and a search
 that visits every leaf of least words.  The package's canoniser must
@@ -33,9 +39,22 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from indsub.canon import CanonicalForm, canon_key, canonical_form
-from indsub.catalog import build_catalog
-from indsub.graphs import HostGraph, SmallGraph, bits_of, pair_count, pair_index
+from indsub.canon import (
+    CanonicalForm,
+    automorphism_count,
+    automorphism_generators,
+    canon_key,
+    canonical_form,
+)
+from indsub.catalog import _orbit_representatives, build_catalog
+from indsub.graphs import (
+    HostGraph,
+    SmallGraph,
+    bits_of,
+    pair_count,
+    pair_index,
+    pair_table,
+)
 from indsub.hombasis import HomVector
 from indsub.homcount import TreeDecomposition
 from indsub.properties import FlagReport, FlagViolation
@@ -238,11 +257,22 @@ def brute_hom_count(pattern: SmallGraph, host: HostGraph) -> int:
     return total
 
 
+def induced_small(host: HostGraph, vertices) -> SmallGraph:
+    """The subgraph of host induced by vertices, relabeled in sorted
+    order."""
+    vs = sorted(vertices)
+    edges = 0
+    for b, (i, j) in enumerate(pair_table(len(vs))):
+        if host.has_edge(vs[i], vs[j]):
+            edges |= 1 << b
+    return SmallGraph(len(vs), edges)
+
+
 def brute_indsub_count(phi, k: int, host: HostGraph) -> int:
     """#IndSub by testing the predicate on every k-subset."""
     total = 0
     for subset in itertools.combinations(range(host.n), k):
-        if phi(host.induced_small(subset)):
+        if phi(induced_small(host, subset)):
             total += 1
     return total
 
@@ -486,6 +516,33 @@ def extension_count(h: SmallGraph, ell: int) -> int:
     """Total count of ell-edge supersets of h inside K_n, summed over the
     classes they land in; equals C(d - #E(h), ell - #E(h))."""
     return sum(extension_counts_by_class(h, ell).values())
+
+
+# ---------------------------------------------------------- catalog builder
+
+
+def vertex_key(g: SmallGraph, v: int) -> tuple[int, int]:
+    """(degree, sum of the neighbors' degrees) of vertex v of g."""
+    rows = g.adj_rows()
+    return (rows[v].bit_count(),
+            sum(rows[u].bit_count() for u in bits_of(rows[v])))
+
+
+def unpruned_catalog_classes(k: int) -> dict[int, int]:
+    """Canonical edge bitset -> #Aut of every class on k vertices: each
+    class on k - 1 vertices, from this function, extended by one neighbor
+    mask per orbit of its automorphism group, with no vertex-key test."""
+    parents = [SmallGraph(0)] if k == 1 else [
+        SmallGraph(k - 1, edges) for edges in unpruned_catalog_classes(k - 1)]
+    found = {}
+    for parent in parents:
+        pairs = parent.edge_pairs()
+        for mask in _orbit_representatives(k - 1,
+                                           automorphism_generators(parent)):
+            g = SmallGraph.from_edges(
+                k, pairs + [(u, k - 1) for u in bits_of(mask)])
+            found.setdefault(canonical_form(g).edges, automorphism_count(g))
+    return found
 
 
 # ------------------------------------------------------------ deletion maps

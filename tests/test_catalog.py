@@ -11,6 +11,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from indsub import canon, catalog
 from indsub.canon import automorphism_count, canon_key, refinement_invariant
@@ -30,6 +31,8 @@ from oracles import (
     random_small_graph,
     reference_edge_deletions,
     reference_vertex_deletions,
+    unpruned_catalog_classes,
+    vertex_key,
 )
 
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -305,14 +308,76 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
 
 def test_cold_build_is_byte_identical(tmp_path):
     # Catalog order and truth-table indexing depend on the canonical form.
-    # The digest is that of the files built by extending every neighbor
-    # mask of every parent with the reference canoniser.
-    build_catalog(7, cache_dir=tmp_path)
+    # The digest is that of the files k = 1..8 built without the vertex-key
+    # test, canonicalising one neighbor mask per orbit of every parent;
+    # their k <= 7 files are those built by extending every neighbor mask
+    # of every parent with the reference canoniser.
+    build_catalog(8, cache_dir=tmp_path)
     digest = hashlib.sha256()
-    for k in range(1, 8):
+    for k in range(1, 9):
         digest.update((tmp_path / f"k{k}.catalog").read_bytes())
     assert digest.hexdigest() == \
-        "7510301eecb0e3815a0be212446549ccdf7300d0ed6aba2a27e00e0ab0d734c2"
+        "1a55f93e16d8d82140a45acc68a44adfbc3e4feeecd5232f6db2318b9af2795a"
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_builder_matches_unpruned_oracle(k, tmp_path):
+    assert catalog._build_classes(k, str(tmp_path)) == \
+        unpruned_catalog_classes(k)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.integers(0, (1 << pair_count(n)) - 1), st.permutations(range(n)))))
+def test_vertex_key_is_isomorphism_invariant(edges_and_perm):
+    edges, perm = edges_and_perm
+    g = SmallGraph(len(perm), edges)
+    relabeled = g.relabel(perm)
+    for v in range(g.n):
+        assert vertex_key(g, v) == vertex_key(relabeled, perm[v])
+
+
+def _check_key_maximal_masks(parent: SmallGraph):
+    """_key_maximal_masks keeps exactly the masks whose new vertex has the
+    largest vertex_key in the extension."""
+    m = parent.n
+    want = []
+    for mask in range(1 << m):
+        joined = [(u, m) for u in range(m) if mask >> u & 1]
+        ext = SmallGraph.from_edges(m + 1, parent.edge_pairs() + joined)
+        keys = [vertex_key(ext, v) for v in range(m + 1)]
+        if keys[m] == max(keys):
+            want.append(mask)
+    assert list(catalog._key_maximal_masks(parent.adj_rows(),
+                                           range(1 << m))) == want
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_key_maximal_masks_match_the_vertex_key(m):
+    for parent in ([e.graph for e in build_catalog(m).entries] if m
+                   else [SmallGraph(0)]):
+        _check_key_maximal_masks(parent)
+
+
+def test_key_maximal_masks_on_sampled_seven_vertex_parents():
+    rng = random.Random(707)
+    for parent in rng.sample([e.graph for e in build_catalog(7).entries], 40):
+        _check_key_maximal_masks(parent)
+
+
+def test_cold_build_canonicalises_few_extensions(tmp_path, monkeypatch):
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return canon._canonical_data(g)
+
+    monkeypatch.setattr(catalog, "_canonical_data", counting)
+    build_catalog(7, cache_dir=tmp_path)
+    classes = sum(CLASS_COUNTS[k] for k in range(1, 8))
+    assert classes == 1252
+    assert calls < 2 * classes
 
 
 @pytest.mark.parametrize("k", range(1, 6))
