@@ -481,6 +481,17 @@ def _cmd_selftest(args) -> int:
                    counting.count_brute(phi, k, host),
                    f"basis equals brute: {name}, k={k}")
 
+    petersen = HostGraph.from_edges(
+        10, [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    connected = get_property("connected")
+    expect(counting.count_basis(connected, 5, petersen) ==
+           sum(coef * count_hom(g, petersen)
+               for g, coef in hom_vector(connected, 5).entries),
+           "basis through shared tables equals the pattern-by-pattern sum: "
+           "connected, k=5, Petersen")
+
     from .hombasis import h_tilde_vector
     from .spectrum import h_vector, f_vector
     from math import factorial

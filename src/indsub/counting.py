@@ -14,7 +14,10 @@ route, so it uses neither the catalog, canonical forms, the hom basis nor
 the hom DP.
 
 count_basis evaluates the homomorphism-basis vector against exact
-per-pattern homomorphism counts.  The two must agree on every input.
+per-pattern homomorphism counts.  The two must agree on every input.  It
+plans every pattern of the vector into one homcount.HomStore before
+counting any, so the patterns share their rooted sub-pattern tables and
+repeated components within the call.
 count_basis hands k = 0 and k > n to count_brute (at most one predicate
 call) and otherwise insists on an integral, nonnegative total before
 returning.
@@ -29,7 +32,7 @@ from math import comb
 from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, pair_index
 from .hombasis import hom_vector
-from .homcount import count_hom
+from .homcount import HomStore, count_hom
 from .properties import PropertySpec, evaluate
 
 DEFAULT_SUBSET_BUDGET = 10 ** 8
@@ -118,6 +121,11 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
                 hom_cache: dict | None = None) -> int:
     """#IndSub(phi, k, host) as sum_H a(H) * #Hom(H, host).
 
+    Every pattern is planned into one HomStore before any is counted, so
+    a rooted sub-pattern table, or a whole component's count, is computed
+    once per call and shared by every pattern that holds it; each is
+    dropped after its last planned read, and none outlives the call.
+
     hom_cache, when given, must be dedicated to this host; it maps each
     pattern, the canonical representative its hom_vector entry carries, to
     its homomorphism count and lets repeated calls against one host share
@@ -125,18 +133,19 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
     """
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
+    entries = hom_vector(phi, k).entries
+    cache = {} if hom_cache is None else hom_cache
+    store = HomStore(host)
+    for g, _ in entries:
+        if g not in cache:
+            store.plan(g)
     total = Fraction(0)
-    for g, coef in hom_vector(phi, k).entries:
-        if hom_cache is None:
-            homs = count_hom(g, host)
-        else:
-            homs = hom_cache.get(g)
-            if homs is None:
-                homs = count_hom(g, host)
-                hom_cache[g] = homs
+    for g, coef in entries:
+        homs = cache.get(g)
+        if homs is None:
+            homs = cache[g] = count_hom(g, host, store=store)
         total += coef * homs
     if total.denominator != 1 or total < 0:
         raise InternalConsistencyError(
             f"basis evaluation produced {total}, not a count")
     return int(total)
-

@@ -288,9 +288,6 @@ class HostGraph:
     def edge_pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.neighbors[u] if u < v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_bits[u] >> v & 1)
-
     def delete_vertices(self, drop) -> "HostGraph":
         dropped = set(drop)
         keep = [v for v in range(self.n) if v not in dropped]
@@ -299,13 +296,9 @@ class HostGraph:
                  if u not in dropped and v not in dropped]
         return HostGraph.from_edges(len(keep), pairs)
 
-    def complement(self) -> "HostGraph":
-        pairs = [(u, v) for u, v in combinations(range(self.n), 2)
-                 if not self.has_edge(u, v)]
-        return HostGraph.from_edges(self.n, pairs)
-
     def to_graph6(self) -> str:
-        return _encode_graph6(self.n, [1 if self.has_edge(i, j) else 0
+        adj = self.adj_bits
+        return _encode_graph6(self.n, [adj[j] >> i & 1
                                        for j in range(1, self.n)
                                        for i in range(j)])
 

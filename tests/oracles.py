@@ -257,13 +257,23 @@ def brute_hom_count(pattern: SmallGraph, host: HostGraph) -> int:
     return total
 
 
+def host_has_edge(host: HostGraph, u: int, v: int) -> bool:
+    return v in host.neighbors[u]
+
+
+def host_complement(host: HostGraph) -> HostGraph:
+    return HostGraph.from_edges(host.n, [
+        (u, v) for u, v in itertools.combinations(range(host.n), 2)
+        if not host_has_edge(host, u, v)])
+
+
 def induced_small(host: HostGraph, vertices) -> SmallGraph:
     """The subgraph of host induced by vertices, relabeled in sorted
     order."""
     vs = sorted(vertices)
     edges = 0
     for b, (i, j) in enumerate(pair_table(len(vs))):
-        if host.has_edge(vs[i], vs[j]):
+        if host_has_edge(host, vs[i], vs[j]):
             edges |= 1 << b
     return SmallGraph(len(vs), edges)
 

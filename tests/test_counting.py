@@ -7,13 +7,15 @@ from math import comb
 import pytest
 
 import indsub.counting as counting_module
+import indsub.homcount as homcount
 from indsub.counting import DEFAULT_SUBSET_BUDGET, count_basis, count_brute
 from indsub.errors import BudgetExceededError, InternalConsistencyError, PredicateError
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.hombasis import HomVector, hom_vector
+from indsub.homcount import tree_decomposition
 from indsub.properties import BUILTIN_PROPERTIES, PropertySpec, get_property, invert
 
-from oracles import brute_indsub_count, random_host
+from oracles import brute_indsub_count, host_complement, random_host
 
 
 @pytest.mark.parametrize("prop_name", ["connected", "bipartite", "chordal",
@@ -117,6 +119,68 @@ def test_brute_names_the_first_graph_the_predicate_fails_on():
         assert str(got.value) == str(expected.value)
 
 
+def _petersen() -> HostGraph:
+    return HostGraph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def test_count_basis_shares_sub_pattern_tables(monkeypatch):
+    """Fewer bags run the hom DP than the plan holds: a bag whose rooted
+    sub-pattern another bag of the call has computed takes that table."""
+    phi = get_property("connected")
+    host = _petersen()
+    patterns = {comp for g, _ in hom_vector(phi, 5).entries
+                for comp in homcount._components(g)}
+    planned = sum(len(tree_decomposition(g).bags) for g in patterns)
+    runs = []
+    bag_table = homcount._bag_table
+
+    def counted(*args):
+        runs.append(args)
+        return bag_table(*args)
+
+    monkeypatch.setattr(homcount, "_bag_table", counted)
+    assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
+    assert len(runs) < planned
+
+
+class _CheckedStore(homcount.HomStore):
+    """A HomStore that checks, after every store and take, that it holds
+    no table whose planned reads are all made."""
+
+    made: list = []
+
+    def __init__(self, host):
+        super().__init__(host)
+        self.made.append(self)
+
+    def _check(self):
+        assert all(self._reads.get(key, 0) > 0 for key in self._tables)
+
+    def _put(self, key, table):
+        super()._put(key, table)
+        self._check()
+
+    def _take(self, key):
+        table = super()._take(key)
+        self._check()
+        return table
+
+
+@pytest.mark.parametrize("name, k", [("connected", 5), ("split", 5),
+                                     ("bipartite", 4)])
+def test_count_basis_frees_each_table_after_its_last_read(monkeypatch, name, k):
+    monkeypatch.setattr(counting_module, "HomStore", _CheckedStore)
+    monkeypatch.setattr(_CheckedStore, "made", [])
+    phi = get_property(name)
+    host = random_host(random.Random(63), 12, p=0.4)
+    assert count_basis(phi, k, host) == count_brute(phi, k, host)
+    (store,) = _CheckedStore.made
+    # every planned read was made, so nothing is left
+    assert not store._tables and not store._reads
+
+
 def test_count_basis_accepts_prebuilt_vector_and_cache():
     phi = get_property("bipartite")
     k = 4
@@ -172,7 +236,7 @@ def test_inversion_identity(k):
         host = random_host(rng, 7, p=0.5)
         phi = get_property(prop_name)
         assert count_brute(invert(phi), k, host) == \
-            count_brute(phi, k, host.complement())
+            count_brute(phi, k, host_complement(host))
 
 
 def test_false_property_counts_zero():

@@ -19,7 +19,7 @@ from indsub.graphs import (
     load_small_graph,
     _pair_index_map,
 )
-from oracles import induced_small, random_small_graph
+from oracles import host_complement, induced_small, random_small_graph
 
 
 def test_pair_indexing_round_trip():
@@ -162,7 +162,7 @@ def test_host_induced_and_delete():
     assert sub.edge_pairs() == [(0, 1), (1, 2)]
     smaller = host.delete_vertices([4])
     assert smaller.n == 4 and smaller.edge_count == 3
-    assert host.complement().edge_count == pair_count(5) - 5
+    assert host_complement(host).edge_count == pair_count(5) - 5
 
 
 def test_host_small_round_trip():

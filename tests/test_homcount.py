@@ -9,6 +9,7 @@ from indsub.catalog import build_catalog
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
+    HomStore,
     TreeDecomposition,
     _join_order,
     count_hom,
@@ -19,6 +20,7 @@ from oracles import (
     brute_hom_count,
     brute_treewidth,
     elimination_decomposition,
+    host_has_edge,
     random_host,
     random_small_graph,
 )
@@ -147,7 +149,7 @@ def test_count_hom_cycles_and_stars_on_larger_hosts():
     rng = random.Random(46)
     for n, p in ((30, 0.2), (45, 0.12), (60, 0.08)):
         host = random_host(rng, n, p)
-        a1 = [[1 if host.has_edge(u, v) else 0 for v in range(n)]
+        a1 = [[1 if host_has_edge(host, u, v) else 0 for v in range(n)]
               for u in range(n)]
         a2 = _matmul(a1, a1)
         a3 = _matmul(a2, a1)
@@ -177,30 +179,98 @@ def test_count_hom_accepts_any_valid_decomposition():
 
 
 @st.composite
-def _pattern_host_and_decomposition(draw):
-    """A connected pattern on at most 6 vertices (a random spanning tree
-    plus random edges), the decomposition of a random elimination order,
-    and a host on at most 7 vertices."""
-    n = draw(st.integers(1, 6))
+def _connected_patterns(draw, max_n=6):
+    """A connected pattern on at most max_n vertices: a random spanning
+    tree plus random edges."""
+    n = draw(st.integers(1, max_n))
     pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
     if n > 1:
         pairs |= draw(st.sets(st.sampled_from(
             [(a, b) for b in range(n) for a in range(b)])))
-    pattern = SmallGraph.from_edges(n, pairs)
-    td = elimination_decomposition(pattern, draw(st.permutations(range(n))))
-    host_n = draw(st.integers(1, 7))
+    return SmallGraph.from_edges(n, pairs)
+
+
+@st.composite
+def _host(draw, max_n):
+    host_n = draw(st.integers(1, max_n))
     host_pairs = draw(st.sets(st.sampled_from(
         [(a, b) for b in range(host_n) for a in range(b)]))) if host_n > 1 else ()
-    return pattern, td, HostGraph.from_edges(host_n, host_pairs)
+    return HostGraph.from_edges(host_n, host_pairs)
+
+
+@st.composite
+def _pattern_host_and_decomposition(draw):
+    """Two connected patterns on at most 6 vertices, each with the
+    decomposition of a random elimination order, and a host on at most 7
+    vertices."""
+    cases = []
+    for _ in range(2):
+        pattern = draw(_connected_patterns())
+        cases.append((pattern, elimination_decomposition(
+            pattern, draw(st.permutations(range(pattern.n))))))
+    return cases, draw(_host(7))
 
 
 @settings(max_examples=200)
 @given(_pattern_host_and_decomposition())
 def test_count_hom_matches_map_enumeration_on_any_elimination_order(case):
-    pattern, td, host = case
-    td.validate()
-    assert set(_last_position_writes(pattern, td)) <= {"scalar", "deepest"}
-    assert count_hom(pattern, host, td=td) == brute_hom_count(pattern, host)
+    cases, host = case
+    expected = []
+    for pattern, td in cases:
+        td.validate()
+        assert set(_last_position_writes(pattern, td)) <= {"scalar", "deepest"}
+        expected.append(brute_hom_count(pattern, host))
+        assert count_hom(pattern, host, td=td) == expected[-1]
+    # both patterns through one store, their decompositions planned in
+    store = HomStore(host)
+    for pattern, td in cases:
+        store.plan(pattern, td)
+    assert [count_hom(pattern, host, store=store)
+            for pattern, _ in cases] == expected
+    assert not store._tables and not store._reads
+
+
+def test_store_keys_a_sub_pattern_by_its_interface_order():
+    """The child bag (0, 1, 2) holds the path 0-1-2 in both patterns, but
+    the first parent keys the interface as (0, 1) and the second, whose
+    bag lists 1 first, as (1, 0): a table keyed the other way round gives
+    deg(0) where deg(1) is meant."""
+    g1 = SmallGraph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
+    g2 = SmallGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    td1 = TreeDecomposition(g1, ((0, 1, 3), (0, 1, 2)), (-1, 0))
+    td2 = TreeDecomposition(g2, ((1, 0, 3), (0, 1, 2)), (-1, 0))
+    host = HostGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5),
+                                    (0, 5), (1, 5)])
+    expected = [brute_hom_count(g, host) for g in (g1, g2)]
+    for first, second in (((g1, td1), (g2, td2)), ((g2, td2), (g1, td1))):
+        store = HomStore(host)
+        store.plan(*first)
+        store.plan(*second)
+        got = {g: count_hom(g, host, store=store) for g, _ in (first, second)}
+        assert [got[g1], got[g2]] == expected
+
+
+_CONNECTED_CLASSES = [entry.graph for k in range(1, 7)
+                      for entry in build_catalog(k).entries
+                      if entry.graph.is_connected()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_CONNECTED_CLASSES),
+                          _connected_patterns()), min_size=1, max_size=6),
+       _host(5))
+def test_one_store_counts_every_pattern_as_alone(patterns, host):
+    """Connected patterns, repeats included, planned into one store and
+    counted in order match the map enumeration and the lone count_hom."""
+    store = HomStore(host)
+    for pattern in patterns:
+        store.plan(pattern)
+    for pattern in patterns:
+        got = count_hom(pattern, host, store=store)
+        assert got == count_hom(pattern, host)
+        assert got == brute_hom_count(pattern, host), \
+            (pattern.to_graph6(), host.to_graph6())
+    assert not store._tables and not store._reads
 
 
 def _join_orders(pattern, td):
@@ -290,10 +360,19 @@ def test_join_order_starts_eliminated_and_ends_on_parents_deepest_key(k):
 def test_count_hom_leaves_no_cyclic_garbage():
     c5 = SmallGraph.cycle(5)
     host = HostGraph.from_small(c5)
+    # a star and a path share their leaves' tables through the store
+    star, p4 = SmallGraph.complete_bipartite(1, 3), SmallGraph.path(4)
     gc.collect()
     gc.disable()
     try:
         assert count_hom(c5, host) == 10
+        assert gc.collect() == 0
+        store = HomStore(host)
+        for pattern in (star, p4, c5, star):
+            store.plan(pattern)
+        assert [count_hom(pattern, host, store=store)
+                for pattern in (star, p4, c5, star)] == [40, 40, 10, 40]
+        del store
         assert gc.collect() == 0
     finally:
         gc.enable()

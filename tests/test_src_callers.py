@@ -32,6 +32,8 @@ ALLOWED = {
                                     "load_small_graph reads",
     "HostGraph.to_edge_list_text": "writes the edge-list text that "
                                    "load_host_graph reads",
+    "HostGraph.to_graph6": "writes the graph6 text that "
+                           "HostGraph.from_graph6 reads",
     "HomVector.coefficient": "exported result type's lookup of a(H) for any "
                              "pattern H",
 }
