@@ -26,6 +26,18 @@ versioned header, in the builder's order: by edge count, then by edge
 bitset.  The cache directory comes from INDSUB_CACHE_DIR or defaults to
 ~/.cache/indsub; build_catalog(cache_dir=) overrides it.
 
+The edge-deletion map of a catalog, which does not depend on any property,
+is cached beside it as k{k}.edges: a versioned header "k=.. classes=..
+catalog=<sha256 of the k{k}.catalog file's bytes>", then one line per class
+in catalog order listing the class index after each edge deletion, in
+edge_pairs order.  Loading checks the header's k, class count and digest
+against the catalog file, that each row has e(C) entries and that each
+entry is a class with e(C) - 1 edges.  A file that fails is a FormatError:
+it is logged as a rebuild, the map is computed by index_of lookups, and the
+file is written again, as long as the catalog file it names exists.  The
+map is written on the first edge_deletions(k) call, never by building or
+loading a catalog.
+
 GraphCatalog.index_of finds a graph's class, which the deletion maps and
 truth tables do for every lookup.  On its first lookup a catalog buckets
 its classes by canon.refinement_invariant; a graph whose invariant only
@@ -36,9 +48,11 @@ catalog computes no invariant.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import uuid
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -56,6 +70,7 @@ from .graphs import SmallGraph, bits_of, pair_count, pair_index, pair_table
 MAX_CATALOG_K = 8
 CACHE_ENV_VAR = "INDSUB_CACHE_DIR"
 _CACHE_HEADER = "# indsub catalog v1"
+_EDGES_HEADER = "# indsub edge-deletions v1"
 
 log = logging.getLogger(__name__)
 
@@ -117,6 +132,10 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "indsub"
+
+
+def _cache_dir(cache_dir_str: str | None) -> Path:
+    return Path(cache_dir_str) if cache_dir_str else default_cache_dir()
 
 
 def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
@@ -223,8 +242,7 @@ def _orbit_representatives(m: int, gens) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _catalog_cached(k: int, cache_dir_str: str | None) -> GraphCatalog:
-    cache_dir = Path(cache_dir_str) if cache_dir_str else default_cache_dir()
-    path = cache_dir / f"k{k}.catalog"
+    path = _cache_dir(cache_dir_str) / f"k{k}.catalog"
     if path.exists():
         try:
             return _read_cache(k, path)
@@ -256,15 +274,21 @@ def build_catalog(k: int, *, cache_dir=None) -> GraphCatalog:
 
 
 def _write_cache(cat: GraphCatalog, path: Path) -> None:
-    """Write through a temporary file unique to this writer, then rename it
-    into place, so concurrent writers never expose a partial file."""
+    _write_lines(path, f"{_CACHE_HEADER} k={cat.k} classes={cat.class_count}",
+                 (f"{e.graph.to_graph6()} {e.aut}" for e in cat.entries))
+
+
+def _write_lines(path: Path, header: str, lines) -> None:
+    """Write the header and lines through a temporary file unique to this
+    writer, then rename it into place, so concurrent writers never expose
+    a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x") as fh:
-            fh.write(f"{_CACHE_HEADER} k={cat.k} classes={cat.class_count}\n")
-            for e in cat.entries:
-                fh.write(f"{e.graph.to_graph6()} {e.aut}\n")
+            fh.write(f"{header}\n")
+            for line in lines:
+                fh.write(f"{line}\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -307,14 +331,78 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
     return cat
 
 
+def edge_deletions(k: int, *, cache_dir=None) -> tuple[tuple[int, ...], ...]:
+    """Per class: class index after each edge deletion, in edge_pairs order.
+    Read from k{k}.edges beside the catalog, or computed and written there
+    when that file is missing or invalid."""
+    return _edge_deletions_cached(k, str(cache_dir) if cache_dir else None)
+
+
 @lru_cache(maxsize=None)
-def edge_deletions(k: int) -> tuple[tuple[int, ...], ...]:
-    """Per class: class index after each edge deletion, in edge_pairs order."""
-    cat = build_catalog(k)
+def _edge_deletions_cached(k: int, cache_dir_str: str | None
+                           ) -> tuple[tuple[int, ...], ...]:
+    cat = build_catalog(k, cache_dir=cache_dir_str)
+    directory = _cache_dir(cache_dir_str)
+    path = directory / f"k{k}.edges"
+    try:
+        digest = hashlib.sha256(
+            (directory / f"k{k}.catalog").read_bytes()).hexdigest()
+    except OSError:
+        digest = None        # no catalog file for a map to name
+    if digest is not None and path.exists():
+        try:
+            return _read_edges(cat, digest, path)
+        except (FormatError, OSError) as exc:
+            log.warning("rebuilding edge-deletion map k=%d: %s", k, exc)
+    rows = compute_edge_deletions(cat)
+    if digest is not None:
+        try:
+            _write_lines(path, _edges_header(cat, digest),
+                         (" ".join(map(str, row)) for row in rows))
+        except OSError as exc:
+            log.warning("could not write edge-deletion map %s: %s",
+                        path, exc)
+    return rows
+
+
+def compute_edge_deletions(cat: GraphCatalog) -> tuple[tuple[int, ...], ...]:
+    """The edge-deletion map of cat by one index_of lookup per edge."""
     return tuple(
         tuple(cat.index_of(e.graph.without_edge(i, j))
               for i, j in e.graph.edge_pairs())
         for e in cat.entries)
+
+
+def _edges_header(cat: GraphCatalog, digest: str) -> str:
+    return (f"{_EDGES_HEADER} k={cat.k} classes={cat.class_count} "
+            f"catalog={digest}")
+
+
+def _read_edges(cat: GraphCatalog, digest: str, path: Path
+                ) -> tuple[tuple[int, ...], ...]:
+    with open(path, errors="replace") as fh:
+        head, *lines = fh.read().split("\n")
+    want = _edges_header(cat, digest)
+    if head != want:
+        raise FormatError(f"{path}: header {head[:200]!r} is not {want!r}")
+    if len(lines) != cat.class_count + 1 or lines[-1]:
+        raise FormatError(f"{path}: not {cat.class_count} rows")
+    # Classes are in order of edge count, so the ones with e edges are the
+    # indices first[e] .. first[e + 1] - 1, and one range check per row
+    # bounds every index and checks its target's edge count.
+    counts = [e.graph.edge_count for e in cat.entries]
+    first = [bisect_left(counts, e) for e in range(pair_count(cat.k) + 1)]
+    rows = []
+    for i, (line, edges) in enumerate(zip(lines, counts)):
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad row {i}: {line!r}") from exc
+        if len(row) != edges or row and not (
+                first[edges - 1] <= min(row) and max(row) < first[edges]):
+            raise FormatError(f"{path}: bad row {i}: {line!r}")
+        rows.append(row)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,12 @@ from fractions import Fraction
 
 from . import counting
 from .canon import is_isomorphic
-from .catalog import MAX_CATALOG_K, build_catalog
+from .catalog import (
+    MAX_CATALOG_K,
+    build_catalog,
+    compute_edge_deletions,
+    edge_deletions,
+)
 from .errors import (
     BudgetExceededError,
     FormatError,
@@ -457,6 +462,11 @@ def _cmd_selftest(args) -> int:
         expect(cat.class_count == classes and
                cat.labeled_total == 1 << (k * (k - 1) // 2),
                f"catalog k={k}: {classes} classes, labeled total 2^C(k,2)")
+    # Before any hom vector reads them, so the maps come from the cache
+    # files when those exist.
+    expect(all(edge_deletions(k) == compute_edge_deletions(build_catalog(k))
+               for k in range(1, 6)),
+           "edge-deletion maps k<=5 from the cache equal a fresh compute")
 
     spec = spectrum_report(get_property("no-edges"), 4)
     expect(spec.f == (1, 0, 0, 0, 0, 0, 0) and spec.hamming_weight == 1,

@@ -4,6 +4,7 @@ import itertools
 import logging
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -18,6 +19,7 @@ from indsub.canon import automorphism_count, canon_key, refinement_invariant
 from indsub.catalog import (
     MAX_CATALOG_K,
     build_catalog,
+    compute_edge_deletions,
     edge_deletions,
     vertex_deletions,
 )
@@ -142,22 +144,167 @@ def test_index_of_raises_canon_key_error_outside_the_catalog():
         assert got.value.args == want.value.args == (canon_key(g),)
 
 
-def test_deletion_maps_match_canon_only_reference():
+def _refuse(*args, **kwargs):
+    raise AssertionError("edge-deletion map computed")
+
+
+def test_deletion_maps_match_canon_only_reference(tmp_path, monkeypatch):
+    # The edge-deletion maps are computed and written, then read back from
+    # their files by a process state with no cached catalog or map.
     for k in range(1, 8):
-        assert edge_deletions(k) == reference_edge_deletions(k)
+        edge_deletions(k, cache_dir=tmp_path)
+    catalog._edge_deletions_cached.cache_clear()
+    catalog._catalog_cached.cache_clear()
+    monkeypatch.setattr(catalog, "compute_edge_deletions", _refuse)
+    for k in range(1, 8):
+        assert edge_deletions(k, cache_dir=tmp_path) == \
+            reference_edge_deletions(k)
     for k in range(2, 8):
         assert vertex_deletions(k) == reference_vertex_deletions(k)
 
 
 def test_edge_deletions_canonicalise_few_graphs():
-    build_catalog(7).index_of(SmallGraph.empty(7))
+    cat = build_catalog(7)
+    cat.index_of(SmallGraph.empty(7))
     saved = dict(canon._cache)
     canon._cache.clear()
     try:
-        edge_deletions.__wrapped__(7)
+        compute_edge_deletions(cat)
         assert len(canon._cache) < 1000
     finally:
         canon._cache.update(saved)
+
+
+def _edges_file(tmp_path, k=5):
+    """A fresh directory holding catalogs 1..k and the k-th edge-deletion
+    map, with no map cached in the process."""
+    edge_deletions(k, cache_dir=tmp_path)
+    catalog._edge_deletions_cached.cache_clear()
+    return tmp_path / f"k{k}.edges"
+
+
+def _replace_row(text, i, row):
+    lines = text.split("\n")
+    lines[i + 1] = row
+    return "\n".join(lines)
+
+
+def _other_digest(text, tmp_path):
+    other = hashlib.sha256((tmp_path / "k4.catalog").read_bytes()).hexdigest()
+    head, rest = text.split("\n", 1)
+    return head.rsplit("=", 1)[0] + f"={other}\n{rest}"
+
+
+# k = 5: class 2 has two edges, and deleting either gives class 1, the one
+# class with one edge; class 33 is K5, whose ten deletions all give 32.
+EDGES_CORRUPTIONS = {
+    "bad header": lambda text, _: "junk\n" + text.split("\n", 1)[1],
+    "truncated": lambda text, _: text[:len(text) // 2],
+    "index out of range": lambda text, _: _replace_row(
+        text, 33, " ".join(["34"] + ["32"] * 9)),
+    "target with the wrong edge count": lambda text, _: _replace_row(
+        text, 2, "1 0"),
+    "digest of another catalog": _other_digest,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(EDGES_CORRUPTIONS))
+def test_corrupt_edge_deletion_map_is_rebuilt_and_logged(corruption,
+                                                         tmp_path, caplog):
+    path = _edges_file(tmp_path)
+    good = path.read_text()
+    assert _replace_row(good, 33, " ".join(["32"] * 10)) == good
+    assert _replace_row(good, 2, "1 1") == good
+    path.write_text(EDGES_CORRUPTIONS[corruption](good, tmp_path))
+    cat = build_catalog(5, cache_dir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "k5.catalog").read_bytes()).hexdigest()
+    with pytest.raises(FormatError):
+        catalog._read_edges(cat, digest, path)
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        rows = edge_deletions(5, cache_dir=tmp_path)
+    assert rows == reference_edge_deletions(5)
+    assert any("rebuilding edge-deletion map k=5" in r.getMessage()
+               for r in caplog.records)
+    assert path.read_text() == good
+
+
+def test_edge_deletion_map_write_failure_is_logged(tmp_path, caplog):
+    path = _edges_file(tmp_path)
+    path.unlink()
+    (path / "blocker").mkdir(parents=True)     # nothing can be written there
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        rows = edge_deletions(5, cache_dir=tmp_path)
+    assert rows == reference_edge_deletions(5)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("could not write edge-deletion map" in m for m in messages)
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] \
+        == []
+
+
+def test_edge_deletion_map_needs_its_catalog_file(tmp_path, caplog):
+    # The catalog's own write failed: the map is computed, and not written,
+    # since no file exists for its header to name.
+    path = _edges_file(tmp_path)
+    path.unlink()
+    (tmp_path / "k5.catalog").unlink()
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        rows = edge_deletions(5, cache_dir=tmp_path)
+    assert rows == reference_edge_deletions(5)
+    assert not path.exists()
+    assert caplog.records == []
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        assert edge_deletions(3, cache_dir=blocker) == \
+            reference_edge_deletions(3)
+    assert not any("edge-deletion map" in r.getMessage()
+                   for r in caplog.records)
+
+
+_MAP_WRITER = """
+import hashlib, sys, time
+from pathlib import Path
+from indsub.catalog import build_catalog, edge_deletions
+directory = Path(sys.argv[1])
+build_catalog(7, cache_dir=directory)
+(directory / f"ready-{sys.argv[2]}").write_text("")
+while not (directory / "go").exists():
+    time.sleep(0.001)
+rows = edge_deletions(7, cache_dir=directory)
+print(hashlib.sha256(repr(rows).encode()).hexdigest())
+"""
+
+
+def test_concurrent_edge_deletion_map_writers(tmp_path):
+    build_catalog(7, cache_dir=tmp_path)
+    src = Path(catalog.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    procs = [subprocess.Popen([sys.executable, "-c", _MAP_WRITER,
+                               str(tmp_path), str(i)],
+                              env=env, stdout=subprocess.PIPE, text=True)
+             for i in range(2)]
+    try:
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"ready-{i}").exists() for i in range(2)):
+            assert all(p.poll() is None for p in procs)
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        (tmp_path / "go").write_text("")
+        outs = [p.communicate(timeout=60)[0].strip() for p in procs]
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+                p.communicate()
+    assert [p.returncode for p in procs] == [0, 0]
+    want = reference_edge_deletions(7)
+    assert outs == [hashlib.sha256(repr(want).encode()).hexdigest()] * 2
+    digest = hashlib.sha256((tmp_path / "k7.catalog").read_bytes()).hexdigest()
+    assert catalog._read_edges(build_catalog(7, cache_dir=tmp_path), digest,
+                               tmp_path / "k7.edges") == want
+    assert sorted(p.name for p in tmp_path.iterdir()
+                  if not p.name.startswith(("ready-", "go"))) == \
+        [f"k{k}.catalog" for k in range(1, 8)] + ["k7.edges"]
 
 
 def test_building_or_loading_never_computes_the_invariant(tmp_path,
@@ -302,8 +449,16 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.main(["--kmax", "4", "--cache-dir", str(tmp_path)]) == 0
-    assert "k=4: 11 classes" in capsys.readouterr().out
-    assert (tmp_path / "k4.catalog").exists()
+    out = capsys.readouterr().out
+    assert "k=4: 11 classes" in out and "k=4: edge-deletion map" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"k{k}.{kind}" for k in range(1, 5) for kind in ("catalog", "edges"))
+    for k in range(1, 5):
+        digest = hashlib.sha256(
+            (tmp_path / f"k{k}.catalog").read_bytes()).hexdigest()
+        assert catalog._read_edges(build_catalog(k), digest,
+                                   tmp_path / f"k{k}.edges") == \
+            reference_edge_deletions(k)
 
 
 def test_cold_build_is_byte_identical(tmp_path):
@@ -313,6 +468,9 @@ def test_cold_build_is_byte_identical(tmp_path):
     # their k <= 7 files are those built by extending every neighbor mask
     # of every parent with the reference canoniser.
     build_catalog(8, cache_dir=tmp_path)
+    # Building a catalog writes no edge-deletion map.
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        [f"k{k}.catalog" for k in range(1, 9)]
     digest = hashlib.sha256()
     for k in range(1, 9):
         digest.update((tmp_path / f"k{k}.catalog").read_bytes())

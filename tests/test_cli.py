@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import indsub.catalog as catalog
 import indsub.cli as cli
 import indsub.counting as counting_module
 from indsub.cli import main
@@ -80,6 +81,16 @@ def test_catalog_list_entries(capsys):
     assert [e["graph6"] for e in data["entries"]] == ["B?", "BG", "BW", "Bw"]
     assert [e["aut"] for e in data["entries"]] == ["6", "2", "2", "6"]
     assert [e["copies"] for e in data["entries"]] == ["1", "3", "3", "1"]
+
+
+def test_catalog_reads_no_edge_deletion_map(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("edge-deletion map read")
+
+    monkeypatch.setattr(catalog, "_edge_deletions_cached", refuse)
+    monkeypatch.setattr(catalog, "compute_edge_deletions", refuse)
+    data = run_json(capsys, ["catalog", "--k", "8", "--list"])
+    assert data["classes"] == "12346"
 
 
 def test_catalog_k_out_of_range(capsys):
@@ -350,7 +361,7 @@ def test_reduce_demo_mismatch_exits_2(capsys, c4_file, tmp_path, monkeypatch):
 def test_selftest(capsys):
     code, out, err = run(capsys, ["selftest"])
     assert code == 0, err
-    assert "selftest passed (23 checks)" in out
+    assert "selftest passed (24 checks)" in out
 
 
 def test_unknown_property(capsys):
