@@ -246,7 +246,7 @@ def _catalog_cached(k: int, cache_dir_str: str | None) -> GraphCatalog:
     if path.exists():
         try:
             return _read_cache(k, path)
-        except FormatError as exc:
+        except (FormatError, OSError) as exc:
             log.warning("rebuilding catalog k=%d: %s", k, exc)
     classes = _build_classes(k, cache_dir_str)
     kfact = factorial(k)

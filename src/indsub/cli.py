@@ -472,6 +472,21 @@ def _cmd_selftest(args) -> int:
     expect(spec.f == (1, 0, 0, 0, 0, 0, 0) and spec.hamming_weight == 1,
            "spectrum no-edges k=4: f=(1,0,0,0,0,0,0), hw=1")
 
+    icosahedron = SmallGraph.from_edges(
+        12, [(0, i) for i in range(1, 6)] + [(11, i) for i in range(6, 11)]
+        + [(i, i % 5 + 1) for i in range(1, 6)]
+        + [(i, (i - 5) % 5 + 6) for i in range(6, 11)]
+        + [(i, i + 5) for i in range(1, 6)]
+        + [(i, i % 5 + 6) for i in range(1, 6)])
+    petersen_pairs = ([(i, (i + 1) % 5) for i in range(5)]
+                      + [(i, i + 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    planar = get_property("planar")
+    expect(not planar(SmallGraph.complete_bipartite(3, 3))
+           and not planar(SmallGraph.from_edges(10, petersen_pairs))
+           and planar(icosahedron),
+           "planar: K3,3 and Petersen are not, the icosahedron is")
+
     path3 = SmallGraph.path(3)
     from .graphs import HostGraph
     k3 = HostGraph.from_small(SmallGraph.complete(3))
@@ -491,10 +506,7 @@ def _cmd_selftest(args) -> int:
                    counting.count_brute(phi, k, host),
                    f"basis equals brute: {name}, k={k}")
 
-    petersen = HostGraph.from_edges(
-        10, [(i, (i + 1) % 5) for i in range(5)]
-        + [(i, i + 5) for i in range(5)]
-        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    petersen = HostGraph.from_edges(10, petersen_pairs)
     connected = get_property("connected")
     expect(counting.count_basis(connected, 5, petersen) ==
            sum(coef * count_hom(g, petersen)

@@ -129,16 +129,160 @@ def _triangle_free(g):
 
 
 def _planar(g):
+    """Exact planarity test on the adjacency bitmasks.
+
+    Below 5 vertices every graph is planar, and above 3n - 6 edges none is.
+    Otherwise the graph is split into its biconnected blocks by the DFS
+    low-points of Hopcroft and Tarjan (1973); the graph is planar iff every
+    block is, and each block is tested by the path-addition algorithm of
+    Demoucron, Malgrange and Pertuiset (1964)."""
     if g.n < 5:
         return True
     if g.edge_count > 3 * g.n - 6:
         return False
-    import networkx as nx
+    rows = g.adj_rows()
+    return all(_block_planar(rows, block) for block in _blocks(rows))
 
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edge_pairs())
-    return nx.check_planarity(h, counterexample=False)[0]
+
+def _blocks(rows):
+    """Vertex masks of the biconnected blocks with at least one edge."""
+    n = len(rows)
+    order = [-1] * n                 # DFS discovery time
+    low = [0] * n
+    left = list(rows)                # neighbours not yet scanned
+    blocks = []
+    time = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = time
+        time += 1
+        path = [root]                # the DFS tree path from root
+        pending = [root]             # visited vertices not yet in a block
+        while path:
+            v = path[-1]
+            if left[v]:
+                low_bit = left[v] & -left[v]
+                left[v] ^= low_bit
+                w = low_bit.bit_length() - 1
+                if order[w] < 0:
+                    order[w] = low[w] = time
+                    time += 1
+                    path.append(w)
+                    pending.append(w)
+                elif order[w] < low[v]:
+                    low[v] = order[w]
+                continue
+            path.pop()
+            if not path:
+                break
+            u = path[-1]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= order[u]:   # u separates v's subtree: one block
+                block = 1 << u
+                while not block >> v & 1:
+                    block |= 1 << pending.pop()
+                blocks.append(block)
+    return blocks
+
+
+def _block_planar(rows, block):
+    """Demoucron-Malgrange-Pertuiset on one biconnected block: embed a
+    cycle, then keep embedding a path of a fragment into a face that
+    admits it, choosing a fragment with a single admissible face first."""
+    rows = [r & block for r in rows]
+    nv = block.bit_count()
+    ne = sum(rows[v].bit_count() for v in bits_of(block)) // 2
+    if ne <= nv + 2:          # a K5 or K3,3 subdivision has e - n + 1 >= 4
+        return True
+    if ne > 3 * nv - 6:
+        return False
+    v = next(bits_of(block))
+    u = next(bits_of(rows[v]))
+    cycle = _inner_path(rows, u, v, block & ~(1 << u | 1 << v))
+    placed = 0                # embedded vertices
+    done = [0] * len(rows)    # embedded edges, as adjacency rows
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        placed |= 1 << a
+        done[a] |= 1 << b
+        done[b] |= 1 << a
+    faces = [cycle, cycle]    # boundary cycles of the embedding's faces
+    masks = [placed, placed]
+    while True:
+        chosen = None
+        for att, inner in _fragments(rows, block, placed, done):
+            fits = [i for i, m in enumerate(masks) if not att & ~m]
+            if not fits:
+                return False
+            if chosen is None or len(fits) == 1:
+                chosen = att, inner, fits[0]
+                if len(fits) == 1:
+                    break
+        if chosen is None:
+            return True
+        att, inner, i = chosen
+        a, b, *_ = bits_of(att)
+        path = _inner_path(rows, a, b, inner) if inner else [a, b]
+        for x, y in zip(path, path[1:]):
+            placed |= 1 << y
+            done[x] |= 1 << y
+            done[y] |= 1 << x
+        # Split face i by the path: a..b along the face, then back along
+        # the path, and b..a along the face, then forward along the path.
+        face = faces[i]
+        s = face.index(a)
+        face = face[s:] + face[:s]
+        t = face.index(b)
+        faces[i] = face[:t + 1] + path[-2:0:-1]
+        faces.append(face[t:] + face[:1] + path[1:-1])
+        masks[i] = sum(1 << x for x in faces[i])
+        masks.append(sum(1 << x for x in faces[-1]))
+
+
+def _fragments(rows, block, placed, done):
+    """(attachment mask, interior mask) of each fragment of the embedded
+    subgraph: every chord, with no interior, then every component of the
+    vertices not yet embedded."""
+    for x in bits_of(placed):
+        for y in bits_of(rows[x] & ~done[x] & placed & ~((2 << x) - 1)):
+            yield 1 << x | 1 << y, 0
+    rest = block & ~placed
+    while rest:
+        comp = frontier = rest & -rest
+        att = 0
+        while frontier:
+            nxt = 0
+            for x in bits_of(frontier):
+                nxt |= rows[x]
+            att |= nxt & placed
+            frontier = nxt & rest & ~comp
+            comp |= frontier
+        rest &= ~comp
+        yield att, comp
+
+
+def _inner_path(rows, a, b, inner):
+    """A shortest a-b path whose interior is non-empty and inside the mask
+    `inner`; the callers' blocks guarantee one exists."""
+    prev = {x: a for x in bits_of(rows[a] & inner)}
+    frontier = seen = rows[a] & inner
+    while frontier:
+        nxt = 0
+        for x in bits_of(frontier):
+            if rows[x] >> b & 1:
+                path = [b]
+                while x != a:
+                    path.append(x)
+                    x = prev[x]
+                path.append(a)
+                return path[::-1]
+            for y in bits_of(rows[x] & inner & ~seen & ~nxt):
+                prev[y] = x
+                nxt |= 1 << y
+        seen |= nxt
+        frontier = nxt
+    raise ValueError(f"no path from {a} to {b} through the block")
 
 
 def _edge_count_even(g):

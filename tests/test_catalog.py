@@ -365,6 +365,19 @@ def test_corrupt_cache_is_rebuilt_and_logged(tmp_path, caplog):
                for r in caplog.records)
 
 
+def test_unreadable_cache_is_rebuilt_and_logged(tmp_path, caplog):
+    # A directory where the catalog file belongs can be neither read nor
+    # replaced: the catalog is rebuilt, and both failures are logged.
+    (tmp_path / "k3.catalog").mkdir()
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        cat = build_catalog(3, cache_dir=tmp_path)
+    assert cat.entries == build_catalog(3).entries
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("rebuilding catalog k=3" in m for m in messages)
+    assert any("could not write catalog cache" in m and "k3.catalog" in m
+               for m in messages)
+
+
 def test_out_of_order_cache_is_rebuilt(tmp_path, caplog):
     # Truth tables and the deletion maps index classes by the builder's
     # order, so a file with the right classes in another order is corrupt.

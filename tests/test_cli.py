@@ -361,7 +361,7 @@ def test_reduce_demo_mismatch_exits_2(capsys, c4_file, tmp_path, monkeypatch):
 def test_selftest(capsys):
     code, out, err = run(capsys, ["selftest"])
     assert code == 0, err
-    assert "selftest passed (24 checks)" in out
+    assert "selftest passed (25 checks)" in out
 
 
 def test_unknown_property(capsys):

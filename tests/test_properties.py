@@ -1,12 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import indsub
 from indsub.catalog import build_catalog
 from indsub.errors import FormatError, PredicateError, UnknownPropertyError
-from indsub.graphs import SmallGraph
+from indsub.graphs import MAX_SMALL_VERTICES, SmallGraph, pair_table
 from indsub.properties import (
     BUILTIN_PROPERTIES,
     PropertySpec,
@@ -138,6 +145,120 @@ def test_planar_matches_minor_oracle():
     phi = get_property("planar")
     for g in all_graphs(6):
         assert evaluate(phi, g) == brute_planar(g), g.to_graph6()
+
+
+def nx_planar(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edge_pairs())
+    return nx.check_planarity(h)[0]
+
+
+def test_planar_matches_networkx_on_every_k7_class():
+    phi = get_property("planar")
+    for entry in build_catalog(7).entries:
+        assert evaluate(phi, entry.graph) == nx_planar(entry.graph), \
+            entry.graph.to_graph6()
+
+
+@st.composite
+def sparse_small_graphs(draw):
+    # n to 3n edges: mostly between the cyclomatic shortcut and Euler's
+    # bound, where the path-addition test runs.
+    n = draw(st.integers(0, MAX_SMALL_VERTICES))
+    pairs = pair_table(n)
+    m = draw(st.integers(min(n, len(pairs)), min(len(pairs), 3 * n)))
+    chosen = draw(st.randoms(use_true_random=False)).sample(pairs, m)
+    return SmallGraph.from_edges(n, chosen)
+
+
+@settings(max_examples=300)
+@given(sparse_small_graphs())
+def test_planar_matches_networkx_on_random_graphs(g):
+    assert evaluate(get_property("planar"), g) == nx_planar(g), g.to_graph6()
+
+
+def _subdivided(n, pairs, extra):
+    """Put one new vertex on each edge in turn, extra vertices in all."""
+    pairs = list(pairs)
+    for i in range(extra):
+        a, b = pairs.pop(0)
+        pairs += [(a, n + i), (n + i, b)]
+    return SmallGraph.from_edges(n + extra, pairs)
+
+
+def _disjoint(*graphs):
+    pairs, n = [], 0
+    for g in graphs:
+        pairs += [(a + n, b + n) for a, b in g.edge_pairs()]
+        n += g.n
+    return SmallGraph.from_edges(n, pairs)
+
+
+_K5 = SmallGraph.complete(5)
+_K33 = SmallGraph.complete_bipartite(3, 3)
+_PETERSEN = SmallGraph.from_edges(
+    10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+_ICOSAHEDRON = SmallGraph.from_edges(
+    12, [(0, i) for i in range(1, 6)] + [(11, i) for i in range(6, 11)]
+    + [(i, i % 5 + 1) for i in range(1, 6)]
+    + [(i, (i - 5) % 5 + 6) for i in range(6, 11)]
+    + [(i, i + 5) for i in range(1, 6)]
+    + [(i, i % 5 + 6) for i in range(1, 6)])
+_GRID4 = SmallGraph.from_edges(
+    16, [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+    + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)])
+_TWO_K5_AT_A_VERTEX = SmallGraph.from_edges(
+    9, _K5.edge_pairs() + [(a + 4, b + 4) for a, b in _K5.edge_pairs()])
+
+NAMED_PLANARITY = [
+    ("K5", _K5, False),
+    ("K5 minus an edge", _K5.without_edge(0, 1), True),
+    ("K3,3", _K33, False),
+    ("K3,3 minus an edge", _K33.without_edge(0, 3), True),
+    ("Petersen", _PETERSEN, False),
+    ("icosahedron", _ICOSAHEDRON, True),
+    ("K3,3 subdivided to 16 vertices", _subdivided(6, _K33.edge_pairs(), 10),
+     False),
+    ("two K5 sharing a cut vertex", _TWO_K5_AT_A_VERTEX, False),
+    ("K4 plus a disjoint K3,3", _disjoint(SmallGraph.complete(4), _K33),
+     False),
+    ("4x4 grid", _GRID4, True),
+]
+
+
+@pytest.mark.parametrize("name,g,planar", NAMED_PLANARITY,
+                         ids=[case[0] for case in NAMED_PLANARITY])
+def test_planar_named_graphs(name, g, planar):
+    assert evaluate(get_property("planar"), g) is planar
+    assert nx_planar(g) is planar
+
+
+def test_named_graph_shapes():
+    assert (_ICOSAHEDRON.n, _ICOSAHEDRON.edge_count) == (12, 30)
+    assert set(_ICOSAHEDRON.degrees()) == {5}
+    assert (_PETERSEN.n, _PETERSEN.edge_count) == (10, 15)
+    assert (_GRID4.n, _GRID4.edge_count) == (16, 24)
+    assert _TWO_K5_AT_A_VERTEX.edge_count == 20
+
+
+_NO_NETWORKX = """
+import sys
+import indsub
+from indsub import cli
+code = cli.main(["diagnose", "--property", "planar", "--kmax", "6"])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
+"""
+
+
+def test_planar_diagnose_does_not_import_networkx():
+    src = Path(indsub.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _NO_NETWORKX], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_get_property_unknown_name():
