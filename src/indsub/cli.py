@@ -492,9 +492,11 @@ def _cmd_selftest(args) -> int:
     k3 = HostGraph.from_small(SmallGraph.complete(3))
     expect(count_hom(path3, k3) == 12,
            "hom count P3 -> K3 equals 3*2*2")
-    expect(count_hom(SmallGraph.cycle(5),
-                     HostGraph.from_small(SmallGraph.complete(4))) == 240,
+    k4 = HostGraph.from_small(SmallGraph.complete(4))
+    expect(count_hom(SmallGraph.cycle(5), k4) == 240,
            "hom count C5 -> K4 equals 3^5 - 3 (a bag joined by a fill edge)")
+    expect(count_hom(SmallGraph.complete_bipartite(1, 3), k4) == 108,
+           "hom count K1,3 -> K4 equals 4*3^3 (a vertex joining three tables)")
 
     host = HostGraph.from_edges(
         8, [(a, b) for a in range(4) for b in range(4, 8)

@@ -27,6 +27,10 @@ orbit of every parent's automorphism group, through the package's orbit
 representatives and canonical forms.  vertex_key is the key that test
 compares, read off the graph's adjacency rows.
 
+The reference bag join computes one hom-DP bag's table by interpreting
+the bag's plan candidate by candidate, where homcount runs a loop nest
+compiled for the bag's shape; both must give equal tables.
+
 The reference canoniser reaches the package's canonical labeling by a
 slower route: refinement by sorted neighbor-color tuples, and a search
 that visits every leaf of least words.  The package's canoniser must
@@ -343,6 +347,153 @@ def elimination_decomposition(g: SmallGraph, order) -> TreeDecomposition:
         bags.append((v, *later))
         parent.append(rank[min(later, key=rank.__getitem__)] if later else -1)
     return TreeDecomposition(g, tuple(bags), tuple(parent))
+
+
+def reference_bag_table(host: HostGraph, prows: list[int],
+                        order: tuple[int, ...], levels: tuple[int, ...],
+                        kids: list[tuple[tuple[int, ...], object]]):
+    """One bag's table: the number of homomorphisms of the pattern below
+    the bag per assignment of levels, its interface with its parent, as a
+    trie keyed in that order (an int when levels is empty).  kids holds
+    each child's bag and table.
+
+    The hom DP's join as a stack machine that reads the bag's plan at
+    every candidate and picks the smaller candidate source at run time,
+    where homcount compiles one fixed loop nest per bag shape.  Its tables
+    must equal the compiled join's as mappings."""
+    n_host = host.n
+    adj = host.adj_bits
+    nbrs = host.neighbors
+    m = len(order)
+    pos = {u: i for i, u in enumerate(order)}
+    # per position i: the earlier positions joined to it by a pattern
+    # edge, and (slot, depth, last) for every child trie it descends;
+    # nodes[slot][depth] is that trie's node for the current prefix
+    nbr_pos = [[j for j in range(i) if prows[order[i]] >> order[j] & 1]
+               for i in range(m)]
+    reads: list[list[tuple[int, int, bool]]] = [[] for _ in range(m)]
+    nodes: list[list] = []
+    base = 1
+    for bag, table in kids:
+        scope = sorted(pos[u] for u in bag if u in pos)
+        if scope:
+            for depth, i in enumerate(scope):
+                reads[i].append((len(nodes), depth, i == scope[-1]))
+            nodes.append([table] + [None] * (len(scope) - 1))
+        else:
+            base *= table
+    if not m:
+        return base
+
+    # the positions keying the levels of this bag's own trie.  _join_order
+    # assigns the deepest one last, so the last position writes there
+    # directly, walking the levels above once per prefix; with no levels,
+    # only the number of its candidates is needed
+    last = m - 1
+    upper = [pos[u] for u in levels[:-1]]
+    single = [js[0] if len(js) == 1 else -1 for js in nbr_pos]
+    trie: dict = {}
+    total = 0
+
+    # depth-first join over positions 0..last: a position's candidates
+    # are the host vertices adjacent to its assigned pattern-neighbours
+    # that are also keys of every child trie it descends
+    vals = [0] * m
+    weights = [base] + [0] * m
+    iters: list = [None] * m
+    i = 0 if base else -1
+    entering = True
+    while i >= 0:
+        if entering:
+            mask = None
+            for j in nbr_pos[i]:
+                mask = adj[vals[j]] if mask is None else mask & adj[vals[j]]
+            rd = reads[i]
+            counts = None
+            if not rd:
+                if mask is None:
+                    cand = range(n_host)
+                elif single[i] >= 0:
+                    cand = nbrs[vals[single[i]]]
+                elif i == last and not levels:
+                    cand = None  # only their number is needed
+                else:
+                    cand = list(bits_of(mask))
+            elif len(rd) == 1:
+                s, d, _ = rd[0]
+                first = nodes[s][d]
+                if mask is None:
+                    cand = first.keys()
+                    if i == last:
+                        counts = first.values()
+                elif single[i] >= 0 and len(nbrs[vals[single[i]]]) < len(first):
+                    cand = [x for x in nbrs[vals[single[i]]] if x in first]
+                elif mask.bit_count() < len(first):
+                    cand = [x for x in bits_of(mask) if x in first]
+                else:
+                    cand = [x for x in first if mask >> x & 1]
+                if counts is None and i == last:
+                    counts = [first[x] for x in cand]
+            else:
+                dicts = sorted((nodes[s][d] for s, d, _ in rd), key=len)
+                first, others = dicts[0], dicts[1:]
+                if mask is not None and mask.bit_count() < len(first):
+                    cand = [x for x in bits_of(mask) if x in first
+                            and all(x in o for o in others)]
+                else:
+                    cand = [x for x in first
+                            if (mask is None or mask >> x & 1)
+                            and all(x in o for o in others)]
+                if i == last:
+                    counts = []
+                    for x in cand:
+                        t = first[x]
+                        for o in others:
+                            t *= o[x]
+                        counts.append(t)
+            if i == last:
+                i -= 1
+                entering = False
+                w = weights[last]
+                if not levels:
+                    if counts is not None:
+                        total += w * sum(counts)
+                    else:
+                        total += w * (mask.bit_count() if cand is None
+                                      else len(cand))
+                    continue
+                if not cand:
+                    continue
+                node = trie
+                for p in upper:
+                    sub = node.get(vals[p])
+                    if sub is None:
+                        sub = node[vals[p]] = {}
+                    node = sub
+                if counts is None:
+                    for x in cand:
+                        node[x] = node.get(x, 0) + w
+                else:
+                    for x, t in zip(cand, counts):
+                        node[x] = node.get(x, 0) + w * t
+                continue
+            iters[i] = iter(cand)
+        x = next(iters[i], None)
+        if x is None:
+            i -= 1
+            entering = False
+            continue
+        w = weights[i]
+        for s, d, end in reads[i]:
+            if end:
+                w *= nodes[s][d][x]
+            else:
+                nodes[s][d + 1] = nodes[s][d][x]
+        vals[i] = x
+        weights[i + 1] = w
+        i += 1
+        entering = True
+    return trie if levels else total
 
 
 # ------------------------------------------------------- poisedness oracle

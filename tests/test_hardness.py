@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from indsub import cli
 from indsub.catalog import build_catalog
 from indsub.graphs import SmallGraph
 from indsub.hardness import (
@@ -264,21 +265,38 @@ def test_diagnose_evaluates_each_class_at_most_once(name, deletion_flag):
 
 
 def test_diagnose_zoo_script(capsys, monkeypatch):
+    """The script prints what `indsub diagnose` prints for each property
+    in turn, as JSON or as text, and refuses bad input before any
+    diagnosis runs."""
     script = Path(__file__).parent.parent / "scripts" / "diagnose_zoo.py"
     spec = importlib.util.spec_from_file_location("diagnose_zoo", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main(["--kmax", "3", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert [p["property"] for p in payload] == sorted(BUILTIN_PROPERTIES)
-    assert all(len(p["records"]) == 3 for p in payload)
+    outputs = []
+    for argv, names, fmt in ((["--kmax", "3"], sorted(BUILTIN_PROPERTIES), []),
+                             (["--kmax", "2", "--properties", "split,true",
+                               "--text"], ["split", "true"], ["--text"])):
+        assert module.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        for name in names:
+            assert cli.main(["diagnose", "--property", name, "--kmax",
+                             argv[1]] + fmt) == 0
+        assert outputs[-1] == capsys.readouterr().out
+    text, decoder, at, reports = outputs[0].strip(), json.JSONDecoder(), 0, []
+    while at < len(text):
+        report, at = decoder.raw_decode(text, at)
+        reports.append(report)
+        at = len(text) - len(text[at:].lstrip())
+    assert [r["property"] for r in reports] == sorted(BUILTIN_PROPERTIES)
+    assert all(len(r["records"]) == 3 for r in reports)
 
     def refuse(*args):
         raise AssertionError("diagnosis ran on bad input")
 
-    monkeypatch.setattr(module, "diagnose", refuse)
-    for argv in (["--kmax", "9"], ["--properties", "connected,nope"]):
-        with pytest.raises(SystemExit) as exc:
-            module.main(argv)
-        assert exc.value.code != 0
-        assert "error:" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "diagnose", refuse)
+    assert module.main(["--kmax", "9"]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--properties", "connected,nope"])
+    assert exc.value.code != 0
+    assert "error:" in capsys.readouterr().err

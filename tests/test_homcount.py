@@ -1,5 +1,7 @@
 import gc
 import random
+import re
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,13 @@ from indsub.homcount import (
     MAX_TREEWIDTH_N,
     HomStore,
     TreeDecomposition,
+    _bag_table,
+    _compiled,
     _join_order,
+    _plan,
+    _shape,
+    _source,
+    _walk,
     count_hom,
     exact_treewidth,
     tree_decomposition,
@@ -23,6 +31,7 @@ from oracles import (
     host_has_edge,
     random_host,
     random_small_graph,
+    reference_bag_table,
 )
 
 
@@ -221,6 +230,7 @@ def test_count_hom_matches_map_enumeration_on_any_elimination_order(case):
         assert set(_last_position_writes(pattern, td)) <= {"scalar", "deepest"}
         expected.append(brute_hom_count(pattern, host))
         assert count_hom(pattern, host, td=td) == expected[-1]
+        assert _checked_bag_tables(pattern, td, host) == expected[-1]
     # both patterns through one store, their decompositions planned in
     store = HomStore(host)
     for pattern, td in cases:
@@ -228,6 +238,104 @@ def test_count_hom_matches_map_enumeration_on_any_elimination_order(case):
     assert [count_hom(pattern, host, store=store)
             for pattern, _ in cases] == expected
     assert not store._tables and not store._reads
+
+
+def _bag_sources(pattern, td):
+    """The generated source of each bag's join, by bag index."""
+    plan = _plan(pattern, td)
+    return [_source(_shape(plan.orders[b], plan.levels[b], plan.rows,
+                           [(c, plan.bags[c]) for c in plan.children[b]])[0])
+            for b in range(len(plan.bags))]
+
+
+def _checked_bag_tables(pattern, td, host):
+    """The product of the root tables, every bag's compiled table checked
+    against the interpreting reference join, as mappings, on the same
+    child tables.  No store: every bag is joined."""
+    plan = _plan(pattern, td)
+    tables = [None] * len(plan.bags)
+    for b, _ in _walk(plan, ()):
+        kids = [(plan.bags[c], tables[c]) for c in plan.children[b]]
+        tables[b] = _bag_table(plan, b, host, tables)
+        assert tables[b] == reference_bag_table(
+            host, plan.rows, plan.orders[b], plan.levels[b], kids), \
+            (pattern.to_graph6(), td.bags, b)
+    return prod(tables[r] for r in plan.roots)
+
+
+_K13 = SmallGraph.complete_bipartite(1, 3)
+_K4 = SmallGraph.complete(4)
+_P3_EDGE = SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+
+
+# Each case is a decomposition with a bag whose generated source holds the
+# given line: a position over all host vertices, over one neighbour list,
+# tested against the mask of further pattern-neighbours, over a child trie
+# at depth 0 or below, reading three tries (the star's centre bag), and a
+# scalar and a trie write.  In the last two cases a bag of that kind has a
+# child sharing no vertex with it, which counts the edge 3-4 into its
+# base: 0 on the edgeless host, where the bag returns at once.
+@pytest.mark.parametrize("line, pattern, td", [
+    (r"for v0 in range\(n_host\):", SmallGraph.path(3), None),
+    (r"for v1 in nbrs\[v0\]:", SmallGraph.path(3), None),
+    (r"if not M\d+ >> v\d+ & 1: continue", _K4,
+     TreeDecomposition(_K4, ((0, 1, 2), (0, 1, 2, 3)), (-1, 0))),
+    (r"for v0, N0_1 in N0_0\.items\(\):", _K13, None),
+    (r"for v\d+, N0_[2-9] in N0_[1-9]\.items\(\):", SmallGraph.cycle(5),
+     None),
+    (r"N2_1 = N2_0\.get\(v0\)", _K13, None),
+    (r"total \+= ", SmallGraph.cycle(5), None),
+    (r"node\[v2\] = node\.get\(v2, 0\)", SmallGraph.cycle(5), None),
+    ("folded scalar", _P3_EDGE,
+     TreeDecomposition(_P3_EDGE, ((1, 2), (0, 1), (3, 4)), (-1, 0, 0))),
+    ("folded trie", _P3_EDGE,
+     TreeDecomposition(_P3_EDGE, ((1, 2), (0, 1), (3, 4)), (-1, 0, 1))),
+])
+def test_compiled_join_equals_reference_on_each_candidate_source(
+        line, pattern, td):
+    td = td or tree_decomposition(pattern)
+    td.validate()
+    if line.startswith("folded"):
+        plan = _plan(pattern, td)
+        assert [b for b, (_, _, folded) in enumerate(plan.joins)
+                if folded and bool(plan.levels[b]) == line.endswith("trie")]
+    else:
+        assert any(re.search(line, source)
+                   for source in _bag_sources(pattern, td))
+    rng = random.Random(49)
+    hosts = [HostGraph.from_edges(4, ())]
+    hosts += [random_host(rng, n, p) for n, p in ((1, 0.0), (5, 1.0),
+                                                   (6, 0.5), (7, 0.3))]
+    for host in hosts:
+        assert _checked_bag_tables(pattern, td, host) == \
+            brute_hom_count(pattern, host)
+
+
+_SOURCE_NAMES = re.compile(r"(v|w|M)\d+|N\d+_\d+|def|return|if|not|for|in|is"
+                           r"|None|continue|n_host|adj|nbrs|base|trie|total"
+                           r"|node|t|join|range|len|sum|items|get|setdefault"
+                           r"|values|bit_count")
+
+
+def test_generated_source_holds_only_whitelisted_names():
+    """Every shape of every connected pattern on at most 6 vertices,
+    compiled through the plan: the source holds a few keywords,
+    plan-derived names and a fixed vocabulary, and no string literal, and
+    the shape cache stays within its bound."""
+    sources = set()
+    for k in range(1, 7):
+        for entry in build_catalog(k).entries:
+            if entry.graph.is_connected():
+                sources.update(_bag_sources(entry.graph,
+                                            tree_decomposition(entry.graph)))
+    assert len(sources) > 100
+    for source in sources:
+        assert re.fullmatch(r"[\w \n()\[\]{}:,.=+*&>]*", source), source
+        for name in re.findall(r"[A-Za-z_]\w*", source):
+            assert _SOURCE_NAMES.fullmatch(name), (name, source)
+    info = _compiled.cache_info()
+    assert isinstance(info.maxsize, int) and info.maxsize >= len(sources)
+    assert info.currsize <= info.maxsize
 
 
 def test_store_keys_a_sub_pattern_by_its_interface_order():
