@@ -26,23 +26,33 @@ versioned header, in the builder's order: by edge count, then by edge
 bitset.  The cache directory comes from INDSUB_CACHE_DIR or defaults to
 ~/.cache/indsub; build_catalog(cache_dir=) overrides it.
 
-The edge-deletion map of a catalog, which does not depend on any property,
-is cached beside it as k{k}.edges: a versioned header "k=.. classes=..
-catalog=<sha256 of the k{k}.catalog file's bytes>", then one line per class
-in catalog order listing the class index after each edge deletion, in
-edge_pairs order.  Loading checks the header's k, class count and digest
-against the catalog file, that each row has e(C) entries and that each
-entry is a class with e(C) - 1 edges.  A file that fails is a FormatError:
-it is logged as a rebuild, the map is computed by index_of lookups, and the
-file is written again, as long as the catalog file it names exists.  The
-map is written on the first edge_deletions(k) call, never by building or
-loading a catalog.
+Beside k{k}.catalog the cache directory keeps per-class maps that do not
+depend on any property, each a ClassMap served by class_map: one line per
+class in catalog order, under the header "# indsub <name> v1 k=..
+classes=.. catalog=<sha256 of each k{m}.catalog file the rows read, in
+order of m, comma-separated>".  They are
+  k{k}.edges      edge_deletions: the class index after each edge deletion,
+                  in edge_pairs order; the header names k{k}.catalog;
+  k{k}.vertices   vertex_deletions, 2 <= k <= MAX_FLAG_K: the (k-1)-class
+                  index after each vertex deletion; it names k{k-1} and k{k};
+  k{k}.quotients  hombasis.quotient_rows, k <= MAX_HOM_VECTOR_K: pairs of
+                  global class id (catalog m's classes follow those of all
+                  smaller catalogs) and Moebius sum; it names k{1}..k{k}.
+Loading checks the header against the catalog files on disk, and each row
+cheaply: an edge row has e(C) entries, each a class with e(C) - 1 edges; a
+vertex row has k entries, the one for v a class with e(C) - deg(v) edges; a
+quotient row holds ids in range and nonzero sums and ends with the class
+itself and sum 1.  A file that fails is a FormatError: it is logged as a
+rebuild, the map is computed by index_of lookups, and the file is written
+again through a temporary file and os.replace, as long as every catalog
+file it names exists.  A map is written on its first call, never by
+building or loading a catalog.
 
-GraphCatalog.index_of finds a graph's class, which the deletion maps and
-truth tables do for every lookup.  On its first lookup a catalog buckets
-its classes by canon.refinement_invariant; a graph whose invariant only
-one class has belongs to that class, and only a graph whose invariant
-several classes share, or none, is canonicalised.  Building or loading a
+GraphCatalog.index_of finds a graph's class, which the maps above and the
+truth tables do for every lookup they compute.  On its first lookup a
+catalog buckets its classes by canon.refinement_invariant; a graph whose
+invariant only one class has belongs to that class, and only a graph whose
+invariant several classes share, or none, is canonicalised.  Building or loading a
 catalog computes no invariant.
 """
 
@@ -53,6 +63,7 @@ import logging
 import os
 import uuid
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -68,9 +79,10 @@ from .errors import FormatError, InternalConsistencyError
 from .graphs import SmallGraph, bits_of, pair_count, pair_index, pair_table
 
 MAX_CATALOG_K = 8
+# The flag checks, the only readers of the vertex-deletion maps, stop here.
+MAX_FLAG_K = 6
 CACHE_ENV_VAR = "INDSUB_CACHE_DIR"
 _CACHE_HEADER = "# indsub catalog v1"
-_EDGES_HEADER = "# indsub edge-deletions v1"
 
 log = logging.getLogger(__name__)
 
@@ -332,37 +344,103 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
 
 
 def edge_deletions(k: int, *, cache_dir=None) -> tuple[tuple[int, ...], ...]:
-    """Per class: class index after each edge deletion, in edge_pairs order.
-    Read from k{k}.edges beside the catalog, or computed and written there
-    when that file is missing or invalid."""
-    return _edge_deletions_cached(k, str(cache_dir) if cache_dir else None)
+    """Per class: class index after each edge deletion, in edge_pairs order,
+    from k{k}.edges beside the catalog."""
+    return class_map(EDGE_DELETIONS, k, cache_dir=cache_dir)
+
+
+def vertex_deletions(k: int, *, cache_dir=None) -> tuple[tuple[int, ...], ...]:
+    """Per class (2 <= k <= MAX_FLAG_K): (k-1)-catalog index after each
+    vertex deletion, from k{k}.vertices beside the catalog."""
+    if not 2 <= k <= MAX_FLAG_K:
+        raise ValueError(f"vertex-deletion maps cover 2 <= k <= {MAX_FLAG_K}")
+    return class_map(VERTEX_DELETIONS, k, cache_dir=cache_dir)
+
+
+@dataclass(frozen=True)
+class ClassMap:
+    """A property-independent map with one row of integers per class of
+    the k-vertex catalog, kept beside it as k{k}.{suffix}.  The rows read
+    the catalogs lowest(k)..k, which compute(cats) gets in that order;
+    check(cats) gives the load check of one row, (index, row) -> bool."""
+    suffix: str
+    what: str                 # in log messages
+    header: str
+    lowest: Callable[[int], int]
+    compute: Callable
+    check: Callable
+
+
+def class_map(kind: ClassMap, k: int, *, cache_dir=None
+              ) -> tuple[tuple[int, ...], ...]:
+    """kind's rows for the k-vertex catalog, read from their file, or
+    computed and written there when that file is missing or invalid."""
+    return _class_map_cached(kind, k, str(cache_dir) if cache_dir else None)
 
 
 @lru_cache(maxsize=None)
-def _edge_deletions_cached(k: int, cache_dir_str: str | None
-                           ) -> tuple[tuple[int, ...], ...]:
-    cat = build_catalog(k, cache_dir=cache_dir_str)
+def _class_map_cached(kind: ClassMap, k: int, cache_dir_str: str | None
+                      ) -> tuple[tuple[int, ...], ...]:
+    cats = tuple(build_catalog(m, cache_dir=cache_dir_str)
+                 for m in range(kind.lowest(k), k + 1))
     directory = _cache_dir(cache_dir_str)
-    path = directory / f"k{k}.edges"
+    path = directory / f"k{k}.{kind.suffix}"
     try:
-        digest = hashlib.sha256(
-            (directory / f"k{k}.catalog").read_bytes()).hexdigest()
+        header = _map_header(kind, cats, directory)
     except OSError:
-        digest = None        # no catalog file for a map to name
-    if digest is not None and path.exists():
+        header = None        # no catalog file for the map to name
+    if header is not None and path.exists():
         try:
-            return _read_edges(cat, digest, path)
+            return _read_map(path, header, cats[-1].class_count,
+                             kind.check(cats))
         except (FormatError, OSError) as exc:
-            log.warning("rebuilding edge-deletion map k=%d: %s", k, exc)
-    rows = compute_edge_deletions(cat)
-    if digest is not None:
+            log.warning("rebuilding %s k=%d: %s", kind.what, k, exc)
+    rows = kind.compute(cats)
+    if header is not None:
         try:
-            _write_lines(path, _edges_header(cat, digest),
+            _write_lines(path, header,
                          (" ".join(map(str, row)) for row in rows))
         except OSError as exc:
-            log.warning("could not write edge-deletion map %s: %s",
-                        path, exc)
+            log.warning("could not write %s %s: %s", kind.what, path, exc)
     return rows
+
+
+def _map_header(kind: ClassMap, cats, directory: Path) -> str:
+    """The header naming the sha256 of each catalog file the rows read;
+    OSError when one of those files cannot be read."""
+    digests = ",".join(
+        hashlib.sha256((directory / f"k{c.k}.catalog").read_bytes())
+        .hexdigest() for c in cats)
+    return (f"{kind.header} k={cats[-1].k} classes={cats[-1].class_count} "
+            f"catalog={digests}")
+
+
+def _read_map(path: Path, header: str, count: int, row_ok
+              ) -> tuple[tuple[int, ...], ...]:
+    with open(path, errors="replace") as fh:
+        head, *lines = fh.read().split("\n")
+    if head != header:
+        raise FormatError(f"{path}: header {head[:200]!r} is not {header!r}")
+    if len(lines) != count + 1 or lines[-1]:
+        raise FormatError(f"{path}: not {count} rows")
+    lines.pop()
+    rows = []
+    for i, line in enumerate(lines):
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad row {i}: {line!r}") from exc
+        if not row_ok(i, row):
+            raise FormatError(f"{path}: bad row {i}: {line!r}")
+        rows.append(row)
+    return tuple(rows)
+
+
+def _starts(cat: GraphCatalog) -> list[int]:
+    """Classes are in order of edge count, so those with e edges are the
+    indices starts[e] .. starts[e + 1] - 1, for 0 <= e <= C(k, 2)."""
+    counts = [e.graph.edge_count for e in cat.entries]
+    return [bisect_left(counts, e) for e in range(pair_count(cat.k) + 2)]
 
 
 def compute_edge_deletions(cat: GraphCatalog) -> tuple[tuple[int, ...], ...]:
@@ -373,42 +451,49 @@ def compute_edge_deletions(cat: GraphCatalog) -> tuple[tuple[int, ...], ...]:
         for e in cat.entries)
 
 
-def _edges_header(cat: GraphCatalog, digest: str) -> str:
-    return (f"{_EDGES_HEADER} k={cat.k} classes={cat.class_count} "
-            f"catalog={digest}")
+def _edge_rows_ok(cats):
+    # A row has e(C) entries, each a class with e(C) - 1 edges: one range
+    # check per row.
+    cat, = cats
+    starts = _starts(cat)
+
+    def ok(i: int, row: tuple[int, ...]) -> bool:
+        e = cat.entries[i].graph.edge_count
+        return len(row) == e and (
+            not row or starts[e - 1] <= min(row) and max(row) < starts[e])
+    return ok
 
 
-def _read_edges(cat: GraphCatalog, digest: str, path: Path
-                ) -> tuple[tuple[int, ...], ...]:
-    with open(path, errors="replace") as fh:
-        head, *lines = fh.read().split("\n")
-    want = _edges_header(cat, digest)
-    if head != want:
-        raise FormatError(f"{path}: header {head[:200]!r} is not {want!r}")
-    if len(lines) != cat.class_count + 1 or lines[-1]:
-        raise FormatError(f"{path}: not {cat.class_count} rows")
-    # Classes are in order of edge count, so the ones with e edges are the
-    # indices first[e] .. first[e + 1] - 1, and one range check per row
-    # bounds every index and checks its target's edge count.
-    counts = [e.graph.edge_count for e in cat.entries]
-    first = [bisect_left(counts, e) for e in range(pair_count(cat.k) + 1)]
-    rows = []
-    for i, (line, edges) in enumerate(zip(lines, counts)):
-        try:
-            row = tuple(map(int, line.split()))
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad row {i}: {line!r}") from exc
-        if len(row) != edges or row and not (
-                first[edges - 1] <= min(row) and max(row) < first[edges]):
-            raise FormatError(f"{path}: bad row {i}: {line!r}")
-        rows.append(row)
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def vertex_deletions(k: int) -> tuple[tuple[int, ...], ...]:
-    """Per class (k >= 2): (k-1)-catalog index after each vertex deletion."""
-    cat, below = build_catalog(k), build_catalog(k - 1)
+def compute_vertex_deletions(below: GraphCatalog, cat: GraphCatalog
+                             ) -> tuple[tuple[int, ...], ...]:
+    """The vertex-deletion map of cat into below, the (k-1) catalog, by
+    one index_of lookup per vertex."""
     return tuple(
-        tuple(below.index_of(e.graph.delete_vertex(v)) for v in range(k))
+        tuple(below.index_of(e.graph.delete_vertex(v)) for v in range(cat.k))
         for e in cat.entries)
+
+
+def _vertex_rows_ok(cats):
+    # A row has k entries, each a (k-1)-class with e(C) - deg(v) edges.
+    below, cat = cats
+    starts = _starts(below)
+
+    def ok(i: int, row: tuple[int, ...]) -> bool:
+        g = cat.entries[i].graph
+        e = g.edge_count
+        return len(row) == cat.k and all(
+            starts[e - d] <= c < starts[e - d + 1]
+            for c, d in zip(row, map(int.bit_count, g.adj_rows())))
+    return ok
+
+
+EDGE_DELETIONS = ClassMap(
+    "edges", "edge-deletion map", "# indsub edge-deletions v1",
+    lowest=lambda k: k,
+    compute=lambda cats: compute_edge_deletions(cats[-1]),
+    check=_edge_rows_ok)
+VERTEX_DELETIONS = ClassMap(
+    "vertices", "vertex-deletion map", "# indsub vertex-deletions v1",
+    lowest=lambda k: k - 1,
+    compute=lambda cats: compute_vertex_deletions(*cats),
+    check=_vertex_rows_ok)

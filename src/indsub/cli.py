@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import lru_cache
 
 from . import counting
 from .canon import is_isomorphic
@@ -28,7 +29,9 @@ from .catalog import (
     MAX_CATALOG_K,
     build_catalog,
     compute_edge_deletions,
+    compute_vertex_deletions,
     edge_deletions,
+    vertex_deletions,
 )
 from .errors import (
     BudgetExceededError,
@@ -46,7 +49,12 @@ from .hereditary import (
     count_independent_sets_via_reduction,
     singleton_critical_edge,
 )
-from .hombasis import MAX_HOM_VECTOR_K, hom_vector
+from .hombasis import (
+    MAX_HOM_VECTOR_K,
+    compute_quotient_rows,
+    hom_vector,
+    quotient_rows,
+)
 from .homcount import count_hom
 from .properties import (
     forbidden_induced_property,
@@ -467,6 +475,14 @@ def _cmd_selftest(args) -> int:
     expect(all(edge_deletions(k) == compute_edge_deletions(build_catalog(k))
                for k in range(1, 6)),
            "edge-deletion maps k<=5 from the cache equal a fresh compute")
+    expect(all(vertex_deletions(k) == compute_vertex_deletions(
+                   build_catalog(k - 1), build_catalog(k))
+               for k in range(2, 6)),
+           "vertex-deletion maps k<=5 from the cache equal a fresh compute")
+    expect(all(quotient_rows(k) == compute_quotient_rows(
+                   [build_catalog(m) for m in range(1, k + 1)])
+               for k in range(1, 6)),
+           "quotient rows k<=5 from the cache equal a fresh compute")
 
     spec = spectrum_report(get_property("no-edges"), 4)
     expect(spec.f == (1, 0, 0, 0, 0, 0, 0) and spec.hamming_weight == 1,
@@ -545,7 +561,9 @@ def _cmd_selftest(args) -> int:
 
 # ------------------------------------------------------------- dispatcher
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state."""
     parser = _Parser(
         prog="indsub",
         description="Count induced subgraphs with a property through "

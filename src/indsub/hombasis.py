@@ -26,9 +26,17 @@ of the k-vertex catalog rather than over labeled graphs:
      joining a block of size s multiplies the weight by -s.  Blocks a < b
      are adjacent in the quotient iff the row union of a meets the mask
      of b.  The sum of weights per quotient class does not depend on phi
-     either.
+     either.  A leaf's labelled quotient (m, edges) is named by its global
+     class id, the index in the m-vertex catalog after the classes of all
+     smaller catalogs, through one index_of lookup per distinct leaf and k,
+     never by a canonical form.  The rows, one flat tuple of alternating
+     id and sum per class, are kept on disk as k{k}.quotients beside the
+     catalog (see catalog.ClassMap; the header names the digest of every
+     catalog k{1}..k{k}), so a process reads them instead of recomputing.
 
-All arithmetic is over integers and Fraction; every denominator divides k!.
+hom_vector adds the weighted sums up per global class id and emits the
+catalog representatives, the canonical graphs, of the nonzero ones.  All
+arithmetic is over integers and Fraction; every denominator divides k!.
 """
 
 from __future__ import annotations
@@ -36,10 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 
-from .canon import canon_key
-from .catalog import build_catalog, edge_deletions
+from .catalog import ClassMap, build_catalog, class_map, edge_deletions
 from .errors import InternalConsistencyError
 from .graphs import SmallGraph, pair_count, pair_table
 from .properties import PropertySpec, class_values
@@ -56,12 +64,19 @@ class HomVector:
     def _index(self) -> dict:
         idx = self.__dict__.get("_idx")
         if idx is None:
-            idx = {canon_key(g): c for g, c in self.entries}
+            idx = {(g.n, build_catalog(g.n).index_of(g)): c
+                   for g, c in self.entries}
             object.__setattr__(self, "_idx", idx)
         return idx
 
     def coefficient(self, g: SmallGraph) -> Fraction:
-        return self._index().get(canon_key(g), Fraction(0))
+        if not 1 <= g.n <= self.k:
+            return Fraction(0)
+        try:
+            key = (g.n, build_catalog(g.n).index_of(g))
+        except KeyError:
+            return Fraction(0)
+        return self._index().get(key, Fraction(0))
 
     @property
     def support_size(self) -> int:
@@ -92,18 +107,48 @@ def _spanning_subgraph_counts(phi: PropertySpec, k: int) -> list[list[int]]:
     return counts
 
 
-@lru_cache(maxsize=None)
-def _quotient_row(g: SmallGraph) -> tuple:
-    """(canonical key, sum of Moebius values) per quotient class of the
-    loop-free g over its partitions into independent sets, by the block-mask
-    recursion of step 3; zero sums are left out.  Only catalog
-    representatives with k <= MAX_HOM_VECTOR_K come here, which bounds the
-    cache."""
+def quotient_rows(k: int, *, cache_dir=None) -> tuple[tuple[int, ...], ...]:
+    """Per k-vertex class, its quotient classes with their Moebius sums as
+    one flat tuple (global class id, sum, global class id, sum, ...), from
+    k{k}.quotients beside the catalogs."""
+    if not 1 <= k <= MAX_HOM_VECTOR_K:
+        raise ValueError(f"quotient rows cover 1 <= k <= {MAX_HOM_VECTOR_K}")
+    return class_map(QUOTIENT_ROWS, k, cache_dir=cache_dir)
+
+
+def compute_quotient_rows(cats) -> tuple[tuple[int, ...], ...]:
+    """The quotient rows of cats[-1], where cats are the catalogs 1..k: step
+    3 for each class, a leaf's labelled (m, edges) mapped to its global
+    class id by one index_of lookup per distinct leaf graph.  A class
+    keeps its pairs in the order the recursion first meets them and drops
+    zero sums; its own class comes last with sum 1, from the discrete
+    partition, the only one with k blocks."""
+    first = list(accumulate((c.class_count for c in cats), initial=0))
+    ids: dict[tuple[int, int], int] = {}
+    rows = []
+    for entry in cats[-1].entries:
+        row: dict[int, int] = {}
+        for key, mu in _labelled_quotients(entry.graph).items():
+            gid = ids.get(key)
+            if gid is None:
+                m, edges = key
+                gid = ids[key] = (first[m - 1]
+                                  + cats[m - 1].index_of(SmallGraph(m, edges)))
+            row[gid] = row.get(gid, 0) + mu
+        rows.append(tuple(x for gid, mu in row.items() if mu
+                          for x in (gid, mu)))
+    return tuple(rows)
+
+
+def _labelled_quotients(g: SmallGraph) -> dict[tuple[int, int], int]:
+    """(block count, quotient edge bitset) -> sum of Moebius values over the
+    partitions of the loop-free g into independent sets, by the block-mask
+    recursion of step 3, in the order the leaves are first met."""
     n = g.n
     rows = g.adj_rows()
     members: list[int] = []
     nbrs: list[int] = []
-    row: dict[tuple[int, int, int], int] = {}
+    out: dict[tuple[int, int], int] = {}
 
     def rec(i: int, mu: int) -> None:
         if i == n:
@@ -112,8 +157,8 @@ def _quotient_row(g: SmallGraph) -> tuple:
             for bit, (a, b) in enumerate(pair_table(m)):
                 if nbrs[a] & members[b]:
                     edges |= 1 << bit
-            key = canon_key(SmallGraph(m, edges))
-            row[key] = row.get(key, 0) + mu
+            key = (m, edges)
+            out[key] = out.get(key, 0) + mu
             return
         vertex, adjacent = 1 << i, rows[i]
         for j, block in enumerate(members):
@@ -130,7 +175,28 @@ def _quotient_row(g: SmallGraph) -> tuple:
         nbrs.pop()
 
     rec(0, 1)
-    return tuple((key, mu) for key, mu in row.items() if mu)
+    return out
+
+
+def _quotient_rows_ok(cats):
+    # Pairs whose ids are classes on at most k vertices and whose sums are
+    # not zero, ending with the row's own class and sum 1.
+    first = sum(c.class_count for c in cats[:-1])
+    total = first + cats[-1].class_count
+
+    def ok(i: int, row: tuple[int, ...]) -> bool:
+        ids = row[0::2]
+        return (len(row) % 2 == 0 and row[-2:] == (first + i, 1)
+                and 0 <= min(ids) and max(ids) < total
+                and 0 not in row[1::2])
+    return ok
+
+
+QUOTIENT_ROWS = ClassMap(
+    "quotients", "quotient-row map", "# indsub quotient-rows v1",
+    lowest=lambda k: 1,
+    compute=compute_quotient_rows,
+    check=_quotient_rows_ok)
 
 
 @lru_cache(maxsize=64)
@@ -141,17 +207,19 @@ def hom_vector(phi: PropertySpec, k: int) -> HomVector:
     spanning = _spanning_subgraph_counts(phi, k)
     # a(C) = s(C)/#Aut(C) = s(C) * copies(C) / k!, so sums stay integral
     # until the final division by k!.
-    acc: dict[tuple[int, int, int], int] = {}
-    for entry, counts in zip(cat.entries, spanning):
+    acc: dict[int, int] = {}
+    for entry, counts, row in zip(cat.entries, spanning, quotient_rows(k)):
         s = sum(counts[0::2]) - sum(counts[1::2])
         if s == 0:
             continue
         weight = s * entry.copies
-        for key, mu in _quotient_row(entry.graph):
-            acc[key] = acc.get(key, 0) + weight * mu
+        pairs = iter(row)
+        for gid, mu in zip(pairs, pairs):
+            acc[gid] = acc.get(gid, 0) + weight * mu
+    reps = [e.graph for m in range(1, k + 1) for e in build_catalog(m).entries]
     kfact = factorial(k)
-    entries = [(SmallGraph(*key), Fraction(total, kfact))
-               for key, total in acc.items() if total]
+    entries = [(reps[gid], Fraction(total, kfact))
+               for gid, total in acc.items() if total]
     entries.sort(key=lambda e: (e[0].edge_count, e[0].to_graph6()))
     return HomVector(phi.name, k, tuple(entries))
 

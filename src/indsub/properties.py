@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from .canon import canon_key
 from .catalog import (
     MAX_CATALOG_K,
+    MAX_FLAG_K,
     build_catalog,
     edge_deletions,
     vertex_deletions,
@@ -525,8 +526,6 @@ def load_truth_table(path) -> dict[int, str]:
 
 
 # ------------------------------------------------------ flag verification
-
-MAX_FLAG_K = 6
 
 
 @dataclass(frozen=True)

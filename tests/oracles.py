@@ -777,9 +777,9 @@ def quotient(g: SmallGraph, blocks) -> SmallGraph:
 
 
 def reference_quotient_row(g: SmallGraph) -> tuple:
-    """hombasis._quotient_row over every set partition: quotient, drop the
-    looped quotients, sum mu per canonical key in first-seen order, drop
-    zero sums."""
+    """g's row of hombasis.quotient_rows over every set partition, each
+    class named by its canonical key: quotient, drop the looped quotients,
+    sum mu per canonical key in first-seen order, drop zero sums."""
     row: dict[tuple, int] = {}
     for rho in set_partitions(g.n):
         q = quotient(g, rho)

@@ -17,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 from indsub import canon, catalog
 from indsub.canon import automorphism_count, canon_key, refinement_invariant
 from indsub.catalog import (
+    EDGE_DELETIONS,
     MAX_CATALOG_K,
+    MAX_FLAG_K,
+    VERTEX_DELETIONS,
     build_catalog,
     compute_edge_deletions,
     edge_deletions,
@@ -25,6 +28,8 @@ from indsub.catalog import (
 )
 from indsub.errors import FormatError
 from indsub.graphs import SmallGraph, pair_count
+from indsub.hombasis import QUOTIENT_ROWS, compute_quotient_rows, hom_vector
+from indsub.properties import get_property, verify_flags
 from oracles import (
     brute_automorphism_count,
     extension_count,
@@ -149,18 +154,25 @@ def _refuse(*args, **kwargs):
 
 
 def test_deletion_maps_match_canon_only_reference(tmp_path, monkeypatch):
-    # The edge-deletion maps are computed and written, then read back from
-    # their files by a process state with no cached catalog or map.
+    # The deletion maps are computed and written, then read back from their
+    # files by a process state with no cached catalog or map.
     for k in range(1, 8):
         edge_deletions(k, cache_dir=tmp_path)
-    catalog._edge_deletions_cached.cache_clear()
+    for k in range(2, MAX_FLAG_K + 1):
+        vertex_deletions(k, cache_dir=tmp_path)
+    catalog._class_map_cached.cache_clear()
     catalog._catalog_cached.cache_clear()
     monkeypatch.setattr(catalog, "compute_edge_deletions", _refuse)
+    monkeypatch.setattr(catalog, "compute_vertex_deletions", _refuse)
     for k in range(1, 8):
         assert edge_deletions(k, cache_dir=tmp_path) == \
             reference_edge_deletions(k)
-    for k in range(2, 8):
-        assert vertex_deletions(k) == reference_vertex_deletions(k)
+    for k in range(2, MAX_FLAG_K + 1):
+        assert vertex_deletions(k, cache_dir=tmp_path) == \
+            reference_vertex_deletions(k)
+    for k in (1, MAX_FLAG_K + 1):
+        with pytest.raises(ValueError):
+            vertex_deletions(k)
 
 
 def test_edge_deletions_canonicalise_few_graphs():
@@ -179,8 +191,18 @@ def _edges_file(tmp_path, k=5):
     """A fresh directory holding catalogs 1..k and the k-th edge-deletion
     map, with no map cached in the process."""
     edge_deletions(k, cache_dir=tmp_path)
-    catalog._edge_deletions_cached.cache_clear()
+    catalog._class_map_cached.cache_clear()
     return tmp_path / f"k{k}.edges"
+
+
+def _read_file(kind, k, directory):
+    """kind's map for k read from its file in directory, or FormatError."""
+    cats = tuple(build_catalog(m, cache_dir=directory)
+                 for m in range(kind.lowest(k), k + 1))
+    return catalog._read_map(
+        directory / f"k{k}.{kind.suffix}",
+        catalog._map_header(kind, cats, directory), cats[-1].class_count,
+        kind.check(cats))
 
 
 def _replace_row(text, i, row):
@@ -216,10 +238,8 @@ def test_corrupt_edge_deletion_map_is_rebuilt_and_logged(corruption,
     assert _replace_row(good, 33, " ".join(["32"] * 10)) == good
     assert _replace_row(good, 2, "1 1") == good
     path.write_text(EDGES_CORRUPTIONS[corruption](good, tmp_path))
-    cat = build_catalog(5, cache_dir=tmp_path)
-    digest = hashlib.sha256((tmp_path / "k5.catalog").read_bytes()).hexdigest()
     with pytest.raises(FormatError):
-        catalog._read_edges(cat, digest, path)
+        _read_file(EDGE_DELETIONS, 5, tmp_path)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         rows = edge_deletions(5, cache_dir=tmp_path)
     assert rows == reference_edge_deletions(5)
@@ -264,32 +284,36 @@ def test_edge_deletion_map_needs_its_catalog_file(tmp_path, caplog):
 _MAP_WRITER = """
 import hashlib, sys, time
 from pathlib import Path
-from indsub.catalog import build_catalog, edge_deletions
-directory = Path(sys.argv[1])
-build_catalog(7, cache_dir=directory)
-(directory / f"ready-{sys.argv[2]}").write_text("")
+from indsub.catalog import build_catalog, edge_deletions, vertex_deletions
+from indsub.hombasis import quotient_rows
+directory, tag, name, k = Path(sys.argv[1]), sys.argv[2], sys.argv[3], \\
+    int(sys.argv[4])
+build_catalog(k, cache_dir=directory)
+(directory / f"ready-{tag}").write_text("")
 while not (directory / "go").exists():
     time.sleep(0.001)
-rows = edge_deletions(7, cache_dir=directory)
+rows = globals()[name](k, cache_dir=directory)
 print(hashlib.sha256(repr(rows).encode()).hexdigest())
 """
 
 
-def test_concurrent_edge_deletion_map_writers(tmp_path):
-    build_catalog(7, cache_dir=tmp_path)
+def _race_writers(directory, name, k):
+    """Two processes that wait for each other, then read the map name(k)
+    from directory at once; their hashes of the rows."""
+    build_catalog(k, cache_dir=directory)
     src = Path(catalog.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     procs = [subprocess.Popen([sys.executable, "-c", _MAP_WRITER,
-                               str(tmp_path), str(i)],
+                               str(directory), str(i), name, str(k)],
                               env=env, stdout=subprocess.PIPE, text=True)
              for i in range(2)]
     try:
         deadline = time.monotonic() + 60
-        while not all((tmp_path / f"ready-{i}").exists() for i in range(2)):
+        while not all((directory / f"ready-{i}").exists() for i in range(2)):
             assert all(p.poll() is None for p in procs)
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        (tmp_path / "go").write_text("")
+        (directory / "go").write_text("")
         outs = [p.communicate(timeout=60)[0].strip() for p in procs]
     finally:
         for p in procs:
@@ -297,14 +321,180 @@ def test_concurrent_edge_deletion_map_writers(tmp_path):
                 p.kill()
                 p.communicate()
     assert [p.returncode for p in procs] == [0, 0]
+    return outs
+
+
+def test_concurrent_edge_deletion_map_writers(tmp_path):
+    outs = _race_writers(tmp_path, "edge_deletions", 7)
     want = reference_edge_deletions(7)
     assert outs == [hashlib.sha256(repr(want).encode()).hexdigest()] * 2
-    digest = hashlib.sha256((tmp_path / "k7.catalog").read_bytes()).hexdigest()
-    assert catalog._read_edges(build_catalog(7, cache_dir=tmp_path), digest,
-                               tmp_path / "k7.edges") == want
+    assert _read_file(EDGE_DELETIONS, 7, tmp_path) == want
     assert sorted(p.name for p in tmp_path.iterdir()
                   if not p.name.startswith(("ready-", "go"))) == \
         [f"k{k}.catalog" for k in range(1, 8)] + ["k7.edges"]
+
+
+# The vertex-deletion maps and the quotient rows share the edge-deletion
+# map's file mechanism.  Each case below also checks what reads them: the
+# hom vectors and the flag reports come out the same.
+
+MAPS = {"vertices": (VERTEX_DELETIONS, "vertex_deletions"),
+        "quotients": (QUOTIENT_ROWS, "quotient_rows")}
+RESULT_PROPERTIES = ("triangle-free", "chordal", "connected")
+
+
+@pytest.fixture
+def cache_env(tmp_path, monkeypatch):
+    """INDSUB_CACHE_DIR at tmp_path, with no catalog, map or hom vector
+    cached in the process when the test starts or ends."""
+    def forget():
+        catalog._catalog_cached.cache_clear()
+        catalog._class_map_cached.cache_clear()
+        hom_vector.cache_clear()
+
+    forget()
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    yield tmp_path
+    forget()
+
+
+def _results(k):
+    phis = [get_property(name) for name in RESULT_PROPERTIES]
+    return ([hom_vector(phi, k) for phi in phis],
+            [verify_flags(phi, min(k, MAX_FLAG_K)) for phi in phis])
+
+
+def _written(directory, name, k):
+    """The results at k, which write every map they read into directory;
+    then no map or hom vector stays cached.  Returns the map file of name
+    at k, its text and the results."""
+    want = _results(k)
+    catalog._class_map_cached.cache_clear()
+    hom_vector.cache_clear()
+    path = directory / f"k{k}.{name}"
+    return path, path.read_text(), want
+
+
+def _edit_row(text, i, edit):
+    lines = text.split("\n")
+    lines[i + 1] = " ".join(map(str, edit([int(x) for x in
+                                           lines[i + 1].split()])))
+    return "\n".join(lines)
+
+
+# k = 5: class 0 is the edgeless graph and class 33 is K5.  K5 has one
+# partition into independent sets, so its quotient row is its own global
+# id, 1 + 2 + 4 + 11 + 33 = 51, with sum 1; K5 minus any vertex is K4,
+# class 10 of the 11 four-vertex classes.
+MAP_CORRUPTIONS = {
+    "vertices": {
+        "index out of range": lambda t: _edit_row(
+            t, 33, lambda r: [11] + r[1:]),
+        "target with the wrong edge count": lambda t: _edit_row(
+            t, 0, lambda r: [1] + r[1:]),
+        "too few entries": lambda t: _edit_row(t, 33, lambda r: r[1:]),
+    },
+    "quotients": {
+        "own class missing": lambda t: _edit_row(t, 33, lambda r: []),
+        "zero sum": lambda t: _edit_row(t, 0, lambda r: r[:1] + [0] + r[2:]),
+        "id out of range": lambda t: _edit_row(t, 0, lambda r: [52] + r[1:]),
+        "odd length": lambda t: _edit_row(t, 0, lambda r: r + [1]),
+    },
+}
+for corruptions in MAP_CORRUPTIONS.values():
+    corruptions["bad header"] = lambda t: "junk\n" + t.split("\n", 1)[1]
+    corruptions["truncated"] = lambda t: t[:len(t) // 2]
+    corruptions["digest of another catalog"] = lambda t: t.replace(
+        t.split("\n", 1)[0].rsplit(",", 1)[1], "0" * 64, 1)
+
+
+@pytest.mark.parametrize("name, corruption", [
+    (name, corruption) for name in sorted(MAP_CORRUPTIONS)
+    for corruption in sorted(MAP_CORRUPTIONS[name])])
+def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
+                                           caplog):
+    kind, _ = MAPS[name]
+    path, good, want = _written(cache_env, name, 5)
+    if name == "vertices":
+        assert _edit_row(good, 33, lambda r: r) == good
+        assert good.split("\n")[34] == "10 10 10 10 10"
+        assert good.split("\n")[1] == "0 0 0 0 0"
+    else:
+        assert good.split("\n")[34] == "51 1"
+    path.write_text(MAP_CORRUPTIONS[name][corruption](good))
+    with pytest.raises(FormatError):
+        _read_file(kind, 5, cache_env)
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        assert _results(5) == want
+    assert any(f"rebuilding {kind.what} k=5" in r.getMessage()
+               for r in caplog.records)
+    assert path.read_text() == good
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_stale_lower_catalog_is_caught(name, cache_env, caplog):
+    # Rows index the catalogs below k too, so the header names their
+    # digests: the same k4 classes in other bytes make the k = 5 map stale.
+    kind, _ = MAPS[name]
+    path, good, want = _written(cache_env, name, 5)
+    lower = cache_env / "k4.catalog"
+    old = hashlib.sha256(lower.read_bytes()).hexdigest()
+    lower.write_text(lower.read_text() + "\n")
+    new = hashlib.sha256(lower.read_bytes()).hexdigest()
+    assert old in good.split("\n", 1)[0]
+    with pytest.raises(FormatError):
+        _read_file(kind, 5, cache_env)
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        assert _results(5) == want
+    assert any(f"rebuilding {kind.what} k=5" in r.getMessage()
+               for r in caplog.records)
+    assert path.read_text() == good.replace(old, new)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_map_write_failure_is_logged(name, cache_env, caplog):
+    kind, _ = MAPS[name]
+    path, _, want = _written(cache_env, name, 5)
+    path.unlink()
+    (path / "blocker").mkdir(parents=True)     # nothing can be written there
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        assert _results(5) == want
+    assert any(f"could not write {kind.what}" in r.getMessage()
+               for r in caplog.records)
+    assert [p.name for p in cache_env.iterdir() if p.name.startswith(".")] \
+        == []
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_map_needs_every_catalog_file_it_names(name, cache_env, caplog):
+    # k4.catalog is below k = 5 for both maps: without it the k = 5 map is
+    # computed and not written, and nothing is logged.
+    path, _, want = _written(cache_env, name, 5)
+    path.unlink()
+    (cache_env / "k4.catalog").unlink()
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        assert _results(5) == want
+    assert not path.exists()
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("name, k", [("quotients", 7), ("vertices", 6)])
+def test_concurrent_map_writers(name, k, cache_env):
+    kind, reader = MAPS[name]
+    outs = _race_writers(cache_env, reader, k)
+    rows = _read_file(kind, k, cache_env)
+    assert outs == [hashlib.sha256(repr(rows).encode()).hexdigest()] * 2
+    assert sorted(p.name for p in cache_env.iterdir()
+                  if not p.name.startswith(("ready-", "go"))) == \
+        [f"k{m}.catalog" for m in range(1, k + 1)] + [f"k{k}.{name}"]
+    assert rows == kind.compute(tuple(
+        build_catalog(m) for m in range(kind.lowest(k), k + 1)))
+    from_files = _results(k)
+    for p in cache_env.glob("k*.[!c]*"):      # every map, no catalog
+        p.unlink()
+    catalog._class_map_cached.cache_clear()
+    hom_vector.cache_clear()
+    assert _results(k) == from_files
 
 
 def test_building_or_loading_never_computes_the_invariant(tmp_path,
@@ -464,14 +654,19 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
     assert module.main(["--kmax", "4", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "k=4: 11 classes" in out and "k=4: edge-deletion map" in out
+    assert "k=4: quotient rows" in out and "k=4: vertex-deletion map" in out
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        f"k{k}.{kind}" for k in range(1, 5) for kind in ("catalog", "edges"))
+        [f"k{k}.{kind}" for k in range(1, 5)
+         for kind in ("catalog", "edges", "quotients")]
+        + [f"k{k}.vertices" for k in range(2, 5)])
     for k in range(1, 5):
-        digest = hashlib.sha256(
-            (tmp_path / f"k{k}.catalog").read_bytes()).hexdigest()
-        assert catalog._read_edges(build_catalog(k), digest,
-                                   tmp_path / f"k{k}.edges") == \
+        assert _read_file(EDGE_DELETIONS, k, tmp_path) == \
             reference_edge_deletions(k)
+        assert _read_file(QUOTIENT_ROWS, k, tmp_path) == \
+            compute_quotient_rows([build_catalog(m) for m in range(1, k + 1)])
+    for k in range(2, 5):
+        assert _read_file(VERTEX_DELETIONS, k, tmp_path) == \
+            reference_vertex_deletions(k)
 
 
 def test_cold_build_is_byte_identical(tmp_path):

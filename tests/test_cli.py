@@ -85,9 +85,9 @@ def test_catalog_list_entries(capsys):
 
 def test_catalog_reads_no_edge_deletion_map(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("edge-deletion map read")
+        raise AssertionError("a map beside the catalog read")
 
-    monkeypatch.setattr(catalog, "_edge_deletions_cached", refuse)
+    monkeypatch.setattr(catalog, "_class_map_cached", refuse)
     monkeypatch.setattr(catalog, "compute_edge_deletions", refuse)
     data = run_json(capsys, ["catalog", "--k", "8", "--list"])
     assert data["classes"] == "12346"
@@ -361,7 +361,7 @@ def test_reduce_demo_mismatch_exits_2(capsys, c4_file, tmp_path, monkeypatch):
 def test_selftest(capsys):
     code, out, err = run(capsys, ["selftest"])
     assert code == 0, err
-    assert "selftest passed (26 checks)" in out
+    assert "selftest passed (28 checks)" in out
 
 
 def test_unknown_property(capsys):

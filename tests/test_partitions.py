@@ -1,5 +1,6 @@
 """The partition lattice behind the quotient expansion, and the block-mask
-enumerator of hombasis checked against it."""
+enumerator of hombasis, through the quotient rows it serves by catalog
+index, checked against it."""
 
 import itertools
 import random
@@ -7,10 +8,10 @@ from math import factorial
 
 import pytest
 
-from indsub import hombasis
 from indsub.canon import canon_key
 from indsub.catalog import build_catalog
 from indsub.graphs import SmallGraph
+from indsub.hombasis import quotient_rows
 
 from oracles import (
     partition_moebius,
@@ -75,20 +76,28 @@ def test_moebius_sums_to_zero_above_discrete():
         assert sum(map(partition_moebius, set_partitions(n))) == 0
 
 
+def _named(k, row):
+    """A quotient row's (global class id, mu) pairs with each id replaced
+    by its catalog representative's canonical key."""
+    reps = [e.graph for m in range(1, k + 1) for e in build_catalog(m).entries]
+    pairs = iter(row)
+    return tuple((canon_key(reps[gid]), mu) for gid, mu in zip(pairs, pairs))
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_independent_partitions_are_the_loop_free_quotients(k):
     # The block-mask enumerator visits exactly the partitions whose
     # quotient has no loop, in the order of the sweep over all of them.
-    for entry in build_catalog(k).entries:
-        assert hombasis._quotient_row(entry.graph) == \
-            reference_quotient_row(entry.graph)
+    rows = quotient_rows(k)
+    for entry, row in zip(build_catalog(k).entries, rows, strict=True):
+        assert _named(k, row) == reference_quotient_row(entry.graph)
 
 
 def test_quotient_rows_match_reference_on_sampled_k7_classes():
     entries = build_catalog(7).entries
+    rows = quotient_rows(7)
     for i in random.Random(7).sample(range(len(entries)), 60):
-        g = entries[i].graph
-        assert hombasis._quotient_row(g) == reference_quotient_row(g)
+        assert _named(7, rows[i]) == reference_quotient_row(entries[i].graph)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -96,9 +105,11 @@ def test_independent_partitions_edge_cases(n):
     # K_n admits only the discrete partition.  Every partition of the
     # edgeless graph is independent; those with m blocks give the edgeless
     # quotient on m vertices and their mu sum to s(n, m).
+    cat, rows = build_catalog(n), quotient_rows(n)
     complete = SmallGraph.complete(n)
-    assert hombasis._quotient_row(complete) == ((canon_key(complete), 1),)
-    assert hombasis._quotient_row(SmallGraph(n, 0)) == tuple(
+    assert _named(n, rows[cat.index_of(complete)]) == \
+        ((canon_key(complete), 1),)
+    assert _named(n, rows[cat.index_of(SmallGraph(n, 0))]) == tuple(
         (canon_key(SmallGraph(m, 0)), signed_stirling_first(n, m))
         for m in range(1, n + 1))
 
