@@ -4,9 +4,8 @@ The classes on k vertices come from one-vertex extensions of the (k-1)
 catalog with canonical-form deduplication, starting from the 0-vertex
 graph.  Neighbor masks in one orbit of the parent's automorphism group
 give isomorphic extensions, so only one mask per orbit is considered.
-Each entry carries the automorphism count and the number of labeled
-copies k!/#Aut; the copies must sum to 2^C(k,2), which the builder
-asserts.
+A class has k!/#Aut labeled copies, and the copies must sum to 2^C(k,2),
+which the builder asserts.
 
 Of those masks, only the ones whose new vertex has the largest vertex key
 in the extension are canonicalised, as in McKay's canonical augmentation
@@ -24,7 +23,10 @@ too, and the extension is canonicalised.  Over k <= 8 this canonicalises
 Catalogs are cached on disk, one "graph6 aut" line per class under a
 versioned header, in the builder's order: by edge count, then by edge
 bitset.  The cache directory comes from INDSUB_CACHE_DIR or defaults to
-~/.cache/indsub; build_catalog(cache_dir=) overrides it.
+~/.cache/indsub; build_catalog(cache_dir=) overrides it.  A GraphCatalog
+keeps, in that order, each class's edge bitset, automorphism count and
+graph6 text, as read from the file or encoded once by the builder; a
+SmallGraph is built per class only on demand.
 
 Beside k{k}.catalog the cache directory keeps per-class maps that do not
 depend on any property, each a ClassMap served by class_map: one line per
@@ -64,8 +66,8 @@ import os
 import uuid
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import factorial
 from pathlib import Path
 
@@ -76,7 +78,14 @@ from .canon import (
     refinement_invariant,
 )
 from .errors import FormatError, InternalConsistencyError
-from .graphs import SmallGraph, bits_of, pair_count, pair_index, pair_table
+from .graphs import (
+    SmallGraph,
+    _graph6_chunk_edges,
+    bits_of,
+    pair_count,
+    pair_index,
+    pair_table,
+)
 
 MAX_CATALOG_K = 8
 # The flag checks, the only readers of the vertex-deletion maps, stop here.
@@ -88,24 +97,35 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
-    graph: SmallGraph      # canonical representative
-    aut: int
-    copies: int            # k! / aut = labeled copies inside K_k
-
-
-@dataclass(frozen=True)
 class GraphCatalog:
+    """The classes on k vertices in catalog order, as three parallel
+    tuples: edge bitset, automorphism count and graph6 text.  graph(i)
+    builds the i-th representative on its first call and keeps it."""
     k: int
-    entries: tuple[CatalogEntry, ...]
+    edges: tuple[int, ...]
+    auts: tuple[int, ...]
+    graph6: tuple[str, ...]
+    _graphs: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def class_count(self) -> int:
-        return len(self.entries)
+        return len(self.edges)
 
     @property
     def labeled_total(self) -> int:
-        return sum(e.copies for e in self.entries)
+        kfact = factorial(self.k)
+        return sum(kfact // aut for aut in self.auts)
+
+    def graph(self, i: int) -> SmallGraph:
+        g = self._graphs.get(i)
+        if g is None:
+            g = self._graphs[i] = SmallGraph(self.k, self.edges[i])
+        return g
+
+    def graphs(self):
+        """Every representative, in catalog order."""
+        return map(self.graph, range(len(self.edges)))
 
     def index_of(self, g: SmallGraph) -> int:
         """Catalog index of g's class; KeyError when g is in none.  A class
@@ -115,28 +135,20 @@ class GraphCatalog:
             return i
         return self._index[canon_key(g)]
 
-    @property
+    @cached_property
     def _buckets(self) -> dict:
         """Refinement invariant -> index of the only class that has it, or
         None when several classes share it.  Built on the first lookup,
         never when a catalog is built or loaded."""
-        buckets = getattr(self, "_buckets_cache", None)
-        if buckets is None:
-            buckets = {}
-            for i, e in enumerate(self.entries):
-                inv = refinement_invariant(e.graph)
-                buckets[inv] = None if inv in buckets else i
-            object.__setattr__(self, "_buckets_cache", buckets)
+        buckets = {}
+        for i, g in enumerate(self.graphs()):
+            inv = refinement_invariant(g)
+            buckets[inv] = None if inv in buckets else i
         return buckets
 
-    @property
+    @cached_property
     def _index(self) -> dict:
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {(e.graph.n, e.graph.edges, e.graph.loops): i
-                   for i, e in enumerate(self.entries)}
-            object.__setattr__(self, "_index_cache", idx)
-        return idx
+        return {(self.k, edges, 0): i for i, edges in enumerate(self.edges)}
 
 
 def default_cache_dir() -> Path:
@@ -159,8 +171,8 @@ def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
     if k == 1:
         parents = [(0, 1)]
     else:
-        parents = [(e.graph.edges, e.aut)
-                   for e in _catalog_cached(k - 1, cache_dir_str).entries]
+        below = _catalog_cached(k - 1, cache_dir_str)
+        parents = zip(below.edges, below.auts)
     # Edge bits of the k-vertex graph: lift[b] for the parent's pair b, and
     # nb_bits[mask] for the new vertex joined to the vertices in mask.
     lift = [1 << pair_index(k, i, j) for i, j in pair_table(k - 1)]
@@ -261,13 +273,9 @@ def _catalog_cached(k: int, cache_dir_str: str | None) -> GraphCatalog:
         except (FormatError, OSError) as exc:
             log.warning("rebuilding catalog k=%d: %s", k, exc)
     classes = _build_classes(k, cache_dir_str)
-    kfact = factorial(k)
-    entries = tuple(
-        CatalogEntry(SmallGraph(k, edges), aut, kfact // aut)
-        for edges, aut in sorted(classes.items(),
-                                 key=lambda it: (it[0].bit_count(), it[0]))
-    )
-    cat = GraphCatalog(k, entries)
+    edges = tuple(sorted(classes, key=lambda e: (e.bit_count(), e)))
+    cat = GraphCatalog(k, edges, tuple(map(classes.__getitem__, edges)),
+                       tuple(SmallGraph(k, e).to_graph6() for e in edges))
     if cat.labeled_total != 1 << pair_count(k):
         raise InternalConsistencyError(
             f"catalog k={k}: labeled copies sum to {cat.labeled_total}, "
@@ -287,7 +295,7 @@ def build_catalog(k: int, *, cache_dir=None) -> GraphCatalog:
 
 def _write_cache(cat: GraphCatalog, path: Path) -> None:
     _write_lines(path, f"{_CACHE_HEADER} k={cat.k} classes={cat.class_count}",
-                 (f"{e.graph.to_graph6()} {e.aut}" for e in cat.entries))
+                 map("{} {}".format, cat.graph6, cat.auts))
 
 
 def _write_lines(path: Path, header: str, lines) -> None:
@@ -308,36 +316,50 @@ def _write_lines(path: Path, header: str, lines) -> None:
 
 
 def _read_cache(k: int, path: Path) -> GraphCatalog:
-    with open(path, errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(_CACHE_HEADER):
-        raise FormatError(f"{path}: bad header")
-    head = dict(tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
-    if head.get("k") != str(k):
-        raise FormatError(f"{path}: header k mismatch")
+    """One pass over the lines "graph6 aut", each held to the writer's
+    text; a graph6 character's edges are one lookup in its position's
+    table.  Empty lines are skipped; equal aut values share one int."""
+    # Position 0 holds the header character.  The bits past the last pair
+    # pad the last body character and must be zero.
+    pad = (1 << -pair_count(k) % 6) - 1
+    tables = [{chr(k + 63): 0}] + [
+        {chr(d + 63): e for d, e in enumerate(table)}
+        for table in _graph6_chunk_edges(k)]
+    tables[-1] = {c: e for c, e in tables[-1].items()
+                  if not (ord(c) - 63) & pad}
     kfact = factorial(k)
-    entries = []
-    last = (-1, -1)
-    for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        try:
-            g6, aut_s = ln.split()
-            g = SmallGraph.from_graph6(g6)
-            aut = int(aut_s)
-        except (ValueError, FormatError) as exc:
-            raise FormatError(f"{path}: bad line {ln!r}") from exc
-        if g.n != k or aut <= 0 or kfact % aut:
-            raise FormatError(f"{path}: bad entry {ln!r}")
-        # Truth tables and the deletion maps index classes by this order.
-        key = (g.edge_count, g.edges)
-        if key <= last:
-            raise FormatError(f"{path}: entry {ln!r} out of catalog order")
-        last = key
-        entries.append(CatalogEntry(g, aut, kfact // aut))
-    if head.get("classes") != str(len(entries)):
+    edges, auts, texts = [], [], []
+    known: dict[str, int] = {}
+    last = -1
+    with open(path, errors="replace") as fh:
+        head = fh.readline()
+        if not head.startswith(_CACHE_HEADER):
+            raise FormatError(f"{path}: bad header")
+        fields = dict(tok.split("=", 1) for tok in head.split() if "=" in tok)
+        if fields.get("k") != str(k):
+            raise FormatError(f"{path}: header k mismatch")
+        for ln in filter("\n".__ne__, fh):
+            try:
+                g6, aut_s = ln.split(" ")
+                e = sum(map(dict.__getitem__, tables, g6))
+                aut = known.get(aut_s)
+                if aut is None:
+                    aut = known[aut_s] = int(aut_s)
+                    if aut <= 0 or kfact % aut:
+                        raise ValueError(f"automorphism count {aut}")
+            except (ValueError, KeyError) as exc:
+                raise FormatError(f"{path}: bad line {ln!r}") from exc
+            # Truth tables and the deletion maps index classes by this order.
+            key = e.bit_count() << 32 | e
+            if len(g6) != len(tables) or key <= last:
+                raise FormatError(f"{path}: bad or out-of-order line {ln!r}")
+            last = key
+            edges.append(e)
+            auts.append(aut)
+            texts.append(g6)
+    if fields.get("classes") != str(len(edges)):
         raise FormatError(f"{path}: class count mismatch")
-    cat = GraphCatalog(k, tuple(entries))
+    cat = GraphCatalog(k, tuple(edges), tuple(auts), tuple(texts))
     if cat.labeled_total != 1 << pair_count(k):
         raise FormatError(f"{path}: labeled total mismatch")
     return cat
@@ -439,16 +461,15 @@ def _read_map(path: Path, header: str, count: int, row_ok
 def _starts(cat: GraphCatalog) -> list[int]:
     """Classes are in order of edge count, so those with e edges are the
     indices starts[e] .. starts[e + 1] - 1, for 0 <= e <= C(k, 2)."""
-    counts = [e.graph.edge_count for e in cat.entries]
+    counts = list(map(int.bit_count, cat.edges))
     return [bisect_left(counts, e) for e in range(pair_count(cat.k) + 2)]
 
 
 def compute_edge_deletions(cat: GraphCatalog) -> tuple[tuple[int, ...], ...]:
     """The edge-deletion map of cat by one index_of lookup per edge."""
     return tuple(
-        tuple(cat.index_of(e.graph.without_edge(i, j))
-              for i, j in e.graph.edge_pairs())
-        for e in cat.entries)
+        tuple(cat.index_of(g.without_edge(i, j)) for i, j in g.edge_pairs())
+        for g in cat.graphs())
 
 
 def _edge_rows_ok(cats):
@@ -458,7 +479,7 @@ def _edge_rows_ok(cats):
     starts = _starts(cat)
 
     def ok(i: int, row: tuple[int, ...]) -> bool:
-        e = cat.entries[i].graph.edge_count
+        e = cat.edges[i].bit_count()
         return len(row) == e and (
             not row or starts[e - 1] <= min(row) and max(row) < starts[e])
     return ok
@@ -469,8 +490,8 @@ def compute_vertex_deletions(below: GraphCatalog, cat: GraphCatalog
     """The vertex-deletion map of cat into below, the (k-1) catalog, by
     one index_of lookup per vertex."""
     return tuple(
-        tuple(below.index_of(e.graph.delete_vertex(v)) for v in range(cat.k))
-        for e in cat.entries)
+        tuple(below.index_of(g.delete_vertex(v)) for v in range(cat.k))
+        for g in cat.graphs())
 
 
 def _vertex_rows_ok(cats):
@@ -479,11 +500,10 @@ def _vertex_rows_ok(cats):
     starts = _starts(below)
 
     def ok(i: int, row: tuple[int, ...]) -> bool:
-        g = cat.entries[i].graph
-        e = g.edge_count
+        e = cat.edges[i].bit_count()
         return len(row) == cat.k and all(
             starts[e - d] <= c < starts[e - d + 1]
-            for c, d in zip(row, map(int.bit_count, g.adj_rows())))
+            for c, d in zip(row, cat.graph(i).degrees()))
     return ok
 
 

@@ -22,6 +22,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from . import counting
 from .canon import is_isomorphic
@@ -161,8 +162,8 @@ def _cmd_catalog(args) -> int:
         raise UsageError(f"--k must be between 1 and {MAX_CATALOG_K}")
     cat = build_catalog(args.k)
     by_edge_count = [0] * (args.k * (args.k - 1) // 2 + 1)
-    for e in cat.entries:
-        by_edge_count[e.graph.edge_count] += 1
+    for edges in cat.edges:
+        by_edge_count[edges.bit_count()] += 1
     report = {
         "k": cat.k,
         "classes": cat.class_count,
@@ -170,10 +171,11 @@ def _cmd_catalog(args) -> int:
         "classes_by_edge_count": by_edge_count,
     }
     if args.list:
+        kfact = factorial(args.k)
         report["entries"] = [
-            {"graph6": e.graph.to_graph6(), "edges": e.graph.edge_count,
-             "aut": e.aut, "copies": e.copies}
-            for e in cat.entries
+            {"graph6": g6, "edges": edges.bit_count(), "aut": aut,
+             "copies": kfact // aut}
+            for g6, edges, aut in zip(cat.graph6, cat.edges, cat.auts)
         ]
     _emit(report)
     return 0
@@ -470,6 +472,11 @@ def _cmd_selftest(args) -> int:
         expect(cat.class_count == classes and
                cat.labeled_total == 1 << (k * (k - 1) // 2),
                f"catalog k={k}: {classes} classes, labeled total 2^C(k,2)")
+    expect(all(SmallGraph.from_graph6(text) == cat.graph(i)
+               and cat.graph(i).to_graph6() == text
+               for cat in map(build_catalog, range(1, 6))
+               for i, text in enumerate(cat.graph6)),
+           "stored graph6 of the k<=5 catalogs round-trips")
     # Before any hom vector reads them, so the maps come from the cache
     # files when those exist.
     expect(all(edge_deletions(k) == compute_edge_deletions(build_catalog(k))
@@ -534,7 +541,6 @@ def _cmd_selftest(args) -> int:
 
     from .hombasis import h_tilde_vector
     from .spectrum import h_vector, f_vector
-    from math import factorial
     hv = hom_vector(get_property("bipartite"), 4)
     ht = h_tilde_vector(hv)
     hvec = h_vector(f_vector(get_property("bipartite"), 4))

@@ -35,7 +35,8 @@ of the k-vertex catalog rather than over labeled graphs:
      catalog k{1}..k{k}), so a process reads them instead of recomputing.
 
 hom_vector adds the weighted sums up per global class id and emits the
-catalog representatives, the canonical graphs, of the nonzero ones.  All
+catalog representatives, the canonical graphs, of the nonzero ones, by
+edge count and then by the graph6 text their catalog holds.  All
 arithmetic is over integers and Fraction; every denominator divides k!.
 """
 
@@ -92,15 +93,16 @@ def _spanning_subgraph_counts(phi: PropertySpec, k: int) -> list[list[int]]:
     Catalog order is by edge count, so every C' is done before C."""
     cat = build_catalog(k)
     counts: list[list[int]] = []
-    for entry, val, children in zip(cat.entries, class_values(phi, k),
-                                    edge_deletions(k)):
+    for edges, g6, val, children in zip(cat.edges, cat.graph6,
+                                        class_values(phi, k),
+                                        edge_deletions(k)):
         row = [int(val)]
-        for r in range(1, entry.graph.edge_count + 1):
+        for r in range(1, edges.bit_count() + 1):
             total = sum(counts[j][r - 1] for j in children)
             q, rem = divmod(total, r)
             if rem:
                 raise InternalConsistencyError(
-                    f"{total} subgraph-edge pairs of {entry.graph.to_graph6()} "
+                    f"{total} subgraph-edge pairs of {g6} "
                     f"missing {r} edges are not divisible by {r}")
             row.append(q)
         counts.append(row)
@@ -126,9 +128,9 @@ def compute_quotient_rows(cats) -> tuple[tuple[int, ...], ...]:
     first = list(accumulate((c.class_count for c in cats), initial=0))
     ids: dict[tuple[int, int], int] = {}
     rows = []
-    for entry in cats[-1].entries:
+    for g in cats[-1].graphs():
         row: dict[int, int] = {}
-        for key, mu in _labelled_quotients(entry.graph).items():
+        for key, mu in _labelled_quotients(g).items():
             gid = ids.get(key)
             if gid is None:
                 m, edges = key
@@ -203,25 +205,29 @@ QUOTIENT_ROWS = ClassMap(
 def hom_vector(phi: PropertySpec, k: int) -> HomVector:
     if not 1 <= k <= MAX_HOM_VECTOR_K:
         raise ValueError(f"hom_vector supports 1 <= k <= {MAX_HOM_VECTOR_K}")
-    cat = build_catalog(k)
+    cats = [build_catalog(m) for m in range(1, k + 1)]
     spanning = _spanning_subgraph_counts(phi, k)
-    # a(C) = s(C)/#Aut(C) = s(C) * copies(C) / k!, so sums stay integral
-    # until the final division by k!.
+    # a(C) = s(C)/#Aut(C) = s(C) * copies(C) / k!, where copies(C) =
+    # k!/#Aut(C), so sums stay integral until the final division by k!.
+    kfact = factorial(k)
     acc: dict[int, int] = {}
-    for entry, counts, row in zip(cat.entries, spanning, quotient_rows(k)):
+    for aut, counts, row in zip(cats[-1].auts, spanning, quotient_rows(k)):
         s = sum(counts[0::2]) - sum(counts[1::2])
         if s == 0:
             continue
-        weight = s * entry.copies
+        weight = s * (kfact // aut)
         pairs = iter(row)
         for gid, mu in zip(pairs, pairs):
             acc[gid] = acc.get(gid, 0) + weight * mu
-    reps = [e.graph for m in range(1, k + 1) for e in build_catalog(m).entries]
-    kfact = factorial(k)
-    entries = [(reps[gid], Fraction(total, kfact))
-               for gid, total in acc.items() if total]
-    entries.sort(key=lambda e: (e[0].edge_count, e[0].to_graph6()))
-    return HomVector(phi.name, k, tuple(entries))
+    where = [(c, i) for c in cats for i in range(c.class_count)]
+    entries = []
+    for gid, total in acc.items():
+        if total:
+            c, i = where[gid]
+            entries.append((c.edges[i].bit_count(), c.graph6[i],
+                            c.graph(i), Fraction(total, kfact)))
+    entries.sort(key=lambda e: e[:2])
+    return HomVector(phi.name, k, tuple(e[2:] for e in entries))
 
 
 def h_tilde_vector(hv: HomVector) -> tuple[Fraction, ...]:

@@ -22,6 +22,7 @@ from .canon import canon_key
 from .catalog import (
     MAX_CATALOG_K,
     MAX_FLAG_K,
+    _starts,
     build_catalog,
     edge_deletions,
     vertex_deletions,
@@ -552,7 +553,7 @@ def class_values(phi: PropertySpec, k: int) -> tuple[bool, ...]:
     """phi on every k-vertex catalog class, in catalog order.  phi is
     isomorphism-invariant, so this is the one place it is evaluated on
     catalog classes."""
-    return tuple(evaluate(phi, e.graph) for e in build_catalog(k).entries)
+    return tuple(evaluate(phi, g) for g in build_catalog(k).graphs())
 
 
 def verify_flags(phi: PropertySpec, k_max: int) -> FlagReport:
@@ -563,9 +564,9 @@ def verify_flags(phi: PropertySpec, k_max: int) -> FlagReport:
         raise ValueError(f"verify_flags supports 1 <= k_max <= {MAX_FLAG_K}")
     violations: list[FlagViolation] = []
 
-    def check(flag, g, ok, detail):
+    def check(flag, g6, ok, detail):
         if not ok:
-            violations.append(FlagViolation(flag, g.to_graph6(), detail))
+            violations.append(FlagViolation(flag, g6, detail))
 
     below = None                       # phi on the (k-1)-vertex classes
     for k in range(1, k_max + 1):
@@ -577,33 +578,33 @@ def verify_flags(phi: PropertySpec, k_max: int) -> FlagReport:
             # the 0-vertex graph has no catalog
             below = (evaluate(phi, SmallGraph(0, 0)),)
         by_m: dict[int, set[bool]] = {}
-        for idx, (entry, val) in enumerate(zip(cat.entries, vals)):
-            g = entry.graph
-            by_m.setdefault(g.edge_count, set()).add(val)
-            if phi.sparse_bound is not None and val:
-                check(f"sparse({phi.sparse_bound})", g,
-                      g.edge_count <= phi.sparse_bound * g.n,
-                      f"{g.edge_count} edges on {g.n} vertices")
+        for idx, (edges, g6, val) in enumerate(zip(cat.edges, cat.graph6,
+                                                   vals)):
+            m = edges.bit_count()
+            by_m.setdefault(m, set()).add(val)
             if not val:
                 continue
+            if phi.sparse_bound is not None:
+                check(f"sparse({phi.sparse_bound})", g6,
+                      m <= phi.sparse_bound * k, f"{m} edges on {k} vertices")
             if phi.monotone:
-                for (i, j), c in zip(g.edge_pairs(), drop_edge[idx]):
-                    check("monotone", g, vals[c],
+                pairs = cat.graph(idx).edge_pairs()
+                for (i, j), c in zip(pairs, drop_edge[idx]):
+                    check("monotone", g6, vals[c],
                           f"fails after deleting edge ({i},{j})")
                 for v, c in enumerate(drop_vertex[idx]):
-                    check("monotone", g, below[c],
+                    check("monotone", g6, below[c],
                           f"fails after deleting vertex {v}")
             if phi.hereditary:
                 for v, c in enumerate(drop_vertex[idx]):
-                    check("hereditary", g, below[c],
+                    check("hereditary", g6, below[c],
                           f"fails after deleting vertex {v}")
         if phi.edge_count_only:
+            starts = _starts(cat)
             for m, seen in sorted(by_m.items()):
                 if len(seen) > 1:
-                    wit = next(e.graph for e in cat.entries
-                               if e.graph.edge_count == m)
                     violations.append(FlagViolation(
-                        "edge-count-only", wit.to_graph6(),
+                        "edge-count-only", cat.graph6[starts[m]],
                         f"value not constant on ({k},{m}) classes"))
         below = vals
     checked = phi.flags

@@ -27,10 +27,12 @@ def f_vector(phi: PropertySpec, k: int) -> tuple[int, ...]:
     phi(C) * copies(C)."""
     if k < 1:
         raise ValueError("k must be positive")
+    cat = build_catalog(k)
+    kfact = factorial(k)
     out = [0] * (pair_count(k) + 1)
-    for entry, val in zip(build_catalog(k).entries, class_values(phi, k)):
+    for edges, aut, val in zip(cat.edges, cat.auts, class_values(phi, k)):
         if val:
-            out[entry.graph.edge_count] += entry.copies
+            out[edges.bit_count()] += kfact // aut
     return tuple(out)
 
 

@@ -710,25 +710,25 @@ def unpruned_catalog_classes(k: int) -> dict[int, int]:
 
 
 def _class_positions(k: int) -> dict[int, int]:
-    return {e.graph.edges: i for i, e in enumerate(build_catalog(k).entries)}
+    return {edges: i for i, edges in enumerate(build_catalog(k).edges)}
 
 
 def reference_edge_deletions(k: int) -> tuple[tuple[int, ...], ...]:
     """catalog.edge_deletions(k), every class found by canonical form."""
     pos = _class_positions(k)
     return tuple(
-        tuple(pos[canonical_form(e.graph.without_edge(i, j)).edges]
-              for i, j in e.graph.edge_pairs())
-        for e in build_catalog(k).entries)
+        tuple(pos[canonical_form(g.without_edge(i, j)).edges]
+              for i, j in g.edge_pairs())
+        for g in build_catalog(k).graphs())
 
 
 def reference_vertex_deletions(k: int) -> tuple[tuple[int, ...], ...]:
     """catalog.vertex_deletions(k), every class found by canonical form."""
     pos = _class_positions(k - 1)
     return tuple(
-        tuple(pos[canonical_form(e.graph.delete_vertex(v)).edges]
+        tuple(pos[canonical_form(g.delete_vertex(v)).edges]
               for v in range(k))
-        for e in build_catalog(k).entries)
+        for g in build_catalog(k).graphs())
 
 
 # ------------------------------------------------------- partition lattice
@@ -814,13 +814,14 @@ def labelled_hom_vector(phi, k: int) -> HomVector:
     acc: dict[tuple, Fraction] = {}
     reps: dict[tuple, SmallGraph] = {}
     partitions = [(rho, partition_moebius(rho)) for rho in set_partitions(k)]
-    for entry in build_catalog(k).entries:
-        s = vals[entry.graph.edges]
+    cat = build_catalog(k)
+    for g, aut in zip(cat.graphs(), cat.auts):
+        s = vals[g.edges]
         if s == 0:
             continue
-        a = Fraction(s, entry.aut)
+        a = Fraction(s, aut)
         for rho, mu in partitions:
-            q = quotient(entry.graph, rho)
+            q = quotient(g, rho)
             if q.loops:
                 continue
             form = canonical_form(q)
@@ -841,14 +842,14 @@ def k_vertex_coefficient(phi, g: SmallGraph) -> Fraction:
     target = canon_key(g)
     m_k = g.edge_count
     total = Fraction(0)
-    for entry in build_catalog(g.n).entries:
-        h = entry.graph
+    cat = build_catalog(g.n)
+    for h, aut in zip(cat.graphs(), cat.auts):
         if h.edge_count > m_k or not phi(h):
             continue
         ext = extension_counts_by_class(h, m_k).get(target, 0)
         if ext:
             sign = -1 if (m_k - h.edge_count) % 2 else 1
-            total += Fraction(sign * ext, entry.aut)
+            total += Fraction(sign * ext, aut)
     return total
 
 
@@ -868,8 +869,7 @@ def labelled_verify_flags(phi, k_max: int) -> FlagReport:
     for k in range(1, k_max + 1):
         cat = build_catalog(k)
         by_m: dict[int, set[bool]] = {}
-        for entry in cat.entries:
-            g = entry.graph
+        for g in cat.graphs():
             val = phi(g)
             by_m.setdefault(g.edge_count, set()).add(val)
             if phi.sparse_bound is not None and val:
@@ -892,8 +892,8 @@ def labelled_verify_flags(phi, k_max: int) -> FlagReport:
         if phi.edge_count_only:
             for m, vals in sorted(by_m.items()):
                 if len(vals) > 1:
-                    wit = next(e.graph for e in cat.entries
-                               if e.graph.edge_count == m)
+                    wit = next(g for g in cat.graphs()
+                               if g.edge_count == m)
                     violations.append(FlagViolation(
                         "edge-count-only", wit.to_graph6(),
                         f"value not constant on ({k},{m}) classes"))

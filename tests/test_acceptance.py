@@ -155,8 +155,7 @@ def test_criterion_6_extension_closed_form(capsys):
     with criterion(capsys, 6, "extension-count closed form"):
         for n in range(1, 6):
             d = comb(n, 2)
-            for entry in build_catalog(n).entries:
-                h = entry.graph
+            for h in build_catalog(n).graphs():
                 e = h.edge_count
                 for ell in range(d + 1):
                     total = sum(extension_counts_by_class(h, ell).values())
@@ -198,10 +197,9 @@ def test_criterion_8_hereditary_suite(capsys):
         # (b) a proven singleton-twin edge exists for every graph on
         #     2..6 vertices, on the graph side or the complement side
         for n in range(2, 7):
-            for entry in build_catalog(n).entries:
-                cert = singleton_critical_edge(entry.graph)
-                side = entry.graph.complement() if cert.in_complement \
-                    else entry.graph
+            for g in build_catalog(n).graphs():
+                cert = singleton_critical_edge(g)
+                side = g.complement() if cert.in_complement else g
                 singles = twin_partition(side).singleton_vertices()
                 a, b = cert.edge
                 assert side.has_edge(a, b)
@@ -244,7 +242,7 @@ def test_criterion_10_catalog_cardinalities(capsys):
             assert cat.class_count == known[k]
             kfact = factorial(k)
             total = 0
-            for entry in cat.entries:
-                assert kfact % entry.aut == 0
-                total += kfact // entry.aut
+            for aut in cat.auts:
+                assert kfact % aut == 0
+                total += kfact // aut
             assert total == 1 << comb(k, 2)

@@ -180,7 +180,7 @@ def _group_order(n, gens) -> int:
 
 
 def test_automorphism_generators_generate_the_group():
-    graphs = [e.graph for k in range(1, 7) for e in build_catalog(k).entries]
+    graphs = [g for k in range(1, 7) for g in build_catalog(k).graphs()]
     graphs.append(petersen())
     for g in graphs:
         gens = automorphism_generators(g)

@@ -55,26 +55,27 @@ def test_catalog_matches_orbit_oracle(k, tmp_path):
         for mask in orbit:
             by_start[mask] = orbit
     seen = set()
-    for entry in cat.entries:
-        orbit = by_start[entry.graph.edges]
+    for edges, aut in zip(cat.edges, cat.auts):
+        orbit = by_start[edges]
         root = min(orbit)
-        assert root not in seen           # one entry per orbit
+        assert root not in seen           # one class per orbit
         seen.add(root)
-        assert entry.copies == len(orbit)
-        assert entry.aut * len(orbit) == factorial(k)
+        assert factorial(k) // aut == len(orbit)     # labeled copies
+        assert aut * len(orbit) == factorial(k)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_catalog_aut_matches_brute(k):
-    for entry in build_catalog(k).entries:
-        assert entry.aut == brute_automorphism_count(entry.graph)
+    cat = build_catalog(k)
+    for g, aut in zip(cat.graphs(), cat.auts):
+        assert aut == brute_automorphism_count(g)
 
 
 def test_catalog_entry_order_is_deterministic(tmp_path):
     cat1 = build_catalog(5, cache_dir=tmp_path / "a")
     cat2 = build_catalog(5, cache_dir=tmp_path / "b")
-    assert [e.graph for e in cat1.entries] == [e.graph for e in cat2.entries]
-    edge_counts = [e.graph.edge_count for e in cat1.entries]
+    assert list(cat1.graphs()) == list(cat2.graphs())
+    edge_counts = [g.edge_count for g in cat1.graphs()]
     assert edge_counts == sorted(edge_counts)
 
 
@@ -87,13 +88,13 @@ def test_catalog_rejects_out_of_range():
 
 def test_index_of_and_by_edge_count():
     cat = build_catalog(4)
-    for i, entry in enumerate(cat.entries):
-        assert cat.index_of(entry.graph) == i
+    for i, g in enumerate(cat.graphs()):
+        assert cat.index_of(g) == i
     assert cat.index_of(SmallGraph.cycle(4)) == cat.index_of(
         SmallGraph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]))
     by_edge_count = [0] * 7
-    for entry in cat.entries:
-        by_edge_count[entry.graph.edge_count] += 1
+    for edges in cat.edges:
+        by_edge_count[edges.bit_count()] += 1
     assert by_edge_count == [1, 1, 2, 3, 2, 1, 1]
 
 
@@ -104,7 +105,7 @@ def _canon_index(cat, g):
 def _check_index_of(cat, graphs):
     """index_of agrees with the canonical-form lookup, and each graph has
     its class's invariant, so a singleton bucket always settles it."""
-    invariants = [refinement_invariant(e.graph) for e in cat.entries]
+    invariants = [refinement_invariant(g) for g in cat.graphs()]
     for g in graphs:
         want = _canon_index(cat, g)
         assert cat.index_of(g) == want
@@ -129,11 +130,11 @@ def test_index_of_finds_shuffled_representatives():
     rng = random.Random(77)
     for k in range(1, 8):
         cat = build_catalog(k)
-        for i, entry in enumerate(cat.entries):
+        for i, g in enumerate(cat.graphs()):
             for _ in range(3):
                 perm = list(range(k))
                 rng.shuffle(perm)
-                assert cat.index_of(entry.graph.relabel(perm)) == i
+                assert cat.index_of(g.relabel(perm)) == i
 
 
 def test_index_of_raises_canon_key_error_outside_the_catalog():
@@ -507,7 +508,7 @@ def test_building_or_loading_never_computes_the_invariant(tmp_path,
     for k in range(1, 6):
         cat = catalog._read_cache(k, tmp_path / f"k{k}.catalog")
         assert cat.class_count == CLASS_COUNTS[k]
-        assert not hasattr(cat, "_buckets_cache")
+        assert "_buckets" not in vars(cat)
     monkeypatch.undo()
     assert cat.index_of(SmallGraph.complete(5)) == cat.class_count - 1
 
@@ -517,7 +518,7 @@ def test_disk_cache_round_trip(tmp_path):
     first = build_catalog(5, cache_dir=tmp_path)
     assert (tmp_path / "k5.catalog").exists()
     again = _read_cache(5, tmp_path / "k5.catalog")
-    assert again.entries == first.entries
+    assert again == first
 
 
 def test_corrupt_cache_rejected(tmp_path):
@@ -541,6 +542,75 @@ def test_corrupt_cache_rejected(tmp_path):
     path.write_bytes(b"# indsub catalog v1 k=3 classes=1\n\xff\xfe 6\n")
     with pytest.raises(FormatError):       # not text
         _read_cache(3, path)
+    # The last line of the k = 3 file is K3 as "Bw 6"; each of these
+    # lines differs from the writer's text for it.
+    cat = build_catalog(3)
+    good = (catalog.default_cache_dir() / "k3.catalog").read_text()
+    assert good.endswith("\nBw 6\n")
+    path.write_text(good)
+    assert _read_cache(3, path) == cat
+    for line in ("Bx 6",       # a padding bit set: decodes to K3 too
+                 "Cw 6",       # the header character of 4 vertices
+                 "B 6",        # a body too short
+                 "Bw? 6",      # a body too long
+                 "Bw  6"):     # two spaces before the automorphism count
+        path.write_text(good.replace("\nBw 6\n", f"\n{line}\n"))
+        with pytest.raises(FormatError):
+            _read_cache(3, path)
+
+
+def test_padding_bit_line_is_rebuilt_and_logged(tmp_path, caplog):
+    # "Bx" decodes to K3 like "Bw" but is not the writer's text for it, and
+    # the listing prints the stored text.
+    build_catalog(3)
+    good = (catalog.default_cache_dir() / "k3.catalog").read_text()
+    path = tmp_path / "k3.catalog"
+    path.write_text(good.replace("\nBw 6\n", "\nBx 6\n"))
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        assert build_catalog(3, cache_dir=tmp_path).graph6[-1] == "Bw"
+    assert any("rebuilding catalog k=3" in r.getMessage()
+               for r in caplog.records)
+    assert path.read_text() == good
+
+
+def test_user_graph6_reader_stays_lenient():
+    assert SmallGraph.from_graph6("G~~~~~") == SmallGraph.complete(8)
+    assert SmallGraph.complete(8).to_graph6() == "G~~~~{"
+
+
+def test_warm_load_builds_no_graph(tmp_path, monkeypatch):
+    build_catalog(8)
+    for k in range(1, 9):
+        name = f"k{k}.catalog"
+        (tmp_path / name).write_bytes(
+            (catalog.default_cache_dir() / name).read_bytes())
+
+    def refuse(*args):
+        raise AssertionError("SmallGraph built or graph6 coded")
+
+    monkeypatch.setattr(SmallGraph, "__post_init__", refuse)
+    monkeypatch.setattr(SmallGraph, "from_graph6", refuse)
+    monkeypatch.setattr(SmallGraph, "to_graph6", refuse)
+    for k in range(1, 9):
+        cat = build_catalog(k, cache_dir=tmp_path)
+        assert cat.class_count == CLASS_COUNTS[k]
+        assert cat._graphs == {}
+
+
+def _check_stored_forms(cat):
+    for i, (edges, text) in enumerate(zip(cat.edges, cat.graph6)):
+        g = cat.graph(i)
+        assert g.n == cat.k and edges == g.edges
+        assert text == g.to_graph6()
+        assert cat.graph(i) is g
+
+
+def test_stored_forms_match_the_graphs(tmp_path):
+    for k in range(1, 9):
+        _check_stored_forms(build_catalog(k))
+    build_catalog(8, cache_dir=tmp_path)     # cold: nothing read from disk
+    for k in range(1, 9):
+        _check_stored_forms(build_catalog(k, cache_dir=tmp_path))
 
 
 def test_corrupt_cache_is_rebuilt_and_logged(tmp_path, caplog):
@@ -550,7 +620,7 @@ def test_corrupt_cache_is_rebuilt_and_logged(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         cat = build_catalog(3, cache_dir=tmp_path)
     assert cat.class_count == CLASS_COUNTS[3]
-    assert _read_cache(3, path).entries == cat.entries
+    assert _read_cache(3, path) == cat
     assert any("rebuilding catalog k=3" in r.getMessage()
                for r in caplog.records)
 
@@ -561,7 +631,7 @@ def test_unreadable_cache_is_rebuilt_and_logged(tmp_path, caplog):
     (tmp_path / "k3.catalog").mkdir()
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         cat = build_catalog(3, cache_dir=tmp_path)
-    assert cat.entries == build_catalog(3).entries
+    assert cat == build_catalog(3)
     messages = [r.getMessage() for r in caplog.records]
     assert any("rebuilding catalog k=3" in m for m in messages)
     assert any("could not write catalog cache" in m and "k3.catalog" in m
@@ -576,18 +646,18 @@ def test_out_of_order_cache_is_rebuilt(tmp_path, caplog):
     path = tmp_path / "k4.catalog"
     _write_cache(cat, path)
     head, *body = path.read_text().splitlines()
-    i = next(i for i, (a, b) in enumerate(zip(cat.entries, cat.entries[1:]))
-             if a.graph.edge_count == b.graph.edge_count)
+    i = next(i for i, (a, b) in enumerate(zip(cat.edges, cat.edges[1:]))
+             if a.bit_count() == b.bit_count())
     swapped = body[:i] + [body[i + 1], body[i]] + body[i + 2:]
     for lines in (swapped, body[::-1]):
         path.write_text("\n".join([head, *lines]) + "\n")
         with pytest.raises(FormatError):
             _read_cache(4, path)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        assert build_catalog(4, cache_dir=tmp_path).entries == cat.entries
+        assert build_catalog(4, cache_dir=tmp_path) == cat
     assert any("rebuilding catalog k=4" in r.getMessage()
                for r in caplog.records)
-    assert _read_cache(4, path).entries == cat.entries
+    assert _read_cache(4, path) == cat
 
 
 def test_cache_write_failure_is_logged(tmp_path, caplog):
@@ -614,7 +684,7 @@ def test_concurrent_cache_writers(tmp_path):
             barrier.wait(timeout=30)
             for _ in range(25):
                 _write_cache(cat, path)
-                assert _read_cache(5, path).entries == cat.entries
+                assert _read_cache(5, path) == cat
                 if time.monotonic() > deadline:
                     break
         except BaseException as exc:  # noqa: BLE001 - reported below
@@ -632,7 +702,7 @@ def test_concurrent_cache_writers(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in pool)
     assert errors == []
-    assert _read_cache(5, path).entries == cat.entries
+    assert _read_cache(5, path) == cat
     assert [p.name for p in tmp_path.iterdir()] == ["k5.catalog"]
 
 
@@ -720,14 +790,13 @@ def _check_key_maximal_masks(parent: SmallGraph):
 
 @pytest.mark.parametrize("m", range(7))
 def test_key_maximal_masks_match_the_vertex_key(m):
-    for parent in ([e.graph for e in build_catalog(m).entries] if m
-                   else [SmallGraph(0)]):
+    for parent in (build_catalog(m).graphs() if m else [SmallGraph(0)]):
         _check_key_maximal_masks(parent)
 
 
 def test_key_maximal_masks_on_sampled_seven_vertex_parents():
     rng = random.Random(707)
-    for parent in rng.sample([e.graph for e in build_catalog(7).entries], 40):
+    for parent in rng.sample(list(build_catalog(7).graphs()), 40):
         _check_key_maximal_masks(parent)
 
 
@@ -750,8 +819,7 @@ def test_cold_build_canonicalises_few_extensions(tmp_path, monkeypatch):
 def test_orbit_representatives_one_per_orbit(k):
     from indsub.canon import automorphism_generators
     from indsub.catalog import _orbit_representatives
-    for entry in build_catalog(k).entries:
-        g = entry.graph
+    for g in build_catalog(k).graphs():
         auts = [p for p in itertools.permutations(range(k))
                 if g.relabel(p) == g]
         orbits = {min(sum(1 << p[v] for v in range(k) if mask >> v & 1)
@@ -766,7 +834,7 @@ def test_large_catalog_self_consistency(k):
     cat = build_catalog(k)
     assert cat.class_count == CLASS_COUNTS[k]
     assert cat.labeled_total == 1 << pair_count(k)
-    assert len({canon_key(e.graph) for e in cat.entries}) == cat.class_count
+    assert len({canon_key(g) for g in cat.graphs()}) == cat.class_count
 
 
 def brute_supersets_by_class(h: SmallGraph, ell: int):
@@ -802,11 +870,11 @@ def test_extension_counts_match_direct_enumeration():
 def test_extension_count_binomial_identity():
     for k in range(1, 6):
         d = pair_count(k)
-        for entry in build_catalog(k).entries:
-            e = entry.graph.edge_count
+        for g in build_catalog(k).graphs():
+            e = g.edge_count
             for ell in range(d + 1):
                 expected = comb(d - e, ell - e) if ell >= e else 0
-                assert extension_count(entry.graph, ell) == expected
+                assert extension_count(g, ell) == expected
 
 
 def test_extension_examples():

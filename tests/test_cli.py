@@ -93,6 +93,17 @@ def test_catalog_reads_no_edge_deletion_map(capsys, monkeypatch):
     assert data["classes"] == "12346"
 
 
+def test_catalog_list_prints_the_stored_graph6(capsys, monkeypatch):
+    cat = catalog.build_catalog(8)
+
+    def refuse(self):
+        raise AssertionError("graph6 encoded")
+
+    monkeypatch.setattr(SmallGraph, "to_graph6", refuse)
+    data = run_json(capsys, ["catalog", "--k", "8", "--list"])
+    assert [e["graph6"] for e in data["entries"]] == list(cat.graph6)
+
+
 def test_catalog_k_out_of_range(capsys):
     code, _, err = run(capsys, ["catalog", "--k", "99"])
     assert code == 1
@@ -361,7 +372,7 @@ def test_reduce_demo_mismatch_exits_2(capsys, c4_file, tmp_path, monkeypatch):
 def test_selftest(capsys):
     code, out, err = run(capsys, ["selftest"])
     assert code == 0, err
-    assert "selftest passed (28 checks)" in out
+    assert "selftest passed (29 checks)" in out
 
 
 def test_unknown_property(capsys):

@@ -170,9 +170,9 @@ def test_singleton_critical_edge_small_cases():
 def test_singleton_critical_edge_exists_everywhere(n):
     # The twin-partition argument promises a singleton-singleton edge in
     # the graph or its complement for every graph with >= 2 vertices.
-    for entry in build_catalog(n).entries:
-        cert = singleton_critical_edge(entry.graph)
-        side = entry.graph.complement() if cert.in_complement else entry.graph
+    for g in build_catalog(n).graphs():
+        cert = singleton_critical_edge(g)
+        side = g.complement() if cert.in_complement else g
         assert cert.graph == side
         a, b = cert.edge
         assert side.has_edge(a, b)

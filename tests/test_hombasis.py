@@ -107,9 +107,8 @@ def test_k_vertex_coefficient_agrees_with_full_vector(prop_name):
     phi = get_property(prop_name)
     for k in (4, 5):
         hv = hom_vector(phi, k)
-        for entry in build_catalog(k).entries:
-            assert k_vertex_coefficient(phi, entry.graph) == \
-                hv.coefficient(entry.graph)
+        for g in build_catalog(k).graphs():
+            assert k_vertex_coefficient(phi, g) == hv.coefficient(g)
 
 
 @pytest.mark.parametrize("prop_name", sorted(BUILTIN_PROPERTIES))
@@ -164,12 +163,12 @@ def test_truth_table_properties_match_reference_and_brute(case):
 def test_spanning_subgraph_counts_closed_forms(k):
     # Every spanning subgraph satisfies "true": S_r(C) = C(e(C), r).
     # Only the edgeless one satisfies "no-edges": S_r(C) = [r = e(C)].
-    entries = build_catalog(k).entries
+    edges = build_catalog(k).edges
     true_counts = hombasis._spanning_subgraph_counts(get_property("true"), k)
     empty_counts = hombasis._spanning_subgraph_counts(
         get_property("no-edges"), k)
-    for entry, t, e in zip(entries, true_counts, empty_counts):
-        m = entry.graph.edge_count
+    for bits, t, e in zip(edges, true_counts, empty_counts):
+        m = bits.bit_count()
         assert t == [comb(m, r) for r in range(m + 1)]
         assert e == [int(r == m) for r in range(m + 1)]
 

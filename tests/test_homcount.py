@@ -324,10 +324,9 @@ def test_generated_source_holds_only_whitelisted_names():
     the shape cache stays within its bound."""
     sources = set()
     for k in range(1, 7):
-        for entry in build_catalog(k).entries:
-            if entry.graph.is_connected():
-                sources.update(_bag_sources(entry.graph,
-                                            tree_decomposition(entry.graph)))
+        for g in build_catalog(k).graphs():
+            if g.is_connected():
+                sources.update(_bag_sources(g, tree_decomposition(g)))
     assert len(sources) > 100
     for source in sources:
         assert re.fullmatch(r"[\w \n()\[\]{}:,.=+*&>]*", source), source
@@ -358,9 +357,9 @@ def test_store_keys_a_sub_pattern_by_its_interface_order():
         assert [got[g1], got[g2]] == expected
 
 
-_CONNECTED_CLASSES = [entry.graph for k in range(1, 7)
-                      for entry in build_catalog(k).entries
-                      if entry.graph.is_connected()]
+_CONNECTED_CLASSES = [g for k in range(1, 7)
+                      for g in build_catalog(k).graphs()
+                      if g.is_connected()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,8 +450,7 @@ def test_join_order_starts_eliminated_and_ends_on_parents_deepest_key(k):
     """On every connected class, each non-root bag of tree_decomposition
     assigns its eliminated vertex first and the vertex its parent keys
     deepest last."""
-    for entry in build_catalog(k).entries:
-        pattern = entry.graph
+    for pattern in build_catalog(k).graphs():
         if not pattern.is_connected():
             continue
         td = tree_decomposition(pattern)

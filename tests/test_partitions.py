@@ -79,7 +79,7 @@ def test_moebius_sums_to_zero_above_discrete():
 def _named(k, row):
     """A quotient row's (global class id, mu) pairs with each id replaced
     by its catalog representative's canonical key."""
-    reps = [e.graph for m in range(1, k + 1) for e in build_catalog(m).entries]
+    reps = [g for m in range(1, k + 1) for g in build_catalog(m).graphs()]
     pairs = iter(row)
     return tuple((canon_key(reps[gid]), mu) for gid, mu in zip(pairs, pairs))
 
@@ -89,15 +89,15 @@ def test_independent_partitions_are_the_loop_free_quotients(k):
     # The block-mask enumerator visits exactly the partitions whose
     # quotient has no loop, in the order of the sweep over all of them.
     rows = quotient_rows(k)
-    for entry, row in zip(build_catalog(k).entries, rows, strict=True):
-        assert _named(k, row) == reference_quotient_row(entry.graph)
+    for g, row in zip(build_catalog(k).graphs(), rows, strict=True):
+        assert _named(k, row) == reference_quotient_row(g)
 
 
 def test_quotient_rows_match_reference_on_sampled_k7_classes():
-    entries = build_catalog(7).entries
+    cat = build_catalog(7)
     rows = quotient_rows(7)
-    for i in random.Random(7).sample(range(len(entries)), 60):
-        assert _named(7, rows[i]) == reference_quotient_row(entries[i].graph)
+    for i in random.Random(7).sample(range(cat.class_count), 60):
+        assert _named(7, rows[i]) == reference_quotient_row(cat.graph(i))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
