@@ -7,8 +7,9 @@ takes 1.2-1.9 s on a 2-core machine; this script warms the on-disk cache
 once so later runs (and the test suite, when pointed at the same cache
 directory) start instantly.  It also writes the property-independent maps
 beside the catalogs: the edge-deletion maps and quotient rows the hom basis
-reads (k <= MAX_HOM_VECTOR_K) and the vertex-deletion maps the flag checks
-read (2 <= k <= MAX_FLAG_K).
+reads and the elimination orders the basis count reads (k <=
+MAX_HOM_VECTOR_K), and the vertex-deletion maps the flag checks read
+(2 <= k <= MAX_FLAG_K).
 
 Usage:
     python3 scripts/build_catalogs.py [--kmax K] [--cache-dir DIR]
@@ -25,6 +26,7 @@ from indsub.catalog import (
     edge_deletions,
     vertex_deletions,
 )
+from indsub.counting import elimination_orders
 from indsub.hombasis import MAX_HOM_VECTOR_K, quotient_rows
 
 
@@ -48,6 +50,7 @@ def main(argv=None) -> int:
               f"{cat.labeled_total} labeled graphs [{elapsed:.2f}s]")
     maps = (("edge-deletion map", edge_deletions, 1, MAX_HOM_VECTOR_K),
             ("quotient rows", quotient_rows, 1, MAX_HOM_VECTOR_K),
+            ("elimination orders", elimination_orders, 1, MAX_HOM_VECTOR_K),
             ("vertex-deletion map", vertex_deletions, 2, MAX_FLAG_K))
     for what, read, lowest, highest in maps:
         for k in range(lowest, min(args.kmax, highest) + 1):

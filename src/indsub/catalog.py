@@ -39,15 +39,19 @@ order of m, comma-separated>".  They are
                   index after each vertex deletion; it names k{k-1} and k{k};
   k{k}.quotients  hombasis.quotient_rows, k <= MAX_HOM_VECTOR_K: pairs of
                   global class id (catalog m's classes follow those of all
-                  smaller catalogs) and Moebius sum; it names k{1}..k{k}.
+                  smaller catalogs) and Moebius sum; it names k{1}..k{k};
+  k{k}.orders     counting.elimination_orders, k <= MAX_HOM_VECTOR_K: the
+                  representative's vertices in the order the treewidth DP
+                  eliminates them; it names k{k}.
 Loading checks the header against the catalog files on disk, and each row
 cheaply: an edge row has e(C) entries, each a class with e(C) - 1 edges; a
 vertex row has k entries, the one for v a class with e(C) - deg(v) edges; a
 quotient row holds ids in range and nonzero sums and ends with the class
-itself and sum 1.  A file that fails is a FormatError: it is logged as a
-rebuild, the map is computed by index_of lookups, and the file is written
-again through a temporary file and os.replace, as long as every catalog
-file it names exists.  A map is written on its first call, never by
+itself and sum 1; an order row is a permutation of range(k).  A file that
+fails is a FormatError: it is logged as a rebuild, the map is computed
+again (by index_of lookups, or by the treewidth DP for the orders), and
+the file is written again through a temporary file and os.replace, as
+long as every catalog file it names exists.  A map is written on its first call, never by
 building or loading a catalog.
 
 GraphCatalog.index_of finds a graph's class, which the maps above and the

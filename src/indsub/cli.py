@@ -490,6 +490,10 @@ def _cmd_selftest(args) -> int:
                    [build_catalog(m) for m in range(1, k + 1)])
                for k in range(1, 6)),
            "quotient rows k<=5 from the cache equal a fresh compute")
+    expect(all(counting.elimination_orders(k)
+               == counting.compute_elimination_orders(build_catalog(k))
+               for k in range(1, 6)),
+           "elimination orders k<=5 from the cache equal a fresh compute")
 
     spec = spectrum_report(get_property("no-edges"), 4)
     expect(spec.f == (1, 0, 0, 0, 0, 0, 0) and spec.hamming_weight == 1,

@@ -17,7 +17,11 @@ count_basis evaluates the homomorphism-basis vector against exact
 per-pattern homomorphism counts.  The two must agree on every input.  It
 plans every pattern of the vector into one homcount.HomStore before
 counting any, so the patterns share their rooted sub-pattern tables and
-repeated components within the call.
+repeated components within the call.  A connected pattern is planned
+with the decomposition of its class's elimination order, which the
+treewidth DP computes once per cache directory: the orders are kept
+beside the catalog as k{k}.orders (a catalog.ClassMap), one row per class
+holding the representative's vertices in elimination order.
 count_basis hands k = 0 and k > n to count_brute (at most one predicate
 call) and otherwise insists on an integral, nonnegative total before
 returning.
@@ -29,10 +33,16 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
+from .catalog import ClassMap, build_catalog, class_map
 from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, pair_index
-from .hombasis import hom_vector
-from .homcount import HomStore, count_hom
+from .hombasis import MAX_HOM_VECTOR_K, hom_vector
+from .homcount import (
+    HomStore,
+    count_hom,
+    decomposition_from_order,
+    elimination_order,
+)
 from .properties import PropertySpec, evaluate
 
 DEFAULT_SUBSET_BUDGET = 10 ** 8
@@ -124,7 +134,9 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
     Every pattern is planned into one HomStore before any is counted, so
     a rooted sub-pattern table, or a whole component's count, is computed
     once per call and shared by every pattern that holds it; each is
-    dropped after its last planned read, and none outlives the call.
+    dropped after its last planned read, and none outlives the call.  A
+    connected pattern is planned with the decomposition of its class's
+    stored elimination order.
 
     hom_cache, when given, must be dedicated to this host; it maps each
     pattern, the canonical representative its hom_vector entry carries, to
@@ -138,7 +150,8 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
     store = HomStore(host)
     for g, _ in entries:
         if g not in cache:
-            store.plan(g)
+            store.plan(g, _class_decomposition(g) if g.is_connected()
+                       else None)
     total = Fraction(0)
     for g, coef in entries:
         homs = cache.get(g)
@@ -149,3 +162,40 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
         raise InternalConsistencyError(
             f"basis evaluation produced {total}, not a count")
     return int(total)
+
+
+def _class_decomposition(g: SmallGraph):
+    """The decomposition of the stored elimination order of g, a catalog
+    representative.  The order fits the representative's own labelling
+    only, so g's class is found by its exact edge bitset."""
+    i = build_catalog(g.n)._index[(g.n, g.edges, 0)]
+    return decomposition_from_order(g, elimination_orders(g.n)[i])
+
+
+def elimination_orders(k: int, *, cache_dir=None
+                       ) -> tuple[tuple[int, ...], ...]:
+    """Per k-vertex class, homcount.elimination_order of its
+    representative, from k{k}.orders beside the catalog."""
+    if not 1 <= k <= MAX_HOM_VECTOR_K:
+        raise ValueError(
+            f"elimination orders cover 1 <= k <= {MAX_HOM_VECTOR_K}")
+    return class_map(ELIMINATION_ORDERS, k, cache_dir=cache_dir)
+
+
+def compute_elimination_orders(cat) -> tuple[tuple[int, ...], ...]:
+    """The elimination order of every representative of cat, by the
+    treewidth DP."""
+    return tuple(map(elimination_order, cat.graphs()))
+
+
+def _order_rows_ok(cats):
+    # A row is a permutation of the k vertices.
+    whole = list(range(cats[-1].k))
+    return lambda i, row: sorted(row) == whole
+
+
+ELIMINATION_ORDERS = ClassMap(
+    "orders", "elimination-order map", "# indsub elimination-orders v1",
+    lowest=lambda k: k,
+    compute=lambda cats: compute_elimination_orders(cats[-1]),
+    check=_order_rows_ok)

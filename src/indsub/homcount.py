@@ -58,7 +58,13 @@ The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
 elimination-ordering DP over vertex subsets, which is fine for the pattern
 sizes this package handles (k <= 8, decomposition solver capped at 12
-vertices).
+vertices).  elimination_order peels one optimal order off that DP, and
+decomposition_from_order is the one bag builder: tree_decomposition is
+that builder on the DP's order, checked against the DP's width.  The
+orders of the catalog representatives are kept on disk
+(counting.elimination_orders), so count_basis runs the DP only for the
+components of disconnected patterns; tree_decomposition, count_hom and
+exact_treewidth on any other graph run it and read no catalog.
 """
 
 from __future__ import annotations
@@ -171,17 +177,16 @@ class TreeDecomposition:
                     f"bags containing vertex {v} are disconnected")
 
 
-def tree_decomposition(g: SmallGraph) -> TreeDecomposition:
-    """Width-optimal rooted decomposition recovered from the treewidth DP:
-    peel an optimal elimination order off the table, simulate fill-in, and
-    emit one bag per vertex with its higher fill-neighbors."""
-    n = g.n
-    if n == 0:
-        return TreeDecomposition(g, ((),), (-1,))
+def elimination_order(g: SmallGraph) -> tuple[int, ...]:
+    """A width-optimal elimination order of g, peeled off the treewidth
+    DP: the first vertex eliminated first."""
+    return _peel(g, _tw_table(g))
+
+
+def _peel(g: SmallGraph, T: list[int]) -> tuple[int, ...]:
     rows = g.adj_rows()
-    T = _tw_table(g)
     order = []
-    S = (1 << n) - 1
+    S = (1 << g.n) - 1
     while S:
         for v in bits_of(S):
             prev = S & ~(1 << v)
@@ -191,8 +196,33 @@ def tree_decomposition(g: SmallGraph) -> TreeDecomposition:
                 S = prev
                 break
     order.reverse()
+    return tuple(order)
+
+
+def tree_decomposition(g: SmallGraph) -> TreeDecomposition:
+    """Width-optimal rooted decomposition recovered from the treewidth DP:
+    the bags of the order elimination_order peels off the table, checked
+    against the width the table gives."""
+    n = g.n
+    if n == 0:
+        return TreeDecomposition(g, ((),), (-1,))
+    T = _tw_table(g)
+    td = decomposition_from_order(g, _peel(g, T))
+    td.validate()
+    if td.width != max(T[(1 << n) - 1], 0):
+        raise InternalConsistencyError(
+            f"decomposition width {td.width} != treewidth {T[(1 << n) - 1]}")
+    return td
+
+
+def decomposition_from_order(g: SmallGraph, order: tuple[int, ...]
+                             ) -> TreeDecomposition:
+    """The rooted decomposition of an elimination order of all of g's
+    vertices: simulate fill-in and emit one bag per vertex with its
+    higher fill-neighbors.  Its width is the order's, not necessarily
+    the treewidth."""
     pos = {v: i for i, v in enumerate(order)}
-    fill = list(rows)
+    fill = g.adj_rows()
     for v in order:
         higher = [u for u in bits_of(fill[v]) if pos[u] > pos[v]]
         for a in higher:
@@ -214,12 +244,7 @@ def tree_decomposition(g: SmallGraph) -> TreeDecomposition:
         else:
             anchor = min(higher, key=lambda u: pos[u])
             parent.append(index_of_vertex[anchor])
-    td = TreeDecomposition(g, tuple(bags), tuple(parent))
-    td.validate()
-    if td.width != max(T[(1 << n) - 1], 0):
-        raise InternalConsistencyError(
-            f"decomposition width {td.width} != treewidth {T[(1 << n) - 1]}")
-    return td
+    return TreeDecomposition(g, tuple(bags), tuple(parent))
 
 
 # --------------------------------------------------------- hom counting

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,16 @@ def test_canon_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_canon_cache_drops_its_oldest_entry_at_the_cap(monkeypatch):
+    monkeypatch.setattr(canon, "_cache", OrderedDict())
+    monkeypatch.setattr(canon, "CACHE_CAP", 8)
+    graphs = [SmallGraph.path(n) for n in range(1, 11)]
+    forms = [_canonical_data(g) for g in graphs]
+    assert list(canon._cache) == [(g.n, g.edges, g.loops) for g in graphs[2:]]
+    assert [_canonical_data(g) for g in graphs] == forms
+    assert len(canon._cache) == 8
 
 
 def test_is_isomorphic_matches_brute():

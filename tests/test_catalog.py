@@ -26,8 +26,13 @@ from indsub.catalog import (
     edge_deletions,
     vertex_deletions,
 )
+from indsub.counting import (
+    ELIMINATION_ORDERS,
+    compute_elimination_orders,
+    count_basis,
+)
 from indsub.errors import FormatError
-from indsub.graphs import SmallGraph, pair_count
+from indsub.graphs import HostGraph, SmallGraph, pair_count
 from indsub.hombasis import QUOTIENT_ROWS, compute_quotient_rows, hom_vector
 from indsub.properties import get_property, verify_flags
 from oracles import (
@@ -286,6 +291,7 @@ _MAP_WRITER = """
 import hashlib, sys, time
 from pathlib import Path
 from indsub.catalog import build_catalog, edge_deletions, vertex_deletions
+from indsub.counting import elimination_orders
 from indsub.hombasis import quotient_rows
 directory, tag, name, k = Path(sys.argv[1]), sys.argv[2], sys.argv[3], \\
     int(sys.argv[4])
@@ -335,13 +341,20 @@ def test_concurrent_edge_deletion_map_writers(tmp_path):
         [f"k{k}.catalog" for k in range(1, 8)] + ["k7.edges"]
 
 
-# The vertex-deletion maps and the quotient rows share the edge-deletion
-# map's file mechanism.  Each case below also checks what reads them: the
-# hom vectors and the flag reports come out the same.
+# The vertex-deletion maps, the quotient rows and the elimination orders
+# share the edge-deletion map's file mechanism.  Each case below also
+# checks what reads them: the hom vectors, the flag reports and the basis
+# counts come out the same.
 
 MAPS = {"vertices": (VERTEX_DELETIONS, "vertex_deletions"),
-        "quotients": (QUOTIENT_ROWS, "quotient_rows")}
+        "quotients": (QUOTIENT_ROWS, "quotient_rows"),
+        "orders": (ELIMINATION_ORDERS, "elimination_orders")}
 RESULT_PROPERTIES = ("triangle-free", "chordal", "connected")
+# C7 with one chord.  Its connected count reads the elimination orders of
+# every size up to k; it stops at k = 6, as the flags do, since a basis
+# count at k = 7 compiles hundreds of join shapes.
+RESULT_HOST = HostGraph.from_edges(
+    7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
 
 
 @pytest.fixture
@@ -362,7 +375,8 @@ def cache_env(tmp_path, monkeypatch):
 def _results(k):
     phis = [get_property(name) for name in RESULT_PROPERTIES]
     return ([hom_vector(phi, k) for phi in phis],
-            [verify_flags(phi, min(k, MAX_FLAG_K)) for phi in phis])
+            [verify_flags(phi, min(k, MAX_FLAG_K)) for phi in phis],
+            count_basis(get_property("connected"), min(k, 6), RESULT_HOST))
 
 
 def _written(directory, name, k):
@@ -386,7 +400,8 @@ def _edit_row(text, i, edit):
 # k = 5: class 0 is the edgeless graph and class 33 is K5.  K5 has one
 # partition into independent sets, so its quotient row is its own global
 # id, 1 + 2 + 4 + 11 + 33 = 51, with sum 1; K5 minus any vertex is K4,
-# class 10 of the 11 four-vertex classes.
+# class 10 of the 11 four-vertex classes.  The treewidth DP eliminates the
+# edgeless graph's vertices from the last one down.
 MAP_CORRUPTIONS = {
     "vertices": {
         "index out of range": lambda t: _edit_row(
@@ -401,12 +416,20 @@ MAP_CORRUPTIONS = {
         "id out of range": lambda t: _edit_row(t, 0, lambda r: [52] + r[1:]),
         "odd length": lambda t: _edit_row(t, 0, lambda r: r + [1]),
     },
+    "orders": {
+        "not a permutation": lambda t: _edit_row(
+            t, 0, lambda r: [5] + r[1:]),
+        "repeated vertex": lambda t: _edit_row(
+            t, 33, lambda r: r[:1] * 2 + r[2:]),
+        "too few entries": lambda t: _edit_row(t, 33, lambda r: r[1:]),
+    },
 }
 for corruptions in MAP_CORRUPTIONS.values():
     corruptions["bad header"] = lambda t: "junk\n" + t.split("\n", 1)[1]
     corruptions["truncated"] = lambda t: t[:len(t) // 2]
+    # The last digest in the header is that of k5.catalog.
     corruptions["digest of another catalog"] = lambda t: t.replace(
-        t.split("\n", 1)[0].rsplit(",", 1)[1], "0" * 64, 1)
+        t.split("\n", 1)[0][-64:], "0" * 64, 1)
 
 
 @pytest.mark.parametrize("name, corruption", [
@@ -420,6 +443,9 @@ def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
         assert _edit_row(good, 33, lambda r: r) == good
         assert good.split("\n")[34] == "10 10 10 10 10"
         assert good.split("\n")[1] == "0 0 0 0 0"
+    elif name == "orders":
+        assert _edit_row(good, 33, lambda r: r) == good
+        assert good.split("\n")[1] == "4 3 2 1 0"
     else:
         assert good.split("\n")[34] == "51 1"
     path.write_text(MAP_CORRUPTIONS[name][corruption](good))
@@ -432,7 +458,8 @@ def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
     assert path.read_text() == good
 
 
-@pytest.mark.parametrize("name", sorted(MAPS))
+@pytest.mark.parametrize("name", [name for name in sorted(MAPS)
+                                  if MAPS[name][0].lowest(5) < 5])
 def test_stale_lower_catalog_is_caught(name, cache_env, caplog):
     # Rows index the catalogs below k too, so the header names their
     # digests: the same k4 classes in other bytes make the k = 5 map stale.
@@ -468,18 +495,20 @@ def test_map_write_failure_is_logged(name, cache_env, caplog):
 
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_map_needs_every_catalog_file_it_names(name, cache_env, caplog):
-    # k4.catalog is below k = 5 for both maps: without it the k = 5 map is
-    # computed and not written, and nothing is logged.
+    # The k = 5 map names k4.catalog, or k5.catalog when it reads no
+    # lower catalog: without it the map is computed and not written, and
+    # nothing is logged.
     path, _, want = _written(cache_env, name, 5)
     path.unlink()
-    (cache_env / "k4.catalog").unlink()
+    (cache_env / f"k{max(MAPS[name][0].lowest(5), 4)}.catalog").unlink()
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert _results(5) == want
     assert not path.exists()
     assert caplog.records == []
 
 
-@pytest.mark.parametrize("name, k", [("quotients", 7), ("vertices", 6)])
+@pytest.mark.parametrize("name, k", [("quotients", 7), ("vertices", 6),
+                                     ("orders", 6)])
 def test_concurrent_map_writers(name, k, cache_env):
     kind, reader = MAPS[name]
     outs = _race_writers(cache_env, reader, k)
@@ -725,15 +754,18 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "k=4: 11 classes" in out and "k=4: edge-deletion map" in out
     assert "k=4: quotient rows" in out and "k=4: vertex-deletion map" in out
+    assert "k=4: elimination orders" in out
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"k{k}.{kind}" for k in range(1, 5)
-         for kind in ("catalog", "edges", "quotients")]
+         for kind in ("catalog", "edges", "quotients", "orders")]
         + [f"k{k}.vertices" for k in range(2, 5)])
     for k in range(1, 5):
         assert _read_file(EDGE_DELETIONS, k, tmp_path) == \
             reference_edge_deletions(k)
         assert _read_file(QUOTIENT_ROWS, k, tmp_path) == \
             compute_quotient_rows([build_catalog(m) for m in range(1, k + 1)])
+        assert _read_file(ELIMINATION_ORDERS, k, tmp_path) == \
+            compute_elimination_orders(build_catalog(k))
     for k in range(2, 5):
         assert _read_file(VERTEX_DELETIONS, k, tmp_path) == \
             reference_vertex_deletions(k)
@@ -746,6 +778,7 @@ def test_cold_build_is_byte_identical(tmp_path):
     # their k <= 7 files are those built by extending every neighbor mask
     # of every parent with the reference canoniser.
     build_catalog(8, cache_dir=tmp_path)
+    assert len(canon._cache) <= canon.CACHE_CAP
     # Building a catalog writes no edge-deletion map.
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         [f"k{k}.catalog" for k in range(1, 9)]

@@ -1,6 +1,7 @@
 """Tests for induced-subgraph counting: enumeration vs basis evaluation."""
 
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -8,11 +9,23 @@ import pytest
 
 import indsub.counting as counting_module
 import indsub.homcount as homcount
-from indsub.counting import DEFAULT_SUBSET_BUDGET, count_basis, count_brute
+from indsub import catalog
+from indsub.catalog import build_catalog
+from indsub.counting import (
+    DEFAULT_SUBSET_BUDGET,
+    count_basis,
+    count_brute,
+    elimination_orders,
+)
 from indsub.errors import BudgetExceededError, InternalConsistencyError, PredicateError
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.hombasis import HomVector, hom_vector
-from indsub.homcount import tree_decomposition
+from indsub.homcount import (
+    count_hom,
+    decomposition_from_order,
+    exact_treewidth,
+    tree_decomposition,
+)
 from indsub.properties import BUILTIN_PROPERTIES, PropertySpec, get_property, invert
 
 from oracles import brute_indsub_count, host_complement, random_host
@@ -143,6 +156,67 @@ def test_count_basis_shares_sub_pattern_tables(monkeypatch):
     monkeypatch.setattr(homcount, "_bag_table", counted)
     assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
     assert len(runs) < planned
+
+
+def _stored_decompositions_are_the_dp_ones(k, classes):
+    cat = build_catalog(k)
+    orders = elimination_orders(k)
+    for i in classes:
+        g = cat.graph(i)
+        td = decomposition_from_order(g, orders[i])
+        want = tree_decomposition(g)
+        assert (td.bags, td.parent) == (want.bags, want.parent)
+        assert td.width == max(exact_treewidth(g), 0)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_stored_orders_give_the_dp_decompositions(k):
+    _stored_decompositions_are_the_dp_ones(
+        k, range(build_catalog(k).class_count))
+
+
+def test_stored_orders_give_the_dp_decompositions_on_sampled_7_classes():
+    classes = random.Random(7).sample(range(build_catalog(7).class_count), 60)
+    _stored_decompositions_are_the_dp_ones(7, classes)
+
+
+def test_count_basis_plans_connected_patterns_from_stored_orders(monkeypatch):
+    # Only the components of disconnected patterns get a decomposition by
+    # the treewidth DP.
+    phi = get_property("connected")
+    host = _petersen()
+    disconnected = {comp for g, _ in hom_vector(phi, 5).entries
+                    if not g.is_connected()
+                    for comp in homcount._components(g)}
+    built = []
+    original = homcount.tree_decomposition
+
+    def traced(g):
+        built.append(g)
+        return original(g)
+
+    monkeypatch.setattr(homcount, "tree_decomposition", traced)
+    assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
+    assert set(built) <= disconnected
+
+
+def test_hom_counts_on_representatives_build_no_catalog(monkeypatch):
+    graphs = list(build_catalog(5).graphs())
+    host = _petersen()
+    want = [count_hom(g, host) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a catalog was built or read")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("indsub") and \
+                hasattr(mod, "build_catalog"):
+            monkeypatch.setattr(mod, "build_catalog", refuse)
+    monkeypatch.setattr(catalog, "_catalog_cached", refuse)
+    monkeypatch.setattr(catalog, "_class_map_cached", refuse)
+    for g, homs in zip(graphs, want):
+        tree_decomposition(g)
+        assert count_hom(g, host) == homs
 
 
 class _CheckedStore(homcount.HomStore):
