@@ -13,7 +13,9 @@ of the k-vertex catalog rather than over labeled graphs:
          S_0(C) = phi(C),   r * S_r(C) = sum_C' N1(C', C) * S_(r-1)(C'),
      where N1(C', C) counts the edges of C whose deletion gives class C'
      (read from catalog.edge_deletions, which does not depend on phi),
-     and s(C) = sum_r (-1)^r S_r(C).  C then
+     and s(C) = sum_r (-1)^r S_r(C).  The sums over C' for r = 1..e(C)
+     are taken together, as the column sums of the rows of the e(C)
+     one-edge deletions of C.  C then
      receives the coefficient a(C) = s(C)/#Aut(C);
   3. vertex identification spreads a(C) over the quotients of C by the
      set partitions rho of its vertices into independent sets, with
@@ -93,12 +95,12 @@ def _spanning_subgraph_counts(phi: PropertySpec, k: int) -> list[list[int]]:
     Catalog order is by edge count, so every C' is done before C."""
     cat = build_catalog(k)
     counts: list[list[int]] = []
-    for edges, g6, val, children in zip(cat.edges, cat.graph6,
-                                        class_values(phi, k),
-                                        edge_deletions(k)):
+    for g6, val, children in zip(cat.graph6, class_values(phi, k),
+                                 edge_deletions(k)):
         row = [int(val)]
-        for r in range(1, edges.bit_count() + 1):
-            total = sum(counts[j][r - 1] for j in children)
+        # column r-1 of the e(C) child rows, e(C) entries each, is r*S_r
+        columns = zip(*map(counts.__getitem__, children), strict=True)
+        for r, total in enumerate(map(sum, columns), 1):
             q, rem = divmod(total, r)
             if rem:
                 raise InternalConsistencyError(

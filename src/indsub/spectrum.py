@@ -68,22 +68,18 @@ class FPolynomial:
         d = len(f) - 1
         return cls(tuple(f[d - j] for j in range(d + 1)))
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def derivative_at(self, j: int, x: Fraction) -> Fraction:
-        """Exact j-th derivative at x via falling factorials."""
+    def derivative_at(self, j: int, x: int | Fraction) -> int | Fraction:
+        """Exact j-th derivative at x, sum_t c_t (t)_j x^(t-j), with the
+        falling factorial (t)_j = (t-1)_j t/(t-j) and the power of x kept
+        from term to term: int arithmetic for an int x, Fraction for a
+        Fraction."""
         if j < 0:
             raise ValueError("derivative order must be >= 0")
-        acc = Fraction(0)
+        ff, power, acc = factorial(j), x ** 0, 0
         for t in range(j, len(self.coefficients)):
-            ff = 1
-            for s in range(j):
-                ff *= t - s
-            acc += self.coefficients[t] * ff * Fraction(x) ** (t - j)
+            if t > j:
+                ff, power = ff * t // (t - j), power * x
+            acc += self.coefficients[t] * ff * power
         return acc
 
 
@@ -168,19 +164,21 @@ class Spectrum:
 
 
 def spectrum_report(phi: PropertySpec, k: int) -> Spectrum:
+    """The size-k spectrum of phi.  Every report rechecks the identities
+    that tie f and h to the f-polynomial P, P^(j)(0) = j! f_(d-j) and
+    P^(j)(-1) = j! h_(d-j) for j = 0..d, in exact integer arithmetic at
+    the integer points 0 and -1."""
     f = f_vector(phi, k)
     h = h_vector(f)
     d = len(f) - 1
     w = hamming_weight(f)
     beta = d - w
     poly = FPolynomial.from_f_vector(f)
-    # derivative identities tie f and h to the polynomial; they are cheap
-    # enough to recheck on every report
     for j in range(d + 1):
-        if poly.derivative_at(j, Fraction(0)) != f[d - j] * factorial(j):
+        if poly.derivative_at(j, 0) != f[d - j] * factorial(j):
             raise InternalConsistencyError(
                 f"derivative identity at 0 fails for j={j}")
-        if poly.derivative_at(j, Fraction(-1)) != factorial(j) * h[d - j]:
+        if poly.derivative_at(j, -1) != factorial(j) * h[d - j]:
             raise InternalConsistencyError(
                 f"derivative identity at -1 fails for j={j}")
     mh = max_nonzero_index(h)

@@ -31,6 +31,11 @@ The reference bag join computes one hom-DP bag's table by interpreting
 the bag's plan candidate by candidate, where homcount runs a loop nest
 compiled for the bag's shape; both must give equal tables.
 
+The f-polynomial references evaluate by Horner's rule and differentiate
+with each falling factorial multiplied out afresh, all in Fraction
+arithmetic.  The spanning-subgraph reference counts the subgraphs of one
+representative that satisfy the property by evaluating it on every one.
+
 The reference canoniser reaches the package's canonical labeling by a
 slower route: refinement by sorted neighbor-color tuples, and a search
 that visits every leaf of least words.  The package's canoniser must
@@ -496,6 +501,33 @@ def reference_bag_table(host: HostGraph, prows: list[int],
     return trie if levels else total
 
 
+# ------------------------------------------------- f-polynomial references
+
+
+def reference_evaluate(coefficients: tuple[int, ...], x: Fraction) -> Fraction:
+    """sum_j coefficients[j] x^j by Horner's rule in Fraction arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def reference_derivative_at(coefficients: tuple[int, ...], j: int,
+                            x) -> Fraction:
+    """j-th derivative of sum_t coefficients[t] x^t at x, each falling
+    factorial t (t-1) ... (t-j+1) multiplied out afresh, in Fraction
+    arithmetic."""
+    if j < 0:
+        raise ValueError("derivative order must be >= 0")
+    acc = Fraction(0)
+    for t in range(j, len(coefficients)):
+        ff = 1
+        for s in range(j):
+            ff *= t - s
+        acc += coefficients[t] * ff * Fraction(x) ** (t - j)
+    return acc
+
+
 # ------------------------------------------------------- poisedness oracle
 
 
@@ -791,6 +823,18 @@ def reference_quotient_row(g: SmallGraph) -> tuple:
 
 
 # ------------------------------------------------ homomorphism-basis references
+
+
+def reference_spanning_counts(phi, g: SmallGraph) -> list[int]:
+    """Entry r: the spanning subgraphs of g that satisfy phi and miss
+    exactly r of its edges, by evaluating phi on all 2^e(g) of them."""
+    edges = [1 << b for b in bits_of(g.edges)]
+    out = [0] * (len(edges) + 1)
+    for kept in itertools.product((False, True), repeat=len(edges)):
+        mask = sum(bit for bit, keep in zip(edges, kept) if keep)
+        if phi(SmallGraph(g.n, mask)):
+            out[kept.count(False)] += 1
+    return out
 
 
 def _signed_subset_transform(vals: list[int], d: int) -> None:

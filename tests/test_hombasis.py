@@ -35,6 +35,7 @@ from oracles import (
     k_vertex_coefficient,
     labelled_hom_vector,
     random_host,
+    reference_spanning_counts,
 )
 
 
@@ -171,6 +172,15 @@ def test_spanning_subgraph_counts_closed_forms(k):
         m = bits.bit_count()
         assert t == [comb(m, r) for r in range(m + 1)]
         assert e == [int(r == m) for r in range(m + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PROPERTIES))
+def test_spanning_subgraph_counts_match_subgraph_sweep(name):
+    phi = get_property(name)
+    for k in range(1, 6):
+        assert hombasis._spanning_subgraph_counts(phi, k) == [
+            reference_spanning_counts(phi, g)
+            for g in build_catalog(k).graphs()]
 
 
 def test_spanning_subgraph_division_must_be_exact(monkeypatch):

@@ -3,7 +3,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from indsub import spectrum
 from indsub.errors import InternalConsistencyError
 from indsub.graphs import SmallGraph, pair_count
 from indsub.properties import BUILTIN_PROPERTIES, get_property
@@ -18,7 +20,11 @@ from indsub.spectrum import (
     polya_poised,
     spectrum_report,
 )
-from oracles import determinant_poised
+from oracles import (
+    determinant_poised,
+    reference_derivative_at,
+    reference_evaluate,
+)
 
 
 def brute_f_vector(phi, k):
@@ -90,9 +96,9 @@ def test_hamming_weight_and_max_nonzero():
 def test_f_polynomial_evaluation():
     f = (1, 2, 1)                      # d=2: x^2 + 2x + 1 = (x+1)^2
     poly = FPolynomial.from_f_vector(f)
-    assert poly.evaluate(Fraction(0)) == 1
-    assert poly.evaluate(Fraction(-1)) == 0
-    assert poly.evaluate(Fraction(2)) == 9
+    assert reference_evaluate(poly.coefficients, Fraction(0)) == 1
+    assert reference_evaluate(poly.coefficients, Fraction(-1)) == 0
+    assert reference_evaluate(poly.coefficients, Fraction(2)) == 9
     assert poly.derivative_at(1, Fraction(-1)) == 0
     assert poly.derivative_at(2, Fraction(-1)) == 2
 
@@ -108,6 +114,52 @@ def test_derivative_identities(name, k):
     for j in range(d + 1):
         assert poly.derivative_at(j, Fraction(0)) == f[d - j] * factorial(j)
         assert poly.derivative_at(j, Fraction(-1)) == factorial(j) * h[d - j]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(), min_size=1, max_size=67),
+       st.one_of(st.sampled_from([0, -1, Fraction(0), Fraction(-1)]),
+                 st.fractions()))
+def test_derivative_at_matches_fraction_reference(coefficients, x):
+    poly = FPolynomial(tuple(coefficients))
+    for j in range(len(coefficients) + 1):
+        got = poly.derivative_at(j, x)
+        assert got == reference_derivative_at(poly.coefficients, j, x)
+        if isinstance(x, int):
+            assert type(got) is int
+
+
+def test_derivative_at_rejects_negative_order():
+    with pytest.raises(ValueError):
+        FPolynomial((1, 2)).derivative_at(-1, 0)
+
+
+@pytest.mark.parametrize("ell", range(pair_count(4) + 1))
+def test_spectrum_report_catches_an_h_entry_off_by_one(monkeypatch, ell):
+    # The check at 0 reads f only, so the check at -1 for j = d - ell fires.
+    def h_off_by_one(f):
+        h = list(h_vector(f))
+        h[ell] += 1
+        return tuple(h)
+    monkeypatch.setattr(spectrum, "h_vector", h_off_by_one)
+    j = pair_count(4) - ell
+    with pytest.raises(InternalConsistencyError,
+                       match=f"identity at -1 fails for j={j}$"):
+        spectrum_report(get_property("connected"), 4)
+
+
+def test_spectrum_report_catches_a_perturbed_coefficient(monkeypatch):
+    # The constant term P(0) must be f_d; with it off by one the check at
+    # 0 fires for j = 0, before the check at -1.
+    exact = FPolynomial.from_f_vector
+
+    def perturbed(f):
+        c = exact(f).coefficients
+        return FPolynomial((c[0] + 1,) + c[1:])
+    monkeypatch.setattr(FPolynomial, "from_f_vector", perturbed)
+    with pytest.raises(InternalConsistencyError,
+                       match="identity at 0 fails for j=0"):
+        spectrum_report(get_property("connected"), 4)
 
 
 @pytest.mark.parametrize("d", range(6))
