@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import isqrt
 
 from .errors import FormatError
 
@@ -379,18 +380,23 @@ def _graph6_body(text: str) -> tuple[int, list[int]]:
 
 
 def _decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edge pairs (i, j), i < j, of graph6 text, in the
+    format's pair order (by j, then i).  Only nonzero body characters are
+    read, so a sparse host costs a step per edge, not per pair: the pair
+    at bit t is (t - j(j-1)/2, j) for the largest j with j(j-1)/2 <= t."""
     n, body = _graph6_body(text)
-    bits = []
-    for d in body:
-        for s6 in (5, 4, 3, 2, 1, 0):
-            bits.append(d >> s6 & 1)
+    total = pair_count(n)
     pairs = []
-    t = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[t]:
-                pairs.append((i, j))
-            t += 1
+    for c, d in enumerate(body):
+        if not d:
+            continue
+        for b in range(6):
+            if d >> (5 - b) & 1:
+                t = 6 * c + b
+                if t >= total:      # padding bits encode nothing
+                    break
+                j = (1 + isqrt(8 * t + 1)) >> 1
+                pairs.append((t - (j * (j - 1) >> 1), j))
     return n, pairs
 
 

@@ -1,17 +1,27 @@
 """Exact homomorphism counting into simple host graphs.
 
 count_hom runs dynamic programming over a tree decomposition of each
-connected component of the pattern, one bottom-up pass over the bags.  A
-bag's table counts the homomorphisms of the pattern below it per
-assignment of its interface with the parent bag, stored as a trie keyed in
-the parent's vertex order.  A bag's own assignments are enumerated as a
-join: each vertex's candidates are the host neighbourhoods of its
-pattern-neighbours already assigned in the bag, intersected with the keys
-of every child trie at that child's current prefix.  In the decompositions
-tree_decomposition builds, every other vertex of a bag is joined to the
-bag's eliminated vertex, which is assigned first, by a pattern edge or by
-a fill edge that lies in some child's scope, so only that first vertex may
-range over all host vertices.
+connected component of the pattern, one bottom-up pass over the bags.
+The plan first contracts every bag that one of its children's bags
+contains: that child takes the bag's place and adopts its other children,
+which keeps the decomposition valid and its width, and spares a pass that
+would only re-read the child's table to sum one vertex out.  So a bag
+may sum out several vertices, and a decomposition with one bag per
+vertex keeps only the bags no other bag contains.  A bag's table counts
+the homomorphisms of the pattern below it per assignment of its interface
+with the parent bag, stored as a trie keyed in the parent's vertex order.
+A bag's own assignments are enumerated as a join: each vertex's
+candidates are the host neighbourhoods of its pattern-neighbours already
+assigned in the bag, intersected with the keys of every child trie at
+that child's current prefix.  In the decompositions tree_decomposition
+builds, every other vertex of a bag is joined to the bag's eliminated
+vertex by a pattern edge or by a fill edge that lies in some child's
+scope.  Contraction keeps that: the bags left are such bags, a child that
+takes a bag's place keeps its own children, and its eliminated vertex is
+not in its new parent's bag either.  The join order assigns that vertex
+before the last position, and places a vertex so joined to one already
+placed while there is one, so only the first vertex assigned may range
+over all host vertices.
 
 Join orders are fixed top-down, so each bag knows the order its parent
 keys it in.  A bag assigns the vertex its parent keys deepest last, and
@@ -78,8 +88,8 @@ from .errors import InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of
 
 MAX_TREEWIDTH_N = 12
-# compiled bag joins kept, by shape: the connected patterns on at most 7
-# vertices need 486
+# compiled bag joins kept, by shape: the contracted plans of the connected
+# patterns on at most 7 vertices need 594
 JOIN_CACHE_SIZE = 1024
 
 
@@ -401,10 +411,52 @@ class _Plan(NamedTuple):
     keys: list[tuple[int, int, int] | None]
 
 
+def _contract(bags: tuple[tuple[int, ...], ...], parents: tuple[int, ...]
+              ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """bags and parents with every bag that a child's bag contains
+    contracted: that child takes the bag's place under the bag's parent
+    and adopts the bag's other children, until no bag is contained in a
+    child's bag.  Contracting a tree edge into the larger bag keeps the
+    decomposition valid and its width; the bags left keep their order."""
+    masks = [sum(1 << u for u in bag) for bag in bags]
+    parent = list(parents)
+    children: list[list[int]] = [[] for _ in bags]
+    top_down = []
+    for b, p in enumerate(parent):
+        if p == -1:
+            top_down.append(b)
+        else:
+            children[p].append(b)
+    for b in top_down:
+        top_down.extend(children[b])
+    gone = [False] * len(bags)
+    # bottom-up, so a bag's children are final when it is looked at; a
+    # child that takes its place is looked at again with what it adopted
+    for b in reversed(top_down):
+        while True:
+            c = next((c for c in children[b] if not masks[b] & ~masks[c]),
+                     None)
+            if c is None:
+                break
+            p = parent[c] = parent[b]
+            if p != -1:
+                children[p][children[p].index(b)] = c
+            for d in children[b]:
+                if d != c:
+                    parent[d] = c
+                    children[c].append(d)
+            gone[b] = True
+            b = c
+    keep = [b for b in range(len(bags)) if not gone[b]]
+    index = {b: i for i, b in enumerate(keep)}
+    index[-1] = -1
+    return (tuple(bags[b] for b in keep),
+            tuple(index[parent[b]] for b in keep))
+
+
 def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:
     prows = pattern.adj_rows()
-    bags = td.bags
-    parents = td.parent
+    bags, parents = _contract(td.bags, td.parent)
     # a valid decomposition of a connected pattern may still carry extra
     # roots, whose trees hold only empty bags and each count 1
     children: list[list[int]] = [[] for _ in bags]

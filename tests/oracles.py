@@ -36,6 +36,10 @@ with each falling factorial multiplied out afresh, all in Fraction
 arithmetic.  The spanning-subgraph reference counts the subgraphs of one
 representative that satisfy the property by evaluating it on every one.
 
+The reference graph6 decoder unpacks every body bit and walks all
+C(n,2) pairs, where the package reads only the nonzero body characters;
+both share the package's header and length validation.
+
 The reference canoniser reaches the package's canonical labeling by a
 slower route: refinement by sorted neighbor-color tuples, and a search
 that visits every leaf of least words.  The package's canoniser must
@@ -59,6 +63,7 @@ from indsub.catalog import _orbit_representatives, build_catalog
 from indsub.graphs import (
     HostGraph,
     SmallGraph,
+    _graph6_body,
     bits_of,
     pair_count,
     pair_index,
@@ -622,6 +627,28 @@ def brute_planar(g: SmallGraph) -> bool:
     if g.n == 6 and _has_spanning_k33(g):
         return False
     return True
+
+
+# ------------------------------------------------------------------ graph6
+
+
+def reference_decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edge pairs of graph6 text, by unpacking every body
+    bit and walking all C(n,2) pairs in the format's order (by j, then i);
+    padding bits past the last pair are never read."""
+    n, body = _graph6_body(text)
+    bits = []
+    for d in body:
+        for s6 in (5, 4, 3, 2, 1, 0):
+            bits.append(d >> s6 & 1)
+    pairs = []
+    t = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[t]:
+                pairs.append((i, j))
+            t += 1
+    return n, pairs
 
 
 # -------------------------------------------------------------- generators

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from indsub.errors import FormatError
 from indsub.graphs import (
@@ -17,9 +17,16 @@ from indsub.graphs import (
     load_graph_list,
     load_host_graph,
     load_small_graph,
+    _decode_graph6,
+    _encode_graph6,
     _pair_index_map,
 )
-from oracles import host_complement, induced_small, random_small_graph
+from oracles import (
+    host_complement,
+    induced_small,
+    random_small_graph,
+    reference_decode_graph6,
+)
 
 
 def test_pair_indexing_round_trip():
@@ -248,6 +255,24 @@ def test_graph6_writers_agree():
         text = g.to_graph6()
         assert HostGraph.from_small(g).to_graph6() == text
         assert SmallGraph.from_graph6(text) == g
+
+
+@st.composite
+def _graph6_hosts(draw):
+    """graph6 text of a random graph on at most 300 vertices, dense or
+    sparse, whose padding bits past the last pair are set at random."""
+    n = draw(st.integers(0, 300))
+    p = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = [int(rng.random() < p) for _ in range(pair_count(n))]
+    bits += [draw(st.integers(0, 1)) for _ in range(-len(bits) % 6)]
+    return _encode_graph6(n, bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph6_hosts())
+def test_decode_graph6_matches_pair_walk(text):
+    assert _decode_graph6(text) == reference_decode_graph6(text)
 
 
 def test_edge_list_text_round_trip():

@@ -15,6 +15,7 @@ from indsub.homcount import (
     TreeDecomposition,
     _bag_table,
     _compiled,
+    _contract,
     _join_order,
     _plan,
     _shape,
@@ -264,6 +265,7 @@ def _checked_bag_tables(pattern, td, host):
 
 
 _K13 = SmallGraph.complete_bipartite(1, 3)
+_K14 = SmallGraph.complete_bipartite(1, 4)
 _K4 = SmallGraph.complete(4)
 _P3_EDGE = SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
 
@@ -271,8 +273,9 @@ _P3_EDGE = SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
 # Each case is a decomposition with a bag whose generated source holds the
 # given line: a position over all host vertices, over one neighbour list,
 # tested against the mask of further pattern-neighbours, over a child trie
-# at depth 0 or below, reading three tries (the star's centre bag), and a
-# scalar and a trie write.  In the last two cases a bag of that kind has a
+# at depth 0 or below, reading three tries (the root of K1,4: a leaf's bag,
+# which the centre's bag is contracted into, reads the other leaves'), and
+# a scalar and a trie write.  In the last two cases a bag of that kind has a
 # child sharing no vertex with it, which counts the edge 3-4 into its
 # base: 0 on the edgeless host, where the bag returns at once.
 @pytest.mark.parametrize("line, pattern, td", [
@@ -283,7 +286,7 @@ _P3_EDGE = SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     (r"for v0, N0_1 in N0_0\.items\(\):", _K13, None),
     (r"for v\d+, N0_[2-9] in N0_[1-9]\.items\(\):", SmallGraph.cycle(5),
      None),
-    (r"N2_1 = N2_0\.get\(v0\)", _K13, None),
+    (r"N2_1 = N2_0\.get\(v0\)", _K14, None),
     (r"total \+= ", SmallGraph.cycle(5), None),
     (r"node\[v2\] = node\.get\(v2, 0\)", SmallGraph.cycle(5), None),
     ("folded scalar", _P3_EDGE,
@@ -360,6 +363,102 @@ def test_store_keys_a_sub_pattern_by_its_interface_order():
 _CONNECTED_CLASSES = [g for k in range(1, 7)
                       for g in build_catalog(k).graphs()
                       if g.is_connected()]
+
+
+def _plan_decomposition(pattern, td):
+    """The plan of td and its bags and parent pointers, as a
+    TreeDecomposition of the pattern."""
+    plan = _plan(pattern, td)
+    parent = [-1] * len(plan.bags)
+    for b, kids in enumerate(plan.children):
+        for c in kids:
+            parent[c] = b
+    return plan, TreeDecomposition(pattern, plan.bags, tuple(parent))
+
+
+def _assert_contracted(pattern, td):
+    """The plan's decomposition is valid, as wide as td, made of td's
+    bags, and holds no bag contained in a child's bag."""
+    plan, contracted = _plan_decomposition(pattern, td)
+    contracted.validate()
+    assert contracted.width == td.width
+    assert set(plan.bags) <= set(td.bags)
+    for b, kids in enumerate(plan.children):
+        for c in kids:
+            assert not set(plan.bags[b]) <= set(plan.bags[c]), \
+                (pattern.to_graph6(), td.bags, plan.bags)
+    return plan
+
+
+def test_plan_contracts_every_bag_a_child_contains_on_each_class():
+    """Every connected class on at most 6 vertices: the plan keeps
+    exactly the bags of its decomposition that no other bag contains, and
+    in each bag's join only the first position may range over all host
+    vertices."""
+    for pattern in _CONNECTED_CLASSES:
+        td = tree_decomposition(pattern)
+        plan = _assert_contracted(pattern, td)
+        maximal = [bag for bag in td.bags
+                   if not any(set(bag) < set(other) for other in td.bags)]
+        assert plan.bags == tuple(maximal), (pattern.to_graph6(), td.bags)
+        for source in _bag_sources(pattern, td):
+            assert not re.search(r"for v[1-9]\d* in range", source), source
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pattern_host_and_decomposition())
+def test_plan_contracts_every_bag_a_child_contains_on_any_order(case):
+    cases, _ = case
+    for pattern, td in cases:
+        _assert_contracted(pattern, td)
+
+
+_C5 = SmallGraph.cycle(5)
+
+
+# Hand-built decompositions that contraction reshapes: a root whose bag
+# equals its first child's, listed in another order, and is contained in
+# its second child's too, so the first child, once in the root's place, is
+# contracted into the second; a chain of three nested bags
+# from the root down, the middle one with a second child; and an empty root
+# over two children, first for C5 (the second child an empty bag), then for
+# a disconnected pattern, whose second component's bag becomes a folded
+# child of the first's.
+@pytest.mark.parametrize("pattern, bags, parent, planned", [
+    (_C5, ((1, 4), (4, 1), (0, 1, 4), (1, 2, 4), (2, 3, 4)),
+     (-1, 0, 0, 0, 3), ((0, 1, 4), (1, 2, 4), (2, 3, 4))),
+    (_C5, ((4,), (4, 1), (0, 1, 4), (1, 2, 4), (2, 3, 4)), (-1, 0, 1, 1, 3),
+     ((0, 1, 4), (1, 2, 4), (2, 3, 4))),
+    (_C5, ((), (0, 1, 2, 3, 4), ()), (-1, 0, 0), ((0, 1, 2, 3, 4), ())),
+    (_P3_EDGE, ((), (0, 1), (1, 2), (3, 4)), (-1, 0, 1, 0),
+     ((0, 1), (1, 2), (3, 4))),
+])
+def test_count_hom_on_contracted_hand_built_decompositions(
+        pattern, bags, parent, planned):
+    td = TreeDecomposition(pattern, bags, parent)
+    td.validate()
+    assert _assert_contracted(pattern, td).bags == planned
+    rng = random.Random(50)
+    for n, p in ((1, 0.0), (4, 1.0), (6, 0.5), (7, 0.3)):
+        host = random_host(rng, n, p)
+        expected = brute_hom_count(pattern, host)
+        assert count_hom(pattern, host, td=td) == expected
+        assert _checked_bag_tables(pattern, td, host) == expected
+        store = HomStore(host)
+        for g in (pattern, _C5, pattern):
+            store.plan(g, td if g is pattern else None)
+        assert [count_hom(g, host, store=store)
+                for g in (pattern, _C5, pattern)] == \
+            [expected, brute_hom_count(_C5, host), expected]
+        assert not store._tables and not store._reads
+
+
+def test_contract_keeps_a_decomposition_without_nested_bags():
+    bags, parent = ((0, 1), (1, 2), (2, 3)), (-1, 0, 1)
+    assert _contract(bags, parent) == (bags, parent)
+    # a leaf contained in its parent stays: only a bag's children take
+    # its place
+    assert _contract(((0, 1), (1,)), (-1, 0)) == (((0, 1), (1,)), (-1, 0))
 
 
 @settings(max_examples=100, deadline=None)
