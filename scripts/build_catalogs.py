@@ -5,11 +5,11 @@ The catalog of isomorphism classes on k vertices backs every f-vector,
 coefficient vector, and truth-table lookup.  Building k = 8 from scratch
 takes 1.2-1.9 s on a 2-core machine; this script warms the on-disk cache
 once so later runs (and the test suite, when pointed at the same cache
-directory) start instantly.  It also writes the property-independent maps
-beside the catalogs: the edge-deletion maps and quotient rows the hom basis
-reads and the elimination orders the basis count reads (k <=
-MAX_HOM_VECTOR_K), and the vertex-deletion maps the flag checks read
-(2 <= k <= MAX_FLAG_K).
+directory) start instantly.  It then writes, for each k up to K it covers,
+every property-independent map declared beside the catalogs
+(catalog.CLASS_MAPS): the edge-deletion maps, quotient rows and
+elimination orders for 1 <= k <= 7, and the vertex-deletion maps for
+2 <= k <= 6.
 
 Usage:
     python3 scripts/build_catalogs.py [--kmax K] [--cache-dir DIR]
@@ -19,15 +19,7 @@ import argparse
 import sys
 import time
 
-from indsub.catalog import (
-    MAX_CATALOG_K,
-    MAX_FLAG_K,
-    build_catalog,
-    edge_deletions,
-    vertex_deletions,
-)
-from indsub.counting import elimination_orders
-from indsub.hombasis import MAX_HOM_VECTOR_K, quotient_rows
+from indsub.catalog import CLASS_MAPS, MAX_CATALOG_K, build_catalog
 
 
 def main(argv=None) -> int:
@@ -48,16 +40,14 @@ def main(argv=None) -> int:
         elapsed = time.monotonic() - start
         print(f"k={k}: {cat.class_count} classes, "
               f"{cat.labeled_total} labeled graphs [{elapsed:.2f}s]")
-    maps = (("edge-deletion map", edge_deletions, 1, MAX_HOM_VECTOR_K),
-            ("quotient rows", quotient_rows, 1, MAX_HOM_VECTOR_K),
-            ("elimination orders", elimination_orders, 1, MAX_HOM_VECTOR_K),
-            ("vertex-deletion map", vertex_deletions, 2, MAX_FLAG_K))
-    for what, read, lowest, highest in maps:
-        for k in range(lowest, min(args.kmax, highest) + 1):
+    for kind in CLASS_MAPS:
+        for k in kind.ks:
+            if k > args.kmax:
+                break
             start = time.monotonic()
-            read(k, cache_dir=args.cache_dir)
+            kind(k, cache_dir=args.cache_dir)
             elapsed = time.monotonic() - start
-            print(f"k={k}: {what} [{elapsed:.2f}s]")
+            print(f"k={k}: {kind.what} [{elapsed:.2f}s]")
     return 0
 
 

@@ -29,30 +29,35 @@ graph6 text, as read from the file or encoded once by the builder; a
 SmallGraph is built per class only on demand.
 
 Beside k{k}.catalog the cache directory keeps per-class maps that do not
-depend on any property, each a ClassMap served by class_map: one line per
+depend on any property.  Each is a ClassMap, declared once with the k it
+covers and called as its own accessor, map(k, cache_dir=): one line per
 class in catalog order, under the header "# indsub <name> v1 k=..
 classes=.. catalog=<sha256 of each k{m}.catalog file the rows read, in
 order of m, comma-separated>".  They are
-  k{k}.edges      edge_deletions: the class index after each edge deletion,
-                  in edge_pairs order; the header names k{k}.catalog;
-  k{k}.vertices   vertex_deletions, 2 <= k <= MAX_FLAG_K: the (k-1)-class
-                  index after each vertex deletion; it names k{k-1} and k{k};
-  k{k}.quotients  hombasis.quotient_rows, k <= MAX_HOM_VECTOR_K: pairs of
-                  global class id (catalog m's classes follow those of all
+  k{k}.edges      edge_deletions, 1 <= k <= 7: the class index after each
+                  edge deletion, in edge_pairs order; the header names
+                  k{k}.catalog;
+  k{k}.vertices   vertex_deletions, 2 <= k <= 6: the (k-1)-class index
+                  after each vertex deletion; it names k{k-1} and k{k};
+  k{k}.quotients  hombasis.quotient_rows, 1 <= k <= 7: pairs of global
+                  class id (catalog m's classes follow those of all
                   smaller catalogs) and Moebius sum; it names k{1}..k{k};
-  k{k}.orders     counting.elimination_orders, k <= MAX_HOM_VECTOR_K: the
+  k{k}.orders     counting.elimination_orders, 1 <= k <= 7: the
                   representative's vertices in the order the treewidth DP
                   eliminates them; it names k{k}.
 Loading checks the header against the catalog files on disk, and each row
 cheaply: an edge row has e(C) entries, each a class with e(C) - 1 edges; a
 vertex row has k entries, the one for v a class with e(C) - deg(v) edges; a
 quotient row holds ids in range and nonzero sums and ends with the class
-itself and sum 1; an order row is a permutation of range(k).  A file that
-fails is a FormatError: it is logged as a rebuild, the map is computed
-again (by index_of lookups, or by the treewidth DP for the orders), and
-the file is written again through a temporary file and os.replace, as
-long as every catalog file it names exists.  A map is written on its first call, never by
-building or loading a catalog.
+itself and sum 1; an order row is a permutation of range(k).
+
+Catalogs and maps share one read-or-rebuild routine.  A file that fails (a
+FormatError, or an OSError on reading) is logged as a rebuild; the value is
+computed again (the catalog by the builder, a map by index_of lookups, or
+by the treewidth DP for the orders) and written again through a temporary
+file and os.replace, a map only as long as every catalog file it names
+exists; a failed write is logged.  A map is written on its first call,
+never by building or loading a catalog.
 
 GraphCatalog.index_of finds a graph's class, which the maps above and the
 truth tables do for every lookup they compute.  On its first lookup a
@@ -94,6 +99,9 @@ from .graphs import (
 MAX_CATALOG_K = 8
 # The flag checks, the only readers of the vertex-deletion maps, stop here.
 MAX_FLAG_K = 6
+# Hom vectors, and with them the maps only they and the basis count read,
+# stop here.
+MAX_HOM_VECTOR_K = 7
 CACHE_ENV_VAR = "INDSUB_CACHE_DIR"
 _CACHE_HEADER = "# indsub catalog v1"
 
@@ -270,12 +278,13 @@ def _orbit_representatives(m: int, gens) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _catalog_cached(k: int, cache_dir_str: str | None) -> GraphCatalog:
-    path = _cache_dir(cache_dir_str) / f"k{k}.catalog"
-    if path.exists():
-        try:
-            return _read_cache(k, path)
-        except (FormatError, OSError) as exc:
-            log.warning("rebuilding catalog k=%d: %s", k, exc)
+    return _read_or_rebuild(
+        "catalog", k, _cache_dir(cache_dir_str) / f"k{k}.catalog",
+        lambda path: _read_cache(k, path),
+        lambda: _new_catalog(k, cache_dir_str), _write_cache)
+
+
+def _new_catalog(k: int, cache_dir_str: str | None) -> GraphCatalog:
     classes = _build_classes(k, cache_dir_str)
     edges = tuple(sorted(classes, key=lambda e: (e.bit_count(), e)))
     cat = GraphCatalog(k, edges, tuple(map(classes.__getitem__, edges)),
@@ -284,11 +293,27 @@ def _catalog_cached(k: int, cache_dir_str: str | None) -> GraphCatalog:
         raise InternalConsistencyError(
             f"catalog k={k}: labeled copies sum to {cat.labeled_total}, "
             f"expected 2^{pair_count(k)}")
-    try:
-        _write_cache(cat, path)
-    except OSError as exc:
-        log.warning("could not write catalog cache %s: %s", path, exc)
     return cat
+
+
+def _read_or_rebuild(what: str, k: int, path: Path | None,
+                     read: Callable, build: Callable, write: Callable):
+    """read(path) when the file at path exists and passes; otherwise
+    build(), then write(value, path).  A file that fails to read is
+    logged as a rebuild, and a failed write is logged and changes no
+    result.  path None means there is no file to read or write."""
+    if path is not None and path.exists():
+        try:
+            return read(path)
+        except (FormatError, OSError) as exc:
+            log.warning("rebuilding %s k=%d: %s", what, k, exc)
+    value = build()
+    if path is not None:
+        try:
+            write(value, path)
+        except OSError as exc:
+            log.warning("could not write %s %s: %s", what, path, exc)
+    return value
 
 
 def build_catalog(k: int, *, cache_dir=None) -> GraphCatalog:
@@ -369,39 +394,39 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
     return cat
 
 
-def edge_deletions(k: int, *, cache_dir=None) -> tuple[tuple[int, ...], ...]:
-    """Per class: class index after each edge deletion, in edge_pairs order,
-    from k{k}.edges beside the catalog."""
-    return class_map(EDGE_DELETIONS, k, cache_dir=cache_dir)
-
-
-def vertex_deletions(k: int, *, cache_dir=None) -> tuple[tuple[int, ...], ...]:
-    """Per class (2 <= k <= MAX_FLAG_K): (k-1)-catalog index after each
-    vertex deletion, from k{k}.vertices beside the catalog."""
-    if not 2 <= k <= MAX_FLAG_K:
-        raise ValueError(f"vertex-deletion maps cover 2 <= k <= {MAX_FLAG_K}")
-    return class_map(VERTEX_DELETIONS, k, cache_dir=cache_dir)
-
-
 @dataclass(frozen=True)
 class ClassMap:
     """A property-independent map with one row of integers per class of
-    the k-vertex catalog, kept beside it as k{k}.{suffix}.  The rows read
-    the catalogs lowest(k)..k, which compute(cats) gets in that order;
-    check(cats) gives the load check of one row, (index, row) -> bool."""
+    the k-vertex catalog, for each k in ks, kept beside that catalog as
+    k{k}.{suffix}.  The rows read the catalogs lowest(k)..k, which
+    compute(cats) gets in that order; check(cats) gives the load check of
+    one row, (index, row) -> bool.  Declaring a map adds it to CLASS_MAPS,
+    and calling it gives its rows."""
     suffix: str
-    what: str                 # in log messages
+    what: str                 # in messages
     header: str
+    ks: range
     lowest: Callable[[int], int]
     compute: Callable
     check: Callable
 
+    def __post_init__(self):
+        CLASS_MAPS.append(self)
 
-def class_map(kind: ClassMap, k: int, *, cache_dir=None
-              ) -> tuple[tuple[int, ...], ...]:
-    """kind's rows for the k-vertex catalog, read from their file, or
-    computed and written there when that file is missing or invalid."""
-    return _class_map_cached(kind, k, str(cache_dir) if cache_dir else None)
+    def __call__(self, k: int, *, cache_dir=None
+                 ) -> tuple[tuple[int, ...], ...]:
+        """The rows for the k-vertex catalog, read from their file, or
+        computed and written there when that file is missing or invalid."""
+        if k not in self.ks:
+            raise ValueError(
+                f"{self.what} cover {self.ks[0]} <= k <= {self.ks[-1]}")
+        return _class_map_cached(self, k,
+                                 str(cache_dir) if cache_dir else None)
+
+
+# Every declared ClassMap, in the order of declaration.  Importing indsub
+# imports each module that declares one.
+CLASS_MAPS: list[ClassMap] = []
 
 
 @lru_cache(maxsize=None)
@@ -410,25 +435,18 @@ def _class_map_cached(kind: ClassMap, k: int, cache_dir_str: str | None
     cats = tuple(build_catalog(m, cache_dir=cache_dir_str)
                  for m in range(kind.lowest(k), k + 1))
     directory = _cache_dir(cache_dir_str)
-    path = directory / f"k{k}.{kind.suffix}"
     try:
         header = _map_header(kind, cats, directory)
     except OSError:
         header = None        # no catalog file for the map to name
-    if header is not None and path.exists():
-        try:
-            return _read_map(path, header, cats[-1].class_count,
-                             kind.check(cats))
-        except (FormatError, OSError) as exc:
-            log.warning("rebuilding %s k=%d: %s", kind.what, k, exc)
-    rows = kind.compute(cats)
-    if header is not None:
-        try:
-            _write_lines(path, header,
-                         (" ".join(map(str, row)) for row in rows))
-        except OSError as exc:
-            log.warning("could not write %s %s: %s", kind.what, path, exc)
-    return rows
+    return _read_or_rebuild(
+        kind.what, k,
+        None if header is None else directory / f"k{k}.{kind.suffix}",
+        lambda path: _read_map(path, header, cats[-1].class_count,
+                               kind.check(cats)),
+        lambda: kind.compute(cats),
+        lambda rows, path: _write_lines(
+            path, header, (" ".join(map(str, row)) for row in rows)))
 
 
 def _map_header(kind: ClassMap, cats, directory: Path) -> str:
@@ -511,13 +529,17 @@ def _vertex_rows_ok(cats):
     return ok
 
 
-EDGE_DELETIONS = ClassMap(
-    "edges", "edge-deletion map", "# indsub edge-deletions v1",
+# Per class: the class index after each edge deletion, in edge_pairs order.
+edge_deletions = ClassMap(
+    "edges", "edge-deletion maps", "# indsub edge-deletions v1",
+    ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: k,
     compute=lambda cats: compute_edge_deletions(cats[-1]),
     check=_edge_rows_ok)
-VERTEX_DELETIONS = ClassMap(
-    "vertices", "vertex-deletion map", "# indsub vertex-deletions v1",
+# Per class: the (k-1)-catalog index after each vertex deletion.
+vertex_deletions = ClassMap(
+    "vertices", "vertex-deletion maps", "# indsub vertex-deletions v1",
+    ks=range(2, MAX_FLAG_K + 1),
     lowest=lambda k: k - 1,
     compute=lambda cats: compute_vertex_deletions(*cats),
     check=_vertex_rows_ok)

@@ -26,14 +26,7 @@ from math import factorial
 
 from . import counting
 from .canon import is_isomorphic
-from .catalog import (
-    MAX_CATALOG_K,
-    build_catalog,
-    compute_edge_deletions,
-    compute_vertex_deletions,
-    edge_deletions,
-    vertex_deletions,
-)
+from .catalog import CLASS_MAPS, MAX_CATALOG_K, build_catalog
 from .errors import (
     BudgetExceededError,
     FormatError,
@@ -50,12 +43,7 @@ from .hereditary import (
     count_independent_sets_via_reduction,
     singleton_critical_edge,
 )
-from .hombasis import (
-    MAX_HOM_VECTOR_K,
-    compute_quotient_rows,
-    hom_vector,
-    quotient_rows,
-)
+from .hombasis import MAX_HOM_VECTOR_K, hom_vector
 from .homcount import count_hom
 from .properties import (
     forbidden_induced_property,
@@ -317,8 +305,6 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_critical(args) -> int:
     forbidden = load_graph_list(args.forbidden)
-    if not forbidden:
-        raise UsageError("the forbidden-graph file is empty")
     if args.property:
         phi = get_property(args.property)
         single = False
@@ -390,8 +376,6 @@ def _cmd_critical(args) -> int:
 def _cmd_reduce_demo(args) -> int:
     host = load_host_graph(args.bipartite)
     forbidden = load_graph_list(args.forbidden)
-    if not forbidden:
-        raise UsageError("the forbidden-graph file is empty")
     h = forbidden[0]
     if h.n < 2:
         raise UsageError("the forbidden graph needs at least two vertices")
@@ -479,21 +463,11 @@ def _cmd_selftest(args) -> int:
            "stored graph6 of the k<=5 catalogs round-trips")
     # Before any hom vector reads them, so the maps come from the cache
     # files when those exist.
-    expect(all(edge_deletions(k) == compute_edge_deletions(build_catalog(k))
-               for k in range(1, 6)),
-           "edge-deletion maps k<=5 from the cache equal a fresh compute")
-    expect(all(vertex_deletions(k) == compute_vertex_deletions(
-                   build_catalog(k - 1), build_catalog(k))
-               for k in range(2, 6)),
-           "vertex-deletion maps k<=5 from the cache equal a fresh compute")
-    expect(all(quotient_rows(k) == compute_quotient_rows(
-                   [build_catalog(m) for m in range(1, k + 1)])
-               for k in range(1, 6)),
-           "quotient rows k<=5 from the cache equal a fresh compute")
-    expect(all(counting.elimination_orders(k)
-               == counting.compute_elimination_orders(build_catalog(k))
-               for k in range(1, 6)),
-           "elimination orders k<=5 from the cache equal a fresh compute")
+    for kind in CLASS_MAPS:
+        expect(all(kind(k) == kind.compute(tuple(
+                       map(build_catalog, range(kind.lowest(k), k + 1))))
+                   for k in kind.ks if k <= 5),
+               f"{kind.what} k<=5 from the cache equal a fresh compute")
 
     spec = spectrum_report(get_property("no-edges"), 4)
     expect(spec.f == (1, 0, 0, 0, 0, 0, 0) and spec.hamming_weight == 1,

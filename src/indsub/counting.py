@@ -33,10 +33,10 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from .catalog import ClassMap, build_catalog, class_map
+from .catalog import MAX_HOM_VECTOR_K, ClassMap, build_catalog
 from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, pair_index
-from .hombasis import MAX_HOM_VECTOR_K, hom_vector
+from .hombasis import hom_vector
 from .homcount import (
     HomStore,
     count_hom,
@@ -172,16 +172,6 @@ def _class_decomposition(g: SmallGraph):
     return decomposition_from_order(g, elimination_orders(g.n)[i])
 
 
-def elimination_orders(k: int, *, cache_dir=None
-                       ) -> tuple[tuple[int, ...], ...]:
-    """Per k-vertex class, homcount.elimination_order of its
-    representative, from k{k}.orders beside the catalog."""
-    if not 1 <= k <= MAX_HOM_VECTOR_K:
-        raise ValueError(
-            f"elimination orders cover 1 <= k <= {MAX_HOM_VECTOR_K}")
-    return class_map(ELIMINATION_ORDERS, k, cache_dir=cache_dir)
-
-
 def compute_elimination_orders(cat) -> tuple[tuple[int, ...], ...]:
     """The elimination order of every representative of cat, by the
     treewidth DP."""
@@ -194,8 +184,10 @@ def _order_rows_ok(cats):
     return lambda i, row: sorted(row) == whole
 
 
-ELIMINATION_ORDERS = ClassMap(
-    "orders", "elimination-order map", "# indsub elimination-orders v1",
+# Per k-vertex class, homcount.elimination_order of its representative.
+elimination_orders = ClassMap(
+    "orders", "elimination orders", "# indsub elimination-orders v1",
+    ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: k,
     compute=lambda cats: compute_elimination_orders(cats[-1]),
     check=_order_rows_ok)

@@ -50,12 +50,10 @@ from functools import lru_cache
 from itertools import accumulate
 from math import factorial
 
-from .catalog import ClassMap, build_catalog, class_map, edge_deletions
+from .catalog import MAX_HOM_VECTOR_K, ClassMap, build_catalog, edge_deletions
 from .errors import InternalConsistencyError
 from .graphs import SmallGraph, pair_count, pair_table
 from .properties import PropertySpec, class_values
-
-MAX_HOM_VECTOR_K = 7
 
 
 @dataclass(frozen=True)
@@ -109,15 +107,6 @@ def _spanning_subgraph_counts(phi: PropertySpec, k: int) -> list[list[int]]:
             row.append(q)
         counts.append(row)
     return counts
-
-
-def quotient_rows(k: int, *, cache_dir=None) -> tuple[tuple[int, ...], ...]:
-    """Per k-vertex class, its quotient classes with their Moebius sums as
-    one flat tuple (global class id, sum, global class id, sum, ...), from
-    k{k}.quotients beside the catalogs."""
-    if not 1 <= k <= MAX_HOM_VECTOR_K:
-        raise ValueError(f"quotient rows cover 1 <= k <= {MAX_HOM_VECTOR_K}")
-    return class_map(QUOTIENT_ROWS, k, cache_dir=cache_dir)
 
 
 def compute_quotient_rows(cats) -> tuple[tuple[int, ...], ...]:
@@ -196,8 +185,11 @@ def _quotient_rows_ok(cats):
     return ok
 
 
-QUOTIENT_ROWS = ClassMap(
-    "quotients", "quotient-row map", "# indsub quotient-rows v1",
+# Per k-vertex class, its quotient classes with their Moebius sums as one
+# flat tuple (global class id, sum, global class id, sum, ...).
+quotient_rows = ClassMap(
+    "quotients", "quotient rows", "# indsub quotient-rows v1",
+    ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: 1,
     compute=compute_quotient_rows,
     check=_quotient_rows_ok)

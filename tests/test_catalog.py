@@ -17,23 +17,18 @@ from hypothesis import given, settings, strategies as st
 from indsub import canon, catalog
 from indsub.canon import automorphism_count, canon_key, refinement_invariant
 from indsub.catalog import (
-    EDGE_DELETIONS,
+    CLASS_MAPS,
     MAX_CATALOG_K,
     MAX_FLAG_K,
-    VERTEX_DELETIONS,
     build_catalog,
     compute_edge_deletions,
     edge_deletions,
     vertex_deletions,
 )
-from indsub.counting import (
-    ELIMINATION_ORDERS,
-    compute_elimination_orders,
-    count_basis,
-)
+from indsub.counting import count_basis
 from indsub.errors import FormatError
 from indsub.graphs import HostGraph, SmallGraph, pair_count
-from indsub.hombasis import QUOTIENT_ROWS, compute_quotient_rows, hom_vector
+from indsub.hombasis import hom_vector
 from indsub.properties import get_property, verify_flags
 from oracles import (
     brute_automorphism_count,
@@ -176,9 +171,18 @@ def test_deletion_maps_match_canon_only_reference(tmp_path, monkeypatch):
     for k in range(2, MAX_FLAG_K + 1):
         assert vertex_deletions(k, cache_dir=tmp_path) == \
             reference_vertex_deletions(k)
-    for k in (1, MAX_FLAG_K + 1):
-        with pytest.raises(ValueError):
-            vertex_deletions(k)
+
+
+def test_maps_reject_k_outside_their_range():
+    # edge_deletions covers the k its readers ask for, 1..7, though the
+    # catalogs go up to 8.
+    assert [(kind.suffix, kind.ks[0], kind.ks[-1]) for kind in CLASS_MAPS] \
+        == [("edges", 1, 7), ("vertices", 2, MAX_FLAG_K), ("quotients", 1, 7),
+            ("orders", 1, 7)]
+    for kind in CLASS_MAPS:
+        for k in (kind.ks[0] - 1, kind.ks[-1] + 1):
+            with pytest.raises(ValueError, match=f"{kind.what} cover"):
+                kind(k)
 
 
 def test_edge_deletions_canonicalise_few_graphs():
@@ -245,39 +249,19 @@ def test_corrupt_edge_deletion_map_is_rebuilt_and_logged(corruption,
     assert _replace_row(good, 2, "1 1") == good
     path.write_text(EDGES_CORRUPTIONS[corruption](good, tmp_path))
     with pytest.raises(FormatError):
-        _read_file(EDGE_DELETIONS, 5, tmp_path)
+        _read_file(edge_deletions, 5, tmp_path)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         rows = edge_deletions(5, cache_dir=tmp_path)
     assert rows == reference_edge_deletions(5)
-    assert any("rebuilding edge-deletion map k=5" in r.getMessage()
+    assert any(f"rebuilding {edge_deletions.what} k=5" in r.getMessage()
                for r in caplog.records)
     assert path.read_text() == good
 
 
-def test_edge_deletion_map_write_failure_is_logged(tmp_path, caplog):
-    path = _edges_file(tmp_path)
-    path.unlink()
-    (path / "blocker").mkdir(parents=True)     # nothing can be written there
-    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        rows = edge_deletions(5, cache_dir=tmp_path)
-    assert rows == reference_edge_deletions(5)
-    messages = [r.getMessage() for r in caplog.records]
-    assert any("could not write edge-deletion map" in m for m in messages)
-    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] \
-        == []
-
-
 def test_edge_deletion_map_needs_its_catalog_file(tmp_path, caplog):
-    # The catalog's own write failed: the map is computed, and not written,
-    # since no file exists for its header to name.
-    path = _edges_file(tmp_path)
-    path.unlink()
-    (tmp_path / "k5.catalog").unlink()
-    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        rows = edge_deletions(5, cache_dir=tmp_path)
-    assert rows == reference_edge_deletions(5)
-    assert not path.exists()
-    assert caplog.records == []
+    # The catalogs' own writes fail: the map is computed, and not written,
+    # since no file exists for its header to name.  A lone missing catalog
+    # file is checked for every map below.
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
@@ -290,23 +274,22 @@ def test_edge_deletion_map_needs_its_catalog_file(tmp_path, caplog):
 _MAP_WRITER = """
 import hashlib, sys, time
 from pathlib import Path
-from indsub.catalog import build_catalog, edge_deletions, vertex_deletions
-from indsub.counting import elimination_orders
-from indsub.hombasis import quotient_rows
+from indsub.catalog import CLASS_MAPS, build_catalog
 directory, tag, name, k = Path(sys.argv[1]), sys.argv[2], sys.argv[3], \\
     int(sys.argv[4])
+kind, = (kind for kind in CLASS_MAPS if kind.suffix == name)
 build_catalog(k, cache_dir=directory)
 (directory / f"ready-{tag}").write_text("")
 while not (directory / "go").exists():
     time.sleep(0.001)
-rows = globals()[name](k, cache_dir=directory)
+rows = kind(k, cache_dir=directory)
 print(hashlib.sha256(repr(rows).encode()).hexdigest())
 """
 
 
 def _race_writers(directory, name, k):
-    """Two processes that wait for each other, then read the map name(k)
-    from directory at once; their hashes of the rows."""
+    """Two processes that wait for each other, then read the k-th map with
+    suffix name from directory at once; their hashes of the rows."""
     build_catalog(k, cache_dir=directory)
     src = Path(catalog.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -331,24 +314,11 @@ def _race_writers(directory, name, k):
     return outs
 
 
-def test_concurrent_edge_deletion_map_writers(tmp_path):
-    outs = _race_writers(tmp_path, "edge_deletions", 7)
-    want = reference_edge_deletions(7)
-    assert outs == [hashlib.sha256(repr(want).encode()).hexdigest()] * 2
-    assert _read_file(EDGE_DELETIONS, 7, tmp_path) == want
-    assert sorted(p.name for p in tmp_path.iterdir()
-                  if not p.name.startswith(("ready-", "go"))) == \
-        [f"k{k}.catalog" for k in range(1, 8)] + ["k7.edges"]
+# Every declared map shares one file mechanism.  Each case below also
+# checks what reads the maps: the hom vectors, the flag reports and the
+# basis counts come out the same.
 
-
-# The vertex-deletion maps, the quotient rows and the elimination orders
-# share the edge-deletion map's file mechanism.  Each case below also
-# checks what reads them: the hom vectors, the flag reports and the basis
-# counts come out the same.
-
-MAPS = {"vertices": (VERTEX_DELETIONS, "vertex_deletions"),
-        "quotients": (QUOTIENT_ROWS, "quotient_rows"),
-        "orders": (ELIMINATION_ORDERS, "elimination_orders")}
+MAPS = {kind.suffix: kind for kind in CLASS_MAPS}
 RESULT_PROPERTIES = ("triangle-free", "chordal", "connected")
 # C7 with one chord.  Its connected count reads the elimination orders of
 # every size up to k; it stops at k = 6, as the flags do, since a basis
@@ -400,9 +370,14 @@ def _edit_row(text, i, edit):
 # k = 5: class 0 is the edgeless graph and class 33 is K5.  K5 has one
 # partition into independent sets, so its quotient row is its own global
 # id, 1 + 2 + 4 + 11 + 33 = 51, with sum 1; K5 minus any vertex is K4,
-# class 10 of the 11 four-vertex classes.  The treewidth DP eliminates the
-# edgeless graph's vertices from the last one down.
+# class 10 of the 11 four-vertex classes, and K5 minus any edge is class
+# 32.  The treewidth DP eliminates the edgeless graph's vertices from the
+# last one down.  A map declared later gets the three corruptions every
+# map gets.
 MAP_CORRUPTIONS = {
+    "edges": {
+        "too few entries": lambda t: _edit_row(t, 33, lambda r: r[1:]),
+    },
     "vertices": {
         "index out of range": lambda t: _edit_row(
             t, 33, lambda r: [11] + r[1:]),
@@ -424,7 +399,8 @@ MAP_CORRUPTIONS = {
         "too few entries": lambda t: _edit_row(t, 33, lambda r: r[1:]),
     },
 }
-for corruptions in MAP_CORRUPTIONS.values():
+for name in MAPS:
+    corruptions = MAP_CORRUPTIONS.setdefault(name, {})
     corruptions["bad header"] = lambda t: "junk\n" + t.split("\n", 1)[1]
     corruptions["truncated"] = lambda t: t[:len(t) // 2]
     # The last digest in the header is that of k5.catalog.
@@ -437,9 +413,11 @@ for corruptions in MAP_CORRUPTIONS.values():
     for corruption in sorted(MAP_CORRUPTIONS[name])])
 def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
                                            caplog):
-    kind, _ = MAPS[name]
+    kind = MAPS[name]
     path, good, want = _written(cache_env, name, 5)
-    if name == "vertices":
+    if name == "edges":
+        assert good.split("\n")[34] == " ".join(["32"] * 10)
+    elif name == "vertices":
         assert _edit_row(good, 33, lambda r: r) == good
         assert good.split("\n")[34] == "10 10 10 10 10"
         assert good.split("\n")[1] == "0 0 0 0 0"
@@ -459,11 +437,11 @@ def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(MAPS)
-                                  if MAPS[name][0].lowest(5) < 5])
+                                  if MAPS[name].lowest(5) < 5])
 def test_stale_lower_catalog_is_caught(name, cache_env, caplog):
     # Rows index the catalogs below k too, so the header names their
     # digests: the same k4 classes in other bytes make the k = 5 map stale.
-    kind, _ = MAPS[name]
+    kind = MAPS[name]
     path, good, want = _written(cache_env, name, 5)
     lower = cache_env / "k4.catalog"
     old = hashlib.sha256(lower.read_bytes()).hexdigest()
@@ -481,7 +459,7 @@ def test_stale_lower_catalog_is_caught(name, cache_env, caplog):
 
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_map_write_failure_is_logged(name, cache_env, caplog):
-    kind, _ = MAPS[name]
+    kind = MAPS[name]
     path, _, want = _written(cache_env, name, 5)
     path.unlink()
     (path / "blocker").mkdir(parents=True)     # nothing can be written there
@@ -500,18 +478,18 @@ def test_map_needs_every_catalog_file_it_names(name, cache_env, caplog):
     # nothing is logged.
     path, _, want = _written(cache_env, name, 5)
     path.unlink()
-    (cache_env / f"k{max(MAPS[name][0].lowest(5), 4)}.catalog").unlink()
+    (cache_env / f"k{max(MAPS[name].lowest(5), 4)}.catalog").unlink()
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert _results(5) == want
     assert not path.exists()
     assert caplog.records == []
 
 
-@pytest.mark.parametrize("name, k", [("quotients", 7), ("vertices", 6),
-                                     ("orders", 6)])
+@pytest.mark.parametrize("name, k", [("edges", 7), ("quotients", 7),
+                                     ("vertices", 6), ("orders", 6)])
 def test_concurrent_map_writers(name, k, cache_env):
-    kind, reader = MAPS[name]
-    outs = _race_writers(cache_env, reader, k)
+    kind = MAPS[name]
+    outs = _race_writers(cache_env, name, k)
     rows = _read_file(kind, k, cache_env)
     assert outs == [hashlib.sha256(repr(rows).encode()).hexdigest()] * 2
     assert sorted(p.name for p in cache_env.iterdir()
@@ -663,7 +641,7 @@ def test_unreadable_cache_is_rebuilt_and_logged(tmp_path, caplog):
     assert cat == build_catalog(3)
     messages = [r.getMessage() for r in caplog.records]
     assert any("rebuilding catalog k=3" in m for m in messages)
-    assert any("could not write catalog cache" in m and "k3.catalog" in m
+    assert any("could not write catalog" in m and "k3.catalog" in m
                for m in messages)
 
 
@@ -695,7 +673,7 @@ def test_cache_write_failure_is_logged(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         cat = build_catalog(2, cache_dir=blocker)
     assert cat.class_count == CLASS_COUNTS[2]
-    assert sum("could not write catalog cache" in r.getMessage()
+    assert sum("could not write catalog" in r.getMessage()
                for r in caplog.records) == 2      # k = 2 and its parent
 
 
@@ -759,15 +737,15 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
         [f"k{k}.{kind}" for k in range(1, 5)
          for kind in ("catalog", "edges", "quotients", "orders")]
         + [f"k{k}.vertices" for k in range(2, 5)])
+    for kind in CLASS_MAPS:
+        for k in range(kind.ks[0], 5):
+            assert _read_file(kind, k, tmp_path) == kind.compute(tuple(
+                build_catalog(m) for m in range(kind.lowest(k), k + 1)))
     for k in range(1, 5):
-        assert _read_file(EDGE_DELETIONS, k, tmp_path) == \
+        assert _read_file(edge_deletions, k, tmp_path) == \
             reference_edge_deletions(k)
-        assert _read_file(QUOTIENT_ROWS, k, tmp_path) == \
-            compute_quotient_rows([build_catalog(m) for m in range(1, k + 1)])
-        assert _read_file(ELIMINATION_ORDERS, k, tmp_path) == \
-            compute_elimination_orders(build_catalog(k))
     for k in range(2, 5):
-        assert _read_file(VERTEX_DELETIONS, k, tmp_path) == \
+        assert _read_file(vertex_deletions, k, tmp_path) == \
             reference_vertex_deletions(k)
 
 

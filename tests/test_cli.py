@@ -268,10 +268,16 @@ def test_critical_known_edge_for_builtin(capsys, c4_file):
 
 
 def test_critical_empty_file(capsys, tmp_path):
+    # reduce-demo reads its forbidden graphs the same way
     empty = tmp_path / "empty.g6"
     empty.write_text("")
-    code, _, err = run(capsys, ["critical", "--forbidden", str(empty)])
-    assert code == 1 and err.startswith("malformed graph file:")
+    host_file = tmp_path / "host.g6"
+    host_file.write_text(SmallGraph.from_edges(2, [(0, 1)]).to_graph6() + "\n")
+    for argv in (["critical"],
+                 ["reduce-demo", "--bipartite", str(host_file), "--k", "1"]):
+        code, out, err = run(capsys, argv + ["--forbidden", str(empty)])
+        assert code == 1 and out == ""
+        assert err.startswith("malformed graph file:"), argv
 
 
 def test_critical_rejects_negative_bound(capsys, c5_file):

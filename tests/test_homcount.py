@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indsub.catalog import build_catalog
+from indsub.counting import _class_decomposition
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
@@ -16,7 +17,6 @@ from indsub.homcount import (
     _bag_table,
     _compiled,
     _contract,
-    _join_order,
     _plan,
     _shape,
     _source,
@@ -479,39 +479,19 @@ def test_one_store_counts_every_pattern_as_alone(patterns, host):
     assert not store._tables and not store._reads
 
 
-def _join_orders(pattern, td):
-    """Each bag's join order, fixed top-down as the DP fixes it, keyed by
-    bag index (-1 keys the empty order a root's parent would have)."""
-    children = [[] for _ in td.bags]
-    for b, p in enumerate(td.parent):
-        if p != -1:
-            children[p].append(b)
-    top_down = [b for b, p in enumerate(td.parent) if p == -1]
-    for b in top_down:
-        top_down.extend(children[b])
-    orders = {-1: ()}
-    for b in top_down:
-        bag = td.bags[b]
-        orders[b] = _join_order(bag, [set(td.bags[c]) & set(bag)
-                                      for c in children[b]],
-                                pattern.adj_rows(), orders[td.parent[b]])
-    return orders
-
-
 def _last_position_writes(pattern, td):
-    """How each bag's last-assigned vertex enters the bag's table: the
-    root's 'scalar', 'sum' when the parent does not share the vertex, else
-    'deepest' or 'inner' by the parent's trie level it keys.  The DP
-    implements only 'scalar' and 'deepest'."""
-    orders = _join_orders(pattern, td)
+    """How the last-assigned vertex of each non-empty bag of td's plan
+    enters the bag's table: the root's 'scalar', 'sum' when the parent does
+    not share the vertex, else 'deepest' or 'inner' by the parent's trie
+    level it keys.  The DP implements only 'scalar' and 'deepest'."""
+    plan = _plan(pattern, td)
     writes = []
-    for b, bag in enumerate(td.bags):
-        shared = [u for u in orders[td.parent[b]] if u in bag]
+    for bag, order, levels in zip(plan.bags, plan.orders, plan.levels):
         if not bag:
             continue
-        last = orders[b][-1]
-        writes.append("scalar" if not shared else "sum" if last not in shared
-                      else "deepest" if last == shared[-1] else "inner")
+        last = order[-1]
+        writes.append("scalar" if not levels else "sum" if last not in levels
+                      else "deepest" if last == levels[-1] else "inner")
     return writes
 
 
@@ -545,21 +525,19 @@ def test_count_hom_each_way_the_last_position_writes(write, pattern, td):
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_join_order_starts_eliminated_and_ends_on_parents_deepest_key(k):
-    """On every connected class, each non-root bag of tree_decomposition
-    assigns its eliminated vertex first and the vertex its parent keys
-    deepest last."""
+def test_join_order_ends_on_parents_deepest_key(k):
+    """On every connected class, in the plan of the stored-order
+    decomposition count_basis plans, each non-root bag shares a vertex with
+    its parent and assigns the vertex the parent keys deepest last."""
     for pattern in build_catalog(k).graphs():
         if not pattern.is_connected():
             continue
-        td = tree_decomposition(pattern)
-        orders = _join_orders(pattern, td)
-        for b, bag in enumerate(td.bags):
-            if td.parent[b] == -1:
+        plan = _plan(pattern, _class_decomposition(pattern))
+        for b, (order, levels) in enumerate(zip(plan.orders, plan.levels)):
+            if b in plan.roots:
                 continue
-            shared = [u for u in orders[td.parent[b]] if u in bag]
-            assert orders[b][0] == bag[0], (pattern.edges, bag)
-            assert orders[b][-1] == shared[-1], (pattern.edges, bag)
+            assert levels and order[-1] == levels[-1], \
+                (pattern.edges, plan.bags[b])
 
 
 def test_count_hom_leaves_no_cyclic_garbage():
@@ -608,3 +586,19 @@ def test_count_hom_rejects_foreign_decomposition():
                          (((0, 1), (1, 2)), (-1,))):
         with pytest.raises(ValueError, match="invalid tree decomposition"):
             count_hom(p3, k3, td=TreeDecomposition(p3, bags, parent))
+
+
+def test_count_hom_rejects_a_store_beside_a_decomposition_or_another_host():
+    p3, k3 = SmallGraph.path(3), HostGraph.from_small(SmallGraph.complete(3))
+    store = HomStore(k3)
+    store.plan(p3)
+    with pytest.raises(ValueError, match="a decomposition is planned into a "
+                                         "store, not passed beside one"):
+        count_hom(p3, k3, td=tree_decomposition(p3), store=store)
+    with pytest.raises(ValueError,
+                       match="the store counts into a different host"):
+        count_hom(p3, HostGraph.from_small(SmallGraph.complete(4)),
+                  store=store)
+    # an equal host built apart is the same host
+    assert count_hom(p3, HostGraph.from_small(SmallGraph.complete(3)),
+                     store=store) == 12
