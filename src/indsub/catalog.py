@@ -31,7 +31,7 @@ SmallGraph is built per class only on demand.
 Beside k{k}.catalog the cache directory keeps per-class maps that do not
 depend on any property.  Each is a ClassMap, declared once with the k it
 covers and called as its own accessor, map(k, cache_dir=): one line per
-class in catalog order, under the header "# indsub <name> v1 k=..
+class in catalog order, under the header "# indsub <name> v<n> k=..
 classes=.. catalog=<sha256 of each k{m}.catalog file the rows read, in
 order of m, comma-separated>".  They are
   k{k}.edges      edge_deletions, 1 <= k <= 7: the class index after each
@@ -44,7 +44,8 @@ order of m, comma-separated>".  They are
                   smaller catalogs) and Moebius sum; it names k{1}..k{k};
   k{k}.orders     counting.elimination_orders, 1 <= k <= 7: the
                   representative's vertices in the order the treewidth DP
-                  eliminates them; it names k{k}.
+                  eliminates them, component by component (v2); it names
+                  k{k}.
 Loading checks the header against the catalog files on disk, and each row
 cheaply: an edge row has e(C) entries, each a class with e(C) - 1 edges; a
 vertex row has k entries, the one for v a class with e(C) - deg(v) edges; a

@@ -17,11 +17,12 @@ count_basis evaluates the homomorphism-basis vector against exact
 per-pattern homomorphism counts.  The two must agree on every input.  It
 plans every pattern of the vector into one homcount.HomStore before
 counting any, so the patterns share their rooted sub-pattern tables and
-repeated components within the call.  A connected pattern is planned
-with the decomposition of its class's elimination order, which the
-treewidth DP computes once per cache directory: the orders are kept
-beside the catalog as k{k}.orders (a catalog.ClassMap), one row per class
-holding the representative's vertices in elimination order.
+repeated components within the call.  Every pattern, connected or not, is
+planned with the decomposition of its class's elimination order, one tree
+per component, which the treewidth DP computes once per cache directory:
+the orders are kept beside the catalog as k{k}.orders (a
+catalog.ClassMap), one row per class holding the representative's
+vertices in elimination order.  So counting runs no treewidth DP.
 count_basis hands k = 0 and k > n to count_brute (at most one predicate
 call) and otherwise insists on an integral, nonnegative total before
 returning.
@@ -127,37 +128,24 @@ def _join_bits(k: int) -> list[list[int]]:
     return joins
 
 
-def count_basis(phi: PropertySpec, k: int, host: HostGraph, *,
-                hom_cache: dict | None = None) -> int:
+def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     """#IndSub(phi, k, host) as sum_H a(H) * #Hom(H, host).
 
-    Every pattern is planned into one HomStore before any is counted, so
-    a rooted sub-pattern table, or a whole component's count, is computed
+    Every pattern is planned into one HomStore, with the decomposition of
+    its class's stored elimination order, before any is counted, so a
+    rooted sub-pattern table, or a whole component's count, is computed
     once per call and shared by every pattern that holds it; each is
-    dropped after its last planned read, and none outlives the call.  A
-    connected pattern is planned with the decomposition of its class's
-    stored elimination order.
-
-    hom_cache, when given, must be dedicated to this host; it maps each
-    pattern, the canonical representative its hom_vector entry carries, to
-    its homomorphism count and lets repeated calls against one host share
-    the expensive part.
+    dropped after its last planned read, and none outlives the call.
     """
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
     entries = hom_vector(phi, k).entries
-    cache = {} if hom_cache is None else hom_cache
     store = HomStore(host)
     for g, _ in entries:
-        if g not in cache:
-            store.plan(g, _class_decomposition(g) if g.is_connected()
-                       else None)
+        store.plan(g, _class_decomposition(g))
     total = Fraction(0)
     for g, coef in entries:
-        homs = cache.get(g)
-        if homs is None:
-            homs = cache[g] = count_hom(g, host, store=store)
-        total += coef * homs
+        total += coef * count_hom(g, host, store=store)
     if total.denominator != 1 or total < 0:
         raise InternalConsistencyError(
             f"basis evaluation produced {total}, not a count")
@@ -186,7 +174,7 @@ def _order_rows_ok(cats):
 
 # Per k-vertex class, homcount.elimination_order of its representative.
 elimination_orders = ClassMap(
-    "orders", "elimination orders", "# indsub elimination-orders v1",
+    "orders", "elimination orders", "# indsub elimination-orders v2",
     ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: k,
     compute=lambda cats: compute_elimination_orders(cats[-1]),

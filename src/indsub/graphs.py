@@ -354,7 +354,11 @@ def _graph6_chunk_edges(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def _graph6_body(text: str) -> tuple[int, list[int]]:
+# graph6 character -> its 6-bit value, for the characters "?" to "~"
+_GRAPH6_VALUES = bytes((c - 63) % 256 for c in range(256))
+
+
+def _graph6_body(text: str) -> tuple[int, bytes]:
     """Vertex count and 6-bit body values of graph6 text, after the
     header, character and body-length checks."""
     s = text.strip()
@@ -362,9 +366,9 @@ def _graph6_body(text: str) -> tuple[int, list[int]]:
         s = s[len(">>graph6<<"):]
     if not s:
         raise FormatError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(not 0 <= d <= 63 for d in data):
+    if not s.isascii() or min(s) < "?" or max(s) > "~":
         raise FormatError(f"invalid graph6 characters in {s!r}")
+    data = s.encode("ascii").translate(_GRAPH6_VALUES)
     if data[0] == 63:
         if len(data) < 4:
             raise FormatError("truncated graph6 size")

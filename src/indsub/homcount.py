@@ -1,7 +1,9 @@
 """Exact homomorphism counting into simple host graphs.
 
-count_hom runs dynamic programming over a tree decomposition of each
-connected component of the pattern, one bottom-up pass over the bags.
+count_hom runs dynamic programming over a tree decomposition of the
+pattern, one bottom-up pass over the bags.  The decompositions built here
+are forests with one tree per connected component, so the count is the
+product of the roots' counts.
 The plan first contracts every bag that one of its children's bags
 contains: that child takes the bag's place and adopts its other children,
 which keeps the decomposition valid and its width, and spares a pass that
@@ -42,24 +44,25 @@ and the other tries .get lookups.  Each shape is compiled once per process
 small integers; no pattern, host or other input text enters it.
 
 Tables are shared through a HomStore, which lives for one count_basis
-call (or one lone count_hom call) and serves one host.  Every non-root bag
-with a non-empty interface has a key: the interface size, the number of
-vertices in the bag's subtree, and the edge bitset of the pattern induced
-on those vertices, relabelled interface first, in the order the parent's
-trie keys it, then the rest in increasing order.  The key is exact.  A
-bag checks every pattern edge among its own vertices, and by the running
-intersection property every edge with an endpoint outside the interface
-lies in some bag of the subtree, while no bag there holds a vertex from
-outside it.  So a bag's table is the hom count of that induced
-sub-pattern per interface assignment, and two bags with one key have
-tries equal as mappings.  A whole connected component is keyed the same
-way with an empty interface, so a component that recurs across patterns
-is counted once.
+call (or one lone count_hom call) and serves one host.  Every bag has a
+key: the interface size, the number of vertices in the bag's subtree, and
+the edge bitset of the pattern induced on those vertices, relabelled
+interface first, in the order the parent's trie keys it, then the rest in
+increasing order.  The key is exact.  A bag checks every pattern edge
+among its own vertices, and by the running intersection property every
+edge with an endpoint outside the interface lies in some bag of the
+subtree, while no bag there holds a vertex from outside it.  So a bag's
+table is the hom count of that induced sub-pattern per interface
+assignment, and two bags with one key have tries equal as mappings.  A
+root, or a bag sharing nothing with its parent, has an empty interface:
+its subtree holds whole components, and its key is (0, their vertex
+count, their edges relabelled in increasing order).  So a component that
+recurs across patterns, or within one, is counted once.
 
-The store plans before it counts.  HomStore.plan fixes each distinct
-component's decomposition, join orders and keys, and walks its bags in the
-DP's order to learn which bags will find their key already computed: such
-a bag takes the stored table and skips its whole subtree.  Each key's
+The store plans before it counts.  HomStore.plan fixes each pattern's
+decomposition, join orders and keys, and walks its bags in the DP's
+order to learn which bags will find their key already computed: such a
+bag takes the stored table and skips its whole subtree.  Each key's
 number of such reads is its use count.  While counting, a table is stored
 only if a read remains and dropped at its last read, so the store is
 empty once every planned pattern is counted.
@@ -68,13 +71,14 @@ The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
 elimination-ordering DP over vertex subsets, which is fine for the pattern
 sizes this package handles (k <= 8, decomposition solver capped at 12
-vertices).  elimination_order peels one optimal order off that DP, and
-decomposition_from_order is the one bag builder: tree_decomposition is
-that builder on the DP's order, checked against the DP's width.  The
-orders of the catalog representatives are kept on disk
-(counting.elimination_orders), so count_basis runs the DP only for the
-components of disconnected patterns; tree_decomposition, count_hom and
-exact_treewidth on any other graph run it and read no catalog.
+vertices).  It runs on each connected component, and elimination_order
+concatenates one optimal order peeled off each component's table, so the
+order is optimal on every component.  decomposition_from_order is the one
+bag builder: tree_decomposition is that builder on elimination_order's
+order, checked against the DP's width.  The orders of the catalog
+representatives are kept on disk (counting.elimination_orders), so
+count_basis runs no DP; tree_decomposition, count_hom and exact_treewidth
+run it on any graph and read no catalog.
 """
 
 from __future__ import annotations
@@ -88,8 +92,9 @@ from .errors import InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of
 
 MAX_TREEWIDTH_N = 12
-# compiled bag joins kept, by shape: the contracted plans of the connected
-# patterns on at most 7 vertices need 594
+# compiled bag joins kept, by shape: the contracted plans of the stored
+# orders of every class on at most 7 vertices, disconnected ones included,
+# need 594
 JOIN_CACHE_SIZE = 1024
 
 
@@ -114,10 +119,6 @@ def _tw_table(g: SmallGraph) -> list[int]:
     """T[S] = min over orders eliminating exactly S first of the max
     back-degree incurred."""
     n = g.n
-    if n > MAX_TREEWIDTH_N:
-        raise ValueError(f"treewidth solver handles at most {MAX_TREEWIDTH_N} vertices")
-    if g.loops:
-        raise ValueError("treewidth is defined here for loop-free graphs")
     rows = g.adj_rows()
     T = [0] * (1 << n)
     for S in range(1, 1 << n):
@@ -132,10 +133,28 @@ def _tw_table(g: SmallGraph) -> list[int]:
     return T
 
 
+def _order_and_width(g: SmallGraph) -> tuple[tuple[int, ...], int]:
+    """A width-optimal elimination order of g, the first vertex eliminated
+    first, and its width (-1 without vertices).  The treewidth DP runs on
+    each connected component and peels one order off each; the orders are
+    concatenated, so the order is optimal on every component, not only on
+    g, and its decomposition is one tree per component."""
+    if g.n > MAX_TREEWIDTH_N:
+        raise ValueError(f"treewidth solver handles at most {MAX_TREEWIDTH_N} vertices")
+    if g.loops:
+        raise ValueError("treewidth is defined here for loop-free graphs")
+    order: list[int] = []
+    width = -1
+    for comp in g.components():
+        h = g if len(comp) == g.n else g.induced(comp)
+        T = _tw_table(h)
+        order += (comp[v] for v in _peel(h, T))
+        width = max(width, T[-1])
+    return tuple(order), width
+
+
 def exact_treewidth(g: SmallGraph) -> int:
-    if g.n == 0:
-        return -1
-    return _tw_table(g)[(1 << g.n) - 1]
+    return _order_and_width(g)[1]
 
 
 @dataclass(frozen=True)
@@ -188,9 +207,9 @@ class TreeDecomposition:
 
 
 def elimination_order(g: SmallGraph) -> tuple[int, ...]:
-    """A width-optimal elimination order of g, peeled off the treewidth
-    DP: the first vertex eliminated first."""
-    return _peel(g, _tw_table(g))
+    """A width-optimal elimination order of g, optimal on each of its
+    components: the first vertex eliminated first."""
+    return _order_and_width(g)[0]
 
 
 def _peel(g: SmallGraph, T: list[int]) -> tuple[int, ...]:
@@ -210,18 +229,17 @@ def _peel(g: SmallGraph, T: list[int]) -> tuple[int, ...]:
 
 
 def tree_decomposition(g: SmallGraph) -> TreeDecomposition:
-    """Width-optimal rooted decomposition recovered from the treewidth DP:
-    the bags of the order elimination_order peels off the table, checked
-    against the width the table gives."""
-    n = g.n
-    if n == 0:
+    """Width-optimal rooted decomposition, one tree per component: the
+    bags of the order elimination_order gives, checked against the width
+    the treewidth DP gives."""
+    if g.n == 0:
         return TreeDecomposition(g, ((),), (-1,))
-    T = _tw_table(g)
-    td = decomposition_from_order(g, _peel(g, T))
+    order, width = _order_and_width(g)
+    td = decomposition_from_order(g, order)
     td.validate()
-    if td.width != max(T[(1 << n) - 1], 0):
+    if td.width != width:
         raise InternalConsistencyError(
-            f"decomposition width {td.width} != treewidth {T[(1 << n) - 1]}")
+            f"decomposition width {td.width} != treewidth {width}")
     return td
 
 
@@ -305,8 +323,7 @@ class HomStore:
     def plan(self, pattern: SmallGraph,
              td: TreeDecomposition | None = None) -> None:
         """Plan one later count(pattern).  td, a decomposition of the
-        pattern, is validated and, for a connected pattern, replaces
-        tree_decomposition(pattern)."""
+        pattern, is validated and replaces tree_decomposition(pattern)."""
         if td is not None:
             if td.graph != pattern:
                 raise ValueError("tree decomposition belongs to a different pattern")
@@ -316,36 +333,21 @@ class HomStore:
                 raise ValueError(f"invalid tree decomposition: {exc}") from exc
         if pattern.loops or not self.host.n:
             return
+        plan = self._plan_of(pattern, td)
         seen, reads = self._seen, self._reads
-        for g in _components(pattern):
-            root = (0, g.n, g.edges)
-            if root in seen:
-                reads[root] = reads.get(root, 0) + 1
-                continue
-            plan = self._plan_of(g, td if g is pattern else None)
-            for b, read in _walk(plan, seen):
-                key = plan.keys[b]
-                if read:
-                    reads[key] = reads.get(key, 0) + 1
-                elif key is not None:
-                    seen.add(key)
-            seen.add(root)
+        for b, read in _walk(plan, seen):
+            key = plan.keys[b]
+            if read:
+                reads[key] = reads.get(key, 0) + 1
+            else:
+                seen.add(key)
 
     def count(self, pattern: SmallGraph) -> int:
         if pattern.loops:
             return 0
         if not self.host.n:
             return 0 if pattern.n else 1
-        total = 1
-        for g in _components(pattern):
-            root = (0, g.n, g.edges)
-            if root in self._tables:
-                total *= self._take(root)
-                continue
-            homs = self._run(self._plan_of(g))
-            self._put(root, homs)
-            total *= homs
-        return total
+        return self._run(self._plan_of(pattern))
 
     def _plan_of(self, g: SmallGraph,
                  td: TreeDecomposition | None = None) -> _Plan:
@@ -369,9 +371,10 @@ class HomStore:
         return table
 
     def _run(self, plan: _Plan) -> int:
-        """The component's count: its bags in _walk order, each either
+        """The pattern's count: its bags in _walk order, each either
         taken from the store, subtree skipped, or joined from its
-        children's tables, which it then drops."""
+        children's tables, which it then drops; the product of its
+        roots' counts."""
         tables: list = [None] * len(plan.bags)
         for b, read in _walk(plan, self._tables):
             key = plan.keys[b]
@@ -382,24 +385,16 @@ class HomStore:
             for c in plan.children[b]:
                 tables[c] = None
             tables[b] = table
-            if key is not None:
-                self._put(key, table)
+            self._put(key, table)
         return prod(tables[r] for r in plan.roots)
 
 
-def _components(pattern: SmallGraph) -> list[SmallGraph]:
-    comps = pattern.components()
-    if len(comps) == 1:
-        return [pattern]
-    return [pattern.induced(comp) for comp in comps]
-
-
 class _Plan(NamedTuple):
-    """A connected pattern's decomposition, fixed for the DP: each bag's
-    join order, its interface with its parent in the order the parent's
-    trie keys it (levels), its compiled join with the children it reads
-    as tries and those it only multiplies in (joins), and its sub-pattern
-    key, None for a root or an empty interface."""
+    """A pattern's decomposition, fixed for the DP: each bag's join
+    order, its interface with its parent in the order the parent's trie
+    keys it (levels, empty for a root), its compiled join with the
+    children it reads as tries and those it only multiplies in (joins),
+    and its sub-pattern key."""
 
     rows: list[int]
     bags: tuple[tuple[int, ...], ...]
@@ -408,7 +403,7 @@ class _Plan(NamedTuple):
     orders: list[tuple[int, ...]]
     levels: list[tuple[int, ...]]
     joins: list[tuple]
-    keys: list[tuple[int, int, int] | None]
+    keys: list[tuple[int, int, int]]
 
 
 def _contract(bags: tuple[tuple[int, ...], ...], parents: tuple[int, ...]
@@ -457,8 +452,8 @@ def _contract(bags: tuple[tuple[int, ...], ...], parents: tuple[int, ...]
 def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:
     prows = pattern.adj_rows()
     bags, parents = _contract(td.bags, td.parent)
-    # a valid decomposition of a connected pattern may still carry extra
-    # roots, whose trees hold only empty bags and each count 1
+    # one tree per component, and a valid decomposition may carry extra
+    # trees of empty bags, which each count 1
     children: list[list[int]] = [[] for _ in bags]
     roots: list[int] = []
     for b, p in enumerate(parents):
@@ -484,14 +479,13 @@ def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:
                                       [(c, bags[c]) for c in children[b]])
         joins[b] = (_compiled(shape), slots, folded)
     below = [0] * len(bags)
-    keys: list[tuple[int, int, int] | None] = [None] * len(bags)
     for b in reversed(top_down):
         mask = sum(1 << u for u in bags[b])
         for c in children[b]:
             mask |= below[c]
         below[b] = mask
-        if levels[b]:
-            keys[b] = _sub_pattern_key(prows, levels[b], mask)
+    keys = [_sub_pattern_key(prows, interface, mask)
+            for interface, mask in zip(levels, below)]
     return _Plan(prows, bags, children, roots, orders, levels, joins, keys)
 
 
@@ -526,8 +520,7 @@ def _walk(plan: _Plan, present):
         if done:
             yield b, False
             continue
-        key = plan.keys[b]
-        if key is not None and key in present:
+        if plan.keys[b] in present:
             yield b, True
             continue
         stack.append((b, True))

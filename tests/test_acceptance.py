@@ -79,11 +79,10 @@ def test_criterion_1_basis_equals_brute(capsys):
         for _ in range(50):
             n = rng.randint(8, 12)
             host = random_host(rng, n, p=rng.choice((0.2, 0.35, 0.5, 0.65, 0.8)))
-            hom_cache: dict = {}
             for k in (2, 3, 4, 5):
                 for name, phi in properties.items():
                     brute = count_brute(phi, k, host)
-                    basis = count_basis(phi, k, host, hom_cache=hom_cache)
+                    basis = count_basis(phi, k, host)
                     assert basis == brute, (name, k, host.n)
 
 

@@ -423,7 +423,7 @@ def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
         assert good.split("\n")[1] == "0 0 0 0 0"
     elif name == "orders":
         assert _edit_row(good, 33, lambda r: r) == good
-        assert good.split("\n")[1] == "4 3 2 1 0"
+        assert good.split("\n")[1] == "0 1 2 3 4"
     else:
         assert good.split("\n")[34] == "51 1"
     path.write_text(MAP_CORRUPTIONS[name][corruption](good))

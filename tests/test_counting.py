@@ -13,6 +13,7 @@ from indsub import catalog
 from indsub.catalog import build_catalog
 from indsub.counting import (
     DEFAULT_SUBSET_BUDGET,
+    _class_decomposition,
     count_basis,
     count_brute,
     elimination_orders,
@@ -143,9 +144,8 @@ def test_count_basis_shares_sub_pattern_tables(monkeypatch):
     sub-pattern another bag of the call has computed takes that table."""
     phi = get_property("connected")
     host = _petersen()
-    patterns = {comp for g, _ in hom_vector(phi, 5).entries
-                for comp in homcount._components(g)}
-    planned = sum(len(tree_decomposition(g).bags) for g in patterns)
+    planned = sum(len(_class_decomposition(g).bags)
+                  for g, _ in hom_vector(phi, 5).entries)
     runs = []
     bag_table = homcount._bag_table
 
@@ -159,6 +159,9 @@ def test_count_basis_shares_sub_pattern_tables(monkeypatch):
 
 
 def _stored_decompositions_are_the_dp_ones(k, classes):
+    """The stored order's decomposition is tree_decomposition's, and it is
+    optimal on every component: the bags holding a component's vertices
+    are as wide as that component's treewidth."""
     cat = build_catalog(k)
     orders = elimination_orders(k)
     for i in classes:
@@ -167,6 +170,10 @@ def _stored_decompositions_are_the_dp_ones(k, classes):
         want = tree_decomposition(g)
         assert (td.bags, td.parent) == (want.bags, want.parent)
         assert td.width == max(exact_treewidth(g), 0)
+        for comp in g.components():
+            width = max(len(bag) for bag in td.bags if bag[0] in comp) - 1
+            assert width == exact_treewidth(g.induced(comp)), \
+                (g.to_graph6(), comp, td.bags)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -180,24 +187,22 @@ def test_stored_orders_give_the_dp_decompositions_on_sampled_7_classes():
     _stored_decompositions_are_the_dp_ones(7, classes)
 
 
-def test_count_basis_plans_connected_patterns_from_stored_orders(monkeypatch):
-    # Only the components of disconnected patterns get a decomposition by
-    # the treewidth DP.
-    phi = get_property("connected")
+def test_count_basis_runs_no_treewidth_dp(monkeypatch):
+    """Every pattern, disconnected ones included, is planned from its
+    class's stored elimination order."""
+    phi = get_property("chordal")
     host = _petersen()
-    disconnected = {comp for g, _ in hom_vector(phi, 5).entries
-                    if not g.is_connected()
-                    for comp in homcount._components(g)}
-    built = []
-    original = homcount.tree_decomposition
+    want = count_brute(phi, 5, host)
+    assert any(not g.is_connected() for g, _ in hom_vector(phi, 5).entries)
+    for k in range(1, 6):
+        elimination_orders(k)
 
-    def traced(g):
-        built.append(g)
-        return original(g)
+    def refuse(g):
+        raise AssertionError(f"treewidth DP run on {g.to_graph6()}")
 
-    monkeypatch.setattr(homcount, "tree_decomposition", traced)
-    assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
-    assert set(built) <= disconnected
+    monkeypatch.setattr(homcount, "tree_decomposition", refuse)
+    monkeypatch.setattr(homcount, "_tw_table", refuse)
+    assert count_basis(phi, 5, host) == want
 
 
 def test_hom_counts_on_representatives_build_no_catalog(monkeypatch):
@@ -253,22 +258,6 @@ def test_count_basis_frees_each_table_after_its_last_read(monkeypatch, name, k):
     (store,) = _CheckedStore.made
     # every planned read was made, so nothing is left
     assert not store._tables and not store._reads
-
-
-def test_count_basis_accepts_prebuilt_vector_and_cache():
-    phi = get_property("bipartite")
-    k = 4
-    rng = random.Random(21)
-    host = random_host(rng, 8, p=0.4)
-    cache: dict = {}
-    first = count_basis(phi, k, host, hom_cache=cache)
-    assert first == count_brute(phi, k, host)
-    # one count per pattern, keyed by the entry's canonical representative
-    assert set(cache) == {g for g, _ in hom_vector(phi, k).entries}
-    before = dict(cache)
-    again = count_basis(phi, k, host, hom_cache=cache)
-    assert again == first
-    assert cache == before  # second run only reads
 
 
 def test_count_basis_flags_non_integral_total(monkeypatch):

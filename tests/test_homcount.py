@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import indsub.homcount as homcount
 from indsub.catalog import build_catalog
 from indsub.counting import _class_decomposition
 from indsub.graphs import HostGraph, SmallGraph
@@ -201,6 +202,27 @@ def _connected_patterns(draw, max_n=6):
 
 
 @st.composite
+def _repeated_component_patterns(draw, max_n=6):
+    """A disconnected pattern on at most max_n vertices that holds one
+    connected component at least twice, perhaps beside one other, its
+    vertices shuffled so the components interleave."""
+    comp = draw(_connected_patterns(max_n=max_n // 2))
+    parts = [comp] * draw(st.integers(2, max_n // comp.n))
+    room = max_n - comp.n * len(parts)
+    if room:
+        parts += draw(st.lists(_connected_patterns(max_n=room), max_size=1))
+    n = sum(part.n for part in parts)
+    perm = draw(st.permutations(range(n)))
+    pairs = []
+    start = 0
+    for part in parts:
+        pairs += [(perm[start + a], perm[start + b])
+                  for a, b in part.edge_pairs()]
+        start += part.n
+    return SmallGraph.from_edges(n, pairs)
+
+
+@st.composite
 def _host(draw, max_n):
     host_n = draw(st.integers(1, max_n))
     host_pairs = draw(st.sets(st.sampled_from(
@@ -340,6 +362,24 @@ def test_generated_source_holds_only_whitelisted_names():
     assert info.currsize <= info.maxsize
 
 
+def test_store_counts_a_repeated_component_once(monkeypatch):
+    """The two triangles of 2K3, their vertices interleaved, are two roots
+    of one forest with one key: only the first root's bag is joined."""
+    two_triangles = SmallGraph.from_edges(
+        6, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)])
+    host = random_host(random.Random(51), 7, p=0.6)
+    runs = []
+
+    def counted(plan, b, *args):
+        runs.append(plan.bags[b])
+        return _bag_table(plan, b, *args)
+
+    monkeypatch.setattr(homcount, "_bag_table", counted)
+    assert count_hom(two_triangles, host) == \
+        brute_hom_count(two_triangles, host)
+    assert len(runs) == 1
+
+
 def test_store_keys_a_sub_pattern_by_its_interface_order():
     """The child bag (0, 1, 2) holds the path 0-1-2 in both patterns, but
     the first parent keys the interface as (0, 1) and the second, whose
@@ -463,11 +503,14 @@ def test_contract_keeps_a_decomposition_without_nested_bags():
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(_CONNECTED_CLASSES),
-                          _connected_patterns()), min_size=1, max_size=6),
+                          _connected_patterns(),
+                          _repeated_component_patterns()),
+                min_size=1, max_size=6),
        _host(5))
 def test_one_store_counts_every_pattern_as_alone(patterns, host):
-    """Connected patterns, repeats included, planned into one store and
-    counted in order match the map enumeration and the lone count_hom."""
+    """Connected patterns and disconnected ones with a repeated component,
+    repeats included, planned into one store and counted in order match
+    the map enumeration and the lone count_hom."""
     store = HomStore(host)
     for pattern in patterns:
         store.plan(pattern)
@@ -526,12 +569,10 @@ def test_count_hom_each_way_the_last_position_writes(write, pattern, td):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_join_order_ends_on_parents_deepest_key(k):
-    """On every connected class, in the plan of the stored-order
-    decomposition count_basis plans, each non-root bag shares a vertex with
-    its parent and assigns the vertex the parent keys deepest last."""
+    """On every class, in the plan of the stored-order decomposition
+    count_basis plans, each non-root bag shares a vertex with its parent
+    and assigns the vertex the parent keys deepest last."""
     for pattern in build_catalog(k).graphs():
-        if not pattern.is_connected():
-            continue
         plan = _plan(pattern, _class_decomposition(pattern))
         for b, (order, levels) in enumerate(zip(plan.orders, plan.levels)):
             if b in plan.roots:
