@@ -4,14 +4,19 @@ count_brute enumerates the C(n,k) vertex subsets depth-first, in the order
 of combinations(range(n), k), and builds each subset's induced edge
 bitset incrementally: a per-depth table turns the mask of earlier
 positions adjacent to a vertex into that vertex's pair_index(k, ., .) edge
-bits.  The subsets under one (k-1)-prefix are grouped by induced labelled
-graph, and the predicate's value is remembered per labelled edge bitset
-for the rest of the call, up to MEMO_CAP graphs, so memory stays bounded
-at large k.  Evaluation order is the order in which each labelled graph
-first occurs, so a failing predicate is reported on the same graph as by
-a plain subset sweep.  count_brute is the independent check on the basis
-route, so it uses neither the catalog, canonical forms, the hom basis nor
-the hom DP.
+bits.  The subsets under one (k-1)-prefix differ only in the last
+vertex, whose induced graph is fixed by the mask of prefix positions it
+is adjacent to.  So each prefix's induced labelled graph has a table of
+predicate values, 0 or 1, keyed by that mask, and the prefix adds its
+leaves' values in one C-level sum.  A value is filled in the first time
+its graph occurs, so the predicate runs once per distinct labelled graph,
+in the order each first occurs, and a failing predicate is reported on
+the same graph as by a plain subset sweep.  Values are kept for the rest
+of the call until MEMO_CAP are kept (the last prefix to add some may pass
+it by its leaves), so memory stays bounded at large k; after that, a
+prefix's new values live for that prefix only.  count_brute is the
+independent check on the basis route, so it uses neither the catalog,
+canonical forms, the hom basis nor the hom DP.
 
 count_basis evaluates the homomorphism-basis vector against exact
 per-pattern homomorphism counts.  The two must agree on every input.  It
@@ -30,7 +35,6 @@ returning.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -47,7 +51,7 @@ from .homcount import (
 from .properties import PropertySpec, evaluate
 
 DEFAULT_SUBSET_BUDGET = 10 ** 8
-# count_brute remembers Phi for at most this many labelled graphs per call
+# count_brute keeps Phi's value for about this many labelled graphs per call
 MEMO_CAP = 1 << 16
 
 
@@ -71,30 +75,41 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
         return 1 if evaluate(phi, SmallGraph(0)) else 0
     joins = _join_bits(k)
     nbrs = host.neighbors
-    memo: dict[int, bool] = {}
+    last = k - 1
+    # kept[prefix edges][mask]: Phi's value, 1 or 0, on the graph of that
+    # prefix and a last vertex adjacent to the prefix positions set in mask
+    kept: dict[int, dict[int, int]] = {}
+    room = MEMO_CAP
     # Subsets v_0 < ... < v_{k-1} are grown depth-first in the order of
     # combinations(range(n), k).  row[u] has bit j set while u is adjacent
     # to v_j; edge_sets[i] is the induced edge bitset of v_0..v_{i-1}.
     row = [0] * n
     chosen = [0] * k
     edge_sets = [0] * k
-    last = k - 1
     total = 0
     i, v = 0, 0
     while i >= 0:
         if i == last:
-            # the leaves under this prefix, grouped by induced graph in the
-            # order each graph first occurs
-            base, table = edge_sets[last], joins[last]
-            for mask, copies in Counter(row[v:]).items():
-                edges = base | table[mask]
-                holds = memo.get(edges)
-                if holds is None:
-                    holds = evaluate(phi, SmallGraph(k, edges))
-                    if len(memo) < MEMO_CAP:
-                        memo[edges] = holds
-                if holds:
-                    total += copies
+            base = edge_sets[last]
+            w = kept.get(base, {})
+            leaves = row[v:]
+            try:
+                total += sum(map(w.__getitem__, leaves))
+            except KeyError:
+                # some leaf's graph is new: evaluate the new ones in the
+                # order each first occurs, into the kept table while there
+                # is room, else into a copy that lives for this prefix
+                if room <= 0:
+                    w = dict(w)
+                elif base not in kept:
+                    kept[base] = w
+                table = joins[last]
+                for mask in dict.fromkeys(leaves):
+                    if mask not in w:
+                        w[mask] = 1 if evaluate(
+                            phi, SmallGraph(k, base | table[mask])) else 0
+                        room -= 1
+                total += sum(map(w.__getitem__, leaves))
         elif v <= n - k + i:
             chosen[i] = v
             edge_sets[i + 1] = edge_sets[i] | joins[i][row[v]]

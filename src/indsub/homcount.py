@@ -36,12 +36,16 @@ Once the plan fixes a bag's join order and levels, its join is a fixed
 loop nest, so it is compiled, not interpreted.  A bag's shape (per
 position, its earlier pattern-neighbours and the child tries it descends,
 then its upper trie levels) is turned into the source of one Python
-function with one for loop per position, over the host neighbours of one
-pattern-neighbour, a child trie's items, or all host vertices; the other
-neighbours are one adjacency mask computed as soon as they are assigned,
-and the other tries .get lookups.  Each shape is compiled once per process
-(a bounded cache).  The source holds only keywords and names built from
-small integers; no pattern, host or other input text enters it.
+function with one loop per position.  A position with one
+pattern-neighbour runs over that neighbour's host neighbours; one with
+several walks the set bits of their adjacency masks' AND, computed as
+soon as the last of them is assigned, so it visits only their common
+neighbours and a last position without child tries just counts them.  A
+position with none runs over a child trie's items, or over all host
+vertices; the other tries are .get lookups.  Each shape is compiled once
+per process (a bounded cache).  The source holds only keywords and names
+built from small integers; no pattern, host or other input text enters
+it.
 
 Tables are shared through a HomStore, which lives for one count_basis
 call (or one lone count_hom call) and serves one host.  Every bag has a
@@ -71,14 +75,16 @@ The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
 elimination-ordering DP over vertex subsets, which is fine for the pattern
 sizes this package handles (k <= 8, decomposition solver capped at 12
-vertices).  It runs on each connected component, and elimination_order
-concatenates one optimal order peeled off each component's table, so the
-order is optimal on every component.  decomposition_from_order is the one
-bag builder: tree_decomposition is that builder on elimination_order's
-order, checked against the DP's width.  The orders of the catalog
-representatives are kept on disk (counting.elimination_orders), so
-count_basis runs no DP; tree_decomposition, count_hom and exact_treewidth
-run it on any graph and read no catalog.
+vertices).  It runs on each connected component: exact_treewidth takes
+the largest of the components' values from their tables, and
+elimination_order concatenates one optimal order peeled off each
+component's table, so the order is optimal on every component.
+decomposition_from_order is the one bag builder: tree_decomposition is
+that builder on elimination_order's order, checked against the DP's
+width.  The orders of the catalog representatives are kept on disk
+(counting.elimination_orders), so count_basis runs no DP;
+tree_decomposition, count_hom and exact_treewidth run it on any graph and
+read no catalog.
 """
 
 from __future__ import annotations
@@ -133,28 +139,36 @@ def _tw_table(g: SmallGraph) -> list[int]:
     return T
 
 
+def _component_tables(g: SmallGraph):
+    """(vertices, induced graph, treewidth table) per connected component
+    of g, in g.components() order."""
+    if g.n > MAX_TREEWIDTH_N:
+        raise ValueError(f"treewidth solver handles at most {MAX_TREEWIDTH_N} vertices")
+    if g.loops:
+        raise ValueError("treewidth is defined here for loop-free graphs")
+    for comp in g.components():
+        h = g if len(comp) == g.n else g.induced(comp)
+        yield comp, h, _tw_table(h)
+
+
 def _order_and_width(g: SmallGraph) -> tuple[tuple[int, ...], int]:
     """A width-optimal elimination order of g, the first vertex eliminated
     first, and its width (-1 without vertices).  The treewidth DP runs on
     each connected component and peels one order off each; the orders are
     concatenated, so the order is optimal on every component, not only on
     g, and its decomposition is one tree per component."""
-    if g.n > MAX_TREEWIDTH_N:
-        raise ValueError(f"treewidth solver handles at most {MAX_TREEWIDTH_N} vertices")
-    if g.loops:
-        raise ValueError("treewidth is defined here for loop-free graphs")
     order: list[int] = []
     width = -1
-    for comp in g.components():
-        h = g if len(comp) == g.n else g.induced(comp)
-        T = _tw_table(h)
+    for comp, h, T in _component_tables(g):
         order += (comp[v] for v in _peel(h, T))
         width = max(width, T[-1])
     return tuple(order), width
 
 
 def exact_treewidth(g: SmallGraph) -> int:
-    return _order_and_width(g)[1]
+    """The treewidth of g, -1 without vertices: the largest of its
+    components' treewidths, read off the DP tables, no order peeled."""
+    return max((T[-1] for _, _, T in _component_tables(g)), default=-1)
 
 
 @dataclass(frozen=True)
@@ -597,16 +611,18 @@ def _compiled(shape):
 
 def _source(shape) -> str:
     """Source of join(n_host, adj, nbrs, base, N0_0, ..), which computes
-    any bag of the given shape with one for loop per position: v<i> is
+    any bag of the given shape with one loop per position: v<i> is
     position i's host vertex, w<i> the weight after it, and N<s>_<d> child
     trie s's node at depth d (past its last level, a count).  A position
-    with pattern-neighbours runs over the host neighbours of the first,
-    tests the others' mask M<i>, computed once they are assigned, by bit,
-    and looks its child tries up with .get; one without runs over its
-    first child trie's items, or over every host vertex.  Timed join by
-    join on the count workload (seeds 1 and 1000), this fixed choice beat
-    driving from a trie below depth 0 by about 8 %, and a run-time choice
-    of the smaller side by about 2 %."""
+    with one pattern-neighbour runs over that neighbour's host neighbours;
+    one with several walks the set bits of M<i>, the AND of their
+    adjacency masks, computed once the last of them is assigned, so only
+    common neighbours are visited.  Either looks its child tries up with
+    .get.  A position without pattern-neighbours runs over its first child
+    trie's items, or over every host vertex.  Timed join by join on the
+    count workload (seeds 1 and 1000), this fixed choice beat driving from
+    a trie below depth 0 by about 8 %, and a run-time choice of the smaller
+    side by about 2 %."""
     nbr_pos, reads, upper, to_trie, n_slots = shape
     m = len(nbr_pos)
     params = ", ".join(["n_host", "adj", "nbrs", "base"]
@@ -620,11 +636,15 @@ def _source(shape) -> str:
     hoist: list[list[int]] = [[] for _ in range(m)]
     for i, nb in enumerate(nbr_pos):
         if nb[1:]:
-            hoist[max(nb[1:])].append(i)
+            hoist[nb[-1]].append(i)
 
     def header(i: int, pad: str) -> list[str]:
         nb, rd = nbr_pos[i], reads[i]
-        if nb:
+        if nb[1:]:
+            out = [f"{pad}m{i} = M{i}", f"{pad}while m{i}:",
+                   f"{pad}    b{i} = m{i} & -m{i}", f"{pad}    m{i} ^= b{i}",
+                   f"{pad}    v{i} = b{i}.bit_length() - 1"]
+        elif nb:
             out = [f"{pad}for v{i} in nbrs[v{nb[0]}]:"]
         elif rd:
             s, d, _ = rd[0]
@@ -632,8 +652,6 @@ def _source(shape) -> str:
             rd = rd[1:]
         else:
             out = [f"{pad}for v{i} in range(n_host):"]
-        if nb[1:]:
-            out.append(f"{pad}    if not M{i} >> v{i} & 1: continue")
         for s, d, _ in rd:
             out.append(f"{pad}    N{s}_{d + 1} = N{s}_{d}.get(v{i})")
             out.append(f"{pad}    if N{s}_{d + 1} is None: continue")
@@ -650,14 +668,13 @@ def _source(shape) -> str:
         if ends(i):
             lines.append(f"{pad}w{i} = {' * '.join([w, *ends(i)])}")
             w = f"w{i}"
-        lines += [f"{pad}M{t} = " + " & ".join(f"adj[v{j}]"
-                                               for j in nbr_pos[t][1:])
+        lines += [f"{pad}M{t} = " + " & ".join(f"adj[v{j}]" for j in nbr_pos[t])
                   for t in hoist[i]]
     last, nb, rd = m - 1, nbr_pos[-1], reads[-1]
     if not to_trie:
         if not rd:
             many = ("n_host" if not nb else f"len(nbrs[v{nb[0]}])"
-                    if len(nb) == 1 else f"(M{last} & adj[v{nb[0]}]).bit_count()")
+                    if len(nb) == 1 else f"M{last}.bit_count()")
             lines.append(f"{pad}total += {w} * {many}")
         elif len(rd) == 1 and not nb:
             lines.append(f"{pad}total += {w} * sum(N{rd[0][0]}_{rd[0][1]}.values())")

@@ -1,5 +1,7 @@
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,15 +18,22 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+# (session cache directory, INDSUB_CACHE_DIR before the session or None)
+_cache_dirs = pytest.StashKey[tuple]()
 
-@pytest.fixture(scope="session", autouse=True)
-def catalog_cache_dir(tmp_path_factory):
-    """Point the on-disk catalog cache at a session-private directory so
-    tests neither read nor pollute a user cache."""
-    directory = tmp_path_factory.mktemp("catalog-cache")
-    previous = os.environ.get("INDSUB_CACHE_DIR")
-    os.environ["INDSUB_CACHE_DIR"] = str(directory)
-    yield directory
+
+def pytest_configure(config):
+    """Point the on-disk catalog cache at a session-private directory
+    before collection, so that neither the tests nor the catalogs a test
+    module builds at import read or pollute a user cache."""
+    directory = tempfile.mkdtemp(prefix="indsub-cache-")
+    config.stash[_cache_dirs] = (directory, os.environ.get("INDSUB_CACHE_DIR"))
+    os.environ["INDSUB_CACHE_DIR"] = directory
+
+
+def pytest_unconfigure(config):
+    directory, previous = config.stash[_cache_dirs]
+    shutil.rmtree(directory, ignore_errors=True)
     if previous is None:
         os.environ.pop("INDSUB_CACHE_DIR", None)
     else:

@@ -723,6 +723,22 @@ def test_parent_catalog_uses_the_given_cache_dir(tmp_path, monkeypatch):
         [f"k{k}.catalog" for k in range(1, 8)]
 
 
+def test_collecting_the_tests_writes_no_user_cache(tmp_path):
+    """test_homcount builds catalogs at import, that is while pytest
+    collects it: with no INDSUB_CACHE_DIR set, they must still land in the
+    session's own directory, not under HOME."""
+    tests = Path(__file__).parent
+    env = {name: value for name, value in os.environ.items()
+           if name != "INDSUB_CACHE_DIR"}
+    env["HOME"] = str(tmp_path)
+    env["PYTHONPATH"] = str(Path(catalog.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                    "-p", "no:cacheprovider", str(tests / "test_homcount.py")],
+                   cwd=tests.parent, env=env, capture_output=True,
+                   timeout=300, check=True)
+    assert not (tmp_path / ".cache" / "indsub").exists()
+
+
 def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
     script = Path(__file__).parent.parent / "scripts" / "build_catalogs.py"
     spec = importlib.util.spec_from_file_location("build_catalogs", script)

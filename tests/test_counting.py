@@ -1,5 +1,6 @@
 """Tests for induced-subgraph counting: enumeration vs basis evaluation."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from indsub.homcount import (
 )
 from indsub.properties import BUILTIN_PROPERTIES, PropertySpec, get_property, invert
 
-from oracles import brute_indsub_count, host_complement, random_host
+from oracles import brute_indsub_count, host_complement, induced_small, random_host
 
 
 @pytest.mark.parametrize("prop_name", ["connected", "bipartite", "chordal",
@@ -113,6 +114,18 @@ def test_brute_matches_subset_oracle_with_a_tiny_memo(monkeypatch):
             for k in range(host.n + 2):
                 assert count_brute(phi, k, host) == \
                     brute_indsub_count(phi, k, host), (prop_name, k)
+
+
+def test_brute_evaluates_each_induced_labelled_graph_once_in_sweep_order():
+    host = random_host(random.Random(62), 14, p=0.4)
+    for k in (1, 3, 4, 5):
+        seen = []
+        phi = PropertySpec("edges", lambda g: seen.append(g) or g.edge_count % 2)
+        sweep = [induced_small(host, subset)
+                 for subset in itertools.combinations(range(host.n), k)]
+        assert count_brute(phi, k, host) == \
+            sum(g.edge_count % 2 for g in sweep)
+        assert seen == list(dict.fromkeys(sweep)), k
 
 
 def test_brute_names_the_first_graph_the_predicate_fails_on():
