@@ -19,23 +19,31 @@ independent check on the basis route, so it uses neither the catalog,
 canonical forms, the hom basis nor the hom DP.
 
 count_basis evaluates the homomorphism-basis vector against exact
-per-pattern homomorphism counts.  The two must agree on every input.  It
-plans every pattern of the vector into one homcount.HomStore before
-counting any, so the patterns share their rooted sub-pattern tables and
-repeated components within the call.  Every pattern, connected or not, is
-planned with the decomposition of its class's elimination order, one tree
-per component, which the treewidth DP computes once per cache directory:
-the orders are kept beside the catalog as k{k}.orders (a
-catalog.ClassMap), one row per class holding the representative's
-vertices in elimination order.  So counting runs no treewidth DP.
-count_basis hands k = 0 and k > n to count_brute (at most one predicate
-call) and otherwise insists on an integral, nonnegative total before
-returning.
+per-pattern homomorphism counts.  The two must agree on every input.  Only
+the coefficients depend on Phi: #Hom(H, host) depends on the pattern and
+the host alone, so count_basis keeps the counts of the last host it
+counted (one dict, keyed by pattern, held by an lru_cache of size 1 keyed
+by the HostGraph, so an equal host built apart finds it) and counts only
+the vector's patterns not in it yet.  It plans those patterns into one
+homcount.HomStore before counting any, so they share their rooted
+sub-pattern tables and repeated components within the call.  Every
+pattern, connected or not, is planned with the decomposition of its
+class's elimination order, one tree per component, which the treewidth DP
+computes once per cache directory: the orders are kept beside the catalog
+as k{k}.orders (a catalog.ClassMap), one row per class holding the
+representative's vertices in elimination order.  So counting runs no
+treewidth DP.  A class's decomposition, like its validated plan in
+homcount, is built once per process.  The vector's patterns are classes
+on at most MAX_HOM_VECTOR_K vertices, so the kept counts are at most
+1,252 exact ints beside one host.  count_basis hands k = 0 and k > n to
+count_brute (at most one predicate call) and otherwise insists on an
+integral, nonnegative total before returning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .catalog import MAX_HOM_VECTOR_K, ClassMap, build_catalog
@@ -43,6 +51,7 @@ from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, pair_index
 from .hombasis import hom_vector
 from .homcount import (
+    PLAN_CACHE_SIZE,
     HomStore,
     count_hom,
     decomposition_from_order,
@@ -146,27 +155,45 @@ def _join_bits(k: int) -> list[list[int]]:
 def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     """#IndSub(phi, k, host) as sum_H a(H) * #Hom(H, host).
 
-    Every pattern is planned into one HomStore, with the decomposition of
-    its class's stored elimination order, before any is counted, so a
-    rooted sub-pattern table, or a whole component's count, is computed
-    once per call and shared by every pattern that holds it; each is
-    dropped after its last planned read, and none outlives the call.
+    #Hom(H, host) is taken from the counts kept for the last host when
+    that host equals this one.  The patterns not kept yet are planned
+    into one HomStore, with the decomposition of their class's stored
+    elimination order, before any is counted, so a rooted sub-pattern
+    table, or a whole component's count, is computed once per call and
+    shared by every pattern that holds it; each table is dropped after
+    its last planned read, and none outlives the call.  The counts it
+    makes are kept for later calls on this host.
     """
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
     entries = hom_vector(phi, k).entries
-    store = HomStore(host)
-    for g, _ in entries:
-        store.plan(g, _class_decomposition(g))
+    homs = _host_homs(host)
+    new = [g for g, _ in entries if g not in homs]
+    if new:
+        store = HomStore(host)
+        for g in new:
+            store.plan(g, _class_decomposition(g))
+        for g in new:
+            homs[g] = count_hom(g, host, store=store)
     total = Fraction(0)
     for g, coef in entries:
-        total += coef * count_hom(g, host, store=store)
+        total += coef * homs[g]
     if total.denominator != 1 or total < 0:
         raise InternalConsistencyError(
             f"basis evaluation produced {total}, not a count")
     return int(total)
 
 
+@lru_cache(maxsize=1)
+def _host_homs(host: HostGraph) -> dict[SmallGraph, int]:
+    """#Hom(pattern, host) per pattern count_basis has counted into host;
+    filled by count_basis, kept for the last host only.  Entries are only
+    added, each exact, so a caller holding the dict never reads a wrong
+    count."""
+    return {}
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _class_decomposition(g: SmallGraph):
     """The decomposition of the stored elimination order of g, a catalog
     representative.  The order fits the representative's own labelling

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indsub import canon, catalog
+from indsub import canon, catalog, counting
 from indsub.canon import automorphism_count, canon_key, refinement_invariant
 from indsub.catalog import (
     CLASS_MAPS,
@@ -329,17 +329,27 @@ RESULT_HOST = HostGraph.from_edges(
 
 @pytest.fixture
 def cache_env(tmp_path, monkeypatch):
-    """INDSUB_CACHE_DIR at tmp_path, with no catalog, map or hom vector
-    cached in the process when the test starts or ends."""
+    """INDSUB_CACHE_DIR at tmp_path, with no catalog, map, hom vector or
+    anything count_basis keeps cached in the process when the test starts
+    or ends."""
     def forget():
         catalog._catalog_cached.cache_clear()
-        catalog._class_map_cached.cache_clear()
-        hom_vector.cache_clear()
+        _forget_maps()
 
     forget()
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     yield tmp_path
     forget()
+
+
+def _forget_maps():
+    """Drop the maps and hom vectors cached in the process, and what
+    count_basis keeps that was read from a map: the class decompositions
+    made from stored orders, and the hom counts made with them."""
+    catalog._class_map_cached.cache_clear()
+    hom_vector.cache_clear()
+    counting._class_decomposition.cache_clear()
+    counting._host_homs.cache_clear()
 
 
 def _results(k):
@@ -351,11 +361,10 @@ def _results(k):
 
 def _written(directory, name, k):
     """The results at k, which write every map they read into directory;
-    then no map or hom vector stays cached.  Returns the map file of name
-    at k, its text and the results."""
+    then nothing _forget_maps drops stays cached.  Returns the map file of
+    name at k, its text and the results."""
     want = _results(k)
-    catalog._class_map_cached.cache_clear()
-    hom_vector.cache_clear()
+    _forget_maps()
     path = directory / f"k{k}.{name}"
     return path, path.read_text(), want
 
@@ -500,8 +509,7 @@ def test_concurrent_map_writers(name, k, cache_env):
     from_files = _results(k)
     for p in cache_env.glob("k*.[!c]*"):      # every map, no catalog
         p.unlink()
-    catalog._class_map_cached.cache_clear()
-    hom_vector.cache_clear()
+    _forget_maps()
     assert _results(k) == from_files
 
 

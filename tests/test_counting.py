@@ -152,13 +152,8 @@ def _petersen() -> HostGraph:
                                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
 
-def test_count_basis_shares_sub_pattern_tables(monkeypatch):
-    """Fewer bags run the hom DP than the plan holds: a bag whose rooted
-    sub-pattern another bag of the call has computed takes that table."""
-    phi = get_property("connected")
-    host = _petersen()
-    planned = sum(len(_class_decomposition(g).bags)
-                  for g, _ in hom_vector(phi, 5).entries)
+def _count_bag_tables(monkeypatch) -> list:
+    """A list that gets one entry per bag table the hom DP computes."""
     runs = []
     bag_table = homcount._bag_table
 
@@ -167,6 +162,17 @@ def test_count_basis_shares_sub_pattern_tables(monkeypatch):
         return bag_table(*args)
 
     monkeypatch.setattr(homcount, "_bag_table", counted)
+    return runs
+
+
+def test_count_basis_shares_sub_pattern_tables(monkeypatch):
+    """Fewer bags run the hom DP than the plan holds: a bag whose rooted
+    sub-pattern another bag of the call has computed takes that table."""
+    phi = get_property("connected")
+    host = _petersen()
+    planned = sum(len(_class_decomposition(g).bags)
+                  for g, _ in hom_vector(phi, 5).entries)
+    runs = _count_bag_tables(monkeypatch)
     assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
     assert len(runs) < planned
 
@@ -271,6 +277,104 @@ def test_count_basis_frees_each_table_after_its_last_read(monkeypatch, name, k):
     (store,) = _CheckedStore.made
     # every planned read was made, so nothing is left
     assert not store._tables and not store._reads
+
+
+def _triangles(host: HostGraph) -> int:
+    return sum(len(set(host.neighbors[u]) & set(host.neighbors[v]))
+               for u, v in host.edge_pairs()) // 3
+
+
+def _moved_edge(host: HostGraph) -> HostGraph:
+    """host with one edge moved to a non-edge so that the triangle count
+    changes: the same vertex and edge counts, one edge different, and not
+    isomorphic to host."""
+    pairs = host.edge_pairs()
+    gaps = [(u, v) for u in range(host.n) for v in range(u + 1, host.n)
+            if v not in host.neighbors[u]]
+    return next(moved for drop in pairs for gap in gaps
+                for moved in [HostGraph.from_edges(
+                    host.n, [e for e in pairs if e != drop] + [gap])]
+                if _triangles(moved) != _triangles(host))
+
+
+def test_kept_counts_match_brute_across_interleaved_hosts():
+    """count_basis keeps the counts of its last host: calls that switch
+    between hosts, properties and k, on equal hosts built apart and on
+    hosts that differ in one edge only, all agree with enumeration."""
+    rng = random.Random(64)
+    a = random_host(rng, 9, p=0.4)
+    twin = HostGraph.from_edges(a.n, a.edge_pairs())
+    moved = _moved_edge(a)
+    other = random_host(rng, 8, p=0.6)
+    assert twin == a and twin is not a
+    assert (moved.n, moved.edge_count) == (a.n, a.edge_count)
+    # bipartite at k = 3 counts the 3-sets that are not triangles
+    bipartite = get_property("bipartite")
+    assert count_brute(bipartite, 3, moved) != count_brute(bipartite, 3, a)
+    hosts = (a, moved, twin, other, a, twin, moved)
+    calls = [("connected", 5), ("triangle-free", 4), ("chordal", 5),
+             ("bipartite", 3), ("no-edges", 5), ("edge-count-even", 4)]
+    for i, host in enumerate(hosts):
+        for name, k in calls[i % 3:] + calls[:i % 3]:
+            phi = get_property(name)
+            assert count_basis(phi, k, host) == count_brute(phi, k, host), \
+                (i, name, k)
+
+
+def test_count_basis_reuses_the_counts_of_an_equal_host(monkeypatch):
+    """Once connected and bipartite are counted at k = 5, every pattern of
+    triangle-free's k = 5 vector, and of connected's at k = 4, has its
+    count kept, so on an equal host neither runs the DP."""
+    covered = {g for name in ("connected", "bipartite")
+               for g, _ in hom_vector(get_property(name), 5).entries}
+    tri_free, conn = get_property("triangle-free"), get_property("connected")
+    assert {g for g, _ in hom_vector(tri_free, 5).entries} <= covered
+    want = (count_brute(tri_free, 5, _petersen()),
+            count_brute(conn, 4, _petersen()))
+    runs = _count_bag_tables(monkeypatch)
+    count_basis(conn, 5, _petersen())
+    count_basis(get_property("bipartite"), 5, _petersen())
+    assert runs
+    runs.clear()
+    assert (count_basis(tri_free, 5, _petersen()),
+            count_basis(conn, 4, _petersen())) == want
+    assert not runs
+
+
+def test_count_basis_keeps_the_last_host_only(monkeypatch):
+    phi = get_property("connected")
+    a = _petersen()
+    b = _moved_edge(a)
+    runs = _count_bag_tables(monkeypatch)
+    want = count_basis(phi, 5, a)
+    first = len(runs)
+    assert count_basis(phi, 5, b) == count_brute(phi, 5, b)
+    assert len(runs) == 2 * first
+    # b took a's place, so a is counted again, as the first time
+    assert count_basis(phi, 5, a) == want
+    assert len(runs) == 3 * first
+    assert counting_module._host_homs.cache_info().currsize == 1
+
+
+def test_each_class_is_planned_once_across_hosts(monkeypatch):
+    planned = []
+    plan = homcount._plan
+
+    def recorded(pattern, td):
+        planned.append(pattern)
+        return plan(pattern, td)
+
+    monkeypatch.setattr(homcount, "_plan", recorded)
+    rng = random.Random(65)
+    hosts = [random_host(rng, 10, p=0.4) for _ in range(2)]
+    names = ("connected", "chordal", "split")
+    for host in hosts:
+        for name in names:
+            phi = get_property(name)
+            assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
+    assert sorted(planned, key=repr) == sorted(
+        {g for name in names
+         for g, _ in hom_vector(get_property(name), 5).entries}, key=repr)
 
 
 def test_count_basis_flags_non_integral_total(monkeypatch):
