@@ -32,10 +32,12 @@ class's elimination order, one tree per component, which the treewidth DP
 computes once per cache directory: the orders are kept beside the catalog
 as k{k}.orders (a catalog.ClassMap), one row per class holding the
 representative's vertices in elimination order.  So counting runs no
-treewidth DP.  A class's decomposition, like its validated plan in
-homcount, is built once per process.  The vector's patterns are classes
-on at most MAX_HOM_VECTOR_K vertices, so the kept counts are at most
-1,252 exact ints beside one host.  count_basis hands k = 0 and k > n to
+treewidth DP.  The vector's patterns are classes on at most
+MAX_HOM_VECTOR_K vertices, so the kept counts are at most 1,252 exact
+ints beside one host.  Only calls in one process on equal hosts gain from
+them: selftest, which counts several properties into one host, and
+library code that does the same.  A single `indsub count` run makes one
+count_basis call and gains nothing.  count_basis hands k = 0 and k > n to
 count_brute (at most one predicate call) and otherwise insists on an
 integral, nonnegative total before returning.
 """
@@ -51,7 +53,6 @@ from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, pair_index
 from .hombasis import hom_vector
 from .homcount import (
-    PLAN_CACHE_SIZE,
     HomStore,
     count_hom,
     decomposition_from_order,
@@ -193,7 +194,6 @@ def _host_homs(host: HostGraph) -> dict[SmallGraph, int]:
     return {}
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _class_decomposition(g: SmallGraph):
     """The decomposition of the stored elimination order of g, a catalog
     representative.  The order fits the representative's own labelling

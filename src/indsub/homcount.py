@@ -48,29 +48,20 @@ built from small integers; no pattern, host or other input text enters
 it.
 
 Tables are shared through a HomStore, which lives for one count_basis
-call (or one lone count_hom call) and serves one host.  Plans do not
-depend on the host, so they outlive the store: a pattern's plan with a
-given decomposition is built once per process and kept in a bounded
-cache (PLAN_CACHE_SIZE), its decomposition validated before it is first
-built, and every store takes its plans from there.  A kept plan holds its
-bags' compiled joins, so the plan cache bounds them too, beside the
-compiled-join cache.  (The counts themselves are kept by count_basis, for
-the last host it counted.)
-
-Every bag has a key: the interface size, the number of vertices in the
-bag's subtree, and the edge bitset of the pattern induced on those
-vertices, relabelled interface first, in the order the parent's trie keys
-it, then the rest in increasing order.  The key is exact.  A bag checks
-every pattern edge among its own vertices, and by the running
-intersection property every edge with an endpoint outside the interface
-lies in some bag of the subtree, while no bag there holds a vertex from
-outside it.  So a bag's table is the hom count of that induced
-sub-pattern per interface assignment, and two bags with one key have
-tries equal as mappings.  A root, or a bag sharing nothing with its
-parent, has an empty interface: its subtree holds whole components, and
-its key is (0, their vertex count, their edges relabelled in increasing
-order).  So a component that recurs across patterns, or within one, is
-counted once.
+call (or one lone count_hom call) and serves one host.  Every bag has a
+key: the interface size, the number of vertices in the bag's subtree, and
+the edge bitset of the pattern induced on those vertices, relabelled
+interface first, in the order the parent's trie keys it, then the rest in
+increasing order.  The key is exact.  A bag checks every pattern edge
+among its own vertices, and by the running intersection property every
+edge with an endpoint outside the interface lies in some bag of the
+subtree, while no bag there holds a vertex from outside it.  So a bag's
+table is the hom count of that induced sub-pattern per interface
+assignment, and two bags with one key have tries equal as mappings.  A
+root, or a bag sharing nothing with its parent, has an empty interface:
+its subtree holds whole components, and its key is (0, their vertex
+count, their edges relabelled in increasing order).  So a component that
+recurs across patterns, or within one, is counted once.
 
 The store plans before it counts.  HomStore.plan fixes each pattern's
 decomposition, join orders and keys, and walks its bags in the DP's
@@ -78,8 +69,9 @@ order to learn which bags will find their key already computed: such a
 bag takes the stored table and skips its whole subtree.  Each key's
 number of such reads is its use count.  While counting, a table is stored
 only if a read remains and dropped at its last read, so the store is
-empty once every planned pattern is counted: no table outlives the call,
-only the plans do.
+empty once every planned pattern is counted.  Nothing of a store, plan or
+table, outlives its call; count_basis keeps the counts it makes, for the
+last host it counted.
 
 The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
@@ -108,10 +100,6 @@ from .errors import InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of
 
 MAX_TREEWIDTH_N = 12
-# validated plans kept, by (pattern, decomposition): the stored-order
-# plans of every class on at most 7 vertices, disconnected ones included,
-# number 1,252
-PLAN_CACHE_SIZE = 2048
 # compiled bag joins kept, by shape: the contracted plans of the stored
 # orders of every class on at most 7 vertices, disconnected ones included,
 # need 594
@@ -351,13 +339,17 @@ class HomStore:
     def plan(self, pattern: SmallGraph,
              td: TreeDecomposition | None = None) -> None:
         """Plan one later count(pattern).  td, a decomposition of the
-        pattern, is validated and replaces tree_decomposition(pattern).
-        A pattern planned twice keeps its first plan."""
+        pattern, is validated and replaces tree_decomposition(pattern)."""
+        if td is not None:
+            if td.graph != pattern:
+                raise ValueError("tree decomposition belongs to a different pattern")
+            try:
+                td.validate()
+            except InternalConsistencyError as exc:
+                raise ValueError(f"invalid tree decomposition: {exc}") from exc
         if pattern.loops or not self.host.n:
-            if td is not None:
-                _check_decomposition(pattern, td)
             return
-        plan = self._plans.setdefault(pattern, _validated_plan(pattern, td))
+        plan = self._plan_of(pattern, td)
         seen, reads = self._seen, self._reads
         for b, read in _walk(plan, seen):
             key = plan.keys[b]
@@ -373,10 +365,12 @@ class HomStore:
             return 0 if pattern.n else 1
         return self._run(self._plan_of(pattern))
 
-    def _plan_of(self, g: SmallGraph) -> _Plan:
+    def _plan_of(self, g: SmallGraph,
+                 td: TreeDecomposition | None = None) -> _Plan:
         plan = self._plans.get(g)
         if plan is None:
-            plan = self._plans[g] = _validated_plan(g, None)
+            plan = self._plans[g] = _plan(
+                g, td if td is not None else tree_decomposition(g))
         return plan
 
     def _put(self, key, table) -> None:
@@ -469,29 +463,6 @@ def _contract(bags: tuple[tuple[int, ...], ...], parents: tuple[int, ...]
     index[-1] = -1
     return (tuple(bags[b] for b in keep),
             tuple(index[parent[b]] for b in keep))
-
-
-def _check_decomposition(pattern: SmallGraph, td: TreeDecomposition) -> None:
-    if td.graph != pattern:
-        raise ValueError("tree decomposition belongs to a different pattern")
-    try:
-        td.validate()
-    except InternalConsistencyError as exc:
-        raise ValueError(f"invalid tree decomposition: {exc}") from exc
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _validated_plan(pattern: SmallGraph, td: TreeDecomposition | None
-                    ) -> _Plan:
-    """The plan of pattern with td, or with tree_decomposition(pattern)
-    when td is None.  td is validated first, so a decomposition that
-    fails raises on every call: only plans of valid ones are kept.  Every
-    caller shares the plan, and none changes it."""
-    if td is None:
-        td = tree_decomposition(pattern)
-    else:
-        _check_decomposition(pattern, td)
-    return _plan(pattern, td)
 
 
 def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:

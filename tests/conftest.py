@@ -41,13 +41,10 @@ def pytest_unconfigure(config):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_hom_caches():
+def _fresh_host_homs():
     """Start each test without the hom counts count_basis keeps for its
-    last host and without the plans homcount keeps per process, so a test
-    that inspects the DP sees it run rather than read a count or plan an
-    earlier test left."""
-    from indsub import counting, homcount
+    last host, so a test that inspects the DP sees it run rather than read
+    a count an earlier test left."""
+    from indsub import counting
 
     counting._host_homs.cache_clear()
-    counting._class_decomposition.cache_clear()
-    homcount._validated_plan.cache_clear()

@@ -343,12 +343,11 @@ def cache_env(tmp_path, monkeypatch):
 
 
 def _forget_maps():
-    """Drop the maps and hom vectors cached in the process, and what
-    count_basis keeps that was read from a map: the class decompositions
-    made from stored orders, and the hom counts made with them."""
+    """Drop the maps and hom vectors cached in the process, and the hom
+    counts count_basis keeps, which it made with the stored orders, so the
+    next count_basis reads the orders map again."""
     catalog._class_map_cached.cache_clear()
     hom_vector.cache_clear()
-    counting._class_decomposition.cache_clear()
     counting._host_homs.cache_clear()
 
 

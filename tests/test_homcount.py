@@ -632,30 +632,10 @@ def test_count_hom_rejects_foreign_decomposition():
                          (((0, 1), (1, 2)), (-1,))):
         with pytest.raises(ValueError, match="invalid tree decomposition"):
             count_hom(p3, k3, td=TreeDecomposition(p3, bags, parent))
-
-
-def test_bad_decompositions_raise_on_every_call_after_a_plan_is_kept():
-    """Plans are kept per process, but only plans of valid decompositions:
-    an invalid one, or one of another pattern, is refused on every call,
-    also once a valid plan of the same pattern is kept."""
-    p3, k3 = SmallGraph.path(3), HostGraph.from_small(SmallGraph.complete(3))
-    good = tree_decomposition(p3)
-    assert count_hom(p3, k3, td=good) == count_hom(p3, k3) == 12
-    bad = [TreeDecomposition(p3, ((0, 1), (2,)), (-1, 0)),
-           TreeDecomposition(p3, ((0, 1), (1, 2)), (-1, 5)),
-           tree_decomposition(SmallGraph.complete(3))]
-    for td in bad:
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                count_hom(p3, k3, td=td)
-        store = HomStore(k3)
-        store.plan(p3, good)
-        with pytest.raises(ValueError):
-            store.plan(p3, td)
-    assert count_hom(p3, k3, td=good) == 12
     # a loop-marked pattern counts 0 without a plan, but its decomposition
     # is still checked
     looped = SmallGraph(3, p3.edges, loops=1)
+    good = tree_decomposition(p3)
     assert count_hom(looped, k3, td=TreeDecomposition(looped, good.bags,
                                                       good.parent)) == 0
     with pytest.raises(ValueError):
