@@ -303,16 +303,30 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
+def _critical_property(args, forbidden):
+    """The property a critical-edge command works with: --property, or the
+    forbidden-induced property of the --forbidden graphs.  Also whether it
+    is the pure single-graph property, the one case in which the twin-class
+    argument proves an edge critical."""
+    if args.property:
+        return get_property(args.property), False
+    phi = forbidden_induced_property(
+        forbidden, name=f"forbidden-induced:{args.forbidden}")
+    return phi, len(forbidden) == 1
+
+
+def _known_edge(args, h):
+    """The first edge of h when h is the pattern of --property's known
+    critical edge, else None."""
+    known = KNOWN_CRITICAL_EDGES.get(args.property)
+    if known is not None and is_isomorphic(known[0], h):
+        return next(iter(h.edge_pairs()))
+    return None
+
+
 def _cmd_critical(args) -> int:
     forbidden = load_graph_list(args.forbidden)
-    if args.property:
-        phi = get_property(args.property)
-        single = False
-    else:
-        phi = forbidden_induced_property(
-            forbidden, name=f"forbidden-induced:{args.forbidden}")
-        single = len(forbidden) == 1
-    known = KNOWN_CRITICAL_EDGES.get(args.property) if args.property else None
+    phi, single = _critical_property(args, forbidden)
     reports = []
     for h in forbidden:
         if h.n < 2:
@@ -346,8 +360,8 @@ def _cmd_critical(args) -> int:
                 "explosions_checked": check.checked,
             },
         }
-        if known is not None and is_isomorphic(known[0], h):
-            edge = next(iter(h.edge_pairs()))
+        edge = _known_edge(args, h)
+        if edge is not None:
             kcheck = bounded_critical_check(phi, h, edge, bound=args.bound)
             if kcheck.refuted:
                 raise InternalConsistencyError(
@@ -356,7 +370,7 @@ def _cmd_critical(args) -> int:
             entry["known_edge"] = {
                 "edge": list(edge),
                 "confidence": "known",
-                "note": known[1],
+                "note": KNOWN_CRITICAL_EDGES[args.property][1],
                 "grid_check": {
                     "status": kcheck.status,
                     "bound": kcheck.bound,
@@ -385,22 +399,15 @@ def _cmd_reduce_demo(args) -> int:
     if not parts[0] or not parts[1]:
         raise UsageError("the host must have vertices on both sides; "
                          "add at least one edge")
-    if args.property:
-        phi = get_property(args.property)
-    else:
-        phi = forbidden_induced_property(
-            forbidden, name=f"forbidden-induced:{args.forbidden}")
-    known = KNOWN_CRITICAL_EDGES.get(args.property) if args.property else None
-    if known is not None and is_isomorphic(known[0], h):
-        phi_use, h_use = phi, h
-        edge = next(iter(h.edge_pairs()))
-        basis = "known"
+    phi, single = _critical_property(args, forbidden)
+    edge = _known_edge(args, h)
+    if edge is not None:
+        phi_use, h_use, basis = phi, h, "known"
     else:
         cert = singleton_critical_edge(h)
         phi_use = invert(phi) if cert.in_complement else phi
         h_use, edge = cert.graph, cert.edge
-        basis = cert.confidence if len(forbidden) == 1 and not args.property \
-            else "candidate"
+        basis = cert.confidence if single else "candidate"
     check = bounded_critical_check(phi_use, h_use, edge, bound=args.bound)
     if check.refuted:
         raise UsageError(

@@ -54,6 +54,20 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def reach(rows, start: int, within: int) -> int:
+    """The vertices of the mask `within` that a path inside `within` joins
+    to a vertex of the mask `start`, as a mask; rows[v] is the neighbor
+    bitmask of v.  Vertices of `start` outside `within` are ignored."""
+    seen = frontier = start & within
+    while frontier:
+        nxt = 0
+        for v in bits_of(frontier):
+            nxt |= rows[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
 @dataclass(frozen=True)
 class SmallGraph:
     """A graph on at most 16 vertices; `edges` indexes pair_table(n).
@@ -178,33 +192,15 @@ class SmallGraph:
         return self.induced([u for u in range(self.n) if u != v])
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        rows = self.adj_rows()
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return reach(self.adj_rows(), 1, full) == full
 
     def components(self) -> list[list[int]]:
         rows = self.adj_rows()
         unseen = (1 << self.n) - 1
         comps = []
         while unseen:
-            start = unseen & -unseen
-            comp = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                for v in bits_of(frontier):
-                    nxt |= rows[v]
-                frontier = nxt & ~comp
-                comp |= frontier
+            comp = reach(rows, unseen & -unseen, unseen)
             comps.append(list(bits_of(comp)))
             unseen &= ~comp
         return comps

@@ -17,7 +17,7 @@ from math import ceil
 from typing import Optional
 
 from .errors import InternalConsistencyError
-from .graphs import SmallGraph, bits_of
+from .graphs import SmallGraph, bits_of, reach
 from .hombasis import MAX_HOM_VECTOR_K, hom_vector, witness_dense_graph
 from .homcount import exact_treewidth
 from .properties import MAX_FLAG_K, FlagViolation, PropertySpec, verify_flags
@@ -37,18 +37,6 @@ def largest_clique_minor(g: SmallGraph) -> int:
         raise ValueError(f"clique-minor search handles at most {MAX_MINOR_N} vertices")
     rows = g.adj_rows()
 
-    def connected(mask: int) -> bool:
-        first = mask & -mask
-        seen = first
-        frontier = first
-        while frontier:
-            nxt = 0
-            for v in bits_of(frontier):
-                nxt |= rows[v] & mask
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == mask
-
     def pairwise_ok(blocks: list[int]) -> bool:
         for i in range(len(blocks)):
             nb = 0
@@ -65,7 +53,7 @@ def largest_clique_minor(g: SmallGraph) -> int:
         nonlocal best
         if v == n:
             if len(blocks) > best and pairwise_ok(blocks) and \
-                    all(connected(b) for b in blocks):
+                    all(reach(rows, b & -b, b) == b for b in blocks):
                 best = len(blocks)
             return
         # even if every remaining vertex opened its own branch set the

@@ -8,7 +8,9 @@ violations with witnesses instead of trusting the declaration.
 
 User properties enter through three constructors: a forbidden induced
 subgraph list, a forbidden subgraph list (monotone by construction), or a
-truth table over the catalog order of a fixed k.
+truth table over the catalog order of a fixed k.  Both forbidden lists are
+tested by one backtracking embedding search: a subgraph embedding maps
+edges to edges, and an induced one also maps non-edges to non-edges.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional
 
-from .canon import canon_key
 from .catalog import (
     MAX_CATALOG_K,
     MAX_FLAG_K,
@@ -28,7 +29,7 @@ from .catalog import (
     vertex_deletions,
 )
 from .errors import FormatError, PredicateError, UnknownPropertyError
-from .graphs import SmallGraph, _read_text, bits_of
+from .graphs import SmallGraph, _read_text, bits_of, reach
 
 
 @dataclass(frozen=True)
@@ -251,17 +252,12 @@ def _fragments(rows, block, placed, done):
             yield 1 << x | 1 << y, 0
     rest = block & ~placed
     while rest:
-        comp = frontier = rest & -rest
-        att = 0
-        while frontier:
-            nxt = 0
-            for x in bits_of(frontier):
-                nxt |= rows[x]
-            att |= nxt & placed
-            frontier = nxt & rest & ~comp
-            comp |= frontier
+        comp = reach(rows, rest & -rest, rest)
         rest &= ~comp
-        yield att, comp
+        att = 0
+        for x in bits_of(comp):
+            att |= rows[x]
+        yield att & placed, comp
 
 
 def _inner_path(rows, a, b, inner):
@@ -340,15 +336,7 @@ def _has_odd_hole(n, rows):
                     break
             if not degs_ok:
                 continue
-            seen = 1 << sub[0]
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for v in bits_of(frontier):
-                    nxt |= rows[v] & inside
-                frontier = nxt & ~seen
-                seen |= frontier
-            if seen == inside:
+            if reach(rows, 1 << sub[0], inside) == inside:
                 return True
     return False
 
@@ -362,44 +350,45 @@ def _perfect(g):
 
 
 def contains_induced(g: SmallGraph, h: SmallGraph) -> bool:
-    if h.n > g.n:
-        return False
-    target = canon_key(h)
-    for sub in combinations(range(g.n), h.n):
-        if canon_key(g.induced(sub)) == target:
-            return True
-    return False
+    """Does g contain h as an induced subgraph?"""
+    return _embeds(g, h, induced=True)
 
 
 def contains_subgraph(g: SmallGraph, h: SmallGraph) -> bool:
     """Does g contain h as a (not necessarily induced) subgraph?"""
+    return _embeds(g, h, induced=False)
+
+
+def _embeds(g: SmallGraph, h: SmallGraph, induced: bool) -> bool:
+    """Backtracking search for an injective map of h into g that carries
+    edges to edges and, when induced, non-edges to non-edges.  The vertices
+    of h are placed by falling degree; a vertex's candidates are the unused
+    vertices of g adjacent to the images of its placed neighbors and, when
+    induced, to no image of a placed non-neighbor."""
     if h.n > g.n or h.edge_count > g.edge_count:
         return False
     hrows = h.adj_rows()
     grows = g.adj_rows()
     verts = sorted(range(h.n), key=lambda v: -hrows[v].bit_count())
-    image = [-1] * h.n
-    used = [False] * g.n
+    image = [0] * h.n
 
-    def rec(i):
+    def rec(i, free):
         if i == len(verts):
             return True
         v = verts[i]
-        need = [u for u in bits_of(hrows[v]) if image[u] >= 0]
-        for w in range(g.n):
-            if used[w]:
-                continue
-            if any(not grows[w] >> image[u] & 1 for u in need):
-                continue
+        cand = free
+        for u in verts[:i]:
+            if hrows[v] >> u & 1:
+                cand &= grows[image[u]]
+            elif induced:
+                cand &= ~grows[image[u]]
+        for w in bits_of(cand):
             image[v] = w
-            used[w] = True
-            if rec(i + 1):
+            if rec(i + 1, free & ~(1 << w)):
                 return True
-            image[v] = -1
-            used[w] = False
         return False
 
-    return rec(0)
+    return rec(0, (1 << g.n) - 1)
 
 
 # ------------------------------------------------------------- the zoo

@@ -40,6 +40,11 @@ The reference graph6 decoder unpacks every body bit and walks all
 C(n,2) pairs, where the package reads only the nonzero body characters;
 both share the package's header and length validation.
 
+The embedding oracles decide "h occurs in g" by exhaustive sweeps, not
+the package's backtracking search: the induced one compares the brute
+canonical key of every h.n-vertex induced subgraph of g with h's, and the
+subgraph one tries every injective map.
+
 The reference canoniser reaches the package's canonical labeling by a
 slower route: refinement by sorted neighbor-color tuples, and a search
 that visits every leaf of least words.  The package's canoniser must
@@ -47,6 +52,7 @@ agree with it on the form, the relabeling and the automorphism count.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -105,6 +111,28 @@ def brute_canonical_key(g: SmallGraph):
         if best is None or mask < best:
             best = mask
     return (g.n, best)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_key_of(n: int, edges: int):
+    return brute_canonical_key(SmallGraph(n, edges))
+
+
+def brute_contains_induced(g: SmallGraph, h: SmallGraph) -> bool:
+    """Some h.n vertices of g induce a graph with h's canonical key."""
+    target = _brute_key_of(h.n, h.edges)
+    return any(_brute_key_of(sub.n, sub.edges) == target
+               for sub in map(g.induced,
+                              itertools.combinations(range(g.n), h.n)))
+
+
+def brute_contains_subgraph(g: SmallGraph, h: SmallGraph) -> bool:
+    """Some injective map of h's vertices into g's carries every edge of h
+    to an edge of g."""
+    edges = {frozenset(p) for p in g.edge_pairs()}
+    return any(all(frozenset((image[a], image[b])) in edges
+                   for a, b in h.edge_pairs())
+               for image in itertools.permutations(range(g.n), h.n))
 
 
 def brute_is_isomorphic(a: SmallGraph, b: SmallGraph) -> bool:

@@ -1,9 +1,11 @@
 import random
 import tracemalloc
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from indsub.catalog import build_catalog
 from indsub.errors import FormatError
 from indsub.graphs import (
     MAX_SMALL_VERTICES,
@@ -14,6 +16,7 @@ from indsub.graphs import (
     pair_index,
     pair_table,
     parse_graph_text,
+    reach,
     load_graph_list,
     load_host_graph,
     load_small_graph,
@@ -110,6 +113,58 @@ def test_connectivity_and_components():
     assert sorted(tuple(sorted(c)) for c in comps) == [(0, 3), (1, 2), (4,)]
     assert SmallGraph.empty(1).is_connected()
     assert SmallGraph.empty(0).is_connected()
+
+
+def _nx_components(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edge_pairs())
+    return sorted(sorted(c) for c in nx.connected_components(nxg))
+
+
+def _check_connectivity(g):
+    comps = _nx_components(g)
+    assert sorted(g.components()) == comps, g.to_graph6()
+    assert g.is_connected() == (len(comps) <= 1), g.to_graph6()
+    rows = g.adj_rows()
+    full = (1 << g.n) - 1
+    for comp in comps:
+        mask = sum(1 << v for v in comp)
+        assert reach(rows, 1 << comp[-1], full) == mask
+        assert reach(rows, mask, full) == mask
+
+
+def test_connectivity_matches_networkx_on_catalog_classes():
+    for k in range(1, 7):
+        for g in build_catalog(k).graphs():
+            _check_connectivity(g)
+
+
+def test_connectivity_matches_networkx_on_random_graphs():
+    rng = random.Random(26)
+    for _ in range(60):
+        n = rng.randrange(10, 17)
+        p = rng.choice((0.1, 0.2, 0.3))
+        _check_connectivity(random_small_graph(rng, n, p))
+
+
+def test_reach_stays_within_the_mask():
+    rows = SmallGraph.path(5).adj_rows()        # 0-1-2-3-4
+    # 2 is in the mask but its neighbours 1 and 3 are not
+    assert reach(rows, 1 << 2, 0b10101) == 1 << 2
+    assert reach(rows, 1 << 0, 0b11011) == 0b00011
+    assert reach(rows, 1 << 0 | 1 << 4, 0b11011) == 0b11011
+    # a start vertex outside the mask is ignored
+    assert reach(rows, 1 << 2, 0b11011) == 0
+    assert reach(rows, 1 << 2, 0) == 0
+    rng = random.Random(27)
+    for _ in range(40):
+        g = random_small_graph(rng, rng.randrange(10, 17), 0.25)
+        sub = sorted(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
+        start = rng.randrange(len(sub))
+        comp = next(c for c in _nx_components(g.induced(sub)) if start in c)
+        assert reach(g.adj_rows(), 1 << sub[start], sum(1 << v for v in sub)) \
+            == sum(1 << sub[i] for i in comp)
 
 
 def test_adj_rows_match_edges():

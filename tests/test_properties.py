@@ -28,7 +28,13 @@ from indsub.properties import (
     truth_table_property,
     verify_flags,
 )
-from oracles import brute_planar, labelled_verify_flags, random_small_graph
+from oracles import (
+    brute_contains_induced,
+    brute_contains_subgraph,
+    brute_planar,
+    labelled_verify_flags,
+    random_small_graph,
+)
 
 
 def all_graphs(max_n):
@@ -356,13 +362,37 @@ def test_contains_induced_and_subgraph():
     assert not contains_induced(SmallGraph.cycle(5), SmallGraph.empty(3))
 
 
+def test_containment_matches_oracles_on_catalog_pairs():
+    patterns = [h for k in range(1, 5) for h in build_catalog(k).graphs()]
+    hosts = [g for k in range(1, 7) for g in build_catalog(k).graphs()]
+    for h in patterns:
+        for g in hosts:
+            assert contains_induced(g, h) == brute_contains_induced(g, h), \
+                (g.to_graph6(), h.to_graph6())
+            assert contains_subgraph(g, h) == brute_contains_subgraph(g, h), \
+                (g.to_graph6(), h.to_graph6())
+
+
+@st.composite
+def labelled_graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    return SmallGraph(n, draw(st.integers(0, (1 << len(pair_table(n))) - 1)))
+
+
+@settings(max_examples=200)
+@given(labelled_graphs(7), labelled_graphs(5))
+def test_containment_matches_oracles_on_random_pairs(g, h):
+    assert contains_induced(g, h) == brute_contains_induced(g, h)
+    assert contains_subgraph(g, h) == brute_contains_subgraph(g, h)
+
+
 def test_forbidden_induced_property_matches_definition():
     rng = random.Random(32)
     gamma = (SmallGraph.cycle(4), SmallGraph.complete(3))
     phi = forbidden_induced_property(gamma)
     for _ in range(30):
         g = random_small_graph(rng, rng.randrange(7))
-        expected = not any(contains_induced(g, h) for h in gamma)
+        expected = not any(brute_contains_induced(g, h) for h in gamma)
         assert evaluate(phi, g) == expected
     assert phi.hereditary
     assert phi.forbidden_induced == gamma
