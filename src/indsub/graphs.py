@@ -43,7 +43,11 @@ def pair_count(n: int) -> int:
 def pair_index(n: int, i: int, j: int) -> int:
     if i > j:
         i, j = j, i
-    return _pair_index_map(n)[(i, j)]
+    try:
+        return _pair_index_map(n)[(i, j)]
+    except KeyError:
+        raise ValueError(
+            f"({i},{j}) is not a pair of distinct vertices of 0..{n - 1}") from None
 
 
 def bits_of(mask: int):

@@ -10,7 +10,9 @@ chordal / split examples), and "bounded" (grid-checked up to a bound).
 
 A certified critical edge turns counting k-independent sets in a bipartite
 graph into 2^r counting calls for the property itself — the reduction
-demonstrated by count_independent_sets_via_reduction.
+demonstrated by count_independent_sets_via_reduction.  One builder lays
+out every explosion's edges; the reduction's instance is the explosion
+with one clone per host vertex, plus the host's edges between the clones.
 """
 
 from __future__ import annotations
@@ -47,35 +49,40 @@ class ExplosionSpec:
         return self.base.n - 2 + self.x + self.y
 
 
-def explode(spec: ExplosionSpec) -> SmallGraph:
-    """The edge-exploded graph: drop the edge {u,v}, then replace u by x
-    mutually non-adjacent copies and v by y copies, every copy keeping its
-    original's remaining neighbors; a zero count deletes the vertex."""
+def _exploded_edges(spec: ExplosionSpec) -> list[tuple[int, int]]:
+    """The explosion's edges in its one vertex layout: the base's other
+    vertices 0..r-1 in their order, then the x copies of u, then the y
+    copies of v."""
     base, u, v = spec.base, spec.u, spec.v
     if not base.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge of the base graph")
-    if spec.result_size > MAX_SMALL_VERTICES:
-        raise ValueError(
-            f"explosion would have {spec.result_size} > {MAX_SMALL_VERTICES} vertices")
     rest = [w for w in range(base.n) if w != u and w != v]
     pos = {w: i for i, w in enumerate(rest)}
     r = len(rest)
     edges = [(pos[a], pos[b]) for a, b in base.edge_pairs()
              if a in pos and b in pos]
-    u_nbrs = [pos[w] for w in bits_of(base.adj_rows()[u]) if w in pos]
-    v_nbrs = [pos[w] for w in bits_of(base.adj_rows()[v]) if w in pos]
-    for i in range(spec.x):
-        edges.extend((w, r + i) for w in u_nbrs)
-    for j in range(spec.y):
-        edges.extend((w, r + spec.x + j) for w in v_nbrs)
-    return SmallGraph.from_edges(spec.result_size, edges)
+    rows = base.adj_rows()
+    u_nbrs = [pos[w] for w in bits_of(rows[u]) if w in pos]
+    v_nbrs = [pos[w] for w in bits_of(rows[v]) if w in pos]
+    edges.extend((w, r + i) for i in range(spec.x) for w in u_nbrs)
+    edges.extend((w, r + spec.x + j) for j in range(spec.y) for w in v_nbrs)
+    return edges
+
+
+def explode(spec: ExplosionSpec) -> SmallGraph:
+    """The edge-exploded graph: drop the edge {u,v}, then replace u by x
+    mutually non-adjacent copies and v by y copies, every copy keeping its
+    original's remaining neighbors; a zero count deletes the vertex."""
+    if spec.result_size > MAX_SMALL_VERTICES:
+        raise ValueError(
+            f"explosion would have {spec.result_size} > {MAX_SMALL_VERTICES} vertices")
+    return SmallGraph.from_edges(spec.result_size, _exploded_edges(spec))
 
 
 @dataclass(frozen=True)
 class TwinPartition:
     graph: SmallGraph
     blocks: tuple[tuple[int, ...], ...]
-    collapsed: SmallGraph
 
     def singleton_vertices(self) -> frozenset[int]:
         return frozenset(b[0] for b in self.blocks if len(b) == 1)
@@ -83,8 +90,7 @@ class TwinPartition:
 
 def twin_partition(h: SmallGraph) -> TwinPartition:
     """Group vertices that have identical neighborhoods (false twins; such
-    vertices are never adjacent in a loop-free graph) and collapse each
-    group to one vertex."""
+    vertices are never adjacent in a loop-free graph)."""
     if h.loops:
         raise ValueError("twin partition is defined for loop-free graphs")
     rows = h.adj_rows()
@@ -93,18 +99,12 @@ def twin_partition(h: SmallGraph) -> TwinPartition:
         groups.setdefault(rows[w], []).append(w)
     blocks = tuple(sorted((tuple(g) for g in groups.values()),
                           key=lambda b: b[0]))
-    reps = [b[0] for b in blocks]
-    edges = []
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if h.has_edge(reps[i], reps[j]):
-                edges.append((i, j))
     for b in blocks:
         for a, c in combinations(b, 2):
             if h.has_edge(a, c):
                 raise InternalConsistencyError(
                     "false twins found adjacent; neighborhood grouping broken")
-    return TwinPartition(h, blocks, SmallGraph.from_edges(len(blocks), edges))
+    return TwinPartition(h, blocks)
 
 
 @dataclass(frozen=True)
@@ -196,11 +196,11 @@ def bipartition_of(host: HostGraph) -> tuple[tuple[int, ...], tuple[int, ...]] |
 
 @dataclass(frozen=True)
 class ReductionInstance:
+    """ghat's vertices 0..r-1 are the distinguished ones; host vertex w
+    sits at r + its index in the first part followed by the second."""
+
     ghat: HostGraph
     r: int
-    z_indices: tuple[int, ...]
-    u_indices: tuple[int, ...]
-    v_indices: tuple[int, ...]
 
 
 def _check_parts(host: HostGraph, parts) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -217,35 +217,20 @@ def _check_parts(host: HostGraph, parts) -> tuple[tuple[int, ...], tuple[int, ..
 
 def build_reduction_instance(host: HostGraph, parts, h: SmallGraph,
                              edge: tuple[int, int]) -> ReductionInstance:
-    """Glue the host between the exploded endpoints of h: the first part
-    plays the u-clones, the second the v-clones, the rest of h is kept as
-    the r = |V(h)|-2 distinguished vertices, and the host's edges are laid
-    across the two clone sides."""
+    """Glue the host between the exploded endpoints of h: the explosion of
+    the edge with one u-clone per vertex of the first part and one
+    v-clone per vertex of the second, plus the host's edges laid across
+    the clones; the rest of h is kept as the r = |V(h)|-2 distinguished
+    vertices."""
     u_side, v_side = _check_parts(host, parts)
     if not u_side or not v_side:
         raise ValueError("both parts must be nonempty")
-    hu, hv = edge
-    if not h.has_edge(hu, hv):
-        raise ValueError(f"({hu},{hv}) is not an edge of the forbidden graph")
-    rest = [w for w in range(h.n) if w != hu and w != hv]
-    r = len(rest)
-    pos = {w: i for i, w in enumerate(rest)}
-    of_u = {w: r + i for i, w in enumerate(u_side)}
-    of_v = {w: r + len(u_side) + i for i, w in enumerate(v_side)}
-    edges = [(pos[a], pos[b]) for a, b in h.edge_pairs() if a in pos and b in pos]
-    hrows = h.adj_rows()
-    for z in bits_of(hrows[hu]):
-        if z in pos:
-            edges.extend((pos[z], of_u[w]) for w in u_side)
-    for z in bits_of(hrows[hv]):
-        if z in pos:
-            edges.extend((pos[z], of_v[w]) for w in v_side)
-    host_map = {**of_u, **of_v}
-    edges.extend((host_map[a], host_map[b]) for a, b in host.edge_pairs())
-    ghat = HostGraph.from_edges(host.n + r, edges)
-    return ReductionInstance(ghat, r, tuple(range(r)),
-                             tuple(of_u[w] for w in u_side),
-                             tuple(of_v[w] for w in v_side))
+    spec = ExplosionSpec(h, *edge, len(u_side), len(v_side))
+    r = h.n - 2
+    clone = {w: r + i for i, w in enumerate(u_side + v_side)}
+    edges = _exploded_edges(spec)
+    edges.extend((clone[a], clone[b]) for a, b in host.edge_pairs())
+    return ReductionInstance(HostGraph.from_edges(spec.result_size, edges), r)
 
 
 def count_independent_sets_via_reduction(host: HostGraph, parts, k: int,
@@ -264,13 +249,11 @@ def count_independent_sets_via_reduction(host: HostGraph, parts, k: int,
         raise ValueError("k must be >= 0")
     u_side, v_side = _check_parts(host, parts)
     if not u_side or not v_side:
-        if host.edge_count:
-            raise ValueError("host has an edge inside one part")
         return comb(host.n, k)
     inst = build_reduction_instance(host, parts, h, edge)
     total = 0
     for mask in range(1 << inst.r):
-        victims = [inst.z_indices[i] for i in range(inst.r) if mask >> i & 1]
+        victims = list(bits_of(mask))
         sub = inst.ghat.delete_vertices(victims)
         if method == "brute":
             term = count_brute(phi, k + inst.r, sub, budget=budget)

@@ -123,12 +123,14 @@ def _reachability_cost(rows, eliminated, v):
     return out
 
 
-def _tw_table(g: SmallGraph) -> list[int]:
+def _tw_table(g: SmallGraph) -> tuple[list[int], list[int]]:
     """T[S] = min over orders eliminating exactly S first of the max
-    back-degree incurred."""
+    back-degree incurred, and last[S] = the smallest vertex of S that such
+    an optimal order can eliminate last."""
     n = g.n
     rows = g.adj_rows()
     T = [0] * (1 << n)
+    last = [0] * (1 << n)
     for S in range(1, 1 << n):
         best = n
         for v in bits_of(S):
@@ -137,20 +139,22 @@ def _tw_table(g: SmallGraph) -> list[int]:
             cost = T[prev] if T[prev] > q else q
             if cost < best:
                 best = cost
+                choice = v
         T[S] = best
-    return T
+        last[S] = choice
+    return T, last
 
 
 def _component_tables(g: SmallGraph):
-    """(vertices, induced graph, treewidth table) per connected component
-    of g, in g.components() order."""
+    """(vertices, treewidth table, last-vertex table) per connected
+    component of g, in g.components() order."""
     if g.n > MAX_TREEWIDTH_N:
         raise ValueError(f"treewidth solver handles at most {MAX_TREEWIDTH_N} vertices")
     if g.loops:
         raise ValueError("treewidth is defined here for loop-free graphs")
     for comp in g.components():
         h = g if len(comp) == g.n else g.induced(comp)
-        yield comp, h, _tw_table(h)
+        yield (comp, *_tw_table(h))
 
 
 def _order_and_width(g: SmallGraph) -> tuple[tuple[int, ...], int]:
@@ -161,8 +165,8 @@ def _order_and_width(g: SmallGraph) -> tuple[tuple[int, ...], int]:
     g, and its decomposition is one tree per component."""
     order: list[int] = []
     width = -1
-    for comp, h, T in _component_tables(g):
-        order += (comp[v] for v in _peel(h, T))
+    for comp, T, last in _component_tables(g):
+        order += (comp[v] for v in _peel(last))
         width = max(width, T[-1])
     return tuple(order), width
 
@@ -170,7 +174,7 @@ def _order_and_width(g: SmallGraph) -> tuple[tuple[int, ...], int]:
 def exact_treewidth(g: SmallGraph) -> int:
     """The treewidth of g, -1 without vertices: the largest of its
     components' treewidths, read off the DP tables, no order peeled."""
-    return max((T[-1] for _, _, T in _component_tables(g)), default=-1)
+    return max((T[-1] for _, T, _ in _component_tables(g)), default=-1)
 
 
 @dataclass(frozen=True)
@@ -228,18 +232,15 @@ def elimination_order(g: SmallGraph) -> tuple[int, ...]:
     return _order_and_width(g)[0]
 
 
-def _peel(g: SmallGraph, T: list[int]) -> tuple[int, ...]:
-    rows = g.adj_rows()
+def _peel(last: list[int]) -> tuple[int, ...]:
+    """The optimal order the treewidth DP recorded: walk back from the
+    full set, eliminating each set's recorded last vertex last."""
     order = []
-    S = (1 << g.n) - 1
+    S = len(last) - 1
     while S:
-        for v in bits_of(S):
-            prev = S & ~(1 << v)
-            q = _reachability_cost(rows, prev, v).bit_count()
-            if max(T[prev], q) == T[S]:
-                order.append(v)
-                S = prev
-                break
+        v = last[S]
+        order.append(v)
+        S &= ~(1 << v)
     order.reverse()
     return tuple(order)
 

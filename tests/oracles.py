@@ -49,6 +49,10 @@ The reference canoniser reaches the package's canonical labeling by a
 slower route: refinement by sorted neighbor-color tuples, and a search
 that visits every leaf of least words.  The package's canoniser must
 agree with it on the form, the relabeling and the automorphism count.
+
+The reference reduction instance glues the host between the exploded
+endpoints of h by hand, vertex by vertex, where the package takes the
+edge explosion and adds the host's edges; both must give the same graph.
 """
 from __future__ import annotations
 
@@ -336,6 +340,33 @@ def brute_independent_set_count(host: HostGraph, k: int) -> int:
         if all(b not in adj[a] for a, b in itertools.combinations(subset, 2)):
             total += 1
     return total
+
+
+def reference_reduction_instance(host: HostGraph, parts, h: SmallGraph,
+                                 edge) -> HostGraph:
+    """The reduction's glued graph: h's vertices other than the edge's
+    endpoints first, in their order, then one u-clone per vertex of the
+    first part, then one v-clone per vertex of the second; each clone is
+    joined to its endpoint's other neighbors in h, and the host's edges
+    run between the clones."""
+    hu, hv = edge
+    u_side, v_side = tuple(parts[0]), tuple(parts[1])
+    rest = [w for w in range(h.n) if w != hu and w != hv]
+    r = len(rest)
+    pos = {w: i for i, w in enumerate(rest)}
+    of_u = {w: r + i for i, w in enumerate(u_side)}
+    of_v = {w: r + len(u_side) + i for i, w in enumerate(v_side)}
+    edges = [(pos[a], pos[b]) for a, b in h.edge_pairs()
+             if a in pos and b in pos]
+    for z in rest:
+        if h.has_edge(z, hu):
+            edges.extend((pos[z], of_u[w]) for w in u_side)
+        if h.has_edge(z, hv):
+            edges.extend((pos[z], of_v[w]) for w in v_side)
+    host_map = {**of_u, **of_v}
+    edges.extend((host_map[a], host_map[b])
+                 for a in range(host.n) for b in host.neighbors[a] if a < b)
+    return HostGraph.from_edges(host.n + r, edges)
 
 
 # -------------------------------------------------------------- treewidth

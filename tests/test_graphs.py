@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import networkx as nx
@@ -40,6 +41,16 @@ def test_pair_indexing_round_trip():
             assert a < b
             assert pair_index(n, a, b) == i
             assert pair_index(n, b, a) == i
+
+
+@pytest.mark.parametrize("i,j", [(2, 2), (0, 5), (-1, 0), (7, 1)])
+def test_bad_vertex_pair_is_a_value_error(i, j):
+    # the message names the pair, smaller vertex first
+    pair = re.escape(f"({min(i, j)},{max(i, j)})")
+    g = SmallGraph(5, 0)
+    for op in (g.has_edge, g.with_edge, g.without_edge):
+        with pytest.raises(ValueError, match=pair):
+            op(i, j)
 
 
 def test_from_edges_checks_vertex_count_before_indexing_pairs():

@@ -35,6 +35,7 @@ from oracles import (
     induced_small,
     random_bipartite_host,
     random_small_graph,
+    reference_reduction_instance,
 )
 
 
@@ -109,19 +110,17 @@ def test_explode_clones_are_independent_and_share_neighbors():
 def test_twin_partition_known_blocks():
     tp = twin_partition(C4)
     assert tp.blocks == ((0, 2), (1, 3))
-    assert is_isomorphic(tp.collapsed, SmallGraph.complete(2))
     assert tp.singleton_vertices() == frozenset()
 
     empty3 = SmallGraph(3, 0)
     tp = twin_partition(empty3)
     assert tp.blocks == ((0, 1, 2),)
-    assert tp.collapsed.n == 1
+    assert tp.singleton_vertices() == frozenset()
 
     p4 = SmallGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     tp = twin_partition(p4)
     assert all(len(b) == 1 for b in tp.blocks)
     assert tp.singleton_vertices() == frozenset(range(4))
-    assert is_isomorphic(tp.collapsed, p4)
 
 
 def test_twin_partition_rejects_loops():
@@ -139,9 +138,8 @@ def test_twin_partition_invariants_random():
         rows = g.adj_rows()
         for b in tp.blocks:
             assert len({rows[v] for v in b}) == 1
-        # collapsing is idempotent: the collapsed graph has no twins left
-        again = twin_partition(tp.collapsed)
-        assert all(len(b) == 1 for b in again.blocks)
+        # distinct blocks have distinct neighborhoods
+        assert len({rows[b[0]] for b in tp.blocks}) == len(tp.blocks)
 
 
 def test_singleton_critical_edge_small_cases():
@@ -238,18 +236,51 @@ def test_build_reduction_instance_structure():
     r = 3
     assert inst.r == r
     assert inst.ghat.n == host.n + r
-    assert inst.z_indices == (0, 1, 2)
-    assert inst.u_indices == (3,) and inst.v_indices == (4, 5)
     # Distinguished block: the forbidden graph minus the exploded edge's
     # endpoints (a path 2-3-4 in C5's labeling, positions 0-1-2 here).
-    assert induced_small(inst.ghat, inst.z_indices).edge_count == 2
-    # Host edges run between the two clone sides.
-    assert sorted((min(a, b), max(a, b)) for a, b in [(3, 4), (3, 5)]) == \
-        [(3, 4), (3, 5)]
-    for a, b in [(3, 4), (3, 5)]:
-        assert b in inst.ghat.neighbors[a]
-    # Clone sides stay independent on each side.
-    assert 5 not in inst.ghat.neighbors[4]
+    assert induced_small(inst.ghat, range(r)).edge_count == 2
+    # Clone positions: host vertex 0 (first part) at 3, vertices 1 and 2
+    # (second part) at 4 and 5.  The u-clone takes C5-vertex 0's other
+    # neighbor 4 (position 2), the v-clones vertex 1's other neighbor 2
+    # (position 0), and the host's star edges run from 3 to 4 and 5.
+    assert inst.ghat.neighbors[3] == (2, 4, 5)
+    assert inst.ghat.neighbors[4] == (0, 3)
+    assert inst.ghat.neighbors[5] == (0, 3)
+
+
+def test_build_reduction_instance_matches_reference():
+    # The instance is the explosion plus the host's edges; the reference
+    # glues it by hand, vertex by vertex.
+    rng = random.Random(0xE3)
+    checked = 0
+    for k in range(2, 6):
+        for h in build_catalog(k).graphs():
+            for edge in h.edge_pairs():
+                for _ in range(3):
+                    host = random_bipartite_host(rng, rng.randint(1, 4),
+                                                 rng.randint(1, 4), p=0.5)
+                    parts = bipartition_of(host)
+                    if not parts[0] or not parts[1]:
+                        continue
+                    inst = build_reduction_instance(host, parts, h, edge)
+                    assert inst.r == k - 2
+                    assert inst.ghat == reference_reduction_instance(
+                        host, parts, h, edge)
+                    checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("edge", [(0, 7), (1, 1), (-1, 0), (0, 2)])
+def test_reduction_rejects_bad_edge(edge):
+    # Equal or out-of-range endpoints, and a non-edge, are ValueErrors
+    # from the instance builder and from the count alike.
+    host = HostGraph.from_edges(3, [(0, 1), (0, 2)])
+    parts = ((0,), (1, 2))
+    with pytest.raises(ValueError):
+        build_reduction_instance(host, parts, C5, edge)
+    with pytest.raises(ValueError):
+        count_independent_sets_via_reduction(
+            host, parts, 1, get_property("perfect"), C5, edge)
 
 
 def test_build_reduction_instance_validation():

@@ -1,15 +1,16 @@
-"""Every module-level function and class in src/indsub, and every method
-of its classes, has a caller.
+"""Every module-level function and class in src/indsub, every method of
+its classes, and every annotated field of its dataclasses and NamedTuples
+has a caller.
 
 Code that only tests call belongs in tests/, so each definition must be
 referenced by some code in src/indsub or scripts (a Name or Attribute node
 outside its own definition; import lines and docstrings do not count), be
 exported through indsub.__all__, or be on the allow-list below with its
-reason.  A method counts as called when any attribute of its name is read,
-whatever the object; dunder methods, which Python calls itself, are not
-checked.  Exporting a class does not exempt its methods.  An allow-list
-entry that the first two rules already cover fails the test, so the list
-holds only the definitions that need it.
+reason.  A method or field counts as called when any attribute of its name
+is read, whatever the object; dunder methods, which Python calls itself,
+are not checked.  Exporting a class does not exempt its methods or fields.
+An allow-list entry that the first two rules already cover fails the test,
+so the list holds only the definitions that need it.
 """
 
 import ast
@@ -32,12 +33,18 @@ ALLOWED = {
                                    "load_host_graph reads",
     "HomVector.coefficient": "exported result type's lookup of a(H) for any "
                              "pattern H",
+    "CanonicalForm.relabeling": "documented canon API: the relabeling that "
+                                "achieves the canonical form",
+    "_Plan.orders": "the compiled-join tests rebuild bag shapes from it",
+    "_Plan.levels": "the compiled-join tests rebuild bag shapes from it",
 }
 
 
 def _referenced(node: ast.AST, skip=()) -> set[str]:
     """Names and attribute names read below node, outside the subtrees
-    in skip."""
+    in skip; an attribute name is entered a second time with a leading
+    dot, which is how a field is looked up, so that a local variable
+    named like a field does not count as reading it."""
     out = set()
     stack = [node]
     while stack:
@@ -47,7 +54,7 @@ def _referenced(node: ast.AST, skip=()) -> set[str]:
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out |= {sub.attr, "." + sub.attr}
         stack.extend(ast.iter_child_nodes(sub))
     return out
 
@@ -60,9 +67,27 @@ def _methods(stmt: ast.stmt) -> list:
             and not (m.name.startswith("__") and m.name.endswith("__"))]
 
 
+def _is_record(stmt: ast.ClassDef) -> bool:
+    """A dataclass or NamedTuple: its annotated class-body names are
+    fields."""
+    marks = [d.func if isinstance(d, ast.Call) else d
+             for d in stmt.decorator_list] + stmt.bases
+    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple")
+               for n in marks)
+
+
+def _fields(stmt: ast.stmt) -> list:
+    """The Name nodes that declare a dataclass's or NamedTuple's fields."""
+    if not isinstance(stmt, ast.ClassDef) or not _is_record(stmt):
+        return []
+    return [f.target for f in stmt.body
+            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+
+
 def _definitions_and_references():
     """(name, allow-list key, qualified name) of every definition under
-    src/indsub, and every name that src/ and scripts/ code reads."""
+    src/indsub, a field's name with a leading dot, and every name that
+    src/ and scripts/ code reads."""
     defined = []
     referenced = set()
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
@@ -75,12 +100,18 @@ def _definitions_and_references():
                 referenced |= _referenced(stmt)
                 continue
             methods = _methods(stmt)
-            names = _referenced(stmt, skip=methods)
+            fields = _fields(stmt)
+            names = _referenced(stmt, skip=methods + fields)
             for meth in methods:
                 names |= _referenced(meth) - {meth.name}
                 key = f"{stmt.name}.{meth.name}"
                 if in_package:
                     defined.append((meth.name, key, f"{path.stem}.{key}"))
+            for field in fields:
+                key = f"{stmt.name}.{field.id}"
+                if in_package:
+                    defined.append(("." + field.id, key,
+                                    f"{path.stem}.{key}"))
             names.discard(stmt.name)
             referenced |= names
             if in_package:
@@ -110,3 +141,11 @@ def test_methods_are_checked():
     assert {"SmallGraph.adj_rows", "GraphCatalog.index_of",
             "GraphCatalog.class_count"} <= keys
     assert not any(key.endswith("__post_init__") for key in keys)
+
+
+def test_record_fields_are_checked():
+    defined, _ = _definitions_and_references()
+    keys = {key for _, key, _ in defined}
+    # dataclass fields, a NamedTuple's fields, a field with a default
+    assert {"SmallGraph.edges", "HostGraph.neighbors", "_Plan.joins",
+            "ReductionInstance.ghat", "GraphCatalog._graphs"} <= keys
