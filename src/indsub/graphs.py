@@ -107,10 +107,6 @@ class SmallGraph:
         return cls(n, mask)
 
     @classmethod
-    def empty(cls, n: int) -> "SmallGraph":
-        return cls(n, 0)
-
-    @classmethod
     def complete(cls, n: int) -> "SmallGraph":
         return cls(n, (1 << pair_count(n)) - 1)
 

@@ -128,10 +128,6 @@ class HardnessReport:
     max_consecutive_ratio: Optional[Fraction]
     classification: tuple[str, ...]
 
-    @property
-    def flags_ok(self) -> bool:
-        return not self.flag_violations
-
 
 def _record_for_k(phi: PropertySpec, k: int, spec: Spectrum, *,
                   monotone_ok: bool) -> HardnessRecord:

@@ -247,8 +247,8 @@ def count_independent_sets_via_reduction(host: HostGraph, parts, k: int,
     when the supplied edge is critical."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    u_side, v_side = _check_parts(host, parts)
-    if not u_side or not v_side:
+    if not parts[0] or not parts[1]:
+        _check_parts(host, parts)
         return comb(host.n, k)
     inst = build_reduction_instance(host, parts, h, edge)
     total = 0

@@ -4,12 +4,13 @@ count_hom runs dynamic programming over a tree decomposition of the
 pattern, one bottom-up pass over the bags.  The decompositions built here
 are forests with one tree per connected component, so the count is the
 product of the roots' counts.
-The plan first contracts every bag that one of its children's bags
-contains: that child takes the bag's place and adopts its other children,
-which keeps the decomposition valid and its width, and spares a pass that
-would only re-read the child's table to sum one vertex out.  So a bag
-may sum out several vertices, and a decomposition with one bag per
-vertex keeps only the bags no other bag contains.  A bag's table counts
+Of the bags an elimination order gives, one per vertex with its higher
+fill-neighbours, decomposition_from_order keeps only the maximal cliques
+of the filled graph: a bag that one of its children's bags contains is
+left out, and that child takes its place and adopts its other children.
+That keeps the decomposition valid and its width, and spares a pass that
+would only re-read the child's table to sum one vertex out, so a bag may
+sum out several vertices.  A bag's table counts
 the homomorphisms of the pattern below it per assignment of its interface
 with the parent bag, stored as a trie keyed in the parent's vertex order.
 A bag's own assignments are enumerated as a join: each vertex's
@@ -18,12 +19,14 @@ assigned in the bag, intersected with the keys of every child trie at
 that child's current prefix.  In the decompositions tree_decomposition
 builds, every other vertex of a bag is joined to the bag's eliminated
 vertex by a pattern edge or by a fill edge that lies in some child's
-scope.  Contraction keeps that: the bags left are such bags, a child that
-takes a bag's place keeps its own children, and its eliminated vertex is
-not in its new parent's bag either.  The join order assigns that vertex
+scope.  Leaving bags out keeps that: the bags kept are such bags, a child
+that takes a bag's place keeps its own children, and its eliminated vertex
+is not in its new parent's bag either.  The join order assigns that vertex
 before the last position, and places a vertex so joined to one already
 placed while there is one, so only the first vertex assigned may range
-over all host vertices.
+over all host vertices.  A decomposition given to HomStore.plan is
+planned as it is: the DP is exact on any valid decomposition, though its
+joins may then range wider.
 
 Join orders are fixed top-down, so each bag knows the order its parent
 keys it in.  A bag assigns the vertex its parent keys deepest last, and
@@ -100,9 +103,8 @@ from .errors import InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of
 
 MAX_TREEWIDTH_N = 12
-# compiled bag joins kept, by shape: the contracted plans of the stored
-# orders of every class on at most 7 vertices, disconnected ones included,
-# need 594
+# compiled bag joins kept, by shape: the plans of the stored orders of
+# every class on at most 7 vertices, disconnected ones included, need 594
 JOIN_CACHE_SIZE = 1024
 
 
@@ -263,9 +265,10 @@ def tree_decomposition(g: SmallGraph) -> TreeDecomposition:
 def decomposition_from_order(g: SmallGraph, order: tuple[int, ...]
                              ) -> TreeDecomposition:
     """The rooted decomposition of an elimination order of all of g's
-    vertices: simulate fill-in and emit one bag per vertex with its
-    higher fill-neighbors.  Its width is the order's, not necessarily
-    the treewidth."""
+    vertices: simulate fill-in and emit, for each vertex, the bag of it
+    and its higher fill-neighbors, hung below its anchor's (the
+    earliest-eliminated of those neighbors), except the bags a child's bag
+    contains.  Its width is the order's, not necessarily the treewidth."""
     pos = {v: i for i, v in enumerate(order)}
     fill = g.adj_rows()
     for v in order:
@@ -275,27 +278,40 @@ def decomposition_from_order(g: SmallGraph, order: tuple[int, ...]
                 if a < b:
                     fill[a] |= 1 << b
                     fill[b] |= 1 << a
-    # build bags from the last-eliminated vertex down so each bag's anchor
-    # (earliest-eliminated higher neighbor) already has a bag index
-    bags = []
-    parent = []
-    index_of_vertex: dict[int, int] = {}
-    for i, v in enumerate(reversed(order)):
-        higher = sorted(u for u in bits_of(fill[v]) if pos[u] > pos[v])
-        bags.append(tuple([v] + higher))
-        index_of_vertex[v] = i
-        if not higher:
-            parent.append(-1)
-        else:
-            anchor = min(higher, key=lambda u: pos[u])
-            parent.append(index_of_vertex[anchor])
-    return TreeDecomposition(g, tuple(bags), tuple(parent))
+    # From the last-eliminated vertex down, so each anchor comes first.
+    # A vertex's higher neighbors are its anchor and some of the anchor's,
+    # so its bag contains its anchor's exactly when it has one more of
+    # them; the first such child takes the anchor's place, and its bag
+    # then hangs where the anchor's did.
+    higher_of: dict[int, list[int]] = {}
+    up: dict[int, int | None] = {}     # whose place a bag hangs below
+    taken_by: dict[int, int] = {}
+    for v in reversed(order):
+        higher = higher_of[v] = sorted(u for u in bits_of(fill[v])
+                                       if pos[u] > pos[v])
+        anchor = min(higher, key=pos.__getitem__, default=None)
+        if (anchor is not None and anchor not in taken_by
+                and len(higher) == len(higher_of[anchor]) + 1):
+            taken_by[anchor] = v
+            anchor = up[anchor]
+        up[v] = anchor
+    kept = [v for v in reversed(order) if v not in taken_by]
+    index = {v: i for i, v in enumerate(kept)}
+
+    def place(u: int | None) -> int:
+        if u is None:
+            return -1
+        while u in taken_by:
+            u = taken_by[u]
+        return index[u]
+
+    return TreeDecomposition(g, tuple((v, *higher_of[v]) for v in kept),
+                             tuple(place(up[v]) for v in kept))
 
 
 # --------------------------------------------------------- hom counting
 
 def count_hom(pattern: SmallGraph, host: HostGraph, *,
-              td: TreeDecomposition | None = None,
               store: HomStore | None = None) -> int:
     """Number of homomorphisms pattern -> host.  Loop-marked patterns map
     to 0 because hosts are simple; disconnected patterns factor into the
@@ -303,15 +319,13 @@ def count_hom(pattern: SmallGraph, host: HostGraph, *,
 
     With store, the pattern is counted with the tables that store shares,
     which it shares fully when it was planned into the store beforehand
-    (HomStore.plan).  Without one, it is counted through a store of its
-    own, planned with td when one is given.
+    (HomStore.plan, which also takes a decomposition to plan in place of
+    tree_decomposition's).  Without one, it is counted through a store of
+    its own, on tree_decomposition's decomposition.
     """
     if store is None:
         store = HomStore(host)
-        store.plan(pattern, td)
-    elif td is not None:
-        raise ValueError("a decomposition is planned into a store, "
-                         "not passed beside one")
+        store.plan(pattern)
     elif store.host != host:
         raise ValueError("the store counts into a different host")
     return store.count(pattern)
@@ -340,7 +354,8 @@ class HomStore:
     def plan(self, pattern: SmallGraph,
              td: TreeDecomposition | None = None) -> None:
         """Plan one later count(pattern).  td, a decomposition of the
-        pattern, is validated and replaces tree_decomposition(pattern)."""
+        pattern, is validated and planned as given, in place of
+        tree_decomposition(pattern)."""
         if td is not None:
             if td.graph != pattern:
                 raise ValueError("tree decomposition belongs to a different pattern")
@@ -423,52 +438,9 @@ class _Plan(NamedTuple):
     keys: list[tuple[int, int, int]]
 
 
-def _contract(bags: tuple[tuple[int, ...], ...], parents: tuple[int, ...]
-              ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """bags and parents with every bag that a child's bag contains
-    contracted: that child takes the bag's place under the bag's parent
-    and adopts the bag's other children, until no bag is contained in a
-    child's bag.  Contracting a tree edge into the larger bag keeps the
-    decomposition valid and its width; the bags left keep their order."""
-    masks = [sum(1 << u for u in bag) for bag in bags]
-    parent = list(parents)
-    children: list[list[int]] = [[] for _ in bags]
-    top_down = []
-    for b, p in enumerate(parent):
-        if p == -1:
-            top_down.append(b)
-        else:
-            children[p].append(b)
-    for b in top_down:
-        top_down.extend(children[b])
-    gone = [False] * len(bags)
-    # bottom-up, so a bag's children are final when it is looked at; a
-    # child that takes its place is looked at again with what it adopted
-    for b in reversed(top_down):
-        while True:
-            c = next((c for c in children[b] if not masks[b] & ~masks[c]),
-                     None)
-            if c is None:
-                break
-            p = parent[c] = parent[b]
-            if p != -1:
-                children[p][children[p].index(b)] = c
-            for d in children[b]:
-                if d != c:
-                    parent[d] = c
-                    children[c].append(d)
-            gone[b] = True
-            b = c
-    keep = [b for b in range(len(bags)) if not gone[b]]
-    index = {b: i for i, b in enumerate(keep)}
-    index[-1] = -1
-    return (tuple(bags[b] for b in keep),
-            tuple(index[parent[b]] for b in keep))
-
-
 def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:
     prows = pattern.adj_rows()
-    bags, parents = _contract(td.bags, td.parent)
+    bags, parents = td.bags, td.parent
     # one tree per component, and a valid decomposition may carry extra
     # trees of empty bags, which each count 1
     children: list[list[int]] = [[] for _ in bags]

@@ -128,7 +128,7 @@ def test_automorphism_known_values():
     assert automorphism_count(SmallGraph.cycle(5)) == 10
     assert automorphism_count(SmallGraph.path(4)) == 2
     assert automorphism_count(SmallGraph.complete_bipartite(3, 3)) == 72
-    assert automorphism_count(SmallGraph.empty(5)) == 120
+    assert automorphism_count(SmallGraph(5)) == 120
     assert automorphism_count(SmallGraph.from_edges(4, [(0, 1), (2, 3)])) == 8
 
 

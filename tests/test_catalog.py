@@ -187,7 +187,7 @@ def test_maps_reject_k_outside_their_range():
 
 def test_edge_deletions_canonicalise_few_graphs():
     cat = build_catalog(7)
-    cat.index_of(SmallGraph.empty(7))
+    cat.index_of(SmallGraph(7))
     saved = dict(canon._cache)
     canon._cache.clear()
     try:
@@ -912,6 +912,6 @@ def test_extension_count_binomial_identity():
 
 
 def test_extension_examples():
-    assert extension_count(SmallGraph.empty(3), 2) == 3
+    assert extension_count(SmallGraph(3), 2) == 3
     assert extension_count(SmallGraph.complete(3), 3) == 1
     assert extension_count(SmallGraph.complete(3), 2) == 0

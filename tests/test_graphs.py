@@ -84,7 +84,7 @@ def test_from_edges_rejects_bad_input():
 
 def test_constructors():
     assert SmallGraph.complete(4).edge_count == 6
-    assert SmallGraph.empty(5).edge_count == 0
+    assert SmallGraph(5).edge_count == 0
     assert SmallGraph.cycle(5).edge_count == 5
     assert SmallGraph.path(4).edge_count == 3
     assert SmallGraph.complete_bipartite(3, 3).edge_count == 9
@@ -102,7 +102,7 @@ def test_complement_involution():
 
 
 def test_with_without_edge():
-    g = SmallGraph.empty(3)
+    g = SmallGraph(3)
     g2 = g.with_edge(0, 2)
     assert g2.has_edge(0, 2) and not g.has_edge(0, 2)
     assert g2.without_edge(0, 2) == g
@@ -122,8 +122,8 @@ def test_connectivity_and_components():
     assert not SmallGraph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
     comps = SmallGraph.from_edges(5, [(0, 3), (1, 2)]).components()
     assert sorted(tuple(sorted(c)) for c in comps) == [(0, 3), (1, 2), (4,)]
-    assert SmallGraph.empty(1).is_connected()
-    assert SmallGraph.empty(0).is_connected()
+    assert SmallGraph(1).is_connected()
+    assert SmallGraph(0).is_connected()
 
 
 def _nx_components(g):

@@ -147,7 +147,7 @@ def test_diagnose_record_invariants(prop_name):
     assert report.k_max == k_max
     assert report.flags_declared == phi.flags
     assert report.flags_verified_to == 4
-    assert report.flags_ok
+    assert not report.flag_violations
     assert len(report.records) == k_max
     for rec in report.records:
         d = comb(rec.k, 2)
@@ -228,7 +228,6 @@ def test_diagnose_reports_flag_violations():
                         hereditary=True)
     assert not verify_flags(liar, 4).ok
     report = diagnose(liar, 4)
-    assert not report.flags_ok
     assert report.flag_violations
     assert report.flag_violations[0].flag == "hereditary"
     text = classification_text(report)
@@ -242,7 +241,7 @@ def test_diagnose_suppresses_turan_when_flags_refuted():
                         monotone=True,
                         forbidden_subgraphs=(SmallGraph.complete(3),))
     report = diagnose(liar, 4)
-    assert not report.flags_ok
+    assert report.flag_violations
     assert all(rec.turan is None for rec in report.records)
 
 

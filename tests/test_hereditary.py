@@ -350,6 +350,26 @@ def test_reduction_edge_cases():
             edgeless, ((0, 1, 2), ()), -1, phi, C4, (0, 1))
 
 
+@pytest.mark.parametrize("host, parts, expected", [
+    (HostGraph.from_edges(3, []), ((0, 1, 2), ()), 3),
+    (HostGraph.from_edges(3, [(0, 1), (0, 2)]), ((0,), (1, 2)), 1),
+])
+def test_reduction_checks_the_parts_once(monkeypatch, host, parts, expected):
+    # An empty side answers C(n, k) after the check; otherwise the instance
+    # builder's check is the only one.
+    calls = []
+    check = hereditary_module._check_parts
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(hereditary_module, "_check_parts", counted)
+    assert count_independent_sets_via_reduction(
+        host, parts, 2, get_property("chordal"), C4, (0, 1)) == expected
+    assert len(calls) == 1
+
+
 def test_reduction_negative_total_guard(monkeypatch):
     # Force the per-term counter to produce an impossible alternating sum;
     # the reduction must refuse to return a negative "count".

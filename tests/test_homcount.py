@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import indsub.homcount as homcount
 from indsub.catalog import build_catalog
-from indsub.counting import _class_decomposition
+from indsub.counting import _class_decomposition, elimination_orders
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
@@ -17,12 +17,12 @@ from indsub.homcount import (
     TreeDecomposition,
     _bag_table,
     _compiled,
-    _contract,
     _plan,
     _shape,
     _source,
     _walk,
     count_hom,
+    decomposition_from_order,
     exact_treewidth,
     tree_decomposition,
 )
@@ -41,8 +41,8 @@ def test_treewidth_known_values():
     assert exact_treewidth(SmallGraph.path(5)) == 1
     assert exact_treewidth(SmallGraph.cycle(6)) == 2
     assert exact_treewidth(SmallGraph.complete(5)) == 4
-    assert exact_treewidth(SmallGraph.empty(4)) == 0
-    assert exact_treewidth(SmallGraph.empty(0)) == -1
+    assert exact_treewidth(SmallGraph(4)) == 0
+    assert exact_treewidth(SmallGraph(0)) == -1
     grid = SmallGraph.from_edges(9, [(r * 3 + c, r * 3 + c + 1)
                                      for r in range(3) for c in range(2)] +
                                     [(r * 3 + c, (r + 1) * 3 + c)
@@ -61,7 +61,7 @@ def test_treewidth_matches_all_orderings_oracle():
 
 def test_treewidth_caps():
     with pytest.raises(ValueError):
-        exact_treewidth(SmallGraph.empty(MAX_TREEWIDTH_N + 1))
+        exact_treewidth(SmallGraph(MAX_TREEWIDTH_N + 1))
     with pytest.raises(ValueError):
         exact_treewidth(SmallGraph(2, 0, loops=1))
 
@@ -73,7 +73,6 @@ def test_tree_decomposition_is_valid_and_optimal():
         td = tree_decomposition(g)
         td.validate()
         assert td.width == exact_treewidth(g)
-        assert len(td.bags) == g.n
         root_count = sum(1 for p in td.parent if p == -1)
         assert root_count == len(g.components())
 
@@ -90,9 +89,9 @@ def test_count_hom_closed_forms():
     assert count_hom(SmallGraph.cycle(4), k3) == 2 ** 4 + 2
     assert count_hom(SmallGraph.cycle(5), k4) == 3 ** 5 - 3
     # independent-set-polynomial style: empty pattern counts all maps
-    assert count_hom(SmallGraph.empty(3), c5) == 125
+    assert count_hom(SmallGraph(3), c5) == 125
     # single vertex
-    assert count_hom(SmallGraph.empty(1), c5) == 5
+    assert count_hom(SmallGraph(1), c5) == 5
     # no homomorphism from a triangle into a bipartite host
     assert count_hom(SmallGraph.complete(3),
                      HostGraph.from_small(SmallGraph.complete_bipartite(3, 4))) == 0
@@ -100,7 +99,7 @@ def test_count_hom_closed_forms():
 
 def test_count_hom_empty_pattern_and_loops():
     host = HostGraph.from_edges(3, [(0, 1)])
-    assert count_hom(SmallGraph.empty(0), host) == 1
+    assert count_hom(SmallGraph(0), host) == 1
     assert count_hom(SmallGraph(2, 0, loops=0b11), host) == 0
 
 
@@ -121,6 +120,13 @@ def test_count_hom_matches_map_enumeration():
                            p=rng.choice([0.3, 0.6]))
         assert count_hom(pattern, host) == brute_hom_count(pattern, host), \
             (pattern.to_graph6(), host.to_graph6())
+
+
+def _count_with(pattern, host, td):
+    """count_hom of pattern with td planned into its store."""
+    store = HomStore(host)
+    store.plan(pattern, td)
+    return count_hom(pattern, host, store=store)
 
 
 def _connected_pattern(rng, n):
@@ -186,7 +192,7 @@ def test_count_hom_accepts_any_valid_decomposition():
                          ((whole, ()), (-1, -1))):
         td = TreeDecomposition(c5, bags, parent)
         td.validate()
-        assert count_hom(c5, host, td=td) == expected, bags
+        assert _count_with(c5, host, td) == expected, bags
 
 
 @st.composite
@@ -252,7 +258,7 @@ def test_count_hom_matches_map_enumeration_on_any_elimination_order(case):
         td.validate()
         assert set(_last_position_writes(pattern, td)) <= {"scalar", "deepest"}
         expected.append(brute_hom_count(pattern, host))
-        assert count_hom(pattern, host, td=td) == expected[-1]
+        assert _count_with(pattern, host, td) == expected[-1]
         assert _checked_bag_tables(pattern, td, host) == expected[-1]
     # both patterns through one store, their decompositions planned in
     store = HomStore(host)
@@ -296,7 +302,7 @@ _P3_EDGE = SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
 # given line: a position over all host vertices, over one neighbour list,
 # over the common neighbours of several pattern-neighbours, over a child
 # trie at depth 0 or below, reading three tries (the root of K1,4: a leaf's
-# bag, which the centre's bag is contracted into, reads the other leaves'),
+# bag, which takes the centre's bag's place, reads the other leaves'),
 # and a scalar and a trie write.  In the last two cases a bag of that kind
 # has a child sharing no vertex with it, which counts the edge 3-4 into its
 # base: 0 on the edgeless host, where the bag returns at once.
@@ -408,86 +414,87 @@ _CONNECTED_CLASSES = [g for k in range(1, 7)
                       if g.is_connected()]
 
 
-def _plan_decomposition(pattern, td):
-    """The plan of td and its bags and parent pointers, as a
-    TreeDecomposition of the pattern."""
-    plan = _plan(pattern, td)
-    parent = [-1] * len(plan.bags)
-    for b, kids in enumerate(plan.children):
-        for c in kids:
-            parent[c] = b
-    return plan, TreeDecomposition(pattern, plan.bags, tuple(parent))
+def _assert_maximal_bags(g, order):
+    """decomposition_from_order(g, order) is valid, as wide as the oracle's
+    one-bag-per-vertex decomposition of the order, made of exactly that
+    decomposition's maximal bags, and holds no bag contained in a child's
+    bag."""
+    td = decomposition_from_order(g, order)
+    td.validate()
+    full = elimination_decomposition(g, order)
+    assert td.width == full.width
+    maximal = {frozenset(bag) for bag in full.bags
+               if not any(set(bag) < set(other) for other in full.bags)}
+    assert len(td.bags) == len(maximal)
+    assert set(map(frozenset, td.bags)) == maximal, \
+        (g.to_graph6(), order, td.bags)
+    for bag, p in zip(td.bags, td.parent):
+        assert p == -1 or not set(td.bags[p]) <= set(bag), \
+            (g.to_graph6(), order, td.bags)
 
 
-def _assert_contracted(pattern, td):
-    """The plan's decomposition is valid, as wide as td, made of td's
-    bags, and holds no bag contained in a child's bag."""
-    plan, contracted = _plan_decomposition(pattern, td)
-    contracted.validate()
-    assert contracted.width == td.width
-    assert set(plan.bags) <= set(td.bags)
-    for b, kids in enumerate(plan.children):
-        for c in kids:
-            assert not set(plan.bags[b]) <= set(plan.bags[c]), \
-                (pattern.to_graph6(), td.bags, plan.bags)
-    return plan
+@pytest.mark.parametrize("k", range(1, 8))
+def test_builder_keeps_the_maximal_bags_on_each_stored_order(k):
+    """Every class on k vertices, disconnected ones included, on the
+    stored elimination order count_basis plans."""
+    for g, order in zip(build_catalog(k).graphs(), elimination_orders(k)):
+        _assert_maximal_bags(g, order)
 
 
-def test_plan_contracts_every_bag_a_child_contains_on_each_class():
-    """Every connected class on at most 6 vertices: the plan keeps
-    exactly the bags of its decomposition that no other bag contains, in
-    each bag's join only the first position may range over all host
-    vertices, and every bag's compiled table equals the reference join's."""
+@st.composite
+def _graph_and_order(draw, max_n=9):
+    """A graph on at most max_n vertices, connected or not, and a random
+    elimination order of it."""
+    n = draw(st.integers(0, max_n))
+    pairs = draw(st.sets(st.sampled_from(
+        [(a, b) for b in range(n) for a in range(b)]))) if n > 1 else ()
+    return SmallGraph.from_edges(n, pairs), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_order())
+def test_builder_keeps_the_maximal_bags_on_any_order(case):
+    _assert_maximal_bags(*case)
+
+
+def test_plan_of_each_connected_class_joins_like_the_reference():
+    """Every connected class on at most 6 vertices: in each bag's join
+    only the first position may range over all host vertices, and every
+    bag's compiled table equals the reference join's."""
     host = random_host(random.Random(52), 10, 0.5)
     for pattern in _CONNECTED_CLASSES:
         td = tree_decomposition(pattern)
-        plan = _assert_contracted(pattern, td)
-        maximal = [bag for bag in td.bags
-                   if not any(set(bag) < set(other) for other in td.bags)]
-        assert plan.bags == tuple(maximal), (pattern.to_graph6(), td.bags)
         for source in _bag_sources(pattern, td):
             assert not re.search(r"for v[1-9]\d* in range", source), source
         _checked_bag_tables(pattern, td, host)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_pattern_host_and_decomposition())
-def test_plan_contracts_every_bag_a_child_contains_on_any_order(case):
-    cases, _ = case
-    for pattern, td in cases:
-        _assert_contracted(pattern, td)
-
-
 _C5 = SmallGraph.cycle(5)
 
 
-# Hand-built decompositions that contraction reshapes: a root whose bag
-# equals its first child's, listed in another order, and is contained in
-# its second child's too, so the first child, once in the root's place, is
-# contracted into the second; a chain of three nested bags
-# from the root down, the middle one with a second child; and an empty root
-# over two children, first for C5 (the second child an empty bag), then for
-# a disconnected pattern, whose second component's bag becomes a folded
-# child of the first's.
-@pytest.mark.parametrize("pattern, bags, parent, planned", [
+# Hand-built decompositions with nested bags, planned as given: a root
+# whose bag equals its first child's, listed in another order, and is
+# contained in its second child's too; a chain of three nested bags from
+# the root down, the middle one with a second child; and an empty root over
+# two children, first for C5 (the second child an empty bag), then for a
+# disconnected pattern, whose components' bags are folded children of the
+# root.
+@pytest.mark.parametrize("pattern, bags, parent", [
     (_C5, ((1, 4), (4, 1), (0, 1, 4), (1, 2, 4), (2, 3, 4)),
-     (-1, 0, 0, 0, 3), ((0, 1, 4), (1, 2, 4), (2, 3, 4))),
-    (_C5, ((4,), (4, 1), (0, 1, 4), (1, 2, 4), (2, 3, 4)), (-1, 0, 1, 1, 3),
-     ((0, 1, 4), (1, 2, 4), (2, 3, 4))),
-    (_C5, ((), (0, 1, 2, 3, 4), ()), (-1, 0, 0), ((0, 1, 2, 3, 4), ())),
-    (_P3_EDGE, ((), (0, 1), (1, 2), (3, 4)), (-1, 0, 1, 0),
-     ((0, 1), (1, 2), (3, 4))),
+     (-1, 0, 0, 0, 3)),
+    (_C5, ((4,), (4, 1), (0, 1, 4), (1, 2, 4), (2, 3, 4)), (-1, 0, 1, 1, 3)),
+    (_C5, ((), (0, 1, 2, 3, 4), ()), (-1, 0, 0)),
+    (_P3_EDGE, ((), (0, 1), (1, 2), (3, 4)), (-1, 0, 1, 0)),
 ])
 def test_count_hom_on_contracted_hand_built_decompositions(
-        pattern, bags, parent, planned):
+        pattern, bags, parent):
     td = TreeDecomposition(pattern, bags, parent)
     td.validate()
-    assert _assert_contracted(pattern, td).bags == planned
     rng = random.Random(50)
     for n, p in ((1, 0.0), (4, 1.0), (6, 0.5), (7, 0.3)):
         host = random_host(rng, n, p)
         expected = brute_hom_count(pattern, host)
-        assert count_hom(pattern, host, td=td) == expected
+        assert _count_with(pattern, host, td) == expected
         assert _checked_bag_tables(pattern, td, host) == expected
         store = HomStore(host)
         for g in (pattern, _C5, pattern):
@@ -496,14 +503,6 @@ def test_count_hom_on_contracted_hand_built_decompositions(
                 for g in (pattern, _C5, pattern)] == \
             [expected, brute_hom_count(_C5, host), expected]
         assert not store._tables and not store._reads
-
-
-def test_contract_keeps_a_decomposition_without_nested_bags():
-    bags, parent = ((0, 1), (1, 2), (2, 3)), (-1, 0, 1)
-    assert _contract(bags, parent) == (bags, parent)
-    # a leaf contained in its parent stays: only a bag's children take
-    # its place
-    assert _contract(((0, 1), (1,)), (-1, 0)) == (((0, 1), (1,)), (-1, 0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -569,7 +568,7 @@ def test_count_hom_each_way_the_last_position_writes(write, pattern, td):
     rng = random.Random(48)
     for n, p in ((1, 0.0), (4, 1.0), (6, 0.5), (7, 0.3)):
         host = random_host(rng, n, p)
-        assert count_hom(pattern, host, td=td) == brute_hom_count(pattern, host)
+        assert _count_with(pattern, host, td) == brute_hom_count(pattern, host)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -611,14 +610,14 @@ def test_count_hom_rejects_foreign_decomposition():
     td = tree_decomposition(SmallGraph.path(3))
     host = HostGraph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
-        count_hom(SmallGraph.complete(3), host, td=td)
+        _count_with(SmallGraph.complete(3), host, td)
     # a disconnected pattern is checked before it is split into components
     with pytest.raises(ValueError):
-        count_hom(SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
-                  HostGraph.from_small(SmallGraph.complete(4)), td=td)
+        _count_with(SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+                    HostGraph.from_small(SmallGraph.complete(4)), td)
     # matching decomposition is accepted
-    assert count_hom(SmallGraph.path(3), host,
-                     td=tree_decomposition(SmallGraph.path(3))) == 2
+    assert _count_with(SmallGraph.path(3), host,
+                       tree_decomposition(SmallGraph.path(3))) == 2
     # invalid decompositions of the pattern itself: an uncovered edge, the
     # bags holding vertex 0 disconnected, bags cut off from the root by a
     # parent cycle, a parent index out of range and a bag with no parent
@@ -631,23 +630,23 @@ def test_count_hom_rejects_foreign_decomposition():
                          (((0, 1), (1, 2)), (-1, 5)),
                          (((0, 1), (1, 2)), (-1,))):
         with pytest.raises(ValueError, match="invalid tree decomposition"):
-            count_hom(p3, k3, td=TreeDecomposition(p3, bags, parent))
+            _count_with(p3, k3, TreeDecomposition(p3, bags, parent))
     # a loop-marked pattern counts 0 without a plan, but its decomposition
     # is still checked
     looped = SmallGraph(3, p3.edges, loops=1)
     good = tree_decomposition(p3)
-    assert count_hom(looped, k3, td=TreeDecomposition(looped, good.bags,
-                                                      good.parent)) == 0
+    assert _count_with(looped, k3, TreeDecomposition(looped, good.bags,
+                                                     good.parent)) == 0
     with pytest.raises(ValueError):
-        count_hom(looped, k3, td=good)
+        _count_with(looped, k3, good)
 
 
 def test_count_hom_rejects_a_store_beside_a_decomposition_or_another_host():
     p3, k3 = SmallGraph.path(3), HostGraph.from_small(SmallGraph.complete(3))
     store = HomStore(k3)
     store.plan(p3)
-    with pytest.raises(ValueError, match="a decomposition is planned into a "
-                                         "store, not passed beside one"):
+    # a decomposition enters only through HomStore.plan
+    with pytest.raises(TypeError):
         count_hom(p3, k3, td=tree_decomposition(p3), store=store)
     with pytest.raises(ValueError,
                        match="the store counts into a different host"):

@@ -359,7 +359,7 @@ def test_contains_induced_and_subgraph():
     assert contains_induced(paw, SmallGraph.complete(3))
     assert not contains_induced(SmallGraph.cycle(5), SmallGraph.complete(3))
     # C5 has independence number 2, so no induced empty triple
-    assert not contains_induced(SmallGraph.cycle(5), SmallGraph.empty(3))
+    assert not contains_induced(SmallGraph.cycle(5), SmallGraph(3))
 
 
 def test_containment_matches_oracles_on_catalog_pairs():
@@ -426,7 +426,7 @@ def test_truth_table_property(tmp_path):
     path.write_text(f"k=3\n{bits}\n")
     assert load_truth_table(path) == {3: bits}
     phi2 = truth_table_property(load_truth_table(path))
-    assert evaluate(phi2, SmallGraph.empty(3))
+    assert evaluate(phi2, SmallGraph(3))
 
     bad = tmp_path / "bad.txt"
     bad.write_text("k=3\n10\n")

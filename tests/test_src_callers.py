@@ -43,8 +43,8 @@ ALLOWED = {
 def _referenced(node: ast.AST, skip=()) -> set[str]:
     """Names and attribute names read below node, outside the subtrees
     in skip; an attribute name is entered a second time with a leading
-    dot, which is how a field is looked up, so that a local variable
-    named like a field does not count as reading it."""
+    dot, which is how a method or field is looked up, so that a local
+    variable named like one does not count as reading it."""
     out = set()
     stack = [node]
     while stack:
@@ -86,8 +86,8 @@ def _fields(stmt: ast.stmt) -> list:
 
 def _definitions_and_references():
     """(name, allow-list key, qualified name) of every definition under
-    src/indsub, a field's name with a leading dot, and every name that
-    src/ and scripts/ code reads."""
+    src/indsub, a method's or field's name with a leading dot, and every
+    name that src/ and scripts/ code reads."""
     defined = []
     referenced = set()
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
@@ -103,10 +103,11 @@ def _definitions_and_references():
             fields = _fields(stmt)
             names = _referenced(stmt, skip=methods + fields)
             for meth in methods:
-                names |= _referenced(meth) - {meth.name}
+                names |= _referenced(meth) - {"." + meth.name}
                 key = f"{stmt.name}.{meth.name}"
                 if in_package:
-                    defined.append((meth.name, key, f"{path.stem}.{key}"))
+                    defined.append(("." + meth.name, key,
+                                    f"{path.stem}.{key}"))
             for field in fields:
                 key = f"{stmt.name}.{field.id}"
                 if in_package:
@@ -137,10 +138,12 @@ def test_every_src_definition_has_a_caller():
 
 def test_methods_are_checked():
     defined, _ = _definitions_and_references()
-    keys = {key for _, key, _ in defined}
+    names = {key: name for name, key, _ in defined}
     assert {"SmallGraph.adj_rows", "GraphCatalog.index_of",
-            "GraphCatalog.class_count"} <= keys
-    assert not any(key.endswith("__post_init__") for key in keys)
+            "GraphCatalog.class_count"} <= set(names)
+    assert not any(key.endswith("__post_init__") for key in names)
+    # a method is looked up as an attribute, never as a bare name
+    assert names["SmallGraph.adj_rows"] == ".adj_rows"
 
 
 def test_record_fields_are_checked():
