@@ -20,6 +20,12 @@ proves the candidate an automorphic image of the best one, which then adds
 the best one's count without further search.  Those leaves are the
 automorphisms that automorphism_generators returns.
 
+_canonical_data is the one canonicaliser: from neighbor rows it gives the
+canonical ordering, edge bitset and automorphism count, with no cache and
+no graph object.  The catalog builder calls it on each extension's rows;
+canonical_form, canon_key and automorphism_count reach it through
+_canonical_of, which keeps a bounded cache of CanonicalForms.
+
 refinement_invariant condenses the stable refinement into a value that
 isomorphic graphs share, so a catalog can settle most lookups without a
 search: a class whose invariant no other class of its catalog has is the
@@ -38,9 +44,11 @@ from dataclasses import dataclass
 
 from .graphs import SmallGraph, bits_of, pair_table
 
-# Canonical data of the labelled graphs canonicalised last, at most
-# CACHE_CAP of them; the oldest is dropped first.  A cold k <= 8 catalog
-# build canonicalises 14,655 distinct graphs and meets none twice.
+# Canonical data of the graphs that canonical_form, canon_key and
+# automorphism_count canonicalised last, at most CACHE_CAP of them; the
+# oldest is dropped first.  The catalog builder calls _canonical_data
+# directly, since it meets none of its 14,655 extensions twice, and so
+# fills no entry.
 CACHE_CAP = 1 << 12
 _cache: OrderedDict[tuple[int, int, int],
                     tuple["CanonicalForm", int]] = OrderedDict()
@@ -230,48 +238,53 @@ def _canonical_search(n, rows, loops, cells, gens=None):
     return leaf, aut
 
 
-def _canonical_data(g: SmallGraph) -> tuple[CanonicalForm, int]:
-    key = (g.n, g.edges, g.loops)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    n = g.n
-    while len(_cache) >= CACHE_CAP:
-        _cache.popitem(last=False)
-    if n == 0:
-        result = (CanonicalForm(0, 0, 0, ()), 1)
-        _cache[key] = result
-        return result
-    rows = g.adj_rows()
-    ordering, aut = _canonical_search(n, rows, g.loops,
-                                      _refined_cells(n, rows, g.loops))
-    rel = [0] * n
-    for pos, v in enumerate(ordering):
-        rel[v] = pos
+def _canonical_data(n: int, rows: list[int], loops: int
+                    ) -> tuple[tuple[int, ...], int, int]:
+    """(ordering, edges, aut) of the graph on n vertices with neighbor
+    bitmasks rows and loop marks loops: ordering[pos] is the vertex at
+    canonical position pos, edges the canonical edge bitset and aut the
+    automorphism count.  No cache and no graph object."""
+    ordering, aut = _canonical_search(n, rows, loops,
+                                      _refined_cells(n, rows, loops))
     edges = 0
     bit = 1
     for i, j in pair_table(n):
         if rows[ordering[i]] >> ordering[j] & 1:
             edges |= bit
         bit <<= 1
+    return ordering, edges, aut
+
+
+def _canonical_of(g: SmallGraph) -> tuple[CanonicalForm, int]:
+    """g's canonical form and automorphism count, through the cache."""
+    key = (g.n, g.edges, g.loops)
+    hit = _cache.get(key)
+    if hit is not None:
+        return hit
+    while len(_cache) >= CACHE_CAP:
+        _cache.popitem(last=False)
+    ordering, edges, aut = _canonical_data(g.n, g.adj_rows(), g.loops)
+    rel = [0] * g.n
+    for pos, v in enumerate(ordering):
+        rel[v] = pos
     loops = 0
     for v in bits_of(g.loops):
         loops |= 1 << rel[v]
-    result = (CanonicalForm(n, edges, loops, tuple(rel)), aut)
-    _cache[key] = result
+    result = _cache[key] = (CanonicalForm(g.n, edges, loops, tuple(rel)),
+                            aut)
     return result
 
 
 def canonical_form(g: SmallGraph) -> CanonicalForm:
-    return _canonical_data(g)[0]
+    return _canonical_of(g)[0]
 
 
 def canon_key(g: SmallGraph) -> tuple[int, int, int]:
-    return _canonical_data(g)[0].key
+    return _canonical_of(g)[0].key
 
 
 def automorphism_count(g: SmallGraph) -> int:
-    return _canonical_data(g)[1]
+    return _canonical_of(g)[1]
 
 
 def automorphism_generators(g: SmallGraph) -> list[tuple[int, ...]]:

@@ -71,9 +71,7 @@ catalog computes no invariant.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
-import uuid
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -91,10 +89,9 @@ from .errors import FormatError, InternalConsistencyError
 from .graphs import (
     SmallGraph,
     _graph6_chunk_edges,
+    _small_graph6,
     bits_of,
     pair_count,
-    pair_index,
-    pair_table,
 )
 
 MAX_CATALOG_K = 8
@@ -105,8 +102,6 @@ MAX_FLAG_K = 6
 MAX_HOM_VECTOR_K = 7
 CACHE_ENV_VAR = "INDSUB_CACHE_DIR"
 _CACHE_HEADER = "# indsub catalog v1"
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -186,29 +181,22 @@ def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
     else:
         below = _catalog_cached(k - 1, cache_dir_str)
         parents = zip(below.edges, below.auts)
-    # Edge bits of the k-vertex graph: lift[b] for the parent's pair b, and
-    # nb_bits[mask] for the new vertex joined to the vertices in mask.
-    lift = [1 << pair_index(k, i, j) for i, j in pair_table(k - 1)]
-    new_pair = [1 << pair_index(k, i, k - 1) for i in range(k - 1)]
-    nb_bits = [0] * (1 << (k - 1))
-    for mask in range(1, 1 << (k - 1)):
-        low = mask & -mask
-        nb_bits[mask] = nb_bits[mask ^ low] | new_pair[low.bit_length() - 1]
+    top = k - 1
     found: dict[int, int] = {}
     for pedges, paut in parents:
-        parent = SmallGraph(k - 1, pedges)
-        base = 0
-        for b in bits_of(pedges):
-            base |= lift[b]
+        parent = SmallGraph(top, pedges)
+        prows = parent.adj_rows()
         if paut == 1:
-            masks = range(1 << (k - 1))
+            masks = range(1 << top)
         else:
             masks = _orbit_representatives(
-                k - 1, automorphism_generators(parent))
-        for nbmask in _key_maximal_masks(parent.adj_rows(), masks):
-            cf, aut = _canonical_data(SmallGraph(k, base | nb_bits[nbmask]))
-            if cf.edges not in found:
-                found[cf.edges] = aut
+                top, automorphism_generators(parent))
+        for mask in _key_maximal_masks(prows, masks):
+            # The extension's rows: the new vertex k-1 joins the mask.
+            rows = [r | (mask >> i & 1) << top for i, r in enumerate(prows)]
+            rows.append(mask)
+            _, edges, aut = _canonical_data(k, rows, 0)
+            found.setdefault(edges, aut)
     return found
 
 
@@ -289,7 +277,7 @@ def _new_catalog(k: int, cache_dir_str: str | None) -> GraphCatalog:
     classes = _build_classes(k, cache_dir_str)
     edges = tuple(sorted(classes, key=lambda e: (e.bit_count(), e)))
     cat = GraphCatalog(k, edges, tuple(map(classes.__getitem__, edges)),
-                       tuple(SmallGraph(k, e).to_graph6() for e in edges))
+                       tuple(_small_graph6(k, e) for e in edges))
     if cat.labeled_total != 1 << pair_count(k):
         raise InternalConsistencyError(
             f"catalog k={k}: labeled copies sum to {cat.labeled_total}, "
@@ -307,13 +295,19 @@ def _read_or_rebuild(what: str, k: int, path: Path | None,
         try:
             return read(path)
         except (FormatError, OSError) as exc:
-            log.warning("rebuilding %s k=%d: %s", what, k, exc)
+            # logging is imported only when a warning fires, which keeps
+            # it out of every run that reads or writes its files cleanly.
+            import logging
+            logging.getLogger(__name__).warning(
+                "rebuilding %s k=%d: %s", what, k, exc)
     value = build()
     if path is not None:
         try:
             write(value, path)
         except OSError as exc:
-            log.warning("could not write %s %s: %s", what, path, exc)
+            import logging
+            logging.getLogger(__name__).warning(
+                "could not write %s %s: %s", what, path, exc)
     return value
 
 
@@ -333,7 +327,7 @@ def _write_lines(path: Path, header: str, lines) -> None:
     writer, then rename it into place, so concurrent writers never expose
     a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "x") as fh:
             fh.write(f"{header}\n")

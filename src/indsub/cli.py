@@ -67,24 +67,71 @@ class _Parser(argparse.ArgumentParser):
 
 # --------------------------------------------------------------- encoding
 
-def _enc(value):
-    """Make a report JSON-safe: ints become decimal strings, rationals
-    become "p/q" strings, containers recurse, everything else passes."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, dict):
-        return {key: _enc(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_enc(item) for item in value]
-    return value
+# json's escaper of one string (C where available), as json.dumps uses it
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _enc(value, out: list[str], indent: str) -> None:
+    """Append to out the text json.dumps(indent=2) writes for value, with
+    ints as decimal strings and rationals as "p/q" strings.  Dict keys are
+    strings; indent is the newline and spaces that start a line at
+    value's depth."""
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(f'"{value}"')
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # The commonest values, written in one piece with their key.
+            item_kind = type(item)
+            if item_kind is str:
+                out.append(f"{sep}{_escape(key)}: {_escape(item)}")
+            elif item_kind is int:
+                out.append(f'{sep}{_escape(key)}: "{item}"')
+            else:
+                out.append(f"{sep}{_escape(key)}: ")
+                _enc(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _enc(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, int):
+        out.append('"' + str(value) + '"')
+    elif isinstance(value, Fraction):
+        out.append(f'"{value.numerator}/{value.denominator}"')
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(report) -> None:
-    print(json.dumps(_enc(report), indent=2))
+    out: list[str] = []
+    _enc(report, out, "\n")
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 # ------------------------------------------------------ property plumbing

@@ -208,9 +208,7 @@ class SmallGraph:
     def to_graph6(self) -> str:
         if self.loops:
             raise ValueError("graph6 cannot encode loops")
-        e = self.edges
-        return _encode_graph6(self.n,
-                              [e >> b & 1 for b in _graph6_order(self.n)])
+        return _small_graph6(self.n, self.edges)
 
     @classmethod
     def from_graph6(cls, text: str) -> "SmallGraph":
@@ -313,8 +311,45 @@ def _graph6_order(n: int) -> tuple[int, ...]:
     return tuple(pair_index(n, i, j) for j in range(1, n) for i in range(j))
 
 
+@lru_cache(maxsize=None)
+def _graph6_byte_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The graph6 text of an n-vertex graph, n <= MAX_SMALL_VERTICES, is
+    read as one big-endian integer of character codes.  Returned: that
+    integer for the empty graph, and per byte of the edge bitset the body
+    bits that each value of the byte sets.  The mirror of
+    _graph6_chunk_edges."""
+    order = _graph6_order(n)
+    size = (len(order) + 5) // 6
+    # The pair at graph6 position t is bit 5 - t % 6 of body character
+    # t // 6; every character carries the offset 63.
+    weights = [0] * len(order)
+    for t, b in enumerate(order):
+        weights[b] = 1 << 8 * (size - 1 - t // 6) + 5 - t % 6
+    empty = int.from_bytes(bytes([n + 63]) + b"?" * size, "big")
+    tables = []
+    for b in range(0, len(order), 8):
+        byte_weights = weights[b:b + 8]
+        table = [0] * (1 << len(byte_weights))
+        for d in range(1, len(table)):
+            low = d & -d
+            table[d] = table[d ^ low] | byte_weights[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return empty, tuple(tables)
+
+
+def _small_graph6(n: int, edges: int) -> str:
+    """graph6 text of the n-vertex graph with edge bitset edges, one table
+    lookup per byte of the bitset."""
+    empty, tables = _graph6_byte_tables(n)
+    size = (pair_count(n) + 5) // 6 + 1
+    text = sum(map(tuple.__getitem__, tables,
+                   edges.to_bytes(len(tables), "little")), empty)
+    return text.to_bytes(size, "big").decode("ascii")
+
+
 def _encode_graph6(n: int, bits: list[int]) -> str:
-    """graph6 text of n vertices whose pair bits come in graph6 order."""
+    """graph6 text of n vertices whose pair bits come in graph6 order; the
+    host writer, since a host's bitset of C(n, 2) pairs is not stored."""
     if n <= 62:
         head = chr(n + 63)
     elif n <= MAX_HOST_VERTICES:

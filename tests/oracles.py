@@ -40,6 +40,15 @@ The reference graph6 decoder unpacks every body bit and walks all
 C(n,2) pairs, where the package reads only the nonzero body characters;
 both share the package's header and length validation.
 
+The reference graph6 encoder is the package's former small-graph writer:
+it lists every pair bit in the format's order, pads to a multiple of six
+and packs six bits per character, where the package adds one table entry
+per byte of the edge bitset.
+
+The reference emitter is the CLI's former JSON writer: a pass that turns
+ints and rationals into strings, then json.dumps(indent=2).  The CLI's
+one-pass emitter must give the same bytes.
+
 The embedding oracles decide "h occurs in g" by exhaustive sweeps, not
 the package's backtracking search: the induced one compares the brute
 canonical key of every h.n-vertex induced subgraph of g with h's, and the
@@ -58,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -708,6 +718,42 @@ def reference_decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
                 pairs.append((i, j))
             t += 1
     return n, pairs
+
+
+def reference_graph6(g: SmallGraph) -> str:
+    """graph6 text of a small loop-free graph, one pair bit at a time."""
+    bits = [int(g.has_edge(i, j)) for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = ""
+    for t in range(0, len(bits), 6):
+        val = 0
+        for b in bits[t:t + 6]:
+            val = val << 1 | b
+        body += chr(val + 63)
+    return chr(g.n + 63) + body
+
+
+# -------------------------------------------------------------- reports
+
+
+def _json_safe(value):
+    """ints as decimal strings, rationals as "p/q", containers recursed."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
+def reference_emit(report) -> str:
+    """The standard output the CLI writes for report."""
+    return json.dumps(_json_safe(report), indent=2) + "\n"
 
 
 # -------------------------------------------------------------- generators

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from indsub import canon
 from indsub.canon import (
     _canonical_data,
+    _canonical_of,
     automorphism_count,
     automorphism_generators,
     canon_key,
@@ -96,9 +97,9 @@ def test_canon_cache_drops_its_oldest_entry_at_the_cap(monkeypatch):
     monkeypatch.setattr(canon, "_cache", OrderedDict())
     monkeypatch.setattr(canon, "CACHE_CAP", 8)
     graphs = [SmallGraph.path(n) for n in range(1, 11)]
-    forms = [_canonical_data(g) for g in graphs]
+    forms = [_canonical_of(g) for g in graphs]
     assert list(canon._cache) == [(g.n, g.edges, g.loops) for g in graphs[2:]]
-    assert [_canonical_data(g) for g in graphs] == forms
+    assert [_canonical_of(g) for g in graphs] == forms
     assert len(canon._cache) == 8
 
 
@@ -138,13 +139,22 @@ def test_petersen_automorphisms():
 
 # The canonical form fixes catalog order and truth-table indexing, so the
 # fast canoniser must reproduce the reference one exactly: the form, the
-# relabeling that reaches it and the automorphism count.
+# relabeling that reaches it and the automorphism count.  Both callers are
+# checked: the cached entry, and the core that the catalog builder calls
+# on neighbor rows.
+
+def _check_against_reference(g: SmallGraph) -> None:
+    form, aut = reference_canonical_data(g)
+    assert _canonical_of(g) == (form, aut), g
+    ordering, edges, core_aut = _canonical_data(g.n, g.adj_rows(), g.loops)
+    assert (edges, core_aut) == (form.edges, aut), g
+    assert [form.relabeling[v] for v in ordering] == list(range(g.n)), g
+
 
 @pytest.mark.parametrize("n", range(7))
 def test_canon_matches_reference_on_every_graph(n):
     for mask in range(1 << pair_count(n)):
-        g = SmallGraph(n, mask)
-        assert _canonical_data(g) == reference_canonical_data(g), g
+        _check_against_reference(SmallGraph(n, mask))
 
 
 def test_canon_matches_reference_with_loops():
@@ -152,8 +162,7 @@ def test_canon_matches_reference_with_loops():
     for n in range(1, 5):
         for mask in range(1 << pair_count(n)):
             for loops in range(1 << n):
-                g = SmallGraph(n, mask, loops)
-                assert _canonical_data(g) == reference_canonical_data(g), g
+                _check_against_reference(SmallGraph(n, mask, loops))
 
 
 def test_canon_matches_reference_on_larger_samples():
@@ -173,7 +182,7 @@ def test_canon_matches_reference_on_larger_samples():
         rng.shuffle(perm)
         graphs.append(g.relabel(perm))
     for g in graphs:
-        assert _canonical_data(g) == reference_canonical_data(g), g
+        _check_against_reference(g)
 
 
 def _group_order(n, gens) -> int:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import OrderedDict
 from math import comb, factorial
 from pathlib import Path
 
@@ -837,16 +838,19 @@ def test_key_maximal_masks_on_sampled_seven_vertex_parents():
 def test_cold_build_canonicalises_few_extensions(tmp_path, monkeypatch):
     calls = 0
 
-    def counting(g):
+    def counting(n, rows, loops):
         nonlocal calls
         calls += 1
-        return canon._canonical_data(g)
+        return canon._canonical_data(n, rows, loops)
 
     monkeypatch.setattr(catalog, "_canonical_data", counting)
+    # The builder meets no extension twice, so it bypasses the cache.
+    monkeypatch.setattr(canon, "_cache", OrderedDict())
     build_catalog(7, cache_dir=tmp_path)
     classes = sum(CLASS_COUNTS[k] for k in range(1, 8))
     assert classes == 1252
     assert calls < 2 * classes
+    assert not canon._cache
 
 
 @pytest.mark.parametrize("k", range(1, 6))

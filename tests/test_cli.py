@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import indsub.catalog as catalog
 import indsub.cli as cli
@@ -12,7 +16,9 @@ from indsub.counting import count_brute
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.properties import get_property
 
-from oracles import brute_independent_set_count
+from oracles import brute_independent_set_count, reference_emit
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 PETERSEN_G6 = "IheA@GUAo"
@@ -155,6 +161,49 @@ def test_homvector_report(capsys):
         {"graph6": "BW", "numerator": "1", "denominator": "2"},
         {"graph6": "Bw", "numerator": "-1", "denominator": "3"},
     ]
+
+
+def test_readme_homvector_example_is_the_cli_output(capsys):
+    lines = README.read_text().splitlines()
+    start = lines.index("$ indsub homvector --property connected --k 3") + 1
+    end = lines.index("", start)
+    code, out, _ = run(capsys, ["homvector", "--property", "connected",
+                                "--k", "3"])
+    assert code == 0
+    assert out == "\n".join(lines[start:end]) + "\n"
+
+
+_KEYS = st.one_of(st.text(max_size=6),
+                  st.sampled_from(["", "\x00", "\n\t", '"\\', "\x7f",
+                                   "é", "\u2028", "\U0001f600"]))
+_LEAVES = st.one_of(
+    st.text(max_size=6), st.integers(),
+    st.integers(-(1 << 300), 1 << 300), st.booleans(), st.none(),
+    st.fractions())
+_REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300)
+@given(_REPORTS)
+def test_emitter_matches_json_dumps(report):
+    out = []
+    cli._enc(report, out, "\n")
+    assert "".join(out) + "\n" == reference_emit(report)
+
+
+def test_importing_the_cli_loads_neither_logging_nor_uuid():
+    # catalog imports logging only when a cache warning fires and names
+    # its temporary files without uuid, which keeps both out of start-up.
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "import indsub.cli; "
+              "print(sorted({'logging', 'uuid'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_count_both_methods(capsys, petersen_file):

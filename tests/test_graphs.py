@@ -24,12 +24,14 @@ from indsub.graphs import (
     _decode_graph6,
     _encode_graph6,
     _pair_index_map,
+    _small_graph6,
 )
 from oracles import (
     host_complement,
     induced_small,
     random_small_graph,
     reference_decode_graph6,
+    reference_graph6,
 )
 
 
@@ -321,6 +323,22 @@ def test_graph6_writers_agree():
         text = g.to_graph6()
         assert HostGraph.from_small(g).to_graph6() == text
         assert SmallGraph.from_graph6(text) == g
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_graph6_tables_match_the_bit_writer_on_every_class(k):
+    cat = build_catalog(k)
+    for i, edges in enumerate(cat.edges):
+        assert _small_graph6(k, edges) == reference_graph6(cat.graph(i))
+
+
+def test_graph6_tables_match_the_bit_writer_on_random_graphs():
+    rng = random.Random(32)
+    for n in range(MAX_SMALL_VERTICES + 1):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            for _ in range(8):
+                g = random_small_graph(rng, n, p)
+                assert g.to_graph6() == reference_graph6(g), g
 
 
 @st.composite
