@@ -25,8 +25,9 @@ versioned header, in the builder's order: by edge count, then by edge
 bitset.  The cache directory comes from INDSUB_CACHE_DIR or defaults to
 ~/.cache/indsub; build_catalog(cache_dir=) overrides it.  A GraphCatalog
 keeps, in that order, each class's edge bitset, automorphism count and
-graph6 text, as read from the file or encoded once by the builder; a
-SmallGraph is built per class only on demand.
+graph6 text, as read from the file (through graphs' strict graph6
+tables) or encoded once by the builder; a SmallGraph is built per class
+only on demand.
 
 Beside k{k}.catalog the cache directory keeps per-class maps that do not
 depend on any property.  Each is a ClassMap, declared once with the k it
@@ -88,7 +89,7 @@ from .canon import (
 from .errors import FormatError, InternalConsistencyError
 from .graphs import (
     SmallGraph,
-    _graph6_chunk_edges,
+    _graph6_line_tables,
     _small_graph6,
     bits_of,
     pair_count,
@@ -343,14 +344,7 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
     """One pass over the lines "graph6 aut", each held to the writer's
     text; a graph6 character's edges are one lookup in its position's
     table.  Empty lines are skipped; equal aut values share one int."""
-    # Position 0 holds the header character.  The bits past the last pair
-    # pad the last body character and must be zero.
-    pad = (1 << -pair_count(k) % 6) - 1
-    tables = [{chr(k + 63): 0}] + [
-        {chr(d + 63): e for d, e in enumerate(table)}
-        for table in _graph6_chunk_edges(k)]
-    tables[-1] = {c: e for c, e in tables[-1].items()
-                  if not (ord(c) - 63) & pad}
+    tables = _graph6_line_tables(k)
     kfact = factorial(k)
     edges, auts, texts = [], [], []
     known: dict[str, int] = {}

@@ -219,8 +219,13 @@ def _cmd_catalog(args) -> int:
 def _cmd_spectrum(args) -> int:
     phi = _resolve_property(args)
     spec = spectrum_report(phi, args.k)
-    _emit({
-        "property": spec.property_name,
+    _emit({"property": spec.property_name, **_spectrum_fields(spec)})
+    return 0
+
+
+def _spectrum_fields(spec) -> dict:
+    """The spectrum's fields, as both spectrum and diagnose write them."""
+    return {
         "k": spec.k,
         "d": spec.d,
         "f": list(spec.f),
@@ -229,8 +234,7 @@ def _cmd_spectrum(args) -> int:
         "beta": spec.beta,
         "max_nonzero_h_index": spec.max_nonzero_h_index,
         "poised": spec.poised,
-    })
-    return 0
+    }
 
 
 def _cmd_homvector(args) -> int:
@@ -280,14 +284,7 @@ def _cmd_count(args) -> int:
 
 def _record_report(rec) -> dict:
     report = {
-        "k": rec.k,
-        "d": rec.d,
-        "f": list(rec.f),
-        "h": list(rec.h),
-        "hw": rec.hamming_weight,
-        "beta": rec.beta,
-        "max_nonzero_h_index": rec.max_nonzero_h_index,
-        "poised": rec.poised,
+        **_spectrum_fields(rec.spectrum),
         "support_size": rec.support_size,
         "witness": rec.witness,
         "witness_edges": rec.witness_edges,
@@ -321,9 +318,10 @@ def _cmd_diagnose(args) -> int:
             print(f"  flag violation [{violation.flag}] "
                   f"witness={violation.witness}: {violation.detail}")
         for rec in rep.records:
-            line = (f"k={rec.k} d={rec.d} hw={rec.hamming_weight} "
-                    f"beta={rec.beta} max_h={rec.max_nonzero_h_index} "
-                    f"poised={'yes' if rec.poised else 'no'}")
+            spec = rec.spectrum
+            line = (f"k={spec.k} d={spec.d} hw={spec.hamming_weight} "
+                    f"beta={spec.beta} max_h={spec.max_nonzero_h_index} "
+                    f"poised={'yes' if spec.poised else 'no'}")
             if rec.support_size is not None:
                 line += (f" support={rec.support_size}"
                          f" witness={rec.witness}"
@@ -371,6 +369,16 @@ def _known_edge(args, h):
     return None
 
 
+def _grid_check(check) -> dict:
+    """A bounded critical-edge check as the critical report writes it."""
+    return {
+        "status": check.status,
+        "bound": check.bound,
+        "witness": list(check.witness) if check.witness else None,
+        "explosions_checked": check.checked,
+    }
+
+
 def _cmd_critical(args) -> int:
     forbidden = load_graph_list(args.forbidden)
     phi, single = _critical_property(args, forbidden)
@@ -400,12 +408,7 @@ def _cmd_critical(args) -> int:
                 "confidence": confidence,
                 "note": cert.note,
             },
-            "grid_check": {
-                "status": check.status,
-                "bound": check.bound,
-                "witness": list(check.witness) if check.witness else None,
-                "explosions_checked": check.checked,
-            },
+            "grid_check": _grid_check(check),
         }
         edge = _known_edge(args, h)
         if edge is not None:
@@ -418,12 +421,7 @@ def _cmd_critical(args) -> int:
                 "edge": list(edge),
                 "confidence": "known",
                 "note": KNOWN_CRITICAL_EDGES[args.property][1],
-                "grid_check": {
-                    "status": kcheck.status,
-                    "bound": kcheck.bound,
-                    "witness": None,
-                    "explosions_checked": kcheck.checked,
-                },
+                "grid_check": _grid_check(kcheck),
             }
         reports.append(entry)
     _emit({

@@ -6,7 +6,11 @@ loops, which only arise from quotient operations.  Host graphs keep sorted
 adjacency lists plus per-vertex neighbor bitmasks.
 
 Two text forms are supported: graph6, and a plain edge list whose first
-line is "n m" followed by one "u v" pair per line (0-indexed).
+line is "n m" followed by one "u v" pair per line (0-indexed).  This
+module owns graph6.  User and host text is read by one walk over the set
+bits of the body, which ignores padding bits; the catalog cache is read
+strictly through per-position character tables (_graph6_line_tables).
+Small graphs are written through per-byte tables, hosts bit by bit.
 """
 
 from __future__ import annotations
@@ -217,10 +221,7 @@ class SmallGraph:
         n, body = _graph6_body(text)
         if n > MAX_SMALL_VERTICES:
             raise ValueError(f"graph6 graph has {n} > {MAX_SMALL_VERTICES} vertices")
-        edges = 0
-        for table, d in zip(_graph6_chunk_edges(n), body):
-            edges |= table[d]
-        return cls(n, edges)
+        return cls.from_edges(n, _graph6_pairs(n, body))
 
     def to_edge_list_text(self) -> str:
         lines = [f"{self.n} {self.edge_count}"]
@@ -317,7 +318,7 @@ def _graph6_byte_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     read as one big-endian integer of character codes.  Returned: that
     integer for the empty graph, and per byte of the edge bitset the body
     bits that each value of the byte sets.  The mirror of
-    _graph6_chunk_edges."""
+    _graph6_line_tables."""
     order = _graph6_order(n)
     size = (len(order) + 5) // 6
     # The pair at graph6 position t is bit 5 - t % 6 of body character
@@ -368,20 +369,24 @@ def _encode_graph6(n: int, bits: list[int]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _graph6_chunk_edges(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per graph6 body character: the edge bitset that each of its 64
-    values encodes.  Padding bits past the last pair encode nothing."""
+def _graph6_line_tables(n: int) -> tuple[dict[str, int], ...]:
+    """The strict reader of n-vertex graph6 text, n <= 62: per character
+    position, the edge bitset that each character allowed there encodes.
+    Position 0 allows only the header character; a body character whose
+    padding bits past the last pair are set is allowed nowhere."""
     order = _graph6_order(n)
-    tables = []
+    tables = [{chr(n + 63): 0}]
     for t in range(0, len(order), 6):
         # The character's bit 5 - i carries the pair at position t + i.
         weights = [1 << b for b in order[t:t + 6]]
+        pad = (1 << 6 - len(weights)) - 1
         weights += [0] * (6 - len(weights))
         table = [0] * 64
         for d in range(1, 64):
             low = d & -d
             table[d] = table[d ^ low] | weights[6 - low.bit_length()]
-        tables.append(tuple(table))
+        tables.append({chr(d + 63): e for d, e in enumerate(table)
+                       if not d & pad})
     return tuple(tables)
 
 
@@ -415,11 +420,16 @@ def _graph6_body(text: str) -> tuple[int, bytes]:
 
 
 def _decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Vertex count and edge pairs (i, j), i < j, of graph6 text, in the
+    """Vertex count and edge pairs of graph6 text."""
+    n, body = _graph6_body(text)
+    return n, _graph6_pairs(n, body)
+
+
+def _graph6_pairs(n: int, body: bytes) -> list[tuple[int, int]]:
+    """Edge pairs (i, j), i < j, of an n-vertex graph6 body, in the
     format's pair order (by j, then i).  Only nonzero body characters are
     read, so a sparse host costs a step per edge, not per pair: the pair
     at bit t is (t - j(j-1)/2, j) for the largest j with j(j-1)/2 <= t."""
-    n, body = _graph6_body(text)
     total = pair_count(n)
     pairs = []
     for c, d in enumerate(body):
@@ -432,7 +442,7 @@ def _decode_graph6(text: str) -> tuple[int, list[tuple[int, int]]]:
                     break
                 j = (1 + isqrt(8 * t + 1)) >> 1
                 pairs.append((t - (j * (j - 1) >> 1), j))
-    return n, pairs
+    return pairs
 
 
 # ------------------------------------------------------------- file text

@@ -2,7 +2,8 @@
 
 The report machinery ties together the spectrum (f/h vectors), the
 coefficient vector, and structural measures of the densest surviving
-pattern (exact treewidth, largest clique minor).  Classification text is
+pattern (exact treewidth, largest clique minor).  Each size's record holds
+that size's Spectrum beside those measures.  Classification text is
 evidence-qualified: asymptotic lower bounds depend on the behaviour of
 beta(k) = C(k,2) - hw(f) for all k, which a finite tool cannot observe,
 so reports state what was verified and which conditional statement the
@@ -99,14 +100,7 @@ def turan_check(phi: PropertySpec, k: int) -> TuranCheck:
 
 @dataclass(frozen=True)
 class HardnessRecord:
-    k: int
-    d: int
-    f: tuple[int, ...]
-    h: tuple[int, ...]
-    hamming_weight: int
-    beta: int
-    max_nonzero_h_index: int
-    poised: bool
+    spectrum: Spectrum
     support_size: Optional[int]
     witness: Optional[str]                 # graph6 of the densest pattern
     witness_edges: Optional[int]
@@ -129,26 +123,24 @@ class HardnessReport:
     classification: tuple[str, ...]
 
 
-def _record_for_k(phi: PropertySpec, k: int, spec: Spectrum, *,
+def _record_for_k(phi: PropertySpec, spec: Spectrum, *,
                   monotone_ok: bool) -> HardnessRecord:
-    d = spec.d
+    k, d, w = spec.k, spec.d, spec.hamming_weight
     turan = None
     if monotone_ok and phi.forbidden_subgraphs:
         turan = turan_check(phi, k)
-    if spec.hamming_weight == 0:
-        return HardnessRecord(k, d, spec.f, spec.h, 0, spec.beta,
-                              spec.max_nonzero_h_index, spec.poised,
-                              None, None, None, None, None, None, turan)
+    if w == 0:
+        return HardnessRecord(spec, None, None, None, None, None, None, turan)
     hv = hom_vector(phi, k)
     witness = witness_dense_graph(hv)
     if witness is None:
         raise InternalConsistencyError(
             f"nonzero f-vector but empty k-vertex support at k={k}")
     m = witness.edge_count
-    if m < d - spec.hamming_weight + 1:
+    if m < d - w + 1:
         raise InternalConsistencyError(
             f"witness has {m} edges, below the guaranteed "
-            f"{d - spec.hamming_weight + 1} at k={k}")
+            f"{d - w + 1} at k={k}")
     tw = exact_treewidth(witness)
     if tw < ceil(Fraction(m, k)):
         raise InternalConsistencyError(
@@ -160,10 +152,8 @@ def _record_for_k(phi: PropertySpec, k: int, spec: Spectrum, *,
             raise InternalConsistencyError(
                 f"witness treewidth {tw} below beta/k = {bound} at k={k}")
     minor = largest_clique_minor(witness) if witness.n <= MAX_MINOR_N else None
-    return HardnessRecord(k, d, spec.f, spec.h, spec.hamming_weight,
-                          spec.beta, spec.max_nonzero_h_index, spec.poised,
-                          hv.support_size, witness.to_graph6(), m, tw, minor,
-                          bound, turan)
+    return HardnessRecord(spec, hv.support_size, witness.to_graph6(), m, tw,
+                          minor, bound, turan)
 
 
 def _classification_lines(phi: PropertySpec, records, prefix, ratio,
@@ -185,7 +175,8 @@ def _classification_lines(phi: PropertySpec, records, prefix, ratio,
     lines.append(f"support sizes within range: {list(prefix)}; largest "
                  f"consecutive ratio {ratio} (small ratios over a long "
                  "prefix are evidence of a dense support set).")
-    betas = {r.k: r.beta for r in records if r.hamming_weight > 0}
+    betas = {r.spectrum.k: r.spectrum.beta for r in records
+             if r.spectrum.hamming_weight > 0}
     if all(b <= 0 for b in betas.values()):
         lines.append("meta-theorem inapplicable (β ≤ 0): the f-vector has "
                      "full support at every examined size, so no vanishing "
@@ -234,14 +225,14 @@ def diagnose(phi: PropertySpec, k_max: int) -> HardnessReport:
     if not 1 <= k_max <= MAX_DIAGNOSE_K:
         raise ValueError(f"diagnose supports 1 <= k_max <= {MAX_DIAGNOSE_K}")
     verified_to = min(k_max, MAX_FLAG_K)
-    flag_report = verify_flags(phi, verified_to)
-    flags_ok = flag_report.ok
-    records = []
-    for k in range(1, k_max + 1):
-        spec = spectrum_report(phi, k)
-        records.append(_record_for_k(phi, k, spec,
-                                     monotone_ok=flags_ok and phi.monotone))
-    prefix = tuple(r.k for r in records if r.hamming_weight > 0)
+    violations = verify_flags(phi, verified_to)
+    flags_ok = not violations
+    records = tuple(
+        _record_for_k(phi, spectrum_report(phi, k),
+                      monotone_ok=flags_ok and phi.monotone)
+        for k in range(1, k_max + 1))
+    prefix = tuple(r.spectrum.k for r in records
+                   if r.spectrum.hamming_weight > 0)
     ratio = None
     if prefix:
         anchors = (1,) + prefix
@@ -249,5 +240,4 @@ def diagnose(phi: PropertySpec, k_max: int) -> HardnessReport:
     lines = _classification_lines(phi, records, prefix, ratio, flags_ok,
                                   verified_to)
     return HardnessReport(phi.name, k_max, phi.flags, verified_to,
-                          flag_report.violations, tuple(records), prefix,
-                          ratio, lines)
+                          violations, records, prefix, ratio, lines)

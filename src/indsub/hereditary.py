@@ -81,7 +81,6 @@ def explode(spec: ExplosionSpec) -> SmallGraph:
 
 @dataclass(frozen=True)
 class TwinPartition:
-    graph: SmallGraph
     blocks: tuple[tuple[int, ...], ...]
 
     def singleton_vertices(self) -> frozenset[int]:
@@ -104,7 +103,7 @@ def twin_partition(h: SmallGraph) -> TwinPartition:
             if h.has_edge(a, c):
                 raise InternalConsistencyError(
                     "false twins found adjacent; neighborhood grouping broken")
-    return TwinPartition(h, blocks)
+    return TwinPartition(blocks)
 
 
 @dataclass(frozen=True)
@@ -247,6 +246,8 @@ def count_independent_sets_via_reduction(host: HostGraph, parts, k: int,
     when the supplied edge is critical."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    if method not in ("brute", "basis"):
+        raise ValueError(f"unknown method {method!r}")
     if not parts[0] or not parts[1]:
         _check_parts(host, parts)
         return comb(host.n, k)
@@ -257,10 +258,8 @@ def count_independent_sets_via_reduction(host: HostGraph, parts, k: int,
         sub = inst.ghat.delete_vertices(victims)
         if method == "brute":
             term = count_brute(phi, k + inst.r, sub, budget=budget)
-        elif method == "basis":
-            term = count_basis(phi, k + inst.r, sub)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            term = count_basis(phi, k + inst.r, sub)
         total += -term if len(victims) % 2 else term
     if total < 0:
         raise InternalConsistencyError(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import factorial
 
@@ -62,13 +62,10 @@ class HomVector:
     k: int
     entries: tuple[tuple[SmallGraph, Fraction], ...]
 
+    @cached_property
     def _index(self) -> dict:
-        idx = self.__dict__.get("_idx")
-        if idx is None:
-            idx = {(g.n, build_catalog(g.n).index_of(g)): c
-                   for g, c in self.entries}
-            object.__setattr__(self, "_idx", idx)
-        return idx
+        return {(g.n, build_catalog(g.n).index_of(g)): c
+                for g, c in self.entries}
 
     def coefficient(self, g: SmallGraph) -> Fraction:
         if not 1 <= g.n <= self.k:
@@ -77,7 +74,7 @@ class HomVector:
             key = (g.n, build_catalog(g.n).index_of(g))
         except KeyError:
             return Fraction(0)
-        return self._index().get(key, Fraction(0))
+        return self._index.get(key, Fraction(0))
 
     @property
     def support_size(self) -> int:

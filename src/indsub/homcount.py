@@ -428,7 +428,6 @@ class _Plan(NamedTuple):
     children it reads as tries and those it only multiplies in (joins),
     and its sub-pattern key."""
 
-    rows: list[int]
     bags: tuple[tuple[int, ...], ...]
     children: list[list[int]]
     roots: list[int]
@@ -475,7 +474,7 @@ def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:
         below[b] = mask
     keys = [_sub_pattern_key(prows, interface, mask)
             for interface, mask in zip(levels, below)]
-    return _Plan(prows, bags, children, roots, orders, levels, joins, keys)
+    return _Plan(bags, children, roots, orders, levels, joins, keys)
 
 
 def _sub_pattern_key(prows: list[int], interface: tuple[int, ...],

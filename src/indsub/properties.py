@@ -3,8 +3,8 @@
 A property is an isomorphism-invariant boolean on loop-free graphs.  The
 declared flags (monotone, hereditary, edge-count-only, sparse(s)) are
 promises the predicate is supposed to keep; verify_flags checks them
-exhaustively on all isomorphism classes up to a size bound and reports
-violations with witnesses instead of trusting the declaration.
+exhaustively on all isomorphism classes up to a size bound and returns
+the violations, with witnesses, instead of trusting the declaration.
 
 User properties enter through three constructors: a forbidden induced
 subgraph list, a forbidden subgraph list (monotone by construction), or a
@@ -40,7 +40,6 @@ class PropertySpec:
     hereditary: bool = False
     edge_count_only: bool = False
     sparse_bound: Optional[int] = None
-    forbidden_induced: Optional[tuple[SmallGraph, ...]] = None
     forbidden_subgraphs: Optional[tuple[SmallGraph, ...]] = None
 
     @property
@@ -74,15 +73,11 @@ def invert(phi: PropertySpec) -> PropertySpec:
     """Compose with graph complement.  Hereditary and edge-count-only are
     preserved; monotone and sparsity are not."""
     pred = phi.predicate
-    forb = None
-    if phi.forbidden_induced is not None:
-        forb = tuple(h.complement() for h in phi.forbidden_induced)
     return PropertySpec(
         name=f"inv-{phi.name}",
         predicate=lambda g: pred(g.complement()),
         hereditary=phi.hereditary,
         edge_count_only=phi.edge_count_only,
-        forbidden_induced=forb,
     )
 
 
@@ -396,11 +391,6 @@ def _embeds(g: SmallGraph, h: SmallGraph, induced: bool) -> bool:
 _K2 = SmallGraph.complete(2)
 _K3 = SmallGraph.complete(3)
 _K5 = SmallGraph.complete(5)
-_C4 = SmallGraph.cycle(4)
-_C5 = SmallGraph.cycle(5)
-_C6 = SmallGraph.cycle(6)
-_C7 = SmallGraph.cycle(7)
-_2K2 = SmallGraph.cycle(4).complement()
 
 BUILTIN_PROPERTIES: dict[str, PropertySpec] = {
     "true": PropertySpec("true", _always_true, monotone=True, hereditary=True,
@@ -409,27 +399,20 @@ BUILTIN_PROPERTIES: dict[str, PropertySpec] = {
                           hereditary=True, edge_count_only=True),
     "no-edges": PropertySpec("no-edges", _no_edges, monotone=True,
                              hereditary=True, edge_count_only=True,
-                             sparse_bound=0, forbidden_induced=(_K2,),
-                             forbidden_subgraphs=(_K2,)),
+                             sparse_bound=0, forbidden_subgraphs=(_K2,)),
     "connected": PropertySpec("connected", _connected),
     "bipartite": PropertySpec("bipartite", _bipartite, monotone=True,
-                              hereditary=True,
-                              forbidden_induced=(_K3, _C5, _C7),
-                              forbidden_subgraphs=(_K3,)),
+                              hereditary=True, forbidden_subgraphs=(_K3,)),
     "triangle-free": PropertySpec("triangle-free", _triangle_free,
                                   monotone=True, hereditary=True,
-                                  forbidden_induced=(_K3,),
                                   forbidden_subgraphs=(_K3,)),
     "planar": PropertySpec("planar", _planar, monotone=True, hereditary=True,
                            sparse_bound=3, forbidden_subgraphs=(_K5,)),
     "edge-count-even": PropertySpec("edge-count-even", _edge_count_even,
                                     edge_count_only=True),
-    "chordal": PropertySpec("chordal", _chordal, hereditary=True,
-                            forbidden_induced=(_C4, _C5, _C6)),
-    "split": PropertySpec("split", _split, hereditary=True,
-                          forbidden_induced=(_2K2, _C4, _C5)),
-    "perfect": PropertySpec("perfect", _perfect, hereditary=True,
-                            forbidden_induced=(_C5, _C7, _C7.complement())),
+    "chordal": PropertySpec("chordal", _chordal, hereditary=True),
+    "split": PropertySpec("split", _split, hereditary=True),
+    "perfect": PropertySpec("perfect", _perfect, hereditary=True),
 }
 
 
@@ -449,7 +432,7 @@ def forbidden_induced_property(graphs, name="forbidden-induced") -> PropertySpec
     def pred(g):
         return not any(contains_induced(g, h) for h in gs)
 
-    return PropertySpec(name, pred, hereditary=True, forbidden_induced=gs)
+    return PropertySpec(name, pred, hereditary=True)
 
 
 def forbidden_subgraph_property(graphs, name="forbidden-subgraph") -> PropertySpec:
@@ -525,18 +508,6 @@ class FlagViolation:
     detail: str
 
 
-@dataclass(frozen=True)
-class FlagReport:
-    property_name: str
-    k_max: int
-    checked: tuple[str, ...]
-    violations: tuple[FlagViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 @lru_cache(maxsize=64)
 def class_values(phi: PropertySpec, k: int) -> tuple[bool, ...]:
     """phi on every k-vertex catalog class, in catalog order.  phi is
@@ -545,10 +516,10 @@ def class_values(phi: PropertySpec, k: int) -> tuple[bool, ...]:
     return tuple(evaluate(phi, g) for g in build_catalog(k).graphs())
 
 
-def verify_flags(phi: PropertySpec, k_max: int) -> FlagReport:
-    """Exhaustively check the declared flags on all isomorphism classes with
-    at most k_max vertices (k_max <= MAX_FLAG_K), deletions by catalog
-    lookup."""
+def verify_flags(phi: PropertySpec, k_max: int) -> tuple[FlagViolation, ...]:
+    """The violations of phi's declared flags, checked exhaustively on all
+    isomorphism classes with at most k_max vertices (k_max <= MAX_FLAG_K),
+    deletions by catalog lookup; empty when every flag holds."""
     if not 1 <= k_max <= MAX_FLAG_K:
         raise ValueError(f"verify_flags supports 1 <= k_max <= {MAX_FLAG_K}")
     violations: list[FlagViolation] = []
@@ -596,6 +567,5 @@ def verify_flags(phi: PropertySpec, k_max: int) -> FlagReport:
                         "edge-count-only", cat.graph6[starts[m]],
                         f"value not constant on ({k},{m}) classes"))
         below = vals
-    checked = phi.flags
-    return FlagReport(phi.name, k_max, checked, tuple(violations))
+    return tuple(violations)
 

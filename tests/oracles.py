@@ -91,7 +91,7 @@ from indsub.graphs import (
 )
 from indsub.hombasis import HomVector
 from indsub.homcount import TreeDecomposition
-from indsub.properties import FlagReport, FlagViolation
+from indsub.properties import FlagViolation
 
 # ----------------------------------------------------------- permutations
 
@@ -1032,7 +1032,7 @@ def k_vertex_coefficient(phi, g: SmallGraph) -> Fraction:
 # ---------------------------------------------- flag-verification reference
 
 
-def labelled_verify_flags(phi, k_max: int) -> FlagReport:
+def labelled_verify_flags(phi, k_max: int) -> tuple[FlagViolation, ...]:
     """verify_flags by evaluating phi on every labeled one-edge and
     one-vertex deletion of each satisfying catalog representative,
     instead of looking the deletions up in the catalog's deletion maps."""
@@ -1073,4 +1073,4 @@ def labelled_verify_flags(phi, k_max: int) -> FlagReport:
                     violations.append(FlagViolation(
                         "edge-count-only", wit.to_graph6(),
                         f"value not constant on ({k},{m}) classes"))
-    return FlagReport(phi.name, k_max, phi.flags, tuple(violations))
+    return tuple(violations)

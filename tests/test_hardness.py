@@ -29,7 +29,7 @@ from indsub.properties import (
     get_property,
     verify_flags,
 )
-from indsub.spectrum import f_vector, h_vector
+from indsub.spectrum import f_vector, h_vector, spectrum_report
 
 from oracles import (
     brute_largest_clique_minor,
@@ -149,30 +149,39 @@ def test_diagnose_record_invariants(prop_name):
     assert report.flags_verified_to == 4
     assert not report.flag_violations
     assert len(report.records) == k_max
-    for rec in report.records:
-        d = comb(rec.k, 2)
-        assert rec.d == d
-        assert rec.f == f_vector(phi, rec.k)
-        assert rec.h == h_vector(rec.f)
-        assert rec.hamming_weight == sum(1 for x in rec.f if x)
-        assert rec.beta == d - rec.hamming_weight
-        if rec.hamming_weight == 0:
+    for k, rec in enumerate(report.records, 1):
+        spec = rec.spectrum
+        d = comb(k, 2)
+        assert (spec.k, spec.d) == (k, d)
+        assert spec.f == f_vector(phi, k)
+        assert spec.h == h_vector(spec.f)
+        assert spec.hamming_weight == sum(1 for x in spec.f if x)
+        assert spec.beta == d - spec.hamming_weight
+        if spec.hamming_weight == 0:
             assert rec.witness is None
             continue
-        hv = hom_vector(phi, rec.k)
+        hv = hom_vector(phi, k)
         assert rec.support_size == hv.support_size
         witness = SmallGraph.from_graph6(rec.witness)
-        assert witness.n == rec.k
+        assert witness.n == k
         assert rec.witness_edges == witness.edge_count
-        assert rec.witness_edges >= d - rec.hamming_weight + 1
+        assert rec.witness_edges >= d - spec.hamming_weight + 1
         assert rec.witness_treewidth == exact_treewidth(witness)
-        assert rec.witness_treewidth >= ceil(Fraction(rec.witness_edges, rec.k))
+        assert rec.witness_treewidth >= ceil(Fraction(rec.witness_edges, k))
         assert rec.witness_clique_minor == largest_clique_minor(witness)
-        if rec.beta > 0:
-            assert rec.avg_degree_bound == Fraction(rec.beta, rec.k)
+        if spec.beta > 0:
+            assert rec.avg_degree_bound == Fraction(spec.beta, k)
             assert rec.witness_treewidth >= rec.avg_degree_bound
         else:
             assert rec.avg_degree_bound is None
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PROPERTIES))
+def test_diagnose_records_carry_their_spectrum(name):
+    phi = get_property(name)
+    report = diagnose(phi, 5)
+    assert [rec.spectrum for rec in report.records] == \
+        [spectrum_report(phi, k) for k in range(1, 6)]
 
 
 def test_diagnose_turan_only_for_monotone_with_forbidden():
@@ -226,7 +235,7 @@ def test_diagnose_reports_flag_violations():
     liar = PropertySpec("liar-hereditary",
                         BUILTIN_PROPERTIES["connected"].predicate,
                         hereditary=True)
-    assert not verify_flags(liar, 4).ok
+    assert verify_flags(liar, 4)
     report = diagnose(liar, 4)
     assert report.flag_violations
     assert report.flag_violations[0].flag == "hereditary"

@@ -330,11 +330,14 @@ def test_reduction_with_basis_method():
 
 
 def test_reduction_rejects_unknown_method():
-    host = HostGraph.from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        count_independent_sets_via_reduction(
-            host, ((0,), (1,)), 1, get_property("chordal"), C4, (0, 1),
-            method="sideways")
+    # on the full path, and on the empty-side path that answers C(n, k)
+    # without building an instance
+    for host, parts in ((HostGraph.from_edges(2, [(0, 1)]), ((0,), (1,))),
+                        (HostGraph.from_edges(3, []), ((0, 1, 2), ()))):
+        with pytest.raises(ValueError, match="unknown method"):
+            count_independent_sets_via_reduction(
+                host, parts, 1, get_property("chordal"), C4, (0, 1),
+                method="sideways")
 
 
 def test_reduction_edge_cases():

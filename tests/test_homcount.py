@@ -271,8 +271,8 @@ def test_count_hom_matches_map_enumeration_on_any_elimination_order(case):
 
 def _bag_sources(pattern, td):
     """The generated source of each bag's join, by bag index."""
-    plan = _plan(pattern, td)
-    return [_source(_shape(plan.orders[b], plan.levels[b], plan.rows,
+    plan, rows = _plan(pattern, td), pattern.adj_rows()
+    return [_source(_shape(plan.orders[b], plan.levels[b], rows,
                            [(c, plan.bags[c]) for c in plan.children[b]])[0])
             for b in range(len(plan.bags))]
 
@@ -281,13 +281,13 @@ def _checked_bag_tables(pattern, td, host):
     """The product of the root tables, every bag's compiled table checked
     against the interpreting reference join, as mappings, on the same
     child tables.  No store: every bag is joined."""
-    plan = _plan(pattern, td)
+    plan, rows = _plan(pattern, td), pattern.adj_rows()
     tables = [None] * len(plan.bags)
     for b, _ in _walk(plan, ()):
         kids = [(plan.bags[c], tables[c]) for c in plan.children[b]]
         tables[b] = _bag_table(plan, b, host, tables)
         assert tables[b] == reference_bag_table(
-            host, plan.rows, plan.orders[b], plan.levels[b], kids), \
+            host, rows, plan.orders[b], plan.levels[b], kids), \
             (pattern.to_graph6(), td.bags, b)
     return prod(tables[r] for r in plan.roots)
 

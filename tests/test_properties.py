@@ -274,37 +274,33 @@ def test_get_property_unknown_name():
 
 def test_flags_verify_for_all_builtins():
     for name in sorted(BUILTIN_PROPERTIES):
-        report = verify_flags(get_property(name), 5)
-        assert report.ok, (name, report.violations)
+        violations = verify_flags(get_property(name), 5)
+        assert not violations, (name, violations)
 
 
 def test_verify_flags_catches_lies():
     bogus = PropertySpec(name="bogus-monotone",
                          predicate=lambda g: g.edge_count == 1,
                          monotone=True)
-    report = verify_flags(bogus, 4)
-    assert not report.ok
-    assert any(v.flag == "monotone" for v in report.violations)
+    violations = verify_flags(bogus, 4)
+    assert any(v.flag == "monotone" for v in violations)
 
     bogus = PropertySpec(name="bogus-hereditary",
                          predicate=lambda g: g.n == 2,
                          hereditary=True)
-    report = verify_flags(bogus, 4)
-    assert any(v.flag == "hereditary" for v in report.violations)
+    assert any(v.flag == "hereditary" for v in verify_flags(bogus, 4))
 
     bogus = PropertySpec(name="bogus-sparse",
                          predicate=lambda g: True,
                          sparse_bound=0)
-    report = verify_flags(bogus, 4)
-    assert any(v.flag.startswith("sparse") for v in report.violations)
+    assert any(v.flag.startswith("sparse") for v in verify_flags(bogus, 4))
 
     # connectivity is not a function of the edge count: at k=4, m=3 both
     # the path and the disjoint triangle occur
     bogus = PropertySpec(name="bogus-eco",
                          predicate=lambda g: g.is_connected(),
                          edge_count_only=True)
-    report = verify_flags(bogus, 4)
-    assert any(v.flag == "edge-count-only" for v in report.violations)
+    assert any(v.flag == "edge-count-only" for v in verify_flags(bogus, 4))
 
 
 def _declared_case(name):
@@ -336,7 +332,7 @@ def test_verify_flags_matches_labelled_reference(name):
     for k_max in range(1, 7):
         assert verify_flags(phi, k_max) == labelled_verify_flags(phi, k_max)
     if name not in BUILTIN_PROPERTIES:
-        assert not verify_flags(phi, 6).ok
+        assert verify_flags(phi, 6)
 
 
 def test_negate_and_invert():
@@ -395,7 +391,6 @@ def test_forbidden_induced_property_matches_definition():
         expected = not any(brute_contains_induced(g, h) for h in gamma)
         assert evaluate(phi, g) == expected
     assert phi.hereditary
-    assert phi.forbidden_induced == gamma
 
 
 def test_forbidden_subgraph_property_matches_definition():
