@@ -12,13 +12,26 @@ degree and equal counts in every older cell, so this orders them as their
 sorted neighbor-color tuples would, and every round induces the same
 ordered partition as refining by those tuples.
 
-The search keeps each candidate's word in per-vertex accumulators.  At
-every node the first candidate is searched in full and each later one only
-against the best key so far: a prefix above it is pruned, a prefix below
-it means a new best, searched in full, and the first leaf equal to it
-proves the candidate an automorphic image of the best one, which then adds
-the best one's count without further search.  Those leaves are the
-automorphisms that automorphism_generators returns.
+Twins let most graphs the catalog builder meets skip the search.  Two
+vertices u, v of one cell are twins when N(u) - {v} = N(v) - {u}; a cell
+carries one loop mark, so swapping them is an automorphism, and it keeps
+every cell in place.  When every cell is made of twins (a clique or an
+independent set whose rows agree outside it), every ordering the cells
+allow has the same key.  The ordering returned lists each cell in
+increasing vertex order, the automorphism count is the product of the
+cells' factorials, and the swaps of consecutive vertices of each cell
+generate the group.  A discrete refinement is the case where every cell
+is a single vertex.
+
+Otherwise the search keeps each candidate's word in per-vertex
+accumulators.  At every node the first candidate is searched in full and
+each later one only against the best key so far: a prefix above it is
+pruned, a prefix below it means a new best, searched in full, and the
+first leaf equal to it proves the candidate an automorphic image of the
+best one, which then adds the best one's count without further search.  A
+candidate that is a twin of the best one is such an image by the swap of
+the two, so it adds the count without being searched at all.  Those leaves
+and swaps are the automorphisms that automorphism_generators returns.
 
 _canonical_data is the one canonicaliser: from neighbor rows it gives the
 canonical ordering, edge bitset and automorphism count, with no cache and
@@ -41,6 +54,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from math import factorial
 
 from .graphs import SmallGraph, bits_of, pair_table
 
@@ -141,12 +155,36 @@ def _canonical_search(n, rows, loops, cells, gens=None):
     """Minimize the position-by-position adjacency words over all orderings
     compatible with the refinement cells.  Returns (order, aut_count);
     appends automorphisms (image of each vertex) to gens when given."""
-    if len(cells) == n:
-        return tuple(c.bit_length() - 1 for c in cells), 1
-    posblock = []
+    # A cell of twins shares one open row (an independent cell) or one
+    # closed row (a clique cell); aut drops to 0 at the first other cell.
+    blocks = []
+    aut = 1
     for cell in cells:
-        blk = [v for v in range(n) if cell >> v & 1]
-        posblock.extend([blk] * len(blk))
+        if cell & (cell - 1):
+            blk = [v for v in range(n) if cell >> v & 1]
+            if aut:
+                r = rows[blk[0]]
+                closed = r | 1 << blk[0]
+                if all(rows[v] == r for v in blk) \
+                        or all(rows[v] | 1 << v == closed for v in blk):
+                    aut *= factorial(len(blk))
+                else:
+                    aut = 0
+        else:
+            blk = [cell.bit_length() - 1]
+        blocks.append(blk)
+    if aut:
+        # The search would meet this ordering first, and automorphisms
+        # keep the ordered cells, so Aut is the product of the cells'
+        # symmetric groups.
+        if gens is not None:
+            for blk in blocks:
+                for a, b in zip(blk, blk[1:]):
+                    perm = list(range(n))
+                    perm[a], perm[b] = b, a
+                    gens.append(tuple(perm))
+        return tuple(v for blk in blocks for v in blk), aut
+    posblock = [blk for blk in blocks for _ in blk]
     nbrs = [[u for u in range(n) if r >> u & 1] for r in rows]
     loop = [(loops >> v) & 1 for v in range(n)]
     # acc[v] has bit n-1-t set when the vertex at position t neighbors v,
@@ -180,6 +218,17 @@ def _canonical_search(n, rows, loops, cells, gens=None):
         bit = 1 << (n - 1 - p)
         key = None
         for v in cand:
+            if key is not None and \
+                    rows[v] & ~(1 << holder) == rows[holder] & ~(1 << v):
+                # v is a twin of the candidate that holds the key, so
+                # swapping them is an automorphism that fixes the prefix
+                # and maps that candidate's subtree onto v's.
+                total += count
+                if gens is not None:
+                    perm = list(range(n))
+                    perm[v], perm[holder] = holder, v
+                    gens.append(tuple(perm))
+                continue
             used[v] = True
             order.append(v)
             for u in nbrs[v]:
@@ -187,11 +236,13 @@ def _canonical_search(n, rows, loops, cells, gens=None):
             if key is None:
                 key, count, leaf = search(p + 1)
                 total = count
+                holder = v
             else:
                 found = bounded(p + 1, key)
                 if found == _BELOW:
                     key, count, leaf = search(p + 1)
                     total = count
+                    holder = v
                 elif found != _ABOVE:
                     total += count
                     if gens is not None:

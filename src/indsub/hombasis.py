@@ -58,7 +58,6 @@ from .properties import PropertySpec, class_values
 
 @dataclass(frozen=True)
 class HomVector:
-    property_name: str
     k: int
     entries: tuple[tuple[SmallGraph, Fraction], ...]
 
@@ -218,7 +217,7 @@ def hom_vector(phi: PropertySpec, k: int) -> HomVector:
             entries.append((c.edges[i].bit_count(), c.graph6[i],
                             c.graph(i), Fraction(total, kfact)))
     entries.sort(key=lambda e: e[:2])
-    return HomVector(phi.name, k, tuple(e[2:] for e in entries))
+    return HomVector(k, tuple(e[2:] for e in entries))
 
 
 def h_tilde_vector(hv: HomVector) -> tuple[Fraction, ...]:

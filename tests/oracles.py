@@ -1005,7 +1005,7 @@ def labelled_hom_vector(phi, k: int) -> HomVector:
             acc[form.key] = acc.get(form.key, Fraction(0)) + a * mu
     entries = sorted(((reps[key], c) for key, c in acc.items() if c),
                      key=lambda e: (e[0].edge_count, e[0].to_graph6()))
-    return HomVector(phi.name, k, tuple(entries))
+    return HomVector(k, tuple(entries))
 
 
 def k_vertex_coefficient(phi, g: SmallGraph) -> Fraction:

@@ -151,6 +151,38 @@ def _check_against_reference(g: SmallGraph) -> None:
     assert [form.relabeling[v] for v in ordering] == list(range(g.n)), g
 
 
+def _twin_rich_graphs(rng: random.Random) -> list[SmallGraph]:
+    """K_n, empty graphs, stars, complete multipartite graphs and threshold
+    graphs on 7 and 8 vertices, then two graphs whose one cell holds both
+    a twin pair and a non-twin pair (C4 + K3 and C4 + C4), so that the
+    search meets a candidate that is a twin of the best one.  Each graph
+    comes relabelled at random, and again with random loop marks."""
+    graphs = []
+    for n in (7, 8):
+        graphs += [SmallGraph.complete(n), SmallGraph(n),
+                   SmallGraph.complete_bipartite(1, n - 1)]
+        for _ in range(3):
+            part = [rng.randrange(3) for _ in range(n)]
+            graphs.append(SmallGraph.from_edges(n, [
+                (u, v) for u, v in itertools.combinations(range(n), 2)
+                if part[u] != part[v]]))
+            # Each new vertex joins all earlier ones or none of them.
+            graphs.append(SmallGraph.from_edges(n, [
+                (u, v) for v in range(1, n) if rng.random() < 0.5
+                for u in range(v)]))
+    c4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    graphs.append(SmallGraph.from_edges(7, c4 + [(4, 5), (5, 6), (6, 4)]))
+    graphs.append(SmallGraph.from_edges(
+        8, c4 + [(u + 4, v + 4) for u, v in c4]))
+    out = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        out += [h, SmallGraph(h.n, h.edges, rng.getrandbits(h.n))]
+    return out
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_canon_matches_reference_on_every_graph(n):
     for mask in range(1 << pair_count(n)):
@@ -181,7 +213,7 @@ def test_canon_matches_reference_on_larger_samples():
         perm = list(range(g.n))
         rng.shuffle(perm)
         graphs.append(g.relabel(perm))
-    for g in graphs:
+    for g in graphs + _twin_rich_graphs(rng):
         _check_against_reference(g)
 
 
@@ -202,7 +234,7 @@ def _group_order(n, gens) -> int:
 def test_automorphism_generators_generate_the_group():
     graphs = [g for k in range(1, 7) for g in build_catalog(k).graphs()]
     graphs.append(petersen())
-    for g in graphs:
+    for g in graphs + _twin_rich_graphs(random.Random(44)):
         gens = automorphism_generators(g)
         for gen in gens:
             assert sorted(gen) == list(range(g.n))

@@ -773,22 +773,96 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
             reference_vertex_deletions(k)
 
 
+# The sha256 of every cache file built cold.  The catalogs are those built
+# without the vertex-key test, canonicalising one neighbor mask per orbit
+# of every parent; their k <= 7 files are those built by extending every
+# neighbor mask of every parent with the reference canoniser.  The maps
+# were built from those catalogs before the canoniser used twins.
+COLD_CACHE_SHA256 = {
+    "k1.catalog":
+        "f6ab303f5bdf26a18ea043b1696ed63192f31f4953c0e10b8caedf56a45c528b",
+    "k2.catalog":
+        "17b0817ef9b4b2bfa2b072c6e99af295724658b1a54b0c8ebf7e1214605f4ce0",
+    "k3.catalog":
+        "a5be7316ca2d8a725a6a00692e94c965488a3bfbcebf00c53aaa68fd71d3f47b",
+    "k4.catalog":
+        "abb6125d9e5d2553a32006213786838544580a7062312935b26507b0459ec260",
+    "k5.catalog":
+        "220e2578e06445fc9da20df310ea0d660dea6c6ad0c4e1a82d016150a5f9bb46",
+    "k6.catalog":
+        "ffe2347ae7a58f2891a580e8c519e4a24fd55805f0d1e4007e61736eea992954",
+    "k7.catalog":
+        "790cd9409f7fcd3dc8f4ab121da208806a75a4f74df2e86d1096256c98873a3a",
+    "k8.catalog":
+        "f28ab610fab6c3130a52beb223b39e32024a8ad727bba079522624cc0d974194",
+    "k1.edges":
+        "ff9d28d20664853eee5a1324334c47cab9122c29bb33f9aa5dd52e37e2912f03",
+    "k2.edges":
+        "9be55b92dde6f746954e3b002ce84abdcf6860e46c185fe7834c5f5481c75c84",
+    "k3.edges":
+        "56c3c2270dce593999414db6d207d75e64318a928e19534a517b717f7d1d1b78",
+    "k4.edges":
+        "6a1cfe3385b29f01e13beb09a6117efdd0ffe754c625fb9920b58f80c3c1933f",
+    "k5.edges":
+        "eba72c061009377af0e92075c40b471e757f12fac2c0ad83a6334bc4250bad43",
+    "k6.edges":
+        "e412491fa11854f1b1146a98b4dd9605b6ab2f4632fab81aebb261fd4758f7b2",
+    "k7.edges":
+        "ef67a994fb1a3f5471943cd9887c103bf08dbcb58937522b886936ebc57efef4",
+    "k1.orders":
+        "3563e395e71c4f6f70ef51357bc717d23685ea752ed8f65265856be66586222b",
+    "k2.orders":
+        "561280bafa70ea5af4041977d1db367c36eacc65e7a030d3bbc536f36fffe5d9",
+    "k3.orders":
+        "b803a00dff7a681093879a626c2ea1b8b7216e43a86ecaeb9996d76fe6518963",
+    "k4.orders":
+        "1f19c10f20a0e7e6b41fb3d8b9802aca716aa7a429f2807667d7e1e5eca9c726",
+    "k5.orders":
+        "96f350c73bb35affa81d892e0bbdf06dceb208fb5856015962e4f49fe1e9732f",
+    "k6.orders":
+        "eb262f804ddf91b72bc6e31bbdf7d527c3b6892651281891ee0ba1843eebbe0a",
+    "k7.orders":
+        "c619aa2e60393ebc41e97b03b90d880dbd5632a91eb124d09a0a6847f0a46c46",
+    "k1.quotients":
+        "7b25d16ce0e1c98cfc9af505831b4d606a3d40e2eef7d10269742d7d8f585ea8",
+    "k2.quotients":
+        "0316466a1541aa11d9c1142f22e6d90819c6912a4c01ced72cbd2e660dd9dfcd",
+    "k3.quotients":
+        "98fe848a480f97e20cb9119e1757b8afd67d60fd77faec7f60b785be063dd158",
+    "k4.quotients":
+        "7878f71bd802ef84b1cd3a38cb9dd5b2873534ed59eb4703918bc20c4231532c",
+    "k5.quotients":
+        "1065073c6d3de96558487313765fd2b9ff61a886cd433b5609229b3dc81629a5",
+    "k6.quotients":
+        "c6311650c5d6813489d9180f67e8afb501b6a42c9cd33e2cd3e163c8aad7109f",
+    "k7.quotients":
+        "7869c956323fb8f74c3e84c803d43704fecf08b9a651cdd264da89c4444c1ffb",
+    "k2.vertices":
+        "24387c9656a35c86757692bce34f136037f03a1c22b3cdec116e86105dc9c9c3",
+    "k3.vertices":
+        "1402f91138d1fa8e78ca528a7b7febc3841f9f3d727346369e915084a52457d0",
+    "k4.vertices":
+        "3e12286c9c43632ae4a21a005ae89bad65d27166e91d439ab292897497a9b0bb",
+    "k5.vertices":
+        "dc1ac4dfd1d90932ab73a47a11148393790521d04963e5b840344f0b8851ab16",
+    "k6.vertices":
+        "782148b9e0b9f79b86bd8c262df5415e2f7bbc2769a2533e25ceef3a7097de65",
+}
+
+
 def test_cold_build_is_byte_identical(tmp_path):
-    # Catalog order and truth-table indexing depend on the canonical form.
-    # The digest is that of the files k = 1..8 built without the vertex-key
-    # test, canonicalising one neighbor mask per orbit of every parent;
-    # their k <= 7 files are those built by extending every neighbor mask
-    # of every parent with the reference canoniser.
+    # Catalog order and truth-table indexing depend on the canonical form,
+    # and every map row reads catalog indices.
     build_catalog(8, cache_dir=tmp_path)
     assert len(canon._cache) <= canon.CACHE_CAP
     # Building a catalog writes no edge-deletion map.
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         [f"k{k}.catalog" for k in range(1, 9)]
-    digest = hashlib.sha256()
-    for k in range(1, 9):
-        digest.update((tmp_path / f"k{k}.catalog").read_bytes())
-    assert digest.hexdigest() == \
-        "1a55f93e16d8d82140a45acc68a44adfbc3e4feeecd5232f6db2318b9af2795a"
+    for kind in CLASS_MAPS:
+        for k in kind.ks:
+            kind(k, cache_dir=tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == COLD_CACHE_SHA256
 
 
 @pytest.mark.parametrize("k", range(1, 8))

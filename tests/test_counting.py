@@ -381,8 +381,7 @@ def test_each_class_is_planned_once_per_host(monkeypatch):
 
 def test_count_basis_flags_non_integral_total(monkeypatch):
     # Hand a vector whose evaluation cannot be an integer count.
-    bogus = HomVector("bogus", 2,
-                      ((SmallGraph(1, 0), Fraction(1, 3)),))
+    bogus = HomVector(2, ((SmallGraph(1, 0), Fraction(1, 3)),))
     monkeypatch.setattr(counting_module, "hom_vector", lambda phi, k: bogus)
     host = random_host(random.Random(5), 4, p=0.5)
     with pytest.raises(InternalConsistencyError):
@@ -390,8 +389,7 @@ def test_count_basis_flags_non_integral_total(monkeypatch):
 
 
 def test_count_basis_flags_negative_total(monkeypatch):
-    bogus = HomVector("bogus", 2,
-                      ((SmallGraph(1, 0), Fraction(-1)),))
+    bogus = HomVector(2, ((SmallGraph(1, 0), Fraction(-1)),))
     monkeypatch.setattr(counting_module, "hom_vector", lambda phi, k: bogus)
     host = random_host(random.Random(6), 4, p=0.5)
     with pytest.raises(InternalConsistencyError):

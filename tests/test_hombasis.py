@@ -226,7 +226,6 @@ def test_entry_invariants(prop_name, k):
     # the support lies among the classes on at most k vertices
     assert hv.support_size <= sum(build_catalog(j).class_count
                                   for j in range(1, k + 1))
-    assert hv.property_name == prop_name
     assert hv.k == k
 
 

@@ -60,6 +60,7 @@ def test_treewidth_matches_all_orderings_oracle():
 
 
 def test_treewidth_caps():
+    assert exact_treewidth(SmallGraph(MAX_TREEWIDTH_N)) == 0
     with pytest.raises(ValueError):
         exact_treewidth(SmallGraph(MAX_TREEWIDTH_N + 1))
     with pytest.raises(ValueError):

@@ -162,6 +162,19 @@ def test_spectrum_report_catches_a_perturbed_coefficient(monkeypatch):
         spectrum_report(get_property("connected"), 4)
 
 
+def test_spectrum_report_checks_the_h_support(monkeypatch):
+    # A polynomial with w nonzero terms vanishes at -1 to order at most
+    # w - 1, so the report refuses an h whose support ends below beta + 1.
+    phi = get_property("connected")
+    beta = spectrum_report(phi, 4).beta
+    monkeypatch.setattr(spectrum, "max_nonzero_index", lambda h: beta)
+    with pytest.raises(InternalConsistencyError,
+                       match="h-vector support too low"):
+        spectrum_report(phi, 4)
+    monkeypatch.setattr(spectrum, "max_nonzero_index", lambda h: beta + 1)
+    assert spectrum_report(phi, 4).max_nonzero_h_index == beta + 1
+
+
 @pytest.mark.parametrize("d", range(6))
 def test_polya_checker_matches_determinant_oracle(d):
     width = d + 1
