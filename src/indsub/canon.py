@@ -13,15 +13,14 @@ sorted neighbor-color tuples would, and every round induces the same
 ordered partition as refining by those tuples.
 
 Twins let most graphs the catalog builder meets skip the search.  Two
-vertices u, v of one cell are twins when N(u) - {v} = N(v) - {u}; a cell
-carries one loop mark, so swapping them is an automorphism, and it keeps
-every cell in place.  When every cell is made of twins (a clique or an
-independent set whose rows agree outside it), every ordering the cells
-allow has the same key.  The ordering returned lists each cell in
-increasing vertex order, the automorphism count is the product of the
-cells' factorials, and the swaps of consecutive vertices of each cell
-generate the group.  A discrete refinement is the case where every cell
-is a single vertex.
+vertices u, v of one cell are twins when N(u) - {v} = N(v) - {u}, so
+swapping them is an automorphism, and it keeps every cell in place.  When
+every cell is made of twins (a clique or an independent set whose rows
+agree outside it), every ordering the cells allow has the same key.  The
+ordering returned lists each cell in increasing vertex order, the
+automorphism count is the product of the cells' factorials, and the swaps
+of consecutive vertices of each cell generate the group.  A discrete
+refinement is the case where every cell is a single vertex.
 
 Otherwise the search keeps each candidate's word in per-vertex
 accumulators.  At every node the first candidate is searched in full and
@@ -47,7 +46,6 @@ only candidate for a graph with that invariant.
 No hashing shortcuts: equality of canonical forms is exact isomorphism on
 the supported range, and a lookup settled by the invariant is a proof too,
 since any graph whose invariant several classes share goes to the search.
-Loop marks participate in the vertex colors and in the canonical encoding.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from math import factorial
 
-from .graphs import SmallGraph, bits_of, pair_table
+from .graphs import SmallGraph, pair_table
 
 # Canonical data of the graphs that canonical_form, canon_key and
 # automorphism_count canonicalised last, at most CACHE_CAP of them; the
@@ -64,7 +62,7 @@ from .graphs import SmallGraph, bits_of, pair_table
 # directly, since it meets none of its 14,655 extensions twice, and so
 # fills no entry.
 CACHE_CAP = 1 << 12
-_cache: OrderedDict[tuple[int, int, int],
+_cache: OrderedDict[tuple[int, int],
                     tuple["CanonicalForm", int]] = OrderedDict()
 
 # Bits per neighbor-count field; a count is at most 15, so 31 - count
@@ -74,27 +72,26 @@ _FIELD = 5
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Canonical edge/loop bitsets plus one relabeling that achieves them."""
+    """Canonical edge bitset plus one relabeling that achieves it."""
 
     n: int
     edges: int
-    loops: int
     relabeling: tuple[int, ...]
 
     @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.n, self.edges, self.loops)
+    def key(self) -> tuple[int, int]:
+        return (self.n, self.edges)
 
     def graph(self) -> SmallGraph:
-        return SmallGraph(self.n, self.edges, self.loops)
+        return SmallGraph(self.n, self.edges)
 
 
-def _refined_cells(n: int, rows: list[int], loops: int) -> list[int]:
+def _refined_cells(n: int, rows: list[int]) -> list[int]:
     """Ordered color cells, as vertex bitmasks, of the stable refinement
-    of the (loop mark, degree) coloring."""
+    of the degree coloring."""
     groups: dict[int, int] = {}
     for v in range(n):
-        s = (loops >> v & 1) << _FIELD | rows[v].bit_count()
+        s = rows[v].bit_count()
         groups[s] = groups.get(s, 0) | 1 << v
     cells = [groups[s] for s in sorted(groups)]
     # Every cell has equal neighbor counts in each cell of the round
@@ -129,7 +126,7 @@ def _refined_cells(n: int, rows: list[int], loops: int) -> list[int]:
 
 
 def refinement_invariant(g: SmallGraph) -> tuple[int, ...]:
-    """(n, edge count, loop count), then for each cell of _refined_cells in
+    """(n, edge count), then for each cell of _refined_cells in
     order its size and one representative's neighbor count in every cell.
 
     The value is an isomorphism invariant.  Refinement never looks at
@@ -139,8 +136,8 @@ def refinement_invariant(g: SmallGraph) -> tuple[int, ...]:
     cell, so the representative chosen does not matter."""
     n = g.n
     rows = g.adj_rows()
-    cells = _refined_cells(n, rows, g.loops)
-    inv = [n, g.edges.bit_count(), g.loops.bit_count()]
+    cells = _refined_cells(n, rows)
+    inv = [n, g.edges.bit_count()]
     for cell in cells:
         r = rows[(cell & -cell).bit_length() - 1]
         inv.append(cell.bit_count())
@@ -151,7 +148,7 @@ def refinement_invariant(g: SmallGraph) -> tuple[int, ...]:
 _ABOVE, _BELOW = 1, -1
 
 
-def _canonical_search(n, rows, loops, cells, gens=None):
+def _canonical_search(n, rows, cells, gens=None):
     """Minimize the position-by-position adjacency words over all orderings
     compatible with the refinement cells.  Returns (order, aut_count);
     appends automorphisms (image of each vertex) to gens when given."""
@@ -186,9 +183,8 @@ def _canonical_search(n, rows, loops, cells, gens=None):
         return tuple(v for blk in blocks for v in blk), aut
     posblock = [blk for blk in blocks for _ in blk]
     nbrs = [[u for u in range(n) if r >> u & 1] for r in rows]
-    loop = [(loops >> v) & 1 for v in range(n)]
     # acc[v] has bit n-1-t set when the vertex at position t neighbors v,
-    # so v's word at position p is loop[v] << p | acc[v] >> (n - p).
+    # so v's word at position p is acc[v] >> (n - p).
     acc = [0] * n
     used = [False] * n
     order: list[int] = []
@@ -201,7 +197,7 @@ def _canonical_search(n, rows, loops, cells, gens=None):
         for v in posblock[p]:
             if used[v]:
                 continue
-            w = loop[v] << p | acc[v] >> shift
+            w = acc[v] >> shift
             if not cand or w < best_w:
                 best_w = w
                 cand = [v]
@@ -289,14 +285,13 @@ def _canonical_search(n, rows, loops, cells, gens=None):
     return leaf, aut
 
 
-def _canonical_data(n: int, rows: list[int], loops: int
+def _canonical_data(n: int, rows: list[int]
                     ) -> tuple[tuple[int, ...], int, int]:
     """(ordering, edges, aut) of the graph on n vertices with neighbor
-    bitmasks rows and loop marks loops: ordering[pos] is the vertex at
-    canonical position pos, edges the canonical edge bitset and aut the
-    automorphism count.  No cache and no graph object."""
-    ordering, aut = _canonical_search(n, rows, loops,
-                                      _refined_cells(n, rows, loops))
+    bitmasks rows: ordering[pos] is the vertex at canonical position pos,
+    edges the canonical edge bitset and aut the automorphism count.  No
+    cache and no graph object."""
+    ordering, aut = _canonical_search(n, rows, _refined_cells(n, rows))
     edges = 0
     bit = 1
     for i, j in pair_table(n):
@@ -308,21 +303,17 @@ def _canonical_data(n: int, rows: list[int], loops: int
 
 def _canonical_of(g: SmallGraph) -> tuple[CanonicalForm, int]:
     """g's canonical form and automorphism count, through the cache."""
-    key = (g.n, g.edges, g.loops)
+    key = (g.n, g.edges)
     hit = _cache.get(key)
     if hit is not None:
         return hit
     while len(_cache) >= CACHE_CAP:
         _cache.popitem(last=False)
-    ordering, edges, aut = _canonical_data(g.n, g.adj_rows(), g.loops)
+    ordering, edges, aut = _canonical_data(g.n, g.adj_rows())
     rel = [0] * g.n
     for pos, v in enumerate(ordering):
         rel[v] = pos
-    loops = 0
-    for v in bits_of(g.loops):
-        loops |= 1 << rel[v]
-    result = _cache[key] = (CanonicalForm(g.n, edges, loops, tuple(rel)),
-                            aut)
+    result = _cache[key] = (CanonicalForm(g.n, edges, tuple(rel)), aut)
     return result
 
 
@@ -330,7 +321,7 @@ def canonical_form(g: SmallGraph) -> CanonicalForm:
     return _canonical_of(g)[0]
 
 
-def canon_key(g: SmallGraph) -> tuple[int, int, int]:
+def canon_key(g: SmallGraph) -> tuple[int, int]:
     return _canonical_of(g)[0].key
 
 
@@ -346,8 +337,7 @@ def automorphism_generators(g: SmallGraph) -> list[tuple[int, ...]]:
         return []
     rows = g.adj_rows()
     gens: list[tuple[int, ...]] = []
-    _canonical_search(g.n, rows, g.loops,
-                      _refined_cells(g.n, rows, g.loops), gens)
+    _canonical_search(g.n, rows, _refined_cells(g.n, rows), gens)
     return gens
 
 

@@ -157,7 +157,7 @@ class GraphCatalog:
 
     @cached_property
     def _index(self) -> dict:
-        return {(self.k, edges, 0): i for i, edges in enumerate(self.edges)}
+        return {(self.k, edges): i for i, edges in enumerate(self.edges)}
 
 
 def default_cache_dir() -> Path:
@@ -196,7 +196,7 @@ def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
             # The extension's rows: the new vertex k-1 joins the mask.
             rows = [r | (mask >> i & 1) << top for i, r in enumerate(prows)]
             rows.append(mask)
-            _, edges, aut = _canonical_data(k, rows, 0)
+            _, edges, aut = _canonical_data(k, rows)
             found.setdefault(edges, aut)
     return found
 

@@ -198,7 +198,7 @@ def _class_decomposition(g: SmallGraph):
     """The decomposition of the stored elimination order of g, a catalog
     representative.  The order fits the representative's own labelling
     only, so g's class is found by its exact edge bitset."""
-    i = build_catalog(g.n)._index[(g.n, g.edges, 0)]
+    i = build_catalog(g.n)._index[(g.n, g.edges)]
     return decomposition_from_order(g, elimination_orders(g.n)[i])
 
 

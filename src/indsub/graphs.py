@@ -1,9 +1,8 @@
 """Bitset-backed graph types shared by every pipeline stage.
 
-Small pattern graphs store their edge set as one integer over the C(n,2)
-vertex pairs in lexicographic (i,j), i < j order; a second integer can mark
-loops, which only arise from quotient operations.  Host graphs keep sorted
-adjacency lists plus per-vertex neighbor bitmasks.
+Small pattern graphs are simple and store their edge set as one integer
+over the C(n,2) vertex pairs in lexicographic (i,j), i < j order.  Host
+graphs keep sorted adjacency lists plus per-vertex neighbor bitmasks.
 
 Two text forms are supported: graph6, and a plain edge list whose first
 line is "n m" followed by one "u v" pair per line (0-indexed).  This
@@ -78,23 +77,20 @@ def reach(rows, start: int, within: int) -> int:
 
 @dataclass(frozen=True)
 class SmallGraph:
-    """A graph on at most 16 vertices; `edges` indexes pair_table(n).
-
-    `loops` marks vertices carrying a self-loop.  Plain graphs (inputs,
-    catalog members) always have loops == 0; quotients may not.
-    """
+    """A simple graph on at most 16 vertices; `edges` indexes
+    pair_table(n)."""
 
     n: int
     edges: int = 0
-    loops: int = 0
+    # Not a field: read only by bench/tracer.py's count_hom hook; goes
+    # with ROADMAP item 1.
+    loops = 0
 
     def __post_init__(self):
         if not 0 <= self.n <= MAX_SMALL_VERTICES:
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_SMALL_VERTICES}")
         if not 0 <= self.edges < (1 << pair_count(self.n)):
             raise ValueError("edge bitset out of range")
-        if not 0 <= self.loops < (1 << max(self.n, 1)):
-            raise ValueError("loop bitset out of range")
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "SmallGraph":
@@ -140,7 +136,7 @@ class SmallGraph:
         return [pt[b] for b in bits_of(self.edges)]
 
     def adj_rows(self) -> list[int]:
-        """Neighbor bitmask per vertex (loops not included)."""
+        """Neighbor bitmask per vertex."""
         rows = [0] * self.n
         pt = pair_table(self.n)
         mask = self.edges
@@ -156,14 +152,12 @@ class SmallGraph:
         return [r.bit_count() for r in self.adj_rows()]
 
     def with_edge(self, i: int, j: int) -> "SmallGraph":
-        return SmallGraph(self.n, self.edges | 1 << pair_index(self.n, i, j), self.loops)
+        return SmallGraph(self.n, self.edges | 1 << pair_index(self.n, i, j))
 
     def without_edge(self, i: int, j: int) -> "SmallGraph":
-        return SmallGraph(self.n, self.edges & ~(1 << pair_index(self.n, i, j)), self.loops)
+        return SmallGraph(self.n, self.edges & ~(1 << pair_index(self.n, i, j)))
 
     def complement(self) -> "SmallGraph":
-        if self.loops:
-            raise ValueError("complement undefined for loop-marked graphs")
         return SmallGraph(self.n, self.edges ^ ((1 << pair_count(self.n)) - 1))
 
     def relabel(self, perm) -> "SmallGraph":
@@ -172,10 +166,7 @@ class SmallGraph:
         edges = 0
         for i, j in self.edge_pairs():
             edges |= 1 << pair_index(n, perm[i], perm[j])
-        loops = 0
-        for v in bits_of(self.loops):
-            loops |= 1 << perm[v]
-        return SmallGraph(n, edges, loops)
+        return SmallGraph(n, edges)
 
     def induced(self, vertices) -> "SmallGraph":
         """Induced subgraph on the given vertices, relabeled in sorted order."""
@@ -186,11 +177,7 @@ class SmallGraph:
         for a, b in combinations(vs, 2):
             if self.has_edge(a, b):
                 edges |= 1 << pair_index(m, idx[a], idx[b])
-        loops = 0
-        for v in vs:
-            if self.loops >> v & 1:
-                loops |= 1 << idx[v]
-        return SmallGraph(m, edges, loops)
+        return SmallGraph(m, edges)
 
     def delete_vertex(self, v: int) -> "SmallGraph":
         return self.induced([u for u in range(self.n) if u != v])
@@ -210,8 +197,6 @@ class SmallGraph:
         return comps
 
     def to_graph6(self) -> str:
-        if self.loops:
-            raise ValueError("graph6 cannot encode loops")
         return _small_graph6(self.n, self.edges)
 
     @classmethod
@@ -264,8 +249,6 @@ class HostGraph:
 
     @classmethod
     def from_small(cls, g: SmallGraph) -> "HostGraph":
-        if g.loops:
-            raise ValueError("host graphs are loop-free")
         return cls.from_edges(g.n, g.edge_pairs())
 
     @classmethod

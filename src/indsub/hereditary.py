@@ -89,9 +89,7 @@ class TwinPartition:
 
 def twin_partition(h: SmallGraph) -> TwinPartition:
     """Group vertices that have identical neighborhoods (false twins; such
-    vertices are never adjacent in a loop-free graph)."""
-    if h.loops:
-        raise ValueError("twin partition is defined for loop-free graphs")
+    vertices are never adjacent in a simple graph)."""
     rows = h.adj_rows()
     groups: dict[int, list[int]] = {}
     for w in range(h.n):

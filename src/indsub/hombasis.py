@@ -69,11 +69,8 @@ class HomVector:
     def coefficient(self, g: SmallGraph) -> Fraction:
         if not 1 <= g.n <= self.k:
             return Fraction(0)
-        try:
-            key = (g.n, build_catalog(g.n).index_of(g))
-        except KeyError:
-            return Fraction(0)
-        return self._index.get(key, Fraction(0))
+        return self._index.get((g.n, build_catalog(g.n).index_of(g)),
+                               Fraction(0))
 
     @property
     def support_size(self) -> int:

@@ -152,8 +152,6 @@ def _component_tables(g: SmallGraph):
     component of g, in g.components() order."""
     if g.n > MAX_TREEWIDTH_N:
         raise ValueError(f"treewidth solver handles at most {MAX_TREEWIDTH_N} vertices")
-    if g.loops:
-        raise ValueError("treewidth is defined here for loop-free graphs")
     for comp in g.components():
         h = g if len(comp) == g.n else g.induced(comp)
         yield (comp, *_tw_table(h))
@@ -313,9 +311,8 @@ def decomposition_from_order(g: SmallGraph, order: tuple[int, ...]
 
 def count_hom(pattern: SmallGraph, host: HostGraph, *,
               store: HomStore | None = None) -> int:
-    """Number of homomorphisms pattern -> host.  Loop-marked patterns map
-    to 0 because hosts are simple; disconnected patterns factor into the
-    product of their components' counts.
+    """Number of homomorphisms pattern -> host.  Disconnected patterns
+    factor into the product of their components' counts.
 
     With store, the pattern is counted with the tables that store shares,
     which it shares fully when it was planned into the store beforehand
@@ -363,7 +360,7 @@ class HomStore:
                 td.validate()
             except InternalConsistencyError as exc:
                 raise ValueError(f"invalid tree decomposition: {exc}") from exc
-        if pattern.loops or not self.host.n:
+        if not self.host.n:
             return
         plan = self._plan_of(pattern, td)
         seen, reads = self._seen, self._reads
@@ -375,8 +372,6 @@ class HomStore:
                 seen.add(key)
 
     def count(self, pattern: SmallGraph) -> int:
-        if pattern.loops:
-            return 0
         if not self.host.n:
             return 0 if pattern.n else 1
         return self._run(self._plan_of(pattern))

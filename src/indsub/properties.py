@@ -1,6 +1,6 @@
 """Graph properties: predicate plus declared structural flags.
 
-A property is an isomorphism-invariant boolean on loop-free graphs.  The
+A property is an isomorphism-invariant boolean on simple graphs.  The
 declared flags (monotone, hereditary, edge-count-only, sparse(s)) are
 promises the predicate is supposed to keep; verify_flags checks them
 exhaustively on all isomorphism classes up to a size bound and returns
@@ -60,8 +60,6 @@ class PropertySpec:
 
 
 def evaluate(phi: PropertySpec, g: SmallGraph) -> bool:
-    if g.loops:
-        raise ValueError("properties are defined on loop-free graphs")
     try:
         return bool(phi.predicate(g))
     except Exception as exc:  # noqa: BLE001 - echo the offending graph

@@ -7,13 +7,14 @@ the plain graph accessors of the package (vertex/edge reads), never the
 algorithmic modules it is used to check.
 
 The partition lattice lives here too: every set partition, its Moebius
-value from the product formula, and a quotient that marks loops.  The
-reference quotient row and the homomorphism-basis references at the end
-name classes and quotients through the package's catalog and canonical
-forms, so that their output can be compared entry for entry, but they
-reach the coefficients by labeled edge-set sweeps and the loop filter over
-all partitions instead of the class-level recursion and the block-mask
-enumeration of independent-set partitions in hombasis.
+value from the product formula, and a quotient that is None when a block
+holds an edge.  The reference quotient row and the homomorphism-basis
+references at the end name classes and quotients through the package's
+catalog and canonical forms, so that their output can be compared entry
+for entry, but they reach the coefficients by labeled edge-set sweeps
+over all partitions, dropping those with an edge inside a block, instead
+of the class-level recursion and the block-mask enumeration of
+independent-set partitions in hombasis.
 The flag-verification reference likewise walks the package's catalog, but
 evaluates the property on labeled deletions instead of reading the
 catalog's deletion maps.  The extension counts name classes by the
@@ -166,8 +167,8 @@ def brute_automorphism_count(g: SmallGraph) -> int:
 # ---------------------------------------------------- reference canoniser
 
 
-def _reference_refined_colors(n: int, rows: list[int], loops: int) -> list[int]:
-    sig = [((loops >> i) & 1, rows[i].bit_count()) for i in range(n)]
+def _reference_refined_colors(n: int, rows: list[int]) -> list[int]:
+    sig = [rows[i].bit_count() for i in range(n)]
     palette = {s: c for c, s in enumerate(sorted(set(sig)))}
     col = [palette[s] for s in sig]
     while True:
@@ -180,7 +181,7 @@ def _reference_refined_colors(n: int, rows: list[int], loops: int) -> list[int]:
         col = new
 
 
-def _reference_canonical_search(n, rows, loops, blocks):
+def _reference_canonical_search(n, rows, blocks):
     """Minimize the position-by-position adjacency words over all orderings
     compatible with the refinement blocks.  Returns (order, aut_count)."""
     posblock = []
@@ -197,7 +198,7 @@ def _reference_canonical_search(n, rows, loops, blocks):
         for v in blocks[posblock[p]]:
             if used[v]:
                 continue
-            w = ((loops >> v) & 1) << p
+            w = 0
             rv = rows[v]
             for t in range(p):
                 if rv >> order[t] & 1:
@@ -230,24 +231,21 @@ def reference_canonical_data(g: SmallGraph) -> tuple[CanonicalForm, int]:
     """(canonical form, automorphism count) by the reference canoniser."""
     n = g.n
     if n == 0:
-        return CanonicalForm(0, 0, 0, ()), 1
+        return CanonicalForm(0, 0, ()), 1
     rows = g.adj_rows()
-    colors = _reference_refined_colors(n, rows, g.loops)
+    colors = _reference_refined_colors(n, rows)
     groups: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         groups.setdefault(c, []).append(v)
     blocks = [groups[c] for c in sorted(groups)]
-    ordering, aut = _reference_canonical_search(n, rows, g.loops, blocks)
+    ordering, aut = _reference_canonical_search(n, rows, blocks)
     rel = [0] * n
     for pos, v in enumerate(ordering):
         rel[v] = pos
     edges = 0
     for i, j in g.edge_pairs():
         edges |= 1 << pair_index(n, rel[i], rel[j])
-    loops = 0
-    for v in bits_of(g.loops):
-        loops |= 1 << rel[v]
-    return CanonicalForm(n, edges, loops, tuple(rel)), aut
+    return CanonicalForm(n, edges, tuple(rel)), aut
 
 
 # ------------------------------------------------- isomorphism-orbit walk
@@ -302,8 +300,6 @@ def orbit_partition(n: int) -> list[list[int]]:
 
 def brute_hom_count(pattern: SmallGraph, host: HostGraph) -> int:
     """Homomorphisms by trying every vertex map."""
-    if pattern.loops:
-        return 0
     edges = pattern.edge_pairs()
     adj = [set(row) for row in host.neighbors]
     total = 0
@@ -818,8 +814,6 @@ def extension_counts_by_class(h: SmallGraph, ell: int) -> dict[tuple, int]:
     """How often each isomorphism class arises by adding edges to h until
     it has ell edges, keyed by canonical key.  Counts labeled supersets of
     the given labeled graph, so the values sum to C(d - #E(h), ell - #E(h))."""
-    if h.loops:
-        raise ValueError("loop-marked graph in extension count")
     d = pair_count(h.n)
     m = h.edge_count
     if ell < m or ell > d:
@@ -921,33 +915,32 @@ def partition_moebius(blocks) -> int:
     return mu
 
 
-def quotient(g: SmallGraph, blocks) -> SmallGraph:
-    """Contract each block to one vertex; a block with an internal edge or
-    a looped member gets a loop.  Blocks are ordered by least element."""
+def quotient(g: SmallGraph, blocks) -> SmallGraph | None:
+    """Contract each block to one vertex; None when a block holds an edge,
+    since that quotient has a loop and so no map into a simple host.
+    Blocks are ordered by least element."""
     blocks = sorted(blocks, key=min)
     idx = {v: i for i, block in enumerate(blocks) for v in block}
     assert sorted(idx) == list(range(g.n)), "blocks must partition g"
     m = len(blocks)
-    edges = loops = 0
+    edges = 0
     for a, b in g.edge_pairs():
         ia, ib = idx[a], idx[b]
         if ia == ib:
-            loops |= 1 << ia
-        else:
-            edges |= 1 << pair_index(m, ia, ib)
-    for v in bits_of(g.loops):
-        loops |= 1 << idx[v]
-    return SmallGraph(m, edges, loops)
+            return None
+        edges |= 1 << pair_index(m, ia, ib)
+    return SmallGraph(m, edges)
 
 
 def reference_quotient_row(g: SmallGraph) -> tuple:
     """g's row of hombasis.quotient_rows over every set partition, each
-    class named by its canonical key: quotient, drop the looped quotients,
-    sum mu per canonical key in first-seen order, drop zero sums."""
+    class named by its canonical key: quotient, drop the partitions with an
+    edge inside a block, sum mu per canonical key in first-seen order, drop
+    zero sums."""
     row: dict[tuple, int] = {}
     for rho in set_partitions(g.n):
         q = quotient(g, rho)
-        if q.loops:
+        if q is None:
             continue
         key = canon_key(q)
         row[key] = row.get(key, 0) + partition_moebius(rho)
@@ -983,7 +976,8 @@ def labelled_hom_vector(phi, k: int) -> HomVector:
     """hom_vector by the labeled route: phi on all 2^C(k,2) labeled
     k-vertex graphs, the signed subset transform over their edge sets,
     a(C) = s(C)/#Aut(C) per class, then every set partition of the k
-    vertices with its Moebius weight, dropping quotients with a loop."""
+    vertices with its Moebius weight, dropping the partitions with an edge
+    inside a block."""
     d = pair_count(k)
     vals = [1 if phi(SmallGraph(k, mask)) else 0 for mask in range(1 << d)]
     _signed_subset_transform(vals, d)
@@ -998,7 +992,7 @@ def labelled_hom_vector(phi, k: int) -> HomVector:
         a = Fraction(s, aut)
         for rho, mu in partitions:
             q = quotient(g, rho)
-            if q.loops:
+            if q is None:
                 continue
             form = canonical_form(q)
             reps.setdefault(form.key, form.graph())
@@ -1013,8 +1007,6 @@ def k_vertex_coefficient(phi, g: SmallGraph) -> Fraction:
     a(K) = sum over satisfying classes H of
     (-1)^(e(K)-e(H)) * ext_H(K) / #Aut(H), where ext_H(K) counts the edge
     supersets of a fixed copy of H that are isomorphic to K."""
-    if g.loops:
-        raise ValueError("patterns are loop-free")
     target = canon_key(g)
     m_k = g.edge_count
     total = Fraction(0)

@@ -140,8 +140,7 @@ def test_index_of_finds_shuffled_representatives():
 
 def test_index_of_raises_canon_key_error_outside_the_catalog():
     cat = build_catalog(4)
-    outside = [SmallGraph(4, 0b11, loops=0b1), SmallGraph(4, 0, loops=0b1111),
-               SmallGraph(4, SmallGraph.cycle(4).edges, loops=0b0101),
+    outside = [SmallGraph(0), SmallGraph(3, 0b11), SmallGraph(5),
                SmallGraph.cycle(5), SmallGraph.complete(3)]
     for g in outside:
         with pytest.raises(KeyError) as want:
@@ -912,10 +911,10 @@ def test_key_maximal_masks_on_sampled_seven_vertex_parents():
 def test_cold_build_canonicalises_few_extensions(tmp_path, monkeypatch):
     calls = 0
 
-    def counting(n, rows, loops):
+    def counting(n, rows):
         nonlocal calls
         calls += 1
-        return canon._canonical_data(n, rows, loops)
+        return canon._canonical_data(n, rows)
 
     monkeypatch.setattr(catalog, "_canonical_data", counting)
     # The builder meets no extension twice, so it bypasses the cache.

@@ -123,9 +123,6 @@ def test_twin_partition_known_blocks():
     assert tp.singleton_vertices() == frozenset(range(4))
 
 
-def test_twin_partition_rejects_loops():
-    with pytest.raises(ValueError):
-        twin_partition(SmallGraph(2, 0, loops=0b01))
 
 
 def test_twin_partition_invariants_random():

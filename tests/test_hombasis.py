@@ -194,12 +194,6 @@ def test_spanning_subgraph_division_must_be_exact(monkeypatch):
         hombasis._spanning_subgraph_counts(get_property("true"), 3)
 
 
-def test_k_vertex_coefficient_rejects_loops():
-    g = SmallGraph(2, 0, loops=0b01)
-    with pytest.raises(ValueError):
-        k_vertex_coefficient(get_property("true"), g)
-
-
 @pytest.mark.parametrize("prop_name", sorted(BUILTIN_PROPERTIES))
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_h_tilde_scales_to_h_vector(prop_name, k):
@@ -221,7 +215,6 @@ def test_entry_invariants(prop_name, k):
     for g, c in hv.entries:
         assert c != 0
         assert 1 <= g.n <= k
-        assert not g.loops
         assert kfact % c.denominator == 0
     # the support lies among the classes on at most k vertices
     assert hv.support_size <= sum(build_catalog(j).class_count
@@ -288,8 +281,19 @@ def test_expected_support_bound_values():
 
 def test_coefficient_of_absent_pattern_is_zero():
     hv = hom_vector(get_property("connected"), 3)
-    assert hv.coefficient(SmallGraph(3, 0)) == 0
+    # no vertex, more than k vertices, a class outside the support
+    assert hv.coefficient(SmallGraph(0)) == 0
     assert hv.coefficient(SmallGraph.complete(4)) == 0
+    assert hv.coefficient(SmallGraph(3, 0)) == 0
+
+
+def test_coefficient_is_constant_on_relabelings():
+    rng = random.Random(31)
+    hv = hom_vector(get_property("connected"), 5)
+    for g, c in hv.entries:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert hv.coefficient(g.relabel(perm)) == c
 
 
 def test_k_range_enforced():

@@ -63,8 +63,6 @@ def test_treewidth_caps():
     assert exact_treewidth(SmallGraph(MAX_TREEWIDTH_N)) == 0
     with pytest.raises(ValueError):
         exact_treewidth(SmallGraph(MAX_TREEWIDTH_N + 1))
-    with pytest.raises(ValueError):
-        exact_treewidth(SmallGraph(2, 0, loops=1))
 
 
 def test_tree_decomposition_is_valid_and_optimal():
@@ -98,10 +96,9 @@ def test_count_hom_closed_forms():
                      HostGraph.from_small(SmallGraph.complete_bipartite(3, 4))) == 0
 
 
-def test_count_hom_empty_pattern_and_loops():
+def test_count_hom_empty_pattern():
     host = HostGraph.from_edges(3, [(0, 1)])
     assert count_hom(SmallGraph(0), host) == 1
-    assert count_hom(SmallGraph(2, 0, loops=0b11), host) == 0
 
 
 def test_count_hom_disconnected_pattern_is_product():
@@ -632,14 +629,6 @@ def test_count_hom_rejects_foreign_decomposition():
                          (((0, 1), (1, 2)), (-1,))):
         with pytest.raises(ValueError, match="invalid tree decomposition"):
             _count_with(p3, k3, TreeDecomposition(p3, bags, parent))
-    # a loop-marked pattern counts 0 without a plan, but its decomposition
-    # is still checked
-    looped = SmallGraph(3, p3.edges, loops=1)
-    good = tree_decomposition(p3)
-    assert _count_with(looped, k3, TreeDecomposition(looped, good.bags,
-                                                     good.parent)) == 0
-    with pytest.raises(ValueError):
-        _count_with(looped, k3, good)
 
 
 def test_count_hom_rejects_a_store_beside_a_decomposition_or_another_host():

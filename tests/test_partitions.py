@@ -86,8 +86,8 @@ def _named(k, row):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_independent_partitions_are_the_loop_free_quotients(k):
-    # The block-mask enumerator visits exactly the partitions whose
-    # quotient has no loop, in the order of the sweep over all of them.
+    # The block-mask enumerator visits exactly the partitions with no edge
+    # inside a block, in the order of the sweep over all of them.
     rows = quotient_rows(k)
     for g, row in zip(build_catalog(k).graphs(), rows, strict=True):
         assert _named(k, row) == reference_quotient_row(g)
@@ -129,21 +129,21 @@ def test_quotient_merging_cycle_endpoints():
     # C4 with two opposite vertices merged: blocks {0,2},{1},{3}; the four
     # edges project onto two block pairs and no block has an internal edge.
     q = quotient(SmallGraph.cycle(4), ((0, 2), (1,), (3,)))
-    assert q.n == 3 and q.loops == 0
+    assert q.n == 3
     assert q.edge_count == 2
 
 
-def test_quotient_adjacent_merge_creates_loop():
-    q = quotient(SmallGraph.complete(3), ((0, 1), (2,)))
-    assert q.n == 2
-    assert q.loops != 0
+def test_quotient_adjacent_merge_is_dropped():
+    # the merged block holds an edge, so the quotient would have a loop
+    assert quotient(SmallGraph.complete(3), ((0, 1), (2,))) is None
+    assert quotient(SmallGraph.path(3), ((0, 1, 2),)) is None
 
 
 def test_quotient_respects_block_min_order():
-    g = SmallGraph.from_edges(4, [(0, 3), (1, 2)])
-    q = quotient(g, ((1, 2), (0, 3)))
-    # blocks ordered by smallest member: {0,3} then {1,2}; both carry a loop
-    assert q.n == 2 and q.loops == 0b11
+    g = SmallGraph.from_edges(4, [(0, 1)])
+    q = quotient(g, ((2,), (1, 3), (0,)))
+    # blocks ordered by smallest member: {0}, {1,3}, {2}
+    assert q == SmallGraph.from_edges(3, [(0, 1)])
 
 
 def test_hom_expansion_identity_via_quotients():
@@ -159,8 +159,7 @@ def test_hom_expansion_identity_via_quotients():
                 continue
             good = all(adj[image[a]] >> image[b] & 1
                        for a, b in pattern.edge_pairs())
-            if good and pattern.loops == 0:
-                total += good
+            total += good
         return total
 
     for pattern in (SmallGraph.path(3), SmallGraph.cycle(3),
@@ -169,7 +168,7 @@ def test_hom_expansion_identity_via_quotients():
         expansion = 0
         for blocks in set_partitions(pattern.n):
             q = quotient(pattern, blocks)
-            if q.loops:
-                continue  # no homomorphisms into a loop-free host
+            if q is None:
+                continue  # a loop has no homomorphism into a simple host
             expansion += partition_moebius(blocks) * count_maps(q, False)
         assert expansion == injective

@@ -458,8 +458,3 @@ def test_predicate_errors_are_wrapped():
     assert "Bw" in str(err.value)
 
 
-def test_loops_rejected():
-    phi = get_property("true")
-    loopy = SmallGraph(2, 0, loops=0b01)
-    with pytest.raises(ValueError):
-        evaluate(phi, loopy)

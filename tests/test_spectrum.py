@@ -221,6 +221,19 @@ def test_spectrum_report_consistency(name, k):
         [list(r) for r in derivative_vanishing_matrix(spec.f).rows], d)
 
 
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=46))
+def test_derivative_vanishing_matrix_is_poised_for_every_support(f):
+    # The lemma behind Spectrum.poised: columns 0..j hold min(j+1, hw)
+    # ones in row 0 and the zeros among f_d..f_(d-j) in row 1, and at most
+    # hw of those j+1 entries are nonzero, so the prefix has >= j+1 ones.
+    f = tuple(f)
+    d = len(f) - 1
+    matrix = derivative_vanishing_matrix(f)
+    assert polya_poised(matrix)
+    if d <= 8:
+        assert determinant_poised([list(r) for r in matrix.rows], d)
+
+
 def test_spectrum_poised_always_true_for_observed_f_vectors():
     # the vanishing pattern derived from any f-vector satisfies the
     # prefix condition by construction; double-check on every builtin

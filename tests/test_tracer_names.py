@@ -61,3 +61,16 @@ def test_tracer_names_resolve_to_wrappable_functions():
         and not _wrappable(f"indsub.{name.split('.')[0]}",
                            name.split(".", 1)[1]))
     assert missing == []
+
+
+def test_bench_reads_of_src_objects_resolve():
+    # Besides the functions it wraps, the bench reads two src objects: the
+    # tracer's count_hom hook keys each pattern by its loops, and the
+    # child reports the canon cache's size.  Each check goes when the
+    # bench stops making its read.
+    from indsub import canon
+    from indsub.graphs import SmallGraph
+    assert "pattern.loops" in TRACER.read_text()
+    assert SmallGraph(0).loops == 0
+    assert "len(canon._cache)" in (TRACER.parent / "child.py").read_text()
+    assert len(canon._cache) >= 0
