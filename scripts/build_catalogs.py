@@ -3,7 +3,7 @@
 
 The catalog of isomorphism classes on k vertices backs every f-vector,
 coefficient vector, and truth-table lookup.  Building k = 8 from scratch
-takes 1.2-1.9 s on a 2-core machine; this script warms the on-disk cache
+takes about 1 s on a 2-core Xeon; this script warms the on-disk cache
 once so later runs (and the test suite, when pointed at the same cache
 directory) start instantly.  It then writes, for each k up to K it covers,
 every property-independent map declared beside the catalogs

@@ -34,9 +34,11 @@ and swaps are the automorphisms that automorphism_generators returns.
 
 _canonical_data is the one canonicaliser: from neighbor rows it gives the
 canonical ordering, edge bitset and automorphism count, with no cache and
-no graph object.  The catalog builder calls it on each extension's rows;
-canonical_form, canon_key and automorphism_count reach it through
-_canonical_of, which keeps a bounded cache of CanonicalForms.
+no graph object.  The catalog builder calls it on each extension's rows,
+and canonical_form, canon_key and automorphism_count call it on the
+graph's.  Nothing is cached: the one caller that repeats lookups,
+GraphCatalog.index_of, names a catalog representative by its edge bitset
+without coming here.
 
 refinement_invariant condenses the stable refinement into a value that
 isomorphic graphs share, so a catalog can settle most lookups without a
@@ -50,20 +52,14 @@ since any graph whose invariant several classes share goes to the search.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import factorial
 
 from .graphs import SmallGraph, pair_table
 
-# Canonical data of the graphs that canonical_form, canon_key and
-# automorphism_count canonicalised last, at most CACHE_CAP of them; the
-# oldest is dropped first.  The catalog builder calls _canonical_data
-# directly, since it meets none of its 14,655 extensions twice, and so
-# fills no entry.
-CACHE_CAP = 1 << 12
-_cache: OrderedDict[tuple[int, int],
-                    tuple["CanonicalForm", int]] = OrderedDict()
+# Always empty; read only by bench/child.py (len(canon._cache)); goes
+# with ROADMAP item 1.
+_cache: dict = {}
 
 # Bits per neighbor-count field; a count is at most 15, so 31 - count
 # never borrows from the field before it.
@@ -77,10 +73,6 @@ class CanonicalForm:
     n: int
     edges: int
     relabeling: tuple[int, ...]
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.n, self.edges)
 
     def graph(self) -> SmallGraph:
         return SmallGraph(self.n, self.edges)
@@ -301,38 +293,25 @@ def _canonical_data(n: int, rows: list[int]
     return ordering, edges, aut
 
 
-def _canonical_of(g: SmallGraph) -> tuple[CanonicalForm, int]:
-    """g's canonical form and automorphism count, through the cache."""
-    key = (g.n, g.edges)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    while len(_cache) >= CACHE_CAP:
-        _cache.popitem(last=False)
-    ordering, edges, aut = _canonical_data(g.n, g.adj_rows())
+def canonical_form(g: SmallGraph) -> CanonicalForm:
+    ordering, edges, _ = _canonical_data(g.n, g.adj_rows())
     rel = [0] * g.n
     for pos, v in enumerate(ordering):
         rel[v] = pos
-    result = _cache[key] = (CanonicalForm(g.n, edges, tuple(rel)), aut)
-    return result
-
-
-def canonical_form(g: SmallGraph) -> CanonicalForm:
-    return _canonical_of(g)[0]
+    return CanonicalForm(g.n, edges, tuple(rel))
 
 
 def canon_key(g: SmallGraph) -> tuple[int, int]:
-    return _canonical_of(g)[0].key
+    return (g.n, _canonical_data(g.n, g.adj_rows())[1])
 
 
 def automorphism_count(g: SmallGraph) -> int:
-    return _canonical_of(g)[1]
+    return _canonical_data(g.n, g.adj_rows())[2]
 
 
 def automorphism_generators(g: SmallGraph) -> list[tuple[int, ...]]:
     """Automorphisms of g that generate its automorphism group, each as
-    the image of every vertex; empty when the group is trivial.  Not
-    cached: every call repeats the search."""
+    the image of every vertex; empty when the group is trivial."""
     if g.n == 0:
         return []
     rows = g.adj_rows()

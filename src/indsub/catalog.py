@@ -62,11 +62,13 @@ exists; a failed write is logged.  A map is written on its first call,
 never by building or loading a catalog.
 
 GraphCatalog.index_of finds a graph's class, which the maps above and the
-truth tables do for every lookup they compute.  On its first lookup a
-catalog buckets its classes by canon.refinement_invariant; a graph whose
-invariant only one class has belongs to that class, and only a graph whose
-invariant several classes share, or none, is canonicalised.  Building or loading a
-catalog computes no invariant.
+truth tables do for every lookup they compute.  A representative itself
+(the truth tables' lookups) is found by its edge bitset.  For any other
+graph, a catalog buckets its classes by canon.refinement_invariant on its
+first such lookup; a graph whose invariant only one class has belongs to
+that class, and only a graph whose invariant several classes share, or
+none, is canonicalised.  Building or loading a catalog computes no
+invariant.
 """
 
 from __future__ import annotations
@@ -137,8 +139,13 @@ class GraphCatalog:
         return map(self.graph, range(len(self.edges)))
 
     def index_of(self, g: SmallGraph) -> int:
-        """Catalog index of g's class; KeyError when g is in none.  A class
-        alone in its refinement-invariant bucket needs no canonical form."""
+        """Catalog index of g's class; KeyError when g is in none.  A
+        representative's edge bitset is its canonical bitset, so g equal to
+        one names its class at once; otherwise a class alone in its
+        refinement-invariant bucket needs no canonical form."""
+        i = self._index.get((g.n, g.edges))
+        if i is not None:
+            return i
         i = self._buckets.get(refinement_invariant(g))
         if i is not None:
             return i

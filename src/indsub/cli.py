@@ -326,9 +326,8 @@ def _cmd_diagnose(args) -> int:
                 line += (f" support={rec.support_size}"
                          f" witness={rec.witness}"
                          f" witness_edges={rec.witness_edges}"
-                         f" witness_tw={rec.witness_treewidth}")
-                if rec.witness_clique_minor is not None:
-                    line += f" witness_minor={rec.witness_clique_minor}"
+                         f" witness_tw={rec.witness_treewidth}"
+                         f" witness_minor={rec.witness_clique_minor}")
             print(line)
         print("classification:")
         for line in rep.classification:

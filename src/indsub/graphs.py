@@ -75,6 +75,28 @@ def reach(rows, start: int, within: int) -> int:
     return seen
 
 
+def two_colouring(neighbours) -> list[int] | None:
+    """One colour, 0 or 1, per vertex such that every edge joins the two
+    colours, with each component's least vertex coloured 0; None when the
+    graph has an odd cycle.  neighbours[v] iterates v's neighbours and is
+    iterated once, so bits_of(row) serves as well as a tuple."""
+    colour = [-1] * len(neighbours)
+    for s in range(len(neighbours)):
+        if colour[s] >= 0:
+            continue
+        colour[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in neighbours[u]:
+                if colour[v] < 0:
+                    colour[v] = colour[u] ^ 1
+                    stack.append(v)
+                elif colour[v] == colour[u]:
+                    return None
+    return colour
+
+
 @dataclass(frozen=True)
 class SmallGraph:
     """A simple graph on at most 16 vertices; `edges` indexes

@@ -22,7 +22,7 @@ from .graphs import SmallGraph, bits_of, reach
 from .hombasis import MAX_HOM_VECTOR_K, hom_vector, witness_dense_graph
 from .homcount import exact_treewidth
 from .properties import MAX_FLAG_K, FlagViolation, PropertySpec, verify_flags
-from .spectrum import Spectrum, f_vector, spectrum_report
+from .spectrum import Spectrum, spectrum_report
 
 MAX_MINOR_N = 8
 MAX_DIAGNOSE_K = MAX_HOM_VECTOR_K
@@ -83,17 +83,18 @@ class TuranCheck:
     violating_indices: tuple[int, ...]
 
 
-def turan_check(phi: PropertySpec, k: int) -> TuranCheck:
+def turan_check(phi: PropertySpec, spec: Spectrum) -> TuranCheck:
     """For a monotone property with a declared forbidden subgraph on r
     vertices, every satisfying k-vertex graph has at most (1-1/r)k^2/2
-    edges, so the f-vector must vanish above that threshold."""
+    edges, so phi's size-k f-vector, spec.f, must vanish above that
+    threshold."""
     if not phi.forbidden_subgraphs:
         raise ValueError("turan_check needs a declared forbidden subgraph")
     r = min(h.n for h in phi.forbidden_subgraphs)
     # every graph contains the 0-vertex graph: forbidding it leaves no
     # satisfying graph, so the f-vector vanishes above any threshold
+    k, f = spec.k, spec.f
     threshold = Fraction((r - 1) * k * k, 2 * r) if r else Fraction(0)
-    f = f_vector(phi, k)
     bad = tuple(i for i in range(len(f)) if i > threshold and f[i] != 0)
     return TuranCheck(r, threshold, not bad, bad)
 
@@ -128,7 +129,7 @@ def _record_for_k(phi: PropertySpec, spec: Spectrum, *,
     k, d, w = spec.k, spec.d, spec.hamming_weight
     turan = None
     if monotone_ok and phi.forbidden_subgraphs:
-        turan = turan_check(phi, k)
+        turan = turan_check(phi, spec)
     if w == 0:
         return HardnessRecord(spec, None, None, None, None, None, None, turan)
     hv = hom_vector(phi, k)
@@ -151,9 +152,8 @@ def _record_for_k(phi: PropertySpec, spec: Spectrum, *,
         if tw < bound:
             raise InternalConsistencyError(
                 f"witness treewidth {tw} below beta/k = {bound} at k={k}")
-    minor = largest_clique_minor(witness) if witness.n <= MAX_MINOR_N else None
     return HardnessRecord(spec, hv.support_size, witness.to_graph6(), m, tw,
-                          minor, bound, turan)
+                          largest_clique_minor(witness), bound, turan)
 
 
 def _classification_lines(phi: PropertySpec, records, prefix, ratio,
@@ -190,8 +190,10 @@ def _classification_lines(phi: PropertySpec, records, prefix, ratio,
                  "g(k)·n^{o((β(k)/k)/log(β(k)/k))} algorithm unless ETH "
                  "fails.")
     if flags_ok and phi.monotone:
-        r = min((h.n for h in phi.forbidden_subgraphs), default=None) \
-            if phi.forbidden_subgraphs else None
+        # A monotone property with verified flags has a TuranCheck on
+        # every record exactly when it declares a forbidden subgraph.
+        turan = records[0].turan
+        r = turan.r if turan else None
         detail = (f"every satisfying k-vertex graph has ≤ (1−1/{r})k²/2 "
                   "edges (checked via the clique threshold), so "
                   "β(k) ∈ Θ(k²); " if r else "")

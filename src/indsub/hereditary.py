@@ -23,7 +23,13 @@ from math import comb
 
 from .counting import DEFAULT_SUBSET_BUDGET, count_basis, count_brute
 from .errors import InternalConsistencyError
-from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, bits_of
+from .graphs import (
+    MAX_SMALL_VERTICES,
+    HostGraph,
+    SmallGraph,
+    bits_of,
+    two_colouring,
+)
 from .properties import PropertySpec, evaluate
 
 DEFAULT_CRITICAL_BOUND = 4
@@ -172,23 +178,11 @@ def bounded_critical_check(phi: PropertySpec, h: SmallGraph,
 def bipartition_of(host: HostGraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A two-coloring of the host, sides ordered by smallest member, or
     None if the host has an odd cycle."""
-    color = [-1] * host.n
-    for s in range(host.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            a = stack.pop()
-            for b in host.neighbors[a]:
-                if color[b] < 0:
-                    color[b] = color[a] ^ 1
-                    stack.append(b)
-                elif color[b] == color[a]:
-                    return None
-    u_side = tuple(w for w in range(host.n) if color[w] == 0)
-    v_side = tuple(w for w in range(host.n) if color[w] == 1)
-    return u_side, v_side
+    colour = two_colouring(host.neighbors)
+    if colour is None:
+        return None
+    return (tuple(w for w in range(host.n) if not colour[w]),
+            tuple(w for w in range(host.n) if colour[w]))
 
 
 @dataclass(frozen=True)

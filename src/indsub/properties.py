@@ -29,7 +29,7 @@ from .catalog import (
     vertex_deletions,
 )
 from .errors import FormatError, PredicateError, UnknownPropertyError
-from .graphs import SmallGraph, _read_text, bits_of, reach
+from .graphs import SmallGraph, _read_text, bits_of, reach, two_colouring
 
 
 @dataclass(frozen=True)
@@ -98,22 +98,7 @@ def _connected(g):
 
 
 def _bipartite(g):
-    rows = g.adj_rows()
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in bits_of(rows[u]):
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+    return two_colouring([bits_of(r) for r in g.adj_rows()]) is not None
 
 
 def _triangle_free(g):

@@ -995,8 +995,9 @@ def labelled_hom_vector(phi, k: int) -> HomVector:
             if q is None:
                 continue
             form = canonical_form(q)
-            reps.setdefault(form.key, form.graph())
-            acc[form.key] = acc.get(form.key, Fraction(0)) + a * mu
+            key = (form.n, form.edges)
+            reps.setdefault(key, form.graph())
+            acc[key] = acc.get(key, Fraction(0)) + a * mu
     entries = sorted(((reps[key], c) for key, c in acc.items() if c),
                      key=lambda e: (e[0].edge_count, e[0].to_graph6()))
     return HomVector(k, tuple(entries))

@@ -14,7 +14,7 @@ from math import comb, factorial
 
 from indsub.catalog import build_catalog
 from indsub.counting import count_basis, count_brute
-from indsub.graphs import HostGraph, SmallGraph
+from indsub.graphs import SmallGraph
 from indsub.hombasis import h_tilde_vector, hom_vector, witness_dense_graph
 from indsub.homcount import count_hom
 from indsub.hardness import turan_check
@@ -33,6 +33,7 @@ from indsub.spectrum import (
     h_vector,
     hamming_weight,
     polya_poised,
+    spectrum_report,
 )
 
 from oracles import (
@@ -166,15 +167,16 @@ def test_criterion_7_turan_vanishing(capsys):
     with criterion(capsys, 7, "Turan vanishing thresholds"):
         for name in ("triangle-free", "planar"):
             phi = get_property(name)
-            chk = turan_check(phi, 5)
+            chk = turan_check(phi, spectrum_report(phi, 5))
             assert chk.ok, name
             f = f_vector(phi, 5)
             for i in range(len(f)):
                 if i > chk.threshold:
                     assert f[i] == 0, (name, i)
         # Spot the parameters: forbidden K3 gives r=3, forbidden K5 r=5.
-        assert turan_check(get_property("triangle-free"), 5).r == 3
-        assert turan_check(get_property("planar"), 5).r == 5
+        tf, planar = get_property("triangle-free"), get_property("planar")
+        assert turan_check(tf, spectrum_report(tf, 5)).r == 3
+        assert turan_check(planar, spectrum_report(planar, 5)).r == 5
 
 
 def test_criterion_8_hereditary_suite(capsys):

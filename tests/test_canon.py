@@ -1,15 +1,12 @@
 import gc
 import itertools
 import random
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
 
-from indsub import canon
 from indsub.canon import (
     _canonical_data,
-    _canonical_of,
     automorphism_count,
     automorphism_generators,
     canon_key,
@@ -82,7 +79,6 @@ def test_refinement_invariant_constant_on_relabelings():
 
 def test_canon_leaves_no_cyclic_garbage():
     c6 = SmallGraph.cycle(6)
-    canon._cache.pop((c6.n, c6.edges), None)
     gc.collect()
     gc.disable()
     try:
@@ -91,16 +87,6 @@ def test_canon_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_canon_cache_drops_its_oldest_entry_at_the_cap(monkeypatch):
-    monkeypatch.setattr(canon, "_cache", OrderedDict())
-    monkeypatch.setattr(canon, "CACHE_CAP", 8)
-    graphs = [SmallGraph.path(n) for n in range(1, 11)]
-    forms = [_canonical_of(g) for g in graphs]
-    assert list(canon._cache) == [(g.n, g.edges) for g in graphs[2:]]
-    assert [_canonical_of(g) for g in graphs] == forms
-    assert len(canon._cache) == 8
 
 
 def test_is_isomorphic_matches_brute():
@@ -140,12 +126,14 @@ def test_petersen_automorphisms():
 # The canonical form fixes catalog order and truth-table indexing, so the
 # fast canoniser must reproduce the reference one exactly: the form, the
 # relabeling that reaches it and the automorphism count.  Both callers are
-# checked: the cached entry, and the core that the catalog builder calls
-# on neighbor rows.
+# checked: the public functions, and the core that the catalog builder
+# calls on neighbor rows.
 
 def _check_against_reference(g: SmallGraph) -> None:
     form, aut = reference_canonical_data(g)
-    assert _canonical_of(g) == (form, aut), g
+    assert canonical_form(g) == form, g
+    assert canon_key(g) == (form.n, form.edges), g
+    assert automorphism_count(g) == aut, g
     ordering, edges, core_aut = _canonical_data(g.n, g.adj_rows())
     assert (edges, core_aut) == (form.edges, aut), g
     assert [form.relabeling[v] for v in ordering] == list(range(g.n)), g

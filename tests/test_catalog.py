@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 from math import comb, factorial
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indsub import canon, catalog, counting
-from indsub.canon import automorphism_count, canon_key, refinement_invariant
+from indsub.canon import _canonical_data, canon_key, refinement_invariant
 from indsub.catalog import (
     CLASS_MAPS,
     MAX_CATALOG_K,
@@ -30,7 +29,12 @@ from indsub.counting import count_basis
 from indsub.errors import FormatError
 from indsub.graphs import HostGraph, SmallGraph, pair_count
 from indsub.hombasis import hom_vector
-from indsub.properties import get_property, verify_flags
+from indsub.properties import (
+    class_values,
+    get_property,
+    truth_table_property,
+    verify_flags,
+)
 from oracles import (
     brute_automorphism_count,
     extension_count,
@@ -87,6 +91,10 @@ def test_catalog_rejects_out_of_range():
         build_catalog(MAX_CATALOG_K + 1)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a refused function was called")
+
+
 def test_index_of_and_by_edge_count():
     cat = build_catalog(4)
     for i, g in enumerate(cat.graphs()):
@@ -138,6 +146,19 @@ def test_index_of_finds_shuffled_representatives():
                 assert cat.index_of(g.relabel(perm)) == i
 
 
+def test_index_of_names_a_representative_by_its_bitset(monkeypatch):
+    cats = [build_catalog(k) for k in range(1, MAX_CATALOG_K + 1)]
+    rng = random.Random(707)
+    bits = "".join(rng.choice("01") for _ in range(CLASS_COUNTS[7]))
+    phi = truth_table_property({7: bits})
+    monkeypatch.setattr(catalog, "refinement_invariant", _refuse)
+    monkeypatch.setattr(catalog, "canon_key", _refuse)
+    for cat in cats:
+        assert [cat.index_of(g) for g in cat.graphs()] == \
+            list(range(cat.class_count))
+    assert class_values(phi, 7) == tuple(b == "1" for b in bits)
+
+
 def test_index_of_raises_canon_key_error_outside_the_catalog():
     cat = build_catalog(4)
     outside = [SmallGraph(0), SmallGraph(3, 0b11), SmallGraph(5),
@@ -148,10 +169,6 @@ def test_index_of_raises_canon_key_error_outside_the_catalog():
         with pytest.raises(KeyError) as got:
             cat.index_of(g)
         assert got.value.args == want.value.args == (canon_key(g),)
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("edge-deletion map computed")
 
 
 def test_deletion_maps_match_canon_only_reference(tmp_path, monkeypatch):
@@ -185,16 +202,18 @@ def test_maps_reject_k_outside_their_range():
                 kind(k)
 
 
-def test_edge_deletions_canonicalise_few_graphs():
+def test_edge_deletions_canonicalise_few_graphs(monkeypatch):
     cat = build_catalog(7)
-    cat.index_of(SmallGraph(7))
-    saved = dict(canon._cache)
-    canon._cache.clear()
-    try:
-        compute_edge_deletions(cat)
-        assert len(canon._cache) < 1000
-    finally:
-        canon._cache.update(saved)
+    calls = 0
+
+    def counting(n, rows):
+        nonlocal calls
+        calls += 1
+        return _canonical_data(n, rows)
+
+    monkeypatch.setattr(canon, "_canonical_data", counting)
+    compute_edge_deletions(cat)
+    assert calls < 1000
 
 
 def _edges_file(tmp_path, k=5):
@@ -853,7 +872,6 @@ def test_cold_build_is_byte_identical(tmp_path):
     # Catalog order and truth-table indexing depend on the canonical form,
     # and every map row reads catalog indices.
     build_catalog(8, cache_dir=tmp_path)
-    assert len(canon._cache) <= canon.CACHE_CAP
     # Building a catalog writes no edge-deletion map.
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         [f"k{k}.catalog" for k in range(1, 9)]
@@ -914,16 +932,13 @@ def test_cold_build_canonicalises_few_extensions(tmp_path, monkeypatch):
     def counting(n, rows):
         nonlocal calls
         calls += 1
-        return canon._canonical_data(n, rows)
+        return _canonical_data(n, rows)
 
     monkeypatch.setattr(catalog, "_canonical_data", counting)
-    # The builder meets no extension twice, so it bypasses the cache.
-    monkeypatch.setattr(canon, "_cache", OrderedDict())
     build_catalog(7, cache_dir=tmp_path)
     classes = sum(CLASS_COUNTS[k] for k in range(1, 8))
     assert classes == 1252
     assert calls < 2 * classes
-    assert not canon._cache
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -18,6 +18,7 @@ from indsub.graphs import (
     pair_table,
     parse_graph_text,
     reach,
+    two_colouring,
     load_graph_list,
     load_host_graph,
     load_small_graph,
@@ -179,6 +180,52 @@ def test_reach_stays_within_the_mask():
         comp = next(c for c in _nx_components(g.induced(sub)) if start in c)
         assert reach(g.adj_rows(), 1 << sub[start], sum(1 << v for v in sub)) \
             == sum(1 << sub[i] for i in comp)
+
+
+def _check_two_colouring(n, pairs, neighbours):
+    """two_colouring agrees with networkx, every edge joins the two colours
+    and each component's least vertex has colour 0."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(pairs)
+    colour = two_colouring(neighbours)
+    assert (colour is not None) == nx.is_bipartite(nxg)
+    if colour is not None:
+        assert len(colour) == n and set(colour) <= {0, 1}
+        assert all(colour[u] != colour[v] for u, v in pairs)
+        assert all(colour[min(c)] == 0 for c in nx.connected_components(nxg))
+
+
+@st.composite
+def _graph_pairs(draw, max_n):
+    """(n, edge pairs) on n <= max_n vertices, each pair present with one
+    probability from 0 to 1/2, so that graphs come edgeless, disconnected
+    or dense.  Half of them keep only the pairs that cross a random cut,
+    which leaves them bipartite, and then may gain one more pair."""
+    n = draw(st.integers(0, max_n))
+    rng = draw(st.randoms(use_true_random=False))
+    p = draw(st.sampled_from((0.0, 0.04, 0.1, 0.25, 0.5)))
+    every = [(u, v) for v in range(n) for u in range(v)]
+    pairs = {e for e in every if rng.random() < p}
+    if every and draw(st.booleans()):
+        side = rng.getrandbits(n)
+        pairs = {(u, v) for u, v in pairs if (side >> u ^ side >> v) & 1}
+        if draw(st.booleans()):
+            pairs.add(rng.choice(every))
+    return n, sorted(pairs)
+
+
+@given(_graph_pairs(MAX_SMALL_VERTICES))
+def test_two_colouring_of_small_graphs_matches_networkx(graph):
+    n, pairs = graph
+    g = SmallGraph.from_edges(n, pairs)
+    _check_two_colouring(n, pairs, [bits_of(r) for r in g.adj_rows()])
+
+
+@given(_graph_pairs(40))
+def test_two_colouring_of_hosts_matches_networkx(graph):
+    n, pairs = graph
+    _check_two_colouring(n, pairs, HostGraph.from_edges(n, pairs).neighbors)
 
 
 def test_adj_rows_match_edges():

@@ -76,7 +76,8 @@ def test_largest_clique_minor_structural_bounds():
 
 
 def test_turan_check_triangle_free():
-    chk = turan_check(get_property("triangle-free"), 5)
+    phi = get_property("triangle-free")
+    chk = turan_check(phi, spectrum_report(phi, 5))
     assert chk.r == 3
     assert chk.threshold == Fraction(25, 3)
     assert chk.ok
@@ -86,8 +87,9 @@ def test_turan_check_triangle_free():
 
 
 def test_turan_check_planar():
+    phi = get_property("planar")
     for k in (5, 6):
-        chk = turan_check(get_property("planar"), k)
+        chk = turan_check(phi, spectrum_report(phi, k))
         assert chk.r == 5
         assert chk.threshold == Fraction(4 * k * k, 10)
         assert chk.ok
@@ -95,13 +97,14 @@ def test_turan_check_planar():
 
 def test_turan_check_requires_declared_forbidden_subgraph():
     with pytest.raises(ValueError):
-        turan_check(get_property("connected"), 4)
+        phi = get_property("connected")
+        turan_check(phi, spectrum_report(phi, 4))
 
 
 def test_turan_check_catches_false_declaration():
     liar = PropertySpec("liar", lambda g: True, monotone=True,
                         forbidden_subgraphs=(SmallGraph.complete(3),))
-    chk = turan_check(liar, 4)
+    chk = turan_check(liar, spectrum_report(liar, 4))
     assert chk.r == 3
     assert chk.threshold == Fraction(16, 3)
     assert not chk.ok

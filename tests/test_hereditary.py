@@ -3,7 +3,6 @@ partitions, singleton certificates, bounded grid checks, and the reduction
 from independent-set counting."""
 
 import random
-from math import comb
 
 import pytest
 
@@ -13,7 +12,6 @@ from indsub.errors import InternalConsistencyError
 from indsub.graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph
 from indsub.hereditary import (
     DEFAULT_CRITICAL_BOUND,
-    CriticalCheckResult,
     ExplosionSpec,
     bipartition_of,
     bounded_critical_check,
@@ -24,11 +22,7 @@ from indsub.hereditary import (
     twin_partition,
 )
 import indsub.hereditary as hereditary_module
-from indsub.properties import (
-    evaluate,
-    forbidden_induced_property,
-    get_property,
-)
+from indsub.properties import forbidden_induced_property, get_property
 
 from oracles import (
     brute_independent_set_count,

@@ -16,7 +16,6 @@ from indsub.errors import InternalConsistencyError
 from indsub.graphs import HostGraph, SmallGraph, pair_table
 from indsub.hombasis import (
     MAX_HOM_VECTOR_K,
-    HomVector,
     h_tilde_vector,
     hom_vector,
     witness_dense_graph,
@@ -24,7 +23,6 @@ from indsub.hombasis import (
 from indsub.homcount import count_hom
 from indsub.properties import (
     BUILTIN_PROPERTIES,
-    evaluate,
     get_property,
     truth_table_property,
 )
