@@ -52,8 +52,8 @@ since any graph whose invariant several classes share goes to the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .graphs import SmallGraph, pair_table
 
@@ -66,8 +66,7 @@ _cache: dict = {}
 _FIELD = 5
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Canonical edge bitset plus one relabeling that achieves it."""
 
     n: int

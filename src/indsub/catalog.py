@@ -77,10 +77,10 @@ import hashlib
 import os
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial
 from pathlib import Path
+from typing import NamedTuple
 
 from .canon import (
     _canonical_data,
@@ -90,6 +90,7 @@ from .canon import (
 )
 from .errors import FormatError, InternalConsistencyError
 from .graphs import (
+    Frozen,
     SmallGraph,
     _graph6_line_tables,
     _small_graph6,
@@ -107,8 +108,7 @@ CACHE_ENV_VAR = "INDSUB_CACHE_DIR"
 _CACHE_HEADER = "# indsub catalog v1"
 
 
-@dataclass(frozen=True)
-class GraphCatalog:
+class GraphCatalog(Frozen):
     """The classes on k vertices in catalog order, as three parallel
     tuples: edge bitset, automorphism count and graph6 text.  graph(i)
     builds the i-th representative on its first call and keeps it."""
@@ -116,8 +116,6 @@ class GraphCatalog:
     edges: tuple[int, ...]
     auts: tuple[int, ...]
     graph6: tuple[str, ...]
-    _graphs: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     @property
     def class_count(self) -> int:
@@ -127,6 +125,10 @@ class GraphCatalog:
     def labeled_total(self) -> int:
         kfact = factorial(self.k)
         return sum(kfact // aut for aut in self.auts)
+
+    @cached_property
+    def _graphs(self) -> dict:
+        return {}
 
     def graph(self, i: int) -> SmallGraph:
         g = self._graphs.get(i)
@@ -194,12 +196,8 @@ def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
     for pedges, paut in parents:
         parent = SmallGraph(top, pedges)
         prows = parent.adj_rows()
-        if paut == 1:
-            masks = range(1 << top)
-        else:
-            masks = _orbit_representatives(
-                top, automorphism_generators(parent))
-        for mask in _key_maximal_masks(prows, masks):
+        gens = automorphism_generators(parent) if paut > 1 else ()
+        for mask in _key_maximal_masks(prows, gens):
             # The extension's rows: the new vertex k-1 joins the mask.
             rows = [r | (mask >> i & 1) << top for i, r in enumerate(prows)]
             rows.append(mask)
@@ -208,16 +206,21 @@ def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
     return found
 
 
-def _key_maximal_masks(rows: list[int], masks):
-    """The masks, in order, whose new vertex has the largest vertex key in
-    the extension of the parent with neighbor bitmasks rows by a vertex
-    joined to the mask.  A vertex's key is its degree, then the sum of its
-    neighbors' degrees; ties with the new vertex are allowed.
+def _key_maximal_masks(rows: list[int], gens):
+    """In increasing order, the least mask of each orbit of the group that
+    the parent automorphisms gens generate, among the masks whose new
+    vertex has the largest vertex key in the extension of the parent with
+    neighbor bitmasks rows by a vertex joined to the mask.  A vertex's key
+    is its degree, then the sum of its neighbors' degrees; ties with the
+    new vertex are allowed.
 
     Degrees settle most masks: a parent vertex beats the new one when its
     degree exceeds the mask's size, or equals it and the vertex is in the
     mask.  Neighbor-degree sums are compared only with the parent vertices
-    whose degree in the extension equals the mask's size."""
+    whose degree in the extension equals the mask's size.  Both tests are
+    isomorphism invariants, so the masks that pass the degree test make up
+    whole orbits, and the sums are compared once per orbit, on its least
+    mask."""
     m = len(rows)
     deg = [r.bit_count() for r in rows]
     nbsum = [sum(deg[x] for x in bits_of(r)) for r in rows]
@@ -228,10 +231,15 @@ def _key_maximal_masks(rows: list[int], masks):
     above = [0] * (m + 2)
     for d in range(m, -1, -1):
         above[d] = above[d + 1] | exact[d + 1]
+    masks = []
+    for mask in range(1 << m):
+        d = mask.bit_count()
+        if not (above[d] or exact[d] & mask):
+            masks.append(mask)
+    if gens:
+        masks = _orbit_representatives(masks, gens)
     for mask in masks:
         d = mask.bit_count()
-        if above[d] or exact[d] & mask:
-            continue
         # With d == 0 every vertex is isolated and all keys are (0, 0).
         ties = exact[d] | exact[d - 1] & mask if d else 0
         if ties:
@@ -245,30 +253,29 @@ def _key_maximal_masks(rows: list[int], masks):
         yield mask
 
 
-def _orbit_representatives(m: int, gens) -> list[int]:
-    """The least subset of range(m), as a bitmask, in each orbit of the
-    group that the vertex permutations gens generate."""
-    images = []
-    for gen in gens:
-        img = [0] * (1 << m)
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            img[mask] = img[mask ^ low] | 1 << gen[low.bit_length() - 1]
-        images.append(img)
-    seen = bytearray(1 << m)
+def _orbit_representatives(masks, gens) -> list[int]:
+    """The least mask in each orbit, in increasing order, of the group that
+    the vertex permutations gens generate, for increasing vertex bitmasks
+    masks that make up whole orbits of that group."""
+    seen = set()
     reps = []
-    for mask in range(1 << m):
-        if seen[mask]:
+    for mask in masks:
+        if mask in seen:
             continue
         reps.append(mask)
-        seen[mask] = 1
+        seen.add(mask)
         stack = [mask]
         while stack:
             x = stack.pop()
-            for img in images:
-                y = img[x]
-                if not seen[y]:
-                    seen[y] = 1
+            for gen in gens:
+                y = 0
+                rest = x
+                while rest:
+                    low = rest & -rest
+                    y |= 1 << gen[low.bit_length() - 1]
+                    rest ^= low
+                if y not in seen:
+                    seen.add(y)
                     stack.append(y)
     return reps
 
@@ -390,14 +397,7 @@ def _read_cache(k: int, path: Path) -> GraphCatalog:
     return cat
 
 
-@dataclass(frozen=True)
-class ClassMap:
-    """A property-independent map with one row of integers per class of
-    the k-vertex catalog, for each k in ks, kept beside that catalog as
-    k{k}.{suffix}.  The rows read the catalogs lowest(k)..k, which
-    compute(cats) gets in that order; check(cats) gives the load check of
-    one row, (index, row) -> bool.  Declaring a map adds it to CLASS_MAPS,
-    and calling it gives its rows."""
+class _ClassMap(NamedTuple):
     suffix: str
     what: str                 # in messages
     header: str
@@ -406,8 +406,21 @@ class ClassMap:
     compute: Callable
     check: Callable
 
-    def __post_init__(self):
+
+class ClassMap(_ClassMap):
+    """A property-independent map with one row of integers per class of
+    the k-vertex catalog, for each k in ks, kept beside that catalog as
+    k{k}.{suffix}.  The rows read the catalogs lowest(k)..k, which
+    compute(cats) gets in that order; check(cats) gives the load check of
+    one row, (index, row) -> bool.  Declaring a map adds it to CLASS_MAPS,
+    and calling it gives its rows."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "ClassMap":
+        self = super().__new__(cls, *fields, **named)
         CLASS_MAPS.append(self)
+        return self
 
     def __call__(self, k: int, *, cache_dir=None
                  ) -> tuple[tuple[int, ...], ...]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -338,7 +337,7 @@ def _cmd_diagnose(args) -> int:
             "k_max": rep.k_max,
             "flags_declared": list(rep.flags_declared),
             "flags_verified_to": rep.flags_verified_to,
-            "flag_violations": [asdict(v) for v in rep.flag_violations],
+            "flag_violations": [v._asdict() for v in rep.flag_violations],
             "records": [_record_report(rec) for rec in rep.records],
             "support_prefix": list(rep.support_prefix),
             "max_consecutive_ratio": rep.max_consecutive_ratio,

@@ -15,10 +15,10 @@ Small graphs are written through per-byte tables, hosts bit by bit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import FormatError
 
@@ -97,22 +97,59 @@ def two_colouring(neighbours) -> list[int] | None:
     return colour
 
 
-@dataclass(frozen=True)
-class SmallGraph:
-    """A simple graph on at most 16 vertices; `edges` indexes
-    pair_table(n)."""
+class Frozen:
+    """Base of the immutable classes that memoise values derived from their
+    fields with functools.cached_property, which a NamedTuple cannot hold.
+    The fields are the names annotated in the subclass body, in order, and
+    __init__ takes their values in that order; assigning or deleting any
+    attribute afterwards raises AttributeError.  Instances of one class are
+    equal when their field tuples are, and hash as that tuple, as frozen
+    dataclasses do."""
 
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class _SmallGraph(NamedTuple):
     n: int
     edges: int = 0
+
+
+class SmallGraph(_SmallGraph):
+    """A simple graph on at most 16 vertices; `edges` indexes
+    pair_table(n).  A NamedTuple, so it equals and hashes as (n, edges)."""
+
+    __slots__ = ()
     # Not a field: read only by bench/tracer.py's count_hom hook; goes
     # with ROADMAP item 1.
     loops = 0
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_SMALL_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_SMALL_VERTICES}")
-        if not 0 <= self.edges < (1 << pair_count(self.n)):
+    def __new__(cls, n: int, edges: int = 0) -> "SmallGraph":
+        if not 0 <= n <= MAX_SMALL_VERTICES:
+            raise ValueError(f"vertex count {n} outside 0..{MAX_SMALL_VERTICES}")
+        if not 0 <= edges < (1 << pair_count(n)):
             raise ValueError("edge bitset out of range")
+        return tuple.__new__(cls, (n, edges))
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "SmallGraph":
@@ -236,26 +273,26 @@ class SmallGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class HostGraph:
+class HostGraph(Frozen):
     """Host-side graph: sorted neighbor lists; loop-free, no duplicates."""
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.n < 0 or len(self.neighbors) != self.n:
+    def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...]):
+        if n < 0 or len(neighbors) != n:
             raise ValueError("neighbor table size mismatch")
-        for u, nbrs in enumerate(self.neighbors):
+        for u, nbrs in enumerate(neighbors):
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError(f"neighbors of {u} not sorted/unique")
             for v in nbrs:
                 if v == u:
                     raise ValueError(f"loop at {u}")
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise ValueError(f"neighbor {v} out of range")
-                if u not in self.neighbors[v]:
+                if u not in neighbors[v]:
                     raise ValueError(f"edge ({u},{v}) not symmetric")
+        super().__init__(n, neighbors)
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "HostGraph":

@@ -12,10 +12,9 @@ evidence is consistent with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InternalConsistencyError
 from .graphs import SmallGraph, bits_of, reach
@@ -75,8 +74,7 @@ def largest_clique_minor(g: SmallGraph) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class TuranCheck:
+class TuranCheck(NamedTuple):
     r: int
     threshold: Fraction           # (1 - 1/r) * k^2 / 2
     ok: bool
@@ -99,8 +97,7 @@ def turan_check(phi: PropertySpec, spec: Spectrum) -> TuranCheck:
     return TuranCheck(r, threshold, not bad, bad)
 
 
-@dataclass(frozen=True)
-class HardnessRecord:
+class HardnessRecord(NamedTuple):
     spectrum: Spectrum
     support_size: Optional[int]
     witness: Optional[str]                 # graph6 of the densest pattern
@@ -111,8 +108,7 @@ class HardnessRecord:
     turan: Optional[TuranCheck]
 
 
-@dataclass(frozen=True)
-class HardnessReport:
+class HardnessReport(NamedTuple):
     property_name: str
     k_max: int
     flags_declared: tuple[str, ...]

@@ -17,9 +17,9 @@ with one clone per host vertex, plus the host's edges between the clones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .counting import DEFAULT_SUBSET_BUDGET, count_basis, count_brute
 from .errors import InternalConsistencyError
@@ -35,20 +35,25 @@ from .properties import PropertySpec, evaluate
 DEFAULT_CRITICAL_BOUND = 4
 
 
-@dataclass(frozen=True)
-class ExplosionSpec:
+class _ExplosionSpec(NamedTuple):
     base: SmallGraph
     u: int
     v: int
     x: int
     y: int
 
-    def __post_init__(self):
-        n = self.base.n
-        if not (0 <= self.u < n and 0 <= self.v < n) or self.u == self.v:
+
+class ExplosionSpec(_ExplosionSpec):
+    __slots__ = ()
+
+    def __new__(cls, base: SmallGraph, u: int, v: int, x: int, y: int
+                ) -> "ExplosionSpec":
+        n = base.n
+        if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError("u, v must be distinct vertices of the base graph")
-        if self.x < 0 or self.y < 0:
+        if x < 0 or y < 0:
             raise ValueError("clone counts must be non-negative")
+        return tuple.__new__(cls, (base, u, v, x, y))
 
     @property
     def result_size(self) -> int:
@@ -85,8 +90,7 @@ def explode(spec: ExplosionSpec) -> SmallGraph:
     return SmallGraph.from_edges(spec.result_size, _exploded_edges(spec))
 
 
-@dataclass(frozen=True)
-class TwinPartition:
+class TwinPartition(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
 
     def singleton_vertices(self) -> frozenset[int]:
@@ -110,8 +114,7 @@ def twin_partition(h: SmallGraph) -> TwinPartition:
     return TwinPartition(blocks)
 
 
-@dataclass(frozen=True)
-class CriticalEdgeCertificate:
+class CriticalEdgeCertificate(NamedTuple):
     graph: SmallGraph
     edge: tuple[int, int]
     in_complement: bool
@@ -141,8 +144,7 @@ def singleton_critical_edge(h: SmallGraph) -> CriticalEdgeCertificate:
         "this contradicts the twin-partition argument for n >= 2")
 
 
-@dataclass(frozen=True)
-class CriticalCheckResult:
+class CriticalCheckResult(NamedTuple):
     status: str                       # "consistent" | "refuted"
     bound: int
     witness: tuple[int, int] | None   # refuting (x, y), if any
@@ -185,8 +187,7 @@ def bipartition_of(host: HostGraph) -> tuple[tuple[int, ...], tuple[int, ...]] |
             tuple(w for w in range(host.n) if colour[w]))
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(NamedTuple):
     """ghat's vertices 0..r-1 are the distinguished ones; host vertex w
     sits at r + its index in the first part followed by the second."""
 

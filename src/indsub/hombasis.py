@@ -44,7 +44,6 @@ arithmetic is over integers and Fraction; every denominator divides k!.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -52,12 +51,11 @@ from math import factorial
 
 from .catalog import MAX_HOM_VECTOR_K, ClassMap, build_catalog, edge_deletions
 from .errors import InternalConsistencyError
-from .graphs import SmallGraph, pair_count, pair_table
+from .graphs import Frozen, SmallGraph, pair_count, pair_table
 from .properties import PropertySpec, class_values
 
 
-@dataclass(frozen=True)
-class HomVector:
+class HomVector(Frozen):
     k: int
     entries: tuple[tuple[SmallGraph, Fraction], ...]
 

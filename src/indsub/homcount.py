@@ -94,7 +94,6 @@ read no catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import NamedTuple
@@ -177,8 +176,7 @@ def exact_treewidth(g: SmallGraph) -> int:
     return max((T[-1] for _, T, _ in _component_tables(g)), default=-1)
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     """Rooted decomposition as a parent-pointer forest of bags."""
 
     graph: SmallGraph

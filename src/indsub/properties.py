@@ -15,10 +15,9 @@ edges to edges, and an induced one also maps non-edges to non-edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .catalog import (
     MAX_CATALOG_K,
@@ -32,8 +31,7 @@ from .errors import FormatError, PredicateError, UnknownPropertyError
 from .graphs import SmallGraph, _read_text, bits_of, reach, two_colouring
 
 
-@dataclass(frozen=True)
-class PropertySpec:
+class PropertySpec(NamedTuple):
     name: str
     predicate: Callable[[SmallGraph], bool]
     monotone: bool = False
@@ -484,8 +482,7 @@ def load_truth_table(path) -> dict[int, str]:
 # ------------------------------------------------------ flag verification
 
 
-@dataclass(frozen=True)
-class FlagViolation:
+class FlagViolation(NamedTuple):
     flag: str
     witness: str       # graph6 of the offending graph
     detail: str

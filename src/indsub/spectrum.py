@@ -11,9 +11,9 @@ lower bounds elsewhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .catalog import build_catalog
 from .errors import InternalConsistencyError
@@ -57,8 +57,7 @@ def max_nonzero_index(vec: tuple[int, ...]) -> int:
     return -1
 
 
-@dataclass(frozen=True)
-class FPolynomial:
+class FPolynomial(NamedTuple):
     """sum_i f_i x^(d-i), stored as coefficients[j] = coefficient of x^j."""
 
     coefficients: tuple[int, ...]
@@ -85,20 +84,25 @@ class FPolynomial:
 
 # ------------------------------------------------ Birkhoff interpolation
 
-@dataclass(frozen=True)
-class BirkhoffMatrix:
+class _BirkhoffMatrix(NamedTuple):
+    rows: tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class BirkhoffMatrix(_BirkhoffMatrix):
     """Two-row 0/1 incidence matrix over derivative orders 0..d; row 0 is
     the node x=-1, row 1 the node x=0.  Entry (i,j)=1 prescribes the j-th
     derivative at node i."""
 
-    rows: tuple[tuple[int, ...], tuple[int, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.rows) != 2 or len(self.rows[0]) != len(self.rows[1]):
+    def __new__(cls, rows: tuple[tuple[int, ...], tuple[int, ...]]
+                ) -> "BirkhoffMatrix":
+        if len(rows) != 2 or len(rows[0]) != len(rows[1]):
             raise ValueError("need two rows of equal length")
-        for row in self.rows:
+        for row in rows:
             if any(e not in (0, 1) for e in row):
                 raise ValueError("entries must be 0 or 1")
+        return tuple.__new__(cls, (rows,))
 
     @property
     def order(self) -> int:
@@ -150,8 +154,7 @@ def derivative_vanishing_matrix(f: tuple[int, ...]) -> BirkhoffMatrix:
 
 # ------------------------------------------------------- bundled report
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     property_name: str
     k: int
     d: int

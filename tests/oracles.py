@@ -856,7 +856,7 @@ def unpruned_catalog_classes(k: int) -> dict[int, int]:
     found = {}
     for parent in parents:
         pairs = parent.edge_pairs()
-        for mask in _orbit_representatives(k - 1,
+        for mask in _orbit_representatives(range(1 << k - 1),
                                            automorphism_generators(parent)):
             g = SmallGraph.from_edges(
                 k, pairs + [(u, k - 1) for u in bits_of(mask)])

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -193,17 +195,30 @@ def test_emitter_matches_json_dumps(report):
     assert "".join(out) + "\n" == reference_emit(report)
 
 
+def _loaded_by_importing_the_cli(names: set[str]) -> list[str]:
+    """The modules among names that `import indsub.cli` loads in a fresh
+    interpreter with PYTHONPATH=src."""
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import sys, indsub.cli; "
+              f"print(sorted({sorted(names)!r} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return ast.literal_eval(proc.stdout)
+
+
 def test_importing_the_cli_loads_neither_logging_nor_uuid():
     # catalog imports logging only when a cache warning fires and names
     # its temporary files without uuid, which keeps both out of start-up.
-    src = Path(cli.__file__).resolve().parents[1]
-    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
-              "import indsub.cli; "
-              "print(sorted({'logging', 'uuid'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", script, str(src)],
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    assert proc.stdout == "[]\n"
+    assert _loaded_by_importing_the_cli({"logging", "uuid"}) == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # The records are NamedTuples and graphs.Frozen subclasses, which
+    # generate no methods at import; dataclasses would also load inspect,
+    # ast, dis and tokenize.
+    assert _loaded_by_importing_the_cli({"dataclasses", "inspect"}) == []
 
 
 def test_count_both_methods(capsys, petersen_file):

@@ -277,6 +277,24 @@ def test_host_graph_validation():
         HostGraph(1, ((0,),))               # loop
     with pytest.raises(ValueError):
         HostGraph(2, ((1, 1), (0,)))        # duplicate
+    with pytest.raises(ValueError, match="size mismatch"):
+        HostGraph(2, ((1,),))
+    with pytest.raises(ValueError, match="size mismatch"):
+        HostGraph(-1, ())
+    with pytest.raises(ValueError, match="neighbor 2 out of range"):
+        HostGraph(2, ((2,), ()))
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (17, 0, "vertex count 17 outside 0..16"),
+    (-1, 0, "vertex count -1 outside 0..16"),
+    (3, 8, "edge bitset out of range"),
+    (3, -1, "edge bitset out of range"),
+    (0, 1, "edge bitset out of range"),
+])
+def test_small_graph_validation(n, edges, message):
+    with pytest.raises(ValueError, match=message):
+        SmallGraph(n, edges)
 
 
 def test_host_induced_and_delete():

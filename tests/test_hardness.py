@@ -4,7 +4,6 @@ thresholds, satisfiable-size prefixes, and the per-property report."""
 import importlib.util
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import ceil, comb
 from pathlib import Path
@@ -269,7 +268,7 @@ def test_diagnose_evaluates_each_class_at_most_once(name, deletion_flag):
         calls.append(g)
         return base.predicate(g)
 
-    diagnose(replace(base, predicate=counted), 6)
+    diagnose(base._replace(predicate=counted), 6)
     classes = sum(build_catalog(k).class_count for k in range(1, 7))
     assert classes == 208
     assert len(calls) <= classes + deletion_flag

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
@@ -309,11 +308,12 @@ def _declared_case(name):
     if name in BUILTIN_PROPERTIES:
         return get_property(name)
     if name == "connected-flagged":
-        return replace(get_property("connected"), monotone=True,
-                       hereditary=True, edge_count_only=True, sparse_bound=1)
+        return get_property("connected")._replace(
+            monotone=True, hereditary=True, edge_count_only=True,
+            sparse_bound=1)
     if name == "chordal-flagged":
-        return replace(get_property("chordal"), monotone=True,
-                       edge_count_only=True, sparse_bound=2)
+        return get_property("chordal")._replace(
+            monotone=True, edge_count_only=True, sparse_bound=2)
     if name == "nonempty":
         return PropertySpec("nonempty", lambda g: g.n != 0, monotone=True,
                             hereditary=True)
@@ -321,8 +321,8 @@ def _declared_case(name):
     tables = {k: "".join(rng.choice("01")
                          for _ in range(build_catalog(k).class_count))
               for k in range(1, 6)}
-    return replace(truth_table_property(tables), monotone=True,
-                   hereditary=True, edge_count_only=True, sparse_bound=1)
+    return truth_table_property(tables)._replace(
+        monotone=True, hereditary=True, edge_count_only=True, sparse_bound=1)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PROPERTIES) + [

@@ -186,6 +186,17 @@ def test_polya_checker_matches_determinant_oracle(d):
         assert polya_poised(matrix) == determinant_poised(rows, d), rows
 
 
+@pytest.mark.parametrize("rows, message", [
+    (((1, 2), (0, 0)), "entries must be 0 or 1"),
+    (((1, 0), (0, -1)), "entries must be 0 or 1"),
+    (((1,), (0, 0)), "two rows of equal length"),
+    (((1, 0),), "two rows of equal length"),
+])
+def test_birkhoff_matrix_validation(rows, message):
+    with pytest.raises(ValueError, match=message):
+        BirkhoffMatrix(rows)
+
+
 def test_polya_requires_square_system():
     matrix = BirkhoffMatrix(((1, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Every module-level function and class in src/indsub, every method of
-its classes, and every annotated field of its dataclasses and NamedTuples
-has a caller.
+its classes, and every field of its records has a caller.  A record is a
+NamedTuple, among them the field bases that validating subclasses extend
+with __new__, or a graphs.Frozen subclass; its fields are the names
+annotated in its class body.
 
 Code that only tests call belongs in tests/, so each definition must be
 referenced by some code in src/indsub or scripts (a Name or Attribute node
@@ -68,16 +70,14 @@ def _methods(stmt: ast.stmt) -> list:
 
 
 def _is_record(stmt: ast.ClassDef) -> bool:
-    """A dataclass or NamedTuple: its annotated class-body names are
+    """A NamedTuple or Frozen subclass: its annotated class-body names are
     fields."""
-    marks = [d.func if isinstance(d, ast.Call) else d
-             for d in stmt.decorator_list] + stmt.bases
-    return any(isinstance(n, ast.Name) and n.id in ("dataclass", "NamedTuple")
-               for n in marks)
+    return any(isinstance(n, ast.Name) and n.id in ("NamedTuple", "Frozen")
+               for n in stmt.bases)
 
 
 def _fields(stmt: ast.stmt) -> list:
-    """The Name nodes that declare a dataclass's or NamedTuple's fields."""
+    """The Name nodes that declare a record's fields."""
     if not isinstance(stmt, ast.ClassDef) or not _is_record(stmt):
         return []
     return [f.target for f in stmt.body
@@ -141,7 +141,7 @@ def test_methods_are_checked():
     names = {key: name for name, key, _ in defined}
     assert {"SmallGraph.adj_rows", "GraphCatalog.index_of",
             "GraphCatalog.class_count"} <= set(names)
-    assert not any(key.endswith("__post_init__") for key in names)
+    assert not any(key.endswith("__new__") for key in names)
     # a method is looked up as an attribute, never as a bare name
     assert names["SmallGraph.adj_rows"] == ".adj_rows"
 
@@ -149,6 +149,8 @@ def test_methods_are_checked():
 def test_record_fields_are_checked():
     defined, _ = _definitions_and_references()
     keys = {key for _, key, _ in defined}
-    # dataclass fields, a NamedTuple's fields, a field with a default
-    assert {"SmallGraph.edges", "HostGraph.neighbors", "_Plan.joins",
-            "ReductionInstance.ghat", "GraphCatalog._graphs"} <= keys
+    # a NamedTuple's fields, those of a NamedTuple base that a validating
+    # subclass extends, one with a default, and a Frozen subclass's
+    assert {"_Plan.joins", "ReductionInstance.ghat", "_ClassMap.check",
+            "_SmallGraph.edges", "HostGraph.neighbors",
+            "GraphCatalog.auts"} <= keys
