@@ -6,11 +6,17 @@ backtracking search over the refinement-respecting orderings, minimizing
 the sequence of adjacency words (one word per position).
 
 Refinement splits each color cell by one packed integer per vertex, with
-one field per cell split off in the round before holding 31 minus the
-vertex's neighbor count in that cell.  Vertices of one cell have equal
-degree and equal counts in every older cell, so this orders them as their
-sorted neighbor-color tuples would, and every round induces the same
-ordered partition as refining by those tuples.
+one field per part of each cell that split in the round before, all parts
+but the last, holding 31 minus the vertex's neighbor count in that part;
+the first round takes every degree cell but the last.  Vertices of one
+cell have equal degree and equal counts in every older cell, so this
+orders them as their sorted neighbor-color tuples would, and every round
+induces the same ordered partition as refining by those tuples.  Dropping
+the last part, Hopcroft's "all but one" rule, changes neither: within a
+cell, a vertex's counts in the parts of a split cell X sum to its count
+in X, which the whole cell shares, so two vertices that agree on X's other
+parts agree on the last one too, and the first field where their keys
+differ is never the dropped one.
 
 Twins let most graphs the catalog builder meets skip the search.  Two
 vertices u, v of one cell are twins when N(u) - {v} = N(v) - {u}, so
@@ -55,7 +61,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .graphs import SmallGraph, pair_table
+from .graphs import SmallGraph, bits_of, pair_table
 
 # Always empty; read only by bench/child.py (len(canon._cache)); goes
 # with ROADMAP item 1.
@@ -85,10 +91,9 @@ def _refined_cells(n: int, rows: list[int]) -> list[int]:
         s = rows[v].bit_count()
         groups[s] = groups.get(s, 0) | 1 << v
     cells = [groups[s] for s in sorted(groups)]
-    # Every cell has equal neighbor counts in each cell of the round
-    # before, so only the cells split off in the last round can tell its
-    # vertices apart; the other fields would be equal within the cell.
-    fresh = cells if len(cells) > 1 else []
+    # A vertex's counts in the degree cells sum to its degree, so the last
+    # cell's count follows from the others within a cell.
+    fresh = cells[:-1]
     while fresh and len(cells) < n:
         split = []
         new_fresh = []
@@ -97,21 +102,18 @@ def _refined_cells(n: int, rows: list[int]) -> list[int]:
                 split.append(cell)
                 continue
             groups = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                r = rows[low.bit_length() - 1]
+            for v in bits_of(cell):
+                r = rows[v]
                 s = 0
                 for m in fresh:
                     s = s << _FIELD | 31 - (r & m).bit_count()
-                groups[s] = groups.get(s, 0) | low
+                groups[s] = groups.get(s, 0) | 1 << v
             if len(groups) == 1:
                 split.append(cell)
             else:
                 parts = [groups[s] for s in sorted(groups)]
-                split.extend(parts)
-                new_fresh.extend(parts)
+                split += parts
+                new_fresh += parts[:-1]
         cells, fresh = split, new_fresh
     return cells
 
@@ -145,21 +147,20 @@ def _canonical_search(n, rows, cells, gens=None):
     appends automorphisms (image of each vertex) to gens when given."""
     # A cell of twins shares one open row (an independent cell) or one
     # closed row (a clique cell); aut drops to 0 at the first other cell.
+    # A first vertex with a neighbor inside the cell rules out the open
+    # row, and one without rules out the closed row.
     blocks = []
     aut = 1
     for cell in cells:
-        if cell & (cell - 1):
-            blk = [v for v in range(n) if cell >> v & 1]
-            if aut:
-                r = rows[blk[0]]
+        blk = bits_of(cell)
+        if aut and len(blk) > 1:
+            r = rows[blk[0]]
+            if r & cell:
                 closed = r | 1 << blk[0]
-                if all(rows[v] == r for v in blk) \
-                        or all(rows[v] | 1 << v == closed for v in blk):
-                    aut *= factorial(len(blk))
-                else:
-                    aut = 0
-        else:
-            blk = [cell.bit_length() - 1]
+                twins = all(rows[v] | 1 << v == closed for v in blk)
+            else:
+                twins = all(rows[v] == r for v in blk)
+            aut = aut * factorial(len(blk)) if twins else 0
         blocks.append(blk)
     if aut:
         # The search would meet this ordering first, and automorphisms
@@ -173,7 +174,7 @@ def _canonical_search(n, rows, cells, gens=None):
                     gens.append(tuple(perm))
         return tuple(v for blk in blocks for v in blk), aut
     posblock = [blk for blk in blocks for _ in blk]
-    nbrs = [[u for u in range(n) if r >> u & 1] for r in rows]
+    nbrs = list(map(bits_of, rows))
     # acc[v] has bit n-1-t set when the vertex at position t neighbors v,
     # so v's word at position p is acc[v] >> (n - p).
     acc = [0] * n

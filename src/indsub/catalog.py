@@ -3,7 +3,9 @@
 The classes on k vertices come from one-vertex extensions of the (k-1)
 catalog with canonical-form deduplication, starting from the 0-vertex
 graph.  Neighbor masks in one orbit of the parent's automorphism group
-give isomorphic extensions, so only one mask per orbit is considered.
+give isomorphic extensions, so only one mask per orbit is considered.  The
+orbits are walked with the generators of that group, each mapping a mask
+through two 16-entry tables, the images of its low and high four bits.
 A class has k!/#Aut labeled copies, and the copies must sum to 2^C(k,2),
 which the builder asserts.
 
@@ -231,11 +233,8 @@ def _key_maximal_masks(rows: list[int], gens):
     above = [0] * (m + 2)
     for d in range(m, -1, -1):
         above[d] = above[d + 1] | exact[d + 1]
-    masks = []
-    for mask in range(1 << m):
-        d = mask.bit_count()
-        if not (above[d] or exact[d] & mask):
-            masks.append(mask)
+    masks = [mask for mask in range(1 << m)
+             if not (above[d := mask.bit_count()] or exact[d] & mask)]
     if gens:
         masks = _orbit_representatives(masks, gens)
     for mask in masks:
@@ -256,7 +255,20 @@ def _key_maximal_masks(rows: list[int], gens):
 def _orbit_representatives(masks, gens) -> list[int]:
     """The least mask in each orbit, in increasing order, of the group that
     the vertex permutations gens generate, for increasing vertex bitmasks
-    masks that make up whole orbits of that group."""
+    masks that make up whole orbits of that group.  The permutations move
+    at most 8 vertices, so each one maps a mask through two 16-entry
+    tables, the images of its low and its high four bits."""
+    tables = []
+    for gen in gens:
+        image = [1 << u for u in gen] + [0] * (8 - len(gen))
+        lo = [0] * 16
+        hi = [0] * 16
+        for x in range(1, 16):
+            low = x & -x
+            v = low.bit_length() - 1
+            lo[x] = lo[x ^ low] | image[v]
+            hi[x] = hi[x ^ low] | image[v + 4]
+        tables.append((lo, hi))
     seen = set()
     reps = []
     for mask in masks:
@@ -267,13 +279,10 @@ def _orbit_representatives(masks, gens) -> list[int]:
         stack = [mask]
         while stack:
             x = stack.pop()
-            for gen in gens:
-                y = 0
-                rest = x
-                while rest:
-                    low = rest & -rest
-                    y |= 1 << gen[low.bit_length() - 1]
-                    rest ^= low
+            x_lo = x & 15
+            x_hi = x >> 4
+            for lo, hi in tables:
+                y = lo[x_lo] | hi[x_hi]
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -417,6 +426,8 @@ class ClassMap(_ClassMap):
 
     __slots__ = ()
 
+    # _make and _replace keep namedtuple's tuple.__new__: building through
+    # this __new__ would register a second map in CLASS_MAPS.
     def __new__(cls, *fields, **named) -> "ClassMap":
         self = super().__new__(cls, *fields, **named)
         CLASS_MAPS.append(self)

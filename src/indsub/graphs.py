@@ -53,12 +53,17 @@ def pair_index(n: int, i: int, j: int) -> int:
             f"({i},{j}) is not a pair of distinct vertices of 0..{n - 1}") from None
 
 
-def bits_of(mask: int):
-    """Indices of the set bits of mask, ascending."""
+@lru_cache(maxsize=1 << MAX_SMALL_VERTICES)
+def bits_of(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask, ascending.  The cache has room for
+    every vertex mask of a SmallGraph; edge bitsets, whose bits are vertex
+    pairs, are not passed here."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def reach(rows, start: int, within: int) -> int:
@@ -78,8 +83,8 @@ def reach(rows, start: int, within: int) -> int:
 def two_colouring(neighbours) -> list[int] | None:
     """One colour, 0 or 1, per vertex such that every edge joins the two
     colours, with each component's least vertex coloured 0; None when the
-    graph has an odd cycle.  neighbours[v] iterates v's neighbours and is
-    iterated once, so bits_of(row) serves as well as a tuple."""
+    graph has an odd cycle.  neighbours[v] holds v's neighbours in any
+    iterable, such as the tuple bits_of(row)."""
     colour = [-1] * len(neighbours)
     for s in range(len(neighbours)):
         if colour[s] >= 0:
@@ -152,6 +157,12 @@ class SmallGraph(_SmallGraph):
         return tuple.__new__(cls, (n, edges))
 
     @classmethod
+    def _make(cls, iterable) -> "SmallGraph":
+        # namedtuple's _make, which _replace calls, builds through
+        # tuple.__new__; this one runs the checks of __new__.
+        return cls(*iterable)
+
+    @classmethod
     def from_edges(cls, n: int, pairs) -> "SmallGraph":
         # Checked before pair_index builds its table of all C(n, 2) pairs.
         if not 0 <= n <= MAX_SMALL_VERTICES:
@@ -192,7 +203,13 @@ class SmallGraph(_SmallGraph):
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         pt = pair_table(self.n)
-        return [pt[b] for b in bits_of(self.edges)]
+        pairs = []
+        mask = self.edges
+        while mask:
+            low = mask & -mask
+            pairs.append(pt[low.bit_length() - 1])
+            mask ^= low
+        return pairs
 
     def adj_rows(self) -> list[int]:
         """Neighbor bitmask per vertex."""

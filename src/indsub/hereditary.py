@@ -55,6 +55,12 @@ class ExplosionSpec(_ExplosionSpec):
             raise ValueError("clone counts must be non-negative")
         return tuple.__new__(cls, (base, u, v, x, y))
 
+    @classmethod
+    def _make(cls, iterable) -> "ExplosionSpec":
+        # namedtuple's _make, which _replace calls, builds through
+        # tuple.__new__; this one runs the checks of __new__.
+        return cls(*iterable)
+
     @property
     def result_size(self) -> int:
         return self.base.n - 2 + self.x + self.y

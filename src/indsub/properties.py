@@ -177,8 +177,8 @@ def _block_planar(rows, block):
         return True
     if ne > 3 * nv - 6:
         return False
-    v = next(bits_of(block))
-    u = next(bits_of(rows[v]))
+    v = bits_of(block)[0]
+    u = bits_of(rows[v])[0]
     cycle = _inner_path(rows, u, v, block & ~(1 << u | 1 << v))
     placed = 0                # embedded vertices
     done = [0] * len(rows)    # embedded edges, as adjacency rows

@@ -104,6 +104,12 @@ class BirkhoffMatrix(_BirkhoffMatrix):
                 raise ValueError("entries must be 0 or 1")
         return tuple.__new__(cls, (rows,))
 
+    @classmethod
+    def _make(cls, iterable) -> "BirkhoffMatrix":
+        # namedtuple's _make, which _replace calls, builds through
+        # tuple.__new__; this one runs the checks of __new__.
+        return cls(*iterable)
+
     @property
     def order(self) -> int:
         """d: derivative columns run 0..d."""

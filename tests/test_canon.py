@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from indsub.canon import (
     _canonical_data,
+    _refined_cells,
     automorphism_count,
     automorphism_generators,
     canon_key,
@@ -17,6 +18,7 @@ from indsub.canon import (
 from indsub.catalog import build_catalog
 from indsub.graphs import SmallGraph, pair_count
 from oracles import (
+    _reference_refined_colors,
     brute_automorphism_count,
     brute_is_isomorphic,
     orbit_partition,
@@ -181,7 +183,9 @@ def test_canon_matches_reference_on_every_graph(n):
         _check_against_reference(SmallGraph(n, mask))
 
 
-def test_canon_matches_reference_on_larger_samples():
+def _larger_samples() -> list[SmallGraph]:
+    """Named graphs on 8 to 12 vertices, random ones on 7 to 12, a random
+    relabelling of each, then _twin_rich_graphs."""
     rng = random.Random(41)
     graphs = [petersen(), SmallGraph.cycle(12),
               SmallGraph.complete_bipartite(4, 4),
@@ -195,8 +199,35 @@ def test_canon_matches_reference_on_larger_samples():
         perm = list(range(g.n))
         rng.shuffle(perm)
         graphs.append(g.relabel(perm))
-    for g in graphs + _twin_rich_graphs(rng):
+    return graphs + _twin_rich_graphs(rng)
+
+
+def test_canon_matches_reference_on_larger_samples():
+    for g in _larger_samples():
         _check_against_reference(g)
+
+
+# The refinement's ordered cells fix the search's candidates, and with
+# them every canonical form, so they are pinned to the reference colour
+# classes directly, in colour order.
+
+def _check_refinement_against_reference(g: SmallGraph) -> None:
+    rows = g.adj_rows()
+    colours = _reference_refined_colors(g.n, rows)
+    cells = [sum(1 << v for v in range(g.n) if colours[v] == c)
+             for c in sorted(set(colours))]
+    assert _refined_cells(g.n, rows) == cells, g
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_refinement_matches_reference_on_every_graph(n):
+    for mask in range(1 << pair_count(n)):
+        _check_refinement_against_reference(SmallGraph(n, mask))
+
+
+def test_refinement_matches_reference_on_larger_samples():
+    for g in _larger_samples():
+        _check_refinement_against_reference(g)
 
 
 def _group_order(n, gens) -> int:

@@ -940,23 +940,35 @@ def test_cold_build_canonicalises_few_extensions(tmp_path, monkeypatch):
     assert calls < 2 * classes
 
 
-@pytest.mark.parametrize("k", range(1, 6))
-def test_orbit_representatives_one_per_orbit(k):
+def _check_orbit_representatives(g: SmallGraph) -> None:
     from indsub.canon import automorphism_generators
     from indsub.catalog import _orbit_representatives
+    k = g.n
+    auts = [p for p in itertools.permutations(range(k))
+            if g.relabel(p) == g]
+    orbits = {min(sum(1 << p[v] for v in range(k) if mask >> v & 1)
+                  for p in auts)
+              for mask in range(1 << k)}
+    gens = automorphism_generators(g)
+    assert _orbit_representatives(range(1 << k), gens) == sorted(orbits), g
+    # The key-maximal masks make up whole orbits; with the generators the
+    # least mask of each is kept.
+    kept = list(catalog._key_maximal_masks(g.adj_rows(), ()))
+    assert list(catalog._key_maximal_masks(g.adj_rows(), gens)) == \
+        [m for m in sorted(orbits) if m in kept], g
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_orbit_representatives_one_per_orbit(k):
     for g in build_catalog(k).graphs():
-        auts = [p for p in itertools.permutations(range(k))
-                if g.relabel(p) == g]
-        orbits = {min(sum(1 << p[v] for v in range(k) if mask >> v & 1)
-                      for p in auts)
-                  for mask in range(1 << k)}
-        gens = automorphism_generators(g)
-        assert _orbit_representatives(range(1 << k), gens) == sorted(orbits)
-        # The key-maximal masks make up whole orbits; with the generators
-        # the least mask of each is kept.
-        kept = list(catalog._key_maximal_masks(g.adj_rows(), ()))
-        assert list(catalog._key_maximal_masks(g.adj_rows(), gens)) == \
-            [m for m in sorted(orbits) if m in kept]
+        _check_orbit_representatives(g)
+
+
+def test_orbit_representatives_one_per_orbit_on_seven_vertices():
+    # Vertices 4..6 are imaged through the high four-bit table.
+    cat = build_catalog(7)
+    for i in random.Random(35).sample(range(cat.class_count), 40):
+        _check_orbit_representatives(cat.graph(i))
 
 
 @pytest.mark.parametrize("k", [7, 8])

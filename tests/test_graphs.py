@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from indsub import graphs
 from indsub.catalog import build_catalog
 from indsub.errors import FormatError
 from indsub.graphs import (
@@ -64,9 +65,18 @@ def test_from_edges_checks_vertex_count_before_indexing_pairs():
     assert _pair_index_map.cache_info().currsize == tables
 
 
-def test_bits_of():
-    assert list(bits_of(0)) == []
-    assert list(bits_of(0b10110)) == [1, 2, 4]
+def test_bits_of(monkeypatch):
+    assert bits_of(0) == ()
+    assert bits_of(0b10110) == (1, 2, 4)
+    assert type(bits_of(1 << 15)) is tuple
+    # Room for every vertex mask of a SmallGraph.
+    assert bits_of.cache_info().maxsize == 1 << MAX_SMALL_VERTICES
+
+    # Edge bitsets stay out of the cache: edge_pairs peels its own bits.
+    def refuse(mask):
+        raise AssertionError(f"bits_of({mask}) called")
+    monkeypatch.setattr(graphs, "bits_of", refuse)
+    assert SmallGraph.cycle(4).edge_pairs() == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 def test_from_edges_round_trip():

@@ -99,3 +99,16 @@ def test_frozen_records_equal_only_their_own_class():
     assert cat != (3, cat.edges, cat.auts, cat.graph6)
     assert cat != catalog.GraphCatalog(3, cat.edges, cat.auts[:-1] + (1,),
                                        cat.graph6)
+
+
+# namedtuple's _replace builds through _make, which skips a subclass's
+# __new__ unless the subclass overrides it.
+@pytest.mark.parametrize("record, change", [
+    (C4, {"n": 20}),
+    (hereditary.ExplosionSpec(C4, 0, 1, 2, 1), {"u": 1}),
+    (spectrum.BirkhoffMatrix(((1, 0), (0, 1))), {"rows": ((2,),)}),
+])
+def test_replace_runs_the_checks(record, change):
+    assert record._replace() == record
+    with pytest.raises(ValueError):
+        record._replace(**change)
