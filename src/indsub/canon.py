@@ -38,11 +38,12 @@ candidate that is a twin of the best one is such an image by the swap of
 the two, so it adds the count without being searched at all.  Those leaves
 and swaps are the automorphisms that automorphism_generators returns.
 
-_canonical_data is the one canonicaliser: from neighbor rows it gives the
-canonical ordering, edge bitset and automorphism count, with no cache and
-no graph object.  The catalog builder calls it on each extension's rows,
-and canonical_form, canon_key and automorphism_count call it on the
-graph's.  Nothing is cached: the one caller that repeats lookups,
+_canonical_data is the one canonicaliser: from neighbor rows it gives
+the canonical ordering, edge bitset (graphs.pair_bits of the rows in
+canonical order) and automorphism count, with no cache and no graph
+object.  The catalog builder calls it on each extension's rows, and
+canonical_form, canon_key and automorphism_count call it on the graph's.
+Nothing is cached: the one caller that repeats lookups,
 GraphCatalog.index_of, names a catalog representative by its edge bitset
 without coming here.
 
@@ -61,7 +62,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .graphs import SmallGraph, bits_of, pair_table
+from .graphs import SmallGraph, bits_of, pair_bits
 
 # Always empty; read only by bench/child.py (len(canon._cache)); goes
 # with ROADMAP item 1.
@@ -284,12 +285,7 @@ def _canonical_data(n: int, rows: list[int]
     edges the canonical edge bitset and aut the automorphism count.  No
     cache and no graph object."""
     ordering, aut = _canonical_search(n, rows, _refined_cells(n, rows))
-    edges = 0
-    bit = 1
-    for i, j in pair_table(n):
-        if rows[ordering[i]] >> ordering[j] & 1:
-            edges |= bit
-        bit <<= 1
+    edges = pair_bits([rows[v] for v in ordering], [1 << v for v in ordering])
     return ordering, edges, aut
 
 

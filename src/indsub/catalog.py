@@ -289,7 +289,7 @@ def _orbit_representatives(masks, gens) -> list[int]:
     return reps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_CATALOG_K)
 def _catalog_cached(k: int, cache_dir_str: str | None) -> GraphCatalog:
     return _read_or_rebuild(
         "catalog", k, _cache_dir(cache_dir_str) / f"k{k}.catalog",
@@ -449,7 +449,8 @@ class ClassMap(_ClassMap):
 CLASS_MAPS: list[ClassMap] = []
 
 
-@lru_cache(maxsize=None)
+# Room for one cache directory's maps: four maps, none past MAX_HOM_VECTOR_K.
+@lru_cache(maxsize=4 * MAX_HOM_VECTOR_K)
 def _class_map_cached(kind: ClassMap, k: int, cache_dir_str: str | None
                       ) -> tuple[tuple[int, ...], ...]:
     cats = tuple(build_catalog(m, cache_dir=cache_dir_str)

@@ -1,8 +1,9 @@
 """Bitset-backed graph types shared by every pipeline stage.
 
 Small pattern graphs are simple and store their edge set as one integer
-over the C(n,2) vertex pairs in lexicographic (i,j), i < j order.  Host
-graphs keep sorted adjacency lists plus per-vertex neighbor bitmasks.
+over the C(n,2) vertex pairs in lexicographic (i,j), i < j order, which
+pair_bits, the one builder of such an integer from neighbor rows, sets.
+Host graphs keep sorted adjacency lists plus per-vertex neighbor bitmasks.
 
 Two text forms are supported: graph6, and a plain edge list whose first
 line is "n m" followed by one "u v" pair per line (0-indexed).  This
@@ -51,6 +52,19 @@ def pair_index(n: int, i: int, j: int) -> int:
     except KeyError:
         raise ValueError(
             f"({i},{j}) is not a pair of distinct vertices of 0..{n - 1}") from None
+
+
+def pair_bits(rows, masks) -> int:
+    """Edge bitset over pair_table(len(rows)) with pair (a, b) set exactly
+    when rows[a] & masks[b]: rows[a] is the neighbor mask of the vertex
+    labelled a, masks[b] the bit (or block of bits) of the one labelled b."""
+    edges = 0
+    bit = 1
+    for a, b in pair_table(len(rows)):
+        if rows[a] & masks[b]:
+            edges |= bit
+        bit <<= 1
+    return edges
 
 
 @lru_cache(maxsize=1 << MAX_SMALL_VERTICES)
@@ -237,23 +251,23 @@ class SmallGraph(_SmallGraph):
         return SmallGraph(self.n, self.edges ^ ((1 << pair_count(self.n)) - 1))
 
     def relabel(self, perm) -> "SmallGraph":
-        """Rename vertex v to perm[v]."""
-        n = self.n
-        edges = 0
-        for i, j in self.edge_pairs():
-            edges |= 1 << pair_index(n, perm[i], perm[j])
-        return SmallGraph(n, edges)
+        """Rename vertex v to perm[v]; perm is a permutation of 0..n-1."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
+        return self._on(sorted(range(self.n), key=perm.__getitem__))
 
     def induced(self, vertices) -> "SmallGraph":
-        """Induced subgraph on the given vertices, relabeled in sorted order."""
+        """Induced subgraph on distinct vertices, relabeled in sorted order."""
         vs = sorted(vertices)
-        m = len(vs)
-        idx = {v: i for i, v in enumerate(vs)}
-        edges = 0
-        for a, b in combinations(vs, 2):
-            if self.has_edge(a, b):
-                edges |= 1 << pair_index(m, idx[a], idx[b])
-        return SmallGraph(m, edges)
+        if len(set(vs)) < len(vs) or not set(vs) <= set(range(self.n)):
+            raise ValueError(f"{vs} are not distinct vertices of 0..{self.n - 1}")
+        return self._on(vs)
+
+    def _on(self, vs) -> "SmallGraph":
+        """The graph induced on vertices vs, vs[i] labelled i."""
+        rows = self.adj_rows()
+        return SmallGraph(len(vs), pair_bits([rows[v] for v in vs],
+                                             [1 << v for v in vs]))
 
     def delete_vertex(self, v: int) -> "SmallGraph":
         return self.induced([u for u in range(self.n) if u != v])

@@ -27,7 +27,8 @@ of the k-vertex catalog rather than over labeled graphs:
      its vertex mask and the union of its members' adjacency rows, and
      joining a block of size s multiplies the weight by -s.  Blocks a < b
      are adjacent in the quotient iff the row union of a meets the mask
-     of b.  The sum of weights per quotient class does not depend on phi
+     of b, so the quotient's edge bitset is pair_bits(row unions, masks).
+     The sum of weights per quotient class does not depend on phi
      either.  A leaf's labelled quotient (m, edges) is named by its global
      class id, the index in the m-vertex catalog after the classes of all
      smaller catalogs, through one index_of lookup per distinct leaf and k,
@@ -51,7 +52,7 @@ from math import factorial
 
 from .catalog import MAX_HOM_VECTOR_K, ClassMap, build_catalog, edge_deletions
 from .errors import InternalConsistencyError
-from .graphs import Frozen, SmallGraph, pair_count, pair_table
+from .graphs import Frozen, SmallGraph, pair_bits, pair_count
 from .properties import PropertySpec, class_values
 
 
@@ -136,12 +137,7 @@ def _labelled_quotients(g: SmallGraph) -> dict[tuple[int, int], int]:
 
     def rec(i: int, mu: int) -> None:
         if i == n:
-            m = len(members)
-            edges = 0
-            for bit, (a, b) in enumerate(pair_table(m)):
-                if nbrs[a] & members[b]:
-                    edges |= 1 << bit
-            key = (m, edges)
+            key = (len(members), pair_bits(nbrs, members))
             out[key] = out.get(key, 0) + mu
             return
         vertex, adjacent = 1 << i, rows[i]

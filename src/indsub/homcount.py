@@ -64,7 +64,8 @@ assignment, and two bags with one key have tries equal as mappings.  A
 root, or a bag sharing nothing with its parent, has an empty interface:
 its subtree holds whole components, and its key is (0, their vertex
 count, their edges relabelled in increasing order).  So a component that
-recurs across patterns, or within one, is counted once.
+recurs across patterns, or within one, is counted once.  graphs.pair_bits
+builds every key's edge bitset.
 
 The store plans before it counts.  HomStore.plan fixes each pattern's
 decomposition, join orders and keys, and walks its bags in the DP's
@@ -99,7 +100,7 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
-from .graphs import HostGraph, SmallGraph, bits_of
+from .graphs import HostGraph, SmallGraph, bits_of, pair_bits
 
 MAX_TREEWIDTH_N = 12
 # compiled bag joins kept, by shape: the plans of the stored orders of
@@ -474,19 +475,11 @@ def _sub_pattern_key(prows: list[int], interface: tuple[int, ...],
                      below: int) -> tuple[int, int, int]:
     """(interface size, vertex count, edge bitset) of the pattern induced
     on the vertices in below, relabelled interface first, in the given
-    order, then the rest in increasing order; pair (j, i), j < i, is bit
-    i(i-1)/2 + j."""
+    order, then the rest in increasing order."""
     labels = list(interface)
     labels += bits_of(below & ~sum(1 << u for u in interface))
-    edges = 0
-    shift = 0
-    for i, v in enumerate(labels):
-        row = prows[v]
-        for j in range(i):
-            if row >> labels[j] & 1:
-                edges |= 1 << (shift + j)
-        shift += i
-    return len(interface), len(labels), edges
+    return len(interface), len(labels), pair_bits(
+        [prows[v] for v in labels], [1 << v for v in labels])
 
 
 def _walk(plan: _Plan, present):

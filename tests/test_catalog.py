@@ -20,6 +20,7 @@ from indsub.catalog import (
     CLASS_MAPS,
     MAX_CATALOG_K,
     MAX_FLAG_K,
+    MAX_HOM_VECTOR_K,
     build_catalog,
     compute_edge_deletions,
     edge_deletions,
@@ -169,6 +170,33 @@ def test_index_of_raises_canon_key_error_outside_the_catalog():
         with pytest.raises(KeyError) as got:
             cat.index_of(g)
         assert got.value.args == want.value.args == (canon_key(g),)
+
+
+def test_catalog_and_map_memos_stay_bounded(tmp_path):
+    # A process that visits many cache directories keeps at most one
+    # directory's catalogs and maps, and one directory's whole working set
+    # fits: loading it again misses nothing.
+    cats, maps = catalog._catalog_cached, catalog._class_map_cached
+    assert cats.cache_info().maxsize == MAX_CATALOG_K
+    assert maps.cache_info().maxsize == 4 * MAX_HOM_VECTOR_K \
+        >= sum(len(kind.ks) for kind in CLASS_MAPS)
+
+    def load(k_max, directory=None):
+        for k in range(1, k_max + 1):
+            build_catalog(k, cache_dir=directory)
+        for kind in CLASS_MAPS:
+            for k in kind.ks:
+                if k <= k_max:
+                    kind(k, cache_dir=directory)
+
+    for i in range(20):
+        load(3, tmp_path / str(i))
+        assert cats.cache_info().currsize <= MAX_CATALOG_K
+        assert maps.cache_info().currsize <= 4 * MAX_HOM_VECTOR_K
+    load(MAX_CATALOG_K)
+    misses = cats.cache_info().misses, maps.cache_info().misses
+    load(MAX_CATALOG_K)
+    assert (cats.cache_info().misses, maps.cache_info().misses) == misses
 
 
 def test_deletion_maps_match_canon_only_reference(tmp_path, monkeypatch):

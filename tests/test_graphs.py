@@ -14,6 +14,7 @@ from indsub.graphs import (
     HostGraph,
     SmallGraph,
     bits_of,
+    pair_bits,
     pair_count,
     pair_index,
     pair_table,
@@ -35,6 +36,7 @@ from oracles import (
     random_small_graph,
     reference_decode_graph6,
     reference_graph6,
+    relabeled_edge_mask,
 )
 
 
@@ -129,6 +131,63 @@ def test_relabel_and_induced():
     sub = g.induced((0, 1, 3))
     assert sub.n == 3 and sub.edge_pairs() == [(0, 1)]
     assert g.delete_vertex(0) == SmallGraph.path(3)
+
+
+def _naive_pair_bits(rows, masks):
+    # pair (a, b), a < b, is bit a(2n - a - 1)/2 + b - a - 1: lexicographic
+    n = len(rows)
+    return sum(1 << a * (2 * n - a - 1) // 2 + b - a - 1
+               for a in range(n) for b in range(a + 1, n)
+               if rows[a] & masks[b])
+
+
+@pytest.mark.parametrize("n", range(MAX_SMALL_VERTICES + 1))
+def test_pair_bits_matches_naive_reference(n):
+    rng = random.Random(n)
+    for _ in range(50):
+        density = rng.choice((1, 4, 16))
+        rows = [rng.getrandbits(16) if rng.randrange(density) else 0
+                for _ in range(n)]
+        masks = [rng.getrandbits(16) if rng.randrange(2) else 1 << rng.randrange(16)
+                 for _ in range(n)]
+        assert pair_bits(rows, masks) == _naive_pair_bits(rows, masks)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SmallGraph.path(3).relabel((0, 1, 0)), "not a permutation"),
+    (lambda: SmallGraph(3).relabel((5, 5, 5)), "not a permutation"),
+    (lambda: SmallGraph.path(3).relabel((0, 1)), "not a permutation"),
+    (lambda: SmallGraph.path(4).induced([9]), "not distinct vertices"),
+    (lambda: SmallGraph.path(4).induced([1, 1]), "not distinct vertices"),
+    (lambda: SmallGraph.path(4).induced([-1, 2]), "not distinct vertices"),
+], ids=["repeated", "out-of-range", "short", "induced-out-of-range",
+        "induced-repeated", "induced-negative"])
+def test_relabel_and_induced_reject_bad_vertex_lists(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def _every_graph(max_n):
+    for n in range(max_n + 1):
+        for edges in range(1 << pair_count(n)):
+            yield SmallGraph(n, edges)
+
+
+def test_relabel_matches_oracle_on_every_small_graph():
+    rng = random.Random(5)
+    for g in _every_graph(5):
+        for _ in range(3):
+            perm = rng.sample(range(g.n), g.n)
+            assert g.relabel(perm).edges == relabeled_edge_mask(g, perm), (g, perm)
+
+
+def test_induced_matches_has_edge_reference_on_every_small_graph():
+    for g in _every_graph(5):
+        for subset in range(1 << g.n):
+            vs = list(bits_of(subset))
+            want = [(i, j) for i in range(len(vs)) for j in range(i + 1, len(vs))
+                    if g.has_edge(vs[i], vs[j])]
+            assert g.induced(vs[::-1]) == SmallGraph.from_edges(len(vs), want)
 
 
 def test_connectivity_and_components():
