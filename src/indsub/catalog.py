@@ -49,11 +49,16 @@ order of m, comma-separated>".  They are
                   representative's vertices in the order the treewidth DP
                   eliminates them, component by component (v2); it names
                   k{k}.
-Loading checks the header against the catalog files on disk, and each row
-cheaply: an edge row has e(C) entries, each a class with e(C) - 1 edges; a
-vertex row has k entries, the one for v a class with e(C) - deg(v) edges; a
-quotient row holds ids in range and nonzero sums and ends with the class
-itself and sum 1; an order row is a permutation of range(k).
+Loading checks the header against the catalog files on disk, then parses
+every row in one pass, each distinct token text once, and checks the whole
+map in one call of ClassMap.check, by passes over all rows at once: an
+edge row has e(C) entries, each a class with e(C) - 1 edges, so each block
+of rows with one edge count has one min and one max to test; a vertex row
+has k entries, the one for v a class with e(C) - deg(v) edges; a quotient
+row has even length, holds ids in range and nonzero sums and ends with the
+class itself and sum 1, tested on all rows flattened; an order row is a
+permutation of range(k).  A map that fails raises a FormatError naming its
+file and the rule, or the first row with a token that int() rejects.
 
 Catalogs and maps share one read-or-rebuild routine.  A file that fails (a
 FormatError, or an OSError on reading) is logged as a rebuild; the value is
@@ -80,7 +85,9 @@ import os
 from bisect import bisect_left
 from collections.abc import Callable
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import factorial
+from operator import le, lt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -421,8 +428,9 @@ class ClassMap(_ClassMap):
     the k-vertex catalog, for each k in ks, kept beside that catalog as
     k{k}.{suffix}.  The rows read the catalogs lowest(k)..k, which
     compute(cats) gets in that order; check(cats) gives the load check of
-    one row, (index, row) -> bool.  Declaring a map adds it to CLASS_MAPS,
-    and calling it gives its rows."""
+    the whole map, rows -> the rule they break, or None when they pass.
+    Declaring a map adds it to CLASS_MAPS, and calling it gives its
+    rows."""
 
     __slots__ = ()
 
@@ -480,8 +488,20 @@ def _map_header(kind: ClassMap, cats, directory: Path) -> str:
             f"catalog={digests}")
 
 
-def _read_map(path: Path, header: str, count: int, row_ok
+class _Ints(dict):
+    """Token text -> int(text), each distinct text parsed on its first
+    lookup: a map file repeats few distinct tokens."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
+def _read_map(path: Path, header: str, count: int, check
               ) -> tuple[tuple[int, ...], ...]:
+    """The rows of the map file at path, or FormatError naming the file
+    and what failed: the header, the row count, a row with a token that
+    int() rejects, or the rule of check(rows) that the rows break."""
     with open(path, errors="replace") as fh:
         head, *lines = fh.read().split("\n")
     if head != header:
@@ -489,16 +509,21 @@ def _read_map(path: Path, header: str, count: int, row_ok
     if len(lines) != count + 1 or lines[-1]:
         raise FormatError(f"{path}: not {count} rows")
     lines.pop()
-    rows = []
-    for i, line in enumerate(lines):
-        try:
-            row = tuple(map(int, line.split()))
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad row {i}: {line!r}") from exc
-        if not row_ok(i, row):
-            raise FormatError(f"{path}: bad row {i}: {line!r}")
-        rows.append(row)
-    return tuple(rows)
+    parse = _Ints().__getitem__
+    try:
+        rows = tuple([tuple(map(parse, line.split())) for line in lines])
+    except ValueError as exc:
+        # Only now is the bad row looked for.
+        for i, line in enumerate(lines):
+            try:
+                tuple(map(int, line.split()))
+            except ValueError:
+                raise FormatError(f"{path}: bad row {i}: {line!r}") from exc
+        raise
+    rule = check(rows)
+    if rule is not None:
+        raise FormatError(f"{path}: rows break the rule: {rule}")
+    return rows
 
 
 def _starts(cat: GraphCatalog) -> list[int]:
@@ -515,17 +540,25 @@ def compute_edge_deletions(cat: GraphCatalog) -> tuple[tuple[int, ...], ...]:
         for g in cat.graphs())
 
 
-def _edge_rows_ok(cats):
-    # A row has e(C) entries, each a class with e(C) - 1 edges: one range
-    # check per row.
+def _edge_map_check(cats):
+    # Rows come in order of edge count: each block of rows for classes
+    # with e edges has e entries per row, all among the classes with
+    # e - 1 edges, which one min and one max over the block check.
     cat, = cats
+    counts = list(map(int.bit_count, cat.edges))
     starts = _starts(cat)
 
-    def ok(i: int, row: tuple[int, ...]) -> bool:
-        e = cat.edges[i].bit_count()
-        return len(row) == e and (
-            not row or starts[e - 1] <= min(row) and max(row) < starts[e])
-    return ok
+    def check(rows):
+        if list(map(len, rows)) != counts:
+            return "an edge row has e(C) entries"
+        for e in range(1, len(starts) - 1):
+            block = rows[starts[e]:starts[e + 1]]
+            if block and not (
+                    starts[e - 1] <= min(chain.from_iterable(block))
+                    and max(chain.from_iterable(block)) < starts[e]):
+                return "an edge row's entries are classes with e(C) - 1 edges"
+        return None
+    return check
 
 
 def compute_vertex_deletions(below: GraphCatalog, cat: GraphCatalog
@@ -537,17 +570,24 @@ def compute_vertex_deletions(below: GraphCatalog, cat: GraphCatalog
         for g in cat.graphs())
 
 
-def _vertex_rows_ok(cats):
-    # A row has k entries, each a (k-1)-class with e(C) - deg(v) edges.
+def _vertex_map_check(cats):
+    # Entry v of row C lies among the (k-1)-classes with e(C) - deg(v)
+    # edges: bounds per entry, compared with the flattened rows.
     below, cat = cats
     starts = _starts(below)
+    left = [g.edge_count - d for g in cat.graphs() for d in g.degrees()]
+    lows = list(map(starts.__getitem__, left))
+    highs = list(map(starts[1:].__getitem__, left))
 
-    def ok(i: int, row: tuple[int, ...]) -> bool:
-        e = cat.edges[i].bit_count()
-        return len(row) == cat.k and all(
-            starts[e - d] <= c < starts[e - d + 1]
-            for c, d in zip(row, cat.graph(i).degrees()))
-    return ok
+    def check(rows):
+        if set(map(len, rows)) != {cat.k}:
+            return "a vertex row has k entries"
+        flat = list(chain.from_iterable(rows))
+        if not (all(map(le, lows, flat)) and all(map(lt, flat, highs))):
+            return ("a vertex row's entry for v is a class with "
+                    "e(C) - deg(v) edges")
+        return None
+    return check
 
 
 # Per class: the class index after each edge deletion, in edge_pairs order.
@@ -556,11 +596,11 @@ edge_deletions = ClassMap(
     ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: k,
     compute=lambda cats: compute_edge_deletions(cats[-1]),
-    check=_edge_rows_ok)
+    check=_edge_map_check)
 # Per class: the (k-1)-catalog index after each vertex deletion.
 vertex_deletions = ClassMap(
     "vertices", "vertex-deletion maps", "# indsub vertex-deletions v1",
     ks=range(2, MAX_FLAG_K + 1),
     lowest=lambda k: k - 1,
     compute=lambda cats: compute_vertex_deletions(*cats),
-    check=_vertex_rows_ok)
+    check=_vertex_map_check)

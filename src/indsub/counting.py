@@ -208,10 +208,15 @@ def compute_elimination_orders(cat) -> tuple[tuple[int, ...], ...]:
     return tuple(map(elimination_order, cat.graphs()))
 
 
-def _order_rows_ok(cats):
-    # A row is a permutation of the k vertices.
+def _order_map_check(cats):
+    # Each row is a permutation of the k vertices.
     whole = list(range(cats[-1].k))
-    return lambda i, row: sorted(row) == whole
+
+    def check(rows):
+        if not all(map(whole.__eq__, map(sorted, rows))):
+            return "an order row is a permutation of range(k)"
+        return None
+    return check
 
 
 # Per k-vertex class, homcount.elimination_order of its representative.
@@ -220,4 +225,4 @@ elimination_orders = ClassMap(
     ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: k,
     compute=lambda cats: compute_elimination_orders(cats[-1]),
-    check=_order_rows_ok)
+    check=_order_map_check)

@@ -3,6 +3,9 @@
 Small pattern graphs are simple and store their edge set as one integer
 over the C(n,2) vertex pairs in lexicographic (i,j), i < j order, which
 pair_bits, the one builder of such an integer from neighbor rows, sets.
+Reading it back (edge_pairs, adj_rows) takes one lookup per byte of the
+integer, in per-n tables of each byte value's pairs and of its neighbor
+rows packed 16 bits per vertex.
 Host graphs keep sorted adjacency lists plus per-vertex neighbor bitmasks.
 
 Two text forms are supported: graph6, and a plain edge list whose first
@@ -16,9 +19,11 @@ Small graphs are written through per-byte tables, hosts bit by bit.
 from __future__ import annotations
 
 import re
+import sys
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import isqrt
+from operator import getitem
 from typing import NamedTuple
 
 from .errors import FormatError
@@ -65,6 +70,30 @@ def pair_bits(rows, masks) -> int:
             edges |= bit
         bit <<= 1
     return edges
+
+
+@lru_cache(maxsize=None)
+def _edge_byte_tables(n: int) -> tuple[tuple, tuple]:
+    """The decoders of an n-vertex edge bitset, n <= MAX_SMALL_VERTICES:
+    per byte of the bitset, and per value of that byte, the neighbor rows
+    its pairs set, packed 16 bits per vertex (the row of v is bits 16v to
+    16v + 15), and its pairs in pair_table order.  The last byte's tables
+    cover only the pairs it holds; n <= 1 has no byte."""
+    pairs = pair_table(n)
+    row_tables, pair_tables = [], []
+    for b in range(0, len(pairs), 8):
+        chunk = pairs[b:b + 8]
+        rows = [0] * (1 << len(chunk))
+        listed = [()] * (1 << len(chunk))
+        for d in range(1, len(rows)):
+            low = d & -d
+            pair = chunk[low.bit_length() - 1]
+            i, j = pair
+            rows[d] = rows[d ^ low] | 1 << 16 * i + j | 1 << 16 * j + i
+            listed[d] = (pair,) + listed[d ^ low]
+        row_tables.append(tuple(rows))
+        pair_tables.append(tuple(listed))
+    return tuple(row_tables), tuple(pair_tables)
 
 
 @lru_cache(maxsize=1 << MAX_SMALL_VERTICES)
@@ -216,27 +245,23 @@ class SmallGraph(_SmallGraph):
         return bool(self.edges >> pair_index(self.n, i, j) & 1)
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        pt = pair_table(self.n)
+        """The edges as pairs (i, j), i < j, in pair_table order, one table
+        lookup per byte of the edge bitset."""
+        _, tables = _edge_byte_tables(self.n)
         pairs = []
-        mask = self.edges
-        while mask:
-            low = mask & -mask
-            pairs.append(pt[low.bit_length() - 1])
-            mask ^= low
+        for table, byte in zip(tables,
+                               self.edges.to_bytes(len(tables), "little")):
+            pairs += table[byte]
         return pairs
 
     def adj_rows(self) -> list[int]:
-        """Neighbor bitmask per vertex."""
-        rows = [0] * self.n
-        pt = pair_table(self.n)
-        mask = self.edges
-        while mask:
-            low = mask & -mask
-            i, j = pt[low.bit_length() - 1]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            mask ^= low
-        return rows
+        """Neighbor bitmask per vertex, one table lookup per byte of the
+        edge bitset."""
+        tables, _ = _edge_byte_tables(self.n)
+        packed = sum(map(getitem, tables,
+                         self.edges.to_bytes(len(tables), "little")))
+        return memoryview(packed.to_bytes(2 * self.n, sys.byteorder)
+                          ).cast("H").tolist()
 
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.adj_rows()]

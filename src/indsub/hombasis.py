@@ -47,8 +47,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial
+from operator import itemgetter
 
 from .catalog import MAX_HOM_VECTOR_K, ClassMap, build_catalog, edge_deletions
 from .errors import InternalConsistencyError
@@ -158,18 +159,27 @@ def _labelled_quotients(g: SmallGraph) -> dict[tuple[int, int], int]:
     return out
 
 
-def _quotient_rows_ok(cats):
+def _quotient_map_check(cats):
     # Pairs whose ids are classes on at most k vertices and whose sums are
-    # not zero, ending with the row's own class and sum 1.
+    # not zero, ending with the row's own class and sum 1.  With every row
+    # of even length, the flattened rows alternate id and sum.
     first = sum(c.class_count for c in cats[:-1])
     total = first + cats[-1].class_count
+    ends = [(first + i, 1) for i in range(cats[-1].class_count)]
 
-    def ok(i: int, row: tuple[int, ...]) -> bool:
-        ids = row[0::2]
-        return (len(row) % 2 == 0 and row[-2:] == (first + i, 1)
-                and 0 <= min(ids) and max(ids) < total
-                and 0 not in row[1::2])
-    return ok
+    def check(rows):
+        if any(map((1).__and__, map(len, rows))):
+            return "a quotient row has even length"
+        if list(map(itemgetter(slice(-2, None)), rows)) != ends:
+            return "a quotient row ends with its own class and sum 1"
+        flat = list(chain.from_iterable(rows))
+        ids = flat[0::2]
+        if not (0 <= min(ids) and max(ids) < total):
+            return "a quotient row's ids are classes on at most k vertices"
+        if 0 in flat[1::2]:
+            return "a quotient row's sums are not zero"
+        return None
+    return check
 
 
 # Per k-vertex class, its quotient classes with their Moebius sums as one
@@ -179,7 +189,7 @@ quotient_rows = ClassMap(
     ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: 1,
     compute=compute_quotient_rows,
-    check=_quotient_rows_ok)
+    check=_quotient_map_check)
 
 
 @lru_cache(maxsize=64)

@@ -55,6 +55,11 @@ the package's backtracking search: the induced one compares the brute
 canonical key of every h.n-vertex induced subgraph of g with h's, and the
 subgraph one tries every injective map.
 
+The reference map-row rules are the per-row load checks the maps were
+read with, one row at a time, each rule stated through edge counts: a
+map's whole-map check (ClassMap.check) must accept exactly the maps whose
+every row passes them.
+
 The reference canoniser reaches the package's canonical labeling by a
 slower route: refinement by sorted neighbor-color tuples, and a search
 that visits every leaf of least words.  The package's canoniser must
@@ -887,6 +892,39 @@ def reference_vertex_deletions(k: int) -> tuple[tuple[int, ...], ...]:
         tuple(pos[canonical_form(g.delete_vertex(v)).edges]
               for v in range(k))
         for g in build_catalog(k).graphs())
+
+
+def reference_map_row_rule(suffix: str, cats):
+    """The load rule of one row of the map with that suffix over the
+    catalogs cats (as ClassMap.compute gets them), (index, row) -> bool:
+    an edge row has e(C) entries, each a class with e(C) - 1 edges; a
+    vertex row has k entries, the one for v a (k-1)-class with
+    e(C) - deg(v) edges; a quotient row alternates global ids of classes
+    on at most k vertices with nonzero sums and ends with its own class
+    and sum 1; an order row is a permutation of range(k)."""
+    cat = cats[-1]
+
+    def edge_count(c, i):
+        return c.edges[i].bit_count() if 0 <= i < c.class_count else -1
+
+    if suffix == "edges":
+        return lambda i, row: (
+            len(row) == cat.edges[i].bit_count()
+            and all(edge_count(cat, c) == len(row) - 1 for c in row))
+    if suffix == "vertices":
+        below = cats[0]
+        return lambda i, row: len(row) == cat.k and all(
+            edge_count(below, c) == cat.edges[i].bit_count() - d
+            for c, d in zip(row, cat.graph(i).degrees()))
+    if suffix == "quotients":
+        first = sum(c.class_count for c in cats[:-1])
+        total = first + cat.class_count
+        return lambda i, row: (
+            len(row) % 2 == 0 and row[-2:] == (first + i, 1)
+            and all(0 <= c < total for c in row[0::2])
+            and 0 not in row[1::2])
+    assert suffix == "orders", suffix
+    return lambda i, row: sorted(row) == list(range(cat.k))
 
 
 # ------------------------------------------------------- partition lattice

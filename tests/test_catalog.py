@@ -427,40 +427,53 @@ def _edit_row(text, i, edit):
 # id, 1 + 2 + 4 + 11 + 33 = 51, with sum 1; K5 minus any vertex is K4,
 # class 10 of the 11 four-vertex classes, and K5 minus any edge is class
 # 32.  The treewidth DP eliminates the edgeless graph's vertices from the
-# last one down.  A map declared later gets the three corruptions every
-# map gets.
+# last one down.  Each corruption comes with the words of the failed rule
+# that the logged rebuild line must hold.  A map declared later gets the
+# three corruptions every map gets.
 MAP_CORRUPTIONS = {
     "edges": {
-        "too few entries": lambda t: _edit_row(t, 33, lambda r: r[1:]),
+        "too few entries": (lambda t: _edit_row(t, 33, lambda r: r[1:]),
+                            "an edge row has e(C) entries"),
     },
     "vertices": {
-        "index out of range": lambda t: _edit_row(
-            t, 33, lambda r: [11] + r[1:]),
-        "target with the wrong edge count": lambda t: _edit_row(
-            t, 0, lambda r: [1] + r[1:]),
-        "too few entries": lambda t: _edit_row(t, 33, lambda r: r[1:]),
+        "index out of range": (
+            lambda t: _edit_row(t, 33, lambda r: [11] + r[1:]),
+            "a class with e(C) - deg(v) edges"),
+        "target with the wrong edge count": (
+            lambda t: _edit_row(t, 0, lambda r: [1] + r[1:]),
+            "a class with e(C) - deg(v) edges"),
+        "too few entries": (lambda t: _edit_row(t, 33, lambda r: r[1:]),
+                            "a vertex row has k entries"),
     },
     "quotients": {
-        "own class missing": lambda t: _edit_row(t, 33, lambda r: []),
-        "zero sum": lambda t: _edit_row(t, 0, lambda r: r[:1] + [0] + r[2:]),
-        "id out of range": lambda t: _edit_row(t, 0, lambda r: [52] + r[1:]),
-        "odd length": lambda t: _edit_row(t, 0, lambda r: r + [1]),
+        "own class missing": (lambda t: _edit_row(t, 33, lambda r: []),
+                              "ends with its own class and sum 1"),
+        "zero sum": (lambda t: _edit_row(t, 0, lambda r: r[:1] + [0] + r[2:]),
+                     "sums are not zero"),
+        "id out of range": (lambda t: _edit_row(t, 0, lambda r: [52] + r[1:]),
+                            "ids are classes on at most k vertices"),
+        "odd length": (lambda t: _edit_row(t, 0, lambda r: r + [1]),
+                       "a quotient row has even length"),
     },
     "orders": {
-        "not a permutation": lambda t: _edit_row(
-            t, 0, lambda r: [5] + r[1:]),
-        "repeated vertex": lambda t: _edit_row(
-            t, 33, lambda r: r[:1] * 2 + r[2:]),
-        "too few entries": lambda t: _edit_row(t, 33, lambda r: r[1:]),
+        "not a permutation": (lambda t: _edit_row(t, 0, lambda r: [5] + r[1:]),
+                              "a permutation of range(k)"),
+        "repeated vertex": (
+            lambda t: _edit_row(t, 33, lambda r: r[:1] * 2 + r[2:]),
+            "a permutation of range(k)"),
+        "too few entries": (lambda t: _edit_row(t, 33, lambda r: r[1:]),
+                            "a permutation of range(k)"),
     },
 }
 for name in MAPS:
     corruptions = MAP_CORRUPTIONS.setdefault(name, {})
-    corruptions["bad header"] = lambda t: "junk\n" + t.split("\n", 1)[1]
-    corruptions["truncated"] = lambda t: t[:len(t) // 2]
+    corruptions["bad header"] = (
+        lambda t: "junk\n" + t.split("\n", 1)[1], "header 'junk' is not")
+    corruptions["truncated"] = (lambda t: t[:len(t) // 2], "not 34 rows")
     # The last digest in the header is that of k5.catalog.
-    corruptions["digest of another catalog"] = lambda t: t.replace(
-        t.split("\n", 1)[0][-64:], "0" * 64, 1)
+    corruptions["digest of another catalog"] = (
+        lambda t: t.replace(t.split("\n", 1)[0][-64:], "0" * 64, 1),
+        "' is not '# indsub ")
 
 
 @pytest.mark.parametrize("name, corruption", [
@@ -469,6 +482,7 @@ for name in MAPS:
 def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
                                            caplog):
     kind = MAPS[name]
+    corrupt, rule = MAP_CORRUPTIONS[name][corruption]
     path, good, want = _written(cache_env, name, 5)
     if name == "edges":
         assert good.split("\n")[34] == " ".join(["32"] * 10)
@@ -481,13 +495,13 @@ def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
         assert good.split("\n")[1] == "0 1 2 3 4"
     else:
         assert good.split("\n")[34] == "51 1"
-    path.write_text(MAP_CORRUPTIONS[name][corruption](good))
+    path.write_text(corrupt(good))
     with pytest.raises(FormatError):
         _read_file(kind, 5, cache_env)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert _results(5) == want
-    assert any(f"rebuilding {kind.what} k=5" in r.getMessage()
-               for r in caplog.records)
+    assert any(f"rebuilding {kind.what} k=5: {path}: " in r.getMessage()
+               and rule in r.getMessage() for r in caplog.records)
     assert path.read_text() == good
 
 

@@ -74,11 +74,38 @@ def test_bits_of(monkeypatch):
     # Room for every vertex mask of a SmallGraph.
     assert bits_of.cache_info().maxsize == 1 << MAX_SMALL_VERTICES
 
-    # Edge bitsets stay out of the cache: edge_pairs peels its own bits.
+    # Edge bitsets stay out of the cache: edge_pairs reads byte tables.
     def refuse(mask):
         raise AssertionError(f"bits_of({mask}) called")
     monkeypatch.setattr(graphs, "bits_of", refuse)
     assert SmallGraph.cycle(4).edge_pairs() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+def _decoded_by_pair_table(g):
+    """g's edge pairs and neighbor rows, read bit by bit off pair_table."""
+    pairs = [p for t, p in enumerate(pair_table(g.n)) if g.edges >> t & 1]
+    rows = [0] * g.n
+    for i, j in pairs:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return pairs, rows
+
+
+def test_byte_table_decoders_match_pair_table():
+    # Every labelled graph with n <= 5, and 50 seeded graphs for each n up
+    # to 16: rows fill all 16 bits of their field at n = 16, the last byte
+    # of the bitset is partial for most n, and n <= 1 has no pair.
+    graphs_ = [SmallGraph(n, e) for n in range(6)
+               for e in range(1 << pair_count(n))]
+    rng = random.Random(37)
+    graphs_ += [SmallGraph(n, rng.getrandbits(pair_count(n)))
+                for n in range(MAX_SMALL_VERTICES + 1) for _ in range(50)]
+    graphs_ += [SmallGraph.complete(n) for n in range(MAX_SMALL_VERTICES + 1)]
+    before = bits_of.cache_info()
+    for g in graphs_:
+        assert (g.edge_pairs(), g.adj_rows()) == _decoded_by_pair_table(g), g
+    # Edge bitsets stay out of bits_of's cache.
+    assert bits_of.cache_info() == before
 
 
 def test_from_edges_round_trip():
