@@ -4,9 +4,11 @@ count_brute enumerates the C(n,k) vertex subsets depth-first, in the order
 of combinations(range(n), k), and builds each subset's induced edge
 bitset incrementally: a per-depth table turns the mask of earlier
 positions adjacent to a vertex into that vertex's pair_index(k, ., .) edge
-bits.  The subsets under one (k-1)-prefix differ only in the last
-vertex, whose induced graph is fixed by the mask of prefix positions it
-is adjacent to.  So each prefix's induced labelled graph has a table of
+bits.  The sweep reads a vertex's mask only once every chosen vertex lies
+before it, so a chosen vertex marks only its later neighbours.  The
+subsets under one (k-1)-prefix differ only in the last vertex, whose
+induced graph is fixed by the mask of prefix positions it is adjacent
+to.  So each prefix's induced labelled graph has a table of
 predicate values, 0 or 1, keyed by that mask, and the prefix adds its
 leaves' values in one C-level sum.  A value is filled in the first time
 its graph occurs, so the predicate runs once per distinct labelled graph,
@@ -37,13 +39,19 @@ MAX_HOM_VECTOR_K vertices, so the kept counts are at most 1,252 exact
 ints beside one host.  Only calls in one process on equal hosts gain from
 them: selftest, which counts several properties into one host, and
 library code that does the same.  A single `indsub count` run makes one
-count_basis call and gains nothing.  count_basis hands k = 0 and k > n to
-count_brute (at most one predicate call) and otherwise insists on an
-integral, nonnegative total before returning.
+count_basis call and gains nothing.  Neither a pattern's decomposition
+nor its plan depends on the host, so each class's decomposition is built
+once per process (a bounded lru_cache keyed, like hom_vector, without the
+directory) and homcount keeps its plan the same way: a pattern new to
+the kept counts is planned again only if no earlier call, on any host,
+has planned it.  count_basis hands k = 0 and k > n to count_brute (at
+most one predicate call) and otherwise insists on an integral,
+nonnegative total before returning.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -53,6 +61,7 @@ from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, pair_index
 from .hombasis import hom_vector
 from .homcount import (
+    PLAN_CACHE_SIZE,
     HomStore,
     count_hom,
     decomposition_from_order,
@@ -84,15 +93,19 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
     if k == 0:
         return 1 if evaluate(phi, SmallGraph(0)) else 0
     joins = _join_bits(k)
-    nbrs = host.neighbors
+    # each vertex's neighbours past it, the only ones whose row it marks
+    later = [nb[bisect_right(nb, v):] for v, nb in enumerate(host.neighbors)]
     last = k - 1
     # kept[prefix edges][mask]: Phi's value, 1 or 0, on the graph of that
     # prefix and a last vertex adjacent to the prefix positions set in mask
     kept: dict[int, dict[int, int]] = {}
     room = MEMO_CAP
     # Subsets v_0 < ... < v_{k-1} are grown depth-first in the order of
-    # combinations(range(n), k).  row[u] has bit j set while u is adjacent
-    # to v_j; edge_sets[i] is the induced edge bitset of v_0..v_{i-1}.
+    # combinations(range(n), k).  row[u] has bit j set, for u > v_j, while
+    # u is adjacent to v_j: the sweep reads row[v] when v takes a position
+    # and row[v:] as the leaves, always past every chosen vertex, so no
+    # row before v_j needs v_j's bit.  edge_sets[i] is the induced edge
+    # bitset of v_0..v_{i-1}.
     row = [0] * n
     chosen = [0] * k
     edge_sets = [0] * k
@@ -124,7 +137,7 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
             chosen[i] = v
             edge_sets[i + 1] = edge_sets[i] | joins[i][row[v]]
             bit = 1 << i
-            for u in nbrs[v]:
+            for u in later[v]:
                 row[u] |= bit
             i += 1
             v += 1
@@ -134,7 +147,7 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
         if i >= 0:
             v = chosen[i]
             keep = ~(1 << i)
-            for u in nbrs[v]:
+            for u in later[v]:
                 row[u] &= keep
             v += 1
     return total
@@ -163,7 +176,8 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     table, or a whole component's count, is computed once per call and
     shared by every pattern that holds it; each table is dropped after
     its last planned read, and none outlives the call.  The counts it
-    makes are kept for later calls on this host.
+    makes are kept for later calls on this host, and each class's plan
+    for later calls on any host.
     """
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
@@ -194,10 +208,12 @@ def _host_homs(host: HostGraph) -> dict[SmallGraph, int]:
     return {}
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _class_decomposition(g: SmallGraph):
     """The decomposition of the stored elimination order of g, a catalog
     representative.  The order fits the representative's own labelling
-    only, so g's class is found by its exact edge bitset."""
+    only, so g's class is found by its exact edge bitset.  Kept per
+    process, like homcount's plans, whose key it is part of."""
     i = build_catalog(g.n)._index[(g.n, g.edges)]
     return decomposition_from_order(g, elimination_orders(g.n)[i])
 

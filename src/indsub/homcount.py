@@ -73,9 +73,13 @@ order to learn which bags will find their key already computed: such a
 bag takes the stored table and skips its whole subtree.  Each key's
 number of such reads is its use count.  While counting, a table is stored
 only if a read remains and dropped at its last read, so the store is
-empty once every planned pattern is counted.  Nothing of a store, plan or
-table, outlives its call; count_basis keeps the counts it makes, for the
-last host it counted.
+empty once every planned pattern is counted.  No table outlives its call;
+count_basis keeps the counts it makes, for the last host it counted.
+Plans are kept per process, bounded: a plan depends on the pattern and
+its decomposition alone, never on the host, so every store, and every
+lone count_hom, takes it from one lru_cache keyed by the two, which
+validates a given decomposition before its first plan.  A plan is made
+of tuples and is only read, so the stores that share it cannot change it.
 
 The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
@@ -106,6 +110,10 @@ MAX_TREEWIDTH_N = 12
 # compiled bag joins kept, by shape: the plans of the stored orders of
 # every class on at most 7 vertices, disconnected ones included, need 594
 JOIN_CACHE_SIZE = 1024
+# validated plans kept, by pattern and decomposition: count_basis plans
+# each of the 1,252 classes on at most 7 vertices with one decomposition,
+# so a process that counts every one of them plans each once
+PLAN_CACHE_SIZE = 2048
 
 
 def _reachability_cost(rows, eliminated, v):
@@ -317,7 +325,8 @@ def count_hom(pattern: SmallGraph, host: HostGraph, *,
     which it shares fully when it was planned into the store beforehand
     (HomStore.plan, which also takes a decomposition to plan in place of
     tree_decomposition's).  Without one, it is counted through a store of
-    its own, on tree_decomposition's decomposition.
+    its own, on tree_decomposition's decomposition, planned once per
+    process.
     """
     if store is None:
         store = HomStore(host)
@@ -335,7 +344,9 @@ class HomStore:
     count() each.  A table is kept only while a planned read of its key
     remains, so the store is empty once every planned count has been
     made.  A count the plan did not foresee is still exact; it only
-    shares less.
+    shares less.  The store records the plan it counts each pattern
+    with, the first it was planned with; the plans themselves are kept
+    per process, bounded, and shared with other stores.
     """
 
     def __init__(self, host: HostGraph):
@@ -352,14 +363,10 @@ class HomStore:
         """Plan one later count(pattern).  td, a decomposition of the
         pattern, is validated and planned as given, in place of
         tree_decomposition(pattern)."""
-        if td is not None:
-            if td.graph != pattern:
-                raise ValueError("tree decomposition belongs to a different pattern")
-            try:
-                td.validate()
-            except InternalConsistencyError as exc:
-                raise ValueError(f"invalid tree decomposition: {exc}") from exc
         if not self.host.n:
+            # every count is 0 or 1: td is checked, no decomposition built
+            if td is not None:
+                _validated_plan(pattern, td)
             return
         plan = self._plan_of(pattern, td)
         seen, reads = self._seen, self._reads
@@ -377,10 +384,11 @@ class HomStore:
 
     def _plan_of(self, g: SmallGraph,
                  td: TreeDecomposition | None = None) -> _Plan:
+        """g's plan in this store: the one it was first planned with.  A
+        td given later is still validated."""
         plan = self._plans.get(g)
-        if plan is None:
-            plan = self._plans[g] = _plan(
-                g, td if td is not None else tree_decomposition(g))
+        if plan is None or td is not None:
+            plan = self._plans.setdefault(g, _validated_plan(g, td))
         return plan
 
     def _put(self, key, table) -> None:
@@ -420,15 +428,35 @@ class _Plan(NamedTuple):
     order, its interface with its parent in the order the parent's trie
     keys it (levels, empty for a root), its compiled join with the
     children it reads as tries and those it only multiplies in (joins),
-    and its sub-pattern key."""
+    and its sub-pattern key.  All tuples: the stores of a process share
+    one plan per pattern and decomposition, and none may change it."""
 
     bags: tuple[tuple[int, ...], ...]
-    children: list[list[int]]
-    roots: list[int]
-    orders: list[tuple[int, ...]]
-    levels: list[tuple[int, ...]]
-    joins: list[tuple]
-    keys: list[tuple[int, int, int]]
+    children: tuple[tuple[int, ...], ...]
+    roots: tuple[int, ...]
+    orders: tuple[tuple[int, ...], ...]
+    levels: tuple[tuple[int, ...], ...]
+    joins: tuple[tuple, ...]
+    keys: tuple[tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _validated_plan(pattern: SmallGraph,
+                    td: TreeDecomposition | None) -> _Plan:
+    """The plan of pattern on td, or on tree_decomposition(pattern) when
+    td is None.  A given td is validated first; one that fails raises
+    ValueError, and raises it again on every call, since nothing is kept
+    for a call that raises."""
+    if td is None:
+        td = tree_decomposition(pattern)
+    else:
+        if td.graph != pattern:
+            raise ValueError("tree decomposition belongs to a different pattern")
+        try:
+            td.validate()
+        except InternalConsistencyError as exc:
+            raise ValueError(f"invalid tree decomposition: {exc}") from exc
+    return _plan(pattern, td)
 
 
 def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:
@@ -459,16 +487,17 @@ def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:
                                 prows, orders[p] if p != -1 else ())
         shape, slots, folded = _shape(orders[b], levels[b], prows,
                                       [(c, bags[c]) for c in children[b]])
-        joins[b] = (_compiled(shape), slots, folded)
+        joins[b] = (_compiled(shape), tuple(slots), tuple(folded))
     below = [0] * len(bags)
     for b in reversed(top_down):
         mask = sum(1 << u for u in bags[b])
         for c in children[b]:
             mask |= below[c]
         below[b] = mask
-    keys = [_sub_pattern_key(prows, interface, mask)
-            for interface, mask in zip(levels, below)]
-    return _Plan(bags, children, roots, orders, levels, joins, keys)
+    keys = tuple(_sub_pattern_key(prows, interface, mask)
+                 for interface, mask in zip(levels, below))
+    return _Plan(bags, tuple(map(tuple, children)), tuple(roots),
+                 tuple(orders), tuple(levels), tuple(joins), keys)
 
 
 def _sub_pattern_key(prows: list[int], interface: tuple[int, ...],

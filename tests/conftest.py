@@ -43,8 +43,11 @@ def pytest_unconfigure(config):
 @pytest.fixture(autouse=True)
 def _fresh_host_homs():
     """Start each test without the hom counts count_basis keeps for its
-    last host, so a test that inspects the DP sees it run rather than read
-    a count an earlier test left."""
-    from indsub import counting
+    last host, nor the class decompositions and plans kept per process,
+    so a test that inspects the DP or its planning sees them run rather
+    than read what an earlier test left."""
+    from indsub import counting, homcount
 
     counting._host_homs.cache_clear()
+    counting._class_decomposition.cache_clear()
+    homcount._validated_plan.cache_clear()

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indsub import canon, catalog, counting
+from indsub import canon, catalog, counting, homcount
 from indsub.canon import _canonical_data, canon_key, refinement_invariant
 from indsub.catalog import (
     CLASS_MAPS,
@@ -391,11 +391,14 @@ def cache_env(tmp_path, monkeypatch):
 
 def _forget_maps():
     """Drop the maps and hom vectors cached in the process, and the hom
-    counts count_basis keeps, which it made with the stored orders, so the
-    next count_basis reads the orders map again."""
+    counts count_basis keeps and the class decompositions and plans, which
+    it made with the stored orders, so the next count_basis reads the
+    orders map again."""
     catalog._class_map_cached.cache_clear()
     hom_vector.cache_clear()
     counting._host_homs.cache_clear()
+    counting._class_decomposition.cache_clear()
+    homcount._validated_plan.cache_clear()
 
 
 def _results(k):

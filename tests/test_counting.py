@@ -116,9 +116,10 @@ def test_brute_matches_subset_oracle_with_a_tiny_memo(monkeypatch):
                     brute_indsub_count(phi, k, host), (prop_name, k)
 
 
-def test_brute_evaluates_each_induced_labelled_graph_once_in_sweep_order():
-    host = random_host(random.Random(62), 14, p=0.4)
-    for k in (1, 3, 4, 5):
+def _assert_sweep_order(host, ks):
+    """count_brute evaluates each induced labelled graph once, in the
+    order combinations(range(n), k) first meets it, and counts them all."""
+    for k in ks:
         seen = []
         phi = PropertySpec("edges", lambda g: seen.append(g) or g.edge_count % 2)
         sweep = [induced_small(host, subset)
@@ -126,6 +127,40 @@ def test_brute_evaluates_each_induced_labelled_graph_once_in_sweep_order():
         assert count_brute(phi, k, host) == \
             sum(g.edge_count % 2 for g in sweep)
         assert seen == list(dict.fromkeys(sweep)), k
+
+
+def test_brute_evaluates_each_induced_labelled_graph_once_in_sweep_order():
+    _assert_sweep_order(random_host(random.Random(62), 14, p=0.4),
+                        (1, 3, 4, 5))
+
+
+# Hosts whose edges run from a vertex back to earlier ones, where a sweep
+# that marks only later neighbours must still see every edge: a star
+# centred on the last vertex, a path labelled in reverse (from 7 down to
+# 0) and one whose labels zigzag (7, 0, 6, 1, ..., 4, 3), K_n, and a host
+# with isolated vertices between the ends of its edges.
+BACKWARD_HOSTS = {
+    "star-last-centre": HostGraph.from_edges(7, [(v, 6) for v in range(6)]),
+    "reversed-path": HostGraph.from_edges(
+        8, [(v, v - 1) for v in range(7, 0, -1)]),
+    "zigzag-path": HostGraph.from_edges(
+        8, list(itertools.pairwise((7, 0, 6, 1, 5, 2, 4, 3)))),
+    "complete": HostGraph.from_small(SmallGraph.complete(7)),
+    "isolated-between": HostGraph.from_edges(
+        9, [(0, 4), (4, 8), (0, 8), (2, 8), (2, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKWARD_HOSTS))
+def test_brute_on_hosts_with_backward_edges(name):
+    host = BACKWARD_HOSTS[name]
+    for prop_name in ("connected", "triangle-free", "edge-count-even",
+                      "chordal"):
+        phi = get_property(prop_name)
+        for k in range(host.n + 2):
+            assert count_brute(phi, k, host) == \
+                brute_indsub_count(phi, k, host), (prop_name, k)
+    _assert_sweep_order(host, range(1, host.n + 1))
 
 
 def test_brute_names_the_first_graph_the_predicate_fails_on():
@@ -356,9 +391,10 @@ def test_count_basis_keeps_the_last_host_only(monkeypatch):
     assert counting_module._host_homs.cache_info().currsize == 1
 
 
-def test_each_class_is_planned_once_per_host(monkeypatch):
-    """A call plans only the patterns whose counts are not kept yet, so
-    across properties each class is planned once per host."""
+def test_each_class_is_planned_once_per_process(monkeypatch):
+    """A plan depends on the pattern and its decomposition alone, so
+    across hosts and properties each class is planned once: the second
+    host counts every class again with the plans the first one made."""
     planned = []
     plan = homcount._plan
 
@@ -370,13 +406,20 @@ def test_each_class_is_planned_once_per_host(monkeypatch):
     rng = random.Random(65)
     hosts = [random_host(rng, 10, p=0.4) for _ in range(2)]
     names = ("connected", "chordal", "split")
+    runs = _count_bag_tables(monkeypatch)
     for host in hosts:
         for name in names:
             phi = get_property(name)
             assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
     classes = {g for name in names
                for g, _ in hom_vector(get_property(name), 5).entries}
-    assert sorted(planned, key=repr) == sorted(2 * list(classes), key=repr)
+    assert sorted(planned, key=repr) == sorted(classes, key=repr)
+    # the second host joined the same bags as the first, with the very
+    # plans the first one made
+    half = len(runs) // 2
+    assert half and len(runs) == 2 * half
+    assert all(a[0] is b[0] and a[1] == b[1]
+               for a, b in zip(runs[:half], runs[half:]))
 
 
 def test_count_basis_flags_non_integral_total(monkeypatch):

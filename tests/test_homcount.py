@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 import re
@@ -8,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indsub.homcount as homcount
-from indsub.catalog import build_catalog
-from indsub.counting import _class_decomposition, elimination_orders
+from indsub.catalog import MAX_HOM_VECTOR_K, build_catalog
+from indsub.counting import (
+    _class_decomposition,
+    count_basis,
+    count_brute,
+    elimination_orders,
+)
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
@@ -20,12 +26,14 @@ from indsub.homcount import (
     _plan,
     _shape,
     _source,
+    _validated_plan,
     _walk,
     count_hom,
     decomposition_from_order,
     exact_treewidth,
     tree_decomposition,
 )
+from indsub.properties import get_property
 from oracles import (
     brute_hom_count,
     brute_treewidth,
@@ -645,3 +653,101 @@ def test_count_hom_rejects_a_store_beside_a_decomposition_or_another_host():
     # an equal host built apart is the same host
     assert count_hom(p3, HostGraph.from_small(SmallGraph.complete(3)),
                      store=store) == 12
+
+
+def _all_tuples(value) -> bool:
+    """value is a tuple, and so is every tuple-like value inside it."""
+    return isinstance(value, tuple) and all(
+        _all_tuples(item) for item in value if isinstance(item, (tuple, list)))
+
+
+def test_stores_on_different_hosts_share_exact_read_only_plans():
+    """Plans are kept per process: two stores on different hosts take the
+    same plan objects, which are tuples throughout, and equal after
+    counting a deep copy taken before; the counts on both hosts match the
+    map enumeration and the reference bag tables."""
+    # the classes on their stored orders, as count_basis plans them, and
+    # two labelled graphs the catalog does not hold on the DP's
+    # decomposition, as a lone count_hom plans them
+    given = {g: _class_decomposition(g)
+             for k in range(1, 6) for g in build_catalog(k).graphs()}
+    given.update({SmallGraph.cycle(5): None, _P3_EDGE: None})
+    assert len(given) == 54
+    patterns = list(given)
+    rng = random.Random(53)
+    hosts = [random_host(rng, 5, 0.6), random_host(rng, 6, 0.4)]
+    stores = [HomStore(host) for host in hosts]
+    for store in stores:
+        for g in patterns:
+            store.plan(g, given[g])
+    first, second = stores
+    assert all(first._plans[g] is second._plans[g] for g in patterns)
+    plans = {g: first._plans[g] for g in patterns}
+    before = copy.deepcopy(plans)
+    assert all(_all_tuples(plan) for plan in plans.values())
+    for store, host in zip(stores, hosts):
+        for g in patterns:
+            want = brute_hom_count(g, host)
+            assert count_hom(g, host, store=store) == want, g.to_graph6()
+            assert _checked_bag_tables(
+                g, given[g] or tree_decomposition(g), host) == want
+        assert not store._tables and not store._reads
+    assert plans == before
+    for name in ("connected", "chordal"):
+        phi = get_property(name)
+        for host in hosts:
+            assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
+    assert plans == before
+
+
+def test_a_bad_decomposition_raises_on_every_plan():
+    """Nothing is kept for a decomposition that fails its checks: an
+    invalid one, or one of another pattern, raises on the first and on a
+    repeated plan, in one store and in a fresh one."""
+    p3 = SmallGraph.path(3)
+    host = HostGraph.from_small(SmallGraph.complete(3))
+    invalid = TreeDecomposition(p3, ((0, 1), (2,)), (-1, 0))
+    foreign = tree_decomposition(SmallGraph.complete(3))
+    for td, message in ((invalid, "invalid tree decomposition"),
+                        (foreign, "belongs to a different pattern")):
+        store = HomStore(host)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                store.plan(p3, td)
+        with pytest.raises(ValueError, match=message):
+            HomStore(host).plan(p3, td)
+        # a store on a host without vertices checks it too
+        with pytest.raises(ValueError, match=message):
+            HomStore(HostGraph.from_edges(0, ())).plan(p3, td)
+        assert not store._plans
+    # a valid plan of the pattern does not let a bad one through later
+    store = HomStore(host)
+    store.plan(p3)
+    with pytest.raises(ValueError, match="invalid tree decomposition"):
+        store.plan(p3, invalid)
+    assert count_hom(p3, host, store=store) == 12
+
+
+def test_plan_memo_holds_every_class_it_serves():
+    """The plan and decomposition memos are bounded, and hold a plan of
+    every class count_basis may count: planning each class on at most
+    MAX_HOM_VECTOR_K vertices twice misses nothing the second time."""
+    classes = [g for k in range(1, MAX_HOM_VECTOR_K + 1)
+               for g in build_catalog(k).graphs()]
+    assert len(classes) == 1252
+    memos = (_validated_plan, _class_decomposition)
+    for memo in memos:
+        maxsize = memo.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize >= len(classes)
+    host = HostGraph.from_small(SmallGraph.complete(2))
+    misses = []
+    for _ in range(2):
+        store = HomStore(host)
+        for g in classes:
+            store.plan(g, _class_decomposition(g))
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize
+        misses.append([memo.cache_info().misses for memo in memos])
+    assert misses[0] == [len(classes)] * 2
+    assert misses[1] == misses[0]
