@@ -105,6 +105,7 @@ from .graphs import (
     _small_graph6,
     bits_of,
     pair_count,
+    subset_sums,
 )
 
 MAX_CATALOG_K = 8
@@ -264,18 +265,12 @@ def _orbit_representatives(masks, gens) -> list[int]:
     the vertex permutations gens generate, for increasing vertex bitmasks
     masks that make up whole orbits of that group.  The permutations move
     at most 8 vertices, so each one maps a mask through two 16-entry
-    tables, the images of its low and its high four bits."""
+    subset tables (subset_sums), the images of its low and its high four
+    bits."""
     tables = []
     for gen in gens:
         image = [1 << u for u in gen] + [0] * (8 - len(gen))
-        lo = [0] * 16
-        hi = [0] * 16
-        for x in range(1, 16):
-            low = x & -x
-            v = low.bit_length() - 1
-            lo[x] = lo[x ^ low] | image[v]
-            hi[x] = hi[x ^ low] | image[v + 4]
-        tables.append((lo, hi))
+        tables.append((subset_sums(image[:4]), subset_sums(image[4:])))
     seen = set()
     reps = []
     for mask in masks:

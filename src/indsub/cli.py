@@ -135,8 +135,8 @@ def _emit(report) -> None:
 
 # ------------------------------------------------------ property plumbing
 
-def _add_property_options(parser, *, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_property_options(parser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--property", metavar="NAME",
                        help="built-in property name")
     group.add_argument("--truth-table", metavar="FILE",

@@ -58,7 +58,13 @@ from math import comb
 
 from .catalog import MAX_HOM_VECTOR_K, ClassMap, build_catalog
 from .errors import BudgetExceededError, InternalConsistencyError
-from .graphs import MAX_SMALL_VERTICES, HostGraph, SmallGraph, pair_index
+from .graphs import (
+    MAX_SMALL_VERTICES,
+    HostGraph,
+    SmallGraph,
+    pair_index,
+    subset_sums,
+)
 from .hombasis import hom_vector
 from .homcount import (
     PLAN_CACHE_SIZE,
@@ -76,7 +82,8 @@ MEMO_CAP = 1 << 16
 
 def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
                 budget: int = DEFAULT_SUBSET_BUDGET) -> int:
-    """#IndSub(phi, k, host) by enumerating every k-subset of the host."""
+    """#IndSub(phi, k, host) by enumerating every k-subset of the host; the
+    oracle of count_basis, it reads no catalog, canonical form, basis or DP."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if budget < 0:
@@ -155,15 +162,10 @@ def count_brute(phi: PropertySpec, k: int, host: HostGraph, *,
 
 def _join_bits(k: int) -> list[list[int]]:
     """joins[i][mask]: the edge bits, in pair_index(k, ., .) order, that
-    join position i to the earlier positions set in mask."""
-    joins = []
-    for i in range(k):
-        table = [0]
-        for j in range(i):
-            bit = 1 << pair_index(k, j, i)
-            table += [edges | bit for edges in table]
-        joins.append(table)
-    return joins
+    join position i to the earlier positions set in mask; joins[i] is the
+    subset table of the pair bits of (0, i), ..., (i - 1, i)."""
+    return [subset_sums([1 << pair_index(k, j, i) for j in range(i)])
+            for i in range(k)]
 
 
 def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:

@@ -14,6 +14,7 @@ module owns graph6.  User and host text is read by one walk over the set
 bits of the body, which ignores padding bits; the catalog cache is read
 strictly through per-position character tables (_graph6_line_tables).
 Small graphs are written through per-byte tables, hosts bit by bit.
+subset_sums builds these tables and every other per-bit lookup table.
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ def pair_bits(rows, masks) -> int:
     return edges
 
 
+def subset_sums(weights, start=0) -> list:
+    """The subset table of weights: entry d is start plus the weights of
+    the set bits of d, lowest bit first, so len(weights) bits index it.
+    Int weights must have pairwise disjoint bits, so that + acts as |;
+    tuple weights (with start ()) concatenate in bit order."""
+    table = [start]
+    for w in weights:
+        table += [t + w for t in table]
+    return table
+
+
 @lru_cache(maxsize=None)
 def _edge_byte_tables(n: int) -> tuple[tuple, tuple]:
     """The decoders of an n-vertex edge bitset, n <= MAX_SMALL_VERTICES:
@@ -80,20 +92,11 @@ def _edge_byte_tables(n: int) -> tuple[tuple, tuple]:
     16v + 15), and its pairs in pair_table order.  The last byte's tables
     cover only the pairs it holds; n <= 1 has no byte."""
     pairs = pair_table(n)
-    row_tables, pair_tables = [], []
-    for b in range(0, len(pairs), 8):
-        chunk = pairs[b:b + 8]
-        rows = [0] * (1 << len(chunk))
-        listed = [()] * (1 << len(chunk))
-        for d in range(1, len(rows)):
-            low = d & -d
-            pair = chunk[low.bit_length() - 1]
-            i, j = pair
-            rows[d] = rows[d ^ low] | 1 << 16 * i + j | 1 << 16 * j + i
-            listed[d] = (pair,) + listed[d ^ low]
-        row_tables.append(tuple(rows))
-        pair_tables.append(tuple(listed))
-    return tuple(row_tables), tuple(pair_tables)
+    chunks = [pairs[b:b + 8] for b in range(0, len(pairs), 8)]
+    rows = [subset_sums([1 << 16 * i + j | 1 << 16 * j + i for i, j in chunk])
+            for chunk in chunks]
+    listed = [subset_sums([(pair,) for pair in chunk], ()) for chunk in chunks]
+    return tuple(map(tuple, rows)), tuple(map(tuple, listed))
 
 
 @lru_cache(maxsize=1 << MAX_SMALL_VERTICES)
@@ -425,15 +428,8 @@ def _graph6_byte_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     for t, b in enumerate(order):
         weights[b] = 1 << 8 * (size - 1 - t // 6) + 5 - t % 6
     empty = int.from_bytes(bytes([n + 63]) + b"?" * size, "big")
-    tables = []
-    for b in range(0, len(order), 8):
-        byte_weights = weights[b:b + 8]
-        table = [0] * (1 << len(byte_weights))
-        for d in range(1, len(table)):
-            low = d & -d
-            table[d] = table[d ^ low] | byte_weights[low.bit_length() - 1]
-        tables.append(tuple(table))
-    return empty, tuple(tables)
+    return empty, tuple(tuple(subset_sums(weights[b:b + 8]))
+                        for b in range(0, len(order), 8))
 
 
 def _small_graph6(n: int, edges: int) -> str:
@@ -478,11 +474,7 @@ def _graph6_line_tables(n: int) -> tuple[dict[str, int], ...]:
         # The character's bit 5 - i carries the pair at position t + i.
         weights = [1 << b for b in order[t:t + 6]]
         pad = (1 << 6 - len(weights)) - 1
-        weights += [0] * (6 - len(weights))
-        table = [0] * 64
-        for d in range(1, 64):
-            low = d & -d
-            table[d] = table[d ^ low] | weights[6 - low.bit_length()]
+        table = subset_sums([0] * (6 - len(weights)) + weights[::-1])
         tables.append({chr(d + 63): e for d, e in enumerate(table)
                        if not d & pad})
     return tuple(tables)

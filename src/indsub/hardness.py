@@ -70,7 +70,10 @@ def largest_clique_minor(g: SmallGraph) -> int:
         blocks.pop()
         rec(v + 1, blocks)      # leave v out of the model
 
-    rec(0, [])
+    try:
+        rec(0, [])
+    finally:
+        rec = None  # rec reached itself via its closure cell, a cycle
     return best
 
 

@@ -155,7 +155,10 @@ def _labelled_quotients(g: SmallGraph) -> dict[tuple[int, int], int]:
         members.pop()
         nbrs.pop()
 
-    rec(0, 1)
+    try:
+        rec(0, 1)
+    finally:
+        rec = None  # rec reached itself via its closure cell, a cycle
     return out
 
 

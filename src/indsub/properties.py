@@ -364,7 +364,10 @@ def _embeds(g: SmallGraph, h: SmallGraph, induced: bool) -> bool:
                 return True
         return False
 
-    return rec(0, (1 << g.n) - 1)
+    try:
+        return rec(0, (1 << g.n) - 1)
+    finally:
+        rec = None  # rec reached itself via its closure cell, a cycle
 
 
 # ------------------------------------------------------------- the zoo

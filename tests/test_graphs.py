@@ -20,6 +20,7 @@ from indsub.graphs import (
     pair_table,
     parse_graph_text,
     reach,
+    subset_sums,
     two_colouring,
     load_graph_list,
     load_host_graph,
@@ -106,6 +107,31 @@ def test_byte_table_decoders_match_pair_table():
         assert (g.edge_pairs(), g.adj_rows()) == _decoded_by_pair_table(g), g
     # Edge bitsets stay out of bits_of's cache.
     assert bits_of.cache_info() == before
+
+
+def test_subset_sums_matches_naive_reference():
+    # Int weights hold 0 to 3 bits each, pairwise disjoint, so the table's
+    # + must agree with |; one-pair tuples concatenate lowest bit first.
+    rng = random.Random(39)
+    for size in range(9):
+        free = rng.sample(range(64), 64)
+        masks = [sum(1 << free.pop() for _ in range(rng.randrange(4)))
+                 for _ in range(size + 1)]
+        pairs = [(p,) for p in rng.sample(pair_table(8), size + 1)]
+        for weights, start, fold in (
+                (masks[1:], 0, lambda a, b: a | b),
+                (masks[1:], masks[0], lambda a, b: a | b),
+                (pairs[1:], (), lambda a, b: a + b),
+                (pairs[1:], pairs[0], lambda a, b: a + b)):
+            table = subset_sums(weights, start)
+            assert len(table) == 1 << size
+            for d, entry in enumerate(table):
+                expected = start
+                for b in bits_of(d):
+                    expected = fold(expected, weights[b])
+                assert entry == expected, (weights, start, d)
+    assert subset_sums([]) == [0]
+    assert subset_sums([], ()) == [()]
 
 
 def test_from_edges_round_trip():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -13,6 +14,8 @@ import indsub
 from indsub.catalog import build_catalog
 from indsub.errors import FormatError, PredicateError, UnknownPropertyError
 from indsub.graphs import MAX_SMALL_VERTICES, SmallGraph, pair_table
+from indsub.hardness import largest_clique_minor
+from indsub.hombasis import _labelled_quotients
 from indsub.properties import (
     BUILTIN_PROPERTIES,
     PropertySpec,
@@ -458,3 +461,22 @@ def test_predicate_errors_are_wrapped():
     assert "Bw" in str(err.value)
 
 
+@pytest.mark.parametrize("search, args, expected", [
+    (contains_induced, (SmallGraph.complete(5), SmallGraph.cycle(4)), False),
+    (contains_subgraph, (SmallGraph.complete(5), SmallGraph.cycle(4)), True),
+    (largest_clique_minor, (SmallGraph.cycle(6),), 3),
+    # (block count, Moebius sum) per quotient of C5: the three-block
+    # partitions all give K3, with sum 5; each four-block one its own graph.
+    (lambda g: sorted((blocks, mu) for (blocks, _), mu
+                      in _labelled_quotients(g).items()),
+     (SmallGraph.cycle(5),), [(3, 5)] + [(4, -1)] * 5 + [(5, 1)]),
+], ids=["contains_induced", "contains_subgraph", "largest_clique_minor",
+        "labelled_quotients"])
+def test_recursive_searches_leave_no_cyclic_garbage(search, args, expected):
+    gc.collect()
+    gc.disable()
+    try:
+        assert search(*args) == expected
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

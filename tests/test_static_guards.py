@@ -8,6 +8,12 @@ integers and Fractions, and this keeps them so.
 One edge-bitset builder: graphs.pair_bits is the only code that turns
 vertex pairs into an edge bitset, so pair_table, the pair order those
 bitsets use, is read in no module but graphs.py.
+
+One subset-table builder: graphs.subset_sums is the only code that builds
+a per-bit lookup table (entry d combines the weights of the set bits of
+d), so outside it no subscript is indexed by an XOR, as in table[d ^ low],
+and no list is extended by a comprehension over itself, as in
+t += [e | w for e in t].
 """
 
 import ast
@@ -74,3 +80,44 @@ def test_only_graphs_reads_pair_table():
     assert readers == ["graphs.py"]
     assert _reads_pair_table(ast.parse("from .graphs import pair_table as t"))
     assert _reads_pair_table(ast.parse("graphs.pair_table(3)"))
+
+
+def _subset_table_loops(tree: ast.Module, builder=None) -> list[str]:
+    """Subset-table loops in tree outside the function named builder."""
+    inside = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.FunctionDef) and top.name == builder
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Subscript) and \
+                isinstance(node.slice, ast.BinOp) and \
+                isinstance(node.slice.op, ast.BitXor):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.AugAssign) and \
+                isinstance(node.op, ast.Add) and \
+                isinstance(node.value, ast.ListComp) and \
+                any(ast.unparse(gen.iter) == ast.unparse(node.target)
+                    for gen in node.value.generators):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_subset_sums_builds_subset_tables(path):
+    builder = "subset_sums" if path.name == "graphs.py" else None
+    tree = ast.parse(path.read_text(), str(path))
+    assert _subset_table_loops(tree, builder) == []
+
+
+def test_the_subset_table_guard_finds_each_kind():
+    source = ("def subset_sums(ws):\n    t = [0]\n    for w in ws:\n"
+              "        t += [e + w for e in t]\n    return t[0 ^ 0]\n"
+              "lo[x] = lo[x ^ low] | image[v]\n"
+              "for w in ws:\n    table += [e | w for e in table]\n"
+              "u += [e for e in t]\nv = w[a & b]\n")
+    tree = ast.parse(source)
+    assert _subset_table_loops(tree, "subset_sums") == [
+        "line 6: lo[x ^ low]", "line 8: table += [e | w for e in table]"]
+    assert len(_subset_table_loops(tree)) == 4
