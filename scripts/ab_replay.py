@@ -59,7 +59,9 @@ def load_tree(source: Path, package: str, packages: Path):
 
 
 def clear_caches(packages) -> None:
-    """Empty every lru_cache of the modules of packages."""
+    """Empty every lru_cache of the modules of packages, as a new process
+    starts: among them the plans, the join table and the record of which
+    join file was read, so a timed run reads the join file again."""
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] in packages:
             for value in list(vars(module).values()):

@@ -9,7 +9,9 @@ directory) start instantly.  It then writes, for each k up to K it covers,
 every property-independent map declared beside the catalogs
 (catalog.CLASS_MAPS): the edge-deletion maps, quotient rows and
 elimination orders for 1 <= k <= 7, and the vertex-deletion maps for
-2 <= k <= 6.
+2 <= k <= 6.  Last it plans every class it wrote elimination orders for,
+as a basis count does, and saves the compiled bag joins in the join file
+(homcount.JOIN_FILE), so a basis count in the directory compiles none.
 
 Usage:
     python3 scripts/build_catalogs.py [--kmax K] [--cache-dir DIR]
@@ -18,8 +20,23 @@ Usage:
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from indsub.catalog import CLASS_MAPS, MAX_CATALOG_K, build_catalog
+from indsub.catalog import (
+    CLASS_MAPS,
+    MAX_CATALOG_K,
+    build_catalog,
+    default_cache_dir,
+)
+from indsub.counting import elimination_orders
+from indsub.graphs import HostGraph
+from indsub.homcount import (
+    JOIN_FILE,
+    HomStore,
+    decomposition_from_order,
+    load_joins,
+    save_joins,
+)
 
 
 def main(argv=None) -> int:
@@ -48,6 +65,22 @@ def main(argv=None) -> int:
             kind(k, cache_dir=args.cache_dir)
             elapsed = time.monotonic() - start
             print(f"k={k}: {kind.what} [{elapsed:.2f}s]")
+    start = time.monotonic()
+    joins = (Path(args.cache_dir) if args.cache_dir
+             else default_cache_dir()) / JOIN_FILE
+    load_joins(joins)
+    # a plan does not depend on the host, so any host with a vertex will do
+    store = HomStore(HostGraph.from_edges(1, []))
+    for k in elimination_orders.ks:
+        if k > args.kmax:
+            break
+        cat = build_catalog(k, cache_dir=args.cache_dir)
+        orders = elimination_orders(k, cache_dir=args.cache_dir)
+        for g, order in zip(cat.graphs(), orders):
+            store.plan(g, decomposition_from_order(g, order))
+    save_joins(joins)
+    elapsed = time.monotonic() - start
+    print(f"{JOIN_FILE}: bag joins [{elapsed:.2f}s]")
     return 0
 
 

@@ -321,20 +321,22 @@ def _read_or_rebuild(what: str, k: int, path: Path | None,
         try:
             return read(path)
         except (FormatError, OSError) as exc:
-            # logging is imported only when a warning fires, which keeps
-            # it out of every run that reads or writes its files cleanly.
-            import logging
-            logging.getLogger(__name__).warning(
-                "rebuilding %s k=%d: %s", what, k, exc)
+            _warn("rebuilding %s k=%d: %s", what, k, exc)
     value = build()
     if path is not None:
         try:
             write(value, path)
         except OSError as exc:
-            import logging
-            logging.getLogger(__name__).warning(
-                "could not write %s %s: %s", what, path, exc)
+            _warn("could not write %s %s: %s", what, path, exc)
     return value
+
+
+def _warn(message: str, *args) -> None:
+    """Log a warning about a file of the cache directory: a rebuild or a
+    failed write.  logging is imported only when a warning fires, which
+    keeps it out of every run that reads or writes its files cleanly."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def build_catalog(k: int, *, cache_dir=None) -> GraphCatalog:
@@ -344,21 +346,26 @@ def build_catalog(k: int, *, cache_dir=None) -> GraphCatalog:
 
 
 def _write_cache(cat: GraphCatalog, path: Path) -> None:
-    _write_lines(path, f"{_CACHE_HEADER} k={cat.k} classes={cat.class_count}",
-                 map("{} {}".format, cat.graph6, cat.auts))
+    _write_bytes(path, _text_lines(
+        f"{_CACHE_HEADER} k={cat.k} classes={cat.class_count}",
+        map("{} {}".format, cat.graph6, cat.auts)))
 
 
-def _write_lines(path: Path, header: str, lines) -> None:
-    """Write the header and lines through a temporary file unique to this
-    writer, then rename it into place, so concurrent writers never expose
-    a partial file."""
+def _text_lines(header: str, lines) -> bytes:
+    """The header and lines of a text cache file, one per line."""
+    return "".join(f"{line}\n" for line in chain((header,), lines)).encode()
+
+
+def _write_bytes(path: Path, data: bytes, mode: int = 0o666) -> None:
+    """Write data through a temporary file unique to this writer, created
+    with mode (less the umask), then rename it into place, so concurrent
+    writers never expose a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
-        with open(tmp, "x") as fh:
-            fh.write(f"{header}\n")
-            for line in lines:
-                fh.write(f"{line}\n")
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode),
+                  "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -469,8 +476,8 @@ def _class_map_cached(kind: ClassMap, k: int, cache_dir_str: str | None
         lambda path: _read_map(path, header, cats[-1].class_count,
                                kind.check(cats)),
         lambda: kind.compute(cats),
-        lambda rows, path: _write_lines(
-            path, header, (" ".join(map(str, row)) for row in rows)))
+        lambda rows, path: _write_bytes(path, _text_lines(
+            header, (" ".join(map(str, row)) for row in rows))))
 
 
 def _map_header(kind: ClassMap, cats, directory: Path) -> str:

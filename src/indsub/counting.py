@@ -28,7 +28,11 @@ counted (one dict, keyed by pattern, held by an lru_cache of size 1 keyed
 by the HostGraph, so an equal host built apart finds it) and counts only
 the vector's patterns not in it yet.  It plans those patterns into one
 homcount.HomStore before counting any, so they share their rooted
-sub-pattern tables and repeated components within the call.  Every
+sub-pattern tables and repeated components within the call.  Planning
+compiles the bag joins the patterns need, and their code is kept per
+cache directory: count_basis loads homcount's join file from the cache
+directory before it plans (once per process and directory) and saves it
+after, when it compiled a join the file lacks.  Every
 pattern, connected or not, is planned with the decomposition of its
 class's elimination order, one tree per component, which the treewidth DP
 computes once per cache directory: the orders are kept beside the catalog
@@ -56,7 +60,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .catalog import MAX_HOM_VECTOR_K, ClassMap, build_catalog
+from .catalog import (
+    MAX_HOM_VECTOR_K,
+    ClassMap,
+    build_catalog,
+    default_cache_dir,
+)
 from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import (
     MAX_SMALL_VERTICES,
@@ -67,11 +76,14 @@ from .graphs import (
 )
 from .hombasis import hom_vector
 from .homcount import (
+    JOIN_FILE,
     PLAN_CACHE_SIZE,
     HomStore,
     count_hom,
     decomposition_from_order,
     elimination_order,
+    load_joins,
+    save_joins,
 )
 from .properties import PropertySpec, evaluate
 
@@ -179,7 +191,9 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     shared by every pattern that holds it; each table is dropped after
     its last planned read, and none outlives the call.  The counts it
     makes are kept for later calls on this host, and each class's plan
-    for later calls on any host.
+    for later calls on any host.  The join file of the cache directory is
+    loaded before planning and saved after it, if planning compiled a
+    join the file lacks.
     """
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
@@ -187,9 +201,12 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     homs = _host_homs(host)
     new = [g for g, _ in entries if g not in homs]
     if new:
+        joins = default_cache_dir().joinpath(JOIN_FILE)
+        load_joins(joins)
         store = HomStore(host)
         for g in new:
             store.plan(g, _class_decomposition(g))
+        save_joins(joins)
         for g in new:
             homs[g] = count_hom(g, host, store=store)
     total = Fraction(0)

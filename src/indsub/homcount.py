@@ -45,10 +45,30 @@ several walks the set bits of their adjacency masks' AND, computed as
 soon as the last of them is assigned, so it visits only their common
 neighbours and a last position without child tries just counts them.  A
 position with none runs over a child trie's items, or over all host
-vertices; the other tries are .get lookups.  Each shape is compiled once
-per process (a bounded cache).  The source holds only keywords and names
-built from small integers; no pattern, host or other input text enters
-it.
+vertices; the other tries are .get lookups.  The source holds only
+keywords and names built from small integers; no pattern, host or other
+input text enters it.
+
+Each shape's function is made once per process (a bounded cache) from a
+code object compiled once per cache directory.  The join table maps each
+join's source text to its code object, and only a source the table lacks
+is compiled.  count_basis loads the table from its cache directory's join
+file, joins.<interpreter cache tag> (JOIN_FILE), before it plans, and
+saves it after, when the table holds a join the file lacks; this module
+reads no path of its own, so a lone count_hom never touches the disk.
+Keyed by source, the file needs no version to bump by hand: once _source
+changes, old entries stop matching, and past JOIN_CACHE_SIZE the least
+recently used joins are left out first, so those this process uses
+outlast older ones.
+
+The join file is trusted as a __pycache__ file is.  It is written with
+mode 0o600 through catalog's temporary file and os.replace.  It is read
+only if the opened file belongs to the user and no group or other may
+write it (where the platform has user ids), it starts with importlib's
+bytecode MAGIC_NUMBER and the sha256 of the rest, and the rest is marshal
+data of a dict from str to code objects.  A file that fails is logged as
+a rebuild, and the next save replaces it; a failed save is logged.  The
+cache does not follow sys.dont_write_bytecode.
 
 Tables are shared through a HomStore, which lives for one count_basis
 call (or one lone count_hom call) and serves one host.  Every bag has a
@@ -99,17 +119,28 @@ read no catalog.
 
 from __future__ import annotations
 
+import hashlib
+import marshal
+import os
+import sys
 from functools import lru_cache
+from importlib.util import MAGIC_NUMBER
 from math import prod
+from pathlib import Path
+from types import CodeType
 from typing import NamedTuple
 
-from .errors import InternalConsistencyError
+from .catalog import _warn, _write_bytes
+from .errors import FormatError, InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of, pair_bits
 
 MAX_TREEWIDTH_N = 12
-# compiled bag joins kept, by shape: the plans of the stored orders of
-# every class on at most 7 vertices, disconnected ones included, need 594
+# compiled bag joins kept, by shape, and join code objects kept, by source,
+# in memory and in a join file: the plans of the stored orders of every
+# class on at most 7 vertices, disconnected ones included, need 594
 JOIN_CACHE_SIZE = 1024
+# the join file's name in a cache directory, one per interpreter
+JOIN_FILE = f"joins.{sys.implementation.cache_tag}"
 # validated plans kept, by pattern and decomposition: count_basis plans
 # each of the 1,252 classes on at most 7 vertices with one decomposition,
 # so a process that counts every one of them plans each once
@@ -593,9 +624,104 @@ def _shape(order: tuple[int, ...], levels: tuple[int, ...],
 
 @lru_cache(maxsize=JOIN_CACHE_SIZE)
 def _compiled(shape):
+    """The join function of a bag shape, from the code object the join
+    table holds for its source, or compiled when it holds none."""
+    source = _source(shape)
+    codes = _join_codes()
+    code = codes.pop(source, None)
+    if code is None:
+        code = compile(source, "<bag join>", "exec")
+        if len(codes) >= JOIN_CACHE_SIZE:
+            del codes[next(iter(codes))]
+    codes[source] = code
     namespace: dict = {}
-    exec(compile(_source(shape), "<bag join>", "exec"), namespace)
+    exec(code, namespace)
     return namespace["join"]
+
+
+@lru_cache(maxsize=1)
+def _join_codes() -> dict[str, CodeType]:
+    """The join table: source text -> code object of the bag joins this
+    process has compiled or read from a join file, at most
+    JOIN_CACHE_SIZE, the least recently used first.  One per process;
+    cache_clear starts an empty one, as a new process would."""
+    return {}
+
+
+@lru_cache(maxsize=1)
+def load_joins(path: Path) -> set[str]:
+    """Add the joins of the join file at path to the join table, once per
+    process and path, and return the set of sources that file holds, which
+    save_joins keeps up to date.  The file's joins go before the table's
+    own, and past JOIN_CACHE_SIZE the oldest are left out.  A missing file
+    holds nothing; one that fails _read_joins is logged as a rebuild and
+    holds nothing either, so the next save replaces it."""
+    try:
+        read = _read_joins(path)
+    except FileNotFoundError:
+        return set()
+    except (FormatError, OSError) as exc:
+        _warn("rebuilding bag-join code: %s", exc)
+        return set()
+    codes = _join_codes()
+    merged = {source: code for source, code in read.items()
+              if source not in codes}
+    merged.update(codes)
+    codes.clear()
+    codes.update(list(merged.items())[-JOIN_CACHE_SIZE:])
+    return set(read)
+
+
+def save_joins(path: Path) -> None:
+    """Write the join table to the join file at path, with mode 0o600,
+    when the table holds a join that file lacks: one this process
+    compiled, or read from another directory.  The file holds the table
+    alone, so at most JOIN_CACHE_SIZE joins, and past that bound the
+    table has dropped older joins before those this process used.  A
+    failed write is logged, and not tried again until the table gains a
+    join."""
+    held = load_joins(path)
+    codes = _join_codes()
+    if held.issuperset(codes):
+        return
+    body = marshal.dumps(codes)
+    try:
+        _write_bytes(path, MAGIC_NUMBER + hashlib.sha256(body).digest()
+                     + body, 0o600)
+    except OSError as exc:
+        _warn("could not write bag-join code %s: %s", path, exc)
+    held.clear()
+    held.update(codes)
+
+
+def _read_joins(path: Path) -> dict[str, CodeType]:
+    """The join table in the join file at path.  FormatError unless the
+    opened file is the user's own and writable by no one else (where the
+    platform has user ids), starts with the interpreter's bytecode
+    MAGIC_NUMBER and the sha256 of the rest, and the rest is marshal data
+    of a dict from str to code objects."""
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if hasattr(os, "getuid") and (st.st_uid != os.getuid()
+                                      or st.st_mode & 0o022):
+            raise FormatError(f"{path}: not the user's own file, or "
+                              "writable by others")
+        data = memoryview(fh.read())
+    head = len(MAGIC_NUMBER)
+    if data[:head] != MAGIC_NUMBER:
+        raise FormatError(f"{path}: bad magic number")
+    body = data[head + 32:]
+    if hashlib.sha256(body).digest() != data[head:head + 32]:
+        raise FormatError(f"{path}: checksum mismatch")
+    try:
+        table = marshal.loads(body)
+    except (EOFError, ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if type(table) is not dict or not all(
+            type(source) is str and type(code) is CodeType
+            for source, code in table.items()):
+        raise FormatError(f"{path}: not a table of join code")
+    return table
 
 
 def _source(shape) -> str:

@@ -43,11 +43,15 @@ def pytest_unconfigure(config):
 @pytest.fixture(autouse=True)
 def _fresh_host_homs():
     """Start each test without the hom counts count_basis keeps for its
-    last host, nor the class decompositions and plans kept per process,
-    so a test that inspects the DP or its planning sees them run rather
-    than read what an earlier test left."""
+    last host, nor the class decompositions, plans, compiled joins and
+    join table kept per process, nor the record of which join file was
+    read, so a test that inspects the DP, its planning or the join file
+    sees them run rather than read what an earlier test left."""
     from indsub import counting, homcount
 
     counting._host_homs.cache_clear()
     counting._class_decomposition.cache_clear()
     homcount._validated_plan.cache_clear()
+    homcount._compiled.cache_clear()
+    homcount._join_codes.cache_clear()
+    homcount.load_joins.cache_clear()

@@ -810,7 +810,7 @@ def test_collecting_the_tests_writes_no_user_cache(tmp_path):
     assert not (tmp_path / ".cache" / "indsub").exists()
 
 
-def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
+def test_build_catalogs_script_on_cold_cache(tmp_path, capsys, monkeypatch):
     script = Path(__file__).parent.parent / "scripts" / "build_catalogs.py"
     spec = importlib.util.spec_from_file_location("build_catalogs", script)
     module = importlib.util.module_from_spec(spec)
@@ -820,10 +820,23 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys):
     assert "k=4: 11 classes" in out and "k=4: edge-deletion map" in out
     assert "k=4: quotient rows" in out and "k=4: vertex-deletion map" in out
     assert "k=4: elimination orders" in out
+    assert f"{homcount.JOIN_FILE}: bag joins" in out
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"k{k}.{kind}" for k in range(1, 5)
          for kind in ("catalog", "edges", "quotients", "orders")]
-        + [f"k{k}.vertices" for k in range(2, 5)])
+        + [f"k{k}.vertices" for k in range(2, 5)] + [homcount.JOIN_FILE])
+    # the join file holds every join the classes it planned need
+    homcount._compiled.cache_clear()
+    homcount._join_codes.cache_clear()
+    homcount._validated_plan.cache_clear()
+    homcount.load_joins.cache_clear()
+    homcount.load_joins(tmp_path / homcount.JOIN_FILE)
+    monkeypatch.setattr(homcount, "compile", None, raising=False)
+    store = homcount.HomStore(HostGraph.from_edges(1, []))
+    for k in range(1, 5):
+        for g, order in zip(build_catalog(k).graphs(),
+                            counting.elimination_orders(k)):
+            store.plan(g, homcount.decomposition_from_order(g, order))
     for kind in CLASS_MAPS:
         for k in range(kind.ks[0], 5):
             assert _read_file(kind, k, tmp_path) == kind.compute(tuple(

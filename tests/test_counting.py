@@ -1,17 +1,26 @@
 """Tests for induced-subgraph counting: enumeration vs basis evaluation."""
 
+import builtins
+import hashlib
 import itertools
+import logging
+import marshal
+import os
 import random
+import subprocess
 import sys
+import time
 from fractions import Fraction
+from importlib.util import MAGIC_NUMBER
 from math import comb
+from pathlib import Path
 
 import pytest
 
 import indsub.counting as counting_module
 import indsub.homcount as homcount
-from indsub import catalog
-from indsub.catalog import build_catalog
+from indsub import catalog, cli
+from indsub.catalog import MAX_HOM_VECTOR_K, build_catalog
 from indsub.counting import (
     DEFAULT_SUBSET_BUDGET,
     _class_decomposition,
@@ -19,10 +28,18 @@ from indsub.counting import (
     count_brute,
     elimination_orders,
 )
-from indsub.errors import BudgetExceededError, InternalConsistencyError, PredicateError
+from indsub.errors import (
+    BudgetExceededError,
+    FormatError,
+    InternalConsistencyError,
+    PredicateError,
+)
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.hombasis import HomVector, hom_vector
 from indsub.homcount import (
+    JOIN_CACHE_SIZE,
+    JOIN_FILE,
+    HomStore,
     count_hom,
     decomposition_from_order,
     exact_treewidth,
@@ -472,3 +489,254 @@ def test_true_property_counts_all_subsets():
     host = random_host(random.Random(9), 9, p=0.3)
     for k in (1, 2, 3, 4):
         assert count_basis(get_property("true"), k, host) == comb(9, k)
+
+
+# ------------------------------------------------------------ join file
+#
+# count_basis keeps the code of its compiled bag joins in the cache
+# directory's join file.  Each case counts connected 5-subsets of one
+# host, which plans 30 classes.
+
+JOIN_HOST = random_host(random.Random(40), 9, p=0.5)
+
+
+def _join_count() -> int:
+    return count_basis(get_property("connected"), 5, JOIN_HOST)
+
+
+def _join_brute() -> int:
+    return count_brute(get_property("connected"), 5, JOIN_HOST)
+
+
+@pytest.fixture
+def join_dir(tmp_path, monkeypatch):
+    """INDSUB_CACHE_DIR at a fresh directory, whose catalogs and maps the
+    process already holds, so only the join file is written there."""
+    for k in range(1, 6):
+        elimination_orders(k)
+    hom_vector(get_property("connected"), 5)
+    directory = tmp_path / "cache"
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
+    return directory
+
+
+def _new_process() -> None:
+    """Forget what a process keeps of its counts, plans and joins, as a
+    new process starts (and as each test starts)."""
+    counting_module._host_homs.cache_clear()
+    _class_decomposition.cache_clear()
+    homcount._validated_plan.cache_clear()
+    homcount._compiled.cache_clear()
+    homcount._join_codes.cache_clear()
+    homcount.load_joins.cache_clear()
+
+
+def _count_compiles(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return builtins.compile(*args, **kwargs)
+
+    monkeypatch.setattr(homcount, "compile", counted, raising=False)
+    return calls
+
+
+def _join_file(table) -> bytes:
+    body = marshal.dumps(table)
+    return MAGIC_NUMBER + hashlib.sha256(body).digest() + body
+
+
+def test_warm_join_file_compiles_no_join(join_dir, tmp_path, capsys,
+                                         monkeypatch):
+    host_file = tmp_path / "host.txt"
+    host_file.write_text(JOIN_HOST.to_edge_list_text())
+    argv = ["count", "--property", "connected", "--k", "5",
+            "--graph", str(host_file), "--method", "basis"]
+    compiles = _count_compiles(monkeypatch)
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    assert compiles
+    path = join_dir / JOIN_FILE
+    written = os.stat(path)
+    assert written.st_mode & 0o777 == 0o600
+    assert sorted(homcount._read_joins(path)) == sorted(compiles)
+    _new_process()
+    compiles.clear()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert compiles == []
+    # nothing new was compiled, so the file was not written again
+    assert os.stat(path).st_ino == written.st_ino
+    assert f'"count": "{_join_brute()}"' in first
+
+
+def test_join_file_holds_every_class_plan_within_the_bound(join_dir,
+                                                           monkeypatch):
+    """Every class count_basis may plan fits the join file: after one
+    process plans them all, a new one plans them all and compiles
+    nothing."""
+    classes = [g for k in range(1, MAX_HOM_VECTOR_K + 1)
+               for g in build_catalog(k).graphs()]
+    path = join_dir / JOIN_FILE
+    host = HostGraph.from_edges(1, [])
+    compiles = _count_compiles(monkeypatch)
+    for again in (False, True):
+        if again:
+            _new_process()
+        held = homcount.load_joins(path)
+        store = HomStore(host)
+        for g in classes:
+            store.plan(g, _class_decomposition(g))
+        homcount.save_joins(path)
+        assert homcount._join_codes().keys() == held
+    # the first process compiled each join once, the second none
+    assert len(set(compiles)) == len(compiles) == len(held)
+    assert len(homcount._read_joins(path)) <= JOIN_CACHE_SIZE
+
+
+def _corrupt_joins(path: Path, how: str) -> str:
+    """Spoil the join file at path as how says; the words the logged
+    rebuild names."""
+    data = path.read_bytes()
+    head = len(MAGIC_NUMBER) + 32
+    if how == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+        return "checksum mismatch"
+    if how == "flipped byte":
+        i = head + (len(data) - head) // 3
+        path.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
+        return "checksum mismatch"
+    if how == "wrong magic":
+        path.write_bytes(bytes(b ^ 0xFF for b in MAGIC_NUMBER)
+                         + data[len(MAGIC_NUMBER):])
+        return "bad magic number"
+    if how == "not a dict":
+        path.write_bytes(_join_file(list(homcount._read_joins(path))))
+        return "not a table of join code"
+    if how == "not code":
+        path.write_bytes(_join_file(dict.fromkeys(homcount._read_joins(path),
+                                                  b"join")))
+        return "not a table of join code"
+    assert how == "group-writable"
+    path.chmod(0o664)
+    return "not the user's own file, or writable by others"
+
+
+@pytest.mark.parametrize("how", ["truncated", "flipped byte", "wrong magic",
+                                 "not a dict", "not code", "group-writable"])
+def test_bad_join_file_is_ignored_logged_and_rebuilt(how, join_dir, caplog,
+                                                     monkeypatch):
+    want = _join_brute()
+    assert _join_count() == want
+    path = join_dir / JOIN_FILE
+    good = homcount._read_joins(path)
+    rule = _corrupt_joins(path, how)
+    with pytest.raises(FormatError, match=rule):
+        homcount._read_joins(path)
+    _new_process()
+    compiles = _count_compiles(monkeypatch)
+    with caplog.at_level(logging.WARNING):
+        assert _join_count() == want
+    assert any(r.getMessage() == f"rebuilding bag-join code: {path}: {rule}"
+               for r in caplog.records)
+    # nothing was read: every join was compiled, and the file written anew
+    assert sorted(compiles) == sorted(good)
+    assert homcount._read_joins(path).keys() == good.keys()
+    assert os.stat(path).st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("blocked", ["by a directory", "below a file"])
+def test_join_save_failure_is_logged(blocked, join_dir, caplog):
+    """The join file cannot be written: its name is taken by a directory,
+    or the cache directory lies below a regular file.  The count is
+    still made, and the failed read and write are logged."""
+    if blocked == "by a directory":
+        path = join_dir / JOIN_FILE
+        (path / "blocker").mkdir(parents=True)
+    else:
+        join_dir.parent.mkdir(exist_ok=True)
+        join_dir.write_text("")
+        path = join_dir / JOIN_FILE
+    with caplog.at_level(logging.WARNING):
+        assert _join_count() == _join_brute()
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("rebuilding bag-join code: ") for m in messages)
+    assert any(m.startswith(f"could not write bag-join code {path}: ")
+               for m in messages)
+    if blocked == "by a directory":
+        assert sorted(p.name for p in join_dir.iterdir()) == [JOIN_FILE]
+
+
+def test_save_past_the_bound_keeps_this_process_joins(join_dir, monkeypatch):
+    stale = [f"# stale join {i}\n" for i in range(JOIN_CACHE_SIZE + 8)]
+    code = compile("", "<stale>", "exec")
+    path = join_dir / JOIN_FILE
+    join_dir.mkdir()
+    path.write_bytes(_join_file(dict.fromkeys(stale, code)))
+    path.chmod(0o600)
+    _new_process()
+    compiles = _count_compiles(monkeypatch)
+    assert _join_count() == _join_brute()
+    table = homcount._read_joins(path)
+    assert compiles and len(table) == JOIN_CACHE_SIZE
+    assert set(compiles) <= table.keys()
+    # the stale joins kept are the file's last ones
+    assert [s for s in table if s in stale] == \
+        stale[len(stale) - JOIN_CACHE_SIZE + len(compiles):]
+
+
+_JOIN_WRITER = """
+import ast, sys, time
+from pathlib import Path
+from indsub.counting import count_basis
+from indsub.graphs import HostGraph
+from indsub.properties import get_property
+directory, tag, text = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+host = HostGraph.from_edges(*ast.literal_eval(text))
+count_basis(get_property("connected"), 3, host)
+(directory / f"ready-{tag}").write_text("")
+while not (directory / "go").exists():
+    time.sleep(0.001)
+print(count_basis(get_property("connected"), 5, host))
+"""
+
+
+def test_concurrent_join_writers(join_dir, monkeypatch):
+    """Two processes that wait for each other, then count in the same
+    directory at once: both save, and the file left behind is whole."""
+    build_catalog(5, cache_dir=join_dir)
+    for k in range(1, 6):
+        elimination_orders(k, cache_dir=join_dir)
+    src = Path(homcount.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    text = repr((JOIN_HOST.n, list(JOIN_HOST.edge_pairs())))
+    procs = [subprocess.Popen([sys.executable, "-c", _JOIN_WRITER,
+                               str(join_dir), str(i), text],
+                              env=env, stdout=subprocess.PIPE, text=True)
+             for i in range(2)]
+    try:
+        deadline = time.monotonic() + 60
+        while not all((join_dir / f"ready-{i}").exists() for i in range(2)):
+            assert all(p.poll() is None for p in procs)
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        (join_dir / "go").write_text("")
+        outs = [p.communicate(timeout=60)[0].strip() for p in procs]
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+                p.communicate()
+    assert [p.returncode for p in procs] == [0, 0]
+    want = _join_brute()
+    assert outs == [str(want)] * 2
+    assert not [p.name for p in join_dir.iterdir() if p.name.startswith(".")]
+    path = join_dir / JOIN_FILE
+    table = homcount._read_joins(path)
+    assert os.stat(path).st_mode & 0o777 == 0o600
+    _new_process()
+    compiles = _count_compiles(monkeypatch)
+    assert _join_count() == want
+    assert compiles == []
+    assert homcount._join_codes().keys() == table.keys()

@@ -14,6 +14,10 @@ a per-bit lookup table (entry d combines the weights of the set bits of
 d), so outside it no subscript is indexed by an XOR, as in table[d ^ low],
 and no list is extended by a comprehension over itself, as in
 t += [e | w for e in t].
+
+Code runs from one module: homcount.py, which compiles the bag joins and
+keeps their code objects in the join file, is the only module that calls
+compile, exec or eval or imports marshal.
 """
 
 import ast
@@ -121,3 +125,48 @@ def test_the_subset_table_guard_finds_each_kind():
     assert _subset_table_loops(tree, "subset_sums") == [
         "line 6: lo[x ^ low]", "line 8: table += [e | w for e in table]"]
     assert len(_subset_table_loops(tree)) == 4
+
+
+CODE_BUILTINS = ("compile", "exec", "eval")
+
+
+def _code_execution(tree: ast.Module) -> list[str]:
+    """Calls of compile, exec or eval (bare or through builtins) and
+    imports of marshal in tree."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in CODE_BUILTINS or \
+                    isinstance(func, ast.Attribute) and \
+                    func.attr in CODE_BUILTINS and \
+                    isinstance(func.value, ast.Name) and \
+                    func.value.id == "builtins":
+                found.append(f"{where}: call to {ast.unparse(func)}")
+        elif isinstance(node, ast.Import) and \
+                any(a.name == "marshal" for a in node.names):
+            found.append(f"{where}: import marshal")
+        elif isinstance(node, ast.ImportFrom) and node.module == "marshal":
+            found.append(f"{where}: from marshal import")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_homcount_executes_code(path):
+    found = _code_execution(ast.parse(path.read_text(), str(path)))
+    if path.name == "homcount.py":
+        assert {f.split(": ", 1)[1] for f in found} == {
+            "call to compile", "call to exec", "import marshal"}
+    else:
+        assert found == []
+
+
+def test_the_code_execution_guard_finds_each_kind():
+    source = ("import os, marshal\nfrom marshal import loads\n"
+              "exec(compile(s, 'f', 'exec'))\nx = eval('1')\n"
+              "builtins.exec(c)\nre.compile(p)\nobj.exec(q)\n")
+    assert sorted(_code_execution(ast.parse(source))) == [
+        "line 1: import marshal", "line 2: from marshal import",
+        "line 3: call to compile", "line 3: call to exec",
+        "line 4: call to eval", "line 5: call to builtins.exec"]
