@@ -6,7 +6,8 @@ pair_bits, the one builder of such an integer from neighbor rows, sets.
 Reading it back (edge_pairs, adj_rows) takes one lookup per byte of the
 integer, in per-n tables of each byte value's pairs and of its neighbor
 rows packed 16 bits per vertex.
-Host graphs keep sorted adjacency lists plus per-vertex neighbor bitmasks.
+Host graphs keep sorted neighbor tuples, which _neighbor_table, the one rule
+of a valid host, must rebuild unchanged from their edges, and neighbor bitmasks.
 
 Two text forms are supported: graph6, and a plain edge list whose first
 line is "n m" followed by one "u v" pair per line (0-indexed).  This
@@ -332,8 +333,24 @@ class SmallGraph(_SmallGraph):
         return "\n".join(lines) + "\n"
 
 
+def _neighbor_table(n: int, pairs) -> tuple[tuple[int, ...], ...]:
+    """The one rule of a valid host: the sorted, repeat-free neighbor lists
+    of the loop-free edges pairs on 0..n-1, each edge listed at both ends."""
+    sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            w = v if 0 <= u < n else u
+            raise ValueError(f"edge ({u},{v}): neighbor {w} out of range 0..{n - 1}")
+        sets[u].add(v)
+        sets[v].add(u)
+    return tuple(tuple(sorted(s)) for s in sets)
+
+
 class HostGraph(Frozen):
-    """Host-side graph: sorted neighbor lists; loop-free, no duplicates."""
+    """Host-side graph: a tuple of neighbor tuples, valid exactly when
+    _neighbor_table rebuilds it unchanged from its own edge pairs."""
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
@@ -341,29 +358,13 @@ class HostGraph(Frozen):
     def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...]):
         if n < 0 or len(neighbors) != n:
             raise ValueError("neighbor table size mismatch")
-        for u, nbrs in enumerate(neighbors):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError(f"neighbors of {u} not sorted/unique")
-            for v in nbrs:
-                if v == u:
-                    raise ValueError(f"loop at {u}")
-                if not 0 <= v < n:
-                    raise ValueError(f"neighbor {v} out of range")
-                if u not in neighbors[v]:
-                    raise ValueError(f"edge ({u},{v}) not symmetric")
         super().__init__(n, neighbors)
+        if _neighbor_table(n, self.edge_pairs()) != neighbors:
+            raise ValueError("neighbor lists not sorted, unique and symmetric")
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "HostGraph":
-        sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
-            sets[u].add(v)
-            sets[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in sets))
+        return cls(n, _neighbor_table(n, pairs))
 
     @classmethod
     def from_small(cls, g: SmallGraph) -> "HostGraph":

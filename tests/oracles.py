@@ -68,6 +68,11 @@ agree with it on the form, the relabeling and the automorphism count.
 The reference reduction instance glues the host between the exploded
 endpoints of h by hand, vertex by vertex, where the package takes the
 edge explosion and adds the host's edges; both must give the same graph.
+
+The reference host-table rules check a neighbor table entry by entry:
+every row sorted and without repeats, no loop, every entry in range and
+every edge listed at both ends.  HostGraph must accept exactly the tables
+they accept, where it rebuilds the table from its edge pairs instead.
 """
 from __future__ import annotations
 
@@ -312,6 +317,19 @@ def brute_hom_count(pattern: SmallGraph, host: HostGraph) -> int:
         if all(assignment[b] in adj[assignment[a]] for a, b in edges):
             total += 1
     return total
+
+
+def reference_host_table_valid(n: int, neighbors) -> bool:
+    """Whether neighbors is a valid table of n rows, entry by entry."""
+    if n < 0 or len(neighbors) != n:
+        return False
+    for u, nbrs in enumerate(neighbors):
+        if list(nbrs) != sorted(set(nbrs)):
+            return False
+        for v in nbrs:
+            if v == u or not 0 <= v < n or u not in neighbors[v]:
+                return False
+    return True
 
 
 def host_has_edge(host: HostGraph, u: int, v: int) -> bool:

@@ -77,6 +77,24 @@ def test_basis_and_brute_on_named_hosts():
     assert count_basis(get_property("no-edges"), 3, complete6) == 0
 
 
+def test_basis_equals_brute_at_k_6_and_7():
+    """Every built-in at k = 6 and 7, past acceptance criterion 1's k <= 5,
+    on six seeded hosts of 9-13 vertices.  The loop is host-major, so
+    that the hom counts kept for the last host serve every property."""
+    rng = random.Random(67)
+    mismatches = []
+    for n, p in zip((9, 10, 11, 12, 13, 13), (0.25, 0.4, 0.55) * 2):
+        host = random_host(rng, n, p)
+        for k in (6, 7):
+            for name in sorted(BUILTIN_PROPERTIES):
+                phi = get_property(name)
+                expected = count_brute(phi, k, host)
+                got = count_basis(phi, k, host)
+                if got != expected:
+                    mismatches.append((host.to_edge_list_text(), k, name, got, expected))
+    assert not mismatches
+
+
 def test_k_edge_cases():
     host = random_host(random.Random(7), 6, p=0.5)
     phi = get_property("connected")

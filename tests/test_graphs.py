@@ -34,9 +34,11 @@ from indsub.graphs import (
 from oracles import (
     host_complement,
     induced_small,
+    random_host,
     random_small_graph,
     reference_decode_graph6,
     reference_graph6,
+    reference_host_table_valid,
     relabeled_edge_mask,
 )
 
@@ -405,6 +407,65 @@ def test_host_graph_validation():
         HostGraph(-1, ())
     with pytest.raises(ValueError, match="neighbor 2 out of range"):
         HostGraph(2, ((2,), ()))
+
+
+def _table_edits(rng, n, rows):
+    """The table rows, as (vertex count, table), and single edits of it:
+    one direction of an edge dropped, an entry repeated, two entries
+    swapped, a loop, an entry n or -1, and the last row dropped, with the
+    vertex count kept and with it one less."""
+    def edit(u, row):
+        return rows[:u] + (tuple(row),) + rows[u + 1:]
+
+    yield n, rows
+    full = [u for u in range(n) if rows[u]]
+    if full:
+        u = rng.choice(full)
+        i = rng.randrange(len(rows[u]))
+        yield n, edit(u, rows[u][:i] + rows[u][i + 1:])
+        yield n, edit(u, rows[u][:i + 1] + rows[u][i:])
+    two = [u for u in range(n) if len(rows[u]) > 1]
+    if two:
+        u = rng.choice(two)
+        i, j = sorted(rng.sample(range(len(rows[u])), 2))
+        row = list(rows[u])
+        row[i], row[j] = row[j], row[i]
+        yield n, edit(u, row)
+    if n:
+        u = rng.randrange(n)
+        yield n, edit(u, sorted(rows[u] + (u,)))
+        yield n, edit(u, rows[u] + (n,))
+        yield n, edit(u, (-1,) + rows[u])
+        yield n, rows[:-1]
+        yield n - 1, rows[:-1]
+
+
+def test_host_graph_accepts_exactly_the_reference_tables():
+    """HostGraph(n, table) raises ValueError exactly when the per-entry
+    reference rules reject the table, on random hosts and single edits of
+    their tables; an accepted table is kept as given."""
+    rng = random.Random(41)
+    verdicts = set()
+    for n in range(31):
+        for p in (0.1, 0.5, 0.9):
+            rows = random_host(rng, n, p).neighbors
+            for m, table in _table_edits(rng, n, rows):
+                valid = reference_host_table_valid(m, table)
+                verdicts.add(valid)
+                if valid:
+                    assert HostGraph(m, table).neighbors == table
+                else:
+                    with pytest.raises(ValueError):
+                        HostGraph(m, table)
+    assert verdicts == {True, False}
+
+
+def test_host_graph_rejects_a_table_of_lists():
+    """A table must be the tuples the one rule builds, so that the host
+    can be hashed: the same rows as lists are rejected."""
+    rows = HostGraph.from_edges(3, [(0, 1), (1, 2)]).neighbors
+    with pytest.raises(ValueError, match="not sorted, unique and symmetric"):
+        HostGraph(3, [list(row) for row in rows])
 
 
 @pytest.mark.parametrize("n, edges, message", [

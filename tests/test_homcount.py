@@ -167,21 +167,29 @@ def _matmul(a, b):
 
 
 def test_count_hom_cycles_and_stars_on_larger_hosts():
-    """hom(C_l, G) = trace(A^l) and hom(K_{1,t}, G) = sum of deg(v)^t, on
-    hosts large enough that the DP's join, not the host, bounds the work."""
+    """hom(C_l, G) = trace(A^l), hom(K_{1,t}, G) = sum of deg(v)^t and
+    hom(K_3, G) = 6 * #triangles, on hosts large enough that the DP's join,
+    not the host, bounds the work; the last host is a dense G(300, 1/2),
+    where the cubic-time traces are left out and stars stop at t = 3."""
     rng = random.Random(46)
-    for n, p in ((30, 0.2), (45, 0.12), (60, 0.08)):
+    for n, p in ((30, 0.2), (45, 0.12), (60, 0.08), (300, 0.5)):
         host = random_host(rng, n, p)
-        a1 = [[1 if host_has_edge(host, u, v) else 0 for v in range(n)]
-              for u in range(n)]
-        a2 = _matmul(a1, a1)
-        a3 = _matmul(a2, a1)
-        for length, (x, y) in ((4, (a2, a2)), (5, (a2, a3)), (6, (a3, a3))):
-            trace = sum(x[u][v] * y[v][u] for u in range(n) for v in range(n))
-            assert count_hom(SmallGraph.cycle(length), host) == trace, (n, length)
-        for t in range(1, 6):
+        dense = n == 300
+        if not dense:
+            a1 = [[1 if host_has_edge(host, u, v) else 0 for v in range(n)]
+                  for u in range(n)]
+            a2 = _matmul(a1, a1)
+            a3 = _matmul(a2, a1)
+            for length, (x, y) in ((4, (a2, a2)), (5, (a2, a3)), (6, (a3, a3))):
+                trace = sum(x[u][v] * y[v][u] for u in range(n) for v in range(n))
+                assert count_hom(SmallGraph.cycle(length), host) == trace, (n, length)
+        for t in range(1, 4 if dense else 6):
             assert count_hom(SmallGraph.complete_bipartite(1, t), host) == \
                 sum(len(nbrs) ** t for nbrs in host.neighbors), (n, t)
+        rows = [sum(1 << v for v in nbrs) for nbrs in host.neighbors]
+        triangles = sum((rows[u] & rows[v]).bit_count()
+                        for u in range(n) for v in host.neighbors[u] if u < v) // 3
+        assert count_hom(SmallGraph.complete(3), host) == 6 * triangles, n
 
 
 def test_count_hom_accepts_any_valid_decomposition():
