@@ -13,16 +13,21 @@ elimination orders for 1 <= k <= 7, and the vertex-deletion maps for
 as a basis count does, and saves the compiled bag joins in the join file
 (homcount.JOIN_FILE), so a basis count in the directory compiles none.
 
+The cache directory is $INDSUB_CACHE_DIR, or ~/.cache/indsub when that is
+unset or empty, as for every indsub call; --cache-dir DIR sets
+INDSUB_CACHE_DIR to DIR before anything is built.
+
 Usage:
     python3 scripts/build_catalogs.py [--kmax K] [--cache-dir DIR]
 """
 
 import argparse
+import os
 import sys
 import time
-from pathlib import Path
 
 from indsub.catalog import (
+    CACHE_ENV_VAR,
     CLASS_MAPS,
     MAX_CATALOG_K,
     build_catalog,
@@ -44,16 +49,18 @@ def main(argv=None) -> int:
     parser.add_argument("--kmax", type=int, default=MAX_CATALOG_K,
                         help=f"build catalogs for 1..K (max {MAX_CATALOG_K})")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="cache directory (default: the package's "
-                             "standard location, or $INDSUB_CACHE_DIR)")
+                        help=f"cache directory; sets ${CACHE_ENV_VAR} "
+                             "(default: its value, or ~/.cache/indsub)")
     args = parser.parse_args(argv)
 
     if not 1 <= args.kmax <= MAX_CATALOG_K:
         parser.error(f"--kmax must be between 1 and {MAX_CATALOG_K}")
+    if args.cache_dir:
+        os.environ[CACHE_ENV_VAR] = args.cache_dir
 
     for k in range(1, args.kmax + 1):
         start = time.monotonic()
-        cat = build_catalog(k, cache_dir=args.cache_dir)
+        cat = build_catalog(k)
         elapsed = time.monotonic() - start
         print(f"k={k}: {cat.class_count} classes, "
               f"{cat.labeled_total} labeled graphs [{elapsed:.2f}s]")
@@ -62,20 +69,19 @@ def main(argv=None) -> int:
             if k > args.kmax:
                 break
             start = time.monotonic()
-            kind(k, cache_dir=args.cache_dir)
+            kind(k)
             elapsed = time.monotonic() - start
             print(f"k={k}: {kind.what} [{elapsed:.2f}s]")
     start = time.monotonic()
-    joins = (Path(args.cache_dir) if args.cache_dir
-             else default_cache_dir()) / JOIN_FILE
+    joins = default_cache_dir() / JOIN_FILE
     load_joins(joins)
     # a plan does not depend on the host, so any host with a vertex will do
     store = HomStore(HostGraph.from_edges(1, []))
     for k in elimination_orders.ks:
         if k > args.kmax:
             break
-        cat = build_catalog(k, cache_dir=args.cache_dir)
-        orders = elimination_orders(k, cache_dir=args.cache_dir)
+        cat = build_catalog(k)
+        orders = elimination_orders(k)
         for g, order in zip(cat.graphs(), orders):
             store.plan(g, decomposition_from_order(g, order))
     save_joins(joins)

@@ -80,9 +80,6 @@ class CanonicalForm(NamedTuple):
     edges: int
     relabeling: tuple[int, ...]
 
-    def graph(self) -> SmallGraph:
-        return SmallGraph(self.n, self.edges)
-
 
 def _refined_cells(n: int, rows: list[int]) -> list[int]:
     """Ordered color cells, as vertex bitmasks, of the stable refinement

@@ -24,16 +24,17 @@ too, and the extension is canonicalised.  Over k <= 8 this canonicalises
 
 Catalogs are cached on disk, one "graph6 aut" line per class under a
 versioned header, in the builder's order: by edge count, then by edge
-bitset.  The cache directory comes from INDSUB_CACHE_DIR or defaults to
-~/.cache/indsub; build_catalog(cache_dir=) overrides it.  A GraphCatalog
-keeps, in that order, each class's edge bitset, automorphism count and
-graph6 text, as read from the file (through graphs' strict graph6
-tables) or encoded once by the builder; a SmallGraph is built per class
-only on demand.
+bitset.  The cache directory is INDSUB_CACHE_DIR as it is at each call,
+or ~/.cache/indsub when that is unset or empty; the memos are keyed by its
+value, so a call's catalogs and maps all come from one directory.  A
+GraphCatalog keeps, in that order, each class's edge bitset, automorphism
+count and graph6 text, as read from the file (through graphs' strict
+graph6 tables) or encoded once by the builder; a SmallGraph is built per
+class only on demand.
 
 Beside k{k}.catalog the cache directory keeps per-class maps that do not
 depend on any property.  Each is a ClassMap, declared once with the k it
-covers and called as its own accessor, map(k, cache_dir=): one line per
+covers and called as its own accessor, map(k): one line per
 class in catalog order, under the header "# indsub <name> v<n> k=..
 classes=.. catalog=<sha256 of each k{m}.catalog file the rows read, in
 order of m, comma-separated>".  They are
@@ -180,17 +181,15 @@ class GraphCatalog(Frozen):
 
 
 def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "indsub"
+    return _cache_dir(os.environ.get(CACHE_ENV_VAR))
 
 
-def _cache_dir(cache_dir_str: str | None) -> Path:
-    return Path(cache_dir_str) if cache_dir_str else default_cache_dir()
+def _cache_dir(key: str | None) -> Path:
+    # key: the value of INDSUB_CACHE_DIR, None when it is unset
+    return Path(key) if key else Path.home() / ".cache" / "indsub"
 
 
-def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
+def _build_classes(k: int, key: str | None) -> dict[int, int]:
     """Canonical edge-bitset -> aut for every class on k vertices: extend
     each (k-1)-vertex representative by one vertex, joined to one neighbor
     mask per orbit of the representative's automorphism group whose new
@@ -199,7 +198,7 @@ def _build_classes(k: int, cache_dir_str: str | None) -> dict[int, int]:
     if k == 1:
         parents = [(0, 1)]
     else:
-        below = _catalog_cached(k - 1, cache_dir_str)
+        below = _catalog_cached(k - 1, key)
         parents = zip(below.edges, below.auts)
     top = k - 1
     found: dict[int, int] = {}
@@ -292,15 +291,15 @@ def _orbit_representatives(masks, gens) -> list[int]:
 
 
 @lru_cache(maxsize=MAX_CATALOG_K)
-def _catalog_cached(k: int, cache_dir_str: str | None) -> GraphCatalog:
+def _catalog_cached(k: int, key: str | None) -> GraphCatalog:
     return _read_or_rebuild(
-        "catalog", k, _cache_dir(cache_dir_str) / f"k{k}.catalog",
+        "catalog", k, _cache_dir(key) / f"k{k}.catalog",
         lambda path: _read_cache(k, path),
-        lambda: _new_catalog(k, cache_dir_str), _write_cache)
+        lambda: _new_catalog(k, key), _write_cache)
 
 
-def _new_catalog(k: int, cache_dir_str: str | None) -> GraphCatalog:
-    classes = _build_classes(k, cache_dir_str)
+def _new_catalog(k: int, key: str | None) -> GraphCatalog:
+    classes = _build_classes(k, key)
     edges = tuple(sorted(classes, key=lambda e: (e.bit_count(), e)))
     cat = GraphCatalog(k, edges, tuple(map(classes.__getitem__, edges)),
                        tuple(_small_graph6(k, e) for e in edges))
@@ -339,10 +338,10 @@ def _warn(message: str, *args) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def build_catalog(k: int, *, cache_dir=None) -> GraphCatalog:
+def build_catalog(k: int) -> GraphCatalog:
     if not 1 <= k <= MAX_CATALOG_K:
         raise ValueError(f"catalog supports 1 <= k <= {MAX_CATALOG_K}")
-    return _catalog_cached(k, str(cache_dir) if cache_dir else None)
+    return _catalog_cached(k, os.environ.get(CACHE_ENV_VAR))
 
 
 def _write_cache(cat: GraphCatalog, path: Path) -> None:
@@ -443,15 +442,14 @@ class ClassMap(_ClassMap):
         CLASS_MAPS.append(self)
         return self
 
-    def __call__(self, k: int, *, cache_dir=None
-                 ) -> tuple[tuple[int, ...], ...]:
-        """The rows for the k-vertex catalog, read from their file, or
-        computed and written there when that file is missing or invalid."""
+    def __call__(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """The rows for the k-vertex catalog, read from their file in the
+        cache directory as INDSUB_CACHE_DIR names it now, or computed and
+        written there when that file is missing or invalid."""
         if k not in self.ks:
             raise ValueError(
                 f"{self.what} cover {self.ks[0]} <= k <= {self.ks[-1]}")
-        return _class_map_cached(self, k,
-                                 str(cache_dir) if cache_dir else None)
+        return _class_map_cached(self, k, os.environ.get(CACHE_ENV_VAR))
 
 
 # Every declared ClassMap, in the order of declaration.  Importing indsub
@@ -461,11 +459,10 @@ CLASS_MAPS: list[ClassMap] = []
 
 # Room for one cache directory's maps: four maps, none past MAX_HOM_VECTOR_K.
 @lru_cache(maxsize=4 * MAX_HOM_VECTOR_K)
-def _class_map_cached(kind: ClassMap, k: int, cache_dir_str: str | None
+def _class_map_cached(kind: ClassMap, k: int, key: str | None
                       ) -> tuple[tuple[int, ...], ...]:
-    cats = tuple(build_catalog(m, cache_dir=cache_dir_str)
-                 for m in range(kind.lowest(k), k + 1))
-    directory = _cache_dir(cache_dir_str)
+    cats = tuple(_catalog_cached(m, key) for m in range(kind.lowest(k), k + 1))
+    directory = _cache_dir(key)
     try:
         header = _map_header(kind, cats, directory)
     except OSError:

@@ -73,6 +73,10 @@ The reference host-table rules check a neighbor table entry by entry:
 every row sorted and without repeats, no loop, every entry in range and
 every edge listed at both ends.  HostGraph must accept exactly the tables
 they accept, where it rebuilds the table from its edge pairs instead.
+
+The disjoint union of two hosts lists the first host's edges, then the
+second's with every vertex shifted past the first host's vertices, for
+identities that hold over G1 + G2 whatever route counts them.
 """
 from __future__ import annotations
 
@@ -340,6 +344,14 @@ def host_complement(host: HostGraph) -> HostGraph:
     return HostGraph.from_edges(host.n, [
         (u, v) for u, v in itertools.combinations(range(host.n), 2)
         if not host_has_edge(host, u, v)])
+
+
+def host_disjoint_union(g1: HostGraph, g2: HostGraph) -> HostGraph:
+    """G1 + G2: the vertices of g1, then those of g2 shifted by g1.n."""
+    return HostGraph.from_edges(g1.n + g2.n, [
+        (u + shift, v + shift)
+        for g, shift in ((g1, 0), (g2, g1.n))
+        for u in range(g.n) for v in g.neighbors[u] if u < v])
 
 
 def induced_small(host: HostGraph, vertices) -> SmallGraph:
@@ -1052,7 +1064,7 @@ def labelled_hom_vector(phi, k: int) -> HomVector:
                 continue
             form = canonical_form(q)
             key = (form.n, form.edges)
-            reps.setdefault(key, form.graph())
+            reps.setdefault(key, SmallGraph(form.n, form.edges))
             acc[key] = acc.get(key, Fraction(0)) + a * mu
     entries = sorted(((reps[key], c) for key, c in acc.items() if c),
                      key=lambda e: (e[0].edge_count, e[0].to_graph6()))

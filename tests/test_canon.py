@@ -39,7 +39,7 @@ def test_canonical_form_is_isomorphic_to_input():
     for _ in range(40):
         g = random_small_graph(rng, rng.randrange(8))
         form = canonical_form(g)
-        cf = form.graph()
+        cf = SmallGraph(form.n, form.edges)
         assert cf.n == g.n and cf.edge_count == g.edge_count
         assert brute_is_isomorphic(g, cf)
         assert g.relabel(form.relabeling) == cf

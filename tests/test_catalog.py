@@ -52,8 +52,9 @@ CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_catalog_matches_orbit_oracle(k, tmp_path):
-    cat = build_catalog(k, cache_dir=tmp_path)
+def test_catalog_matches_orbit_oracle(k, tmp_path, monkeypatch):
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    cat = build_catalog(k)
     orbits = orbit_partition(k)
     assert cat.class_count == len(orbits) == CLASS_COUNTS[k]
     by_start = {}
@@ -77,9 +78,11 @@ def test_catalog_aut_matches_brute(k):
         assert aut == brute_automorphism_count(g)
 
 
-def test_catalog_entry_order_is_deterministic(tmp_path):
-    cat1 = build_catalog(5, cache_dir=tmp_path / "a")
-    cat2 = build_catalog(5, cache_dir=tmp_path / "b")
+def test_catalog_entry_order_is_deterministic(tmp_path, monkeypatch):
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path / "a"))
+    cat1 = build_catalog(5)
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path / "b"))
+    cat2 = build_catalog(5)
     assert list(cat1.graphs()) == list(cat2.graphs())
     edge_counts = [g.edge_count for g in cat1.graphs()]
     assert edge_counts == sorted(edge_counts)
@@ -172,7 +175,7 @@ def test_index_of_raises_canon_key_error_outside_the_catalog():
         assert got.value.args == want.value.args == (canon_key(g),)
 
 
-def test_catalog_and_map_memos_stay_bounded(tmp_path):
+def test_catalog_and_map_memos_stay_bounded(tmp_path, monkeypatch):
     # A process that visits many cache directories keeps at most one
     # directory's catalogs and maps, and one directory's whole working set
     # fits: loading it again misses nothing.
@@ -181,41 +184,42 @@ def test_catalog_and_map_memos_stay_bounded(tmp_path):
     assert maps.cache_info().maxsize == 4 * MAX_HOM_VECTOR_K \
         >= sum(len(kind.ks) for kind in CLASS_MAPS)
 
-    def load(k_max, directory=None):
+    def load(k_max, directory):
+        monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
         for k in range(1, k_max + 1):
-            build_catalog(k, cache_dir=directory)
+            build_catalog(k)
         for kind in CLASS_MAPS:
             for k in kind.ks:
                 if k <= k_max:
-                    kind(k, cache_dir=directory)
+                    kind(k)
 
+    session = catalog.default_cache_dir()
     for i in range(20):
         load(3, tmp_path / str(i))
         assert cats.cache_info().currsize <= MAX_CATALOG_K
         assert maps.cache_info().currsize <= 4 * MAX_HOM_VECTOR_K
-    load(MAX_CATALOG_K)
+    load(MAX_CATALOG_K, session)
     misses = cats.cache_info().misses, maps.cache_info().misses
-    load(MAX_CATALOG_K)
+    load(MAX_CATALOG_K, session)
     assert (cats.cache_info().misses, maps.cache_info().misses) == misses
 
 
 def test_deletion_maps_match_canon_only_reference(tmp_path, monkeypatch):
     # The deletion maps are computed and written, then read back from their
     # files by a process state with no cached catalog or map.
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     for k in range(1, 8):
-        edge_deletions(k, cache_dir=tmp_path)
+        edge_deletions(k)
     for k in range(2, MAX_FLAG_K + 1):
-        vertex_deletions(k, cache_dir=tmp_path)
+        vertex_deletions(k)
     catalog._class_map_cached.cache_clear()
     catalog._catalog_cached.cache_clear()
     monkeypatch.setattr(catalog, "compute_edge_deletions", _refuse)
     monkeypatch.setattr(catalog, "compute_vertex_deletions", _refuse)
     for k in range(1, 8):
-        assert edge_deletions(k, cache_dir=tmp_path) == \
-            reference_edge_deletions(k)
+        assert edge_deletions(k) == reference_edge_deletions(k)
     for k in range(2, MAX_FLAG_K + 1):
-        assert vertex_deletions(k, cache_dir=tmp_path) == \
-            reference_vertex_deletions(k)
+        assert vertex_deletions(k) == reference_vertex_deletions(k)
 
 
 def test_maps_reject_k_outside_their_range():
@@ -244,18 +248,19 @@ def test_edge_deletions_canonicalise_few_graphs(monkeypatch):
     assert calls < 1000
 
 
-def _edges_file(tmp_path, k=5):
-    """A fresh directory holding catalogs 1..k and the k-th edge-deletion
-    map, with no map cached in the process."""
-    edge_deletions(k, cache_dir=tmp_path)
+def _edges_file(k=5):
+    """The k-th edge-deletion map's file in a fresh cache directory, which
+    then holds catalogs 1..k too, with no map cached in the process."""
+    edge_deletions(k)
     catalog._class_map_cached.cache_clear()
-    return tmp_path / f"k{k}.edges"
+    return catalog.default_cache_dir() / f"k{k}.edges"
 
 
-def _read_file(kind, k, directory):
-    """kind's map for k read from its file in directory, or FormatError."""
-    cats = tuple(build_catalog(m, cache_dir=directory)
-                 for m in range(kind.lowest(k), k + 1))
+def _read_file(kind, k):
+    """kind's map for k read from its file in the cache directory, or
+    FormatError."""
+    directory = catalog.default_cache_dir()
+    cats = tuple(build_catalog(m) for m in range(kind.lowest(k), k + 1))
     return catalog._read_map(
         directory / f"k{k}.{kind.suffix}",
         catalog._map_header(kind, cats, directory), cats[-1].class_count,
@@ -289,59 +294,63 @@ EDGES_CORRUPTIONS = {
 
 @pytest.mark.parametrize("corruption", sorted(EDGES_CORRUPTIONS))
 def test_corrupt_edge_deletion_map_is_rebuilt_and_logged(corruption,
-                                                         tmp_path, caplog):
-    path = _edges_file(tmp_path)
+                                                         tmp_path, caplog,
+                                                         monkeypatch):
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    path = _edges_file()
     good = path.read_text()
     assert _replace_row(good, 33, " ".join(["32"] * 10)) == good
     assert _replace_row(good, 2, "1 1") == good
     path.write_text(EDGES_CORRUPTIONS[corruption](good, tmp_path))
     with pytest.raises(FormatError):
-        _read_file(edge_deletions, 5, tmp_path)
+        _read_file(edge_deletions, 5)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        rows = edge_deletions(5, cache_dir=tmp_path)
+        rows = edge_deletions(5)
     assert rows == reference_edge_deletions(5)
     assert any(f"rebuilding {edge_deletions.what} k=5" in r.getMessage()
                for r in caplog.records)
     assert path.read_text() == good
 
 
-def test_edge_deletion_map_needs_its_catalog_file(tmp_path, caplog):
+def test_edge_deletion_map_needs_its_catalog_file(tmp_path, caplog,
+                                                   monkeypatch):
     # The catalogs' own writes fail: the map is computed, and not written,
     # since no file exists for its header to name.  A lone missing catalog
     # file is checked for every map below.
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(blocker))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        assert edge_deletions(3, cache_dir=blocker) == \
-            reference_edge_deletions(3)
+        assert edge_deletions(3) == reference_edge_deletions(3)
     assert not any("edge-deletion map" in r.getMessage()
                    for r in caplog.records)
 
 
 _MAP_WRITER = """
 import hashlib, sys, time
-from pathlib import Path
-from indsub.catalog import CLASS_MAPS, build_catalog
-directory, tag, name, k = Path(sys.argv[1]), sys.argv[2], sys.argv[3], \\
-    int(sys.argv[4])
+from indsub.catalog import CLASS_MAPS, build_catalog, default_cache_dir
+directory = default_cache_dir()
+tag, name, k = sys.argv[1], sys.argv[2], int(sys.argv[3])
 kind, = (kind for kind in CLASS_MAPS if kind.suffix == name)
-build_catalog(k, cache_dir=directory)
+build_catalog(k)
 (directory / f"ready-{tag}").write_text("")
 while not (directory / "go").exists():
     time.sleep(0.001)
-rows = kind(k, cache_dir=directory)
+rows = kind(k)
 print(hashlib.sha256(repr(rows).encode()).hexdigest())
 """
 
 
 def _race_writers(directory, name, k):
     """Two processes that wait for each other, then read the k-th map with
-    suffix name from directory at once; their hashes of the rows."""
-    build_catalog(k, cache_dir=directory)
+    suffix name from directory, the cache directory, at once; their hashes
+    of the rows."""
+    build_catalog(k)
     src = Path(catalog.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src),
+               INDSUB_CACHE_DIR=str(directory))
     procs = [subprocess.Popen([sys.executable, "-c", _MAP_WRITER,
-                               str(directory), str(i), name, str(k)],
+                               str(i), name, str(k)],
                               env=env, stdout=subprocess.PIPE, text=True)
              for i in range(2)]
     try:
@@ -500,7 +509,7 @@ def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
         assert good.split("\n")[34] == "51 1"
     path.write_text(corrupt(good))
     with pytest.raises(FormatError):
-        _read_file(kind, 5, cache_env)
+        _read_file(kind, 5)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert _results(5) == want
     assert any(f"rebuilding {kind.what} k=5: {path}: " in r.getMessage()
@@ -521,7 +530,7 @@ def test_stale_lower_catalog_is_caught(name, cache_env, caplog):
     new = hashlib.sha256(lower.read_bytes()).hexdigest()
     assert old in good.split("\n", 1)[0]
     with pytest.raises(FormatError):
-        _read_file(kind, 5, cache_env)
+        _read_file(kind, 5)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert _results(5) == want
     assert any(f"rebuilding {kind.what} k=5" in r.getMessage()
@@ -562,7 +571,7 @@ def test_map_needs_every_catalog_file_it_names(name, cache_env, caplog):
 def test_concurrent_map_writers(name, k, cache_env):
     kind = MAPS[name]
     outs = _race_writers(cache_env, name, k)
-    rows = _read_file(kind, k, cache_env)
+    rows = _read_file(kind, k)
     assert outs == [hashlib.sha256(repr(rows).encode()).hexdigest()] * 2
     assert sorted(p.name for p in cache_env.iterdir()
                   if not p.name.startswith(("ready-", "go"))) == \
@@ -582,7 +591,8 @@ def test_building_or_loading_never_computes_the_invariant(tmp_path,
         raise AssertionError("refinement invariant computed")
 
     monkeypatch.setattr(catalog, "refinement_invariant", refuse)
-    build_catalog(5, cache_dir=tmp_path)
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    build_catalog(5)
     for k in range(1, 6):
         cat = catalog._read_cache(k, tmp_path / f"k{k}.catalog")
         assert cat.class_count == CLASS_COUNTS[k]
@@ -591,9 +601,10 @@ def test_building_or_loading_never_computes_the_invariant(tmp_path,
     assert cat.index_of(SmallGraph.complete(5)) == cat.class_count - 1
 
 
-def test_disk_cache_round_trip(tmp_path):
+def test_disk_cache_round_trip(tmp_path, monkeypatch):
     from indsub.catalog import _read_cache
-    first = build_catalog(5, cache_dir=tmp_path)
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    first = build_catalog(5)
     assert (tmp_path / "k5.catalog").exists()
     again = _read_cache(5, tmp_path / "k5.catalog")
     assert again == first
@@ -637,15 +648,17 @@ def test_corrupt_cache_rejected(tmp_path):
             _read_cache(3, path)
 
 
-def test_padding_bit_line_is_rebuilt_and_logged(tmp_path, caplog):
+def test_padding_bit_line_is_rebuilt_and_logged(tmp_path, caplog,
+                                                monkeypatch):
     # "Bx" decodes to K3 like "Bw" but is not the writer's text for it, and
     # the listing prints the stored text.
     build_catalog(3)
     good = (catalog.default_cache_dir() / "k3.catalog").read_text()
     path = tmp_path / "k3.catalog"
     path.write_text(good.replace("\nBw 6\n", "\nBx 6\n"))
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        assert build_catalog(3, cache_dir=tmp_path).graph6[-1] == "Bw"
+        assert build_catalog(3).graph6[-1] == "Bw"
     assert any("rebuilding catalog k=3" in r.getMessage()
                for r in caplog.records)
     assert path.read_text() == good
@@ -669,8 +682,9 @@ def test_warm_load_builds_no_graph(tmp_path, monkeypatch):
     monkeypatch.setattr(SmallGraph, "__new__", refuse)
     monkeypatch.setattr(SmallGraph, "from_graph6", refuse)
     monkeypatch.setattr(SmallGraph, "to_graph6", refuse)
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     for k in range(1, 9):
-        cat = build_catalog(k, cache_dir=tmp_path)
+        cat = build_catalog(k)
         assert cat.class_count == CLASS_COUNTS[k]
         assert cat._graphs == {}
 
@@ -683,40 +697,44 @@ def _check_stored_forms(cat):
         assert cat.graph(i) is g
 
 
-def test_stored_forms_match_the_graphs(tmp_path):
+def test_stored_forms_match_the_graphs(tmp_path, monkeypatch):
     for k in range(1, 9):
         _check_stored_forms(build_catalog(k))
-    build_catalog(8, cache_dir=tmp_path)     # cold: nothing read from disk
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    build_catalog(8)     # cold: nothing read from disk
     for k in range(1, 9):
-        _check_stored_forms(build_catalog(k, cache_dir=tmp_path))
+        _check_stored_forms(build_catalog(k))
 
 
-def test_corrupt_cache_is_rebuilt_and_logged(tmp_path, caplog):
+def test_corrupt_cache_is_rebuilt_and_logged(tmp_path, caplog, monkeypatch):
     from indsub.catalog import _read_cache
     path = tmp_path / "k3.catalog"
     path.write_text("junk\n")
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        cat = build_catalog(3, cache_dir=tmp_path)
+        cat = build_catalog(3)
     assert cat.class_count == CLASS_COUNTS[3]
     assert _read_cache(3, path) == cat
     assert any("rebuilding catalog k=3" in r.getMessage()
                for r in caplog.records)
 
 
-def test_unreadable_cache_is_rebuilt_and_logged(tmp_path, caplog):
+def test_unreadable_cache_is_rebuilt_and_logged(tmp_path, caplog,
+                                                monkeypatch):
     # A directory where the catalog file belongs can be neither read nor
     # replaced: the catalog is rebuilt, and both failures are logged.
+    want = build_catalog(3)
     (tmp_path / "k3.catalog").mkdir()
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        cat = build_catalog(3, cache_dir=tmp_path)
-    assert cat == build_catalog(3)
+        assert build_catalog(3) == want
     messages = [r.getMessage() for r in caplog.records]
     assert any("rebuilding catalog k=3" in m for m in messages)
     assert any("could not write catalog" in m and "k3.catalog" in m
                for m in messages)
 
 
-def test_out_of_order_cache_is_rebuilt(tmp_path, caplog):
+def test_out_of_order_cache_is_rebuilt(tmp_path, caplog, monkeypatch):
     # Truth tables and the deletion maps index classes by the builder's
     # order, so a file with the right classes in another order is corrupt.
     from indsub.catalog import _read_cache, _write_cache
@@ -731,18 +749,20 @@ def test_out_of_order_cache_is_rebuilt(tmp_path, caplog):
         path.write_text("\n".join([head, *lines]) + "\n")
         with pytest.raises(FormatError):
             _read_cache(4, path)
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        assert build_catalog(4, cache_dir=tmp_path) == cat
+        assert build_catalog(4) == cat
     assert any("rebuilding catalog k=4" in r.getMessage()
                for r in caplog.records)
     assert _read_cache(4, path) == cat
 
 
-def test_cache_write_failure_is_logged(tmp_path, caplog):
+def test_cache_write_failure_is_logged(tmp_path, caplog, monkeypatch):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(blocker))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
-        cat = build_catalog(2, cache_dir=blocker)
+        cat = build_catalog(2)
     assert cat.class_count == CLASS_COUNTS[2]
     assert sum("could not write catalog" in r.getMessage()
                for r in caplog.records) == 2      # k = 2 and its parent
@@ -784,14 +804,27 @@ def test_concurrent_cache_writers(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["k5.catalog"]
 
 
-def test_parent_catalog_uses_the_given_cache_dir(tmp_path, monkeypatch):
-    env_dir = tmp_path / "env"
-    env_dir.mkdir()
-    monkeypatch.setenv("INDSUB_CACHE_DIR", str(env_dir))
-    build_catalog(7, cache_dir=tmp_path / "explicit")
-    assert list(env_dir.iterdir()) == []
-    assert sorted(p.name for p in (tmp_path / "explicit").iterdir()) == \
-        [f"k{k}.catalog" for k in range(1, 8)]
+def test_switching_the_cache_dir_keeps_each_directory_whole(cache_env,
+                                                           monkeypatch):
+    # The directory is INDSUB_CACHE_DIR at each call: a count after the
+    # variable changes finds none of the catalogs and maps held for the
+    # old directory, so the new one gets every file the count reads,
+    # each whole and loadable.
+    connected = get_property("connected")
+    for k, name in ((4, "a"), (5, "b")):
+        monkeypatch.setenv("INDSUB_CACHE_DIR", str(cache_env / name))
+        assert count_basis(connected, k, RESULT_HOST) == \
+            counting.count_brute(connected, k, RESULT_HOST)
+        names = {p.name for p in (cache_env / name).iterdir()}
+        assert {f"k{m}.catalog" for m in range(1, k + 1)} | \
+            {f"k{k}.{kind}" for kind in ("edges", "orders", "quotients")} \
+            <= names
+        for m in range(1, k + 1):
+            assert catalog._read_cache(
+                m, cache_env / name / f"k{m}.catalog") == build_catalog(m)
+        for kind in (edge_deletions, counting.elimination_orders,
+                     MAPS["quotients"]):
+            assert _read_file(kind, k) == kind(k)
 
 
 def test_collecting_the_tests_writes_no_user_cache(tmp_path):
@@ -815,7 +848,11 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("build_catalogs", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # --cache-dir sets INDSUB_CACHE_DIR in this process; setting it through
+    # monkeypatch first puts the session's value back after the test.
+    monkeypatch.setenv("INDSUB_CACHE_DIR", os.environ["INDSUB_CACHE_DIR"])
     assert module.main(["--kmax", "4", "--cache-dir", str(tmp_path)]) == 0
+    assert os.environ["INDSUB_CACHE_DIR"] == str(tmp_path)
     out = capsys.readouterr().out
     assert "k=4: 11 classes" in out and "k=4: edge-deletion map" in out
     assert "k=4: quotient rows" in out and "k=4: vertex-deletion map" in out
@@ -839,13 +876,13 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys, monkeypatch):
             store.plan(g, homcount.decomposition_from_order(g, order))
     for kind in CLASS_MAPS:
         for k in range(kind.ks[0], 5):
-            assert _read_file(kind, k, tmp_path) == kind.compute(tuple(
+            assert _read_file(kind, k) == kind.compute(tuple(
                 build_catalog(m) for m in range(kind.lowest(k), k + 1)))
     for k in range(1, 5):
-        assert _read_file(edge_deletions, k, tmp_path) == \
+        assert _read_file(edge_deletions, k) == \
             reference_edge_deletions(k)
     for k in range(2, 5):
-        assert _read_file(vertex_deletions, k, tmp_path) == \
+        assert _read_file(vertex_deletions, k) == \
             reference_vertex_deletions(k)
 
 
@@ -926,16 +963,17 @@ COLD_CACHE_SHA256 = {
 }
 
 
-def test_cold_build_is_byte_identical(tmp_path):
+def test_cold_build_is_byte_identical(tmp_path, monkeypatch):
     # Catalog order and truth-table indexing depend on the canonical form,
     # and every map row reads catalog indices.
-    build_catalog(8, cache_dir=tmp_path)
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    build_catalog(8)
     # Building a catalog writes no edge-deletion map.
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         [f"k{k}.catalog" for k in range(1, 9)]
     for kind in CLASS_MAPS:
         for k in kind.ks:
-            kind(k, cache_dir=tmp_path)
+            kind(k)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == COLD_CACHE_SHA256
 
@@ -992,7 +1030,8 @@ def test_cold_build_canonicalises_few_extensions(tmp_path, monkeypatch):
         return _canonical_data(n, rows)
 
     monkeypatch.setattr(catalog, "_canonical_data", counting)
-    build_catalog(7, cache_dir=tmp_path)
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    build_catalog(7)
     classes = sum(CLASS_COUNTS[k] for k in range(1, 8))
     assert classes == 1252
     assert calls < 2 * classes

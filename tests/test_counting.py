@@ -47,7 +47,13 @@ from indsub.homcount import (
 )
 from indsub.properties import BUILTIN_PROPERTIES, PropertySpec, get_property, invert
 
-from oracles import brute_indsub_count, host_complement, induced_small, random_host
+from oracles import (
+    brute_indsub_count,
+    host_complement,
+    host_disjoint_union,
+    induced_small,
+    random_host,
+)
 
 
 @pytest.mark.parametrize("prop_name", ["connected", "bipartite", "chordal",
@@ -93,6 +99,49 @@ def test_basis_equals_brute_at_k_6_and_7():
                 if got != expected:
                     mismatches.append((host.to_edge_list_text(), k, name, got, expected))
     assert not mismatches
+
+
+def _negation(phi: PropertySpec) -> PropertySpec:
+    pred = phi.predicate
+    return PropertySpec(f"not-{phi.name}", lambda g: not pred(g))
+
+
+def test_complement_and_negation_on_the_basis_at_n_40():
+    """Two exact identities check count_basis on a host far past brute
+    force, every built-in at k = 5 on one G(40, 1/2):
+    #IndSub(Phi o complement, k, G) = #IndSub(Phi, k, complement of G),
+    and #IndSub(Phi, k, G) + #IndSub(not Phi, k, G) = C(n, k).  The
+    counts are host-major, so the hom counts kept for the last host serve
+    every property on it."""
+    k = 5
+    host = random_host(random.Random(405), 40, 0.5)
+    phis = [get_property(name) for name in sorted(BUILTIN_PROPERTIES)]
+    counts = [count_basis(phi, k, host) for phi in phis]
+    negated = [count_basis(_negation(phi), k, host) for phi in phis]
+    inverted = [count_basis(invert(phi), k, host) for phi in phis]
+    complement = host_complement(host)
+    assert inverted == [count_basis(phi, k, complement) for phi in phis]
+    assert [a + b for a, b in zip(counts, negated)] == \
+        [comb(host.n, k)] * len(phis)
+
+
+def test_disjoint_union_identities_on_the_basis():
+    """Over the disjoint union G1 + G2 of sparse hosts of 60 and 70
+    vertices, at k = 6: a connected set lies in one part, so connected
+    counts add, and an independent set is one in each part, so
+    #IS_6(G1 + G2) = sum over j of #IS_j(G1) * #IS_(6-j)(G2)."""
+    k = 6
+    rng = random.Random(6070)
+    hosts = [random_host(rng, 60, 0.06), random_host(rng, 70, 0.06)]
+    hosts.append(host_disjoint_union(*hosts))
+    connected = get_property("connected")
+    no_edges = get_property("no-edges")
+    conn, ind = [], []
+    for host in hosts:         # host-major, as above
+        conn.append(count_basis(connected, k, host))
+        ind.append([count_basis(no_edges, j, host) for j in range(k + 1)])
+    assert conn[2] == conn[0] + conn[1]
+    assert ind[2][k] == sum(ind[0][j] * ind[1][k - j] for j in range(k + 1))
 
 
 def test_k_edge_cases():
@@ -481,9 +530,8 @@ def test_negation_identity(k):
     for prop_name in ("connected", "split"):
         host = random_host(rng, 7, p=0.5)
         phi = get_property(prop_name)
-        negated = PropertySpec(f"not-{prop_name}", lambda g: not phi(g))
-        assert count_brute(phi, k, host) + count_brute(negated, k, host) == \
-            comb(7, k)
+        assert count_brute(phi, k, host) + \
+            count_brute(_negation(phi), k, host) == comb(7, k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -528,11 +576,8 @@ def _join_brute() -> int:
 
 @pytest.fixture
 def join_dir(tmp_path, monkeypatch):
-    """INDSUB_CACHE_DIR at a fresh directory, whose catalogs and maps the
-    process already holds, so only the join file is written there."""
-    for k in range(1, 6):
-        elimination_orders(k)
-    hom_vector(get_property("connected"), 5)
+    """INDSUB_CACHE_DIR at a directory not made yet, where a count writes
+    the catalogs and maps it reads beside the join file."""
     directory = tmp_path / "cache"
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
     return directory
@@ -683,7 +728,11 @@ def test_join_save_failure_is_logged(blocked, join_dir, caplog):
     assert any(m.startswith(f"could not write bag-join code {path}: ")
                for m in messages)
     if blocked == "by a directory":
-        assert sorted(p.name for p in join_dir.iterdir()) == [JOIN_FILE]
+        # the join path is still the blocking directory, and no
+        # temporary file is left beside it
+        assert [p.name for p in path.iterdir()] == ["blocker"]
+        assert not [p.name for p in join_dir.iterdir()
+                    if p.name.startswith(".")]
 
 
 def test_save_past_the_bound_keeps_this_process_joins(join_dir, monkeypatch):
@@ -723,9 +772,9 @@ print(count_basis(get_property("connected"), 5, host))
 def test_concurrent_join_writers(join_dir, monkeypatch):
     """Two processes that wait for each other, then count in the same
     directory at once: both save, and the file left behind is whole."""
-    build_catalog(5, cache_dir=join_dir)
+    build_catalog(5)
     for k in range(1, 6):
-        elimination_orders(k, cache_dir=join_dir)
+        elimination_orders(k)
     src = Path(homcount.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     text = repr((JOIN_HOST.n, list(JOIN_HOST.edge_pairs())))

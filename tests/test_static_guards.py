@@ -18,6 +18,11 @@ t += [e | w for e in t].
 Code runs from one module: homcount.py, which compiles the bag joins and
 keeps their code objects in the join file, is the only module that calls
 compile, exec or eval or imports marshal.
+
+One rule for the cache directory: catalog.py is the only module that
+names INDSUB_CACHE_DIR, as catalog.CACHE_ENV_VAR or as the string itself,
+and no function takes a parameter named cache_dir, so nothing can choose
+a directory other than the variable's value at the call.
 """
 
 import ast
@@ -170,3 +175,50 @@ def test_the_code_execution_guard_finds_each_kind():
         "line 1: import marshal", "line 2: from marshal import",
         "line 3: call to compile", "line 3: call to exec",
         "line 4: call to eval", "line 5: call to builtins.exec"]
+
+
+CACHE_ENV = ("CACHE_ENV_VAR", "INDSUB_CACHE_DIR")
+
+
+def _cache_dir_choices(tree: ast.Module) -> list[str]:
+    """Names of the cache directory's variable, and parameters named
+    cache_dir, in tree."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Name) and node.id in CACHE_ENV or \
+                isinstance(node, ast.Attribute) and node.attr in CACHE_ENV:
+            found.append(f"{where}: {ast.unparse(node)}")
+        elif isinstance(node, ast.alias) and node.name in CACHE_ENV:
+            found.append(f"import {node.name}")
+        elif isinstance(node, ast.Constant) and node.value in CACHE_ENV:
+            found.append(f"{where}: {node.value!r}")
+        elif isinstance(node, ast.arguments):
+            params = node.posonlyargs + node.args + node.kwonlyargs + \
+                [a for a in (node.vararg, node.kwarg) if a is not None]
+            found += [f"line {a.lineno}: parameter cache_dir"
+                      for a in params if a.arg == "cache_dir"]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_catalog_reads_the_cache_dir_variable(path):
+    found = _cache_dir_choices(ast.parse(path.read_text(), str(path)))
+    if path.name == "catalog.py":
+        assert found and all("parameter" not in f for f in found)
+    else:
+        assert found == []
+
+
+def test_the_cache_dir_guard_finds_each_kind():
+    source = ("from .catalog import CACHE_ENV_VAR\n"
+              "a = os.environ.get(catalog.CACHE_ENV_VAR)\n"
+              "b = os.getenv('INDSUB_CACHE_DIR')\n"
+              "def f(k, *, cache_dir=None): pass\n"
+              "g = lambda cache_dir: cache_dir\n"
+              "def h(cache_dir_str, **cache_dir): pass\n"
+              "c = '# INDSUB_CACHE_DIR is read in catalog.py'\n")
+    assert sorted(_cache_dir_choices(ast.parse(source))) == [
+        "import CACHE_ENV_VAR", "line 2: catalog.CACHE_ENV_VAR",
+        "line 3: 'INDSUB_CACHE_DIR'", "line 4: parameter cache_dir",
+        "line 5: parameter cache_dir", "line 6: parameter cache_dir"]
