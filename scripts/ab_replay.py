@@ -60,8 +60,8 @@ def load_tree(source: Path, package: str, packages: Path):
 
 def clear_caches(packages) -> None:
     """Empty every lru_cache of the modules of packages, as a new process
-    starts: among them the plans, the join table and the record of which
-    join file was read, so a timed run reads the join file again."""
+    starts: among them the plans and the plan tables read from plan
+    files, so a timed run reads the plan files again."""
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] in packages:
             for value in list(vars(module).values()):

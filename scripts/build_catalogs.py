@@ -10,8 +10,9 @@ every property-independent map declared beside the catalogs
 (catalog.CLASS_MAPS): the edge-deletion maps, quotient rows and
 elimination orders for 1 <= k <= 7, and the vertex-deletion maps for
 2 <= k <= 6.  Last it plans every class it wrote elimination orders for,
-as a basis count does, and saves the compiled bag joins in the join file
-(homcount.JOIN_FILE), so a basis count in the directory compiles none.
+as a basis count does, into the plan file of its vertex count m,
+k{m}.plans.<interpreter cache tag> (counting.class_plans), so a basis
+count in the directory plans no class.
 
 The cache directory is $INDSUB_CACHE_DIR, or ~/.cache/indsub when that is
 unset or empty, as for every indsub call; --cache-dir DIR sets
@@ -31,17 +32,9 @@ from indsub.catalog import (
     CLASS_MAPS,
     MAX_CATALOG_K,
     build_catalog,
-    default_cache_dir,
 )
-from indsub.counting import elimination_orders
-from indsub.graphs import HostGraph
-from indsub.homcount import (
-    JOIN_FILE,
-    HomStore,
-    decomposition_from_order,
-    load_joins,
-    save_joins,
-)
+from indsub.counting import class_plans, elimination_orders
+from indsub.homcount import PLAN_SUFFIX
 
 
 def main(argv=None) -> int:
@@ -72,21 +65,15 @@ def main(argv=None) -> int:
             kind(k)
             elapsed = time.monotonic() - start
             print(f"k={k}: {kind.what} [{elapsed:.2f}s]")
-    start = time.monotonic()
-    joins = default_cache_dir() / JOIN_FILE
-    load_joins(joins)
-    # a plan does not depend on the host, so any host with a vertex will do
-    store = HomStore(HostGraph.from_edges(1, []))
     for k in elimination_orders.ks:
         if k > args.kmax:
             break
+        start = time.monotonic()
         cat = build_catalog(k)
-        orders = elimination_orders(k)
-        for g, order in zip(cat.graphs(), orders):
-            store.plan(g, decomposition_from_order(g, order))
-    save_joins(joins)
-    elapsed = time.monotonic() - start
-    print(f"{JOIN_FILE}: bag joins [{elapsed:.2f}s]")
+        class_plans(cat.graphs())
+        elapsed = time.monotonic() - start
+        print(f"k{k}.{PLAN_SUFFIX}: {cat.class_count} class plans "
+              f"[{elapsed:.2f}s]")
     return 0
 
 

@@ -28,27 +28,29 @@ counted (one dict, keyed by pattern, held by an lru_cache of size 1 keyed
 by the HostGraph, so an equal host built apart finds it) and counts only
 the vector's patterns not in it yet.  It plans those patterns into one
 homcount.HomStore before counting any, so they share their rooted
-sub-pattern tables and repeated components within the call.  Planning
-compiles the bag joins the patterns need, and their code is kept per
-cache directory: count_basis loads homcount's join file from the cache
-directory before it plans (once per process and directory) and saves it
-after, when it compiled a join the file lacks.  Every
-pattern, connected or not, is planned with the decomposition of its
-class's elimination order, one tree per component, which the treewidth DP
-computes once per cache directory: the orders are kept beside the catalog
-as k{k}.orders (a catalog.ClassMap), one row per class holding the
-representative's vertices in elimination order.  So counting runs no
-treewidth DP.  The vector's patterns are classes on at most
-MAX_HOM_VECTOR_K vertices, so the kept counts are at most 1,252 exact
+sub-pattern tables and repeated components within the call.  Each class
+is planned once per cache directory: class_plans takes its plan, bag
+joins compiled, from homcount's plan file for its vertex count m,
+k{m}.plans.<interpreter cache tag>.  Each file is read once per process
+and directory, and only the files of the vertex counts the vector holds
+are read.  A class that its file lacks is planned and added to it, and
+each file that gained a plan is saved once, before counting.  Such a class, connected or not, is planned
+with the decomposition of its stored elimination order, one tree per
+component, which the treewidth DP computes once per cache directory: the
+orders are kept beside the catalog as k{k}.orders (a catalog.ClassMap),
+one row per class holding the representative's vertices in elimination
+order.  So counting runs no treewidth DP, and a count whose plan files
+hold its classes plans nothing.  The vector's patterns are classes on at
+most MAX_HOM_VECTOR_K vertices, so the kept counts are at most 1,252 exact
 ints beside one host.  Only calls in one process on equal hosts gain from
 them: selftest, which counts several properties into one host, and
 library code that does the same.  A single `indsub count` run makes one
 count_basis call and gains nothing.  Neither a pattern's decomposition
 nor its plan depends on the host, so each class's decomposition is built
 once per process (a bounded lru_cache keyed, like hom_vector, without the
-directory) and homcount keeps its plan the same way: a pattern new to
-the kept counts is planned again only if no earlier call, on any host,
-has planned it.  count_basis hands k = 0 and k > n to count_brute (at
+directory) and homcount keeps its plan the same way: a class that no plan
+file holds is planned again only if no earlier call, on any host, has
+planned it.  count_basis hands k = 0 and k > n to count_brute (at
 most one predicate call) and otherwise insists on an integral,
 nonnegative total before returning.
 """
@@ -76,14 +78,14 @@ from .graphs import (
 )
 from .hombasis import hom_vector
 from .homcount import (
-    JOIN_FILE,
     PLAN_CACHE_SIZE,
     HomStore,
+    _validated_plan,
     count_hom,
     decomposition_from_order,
     elimination_order,
-    load_joins,
-    save_joins,
+    load_plans,
+    save_plans,
 )
 from .properties import PropertySpec, evaluate
 
@@ -191,9 +193,9 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     shared by every pattern that holds it; each table is dropped after
     its last planned read, and none outlives the call.  The counts it
     makes are kept for later calls on this host, and each class's plan
-    for later calls on any host.  The join file of the cache directory is
-    loaded before planning and saved after it, if planning compiled a
-    join the file lacks.
+    for later calls on any host.  The plans come from the cache
+    directory's plan files (class_plans), which are saved before counting
+    when planning added a class to them.
     """
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
@@ -201,12 +203,9 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     homs = _host_homs(host)
     new = [g for g, _ in entries if g not in homs]
     if new:
-        joins = default_cache_dir().joinpath(JOIN_FILE)
-        load_joins(joins)
         store = HomStore(host)
-        for g in new:
-            store.plan(g, _class_decomposition(g))
-        save_joins(joins)
+        for g, plan in zip(new, class_plans(new)):
+            store.plan(g, plan)
         for g in new:
             homs[g] = count_hom(g, host, store=store)
     total = Fraction(0)
@@ -225,6 +224,26 @@ def _host_homs(host: HostGraph) -> dict[SmallGraph, int]:
     added, each exact, so a caller holding the dict never reads a wrong
     count."""
     return {}
+
+
+def class_plans(classes) -> list:
+    """The plan of each of classes, catalog representatives on at most
+    MAX_HOM_VECTOR_K vertices: the one the cache directory's plan file for
+    its vertex count holds, or else the plan of its stored elimination
+    order, which is added to that file's table.  Each table that gained a
+    plan is saved once, after every class has its plan."""
+    directory = default_cache_dir()
+    plans, grown = [], set()
+    for g in classes:
+        table = load_plans(directory, g.n)
+        plan = table.get(g.edges)
+        if plan is None:
+            plan = table[g.edges] = _validated_plan(g, _class_decomposition(g))
+            grown.add(g.n)
+        plans.append(plan)
+    for m in grown:
+        save_plans(directory, m)
+    return plans
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

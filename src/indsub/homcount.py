@@ -49,25 +49,29 @@ vertices; the other tries are .get lookups.  The source holds only
 keywords and names built from small integers; no pattern, host or other
 input text enters it.
 
-Each shape's function is made once per process (a bounded cache) from a
-code object compiled once per cache directory.  The join table maps each
-join's source text to its code object, and only a source the table lacks
-is compiled.  count_basis loads the table from its cache directory's join
-file, joins.<interpreter cache tag> (JOIN_FILE), before it plans, and
-saves it after, when the table holds a join the file lacks; this module
-reads no path of its own, so a lone count_hom never touches the disk.
-Keyed by source, the file needs no version to bump by hand: once _source
-changes, old entries stop matching, and past JOIN_CACHE_SIZE the least
-recently used joins are left out first, so those this process uses
-outlast older ones.
+Each shape's function is compiled once per process (a bounded cache), and
+a plan read from a plan file compiles nothing.  The plans of the catalog
+classes that count_basis counts are kept per cache directory, one plan
+file per pattern vertex count m, k{m}.plans.<interpreter cache tag>
+(k{m}.{PLAN_SUFFIX}): marshal data of a dict from each class's canonical
+edge bitset to its whole plan as plain tuples, each bag's join as its
+function's code object.  load_plans reads a file once per process and
+directory, into a bounded cache, and save_plans rewrites it from that
+table, to which counting.class_plans adds each class it plans; this
+module reads no path of its own, so a lone count_hom never touches the
+disk.  A file holds at most its own catalog's classes, so it needs no
+bound.
 
-The join file is trusted as a __pycache__ file is.  It is written with
-mode 0o600 through catalog's temporary file and os.replace.  It is read
-only if the opened file belongs to the user and no group or other may
-write it (where the platform has user ids), it starts with importlib's
-bytecode MAGIC_NUMBER and the sha256 of the rest, and the rest is marshal
-data of a dict from str to code objects.  A file that fails is logged as
-a rebuild, and the next save replaces it; a failed save is logged.  The
+A plan file is trusted as a __pycache__ file is.  It is written with mode
+0o600 through catalog's temporary file and os.replace.  It is read only
+if the opened file belongs to the user and no group or other may write
+it (where the platform has user ids), it starts with importlib's bytecode
+MAGIC_NUMBER, the sha256 of the source of this module and of graphs
+(whose pair_bits makes the keys), then the sha256 of the rest, and the
+rest is marshal data of a dict from ints to plans.  So a file written by
+other planning code is never read, no version is bumped by hand, and
+stale plans never mix with fresh ones.  A file that fails is logged as a
+rebuild, and the next save replaces it; a failed save is logged.  The
 cache does not follow sys.dont_write_bytecode.
 
 Tables are shared through a HomStore, which lives for one count_basis
@@ -98,8 +102,9 @@ count_basis keeps the counts it makes, for the last host it counted.
 Plans are kept per process, bounded: a plan depends on the pattern and
 its decomposition alone, never on the host, so every store, and every
 lone count_hom, takes it from one lru_cache keyed by the two, which
-validates a given decomposition before its first plan.  A plan is made
-of tuples and is only read, so the stores that share it cannot change it.
+validates a given decomposition before its first plan; count_basis hands
+a store the plans its plan files hold.  A plan is made of tuples and is
+only read, so the stores that share it cannot change it.
 
 The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
@@ -127,20 +132,17 @@ from functools import lru_cache
 from importlib.util import MAGIC_NUMBER
 from math import prod
 from pathlib import Path
-from types import CodeType
+from types import FunctionType
 from typing import NamedTuple
 
-from .catalog import _warn, _write_bytes
+from .catalog import MAX_HOM_VECTOR_K, _warn, _write_bytes
 from .errors import FormatError, InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of, pair_bits
 
 MAX_TREEWIDTH_N = 12
-# compiled bag joins kept, by shape, and join code objects kept, by source,
-# in memory and in a join file: the plans of the stored orders of every
-# class on at most 7 vertices, disconnected ones included, need 594
-JOIN_CACHE_SIZE = 1024
-# the join file's name in a cache directory, one per interpreter
-JOIN_FILE = f"joins.{sys.implementation.cache_tag}"
+# a plan file's name in a cache directory is k{m}.{PLAN_SUFFIX} for the
+# classes on m vertices, one per interpreter
+PLAN_SUFFIX = f"plans.{sys.implementation.cache_tag}"
 # validated plans kept, by pattern and decomposition: count_basis plans
 # each of the 1,252 classes on at most 7 vertices with one decomposition,
 # so a process that counts every one of them plans each once
@@ -390,13 +392,14 @@ class HomStore:
         self._tables: dict = {}
 
     def plan(self, pattern: SmallGraph,
-             td: TreeDecomposition | None = None) -> None:
+             td: TreeDecomposition | _Plan | None = None) -> None:
         """Plan one later count(pattern).  td, a decomposition of the
         pattern, is validated and planned as given, in place of
-        tree_decomposition(pattern)."""
+        tree_decomposition(pattern); a plan of the pattern, as
+        counting.class_plans gives, is taken as it is."""
         if not self.host.n:
             # every count is 0 or 1: td is checked, no decomposition built
-            if td is not None:
+            if isinstance(td, TreeDecomposition):
                 _validated_plan(pattern, td)
             return
         plan = self._plan_of(pattern, td)
@@ -414,12 +417,13 @@ class HomStore:
         return self._run(self._plan_of(pattern))
 
     def _plan_of(self, g: SmallGraph,
-                 td: TreeDecomposition | None = None) -> _Plan:
+                 td: TreeDecomposition | _Plan | None = None) -> _Plan:
         """g's plan in this store: the one it was first planned with.  A
         td given later is still validated."""
         plan = self._plans.get(g)
         if plan is None or td is not None:
-            plan = self._plans.setdefault(g, _validated_plan(g, td))
+            plan = self._plans.setdefault(g, td if isinstance(td, _Plan)
+                                          else _validated_plan(g, td))
         return plan
 
     def _put(self, key, table) -> None:
@@ -622,84 +626,65 @@ def _shape(order: tuple[int, ...], levels: tuple[int, ...],
     return shape, slots, folded
 
 
-@lru_cache(maxsize=JOIN_CACHE_SIZE)
+# compiled bag joins kept, by shape: the plans of the stored orders of
+# every class on at most 7 vertices, disconnected ones included, need 594
+@lru_cache(maxsize=1024)
 def _compiled(shape):
-    """The join function of a bag shape, from the code object the join
-    table holds for its source, or compiled when it holds none."""
-    source = _source(shape)
-    codes = _join_codes()
-    code = codes.pop(source, None)
-    if code is None:
-        code = compile(source, "<bag join>", "exec")
-        if len(codes) >= JOIN_CACHE_SIZE:
-            del codes[next(iter(codes))]
-    codes[source] = code
+    """The join function of a bag shape, compiled from its source."""
     namespace: dict = {}
-    exec(code, namespace)
+    exec(compile(_source(shape), "<bag join>", "exec"), namespace)
     return namespace["join"]
 
 
-@lru_cache(maxsize=1)
-def _join_codes() -> dict[str, CodeType]:
-    """The join table: source text -> code object of the bag joins this
-    process has compiled or read from a join file, at most
-    JOIN_CACHE_SIZE, the least recently used first.  One per process;
-    cache_clear starts an empty one, as a new process would."""
-    return {}
-
-
-@lru_cache(maxsize=1)
-def load_joins(path: Path) -> set[str]:
-    """Add the joins of the join file at path to the join table, once per
-    process and path, and return the set of sources that file holds, which
-    save_joins keeps up to date.  The file's joins go before the table's
-    own, and past JOIN_CACHE_SIZE the oldest are left out.  A missing file
-    holds nothing; one that fails _read_joins is logged as a rebuild and
+@lru_cache(maxsize=MAX_HOM_VECTOR_K)
+def load_plans(directory: Path, m: int) -> dict[int, _Plan]:
+    """The plan table of the plan file for m vertices in directory: the
+    canonical edge bitset of each class the file holds -> its plan, to
+    which class_plans adds the plans it makes.  Read once per process,
+    directory and m, with room for one directory's files.  A missing file
+    holds nothing; one that fails _read_plans is logged as a rebuild and
     holds nothing either, so the next save replaces it."""
     try:
-        read = _read_joins(path)
+        return _read_plans(directory / f"k{m}.{PLAN_SUFFIX}")
     except FileNotFoundError:
-        return set()
+        return {}
     except (FormatError, OSError) as exc:
-        _warn("rebuilding bag-join code: %s", exc)
-        return set()
-    codes = _join_codes()
-    merged = {source: code for source, code in read.items()
-              if source not in codes}
-    merged.update(codes)
-    codes.clear()
-    codes.update(list(merged.items())[-JOIN_CACHE_SIZE:])
-    return set(read)
+        _warn("rebuilding plans: %s", exc)
+        return {}
 
 
-def save_joins(path: Path) -> None:
-    """Write the join table to the join file at path, with mode 0o600,
-    when the table holds a join that file lacks: one this process
-    compiled, or read from another directory.  The file holds the table
-    alone, so at most JOIN_CACHE_SIZE joins, and past that bound the
-    table has dropped older joins before those this process used.  A
-    failed write is logged, and not tried again until the table gains a
-    join."""
-    held = load_joins(path)
-    codes = _join_codes()
-    if held.issuperset(codes):
-        return
-    body = marshal.dumps(codes)
+def save_plans(directory: Path, m: int) -> None:
+    """Write the plan table load_plans(directory, m) to its plan file,
+    with mode 0o600; a failed write is logged."""
+    path = directory / f"k{m}.{PLAN_SUFFIX}"
+    body = marshal.dumps({
+        edges: (*plan[:5], tuple((join.__code__, *rest)
+                                 for join, *rest in plan.joins), plan.keys)
+        for edges, plan in load_plans(directory, m).items()})
     try:
-        _write_bytes(path, MAGIC_NUMBER + hashlib.sha256(body).digest()
-                     + body, 0o600)
+        _write_bytes(path, MAGIC_NUMBER + _planner_digest()
+                     + hashlib.sha256(body).digest() + body, 0o600)
     except OSError as exc:
-        _warn("could not write bag-join code %s: %s", path, exc)
-    held.clear()
-    held.update(codes)
+        _warn("could not write plans %s: %s", path, exc)
 
 
-def _read_joins(path: Path) -> dict[str, CodeType]:
-    """The join table in the join file at path.  FormatError unless the
+@lru_cache(maxsize=1)
+def _planner_digest() -> bytes:
+    """The sha256 of the source of the modules that shape a plan: this
+    one, and graphs, whose pair_bits makes its keys."""
+    digest = hashlib.sha256()
+    for module in (__name__, pair_bits.__module__):
+        digest.update(Path(sys.modules[module].__file__).read_bytes())
+    return digest.digest()
+
+
+def _read_plans(path: Path) -> dict[int, _Plan]:
+    """The plan table in the plan file at path.  FormatError unless the
     opened file is the user's own and writable by no one else (where the
     platform has user ids), starts with the interpreter's bytecode
-    MAGIC_NUMBER and the sha256 of the rest, and the rest is marshal data
-    of a dict from str to code objects."""
+    MAGIC_NUMBER, _planner_digest() and the sha256 of the rest, and the
+    rest is marshal data of a dict from ints to plans, each a tuple of
+    seven tuples whose joins hold code objects."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         if hasattr(os, "getuid") and (st.st_uid != os.getuid()
@@ -710,18 +695,30 @@ def _read_joins(path: Path) -> dict[str, CodeType]:
     head = len(MAGIC_NUMBER)
     if data[:head] != MAGIC_NUMBER:
         raise FormatError(f"{path}: bad magic number")
-    body = data[head + 32:]
-    if hashlib.sha256(body).digest() != data[head:head + 32]:
+    if data[head:head + 32] != _planner_digest():
+        raise FormatError(f"{path}: written by other planning code")
+    body = data[head + 64:]
+    if hashlib.sha256(body).digest() != data[head + 32:head + 64]:
         raise FormatError(f"{path}: checksum mismatch")
+    bad = f"{path}: not a table of plans"
     try:
-        table = marshal.loads(body)
+        stored = marshal.loads(body)
     except (EOFError, ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if type(table) is not dict or not all(
-            type(source) is str and type(code) is CodeType
-            for source, code in table.items()):
-        raise FormatError(f"{path}: not a table of join code")
-    return table
+        raise FormatError(bad) from exc
+    if type(stored) is not dict:
+        raise FormatError(bad)
+    plans = {}
+    for edges, plan in stored.items():
+        if type(edges) is not int or type(plan) is not tuple or \
+                list(map(type, plan)) != [tuple] * len(_Plan._fields):
+            raise FormatError(bad)
+        try:
+            joins = tuple([(FunctionType(code, {}), slots, folded)
+                           for code, slots, folded in plan[5]])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(bad) from exc
+        plans[edges] = _Plan(*plan[:5], joins, plan[6])
+    return plans
 
 
 def _source(shape) -> str:

@@ -177,12 +177,13 @@ def test_index_of_raises_canon_key_error_outside_the_catalog():
 
 def test_catalog_and_map_memos_stay_bounded(tmp_path, monkeypatch):
     # A process that visits many cache directories keeps at most one
-    # directory's catalogs and maps, and one directory's whole working set
-    # fits: loading it again misses nothing.
-    cats, maps = catalog._catalog_cached, catalog._class_map_cached
-    assert cats.cache_info().maxsize == MAX_CATALOG_K
-    assert maps.cache_info().maxsize == 4 * MAX_HOM_VECTOR_K \
-        >= sum(len(kind.ks) for kind in CLASS_MAPS)
+    # directory's catalogs, maps and plan tables, and one directory's
+    # whole working set fits: loading it again misses nothing.
+    memos = (catalog._catalog_cached, catalog._class_map_cached,
+             homcount.load_plans)
+    sizes = (MAX_CATALOG_K, 4 * MAX_HOM_VECTOR_K, MAX_HOM_VECTOR_K)
+    assert [memo.cache_info().maxsize for memo in memos] == list(sizes)
+    assert sizes[1] >= sum(len(kind.ks) for kind in CLASS_MAPS)
 
     def load(k_max, directory):
         monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
@@ -192,16 +193,19 @@ def test_catalog_and_map_memos_stay_bounded(tmp_path, monkeypatch):
             for k in kind.ks:
                 if k <= k_max:
                     kind(k)
+        # the plan tables count_basis reads, one per vertex count
+        for m in range(1, min(k_max, MAX_HOM_VECTOR_K) + 1):
+            homcount.load_plans(catalog.default_cache_dir(), m)
 
     session = catalog.default_cache_dir()
     for i in range(20):
         load(3, tmp_path / str(i))
-        assert cats.cache_info().currsize <= MAX_CATALOG_K
-        assert maps.cache_info().currsize <= 4 * MAX_HOM_VECTOR_K
+        assert all(memo.cache_info().currsize <= size
+                   for memo, size in zip(memos, sizes))
     load(MAX_CATALOG_K, session)
-    misses = cats.cache_info().misses, maps.cache_info().misses
+    misses = [memo.cache_info().misses for memo in memos]
     load(MAX_CATALOG_K, session)
-    assert (cats.cache_info().misses, maps.cache_info().misses) == misses
+    assert [memo.cache_info().misses for memo in memos] == misses
 
 
 def test_deletion_maps_match_canon_only_reference(tmp_path, monkeypatch):
@@ -401,13 +405,15 @@ def cache_env(tmp_path, monkeypatch):
 def _forget_maps():
     """Drop the maps and hom vectors cached in the process, and the hom
     counts count_basis keeps and the class decompositions and plans, which
-    it made with the stored orders, so the next count_basis reads the
-    orders map again."""
+    it made with the stored orders, and the plan tables read from plan
+    files, so the next count_basis plans from the orders map again unless
+    a plan file holds its classes."""
     catalog._class_map_cached.cache_clear()
     hom_vector.cache_clear()
     counting._host_homs.cache_clear()
     counting._class_decomposition.cache_clear()
     homcount._validated_plan.cache_clear()
+    homcount.load_plans.cache_clear()
 
 
 def _results(k):
@@ -419,10 +425,13 @@ def _results(k):
 
 def _written(directory, name, k):
     """The results at k, which write every map they read into directory;
-    then nothing _forget_maps drops stays cached.  Returns the map file of
-    name at k, its text and the results."""
+    then nothing _forget_maps drops stays cached, and the plan files the
+    count wrote are removed, so the next count reads the orders map again.
+    Returns the map file of name at k, its text and the results."""
     want = _results(k)
     _forget_maps()
+    for plans in directory.glob(f"k*.{homcount.PLAN_SUFFIX}"):
+        plans.unlink()
     path = directory / f"k{k}.{name}"
     return path, path.read_text(), want
 
@@ -857,23 +866,28 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys, monkeypatch):
     assert "k=4: 11 classes" in out and "k=4: edge-deletion map" in out
     assert "k=4: quotient rows" in out and "k=4: vertex-deletion map" in out
     assert "k=4: elimination orders" in out
-    assert f"{homcount.JOIN_FILE}: bag joins" in out
+    assert out.splitlines()[-1].startswith(
+        f"k4.{homcount.PLAN_SUFFIX}: 11 class plans [")
+    plan_files = [f"k{k}.{homcount.PLAN_SUFFIX}" for k in range(1, 5)]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"k{k}.{kind}" for k in range(1, 5)
          for kind in ("catalog", "edges", "quotients", "orders")]
-        + [f"k{k}.vertices" for k in range(2, 5)] + [homcount.JOIN_FILE])
-    # the join file holds every join the classes it planned need
+        + [f"k{k}.vertices" for k in range(2, 5)] + plan_files)
+    # the plan files hold every class it planned: a new process plans none
     homcount._compiled.cache_clear()
-    homcount._join_codes.cache_clear()
     homcount._validated_plan.cache_clear()
-    homcount.load_joins.cache_clear()
-    homcount.load_joins(tmp_path / homcount.JOIN_FILE)
+    counting._class_decomposition.cache_clear()
+    homcount.load_plans.cache_clear()
     monkeypatch.setattr(homcount, "compile", None, raising=False)
-    store = homcount.HomStore(HostGraph.from_edges(1, []))
+    monkeypatch.setattr(homcount, "_plan", None)
+    monkeypatch.setattr(counting, "decomposition_from_order", None)
+    written = {name: os.stat(tmp_path / name).st_ino for name in plan_files}
     for k in range(1, 5):
-        for g, order in zip(build_catalog(k).graphs(),
-                            counting.elimination_orders(k)):
-            store.plan(g, homcount.decomposition_from_order(g, order))
+        cat = build_catalog(k)
+        assert len(counting.class_plans(cat.graphs())) == cat.class_count
+        assert homcount.load_plans(tmp_path, k).keys() == set(cat.edges)
+    assert written == {name: os.stat(tmp_path / name).st_ino
+                       for name in plan_files}
     for kind in CLASS_MAPS:
         for k in range(kind.ks[0], 5):
             assert _read_file(kind, k) == kind.compute(tuple(

@@ -2,6 +2,7 @@
 
 import builtins
 import hashlib
+import importlib.util
 import itertools
 import logging
 import marshal
@@ -37,9 +38,7 @@ from indsub.errors import (
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.hombasis import HomVector, hom_vector
 from indsub.homcount import (
-    JOIN_CACHE_SIZE,
-    JOIN_FILE,
-    HomStore,
+    PLAN_SUFFIX,
     count_hom,
     decomposition_from_order,
     exact_treewidth,
@@ -325,9 +324,11 @@ def test_stored_orders_give_the_dp_decompositions_on_sampled_7_classes():
     _stored_decompositions_are_the_dp_ones(7, classes)
 
 
-def test_count_basis_runs_no_treewidth_dp(monkeypatch):
+def test_count_basis_runs_no_treewidth_dp(monkeypatch, tmp_path):
     """Every pattern, disconnected ones included, is planned from its
-    class's stored elimination order."""
+    class's stored elimination order, in a directory whose plan files
+    hold no class yet."""
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     phi = get_property("chordal")
     host = _petersen()
     want = count_brute(phi, 5, host)
@@ -475,7 +476,7 @@ def test_count_basis_keeps_the_last_host_only(monkeypatch):
     assert counting_module._host_homs.cache_info().currsize == 1
 
 
-def test_each_class_is_planned_once_per_process(monkeypatch):
+def test_each_class_is_planned_once_per_process(monkeypatch, tmp_path):
     """A plan depends on the pattern and its decomposition alone, so
     across hosts and properties each class is planned once: the second
     host counts every class again with the plans the first one made."""
@@ -487,6 +488,8 @@ def test_each_class_is_planned_once_per_process(monkeypatch):
         return plan(pattern, td)
 
     monkeypatch.setattr(homcount, "_plan", recorded)
+    # a directory of its own, whose plan files hold no class yet
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     rng = random.Random(65)
     hosts = [random_host(rng, 10, p=0.4) for _ in range(2)]
     names = ("connected", "chordal", "split")
@@ -557,11 +560,12 @@ def test_true_property_counts_all_subsets():
         assert count_basis(get_property("true"), k, host) == comb(9, k)
 
 
-# ------------------------------------------------------------ join file
+# ----------------------------------------------------------- plan files
 #
-# count_basis keeps the code of its compiled bag joins in the cache
-# directory's join file.  Each case counts connected 5-subsets of one
-# host, which plans 30 classes.
+# count_basis keeps the plan of each class it counts in the cache
+# directory's plan file for the class's vertex count, code objects of the
+# bag joins included.  Each case counts connected 5-subsets of one host,
+# which plans 30 classes on 2 to 5 vertices, 21 of them on 5.
 
 JOIN_HOST = random_host(random.Random(40), 9, p=0.5)
 
@@ -574,24 +578,33 @@ def _join_brute() -> int:
     return count_brute(get_property("connected"), 5, JOIN_HOST)
 
 
+def _support_sizes(name: str, k: int) -> list[int]:
+    """The vertex counts of the classes of name's vector at k: those of
+    the plan files a count reads."""
+    return sorted({g.n for g, _ in hom_vector(get_property(name), k).entries})
+
+
 @pytest.fixture
 def join_dir(tmp_path, monkeypatch):
     """INDSUB_CACHE_DIR at a directory not made yet, where a count writes
-    the catalogs and maps it reads beside the join file."""
+    the catalogs and maps it reads beside the plan files."""
     directory = tmp_path / "cache"
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
     return directory
 
 
+def _plan_path(directory: Path, m: int) -> Path:
+    return directory / f"k{m}.{PLAN_SUFFIX}"
+
+
 def _new_process() -> None:
-    """Forget what a process keeps of its counts, plans and joins, as a
-    new process starts (and as each test starts)."""
+    """Forget what a process keeps of its counts, plans and plan tables,
+    as a new process starts (and as each test starts)."""
     counting_module._host_homs.cache_clear()
     _class_decomposition.cache_clear()
     homcount._validated_plan.cache_clear()
     homcount._compiled.cache_clear()
-    homcount._join_codes.cache_clear()
-    homcount.load_joins.cache_clear()
+    homcount.load_plans.cache_clear()
 
 
 def _count_compiles(monkeypatch) -> list:
@@ -605,64 +618,103 @@ def _count_compiles(monkeypatch) -> list:
     return calls
 
 
-def _join_file(table) -> bytes:
+def _count_planning(monkeypatch) -> dict:
+    """Lists that get one entry per call of each planning step a plan
+    file spares: the sources compiled, the patterns _plan plans, the
+    graphs decomposition_from_order decomposes, and the k of each read of
+    the elimination orders."""
+    calls: dict = {"compile": _count_compiles(monkeypatch)}
+    for module, name in ((homcount, "_plan"),
+                         (counting_module, "decomposition_from_order"),
+                         (counting_module, "elimination_orders")):
+        def counted(g, *args, _step=getattr(module, name),
+                    _calls=calls.setdefault(name, [])):
+            _calls.append(g)
+            return _step(g, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _plan_file(table, digest=None) -> bytes:
     body = marshal.dumps(table)
-    return MAGIC_NUMBER + hashlib.sha256(body).digest() + body
+    return (MAGIC_NUMBER + (digest or homcount._planner_digest())
+            + hashlib.sha256(body).digest() + body)
+
+
+def _stored(path: Path) -> dict:
+    """The plans of the plan file at path, as marshal data."""
+    return marshal.loads(path.read_bytes()[len(MAGIC_NUMBER) + 64:])
 
 
 def test_warm_join_file_compiles_no_join(join_dir, tmp_path, capsys,
                                          monkeypatch):
+    """A process whose plan files hold every class it counts plans none:
+    it builds no decomposition, runs no _plan and compiles nothing, and
+    writes no file."""
     host_file = tmp_path / "host.txt"
     host_file.write_text(JOIN_HOST.to_edge_list_text())
     argv = ["count", "--property", "connected", "--k", "5",
             "--graph", str(host_file), "--method", "basis"]
-    compiles = _count_compiles(monkeypatch)
+    calls = _count_planning(monkeypatch)
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
-    assert compiles
-    path = join_dir / JOIN_FILE
-    written = os.stat(path)
-    assert written.st_mode & 0o777 == 0o600
-    assert sorted(homcount._read_joins(path)) == sorted(compiles)
+    assert all(calls.values())
+    paths = [_plan_path(join_dir, m) for m in _support_sizes("connected", 5)]
+    assert len(paths) == 4
+    written = [os.stat(path) for path in paths]
+    assert all(st.st_mode & 0o777 == 0o600 for st in written)
+    # each file holds the plans of the classes on its vertex count
+    planned = calls["_plan"]
+    assert sorted(g.edges for g in planned if g.n == 5) == \
+        sorted(homcount._read_plans(paths[-1]))
+    assert sum(len(homcount._read_plans(path)) for path in paths) == \
+        len(planned) == 30
     _new_process()
-    compiles.clear()
+    for made in calls.values():
+        made.clear()
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == first
-    assert compiles == []
-    # nothing new was compiled, so the file was not written again
-    assert os.stat(path).st_ino == written.st_ino
+    assert not any(calls.values())
+    # nothing was planned, so no file was written again
+    assert [os.stat(path).st_ino for path in paths] == \
+        [st.st_ino for st in written]
     assert f'"count": "{_join_brute()}"' in first
 
 
-def test_join_file_holds_every_class_plan_within_the_bound(join_dir,
-                                                           monkeypatch):
-    """Every class count_basis may plan fits the join file: after one
-    process plans them all, a new one plans them all and compiles
-    nothing."""
+def test_plan_files_hold_every_class_plan(join_dir, monkeypatch):
+    """Every class count_basis may plan fits the plan files: after one
+    process plans them all, a new one takes them all from the files, and
+    plans and compiles nothing."""
     classes = [g for k in range(1, MAX_HOM_VECTOR_K + 1)
                for g in build_catalog(k).graphs()]
-    path = join_dir / JOIN_FILE
-    host = HostGraph.from_edges(1, [])
-    compiles = _count_compiles(monkeypatch)
-    for again in (False, True):
-        if again:
-            _new_process()
-        held = homcount.load_joins(path)
-        store = HomStore(host)
-        for g in classes:
-            store.plan(g, _class_decomposition(g))
-        homcount.save_joins(path)
-        assert homcount._join_codes().keys() == held
-    # the first process compiled each join once, the second none
-    assert len(set(compiles)) == len(compiles) == len(held)
-    assert len(homcount._read_joins(path)) <= JOIN_CACHE_SIZE
+    calls = _count_planning(monkeypatch)
+    first = counting_module.class_plans(classes)
+    assert len(calls["_plan"]) == len(classes) == 1252
+    # the first process compiled each join once
+    assert len(set(calls["compile"])) == len(calls["compile"]) == 594
+    _new_process()
+    for made in calls.values():
+        made.clear()
+    again = counting_module.class_plans(classes)
+    assert not any(calls.values())
+    # the plans read back are the plans made, their joins the same code
+    assert [plan[:5] + plan[6:] for plan in again] == \
+        [plan[:5] + plan[6:] for plan in first]
+    assert [[(join.__code__, *rest) for join, *rest in plan.joins]
+            for plan in again] == \
+        [[(join.__code__, *rest) for join, *rest in plan.joins]
+         for plan in first]
+    for m in range(1, MAX_HOM_VECTOR_K + 1):
+        assert homcount._read_plans(_plan_path(join_dir, m)).keys() == \
+            set(build_catalog(m).edges)
 
 
-def _corrupt_joins(path: Path, how: str) -> str:
-    """Spoil the join file at path as how says; the words the logged
+def _corrupt_plans(path: Path, how: str) -> str:
+    """Spoil the plan file at path as how says; the words the logged
     rebuild names."""
     data = path.read_bytes()
-    head = len(MAGIC_NUMBER) + 32
+    head = len(MAGIC_NUMBER) + 64
     if how == "truncated":
         path.write_bytes(data[:len(data) // 2])
         return "checksum mismatch"
@@ -675,12 +727,15 @@ def _corrupt_joins(path: Path, how: str) -> str:
                          + data[len(MAGIC_NUMBER):])
         return "bad magic number"
     if how == "not a dict":
-        path.write_bytes(_join_file(list(homcount._read_joins(path))))
-        return "not a table of join code"
+        path.write_bytes(_plan_file(list(_stored(path).items())))
+        return "not a table of plans"
     if how == "not code":
-        path.write_bytes(_join_file(dict.fromkeys(homcount._read_joins(path),
-                                                  b"join")))
-        return "not a table of join code"
+        # plans of the right shape whose joins hold bytes, not code
+        path.write_bytes(_plan_file({
+            edges: (*plan[:5], tuple((b"join", *rest) for _, *rest in plan[5]),
+                    plan[6])
+            for edges, plan in _stored(path).items()}))
+        return "not a table of plans"
     assert how == "group-writable"
     path.chmod(0o664)
     return "not the user's own file, or writable by others"
@@ -690,67 +745,140 @@ def _corrupt_joins(path: Path, how: str) -> str:
                                  "not a dict", "not code", "group-writable"])
 def test_bad_join_file_is_ignored_logged_and_rebuilt(how, join_dir, caplog,
                                                      monkeypatch):
+    """A plan file that fails its checks is logged as a rebuild, none of
+    its plans is used, and the count that plans its classes again
+    rewrites it."""
     want = _join_brute()
     assert _join_count() == want
-    path = join_dir / JOIN_FILE
-    good = homcount._read_joins(path)
-    rule = _corrupt_joins(path, how)
+    path = _plan_path(join_dir, 5)
+    good = homcount._read_plans(path)
+    rule = _corrupt_plans(path, how)
     with pytest.raises(FormatError, match=rule):
-        homcount._read_joins(path)
+        homcount._read_plans(path)
     _new_process()
-    compiles = _count_compiles(monkeypatch)
+    calls = _count_planning(monkeypatch)
     with caplog.at_level(logging.WARNING):
         assert _join_count() == want
-    assert any(r.getMessage() == f"rebuilding bag-join code: {path}: {rule}"
+    assert any(r.getMessage() == f"rebuilding plans: {path}: {rule}"
                for r in caplog.records)
-    # nothing was read: every join was compiled, and the file written anew
-    assert sorted(compiles) == sorted(good)
-    assert homcount._read_joins(path).keys() == good.keys()
+    # nothing was read: every class on 5 vertices was planned, and the
+    # file written anew; the other files were read
+    assert sorted(g.edges for g in calls["_plan"]) == sorted(good)
+    assert homcount._read_plans(path).keys() == good.keys()
     assert os.stat(path).st_mode & 0o777 == 0o600
+
+
+def test_plans_of_other_planning_code_are_never_used(join_dir, caplog,
+                                                     monkeypatch):
+    """A plan file with a valid checksum whose source digest is not this
+    code's is logged and ignored, however plausible its plans, and the
+    count rewrites it with this code's digest."""
+    want = _join_brute()
+    assert _join_count() == want
+    path = _plan_path(join_dir, 5)
+    good = _stored(path)
+    # the plans of another class, each under a key of this file, would
+    # give a wrong count if they were used
+    plans = list(good.values())
+    other = hashlib.sha256(b"other planning code").digest()
+    path.write_bytes(_plan_file(dict(zip(good, plans[1:] + plans[:1])),
+                                other))
+    path.chmod(0o600)
+    with pytest.raises(FormatError, match="written by other planning code"):
+        homcount._read_plans(path)
+    _new_process()
+    calls = _count_planning(monkeypatch)
+    with caplog.at_level(logging.WARNING):
+        assert _join_count() == want
+    assert any(r.getMessage() == f"rebuilding plans: {path}: written by "
+               "other planning code" for r in caplog.records)
+    assert sorted(g.edges for g in calls["_plan"]) == sorted(good)
+    data = path.read_bytes()
+    assert data[len(MAGIC_NUMBER):len(MAGIC_NUMBER) + 32] == \
+        homcount._planner_digest()
+    assert homcount._read_plans(path).keys() == good.keys()
 
 
 @pytest.mark.parametrize("blocked", ["by a directory", "below a file"])
 def test_join_save_failure_is_logged(blocked, join_dir, caplog):
-    """The join file cannot be written: its name is taken by a directory,
+    """The plan file cannot be written: its name is taken by a directory,
     or the cache directory lies below a regular file.  The count is
     still made, and the failed read and write are logged."""
+    path = _plan_path(join_dir, 5)
     if blocked == "by a directory":
-        path = join_dir / JOIN_FILE
         (path / "blocker").mkdir(parents=True)
     else:
         join_dir.parent.mkdir(exist_ok=True)
         join_dir.write_text("")
-        path = join_dir / JOIN_FILE
     with caplog.at_level(logging.WARNING):
         assert _join_count() == _join_brute()
     messages = [r.getMessage() for r in caplog.records]
-    assert any(m.startswith("rebuilding bag-join code: ") for m in messages)
-    assert any(m.startswith(f"could not write bag-join code {path}: ")
+    assert any(m.startswith("rebuilding plans: ") for m in messages)
+    assert any(m.startswith(f"could not write plans {path}: ")
                for m in messages)
     if blocked == "by a directory":
-        # the join path is still the blocking directory, and no
+        # the plan path is still the blocking directory, and no
         # temporary file is left beside it
         assert [p.name for p in path.iterdir()] == ["blocker"]
         assert not [p.name for p in join_dir.iterdir()
                     if p.name.startswith(".")]
 
 
-def test_save_past_the_bound_keeps_this_process_joins(join_dir, monkeypatch):
-    stale = [f"# stale join {i}\n" for i in range(JOIN_CACHE_SIZE + 8)]
-    code = compile("", "<stale>", "exec")
-    path = join_dir / JOIN_FILE
-    join_dir.mkdir()
-    path.write_bytes(_join_file(dict.fromkeys(stale, code)))
-    path.chmod(0o600)
+def test_plan_file_holds_only_its_catalogs_classes(join_dir):
+    """Counts at several k, disconnected patterns among their classes,
+    put each plan in the file of its pattern's vertex count, keyed by its
+    class's canonical edge bitset, and no file holds any other key."""
+    host = random_host(random.Random(41), 9, p=0.4)
+    for name, k in (("connected", 5), ("chordal", 4), ("triangle-free", 5),
+                    ("no-edges", 3)):
+        phi = get_property(name)
+        assert count_basis(phi, k, host) == count_brute(phi, k, host)
+    held = {m: homcount._read_plans(_plan_path(join_dir, m))
+            for m in range(1, 6)}
+    assert all(held.values())
+    assert not list(join_dir.glob(f"k[67].{PLAN_SUFFIX}"))
+    for m, plans in held.items():
+        assert plans.keys() <= set(build_catalog(m).edges)
+        for edges, plan in plans.items():
+            # a plan's bags cover exactly the m vertices of its class,
+            # and it is the plan of that class's stored order
+            g = SmallGraph(m, edges)
+            assert {v for bag in plan.bags for v in bag} == set(range(m))
+            assert plan == homcount._validated_plan(
+                g, _class_decomposition(g))._replace(joins=plan.joins)
+
+
+def test_count_at_k4_reads_no_larger_plan_file(tmp_path, capsys,
+                                               monkeypatch):
+    """After scripts/build_catalogs.py warms a directory up to k = 7, a
+    count at k = 4 opens the plan files of at most 4 vertices only."""
+    script = Path(__file__).parent.parent / "scripts" / "build_catalogs.py"
+    spec = importlib.util.spec_from_file_location("build_catalogs", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    directory = tmp_path / "cache"
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
+    assert module.main(["--kmax", "7"]) == 0
+    assert len(list(directory.glob(f"k*.{PLAN_SUFFIX}"))) == 7
+    host_file = tmp_path / "host.txt"
+    host_file.write_text(JOIN_HOST.to_edge_list_text())
     _new_process()
-    compiles = _count_compiles(monkeypatch)
-    assert _join_count() == _join_brute()
-    table = homcount._read_joins(path)
-    assert compiles and len(table) == JOIN_CACHE_SIZE
-    assert set(compiles) <= table.keys()
-    # the stale joins kept are the file's last ones
-    assert [s for s in table if s in stale] == \
-        stale[len(stale) - JOIN_CACHE_SIZE + len(compiles):]
+    capsys.readouterr()
+    opened = []
+
+    def recorded(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(homcount, "open", recorded, raising=False)
+    calls = _count_planning(monkeypatch)
+    assert cli.main(["count", "--property", "connected", "--k", "4",
+                     "--graph", str(host_file), "--method", "basis"]) == 0
+    want = count_brute(get_property("connected"), 4, JOIN_HOST)
+    assert f'"count": "{want}"' in capsys.readouterr().out
+    assert not any(calls.values())
+    assert sorted(opened) == [f"k{m}.{PLAN_SUFFIX}"
+                              for m in _support_sizes("connected", 4)]
 
 
 _JOIN_WRITER = """
@@ -771,7 +899,7 @@ print(count_basis(get_property("connected"), 5, host))
 
 def test_concurrent_join_writers(join_dir, monkeypatch):
     """Two processes that wait for each other, then count in the same
-    directory at once: both save, and the file left behind is whole."""
+    directory at once: both save, and the files left behind are whole."""
     build_catalog(5)
     for k in range(1, 6):
         elimination_orders(k)
@@ -799,11 +927,11 @@ def test_concurrent_join_writers(join_dir, monkeypatch):
     want = _join_brute()
     assert outs == [str(want)] * 2
     assert not [p.name for p in join_dir.iterdir() if p.name.startswith(".")]
-    path = join_dir / JOIN_FILE
-    table = homcount._read_joins(path)
-    assert os.stat(path).st_mode & 0o777 == 0o600
+    for m in _support_sizes("connected", 5):
+        path = _plan_path(join_dir, m)
+        assert homcount._read_plans(path)
+        assert os.stat(path).st_mode & 0o777 == 0o600
     _new_process()
-    compiles = _count_compiles(monkeypatch)
+    calls = _count_planning(monkeypatch)
     assert _join_count() == want
-    assert compiles == []
-    assert homcount._join_codes().keys() == table.keys()
+    assert not any(calls.values())

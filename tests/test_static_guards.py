@@ -16,8 +16,9 @@ and no list is extended by a comprehension over itself, as in
 t += [e | w for e in t].
 
 Code runs from one module: homcount.py, which compiles the bag joins and
-keeps their code objects in the join file, is the only module that calls
-compile, exec or eval or imports marshal.
+keeps their code objects in the plan files, is the only module that calls
+compile, exec or eval, makes a function from a code object with
+types.FunctionType, or imports marshal.
 
 One rule for the cache directory: catalog.py is the only module that
 names INDSUB_CACHE_DIR, as catalog.CACHE_ENV_VAR or as the string itself,
@@ -133,21 +134,25 @@ def test_the_subset_table_guard_finds_each_kind():
 
 
 CODE_BUILTINS = ("compile", "exec", "eval")
+# where each code-running callable lives, when called as an attribute
+CODE_RUNNERS = dict.fromkeys(CODE_BUILTINS, "builtins") | {
+    "FunctionType": "types"}
 
 
 def _code_execution(tree: ast.Module) -> list[str]:
-    """Calls of compile, exec or eval (bare or through builtins) and
-    imports of marshal in tree."""
+    """Calls of compile, exec or eval (bare or through builtins) and of
+    FunctionType (bare or through types), and imports of marshal in
+    tree."""
     found = []
     for node in ast.walk(tree):
         where = f"line {getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Name) and func.id in CODE_BUILTINS or \
+            if isinstance(func, ast.Name) and func.id in CODE_RUNNERS or \
                     isinstance(func, ast.Attribute) and \
-                    func.attr in CODE_BUILTINS and \
+                    func.attr in CODE_RUNNERS and \
                     isinstance(func.value, ast.Name) and \
-                    func.value.id == "builtins":
+                    func.value.id == CODE_RUNNERS[func.attr]:
                 found.append(f"{where}: call to {ast.unparse(func)}")
         elif isinstance(node, ast.Import) and \
                 any(a.name == "marshal" for a in node.names):
@@ -162,7 +167,8 @@ def test_only_homcount_executes_code(path):
     found = _code_execution(ast.parse(path.read_text(), str(path)))
     if path.name == "homcount.py":
         assert {f.split(": ", 1)[1] for f in found} == {
-            "call to compile", "call to exec", "import marshal"}
+            "call to compile", "call to exec", "call to FunctionType",
+            "import marshal"}
     else:
         assert found == []
 
@@ -170,11 +176,14 @@ def test_only_homcount_executes_code(path):
 def test_the_code_execution_guard_finds_each_kind():
     source = ("import os, marshal\nfrom marshal import loads\n"
               "exec(compile(s, 'f', 'exec'))\nx = eval('1')\n"
-              "builtins.exec(c)\nre.compile(p)\nobj.exec(q)\n")
+              "builtins.exec(c)\nre.compile(p)\nobj.exec(q)\n"
+              "f = FunctionType(c, {})\ng = types.FunctionType(c, {})\n"
+              "h = builtins.FunctionType(c)\n")
     assert sorted(_code_execution(ast.parse(source))) == [
         "line 1: import marshal", "line 2: from marshal import",
         "line 3: call to compile", "line 3: call to exec",
-        "line 4: call to eval", "line 5: call to builtins.exec"]
+        "line 4: call to eval", "line 5: call to builtins.exec",
+        "line 8: call to FunctionType", "line 9: call to types.FunctionType"]
 
 
 CACHE_ENV = ("CACHE_ENV_VAR", "INDSUB_CACHE_DIR")
