@@ -2,11 +2,12 @@
 
 Subcommands: catalog, spectrum, homvector, count, diagnose, critical,
 reduce-demo, selftest.  Reports go to standard output as JSON (diagnose
-also offers --text); error messages go to standard error.  Exit status is
-0 on success, 1 on a usage error (bad flags, unknown property, malformed
-input file, exceeded work budget), and 2 when an internal consistency
-check fails -- including a disagreement between the two counting methods
-under ``count --method both``.
+also offers --text) in pieces of bounded size, so a value _enc rejects, an
+internal error, can leave part of a report there; error messages go to
+standard error.  Exit status is 0 on success, 1 on a usage error (bad
+flags, unknown property, malformed input file, exceeded work budget), and
+2 when an internal consistency check fails -- including a disagreement
+between the two counting methods under ``count --method both``.
 
 Integers in JSON output are rendered as decimal strings so that
 arbitrary-precision counts survive any JSON consumer; rationals are
@@ -22,6 +23,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import GeneratorType
 
 from . import counting
 from .canon import is_isomorphic
@@ -68,13 +70,23 @@ class _Parser(argparse.ArgumentParser):
 
 # json's escaper of one string (C where available), as json.dumps uses it
 _escape = json.encoder.encode_basestring_ascii
+PIECE_PARTS = 4096  # parts _emit gathers per write: about 70 KB of text
+
+
+class _Pieces(list):
+    """_emit's parts list, which _enc empties through write."""
+
+    def __init__(self, write):
+        super().__init__()
+        self.write = write
 
 
 def _enc(value, out: list[str], indent: str) -> None:
     """Append to out the text json.dumps(indent=2) writes for value, with
-    ints as decimal strings and rationals as "p/q" strings.  Dict keys are
-    strings; indent is the newline and spaces that start a line at
-    value's depth."""
+    ints as decimal strings, rationals as "p/q" strings and a generator as
+    the array it yields.  Dict keys are strings; indent is the newline and
+    spaces that start a line at value's depth.  A _Pieces out is written
+    and emptied at an array-item boundary past PIECE_PARTS parts."""
     kind = type(value)
     if kind is str:
         out.append(_escape(value))
@@ -98,17 +110,17 @@ def _enc(value, out: list[str], indent: str) -> None:
                 _enc(item, out, inner)
             sep = "," + inner
         out.append(indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
+    elif isinstance(value, (list, tuple, GeneratorType)):
         inner = indent + "  "
         sep = "[" + inner
         for item in value:
             out.append(sep)
             _enc(item, out, inner)
             sep = "," + inner
-        out.append(indent + "]")
+            if len(out) > PIECE_PARTS and type(out) is _Pieces:
+                out.write("".join(out))
+                out.clear()
+        out.append("[]" if sep[0] == "[" else indent + "]")
     elif value is True:
         out.append("true")
     elif value is False:
@@ -127,10 +139,10 @@ def _enc(value, out: list[str], indent: str) -> None:
 
 
 def _emit(report) -> None:
-    out: list[str] = []
+    out = _Pieces(sys.stdout.write)
     _enc(report, out, "\n")
     out.append("\n")
-    sys.stdout.write("".join(out))
+    out.write("".join(out))
 
 
 # ------------------------------------------------------ property plumbing
@@ -206,11 +218,10 @@ def _cmd_catalog(args) -> int:
     }
     if args.list:
         kfact = factorial(args.k)
-        report["entries"] = [
+        report["entries"] = (
             {"graph6": g6, "edges": edges.bit_count(), "aut": aut,
              "copies": kfact // aut}
-            for g6, edges, aut in zip(cat.graph6, cat.edges, cat.auts)
-        ]
+            for g6, edges, aut in zip(cat.graph6, cat.edges, cat.auts))
     _emit(report)
     return 0
 

@@ -70,9 +70,9 @@ MAGIC_NUMBER, the sha256 of the source of this module and of graphs
 (whose pair_bits makes the keys), then the sha256 of the rest, and the
 rest is marshal data of a dict from ints to plans.  So a file written by
 other planning code is never read, no version is bumped by hand, and
-stale plans never mix with fresh ones.  A file that fails is logged as a
-rebuild, and the next save replaces it; a failed save is logged.  The
-cache does not follow sys.dont_write_bytecode.
+stale plans never mix with fresh ones.  A stale file counts as missing,
+any other bad one is logged as a rebuild, the next save replaces both, a
+failed save is logged, and the cache ignores sys.dont_write_bytecode.
 
 Tables are shared through a HomStore, which lives for one count_basis
 call (or one lone count_hom call) and serves one host.  Every bag has a
@@ -636,17 +636,21 @@ def _compiled(shape):
     return namespace["join"]
 
 
+class _StalePlans(FormatError):
+    """A plan file written by other planning code."""
+
+
 @lru_cache(maxsize=MAX_HOM_VECTOR_K)
 def load_plans(directory: Path, m: int) -> dict[int, _Plan]:
     """The plan table of the plan file for m vertices in directory: the
     canonical edge bitset of each class the file holds -> its plan, to
     which class_plans adds the plans it makes.  Read once per process,
-    directory and m, with room for one directory's files.  A missing file
-    holds nothing; one that fails _read_plans is logged as a rebuild and
-    holds nothing either, so the next save replaces it."""
+    directory and m, with room for one directory's files.  A missing or
+    stale file holds nothing; any other that fails _read_plans is logged
+    as a rebuild and holds nothing either, so the next save replaces it."""
     try:
         return _read_plans(directory / f"k{m}.{PLAN_SUFFIX}")
-    except FileNotFoundError:
+    except (FileNotFoundError, _StalePlans):
         return {}
     except (FormatError, OSError) as exc:
         _warn("rebuilding plans: %s", exc)
@@ -682,9 +686,9 @@ def _read_plans(path: Path) -> dict[int, _Plan]:
     """The plan table in the plan file at path.  FormatError unless the
     opened file is the user's own and writable by no one else (where the
     platform has user ids), starts with the interpreter's bytecode
-    MAGIC_NUMBER, _planner_digest() and the sha256 of the rest, and the
-    rest is marshal data of a dict from ints to plans, each a tuple of
-    seven tuples whose joins hold code objects."""
+    MAGIC_NUMBER, _planner_digest() (else _StalePlans) and the sha256 of
+    the rest, and the rest is marshal data of a dict from ints to plans,
+    each a tuple of seven tuples whose joins hold code objects."""
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         if hasattr(os, "getuid") and (st.st_uid != os.getuid()
@@ -696,7 +700,7 @@ def _read_plans(path: Path) -> dict[int, _Plan]:
     if data[:head] != MAGIC_NUMBER:
         raise FormatError(f"{path}: bad magic number")
     if data[head:head + 32] != _planner_digest():
-        raise FormatError(f"{path}: written by other planning code")
+        raise _StalePlans(f"{path}: written by other planning code")
     body = data[head + 64:]
     if hashlib.sha256(body).digest() != data[head + 32:head + 64]:
         raise FormatError(f"{path}: checksum mismatch")

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import indsub.catalog as catalog
 import indsub.cli as cli
@@ -112,6 +114,69 @@ def test_catalog_list_prints_the_stored_graph6(capsys, monkeypatch):
     assert [e["graph6"] for e in data["entries"]] == list(cat.graph6)
 
 
+def _catalog_report(k: int) -> dict:
+    """The catalog --list report for k, built with lists."""
+    cat = catalog.build_catalog(k)
+    by_edge_count = [0] * (k * (k - 1) // 2 + 1)
+    for edges in cat.edges:
+        by_edge_count[edges.bit_count()] += 1
+    return {"k": k, "classes": len(cat.graph6),
+            "labeled_total": sum(factorial(k) // a for a in cat.auts),
+            "classes_by_edge_count": by_edge_count,
+            "entries": [{"graph6": g6, "edges": edges.bit_count(), "aut": a,
+                         "copies": factorial(k) // a}
+                        for g6, edges, a in zip(cat.graph6, cat.edges,
+                                                cat.auts)]}
+
+
+class _Discard:
+    """A standard output that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+class _Writes:
+    """A standard output that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_catalog_listing_is_written_in_bounded_pieces(monkeypatch):
+    report = _catalog_report(8)
+    # a piece ends at the first entry boundary past PIECE_PARTS parts, and
+    # an entry has 6 parts
+    parts = []
+    cli._enc(report, parts, "\n")
+    bound = (cli.PIECE_PARTS + 6) * max(map(len, parts))
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["catalog", "--k", "8", "--list"]) == 0
+    assert "".join(stdout.writes) == reference_emit(report)
+    assert len(stdout.writes) >= 2
+    assert max(map(len, stdout.writes)) <= bound
+
+
+def test_catalog_listing_keeps_no_report_in_memory(monkeypatch):
+    """With the catalog built, listing its 12,346 classes traces a peak
+    below 2 MB: no list of entries and no joined report text (about
+    9.5 MB when the listing built both)."""
+    catalog.build_catalog(8)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        assert main(["catalog", "--k", "8", "--list"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_catalog_k_out_of_range(capsys):
     code, _, err = run(capsys, ["catalog", "--k", "99"])
     assert code == 1
@@ -182,16 +247,38 @@ _LEAVES = st.one_of(
     st.text(max_size=6), st.integers(),
     st.integers(-(1 << 300), 1 << 300), st.booleans(), st.none(),
     st.fractions())
+
+
+class _Lazy(list):
+    """An array the emitter is handed as a generator."""
+
+
+def _with_generators(value):
+    """value with every _Lazy array in it made a generator of its items."""
+    if isinstance(value, dict):
+        return {key: _with_generators(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [_with_generators(item) for item in value]
+        return (item for item in items) if type(value) is _Lazy \
+            else type(value)(items)
+    return value
+
+
 _REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(inner, max_size=4).map(_Lazy),
     st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=24)
 
 
 @settings(max_examples=300)
 @given(_REPORTS)
+@example(_Lazy())
+@example({"entries": _Lazy([_Lazy(), 1, {"a": _Lazy([None])}])})
 def test_emitter_matches_json_dumps(report):
+    """The emitter writes what json.dumps writes for the report, with any
+    array handed over as a generator, the empty one included."""
     out = []
-    cli._enc(report, out, "\n")
+    cli._enc(_with_generators(report), out, "\n")
     assert "".join(out) + "\n" == reference_emit(report)
 
 

@@ -24,6 +24,10 @@ One rule for the cache directory: catalog.py is the only module that
 names INDSUB_CACHE_DIR, as catalog.CACHE_ENV_VAR or as the string itself,
 and no function takes a parameter named cache_dir, so nothing can choose
 a directory other than the variable's value at the call.
+
+One JSON writer: cli._emit is the only code that refers to sys.stdout,
+and no module calls json.dump or json.dumps, so every report goes out
+through cli._enc, in the pieces _emit writes.
 """
 
 import ast
@@ -92,11 +96,16 @@ def test_only_graphs_reads_pair_table():
     assert _reads_pair_table(ast.parse("graphs.pair_table(3)"))
 
 
+def _inside(tree: ast.Module, name) -> set[int]:
+    """The ids of the nodes of tree within functions named name."""
+    return {id(node) for top in ast.walk(tree)
+            if isinstance(top, ast.FunctionDef) and top.name == name
+            for node in ast.walk(top)}
+
+
 def _subset_table_loops(tree: ast.Module, builder=None) -> list[str]:
     """Subset-table loops in tree outside the function named builder."""
-    inside = {id(node) for top in ast.walk(tree)
-              if isinstance(top, ast.FunctionDef) and top.name == builder
-              for node in ast.walk(top)}
+    inside = _inside(tree, builder)
     found = []
     for node in ast.walk(tree):
         if id(node) in inside:
@@ -231,3 +240,52 @@ def test_the_cache_dir_guard_finds_each_kind():
         "import CACHE_ENV_VAR", "line 2: catalog.CACHE_ENV_VAR",
         "line 3: 'INDSUB_CACHE_DIR'", "line 4: parameter cache_dir",
         "line 5: parameter cache_dir", "line 6: parameter cache_dir"]
+
+
+# (module, name) of what writes a report: only cli._emit names sys.stdout
+REPORT_WRITERS = {("sys", "stdout"), ("json", "dump"), ("json", "dumps")}
+
+
+def _report_writers(tree: ast.Module, writer=None) -> list[str]:
+    """References to sys.stdout outside the function named writer, and
+    to json.dump or json.dumps anywhere, in tree."""
+    inside = _inside(tree, writer)
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and \
+                (node.value.id, node.attr) in REPORT_WRITERS and \
+                (node.value.id == "json" or id(node) not in inside):
+            found.append(f"{where}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{where}: from {node.module} import {a.name}"
+                      for a in node.names
+                      if (node.module, a.name) in REPORT_WRITERS]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_emit_writes_reports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    if path.name == "cli.py":
+        assert [f.split(": ", 1)[1] for f in _report_writers(tree)] == [
+            "sys.stdout"]
+        assert _report_writers(tree, "_emit") == []
+    else:
+        assert _report_writers(tree) == []
+
+
+def test_the_report_writer_guard_finds_each_kind():
+    source = ("import json, sys\nfrom sys import stdout, stderr\n"
+              "from json import dumps as d, loads\n"
+              "def _emit(r):\n    sys.stdout.write(json.dumps(r))\n"
+              "print(x, file=sys.stdout)\njson.dump(x, fh)\n"
+              "print(x, file=sys.stderr)\njson.loads(s)\nobj.dumps(y)\n"
+              "f = json.dumps\n")
+    tree = ast.parse(source)
+    assert sorted(_report_writers(tree, "_emit")) == [
+        "line 11: json.dumps", "line 2: from sys import stdout",
+        "line 3: from json import dumps", "line 5: json.dumps",
+        "line 6: sys.stdout", "line 7: json.dump"]
+    assert "line 5: sys.stdout" in _report_writers(tree)
