@@ -7,12 +7,12 @@ takes about 1 s on a 2-core Xeon; this script warms the on-disk cache
 once so later runs (and the test suite, when pointed at the same cache
 directory) start instantly.  It then writes, for each k up to K it covers,
 every property-independent map declared beside the catalogs
-(catalog.CLASS_MAPS): the edge-deletion maps, quotient rows and
-elimination orders for 1 <= k <= 7, and the vertex-deletion maps for
-2 <= k <= 6.  Last it plans every class it wrote elimination orders for,
-as a basis count does, into the plan file of its vertex count m,
-k{m}.plans.<interpreter cache tag> (counting.class_plans), so a basis
-count in the directory plans no class.
+(catalog.CLASS_MAPS): the edge-deletion maps and quotient rows for
+1 <= k <= 7, and the vertex-deletion maps for 2 <= k <= 6.  Last it
+plans every class on at most MAX_HOM_VECTOR_K = 7 vertices that it built
+a catalog for, as a basis count does, into the plan file of its vertex
+count m, k{m}.plans.<interpreter cache tag> (counting.class_plans), so a
+basis count in the directory plans no class and runs no treewidth DP.
 
 The cache directory is $INDSUB_CACHE_DIR, or ~/.cache/indsub when that is
 unset or empty, as for every indsub call; --cache-dir DIR sets
@@ -31,9 +31,10 @@ from indsub.catalog import (
     CACHE_ENV_VAR,
     CLASS_MAPS,
     MAX_CATALOG_K,
+    MAX_HOM_VECTOR_K,
     build_catalog,
 )
-from indsub.counting import class_plans, elimination_orders
+from indsub.counting import class_plans
 from indsub.homcount import PLAN_SUFFIX
 
 
@@ -65,9 +66,7 @@ def main(argv=None) -> int:
             kind(k)
             elapsed = time.monotonic() - start
             print(f"k={k}: {kind.what} [{elapsed:.2f}s]")
-    for k in elimination_orders.ks:
-        if k > args.kmax:
-            break
+    for k in range(1, min(args.kmax, MAX_HOM_VECTOR_K) + 1):
         start = time.monotonic()
         cat = build_catalog(k)
         class_plans(cat.graphs())

@@ -45,11 +45,7 @@ order of m, comma-separated>".  They are
                   after each vertex deletion; it names k{k-1} and k{k};
   k{k}.quotients  hombasis.quotient_rows, 1 <= k <= 7: pairs of global
                   class id (catalog m's classes follow those of all
-                  smaller catalogs) and Moebius sum; it names k{1}..k{k};
-  k{k}.orders     counting.elimination_orders, 1 <= k <= 7: the
-                  representative's vertices in the order the treewidth DP
-                  eliminates them, component by component (v2); it names
-                  k{k}.
+                  smaller catalogs) and Moebius sum; it names k{1}..k{k}.
 Loading checks the header against the catalog files on disk, then parses
 every row in one pass, each distinct token text once, and checks the whole
 map in one call of ClassMap.check, by passes over all rows at once: an
@@ -57,17 +53,16 @@ edge row has e(C) entries, each a class with e(C) - 1 edges, so each block
 of rows with one edge count has one min and one max to test; a vertex row
 has k entries, the one for v a class with e(C) - deg(v) edges; a quotient
 row has even length, holds ids in range and nonzero sums and ends with the
-class itself and sum 1, tested on all rows flattened; an order row is a
-permutation of range(k).  A map that fails raises a FormatError naming its
-file and the rule, or the first row with a token that int() rejects.
+class itself and sum 1, tested on all rows flattened.  A map that fails
+raises a FormatError naming its file and the rule, or the first row with a
+token that int() rejects.
 
 Catalogs and maps share one read-or-rebuild routine.  A file that fails (a
 FormatError, or an OSError on reading) is logged as a rebuild; the value is
-computed again (the catalog by the builder, a map by index_of lookups, or
-by the treewidth DP for the orders) and written again through a temporary
-file and os.replace, a map only as long as every catalog file it names
-exists; a failed write is logged.  A map is written on its first call,
-never by building or loading a catalog.
+computed again (the catalog by the builder, a map by index_of lookups)
+and written again through a temporary file and os.replace, a map only as
+long as every catalog file it names exists; a failed write is logged.  A
+map is written on its first call, never by building or loading a catalog.
 
 GraphCatalog.index_of finds a graph's class, which the maps above and the
 truth tables do for every lookup they compute.  A representative itself
@@ -457,8 +452,8 @@ class ClassMap(_ClassMap):
 CLASS_MAPS: list[ClassMap] = []
 
 
-# Room for one cache directory's maps: four maps, none past MAX_HOM_VECTOR_K.
-@lru_cache(maxsize=4 * MAX_HOM_VECTOR_K)
+# Room for one cache directory's maps: three maps, none past MAX_HOM_VECTOR_K.
+@lru_cache(maxsize=3 * MAX_HOM_VECTOR_K)
 def _class_map_cached(kind: ClassMap, k: int, key: str | None
                       ) -> tuple[tuple[int, ...], ...]:
     cats = tuple(_catalog_cached(m, key) for m in range(kind.lowest(k), k + 1))

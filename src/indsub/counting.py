@@ -34,21 +34,18 @@ joins compiled, from homcount's plan file for its vertex count m,
 k{m}.plans.<interpreter cache tag>.  Each file is read once per process
 and directory, and only the files of the vertex counts the vector holds
 are read.  A class that its file lacks is planned and added to it, and
-each file that gained a plan is saved once, before counting.  Such a class, connected or not, is planned
-with the decomposition of its stored elimination order, one tree per
-component, which the treewidth DP computes once per cache directory: the
-orders are kept beside the catalog as k{k}.orders (a catalog.ClassMap),
-one row per class holding the representative's vertices in elimination
-order.  So counting runs no treewidth DP, and a count whose plan files
-hold its classes plans nothing.  The vector's patterns are classes on at
-most MAX_HOM_VECTOR_K vertices, so the kept counts are at most 1,252 exact
+each file that gained a plan is saved once, before counting.  Such a
+class, connected or not, is planned on homcount.tree_decomposition, one
+tree per component, so the treewidth DP runs once per class and cache
+directory, and a count whose plan files hold its classes runs no DP and
+plans nothing.  The vector's patterns are classes on at most
+MAX_HOM_VECTOR_K vertices, so the kept counts are at most 1,252 exact
 ints beside one host.  Only calls in one process on equal hosts gain from
 them: selftest, which counts several properties into one host, and
 library code that does the same.  A single `indsub count` run makes one
-count_basis call and gains nothing.  Neither a pattern's decomposition
-nor its plan depends on the host, so each class's decomposition is built
-once per process (a bounded lru_cache keyed, like hom_vector, without the
-directory) and homcount keeps its plan the same way: a class that no plan
+count_basis call and gains nothing.  A pattern's plan does not depend on
+the host, so homcount keeps each plan per process (a bounded lru_cache
+keyed, like hom_vector, without the directory): a class that no plan
 file holds is planned again only if no earlier call, on any host, has
 planned it.  count_basis hands k = 0 and k > n to count_brute (at
 most one predicate call) and otherwise insists on an integral,
@@ -62,12 +59,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .catalog import (
-    MAX_HOM_VECTOR_K,
-    ClassMap,
-    build_catalog,
-    default_cache_dir,
-)
+from .catalog import default_cache_dir
 from .errors import BudgetExceededError, InternalConsistencyError
 from .graphs import (
     MAX_SMALL_VERTICES,
@@ -78,12 +70,9 @@ from .graphs import (
 )
 from .hombasis import hom_vector
 from .homcount import (
-    PLAN_CACHE_SIZE,
     HomStore,
     _validated_plan,
     count_hom,
-    decomposition_from_order,
-    elimination_order,
     load_plans,
     save_plans,
 )
@@ -187,8 +176,7 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
 
     #Hom(H, host) is taken from the counts kept for the last host when
     that host equals this one.  The patterns not kept yet are planned
-    into one HomStore, with the decomposition of their class's stored
-    elimination order, before any is counted, so a rooted sub-pattern
+    into one HomStore before any is counted, so a rooted sub-pattern
     table, or a whole component's count, is computed once per call and
     shared by every pattern that holds it; each table is dropped after
     its last planned read, and none outlives the call.  The counts it
@@ -229,54 +217,18 @@ def _host_homs(host: HostGraph) -> dict[SmallGraph, int]:
 def class_plans(classes) -> list:
     """The plan of each of classes, catalog representatives on at most
     MAX_HOM_VECTOR_K vertices: the one the cache directory's plan file for
-    its vertex count holds, or else the plan of its stored elimination
-    order, which is added to that file's table.  Each table that gained a
-    plan is saved once, after every class has its plan."""
+    its vertex count holds, or else the plan of its tree_decomposition,
+    which is added to that file's table.  Each table that gained a plan
+    is saved once, after every class has its plan."""
     directory = default_cache_dir()
     plans, grown = [], set()
     for g in classes:
         table = load_plans(directory, g.n)
         plan = table.get(g.edges)
         if plan is None:
-            plan = table[g.edges] = _validated_plan(g, _class_decomposition(g))
+            plan = table[g.edges] = _validated_plan(g, None)
             grown.add(g.n)
         plans.append(plan)
     for m in grown:
         save_plans(directory, m)
     return plans
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _class_decomposition(g: SmallGraph):
-    """The decomposition of the stored elimination order of g, a catalog
-    representative.  The order fits the representative's own labelling
-    only, so g's class is found by its exact edge bitset.  Kept per
-    process, like homcount's plans, whose key it is part of."""
-    i = build_catalog(g.n)._index[(g.n, g.edges)]
-    return decomposition_from_order(g, elimination_orders(g.n)[i])
-
-
-def compute_elimination_orders(cat) -> tuple[tuple[int, ...], ...]:
-    """The elimination order of every representative of cat, by the
-    treewidth DP."""
-    return tuple(map(elimination_order, cat.graphs()))
-
-
-def _order_map_check(cats):
-    # Each row is a permutation of the k vertices.
-    whole = list(range(cats[-1].k))
-
-    def check(rows):
-        if not all(map(whole.__eq__, map(sorted, rows))):
-            return "an order row is a permutation of range(k)"
-        return None
-    return check
-
-
-# Per k-vertex class, homcount.elimination_order of its representative.
-elimination_orders = ClassMap(
-    "orders", "elimination orders", "# indsub elimination-orders v2",
-    ks=range(1, MAX_HOM_VECTOR_K + 1),
-    lowest=lambda k: k,
-    compute=lambda cats: compute_elimination_orders(cats[-1]),
-    check=_order_map_check)

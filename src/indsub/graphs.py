@@ -14,7 +14,7 @@ line is "n m" followed by one "u v" pair per line (0-indexed).  This
 module owns graph6.  User and host text is read by one walk over the set
 bits of the body, which ignores padding bits; the catalog cache is read
 strictly through per-position character tables (_graph6_line_tables).
-Small graphs are written through per-byte tables, hosts bit by bit.
+Small graphs are written through per-byte tables; hosts are only read.
 subset_sums builds these tables and every other per-bit lookup table.
 """
 
@@ -394,12 +394,6 @@ class HostGraph(Frozen):
                  if u not in dropped and v not in dropped]
         return HostGraph.from_edges(len(keep), pairs)
 
-    def to_graph6(self) -> str:
-        adj = self.adj_bits
-        return _encode_graph6(self.n, [adj[j] >> i & 1
-                                       for j in range(1, self.n)
-                                       for i in range(j)])
-
     def to_edge_list_text(self) -> str:
         lines = [f"{self.n} {self.edge_count}"]
         lines += [f"{u} {v}" for u, v in self.edge_pairs()]
@@ -441,26 +435,6 @@ def _small_graph6(n: int, edges: int) -> str:
     text = sum(map(tuple.__getitem__, tables,
                    edges.to_bytes(len(tables), "little")), empty)
     return text.to_bytes(size, "big").decode("ascii")
-
-
-def _encode_graph6(n: int, bits: list[int]) -> str:
-    """graph6 text of n vertices whose pair bits come in graph6 order; the
-    host writer, since a host's bitset of C(n, 2) pairs is not stored."""
-    if n <= 62:
-        head = chr(n + 63)
-    elif n <= MAX_HOST_VERTICES:
-        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    else:
-        raise ValueError("graph too large for this graph6 writer")
-    while len(bits) % 6:
-        bits.append(0)
-    chunks = []
-    for t in range(0, len(bits), 6):
-        val = 0
-        for b in bits[t:t + 6]:
-            val = val << 1 | b
-        chunks.append(chr(val + 63))
-    return head + "".join(chunks)
 
 
 @lru_cache(maxsize=None)

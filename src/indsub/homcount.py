@@ -112,14 +112,14 @@ elimination-ordering DP over vertex subsets, which is fine for the pattern
 sizes this package handles (k <= 8, decomposition solver capped at 12
 vertices).  It runs on each connected component: exact_treewidth takes
 the largest of the components' values from their tables, and
-elimination_order concatenates one optimal order peeled off each
+tree_decomposition concatenates one optimal order peeled off each
 component's table, so the order is optimal on every component.
 decomposition_from_order is the one bag builder: tree_decomposition is
-that builder on elimination_order's order, checked against the DP's
-width.  The orders of the catalog representatives are kept on disk
-(counting.elimination_orders), so count_basis runs no DP;
-tree_decomposition, count_hom and exact_treewidth run it on any graph and
-read no catalog.
+that builder on that order, checked against the DP's width.  The DP runs
+for a pattern only when it is planned without a given decomposition, so
+count_basis, whose classes' plans the plan files keep, runs it once per
+class and cache directory; tree_decomposition, count_hom and
+exact_treewidth run it on any graph and read no catalog.
 """
 
 from __future__ import annotations
@@ -266,12 +266,6 @@ class TreeDecomposition(NamedTuple):
                     f"bags containing vertex {v} are disconnected")
 
 
-def elimination_order(g: SmallGraph) -> tuple[int, ...]:
-    """A width-optimal elimination order of g, optimal on each of its
-    components: the first vertex eliminated first."""
-    return _order_and_width(g)[0]
-
-
 def _peel(last: list[int]) -> tuple[int, ...]:
     """The optimal order the treewidth DP recorded: walk back from the
     full set, eliminating each set's recorded last vertex last."""
@@ -287,7 +281,7 @@ def _peel(last: list[int]) -> tuple[int, ...]:
 
 def tree_decomposition(g: SmallGraph) -> TreeDecomposition:
     """Width-optimal rooted decomposition, one tree per component: the
-    bags of the order elimination_order gives, checked against the width
+    bags of the order _order_and_width gives, checked against the width
     the treewidth DP gives."""
     if g.n == 0:
         return TreeDecomposition(g, ((),), (-1,))
@@ -626,8 +620,8 @@ def _shape(order: tuple[int, ...], levels: tuple[int, ...],
     return shape, slots, folded
 
 
-# compiled bag joins kept, by shape: the plans of the stored orders of
-# every class on at most 7 vertices, disconnected ones included, need 594
+# compiled bag joins kept, by shape: the plans count_basis makes of every
+# class on at most 7 vertices, disconnected ones included, need 594
 @lru_cache(maxsize=1024)
 def _compiled(shape):
     """The join function of a bag shape, compiled from its source."""

@@ -43,16 +43,15 @@ def pytest_unconfigure(config):
 @pytest.fixture(autouse=True)
 def _fresh_host_homs():
     """Start each test without the hom counts count_basis keeps for its
-    last host, nor the class decompositions, plans, compiled joins and
-    plan tables read from plan files kept per process, so a test that
-    inspects the DP, its planning or a plan file sees them run rather than
-    read what an earlier test left in memory.  The plan files of the
+    last host, nor the plans, compiled joins and plan tables read from
+    plan files kept per process, so a test that inspects the DP, its
+    planning or a plan file sees them run rather than read what an earlier
+    test left in memory.  The plan files of the
     session's cache directory stay, as the catalogs do: a test that counts
     on planning points INDSUB_CACHE_DIR at a directory of its own."""
     from indsub import counting, homcount
 
     counting._host_homs.cache_clear()
-    counting._class_decomposition.cache_clear()
     homcount._validated_plan.cache_clear()
     homcount._compiled.cache_clear()
     homcount.load_plans.cache_clear()

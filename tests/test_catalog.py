@@ -181,7 +181,7 @@ def test_catalog_and_map_memos_stay_bounded(tmp_path, monkeypatch):
     # whole working set fits: loading it again misses nothing.
     memos = (catalog._catalog_cached, catalog._class_map_cached,
              homcount.load_plans)
-    sizes = (MAX_CATALOG_K, 4 * MAX_HOM_VECTOR_K, MAX_HOM_VECTOR_K)
+    sizes = (MAX_CATALOG_K, 3 * MAX_HOM_VECTOR_K, MAX_HOM_VECTOR_K)
     assert [memo.cache_info().maxsize for memo in memos] == list(sizes)
     assert sizes[1] >= sum(len(kind.ks) for kind in CLASS_MAPS)
 
@@ -230,8 +230,7 @@ def test_maps_reject_k_outside_their_range():
     # edge_deletions covers the k its readers ask for, 1..7, though the
     # catalogs go up to 8.
     assert [(kind.suffix, kind.ks[0], kind.ks[-1]) for kind in CLASS_MAPS] \
-        == [("edges", 1, 7), ("vertices", 2, MAX_FLAG_K), ("quotients", 1, 7),
-            ("orders", 1, 7)]
+        == [("edges", 1, 7), ("vertices", 2, MAX_FLAG_K), ("quotients", 1, 7)]
     for kind in CLASS_MAPS:
         for k in (kind.ks[0] - 1, kind.ks[-1] + 1):
             with pytest.raises(ValueError, match=f"{kind.what} cover"):
@@ -380,9 +379,9 @@ def _race_writers(directory, name, k):
 
 MAPS = {kind.suffix: kind for kind in CLASS_MAPS}
 RESULT_PROPERTIES = ("triangle-free", "chordal", "connected")
-# C7 with one chord.  Its connected count reads the elimination orders of
-# every size up to k; it stops at k = 6, as the flags do, since a basis
-# count at k = 7 compiles hundreds of join shapes.
+# C7 with one chord.  Its connected count plans classes of every size up
+# to k; it stops at k = 6, as the flags do, since a basis count at k = 7
+# compiles hundreds of join shapes.
 RESULT_HOST = HostGraph.from_edges(
     7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3)])
 
@@ -404,14 +403,12 @@ def cache_env(tmp_path, monkeypatch):
 
 def _forget_maps():
     """Drop the maps and hom vectors cached in the process, and the hom
-    counts count_basis keeps and the class decompositions and plans, which
-    it made with the stored orders, and the plan tables read from plan
-    files, so the next count_basis plans from the orders map again unless
-    a plan file holds its classes."""
+    counts and plans count_basis keeps, and the plan tables read from plan
+    files, so the next count_basis plans its classes again unless a plan
+    file holds them."""
     catalog._class_map_cached.cache_clear()
     hom_vector.cache_clear()
     counting._host_homs.cache_clear()
-    counting._class_decomposition.cache_clear()
     homcount._validated_plan.cache_clear()
     homcount.load_plans.cache_clear()
 
@@ -426,7 +423,7 @@ def _results(k):
 def _written(directory, name, k):
     """The results at k, which write every map they read into directory;
     then nothing _forget_maps drops stays cached, and the plan files the
-    count wrote are removed, so the next count reads the orders map again.
+    count wrote are removed, so the next count plans its classes again.
     Returns the map file of name at k, its text and the results."""
     want = _results(k)
     _forget_maps()
@@ -447,8 +444,7 @@ def _edit_row(text, i, edit):
 # partition into independent sets, so its quotient row is its own global
 # id, 1 + 2 + 4 + 11 + 33 = 51, with sum 1; K5 minus any vertex is K4,
 # class 10 of the 11 four-vertex classes, and K5 minus any edge is class
-# 32.  The treewidth DP eliminates the edgeless graph's vertices from the
-# last one down.  Each corruption comes with the words of the failed rule
+# 32.  Each corruption comes with the words of the failed rule
 # that the logged rebuild line must hold.  A map declared later gets the
 # three corruptions every map gets.
 MAP_CORRUPTIONS = {
@@ -476,15 +472,6 @@ MAP_CORRUPTIONS = {
         "odd length": (lambda t: _edit_row(t, 0, lambda r: r + [1]),
                        "a quotient row has even length"),
     },
-    "orders": {
-        "not a permutation": (lambda t: _edit_row(t, 0, lambda r: [5] + r[1:]),
-                              "a permutation of range(k)"),
-        "repeated vertex": (
-            lambda t: _edit_row(t, 33, lambda r: r[:1] * 2 + r[2:]),
-            "a permutation of range(k)"),
-        "too few entries": (lambda t: _edit_row(t, 33, lambda r: r[1:]),
-                            "a permutation of range(k)"),
-    },
 }
 for name in MAPS:
     corruptions = MAP_CORRUPTIONS.setdefault(name, {})
@@ -511,9 +498,6 @@ def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
         assert _edit_row(good, 33, lambda r: r) == good
         assert good.split("\n")[34] == "10 10 10 10 10"
         assert good.split("\n")[1] == "0 0 0 0 0"
-    elif name == "orders":
-        assert _edit_row(good, 33, lambda r: r) == good
-        assert good.split("\n")[1] == "0 1 2 3 4"
     else:
         assert good.split("\n")[34] == "51 1"
     path.write_text(corrupt(good))
@@ -576,7 +560,7 @@ def test_map_needs_every_catalog_file_it_names(name, cache_env, caplog):
 
 
 @pytest.mark.parametrize("name, k", [("edges", 7), ("quotients", 7),
-                                     ("vertices", 6), ("orders", 6)])
+                                     ("vertices", 6)])
 def test_concurrent_map_writers(name, k, cache_env):
     kind = MAPS[name]
     outs = _race_writers(cache_env, name, k)
@@ -826,13 +810,12 @@ def test_switching_the_cache_dir_keeps_each_directory_whole(cache_env,
             counting.count_brute(connected, k, RESULT_HOST)
         names = {p.name for p in (cache_env / name).iterdir()}
         assert {f"k{m}.catalog" for m in range(1, k + 1)} | \
-            {f"k{k}.{kind}" for kind in ("edges", "orders", "quotients")} \
+            {f"k{k}.{kind}" for kind in ("edges", "quotients")} \
             <= names
         for m in range(1, k + 1):
             assert catalog._read_cache(
                 m, cache_env / name / f"k{m}.catalog") == build_catalog(m)
-        for kind in (edge_deletions, counting.elimination_orders,
-                     MAPS["quotients"]):
+        for kind in (edge_deletions, MAPS["quotients"]):
             assert _read_file(kind, k) == kind(k)
 
 
@@ -865,22 +848,21 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "k=4: 11 classes" in out and "k=4: edge-deletion map" in out
     assert "k=4: quotient rows" in out and "k=4: vertex-deletion map" in out
-    assert "k=4: elimination orders" in out
+    assert "elimination orders" not in out
     assert out.splitlines()[-1].startswith(
         f"k4.{homcount.PLAN_SUFFIX}: 11 class plans [")
     plan_files = [f"k{k}.{homcount.PLAN_SUFFIX}" for k in range(1, 5)]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"k{k}.{kind}" for k in range(1, 5)
-         for kind in ("catalog", "edges", "quotients", "orders")]
+         for kind in ("catalog", "edges", "quotients")]
         + [f"k{k}.vertices" for k in range(2, 5)] + plan_files)
     # the plan files hold every class it planned: a new process plans none
     homcount._compiled.cache_clear()
     homcount._validated_plan.cache_clear()
-    counting._class_decomposition.cache_clear()
     homcount.load_plans.cache_clear()
     monkeypatch.setattr(homcount, "compile", None, raising=False)
     monkeypatch.setattr(homcount, "_plan", None)
-    monkeypatch.setattr(counting, "decomposition_from_order", None)
+    monkeypatch.setattr(homcount, "tree_decomposition", None)
     written = {name: os.stat(tmp_path / name).st_ino for name in plan_files}
     for k in range(1, 5):
         cat = build_catalog(k)
@@ -936,20 +918,6 @@ COLD_CACHE_SHA256 = {
         "e412491fa11854f1b1146a98b4dd9605b6ab2f4632fab81aebb261fd4758f7b2",
     "k7.edges":
         "ef67a994fb1a3f5471943cd9887c103bf08dbcb58937522b886936ebc57efef4",
-    "k1.orders":
-        "3563e395e71c4f6f70ef51357bc717d23685ea752ed8f65265856be66586222b",
-    "k2.orders":
-        "561280bafa70ea5af4041977d1db367c36eacc65e7a030d3bbc536f36fffe5d9",
-    "k3.orders":
-        "b803a00dff7a681093879a626c2ea1b8b7216e43a86ecaeb9996d76fe6518963",
-    "k4.orders":
-        "1f19c10f20a0e7e6b41fb3d8b9802aca716aa7a429f2807667d7e1e5eca9c726",
-    "k5.orders":
-        "96f350c73bb35affa81d892e0bbdf06dceb208fb5856015962e4f49fe1e9732f",
-    "k6.orders":
-        "eb262f804ddf91b72bc6e31bbdf7d527c3b6892651281891ee0ba1843eebbe0a",
-    "k7.orders":
-        "c619aa2e60393ebc41e97b03b90d880dbd5632a91eb124d09a0a6847f0a46c46",
     "k1.quotients":
         "7b25d16ce0e1c98cfc9af505831b4d606a3d40e2eef7d10269742d7d8f585ea8",
     "k2.quotients":

@@ -529,7 +529,7 @@ def test_reduce_demo_mismatch_exits_2(capsys, c4_file, tmp_path, monkeypatch):
 def test_selftest(capsys):
     code, out, err = run(capsys, ["selftest"])
     assert code == 0, err
-    assert "selftest passed (30 checks)" in out
+    assert "selftest passed (29 checks)" in out
 
 
 def test_unknown_property(capsys):

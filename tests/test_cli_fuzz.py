@@ -24,6 +24,7 @@ from indsub.catalog import build_catalog
 from indsub.cli import main
 from indsub.graphs import HostGraph, pair_table
 from indsub.properties import BUILTIN_PROPERTIES
+from oracles import host_graph6
 
 PREFIXES = ("usage error:", "unknown property:", "malformed graph file:",
             "budget exceeded:", "property evaluation failed:")
@@ -67,9 +68,9 @@ def truth_table_text(draw):
 
 
 hosts = st.one_of(graphs(10).map(edge_list_text),
-                  graphs(10).map(lambda g: g.to_graph6() + "\n"))
+                  graphs(10).map(lambda g: host_graph6(g) + "\n"))
 graph_lists = st.lists(graphs(5), min_size=1, max_size=2).map(
-    lambda gs: "".join(g.to_graph6() + "\n" for g in gs))
+    lambda gs: "".join(host_graph6(g) + "\n" for g in gs))
 FILES = {
     "--graph": hosts,
     "--bipartite": hosts,

@@ -22,13 +22,7 @@ import indsub.counting as counting_module
 import indsub.homcount as homcount
 from indsub import catalog, cli
 from indsub.catalog import MAX_HOM_VECTOR_K, build_catalog
-from indsub.counting import (
-    DEFAULT_SUBSET_BUDGET,
-    _class_decomposition,
-    count_basis,
-    count_brute,
-    elimination_orders,
-)
+from indsub.counting import DEFAULT_SUBSET_BUDGET, count_basis, count_brute
 from indsub.errors import (
     BudgetExceededError,
     FormatError,
@@ -40,7 +34,6 @@ from indsub.hombasis import HomVector, hom_vector
 from indsub.homcount import (
     PLAN_SUFFIX,
     count_hom,
-    decomposition_from_order,
     exact_treewidth,
     tree_decomposition,
 )
@@ -50,6 +43,7 @@ from oracles import (
     brute_indsub_count,
     host_complement,
     host_disjoint_union,
+    host_graph6,
     induced_small,
     random_host,
 )
@@ -186,7 +180,7 @@ def test_brute_matches_subset_oracle(prop_name):
     for host in _brute_hosts():
         for k in range(host.n + 2):
             assert count_brute(phi, k, host) == \
-                brute_indsub_count(phi, k, host), (host.to_graph6(), k)
+                brute_indsub_count(phi, k, host), (host_graph6(host), k)
 
 
 def test_brute_matches_subset_oracle_with_a_tiny_memo(monkeypatch):
@@ -288,53 +282,76 @@ def test_count_basis_shares_sub_pattern_tables(monkeypatch):
     sub-pattern another bag of the call has computed takes that table."""
     phi = get_property("connected")
     host = _petersen()
-    planned = sum(len(_class_decomposition(g).bags)
+    planned = sum(len(tree_decomposition(g).bags)
                   for g, _ in hom_vector(phi, 5).entries)
     runs = _count_bag_tables(monkeypatch)
     assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
     assert len(runs) < planned
 
 
-def _stored_decompositions_are_the_dp_ones(k, classes):
-    """The stored order's decomposition is tree_decomposition's, and it is
-    optimal on every component: the bags holding a component's vertices
-    are as wide as that component's treewidth."""
+def _class_plans_are_the_dp_ones(k, classes, directory, monkeypatch):
+    """class_plans, in a directory whose plan files hold no class yet,
+    gives each class the plan of its tree_decomposition, which is optimal
+    on every component: the bags holding a component's vertices are as
+    wide as that component's treewidth."""
     cat = build_catalog(k)
-    orders = elimination_orders(k)
-    for i in classes:
-        g = cat.graph(i)
-        td = decomposition_from_order(g, orders[i])
-        want = tree_decomposition(g)
-        assert (td.bags, td.parent) == (want.bags, want.parent)
+    graphs = [cat.graph(i) for i in classes]
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
+    for g, plan in zip(graphs, counting_module.class_plans(graphs)):
+        td = tree_decomposition(g)
+        assert plan == homcount._plan(g, td)
         assert td.width == max(exact_treewidth(g), 0)
         for comp in g.components():
-            width = max(len(bag) for bag in td.bags if bag[0] in comp) - 1
+            width = max(len(bag) for bag in plan.bags if bag[0] in comp) - 1
             assert width == exact_treewidth(g.induced(comp)), \
-                (g.to_graph6(), comp, td.bags)
+                (g.to_graph6(), comp, plan.bags)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_stored_orders_give_the_dp_decompositions(k):
-    _stored_decompositions_are_the_dp_ones(
-        k, range(build_catalog(k).class_count))
+def test_stored_orders_give_the_dp_decompositions(k, tmp_path, monkeypatch):
+    _class_plans_are_the_dp_ones(
+        k, range(build_catalog(k).class_count), tmp_path, monkeypatch)
 
 
-def test_stored_orders_give_the_dp_decompositions_on_sampled_7_classes():
+def test_stored_orders_give_the_dp_decompositions_on_sampled_7_classes(
+        tmp_path, monkeypatch):
     classes = random.Random(7).sample(range(build_catalog(7).class_count), 60)
-    _stored_decompositions_are_the_dp_ones(7, classes)
+    _class_plans_are_the_dp_ones(7, classes, tmp_path, monkeypatch)
 
 
-def test_count_basis_runs_no_treewidth_dp(monkeypatch, tmp_path):
-    """Every pattern, disconnected ones included, is planned from its
-    class's stored elimination order, in a directory whose plan files
-    hold no class yet."""
+def test_cold_count_runs_the_treewidth_dp_once_per_class(monkeypatch,
+                                                         tmp_path):
+    """In a directory whose plan files hold no class, a count runs the
+    treewidth DP once for each class of its vector, disconnected ones
+    included; a later process runs it only for the classes no plan file
+    holds yet."""
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
+    phi = get_property("chordal")
+    host = _petersen()
+    runs = _count_planning(monkeypatch)["tree_decomposition"]
+    assert count_basis(phi, 4, host) == count_brute(phi, 4, host)
+    first = [g for g, _ in hom_vector(phi, 4).entries]
+    assert sorted(runs, key=repr) == sorted(first, key=repr)
+    _new_process()
+    runs.clear()
+    assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
+    entries = [g for g, _ in hom_vector(phi, 5).entries]
+    assert any(not g.is_connected() for g in entries)
+    new = [g for g in entries if g not in set(first)]
+    assert len(new) < len(entries)
+    assert sorted(runs, key=repr) == sorted(new, key=repr)
+
+
+def test_warm_count_runs_no_treewidth_dp(monkeypatch, tmp_path):
+    """Once a count has written the plans of its classes, disconnected
+    ones included, a new process counts again with no treewidth DP."""
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     phi = get_property("chordal")
     host = _petersen()
     want = count_brute(phi, 5, host)
     assert any(not g.is_connected() for g, _ in hom_vector(phi, 5).entries)
-    for k in range(1, 6):
-        elimination_orders(k)
+    assert count_basis(phi, 5, host) == want
+    _new_process()
 
     def refuse(g):
         raise AssertionError(f"treewidth DP run on {g.to_graph6()}")
@@ -567,15 +584,15 @@ def test_true_property_counts_all_subsets():
 # bag joins included.  Each case counts connected 5-subsets of one host,
 # which plans 30 classes on 2 to 5 vertices, 21 of them on 5.
 
-JOIN_HOST = random_host(random.Random(40), 9, p=0.5)
+PLAN_HOST = random_host(random.Random(40), 9, p=0.5)
 
 
-def _join_count() -> int:
-    return count_basis(get_property("connected"), 5, JOIN_HOST)
+def _basis_count() -> int:
+    return count_basis(get_property("connected"), 5, PLAN_HOST)
 
 
-def _join_brute() -> int:
-    return count_brute(get_property("connected"), 5, JOIN_HOST)
+def _brute_count() -> int:
+    return count_brute(get_property("connected"), 5, PLAN_HOST)
 
 
 def _support_sizes(name: str, k: int) -> list[int]:
@@ -585,7 +602,7 @@ def _support_sizes(name: str, k: int) -> list[int]:
 
 
 @pytest.fixture
-def join_dir(tmp_path, monkeypatch):
+def plan_dir(tmp_path, monkeypatch):
     """INDSUB_CACHE_DIR at a directory not made yet, where a count writes
     the catalogs and maps it reads beside the plan files."""
     directory = tmp_path / "cache"
@@ -601,7 +618,6 @@ def _new_process() -> None:
     """Forget what a process keeps of its counts, plans and plan tables,
     as a new process starts (and as each test starts)."""
     counting_module._host_homs.cache_clear()
-    _class_decomposition.cache_clear()
     homcount._validated_plan.cache_clear()
     homcount._compiled.cache_clear()
     homcount.load_plans.cache_clear()
@@ -620,13 +636,11 @@ def _count_compiles(monkeypatch) -> list:
 
 def _count_planning(monkeypatch) -> dict:
     """Lists that get one entry per call of each planning step a plan
-    file spares: the sources compiled, the patterns _plan plans, the
-    graphs decomposition_from_order decomposes, and the k of each read of
-    the elimination orders."""
+    file spares: the sources compiled, the patterns _plan plans and the
+    graphs tree_decomposition runs the treewidth DP on."""
     calls: dict = {"compile": _count_compiles(monkeypatch)}
     for module, name in ((homcount, "_plan"),
-                         (counting_module, "decomposition_from_order"),
-                         (counting_module, "elimination_orders")):
+                         (homcount, "tree_decomposition")):
         def counted(g, *args, _step=getattr(module, name),
                     _calls=calls.setdefault(name, [])):
             _calls.append(g)
@@ -647,20 +661,20 @@ def _stored(path: Path) -> dict:
     return marshal.loads(path.read_bytes()[len(MAGIC_NUMBER) + 64:])
 
 
-def test_warm_join_file_compiles_no_join(join_dir, tmp_path, capsys,
+def test_warm_plan_file_compiles_no_join(plan_dir, tmp_path, capsys,
                                          monkeypatch):
     """A process whose plan files hold every class it counts plans none:
     it builds no decomposition, runs no _plan and compiles nothing, and
     writes no file."""
     host_file = tmp_path / "host.txt"
-    host_file.write_text(JOIN_HOST.to_edge_list_text())
+    host_file.write_text(PLAN_HOST.to_edge_list_text())
     argv = ["count", "--property", "connected", "--k", "5",
             "--graph", str(host_file), "--method", "basis"]
     calls = _count_planning(monkeypatch)
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
     assert all(calls.values())
-    paths = [_plan_path(join_dir, m) for m in _support_sizes("connected", 5)]
+    paths = [_plan_path(plan_dir, m) for m in _support_sizes("connected", 5)]
     assert len(paths) == 4
     written = [os.stat(path) for path in paths]
     assert all(st.st_mode & 0o777 == 0o600 for st in written)
@@ -679,13 +693,40 @@ def test_warm_join_file_compiles_no_join(join_dir, tmp_path, capsys,
     # nothing was planned, so no file was written again
     assert [os.stat(path).st_ino for path in paths] == \
         [st.st_ino for st in written]
-    assert f'"count": "{_join_brute()}"' in first
+    assert f'"count": "{_brute_count()}"' in first
 
 
-def test_plan_files_hold_every_class_plan(join_dir, monkeypatch):
+# The sha256 of every class plan on at most MAX_HOM_VECTOR_K vertices, in
+# catalog order, as _plan_texts writes them: the plans count_basis made
+# when it planned each class on the decomposition of an elimination order
+# kept beside the catalog, before the plan files replaced that order map.
+CLASS_PLANS_SHA256 = \
+    "76cd0999217772b9afcf989361722b4334c9e942a294b5d1aa0380152a9ee77f"
+
+
+def _plan_texts(classes, plans):
+    """Per class, the text of its plan: the class, the bags, children,
+    roots, join orders, trie levels and keys, and each bag's join as the
+    source of its shape with the child tables it reads and multiplies in.
+    Each join must be the compiled source of its shape."""
+    for g, plan in zip(classes, plans):
+        rows = g.adj_rows()
+        joins = []
+        for b, (join, *rest) in enumerate(plan.joins):
+            shape, slots, folded = homcount._shape(
+                plan.orders[b], plan.levels[b], rows,
+                [(c, plan.bags[c]) for c in plan.children[b]])
+            assert join.__code__ == homcount._compiled(shape).__code__
+            assert rest == [tuple(slots), tuple(folded)]
+            joins.append((homcount._source(shape), *rest))
+        yield repr((g.n, g.edges, plan.bags, plan.children, plan.roots,
+                    plan.orders, plan.levels, plan.keys, joins))
+
+
+def test_plan_files_hold_every_class_plan(plan_dir, monkeypatch):
     """Every class count_basis may plan fits the plan files: after one
     process plans them all, a new one takes them all from the files, and
-    plans and compiles nothing."""
+    plans and compiles nothing.  Every plan is the one pinned above."""
     classes = [g for k in range(1, MAX_HOM_VECTOR_K + 1)
                for g in build_catalog(k).graphs()]
     calls = _count_planning(monkeypatch)
@@ -706,8 +747,12 @@ def test_plan_files_hold_every_class_plan(join_dir, monkeypatch):
         [[(join.__code__, *rest) for join, *rest in plan.joins]
          for plan in first]
     for m in range(1, MAX_HOM_VECTOR_K + 1):
-        assert homcount._read_plans(_plan_path(join_dir, m)).keys() == \
+        assert homcount._read_plans(_plan_path(plan_dir, m)).keys() == \
             set(build_catalog(m).edges)
+    digest = hashlib.sha256()
+    for text in _plan_texts(classes, first):
+        digest.update(text.encode())
+    assert digest.hexdigest() == CLASS_PLANS_SHA256
 
 
 def _corrupt_plans(path: Path, how: str) -> str:
@@ -743,14 +788,14 @@ def _corrupt_plans(path: Path, how: str) -> str:
 
 @pytest.mark.parametrize("how", ["truncated", "flipped byte", "wrong magic",
                                  "not a dict", "not code", "group-writable"])
-def test_bad_join_file_is_ignored_logged_and_rebuilt(how, join_dir, caplog,
+def test_bad_plan_file_is_ignored_logged_and_rebuilt(how, plan_dir, caplog,
                                                      monkeypatch):
     """A plan file that fails its checks is logged as a rebuild, none of
     its plans is used, and the count that plans its classes again
     rewrites it."""
-    want = _join_brute()
-    assert _join_count() == want
-    path = _plan_path(join_dir, 5)
+    want = _brute_count()
+    assert _basis_count() == want
+    path = _plan_path(plan_dir, 5)
     good = homcount._read_plans(path)
     rule = _corrupt_plans(path, how)
     with pytest.raises(FormatError, match=rule):
@@ -758,7 +803,7 @@ def test_bad_join_file_is_ignored_logged_and_rebuilt(how, join_dir, caplog,
     _new_process()
     calls = _count_planning(monkeypatch)
     with caplog.at_level(logging.WARNING):
-        assert _join_count() == want
+        assert _basis_count() == want
     assert any(r.getMessage() == f"rebuilding plans: {path}: {rule}"
                for r in caplog.records)
     # nothing was read: every class on 5 vertices was planned, and the
@@ -768,15 +813,15 @@ def test_bad_join_file_is_ignored_logged_and_rebuilt(how, join_dir, caplog,
     assert os.stat(path).st_mode & 0o777 == 0o600
 
 
-def test_plans_of_other_planning_code_are_never_used(join_dir, caplog,
+def test_plans_of_other_planning_code_are_never_used(plan_dir, caplog,
                                                      monkeypatch):
     """A plan file with a valid checksum whose source digest is not this
     code's is ignored without a warning, as a missing file is, however
     plausible its plans, and the count rewrites it with this code's
     digest."""
-    want = _join_brute()
-    assert _join_count() == want
-    path = _plan_path(join_dir, 5)
+    want = _brute_count()
+    assert _basis_count() == want
+    path = _plan_path(plan_dir, 5)
     good = _stored(path)
     # the plans of another class, each under a key of this file, would
     # give a wrong count if they were used
@@ -790,7 +835,7 @@ def test_plans_of_other_planning_code_are_never_used(join_dir, caplog,
     _new_process()
     calls = _count_planning(monkeypatch)
     with caplog.at_level(logging.WARNING):
-        assert _join_count() == want
+        assert _basis_count() == want
     assert not any("plans" in r.getMessage() for r in caplog.records)
     assert sorted(g.edges for g in calls["_plan"]) == sorted(good)
     data = path.read_bytes()
@@ -800,18 +845,18 @@ def test_plans_of_other_planning_code_are_never_used(join_dir, caplog,
 
 
 @pytest.mark.parametrize("blocked", ["by a directory", "below a file"])
-def test_join_save_failure_is_logged(blocked, join_dir, caplog):
+def test_plan_save_failure_is_logged(blocked, plan_dir, caplog):
     """The plan file cannot be written: its name is taken by a directory,
     or the cache directory lies below a regular file.  The count is
     still made, and the failed read and write are logged."""
-    path = _plan_path(join_dir, 5)
+    path = _plan_path(plan_dir, 5)
     if blocked == "by a directory":
         (path / "blocker").mkdir(parents=True)
     else:
-        join_dir.parent.mkdir(exist_ok=True)
-        join_dir.write_text("")
+        plan_dir.parent.mkdir(exist_ok=True)
+        plan_dir.write_text("")
     with caplog.at_level(logging.WARNING):
-        assert _join_count() == _join_brute()
+        assert _basis_count() == _brute_count()
     messages = [r.getMessage() for r in caplog.records]
     assert any(m.startswith("rebuilding plans: ") for m in messages)
     assert any(m.startswith(f"could not write plans {path}: ")
@@ -820,11 +865,11 @@ def test_join_save_failure_is_logged(blocked, join_dir, caplog):
         # the plan path is still the blocking directory, and no
         # temporary file is left beside it
         assert [p.name for p in path.iterdir()] == ["blocker"]
-        assert not [p.name for p in join_dir.iterdir()
+        assert not [p.name for p in plan_dir.iterdir()
                     if p.name.startswith(".")]
 
 
-def test_plan_file_holds_only_its_catalogs_classes(join_dir):
+def test_plan_file_holds_only_its_catalogs_classes(plan_dir):
     """Counts at several k, disconnected patterns among their classes,
     put each plan in the file of its pattern's vertex count, keyed by its
     class's canonical edge bitset, and no file holds any other key."""
@@ -833,19 +878,19 @@ def test_plan_file_holds_only_its_catalogs_classes(join_dir):
                     ("no-edges", 3)):
         phi = get_property(name)
         assert count_basis(phi, k, host) == count_brute(phi, k, host)
-    held = {m: homcount._read_plans(_plan_path(join_dir, m))
+    held = {m: homcount._read_plans(_plan_path(plan_dir, m))
             for m in range(1, 6)}
     assert all(held.values())
-    assert not list(join_dir.glob(f"k[67].{PLAN_SUFFIX}"))
+    assert not list(plan_dir.glob(f"k[67].{PLAN_SUFFIX}"))
     for m, plans in held.items():
         assert plans.keys() <= set(build_catalog(m).edges)
         for edges, plan in plans.items():
             # a plan's bags cover exactly the m vertices of its class,
-            # and it is the plan of that class's stored order
+            # and it is the plan of that class's tree_decomposition
             g = SmallGraph(m, edges)
             assert {v for bag in plan.bags for v in bag} == set(range(m))
             assert plan == homcount._validated_plan(
-                g, _class_decomposition(g))._replace(joins=plan.joins)
+                g, None)._replace(joins=plan.joins)
 
 
 def test_count_at_k4_reads_no_larger_plan_file(tmp_path, capsys,
@@ -861,7 +906,7 @@ def test_count_at_k4_reads_no_larger_plan_file(tmp_path, capsys,
     assert module.main(["--kmax", "7"]) == 0
     assert len(list(directory.glob(f"k*.{PLAN_SUFFIX}"))) == 7
     host_file = tmp_path / "host.txt"
-    host_file.write_text(JOIN_HOST.to_edge_list_text())
+    host_file.write_text(PLAN_HOST.to_edge_list_text())
     _new_process()
     capsys.readouterr()
     opened = []
@@ -874,14 +919,14 @@ def test_count_at_k4_reads_no_larger_plan_file(tmp_path, capsys,
     calls = _count_planning(monkeypatch)
     assert cli.main(["count", "--property", "connected", "--k", "4",
                      "--graph", str(host_file), "--method", "basis"]) == 0
-    want = count_brute(get_property("connected"), 4, JOIN_HOST)
+    want = count_brute(get_property("connected"), 4, PLAN_HOST)
     assert f'"count": "{want}"' in capsys.readouterr().out
     assert not any(calls.values())
     assert sorted(opened) == [f"k{m}.{PLAN_SUFFIX}"
                               for m in _support_sizes("connected", 4)]
 
 
-_JOIN_WRITER = """
+_PLAN_WRITER = """
 import ast, sys, time
 from pathlib import Path
 from indsub.counting import count_basis
@@ -897,26 +942,24 @@ print(count_basis(get_property("connected"), 5, host))
 """
 
 
-def test_concurrent_join_writers(join_dir, monkeypatch):
+def test_concurrent_plan_writers(plan_dir, monkeypatch):
     """Two processes that wait for each other, then count in the same
     directory at once: both save, and the files left behind are whole."""
     build_catalog(5)
-    for k in range(1, 6):
-        elimination_orders(k)
     src = Path(homcount.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    text = repr((JOIN_HOST.n, list(JOIN_HOST.edge_pairs())))
-    procs = [subprocess.Popen([sys.executable, "-c", _JOIN_WRITER,
-                               str(join_dir), str(i), text],
+    text = repr((PLAN_HOST.n, list(PLAN_HOST.edge_pairs())))
+    procs = [subprocess.Popen([sys.executable, "-c", _PLAN_WRITER,
+                               str(plan_dir), str(i), text],
                               env=env, stdout=subprocess.PIPE, text=True)
              for i in range(2)]
     try:
         deadline = time.monotonic() + 60
-        while not all((join_dir / f"ready-{i}").exists() for i in range(2)):
+        while not all((plan_dir / f"ready-{i}").exists() for i in range(2)):
             assert all(p.poll() is None for p in procs)
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        (join_dir / "go").write_text("")
+        (plan_dir / "go").write_text("")
         outs = [p.communicate(timeout=60)[0].strip() for p in procs]
     finally:
         for p in procs:
@@ -924,14 +967,14 @@ def test_concurrent_join_writers(join_dir, monkeypatch):
                 p.kill()
                 p.communicate()
     assert [p.returncode for p in procs] == [0, 0]
-    want = _join_brute()
+    want = _brute_count()
     assert outs == [str(want)] * 2
-    assert not [p.name for p in join_dir.iterdir() if p.name.startswith(".")]
+    assert not [p.name for p in plan_dir.iterdir() if p.name.startswith(".")]
     for m in _support_sizes("connected", 5):
-        path = _plan_path(join_dir, m)
+        path = _plan_path(plan_dir, m)
         assert homcount._read_plans(path)
         assert os.stat(path).st_mode & 0o777 == 0o600
     _new_process()
     calls = _count_planning(monkeypatch)
-    assert _join_count() == want
+    assert _basis_count() == want
     assert not any(calls.values())

@@ -26,13 +26,14 @@ from indsub.graphs import (
     load_host_graph,
     load_small_graph,
     _decode_graph6,
-    _encode_graph6,
     _graph6_line_tables,
     _pair_index_map,
     _small_graph6,
 )
 from oracles import (
+    graph6_text,
     host_complement,
+    host_graph6,
     induced_small,
     random_host,
     random_small_graph,
@@ -495,7 +496,7 @@ def test_host_small_round_trip():
         g = random_small_graph(rng, rng.randrange(9))
         host = HostGraph.from_small(g)
         assert induced_small(host, range(g.n)) == g
-        assert HostGraph.from_graph6(host.to_graph6()) == host
+        assert HostGraph.from_graph6(host_graph6(host)) == host
 
 
 def test_parse_edge_list_text():
@@ -570,7 +571,7 @@ def test_graph6_writers_agree():
     for n in range(12):
         g = random_small_graph(rng, n)
         text = g.to_graph6()
-        assert HostGraph.from_small(g).to_graph6() == text
+        assert host_graph6(HostGraph.from_small(g)) == text
         assert SmallGraph.from_graph6(text) == g
 
 
@@ -617,7 +618,7 @@ def _graph6_hosts(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     bits = [int(rng.random() < p) for _ in range(pair_count(n))]
     bits += [draw(st.integers(0, 1)) for _ in range(-len(bits) % 6)]
-    return _encode_graph6(n, bits)
+    return graph6_text(n, bits)
 
 
 @settings(max_examples=60, deadline=None)

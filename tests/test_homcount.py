@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 import indsub.homcount as homcount
 from indsub.catalog import MAX_HOM_VECTOR_K, build_catalog
-from indsub.counting import (
-    _class_decomposition,
-    count_basis,
-    count_brute,
-    elimination_orders,
-)
+from indsub.counting import count_basis, count_brute
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
@@ -38,6 +33,7 @@ from oracles import (
     brute_hom_count,
     brute_treewidth,
     elimination_decomposition,
+    host_graph6,
     host_has_edge,
     random_host,
     random_small_graph,
@@ -125,7 +121,7 @@ def test_count_hom_matches_map_enumeration():
         host = random_host(rng, rng.randrange(1, 7),
                            p=rng.choice([0.3, 0.6]))
         assert count_hom(pattern, host) == brute_hom_count(pattern, host), \
-            (pattern.to_graph6(), host.to_graph6())
+            (pattern.to_graph6(), host_graph6(host))
 
 
 def _count_with(pattern, host, td):
@@ -158,7 +154,7 @@ def test_count_hom_matches_map_enumeration_with_fill_edges():
             host = random_host(rng, rng.randrange(3, 7),
                                p=rng.choice([0.4, 0.7]))
             assert count_hom(pattern, host) == brute_hom_count(pattern, host), \
-                (pattern.to_graph6(), host.to_graph6())
+                (pattern.to_graph6(), host_graph6(host))
 
 
 def _matmul(a, b):
@@ -450,9 +446,10 @@ def _assert_maximal_bags(g, order):
 @pytest.mark.parametrize("k", range(1, 8))
 def test_builder_keeps_the_maximal_bags_on_each_stored_order(k):
     """Every class on k vertices, disconnected ones included, on the
-    stored elimination order count_basis plans."""
-    for g, order in zip(build_catalog(k).graphs(), elimination_orders(k)):
-        _assert_maximal_bags(g, order)
+    elimination order the treewidth DP gives it, whose decomposition the
+    plan count_basis stores in a plan file is made on."""
+    for g in build_catalog(k).graphs():
+        _assert_maximal_bags(g, homcount._order_and_width(g)[0])
 
 
 @st.composite
@@ -536,7 +533,7 @@ def test_one_store_counts_every_pattern_as_alone(patterns, host):
         got = count_hom(pattern, host, store=store)
         assert got == count_hom(pattern, host)
         assert got == brute_hom_count(pattern, host), \
-            (pattern.to_graph6(), host.to_graph6())
+            (pattern.to_graph6(), host_graph6(host))
     assert not store._tables and not store._reads
 
 
@@ -587,11 +584,11 @@ def test_count_hom_each_way_the_last_position_writes(write, pattern, td):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_join_order_ends_on_parents_deepest_key(k):
-    """On every class, in the plan of the stored-order decomposition
-    count_basis plans, each non-root bag shares a vertex with its parent
+    """On every class, in the plan count_basis makes of it, on its
+    tree_decomposition, each non-root bag shares a vertex with its parent
     and assigns the vertex the parent keys deepest last."""
     for pattern in build_catalog(k).graphs():
-        plan = _plan(pattern, _class_decomposition(pattern))
+        plan = _plan(pattern, tree_decomposition(pattern))
         for b, (order, levels) in enumerate(zip(plan.orders, plan.levels)):
             if b in plan.roots:
                 continue
@@ -674,20 +671,18 @@ def test_stores_on_different_hosts_share_exact_read_only_plans():
     same plan objects, which are tuples throughout, and equal after
     counting a deep copy taken before; the counts on both hosts match the
     map enumeration and the reference bag tables."""
-    # the classes on their stored orders, as count_basis plans them, and
-    # two labelled graphs the catalog does not hold on the DP's
-    # decomposition, as a lone count_hom plans them
-    given = {g: _class_decomposition(g)
-             for k in range(1, 6) for g in build_catalog(k).graphs()}
-    given.update({SmallGraph.cycle(5): None, _P3_EDGE: None})
-    assert len(given) == 54
-    patterns = list(given)
+    # the classes, as count_basis plans them, and two labelled graphs the
+    # catalog does not hold, as a lone count_hom plans them, all on the
+    # DP's decomposition
+    patterns = [g for k in range(1, 6) for g in build_catalog(k).graphs()]
+    patterns += [SmallGraph.cycle(5), _P3_EDGE]
+    assert len(set(patterns)) == 54
     rng = random.Random(53)
     hosts = [random_host(rng, 5, 0.6), random_host(rng, 6, 0.4)]
     stores = [HomStore(host) for host in hosts]
     for store in stores:
         for g in patterns:
-            store.plan(g, given[g])
+            store.plan(g)
     first, second = stores
     assert all(first._plans[g] is second._plans[g] for g in patterns)
     plans = {g: first._plans[g] for g in patterns}
@@ -697,8 +692,8 @@ def test_stores_on_different_hosts_share_exact_read_only_plans():
         for g in patterns:
             want = brute_hom_count(g, host)
             assert count_hom(g, host, store=store) == want, g.to_graph6()
-            assert _checked_bag_tables(
-                g, given[g] or tree_decomposition(g), host) == want
+            assert _checked_bag_tables(g, tree_decomposition(g), host) \
+                == want
         assert not store._tables and not store._reads
     assert plans == before
     for name in ("connected", "chordal"):
@@ -737,25 +732,22 @@ def test_a_bad_decomposition_raises_on_every_plan():
 
 
 def test_plan_memo_holds_every_class_it_serves():
-    """The plan and decomposition memos are bounded, and hold a plan of
-    every class count_basis may count: planning each class on at most
+    """The plan memo is bounded, and holds a plan of every class
+    count_basis may count: planning each class on at most
     MAX_HOM_VECTOR_K vertices twice misses nothing the second time."""
     classes = [g for k in range(1, MAX_HOM_VECTOR_K + 1)
                for g in build_catalog(k).graphs()]
     assert len(classes) == 1252
-    memos = (_validated_plan, _class_decomposition)
-    for memo in memos:
-        maxsize = memo.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize >= len(classes)
+    maxsize = _validated_plan.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize >= len(classes)
     host = HostGraph.from_small(SmallGraph.complete(2))
     misses = []
     for _ in range(2):
         store = HomStore(host)
         for g in classes:
-            store.plan(g, _class_decomposition(g))
-        for memo in memos:
-            info = memo.cache_info()
-            assert info.currsize <= info.maxsize
-        misses.append([memo.cache_info().misses for memo in memos])
-    assert misses[0] == [len(classes)] * 2
+            store.plan(g)
+        info = _validated_plan.cache_info()
+        assert info.currsize <= info.maxsize
+        misses.append(info.misses)
+    assert misses[0] == len(classes)
     assert misses[1] == misses[0]
