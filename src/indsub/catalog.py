@@ -22,47 +22,62 @@ The key is an isomorphism invariant, so the new vertex has the largest key
 too, and the extension is canonicalised.  Over k <= 8 this canonicalises
 14,655 extensions for 13,598 classes; one mask per orbit alone took 85,023.
 
-Catalogs are cached on disk, one "graph6 aut" line per class under a
-versioned header, in the builder's order: by edge count, then by edge
-bitset.  The cache directory is INDSUB_CACHE_DIR as it is at each call,
-or ~/.cache/indsub when that is unset or empty; the memos are keyed by its
-value, so a call's catalogs and maps all come from one directory.  A
-GraphCatalog keeps, in that order, each class's edge bitset, automorphism
-count and graph6 text, as read from the file (through graphs' strict
-graph6 tables) or encoded once by the builder; a SmallGraph is built per
-class only on demand.
+Every file of the cache directory (catalogs, the maps below and
+homcount's plan files) has one envelope, written by _write_cache and read
+by _read_cache: the magic _CACHE_MAGIC, the sha256 of the file's inputs,
+the sha256 of the body, then the body, marshal data.  A catalog's inputs
+are _CATALOG_INPUTS, a format-version constant; a map's, the sha256 of
+each catalog file its rows read; a plan file's, the planning code
+(homcount).  One trust rule holds for every file: it is written with mode
+0o600 through a temporary file and os.replace, so concurrent writers
+never expose a partial file, and it is read only if the opened file is
+the user's own and no group or other may write it (where the platform
+has user ids).  A file whose inputs digest differs is stale: it counts as
+missing and is replaced silently.  Any other failure is a FormatError: a
+foreign owner or mode, a bad magic or checksum, body bytes marshal
+rejects, or a decoded value of the wrong type or breaking a rule.  Such a
+file is logged as a rebuild, and so is an OSError on reading; the value
+is computed again and rewritten, and a failed write is logged.  So a
+file of an older format is logged and rebuilt once.  Catalogs and maps
+are written with marshal version 2, whose bytes depend on the value
+alone: a value read back and written again gives the same bytes, so the
+maps' catalog digests stay put.
+
+A catalog stores only (edges, auts) in the builder's order: by edge
+count, then by edge bitset.  On reading, the order, edge bitsets below
+2^C(k,2), each automorphism count positive and dividing k!, one count
+per class and the labelled total are checked.  The cache directory is
+INDSUB_CACHE_DIR as it is at each call, or ~/.cache/indsub when that is
+unset or empty; the memos are keyed by its value, so a call's catalogs
+and maps all come from one directory.  A GraphCatalog keeps, in that
+order, each class's edge bitset and automorphism count; its graph6 texts
+are encoded on first use, and a SmallGraph is built per class only on
+demand.
 
 Beside k{k}.catalog the cache directory keeps per-class maps that do not
 depend on any property.  Each is a ClassMap, declared once with the k it
-covers and called as its own accessor, map(k): one line per
-class in catalog order, under the header "# indsub <name> v<n> k=..
-classes=.. catalog=<sha256 of each k{m}.catalog file the rows read, in
-order of m, comma-separated>".  They are
+covers and called as its own accessor, map(k): one tuple of ints per
+class in catalog order.  They are
   k{k}.edges      edge_deletions, 1 <= k <= 7: the class index after each
-                  edge deletion, in edge_pairs order; the header names
+                  edge deletion, in edge_pairs order; its inputs are
                   k{k}.catalog;
   k{k}.vertices   vertex_deletions, 2 <= k <= 6: the (k-1)-class index
-                  after each vertex deletion; it names k{k-1} and k{k};
+                  after each vertex deletion; inputs k{k-1} and k{k};
   k{k}.quotients  hombasis.quotient_rows, 1 <= k <= 7: pairs of global
                   class id (catalog m's classes follow those of all
-                  smaller catalogs) and Moebius sum; it names k{1}..k{k}.
-Loading checks the header against the catalog files on disk, then parses
-every row in one pass, each distinct token text once, and checks the whole
-map in one call of ClassMap.check, by passes over all rows at once: an
-edge row has e(C) entries, each a class with e(C) - 1 edges, so each block
-of rows with one edge count has one min and one max to test; a vertex row
-has k entries, the one for v a class with e(C) - deg(v) edges; a quotient
-row has even length, holds ids in range and nonzero sums and ends with the
-class itself and sum 1, tested on all rows flattened.  A map that fails
-raises a FormatError naming its file and the rule, or the first row with a
-token that int() rejects.
+                  smaller catalogs) and Moebius sum; inputs k{1}..k{k}.
+Loading checks the row count and that every row is a tuple of ints, then
+checks the whole map in one call of ClassMap.check, by passes over all
+rows at once: an edge row has e(C) entries, each a class with e(C) - 1
+edges, so each block of rows with one edge count has one min and one max
+to test; a vertex row has k entries, the one for v a class with e(C) -
+deg(v) edges; a quotient row has even length, holds ids in range and
+nonzero sums and ends with the class itself and sum 1, tested on all
+rows flattened.  A map that fails is a FormatError naming the rule.
 
-Catalogs and maps share one read-or-rebuild routine.  A file that fails (a
-FormatError, or an OSError on reading) is logged as a rebuild; the value is
-computed again (the catalog by the builder, a map by index_of lookups)
-and written again through a temporary file and os.replace, a map only as
-long as every catalog file it names exists; a failed write is logged.  A
-map is written on its first call, never by building or loading a catalog.
+Catalogs and maps share one read-or-rebuild routine.  A map is written
+on its first call, never by building or loading a catalog, and only
+while every catalog file it reads exists.
 
 GraphCatalog.index_of finds a graph's class, which the maps above and the
 truth tables do for every lookup they compute.  A representative itself
@@ -76,11 +91,12 @@ invariant.
 
 from __future__ import annotations
 
-import hashlib
+import marshal
 import os
 from bisect import bisect_left
 from collections.abc import Callable
 from functools import cached_property, lru_cache
+from hashlib import sha256
 from itertools import chain
 from math import factorial
 from operator import le, lt
@@ -97,7 +113,6 @@ from .errors import FormatError, InternalConsistencyError
 from .graphs import (
     Frozen,
     SmallGraph,
-    _graph6_line_tables,
     _small_graph6,
     bits_of,
     pair_count,
@@ -111,17 +126,24 @@ MAX_FLAG_K = 6
 # stop here.
 MAX_HOM_VECTOR_K = 7
 CACHE_ENV_VAR = "INDSUB_CACHE_DIR"
-_CACHE_HEADER = "# indsub catalog v1"
+# The first bytes of every cache file, and a catalog file's inputs: a
+# change to what a catalog stores changes the constant.
+_CACHE_MAGIC = b"\x89indsub\r\n"
+_CATALOG_INPUTS = b"indsub catalog v2: (edges, auts)"
 
 
 class GraphCatalog(Frozen):
-    """The classes on k vertices in catalog order, as three parallel
-    tuples: edge bitset, automorphism count and graph6 text.  graph(i)
-    builds the i-th representative on its first call and keeps it."""
+    """The classes on k vertices in catalog order, as two parallel
+    tuples: edge bitset and automorphism count.  graph(i) builds the i-th
+    representative on its first call and keeps it."""
     k: int
     edges: tuple[int, ...]
     auts: tuple[int, ...]
-    graph6: tuple[str, ...]
+
+    @cached_property
+    def graph6(self) -> tuple[str, ...]:
+        """Each class's graph6 text, encoded on first use."""
+        return tuple(_small_graph6(self.k, e) for e in self.edges)
 
     @property
     def class_count(self) -> int:
@@ -288,16 +310,15 @@ def _orbit_representatives(masks, gens) -> list[int]:
 @lru_cache(maxsize=MAX_CATALOG_K)
 def _catalog_cached(k: int, key: str | None) -> GraphCatalog:
     return _read_or_rebuild(
-        "catalog", k, _cache_dir(key) / f"k{k}.catalog",
-        lambda path: _read_cache(k, path),
-        lambda: _new_catalog(k, key), _write_cache)
+        "catalog", k, _cache_dir(key) / f"k{k}.catalog", _CATALOG_INPUTS,
+        lambda value: _checked_catalog(k, value),
+        lambda: _new_catalog(k, key), lambda cat: (cat.edges, cat.auts))
 
 
 def _new_catalog(k: int, key: str | None) -> GraphCatalog:
     classes = _build_classes(k, key)
     edges = tuple(sorted(classes, key=lambda e: (e.bit_count(), e)))
-    cat = GraphCatalog(k, edges, tuple(map(classes.__getitem__, edges)),
-                       tuple(_small_graph6(k, e) for e in edges))
+    cat = GraphCatalog(k, edges, tuple(map(classes.__getitem__, edges)))
     if cat.labeled_total != 1 << pair_count(k):
         raise InternalConsistencyError(
             f"catalog k={k}: labeled copies sum to {cat.labeled_total}, "
@@ -305,24 +326,68 @@ def _new_catalog(k: int, key: str | None) -> GraphCatalog:
     return cat
 
 
-def _read_or_rebuild(what: str, k: int, path: Path | None,
-                     read: Callable, build: Callable, write: Callable):
-    """read(path) when the file at path exists and passes; otherwise
-    build(), then write(value, path).  A file that fails to read is
-    logged as a rebuild, and a failed write is logged and changes no
-    result.  path None means there is no file to read or write."""
-    if path is not None and path.exists():
-        try:
-            return read(path)
-        except (FormatError, OSError) as exc:
-            _warn("rebuilding %s k=%d: %s", what, k, exc)
-    value = build()
-    if path is not None:
-        try:
-            write(value, path)
-        except OSError as exc:
-            _warn("could not write %s %s: %s", what, path, exc)
+def _checked_catalog(k: int, value) -> GraphCatalog:
+    """The k-vertex catalog a catalog file stores as value, (edges, auts),
+    or FormatError naming what fails: the types, one automorphism count
+    per class, catalog order, an edge bitset out of range, an
+    automorphism count that is not a positive divisor of k!, or the
+    labelled total."""
+    if type(value) is not tuple or list(map(type, value)) != [tuple] * 2:
+        raise FormatError("not a pair of tuples")
+    edges, auts = value
+    if set(map(type, edges + auts)) != {int}:
+        raise FormatError("not tuples of ints")
+    if len(edges) != len(auts):
+        raise FormatError("not one automorphism count per class")
+    # Truth tables and the deletion maps index classes by this order.
+    keys = [e.bit_count() << 32 | e for e in edges]
+    if not all(map(lt, keys, keys[1:])):
+        raise FormatError("classes out of catalog order")
+    if min(edges) < 0 or max(edges) >> pair_count(k):
+        raise FormatError("an edge bitset out of range")
+    kfact = factorial(k)
+    if any(aut <= 0 or kfact % aut for aut in set(auts)):
+        raise FormatError("an automorphism count that does not divide k!")
+    cat = GraphCatalog(k, edges, auts)
+    if cat.labeled_total != 1 << pair_count(k):
+        raise FormatError("labeled total mismatch")
+    return cat
+
+
+def _read_or_rebuild(what: str, k: int, path: Path | None, inputs: bytes,
+                     decode: Callable, build: Callable, encode: Callable):
+    """decode(value) of the cache file at path (_load); when that gives
+    nothing, build(), then the file written as encode(built) (_save).
+    path None means there is no file to read or write."""
+    value = None if path is None else _load(what, k, path, inputs, decode)
+    if value is None:
+        value = build()
+        if path is not None:
+            _save(what, encode(value), path, inputs)
     return value
+
+
+def _load(what: str, k: int, path: Path, inputs: bytes, decode: Callable):
+    """decode(_read_cache(path, inputs)), or None when the file is
+    missing or stale, or when reading or decode fails (a FormatError or an
+    OSError), which is logged as a rebuild."""
+    try:
+        return decode(_read_cache(path, inputs))
+    except (FileNotFoundError, _Stale):
+        return None
+    except (FormatError, OSError) as exc:
+        _warn("rebuilding %s k=%d: %s: %s", what, k, path, exc)
+        return None
+
+
+def _save(what: str, value, path: Path, inputs: bytes,
+          version: int = 2) -> None:
+    """_write_cache(value, path, inputs, version); a failed write is
+    logged and changes no result."""
+    try:
+        _write_cache(value, path, inputs, version)
+    except OSError as exc:
+        _warn("could not write %s %s: %s", what, path, exc)
 
 
 def _warn(message: str, *args) -> None:
@@ -339,25 +404,21 @@ def build_catalog(k: int) -> GraphCatalog:
     return _catalog_cached(k, os.environ.get(CACHE_ENV_VAR))
 
 
-def _write_cache(cat: GraphCatalog, path: Path) -> None:
-    _write_bytes(path, _text_lines(
-        f"{_CACHE_HEADER} k={cat.k} classes={cat.class_count}",
-        map("{} {}".format, cat.graph6, cat.auts)))
-
-
-def _text_lines(header: str, lines) -> bytes:
-    """The header and lines of a text cache file, one per line."""
-    return "".join(f"{line}\n" for line in chain((header,), lines)).encode()
-
-
-def _write_bytes(path: Path, data: bytes, mode: int = 0o666) -> None:
-    """Write data through a temporary file unique to this writer, created
-    with mode (less the umask), then rename it into place, so concurrent
+def _write_cache(value, path: Path, inputs: bytes, version: int = 2) -> None:
+    """Write the cache file at path: _CACHE_MAGIC, the sha256 of inputs,
+    the sha256 of the body, then the body, value as marshal data of the
+    given version.  Version 2 writes no reference flags, which the later
+    versions set from reference counts, so its bytes depend on the value
+    alone.  The file is written with mode 0o600 through a temporary file
+    unique to this writer, then renamed into place, so concurrent
     writers never expose a partial file."""
+    body = marshal.dumps(value, version)
+    data = b"".join((_CACHE_MAGIC, sha256(inputs).digest(),
+                     sha256(body).digest(), body))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
-        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode),
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600),
                   "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -366,53 +427,42 @@ def _write_bytes(path: Path, data: bytes, mode: int = 0o666) -> None:
         raise
 
 
-def _read_cache(k: int, path: Path) -> GraphCatalog:
-    """One pass over the lines "graph6 aut", each held to the writer's
-    text; a graph6 character's edges are one lookup in its position's
-    table.  Empty lines are skipped; equal aut values share one int."""
-    tables = _graph6_line_tables(k)
-    kfact = factorial(k)
-    edges, auts, texts = [], [], []
-    known: dict[str, int] = {}
-    last = -1
-    with open(path, errors="replace") as fh:
-        head = fh.readline()
-        if not head.startswith(_CACHE_HEADER):
-            raise FormatError(f"{path}: bad header")
-        fields = dict(tok.split("=", 1) for tok in head.split() if "=" in tok)
-        if fields.get("k") != str(k):
-            raise FormatError(f"{path}: header k mismatch")
-        for ln in filter("\n".__ne__, fh):
-            try:
-                g6, aut_s = ln.split(" ")
-                e = sum(map(dict.__getitem__, tables, g6))
-                aut = known.get(aut_s)
-                if aut is None:
-                    aut = known[aut_s] = int(aut_s)
-                    if aut <= 0 or kfact % aut:
-                        raise ValueError(f"automorphism count {aut}")
-            except (ValueError, KeyError) as exc:
-                raise FormatError(f"{path}: bad line {ln!r}") from exc
-            # Truth tables and the deletion maps index classes by this order.
-            key = e.bit_count() << 32 | e
-            if len(g6) != len(tables) or key <= last:
-                raise FormatError(f"{path}: bad or out-of-order line {ln!r}")
-            last = key
-            edges.append(e)
-            auts.append(aut)
-            texts.append(g6)
-    if fields.get("classes") != str(len(edges)):
-        raise FormatError(f"{path}: class count mismatch")
-    cat = GraphCatalog(k, tuple(edges), tuple(auts), tuple(texts))
-    if cat.labeled_total != 1 << pair_count(k):
-        raise FormatError(f"{path}: labeled total mismatch")
-    return cat
+class _Stale(FormatError):
+    """A cache file written from other inputs: it counts as missing."""
+
+
+def _read_cache(path: Path, inputs: bytes):
+    """The value the cache file at path holds.  FormatError unless the
+    opened file is the user's own and writable by no one else (where the
+    platform has user ids), starts with _CACHE_MAGIC and is whole; then
+    _Stale unless the sha256 of inputs follows; then FormatError unless
+    the sha256 of the body follows and marshal loads the body."""
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if hasattr(os, "getuid") and (st.st_uid != os.getuid()
+                                      or st.st_mode & 0o022):
+            raise FormatError("not the user's own file, or writable by "
+                              "others")
+        data = memoryview(fh.read())
+    head = len(_CACHE_MAGIC)
+    if data[:head] != _CACHE_MAGIC:
+        raise FormatError("bad magic number")
+    if len(data) < head + 64:
+        raise FormatError("truncated")
+    if data[head:head + 32] != sha256(inputs).digest():
+        raise _Stale("written from other inputs")
+    body = data[head + 64:]
+    if sha256(body).digest() != data[head + 32:head + 64]:
+        raise FormatError("checksum mismatch")
+    try:
+        return marshal.loads(body)
+    except (EOFError, ValueError, TypeError) as exc:
+        raise FormatError("body is not marshal data") from exc
 
 
 class _ClassMap(NamedTuple):
     suffix: str
     what: str                 # in messages
-    header: str
     ks: range
     lowest: Callable[[int], int]
     compute: Callable
@@ -459,64 +509,36 @@ def _class_map_cached(kind: ClassMap, k: int, key: str | None
     cats = tuple(_catalog_cached(m, key) for m in range(kind.lowest(k), k + 1))
     directory = _cache_dir(key)
     try:
-        header = _map_header(kind, cats, directory)
+        inputs = _map_inputs(cats, directory)
     except OSError:
-        header = None        # no catalog file for the map to name
+        inputs = None        # no catalog file for the map to read
     return _read_or_rebuild(
         kind.what, k,
-        None if header is None else directory / f"k{k}.{kind.suffix}",
-        lambda path: _read_map(path, header, cats[-1].class_count,
-                               kind.check(cats)),
-        lambda: kind.compute(cats),
-        lambda rows, path: _write_bytes(path, _text_lines(
-            header, (" ".join(map(str, row)) for row in rows))))
+        None if inputs is None else directory / f"k{k}.{kind.suffix}",
+        inputs,
+        lambda rows: _checked_rows(rows, cats[-1].class_count,
+                                   kind.check(cats)),
+        lambda: kind.compute(cats), lambda rows: rows)
 
 
-def _map_header(kind: ClassMap, cats, directory: Path) -> str:
-    """The header naming the sha256 of each catalog file the rows read;
+def _map_inputs(cats, directory: Path) -> bytes:
+    """A map file's inputs: the sha256 of each catalog file the rows read;
     OSError when one of those files cannot be read."""
-    digests = ",".join(
-        hashlib.sha256((directory / f"k{c.k}.catalog").read_bytes())
-        .hexdigest() for c in cats)
-    return (f"{kind.header} k={cats[-1].k} classes={cats[-1].class_count} "
-            f"catalog={digests}")
+    return b"".join(
+        sha256((directory / f"k{c.k}.catalog").read_bytes()).digest()
+        for c in cats)
 
 
-class _Ints(dict):
-    """Token text -> int(text), each distinct text parsed on its first
-    lookup: a map file repeats few distinct tokens."""
-
-    def __missing__(self, text: str) -> int:
-        value = self[text] = int(text)
-        return value
-
-
-def _read_map(path: Path, header: str, count: int, check
-              ) -> tuple[tuple[int, ...], ...]:
-    """The rows of the map file at path, or FormatError naming the file
-    and what failed: the header, the row count, a row with a token that
-    int() rejects, or the rule of check(rows) that the rows break."""
-    with open(path, errors="replace") as fh:
-        head, *lines = fh.read().split("\n")
-    if head != header:
-        raise FormatError(f"{path}: header {head[:200]!r} is not {header!r}")
-    if len(lines) != count + 1 or lines[-1]:
-        raise FormatError(f"{path}: not {count} rows")
-    lines.pop()
-    parse = _Ints().__getitem__
-    try:
-        rows = tuple([tuple(map(parse, line.split())) for line in lines])
-    except ValueError as exc:
-        # Only now is the bad row looked for.
-        for i, line in enumerate(lines):
-            try:
-                tuple(map(int, line.split()))
-            except ValueError:
-                raise FormatError(f"{path}: bad row {i}: {line!r}") from exc
-        raise
+def _checked_rows(rows, count: int, check) -> tuple[tuple[int, ...], ...]:
+    """rows, a map file's value, or FormatError naming what fails: count
+    tuples of ints, or the rule of check(rows) that the rows break."""
+    if type(rows) is not tuple or len(rows) != count \
+            or set(map(type, rows)) - {tuple} \
+            or set(map(type, chain.from_iterable(rows))) - {int}:
+        raise FormatError(f"not {count} rows of ints")
     rule = check(rows)
     if rule is not None:
-        raise FormatError(f"{path}: rows break the rule: {rule}")
+        raise FormatError(f"rows break the rule: {rule}")
     return rows
 
 
@@ -586,14 +608,14 @@ def _vertex_map_check(cats):
 
 # Per class: the class index after each edge deletion, in edge_pairs order.
 edge_deletions = ClassMap(
-    "edges", "edge-deletion maps", "# indsub edge-deletions v1",
+    "edges", "edge-deletion maps",
     ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: k,
     compute=lambda cats: compute_edge_deletions(cats[-1]),
     check=_edge_map_check)
 # Per class: the (k-1)-catalog index after each vertex deletion.
 vertex_deletions = ClassMap(
-    "vertices", "vertex-deletion maps", "# indsub vertex-deletions v1",
+    "vertices", "vertex-deletion maps",
     ks=range(2, MAX_FLAG_K + 1),
     lowest=lambda k: k - 1,
     compute=lambda cats: compute_vertex_deletions(*cats),

@@ -12,9 +12,8 @@ of a valid host, must rebuild unchanged from their edges, and neighbor bitmasks.
 Two text forms are supported: graph6, and a plain edge list whose first
 line is "n m" followed by one "u v" pair per line (0-indexed).  This
 module owns graph6.  User and host text is read by one walk over the set
-bits of the body, which ignores padding bits; the catalog cache is read
-strictly through per-position character tables (_graph6_line_tables).
-Small graphs are written through per-byte tables; hosts are only read.
+bits of the body, which ignores padding bits.  Small graphs are written
+through per-byte tables, catalog classes among them; hosts are only read.
 subset_sums builds these tables and every other per-bit lookup table.
 """
 
@@ -413,8 +412,7 @@ def _graph6_byte_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The graph6 text of an n-vertex graph, n <= MAX_SMALL_VERTICES, is
     read as one big-endian integer of character codes.  Returned: that
     integer for the empty graph, and per byte of the edge bitset the body
-    bits that each value of the byte sets.  The mirror of
-    _graph6_line_tables."""
+    bits that each value of the byte sets."""
     order = _graph6_order(n)
     size = (len(order) + 5) // 6
     # The pair at graph6 position t is bit 5 - t % 6 of body character
@@ -435,24 +433,6 @@ def _small_graph6(n: int, edges: int) -> str:
     text = sum(map(tuple.__getitem__, tables,
                    edges.to_bytes(len(tables), "little")), empty)
     return text.to_bytes(size, "big").decode("ascii")
-
-
-@lru_cache(maxsize=None)
-def _graph6_line_tables(n: int) -> tuple[dict[str, int], ...]:
-    """The strict reader of n-vertex graph6 text, n <= 62: per character
-    position, the edge bitset that each character allowed there encodes.
-    Position 0 allows only the header character; a body character whose
-    padding bits past the last pair are set is allowed nowhere."""
-    order = _graph6_order(n)
-    tables = [{chr(n + 63): 0}]
-    for t in range(0, len(order), 6):
-        # The character's bit 5 - i carries the pair at position t + i.
-        weights = [1 << b for b in order[t:t + 6]]
-        pad = (1 << 6 - len(weights)) - 1
-        table = subset_sums([0] * (6 - len(weights)) + weights[::-1])
-        tables.append({chr(d + 63): e for d, e in enumerate(table)
-                       if not d & pad})
-    return tuple(tables)
 
 
 # graph6 character -> its 6-bit value, for the characters "?" to "~"

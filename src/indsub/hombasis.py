@@ -188,7 +188,7 @@ def _quotient_map_check(cats):
 # Per k-vertex class, its quotient classes with their Moebius sums as one
 # flat tuple (global class id, sum, global class id, sum, ...).
 quotient_rows = ClassMap(
-    "quotients", "quotient rows", "# indsub quotient-rows v1",
+    "quotients", "quotient rows",
     ks=range(1, MAX_HOM_VECTOR_K + 1),
     lowest=lambda k: 1,
     compute=compute_quotient_rows,

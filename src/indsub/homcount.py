@@ -53,26 +53,28 @@ Each shape's function is compiled once per process (a bounded cache), and
 a plan read from a plan file compiles nothing.  The plans of the catalog
 classes that count_basis counts are kept per cache directory, one plan
 file per pattern vertex count m, k{m}.plans.<interpreter cache tag>
-(k{m}.{PLAN_SUFFIX}): marshal data of a dict from each class's canonical
-edge bitset to its whole plan as plain tuples, each bag's join as its
-function's code object.  load_plans reads a file once per process and
-directory, into a bounded cache, and save_plans rewrites it from that
-table, to which counting.class_plans adds each class it plans; this
-module reads no path of its own, so a lone count_hom never touches the
-disk.  A file holds at most its own catalog's classes, so it needs no
-bound.
+(k{m}.{PLAN_SUFFIX}): a dict from each class's canonical edge bitset to
+its whole plan as plain tuples, each bag's join as its function's code
+object.  load_plans reads a file once per process and directory, into a
+bounded cache, and save_plans rewrites it from that table, to which
+counting.class_plans adds each class it plans; this module reads no path
+of its own, so a lone count_hom never touches the disk.  A file holds at
+most its own catalog's classes, so it needs no bound.
 
-A plan file is trusted as a __pycache__ file is.  It is written with mode
-0o600 through catalog's temporary file and os.replace.  It is read only
-if the opened file belongs to the user and no group or other may write
-it (where the platform has user ids), it starts with importlib's bytecode
-MAGIC_NUMBER, the sha256 of the source of this module and of graphs
-(whose pair_bits makes the keys), then the sha256 of the rest, and the
-rest is marshal data of a dict from ints to plans.  So a file written by
-other planning code is never read, no version is bumped by hand, and
-stale plans never mix with fresh ones.  A stale file counts as missing,
-any other bad one is logged as a rebuild, the next save replaces both, a
-failed save is logged, and the cache ignores sys.dont_write_bytecode.
+A plan file is a cache file of catalog's one envelope, under its one
+trust rule: written with mode 0o600, read only if it is the user's own
+and no one else may write it, and a file of other inputs is stale.  Its
+inputs are the interpreter's bytecode MAGIC_NUMBER and the source of
+this module and of graphs (whose pair_bits makes the keys), so a file
+written by other planning code or another interpreter version is never
+read, no version is bumped by hand, and stale plans never mix with fresh
+ones.  On reading, the body must be a dict from ints to plans, each a
+tuple of seven tuples whose joins hold code objects.  It is written in
+marshal's own version, unlike catalogs and maps.  A stale file counts as
+missing, any other bad one is logged as a rebuild, the next save
+replaces both, a failed save is logged, and the cache ignores
+sys.dont_write_bytecode.  A plan file of the envelope before catalog's
+fails the magic number, so it is logged and rebuilt once.
 
 Tables are shared through a HomStore, which lives for one count_basis
 call (or one lone count_hom call) and serves one host.  Every bag has a
@@ -124,9 +126,7 @@ exact_treewidth run it on any graph and read no catalog.
 
 from __future__ import annotations
 
-import hashlib
 import marshal
-import os
 import sys
 from functools import lru_cache
 from importlib.util import MAGIC_NUMBER
@@ -135,7 +135,7 @@ from pathlib import Path
 from types import FunctionType
 from typing import NamedTuple
 
-from .catalog import MAX_HOM_VECTOR_K, _warn, _write_bytes
+from .catalog import MAX_HOM_VECTOR_K, _load, _save
 from .errors import FormatError, InternalConsistencyError
 from .graphs import HostGraph, SmallGraph, bits_of, pair_bits
 
@@ -630,79 +630,45 @@ def _compiled(shape):
     return namespace["join"]
 
 
-class _StalePlans(FormatError):
-    """A plan file written by other planning code."""
-
-
 @lru_cache(maxsize=MAX_HOM_VECTOR_K)
 def load_plans(directory: Path, m: int) -> dict[int, _Plan]:
     """The plan table of the plan file for m vertices in directory: the
     canonical edge bitset of each class the file holds -> its plan, to
     which class_plans adds the plans it makes.  Read once per process,
     directory and m, with room for one directory's files.  A missing or
-    stale file holds nothing; any other that fails _read_plans is logged
-    as a rebuild and holds nothing either, so the next save replaces it."""
-    try:
-        return _read_plans(directory / f"k{m}.{PLAN_SUFFIX}")
-    except (FileNotFoundError, _StalePlans):
-        return {}
-    except (FormatError, OSError) as exc:
-        _warn("rebuilding plans: %s", exc)
-        return {}
+    stale file holds nothing; any other that fails is logged as a rebuild
+    and holds nothing either, so the next save replaces it."""
+    table = _load("plans", m, directory / f"k{m}.{PLAN_SUFFIX}",
+                  _planner_inputs(), _checked_plans)
+    return {} if table is None else table
 
 
 def save_plans(directory: Path, m: int) -> None:
-    """Write the plan table load_plans(directory, m) to its plan file,
-    with mode 0o600; a failed write is logged."""
-    path = directory / f"k{m}.{PLAN_SUFFIX}"
-    body = marshal.dumps({
+    """Write the plan table load_plans(directory, m) to its plan file, in
+    marshal's own version, which writes about a quarter of version 2's
+    bytes; a failed write is logged."""
+    _save("plans", {
         edges: (*plan[:5], tuple((join.__code__, *rest)
                                  for join, *rest in plan.joins), plan.keys)
-        for edges, plan in load_plans(directory, m).items()})
-    try:
-        _write_bytes(path, MAGIC_NUMBER + _planner_digest()
-                     + hashlib.sha256(body).digest() + body, 0o600)
-    except OSError as exc:
-        _warn("could not write plans %s: %s", path, exc)
+        for edges, plan in load_plans(directory, m).items()},
+        directory / f"k{m}.{PLAN_SUFFIX}", _planner_inputs(), marshal.version)
 
 
 @lru_cache(maxsize=1)
-def _planner_digest() -> bytes:
-    """The sha256 of the source of the modules that shape a plan: this
-    one, and graphs, whose pair_bits makes its keys."""
-    digest = hashlib.sha256()
-    for module in (__name__, pair_bits.__module__):
-        digest.update(Path(sys.modules[module].__file__).read_bytes())
-    return digest.digest()
+def _planner_inputs() -> bytes:
+    """A plan file's inputs: the interpreter's bytecode MAGIC_NUMBER, then
+    the source of the modules that shape a plan: this one, and graphs,
+    whose pair_bits makes its keys."""
+    return MAGIC_NUMBER + b"".join(
+        Path(sys.modules[module].__file__).read_bytes()
+        for module in (__name__, pair_bits.__module__))
 
 
-def _read_plans(path: Path) -> dict[int, _Plan]:
-    """The plan table in the plan file at path.  FormatError unless the
-    opened file is the user's own and writable by no one else (where the
-    platform has user ids), starts with the interpreter's bytecode
-    MAGIC_NUMBER, _planner_digest() (else _StalePlans) and the sha256 of
-    the rest, and the rest is marshal data of a dict from ints to plans,
-    each a tuple of seven tuples whose joins hold code objects."""
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        if hasattr(os, "getuid") and (st.st_uid != os.getuid()
-                                      or st.st_mode & 0o022):
-            raise FormatError(f"{path}: not the user's own file, or "
-                              "writable by others")
-        data = memoryview(fh.read())
-    head = len(MAGIC_NUMBER)
-    if data[:head] != MAGIC_NUMBER:
-        raise FormatError(f"{path}: bad magic number")
-    if data[head:head + 32] != _planner_digest():
-        raise _StalePlans(f"{path}: written by other planning code")
-    body = data[head + 64:]
-    if hashlib.sha256(body).digest() != data[head + 32:head + 64]:
-        raise FormatError(f"{path}: checksum mismatch")
-    bad = f"{path}: not a table of plans"
-    try:
-        stored = marshal.loads(body)
-    except (EOFError, ValueError, TypeError) as exc:
-        raise FormatError(bad) from exc
+def _checked_plans(stored) -> dict[int, _Plan]:
+    """The plan table a plan file stores, or FormatError unless stored is
+    a dict from ints to plans, each a tuple of seven tuples whose joins
+    hold code objects."""
+    bad = "not a table of plans"
     if type(stored) is not dict:
         raise FormatError(bad)
     plans = {}

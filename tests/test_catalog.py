@@ -12,7 +12,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indsub import canon, catalog, counting, homcount
 from indsub.canon import _canonical_data, canon_key, refinement_invariant
@@ -259,40 +259,70 @@ def _edges_file(k=5):
     return catalog.default_cache_dir() / f"k{k}.edges"
 
 
+def _read_catalog(k, path):
+    """The k-vertex catalog the catalog file at path holds, or
+    FormatError."""
+    return catalog._checked_catalog(
+        k, catalog._read_cache(path, catalog._CATALOG_INPUTS))
+
+
+def _write_catalog(value, path, version=2):
+    """value, (edges, auts), written to path as a catalog file."""
+    catalog._write_cache(value, path, catalog._CATALOG_INPUTS, version)
+
+
+def _map_inputs(kind, k):
+    """The inputs of kind's map file for k in the cache directory."""
+    return catalog._map_inputs(
+        [build_catalog(m) for m in range(kind.lowest(k), k + 1)],
+        catalog.default_cache_dir())
+
+
 def _read_file(kind, k):
     """kind's map for k read from its file in the cache directory, or
     FormatError."""
-    directory = catalog.default_cache_dir()
     cats = tuple(build_catalog(m) for m in range(kind.lowest(k), k + 1))
-    return catalog._read_map(
-        directory / f"k{k}.{kind.suffix}",
-        catalog._map_header(kind, cats, directory), cats[-1].class_count,
-        kind.check(cats))
+    return catalog._checked_rows(
+        catalog._read_cache(catalog.default_cache_dir()
+                            / f"k{k}.{kind.suffix}", _map_inputs(kind, k)),
+        cats[-1].class_count, kind.check(cats))
 
 
-def _replace_row(text, i, row):
-    lines = text.split("\n")
-    lines[i + 1] = row
-    return "\n".join(lines)
+def _map_bytes(kind, k, rows):
+    """The bytes of kind's map file for k in the cache directory, were it
+    to hold rows."""
+    path = catalog.default_cache_dir() / "rows.tmp"
+    catalog._write_cache(rows, path, _map_inputs(kind, k))
+    data = path.read_bytes()
+    path.unlink()
+    return data
 
 
-def _other_digest(text, tmp_path):
-    other = hashlib.sha256((tmp_path / "k4.catalog").read_bytes()).hexdigest()
-    head, rest = text.split("\n", 1)
-    return head.rsplit("=", 1)[0] + f"={other}\n{rest}"
+def _replace_row(rows, i, row):
+    return _map_bytes(edge_deletions, 5, rows[:i] + (row,) + rows[i + 1:])
+
+
+def _other_inputs(data, _):
+    """data under the inputs digest of another catalog: stale."""
+    other = hashlib.sha256(b"another catalog").digest()
+    return data[:len(catalog._CACHE_MAGIC)] + other + \
+        data[len(catalog._CACHE_MAGIC) + 32:]
 
 
 # k = 5: class 2 has two edges, and deleting either gives class 1, the one
 # class with one edge; class 33 is K5, whose ten deletions all give 32.
+# Each corruption gives the file's new bytes from its bytes and rows.
 EDGES_CORRUPTIONS = {
-    "bad header": lambda text, _: "junk\n" + text.split("\n", 1)[1],
-    "truncated": lambda text, _: text[:len(text) // 2],
-    "index out of range": lambda text, _: _replace_row(
-        text, 33, " ".join(["34"] + ["32"] * 9)),
-    "target with the wrong edge count": lambda text, _: _replace_row(
-        text, 2, "1 0"),
-    "digest of another catalog": _other_digest,
+    "bad header": lambda data, _: b"junk" + data[4:],
+    "truncated": lambda data, _: data[:len(data) // 2],
+    "index out of range": lambda _, rows: _replace_row(
+        rows, 33, (34,) + (32,) * 9),
+    "target with the wrong edge count": lambda _, rows: _replace_row(
+        rows, 2, (1, 0)),
+    "digest of another catalog": _other_inputs,
 }
+# A file of other inputs is stale: rebuilt as a missing one is, unlogged.
+STALE = {"digest of another catalog"}
 
 
 @pytest.mark.parametrize("corruption", sorted(EDGES_CORRUPTIONS))
@@ -301,18 +331,19 @@ def test_corrupt_edge_deletion_map_is_rebuilt_and_logged(corruption,
                                                          monkeypatch):
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     path = _edges_file()
-    good = path.read_text()
-    assert _replace_row(good, 33, " ".join(["32"] * 10)) == good
-    assert _replace_row(good, 2, "1 1") == good
-    path.write_text(EDGES_CORRUPTIONS[corruption](good, tmp_path))
+    good = path.read_bytes()
+    rows = _read_file(edge_deletions, 5)
+    assert _replace_row(rows, 33, (32,) * 10) == good
+    assert _replace_row(rows, 2, (1, 1)) == good
+    path.write_bytes(EDGES_CORRUPTIONS[corruption](good, rows))
     with pytest.raises(FormatError):
         _read_file(edge_deletions, 5)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         rows = edge_deletions(5)
     assert rows == reference_edge_deletions(5)
     assert any(f"rebuilding {edge_deletions.what} k=5" in r.getMessage()
-               for r in caplog.records)
-    assert path.read_text() == good
+               for r in caplog.records) == (corruption not in STALE)
+    assert path.read_bytes() == good
 
 
 def test_edge_deletion_map_needs_its_catalog_file(tmp_path, caplog,
@@ -424,64 +455,76 @@ def _written(directory, name, k):
     """The results at k, which write every map they read into directory;
     then nothing _forget_maps drops stays cached, and the plan files the
     count wrote are removed, so the next count plans its classes again.
-    Returns the map file of name at k, its text and the results."""
+    Returns the map file of name at k, its bytes, its rows and the
+    results."""
     want = _results(k)
     _forget_maps()
     for plans in directory.glob(f"k*.{homcount.PLAN_SUFFIX}"):
         plans.unlink()
     path = directory / f"k{k}.{name}"
-    return path, path.read_text(), want
+    return path, path.read_bytes(), _read_file(MAPS[name], k), want
 
 
-def _edit_row(text, i, edit):
-    lines = text.split("\n")
-    lines[i + 1] = " ".join(map(str, edit([int(x) for x in
-                                           lines[i + 1].split()])))
-    return "\n".join(lines)
+def _edit_row(kind, rows, i, edit):
+    """The bytes of kind's k = 5 map file with row i of rows edited."""
+    row = tuple(edit(list(rows[i])))
+    return _map_bytes(kind, 5, rows[:i] + (row,) + rows[i + 1:])
 
 
 # k = 5: class 0 is the edgeless graph and class 33 is K5.  K5 has one
 # partition into independent sets, so its quotient row is its own global
 # id, 1 + 2 + 4 + 11 + 33 = 51, with sum 1; K5 minus any vertex is K4,
 # class 10 of the 11 four-vertex classes, and K5 minus any edge is class
-# 32.  Each corruption comes with the words of the failed rule
-# that the logged rebuild line must hold.  A map declared later gets the
-# three corruptions every map gets.
+# 32.  Each corruption gives the file's new bytes from the map, its
+# bytes and its rows, and comes with the words of the failed rule that
+# the logged rebuild line must hold, or None for a stale file, which is
+# rebuilt unlogged.  A map declared later gets the three corruptions
+# every map gets.
 MAP_CORRUPTIONS = {
     "edges": {
-        "too few entries": (lambda t: _edit_row(t, 33, lambda r: r[1:]),
-                            "an edge row has e(C) entries"),
+        "too few entries": (
+            lambda kind, _, rows: _edit_row(kind, rows, 33, lambda r: r[1:]),
+            "an edge row has e(C) entries"),
     },
     "vertices": {
         "index out of range": (
-            lambda t: _edit_row(t, 33, lambda r: [11] + r[1:]),
+            lambda kind, _, rows: _edit_row(kind, rows, 33,
+                                            lambda r: [11] + r[1:]),
             "a class with e(C) - deg(v) edges"),
         "target with the wrong edge count": (
-            lambda t: _edit_row(t, 0, lambda r: [1] + r[1:]),
+            lambda kind, _, rows: _edit_row(kind, rows, 0,
+                                            lambda r: [1] + r[1:]),
             "a class with e(C) - deg(v) edges"),
-        "too few entries": (lambda t: _edit_row(t, 33, lambda r: r[1:]),
-                            "a vertex row has k entries"),
+        "too few entries": (
+            lambda kind, _, rows: _edit_row(kind, rows, 33, lambda r: r[1:]),
+            "a vertex row has k entries"),
     },
     "quotients": {
-        "own class missing": (lambda t: _edit_row(t, 33, lambda r: []),
-                              "ends with its own class and sum 1"),
-        "zero sum": (lambda t: _edit_row(t, 0, lambda r: r[:1] + [0] + r[2:]),
-                     "sums are not zero"),
-        "id out of range": (lambda t: _edit_row(t, 0, lambda r: [52] + r[1:]),
-                            "ids are classes on at most k vertices"),
-        "odd length": (lambda t: _edit_row(t, 0, lambda r: r + [1]),
-                       "a quotient row has even length"),
+        "own class missing": (
+            lambda kind, _, rows: _edit_row(kind, rows, 33, lambda r: []),
+            "ends with its own class and sum 1"),
+        "zero sum": (
+            lambda kind, _, rows: _edit_row(kind, rows, 0,
+                                            lambda r: r[:1] + [0] + r[2:]),
+            "sums are not zero"),
+        "id out of range": (
+            lambda kind, _, rows: _edit_row(kind, rows, 0,
+                                            lambda r: [52] + r[1:]),
+            "ids are classes on at most k vertices"),
+        "odd length": (
+            lambda kind, _, rows: _edit_row(kind, rows, 0,
+                                            lambda r: r + [1]),
+            "a quotient row has even length"),
     },
 }
 for name in MAPS:
     corruptions = MAP_CORRUPTIONS.setdefault(name, {})
     corruptions["bad header"] = (
-        lambda t: "junk\n" + t.split("\n", 1)[1], "header 'junk' is not")
-    corruptions["truncated"] = (lambda t: t[:len(t) // 2], "not 34 rows")
-    # The last digest in the header is that of k5.catalog.
+        lambda kind, data, _: b"junk" + data[4:], "bad magic number")
+    corruptions["truncated"] = (
+        lambda kind, data, _: data[:len(data) // 2], "checksum mismatch")
     corruptions["digest of another catalog"] = (
-        lambda t: t.replace(t.split("\n", 1)[0][-64:], "0" * 64, 1),
-        "' is not '# indsub ")
+        lambda kind, data, rows: _other_inputs(data, rows), None)
 
 
 @pytest.mark.parametrize("name, corruption", [
@@ -491,50 +534,172 @@ def test_corrupt_map_is_rebuilt_and_logged(name, corruption, cache_env,
                                            caplog):
     kind = MAPS[name]
     corrupt, rule = MAP_CORRUPTIONS[name][corruption]
-    path, good, want = _written(cache_env, name, 5)
+    path, good, rows, want = _written(cache_env, name, 5)
     if name == "edges":
-        assert good.split("\n")[34] == " ".join(["32"] * 10)
+        assert rows[33] == (32,) * 10
     elif name == "vertices":
-        assert _edit_row(good, 33, lambda r: r) == good
-        assert good.split("\n")[34] == "10 10 10 10 10"
-        assert good.split("\n")[1] == "0 0 0 0 0"
+        assert _edit_row(kind, rows, 33, lambda r: r) == good
+        assert rows[33] == (10,) * 5
+        assert rows[0] == (0,) * 5
     else:
-        assert good.split("\n")[34] == "51 1"
-    path.write_text(corrupt(good))
+        assert rows[33] == (51, 1)
+    path.write_bytes(corrupt(kind, good, rows))
     with pytest.raises(FormatError):
         _read_file(kind, 5)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert _results(5) == want
-    assert any(f"rebuilding {kind.what} k=5: {path}: " in r.getMessage()
-               and rule in r.getMessage() for r in caplog.records)
-    assert path.read_text() == good
+    logged = [r.getMessage() for r in caplog.records
+              if f"rebuilding {kind.what} k=5: {path}: " in r.getMessage()]
+    if rule is None:
+        assert logged == []
+    else:
+        assert any(rule in message for message in logged)
+    assert path.read_bytes() == good
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(MAPS)
                                   if MAPS[name].lowest(5) < 5])
 def test_stale_lower_catalog_is_caught(name, cache_env, caplog):
-    # Rows index the catalogs below k too, so the header names their
-    # digests: the same k4 classes in other bytes make the k = 5 map stale.
+    # Rows index the catalogs below k too, so the inputs digest covers
+    # them: the same k4 classes in other bytes make the k = 5 map stale.
+    # A stale map is recomputed and rewritten under its new inputs, with
+    # nothing logged, as a missing one is.
     kind = MAPS[name]
-    path, good, want = _written(cache_env, name, 5)
+    path, good, rows, want = _written(cache_env, name, 5)
+    old = _map_inputs(kind, 5)
     lower = cache_env / "k4.catalog"
-    old = hashlib.sha256(lower.read_bytes()).hexdigest()
-    lower.write_text(lower.read_text() + "\n")
-    new = hashlib.sha256(lower.read_bytes()).hexdigest()
-    assert old in good.split("\n", 1)[0]
-    with pytest.raises(FormatError):
+    _write_catalog(catalog._read_cache(lower, catalog._CATALOG_INPUTS),
+                   lower, version=4)
+    new = _map_inputs(kind, 5)
+    assert new != old
+    assert _map_bytes(kind, 5, rows) == good.replace(
+        hashlib.sha256(old).digest(), hashlib.sha256(new).digest(), 1)
+    with pytest.raises(catalog._Stale):
         _read_file(kind, 5)
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert _results(5) == want
-    assert any(f"rebuilding {kind.what} k=5" in r.getMessage()
+    assert caplog.records == []
+    assert path.read_bytes() == _map_bytes(kind, 5, rows)
+
+
+CACHE_KINDS = ("catalog", "edges", "vertices", "quotients", "plans")
+
+
+def _plan_value(plan):
+    """A plan as values that compare equal across reads: its joins as
+    code objects."""
+    return (plan[:5], plan.keys,
+            [(join.__code__, *rest) for join, *rest in plan.joins])
+
+
+def _cache_file(kind):
+    """(path, inputs, what, read) of kind's file at k = 4 in the cache
+    directory: read() forgets what the process holds of the file, then
+    gives the value the program takes from it, which it rebuilds and
+    rewrites when the file is missing or fails."""
+    directory = catalog.default_cache_dir()
+    if kind == "catalog":
+        def read():
+            catalog._catalog_cached.cache_clear()
+            return build_catalog(4)
+        return (directory / "k4.catalog", catalog._CATALOG_INPUTS,
+                "catalog", read)
+    if kind == "plans":
+        def read():
+            homcount.load_plans.cache_clear()
+            homcount._validated_plan.cache_clear()
+            return list(map(_plan_value, counting.class_plans(
+                build_catalog(4).graphs())))
+        return (directory / f"k4.{homcount.PLAN_SUFFIX}",
+                homcount._planner_inputs(), "plans", read)
+
+    def read():
+        catalog._class_map_cached.cache_clear()
+        return MAPS[kind](4)
+    return (directory / f"k4.{kind}", _map_inputs(MAPS[kind], 4),
+            MAPS[kind].what, read)
+
+
+# Values marshal writes, none of them the value of any cache file at
+# k = 4: too few rows or classes for a catalog or a map, and no plan.
+_WRONG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.binary(max_size=4),
+    lambda inner: st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, min_size=1, max_size=3),
+    max_leaves=8)
+_NOT_INTS = st.sampled_from(["x", 1.5, None, True, b"1", (1,), [1]])
+
+
+def _spoiled(kind, good, data):
+    """The value good of kind's file, spoiled in one place that its checks
+    cover: for a catalog or a map, an entry of the wrong type, a tuple
+    made a list or one dropped; for plans, a plan or its key of the wrong
+    type or shape, or a join without code."""
+    if kind == "plans":
+        edges = data.draw(st.sampled_from(sorted(good)))
+        plan = good[edges]
+        spoiled = dict(good)
+        what = data.draw(st.sampled_from(("key", "list", "short", "join")))
+        if what == "key":
+            spoiled[str(edges)] = spoiled.pop(edges)
+        elif what == "list":
+            spoiled[edges] = list(plan)
+        elif what == "short":
+            spoiled[edges] = plan[:6]
+        else:
+            spoiled[edges] = (*plan[:5], tuple((b"join", *rest)
+                                               for _, *rest in plan[5]),
+                              plan[6])
+        return spoiled
+    how = data.draw(st.sampled_from(("entry", "list", "drop")))
+    if how == "list":
+        return list(good)
+    if how == "drop":
+        return good[:-1]
+    i = data.draw(st.sampled_from([i for i, row in enumerate(good) if row]))
+    j = data.draw(st.integers(0, len(good[i]) - 1))
+    row = good[i][:j] + (data.draw(_NOT_INTS),) + good[i][j + 1:]
+    return good[:i] + (row,) + good[i + 1:]
+
+
+@pytest.mark.parametrize("kind", CACHE_KINDS)
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_bad_cache_file_is_rebuilt_and_logged(kind, data, cache_env,
+                                                  caplog):
+    """Arbitrary bytes, a truncated envelope, or a whole envelope whose
+    body holds a value of the wrong type or shape, in place of a good
+    file of any kind: reading it logs a rebuild and gives what a fresh
+    compute gives, never a traceback."""
+    path, inputs, what, read = _cache_file(kind)
+    path.unlink(missing_ok=True)
+    fresh = read()
+    good = path.read_bytes()
+    how = data.draw(st.sampled_from(("bytes", "truncated", "value")))
+    if how == "bytes":
+        path.write_bytes(data.draw(st.binary(max_size=300)))
+    elif how == "truncated":
+        path.write_bytes(good[:data.draw(st.integers(0, len(good) - 1))])
+    else:
+        value = catalog._read_cache(path, inputs)
+        wrong = _spoiled(kind, value, data) if data.draw(st.booleans()) \
+            else data.draw(_WRONG_VALUES)
+        catalog._write_cache(wrong, path, inputs)
+    path.chmod(0o600)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
+        assert read() == fresh
+    assert any(r.getMessage().startswith(f"rebuilding {what} k=4: {path}: ")
                for r in caplog.records)
-    assert path.read_text() == good.replace(old, new)
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_map_write_failure_is_logged(name, cache_env, caplog):
     kind = MAPS[name]
-    path, _, want = _written(cache_env, name, 5)
+    path, _, _, want = _written(cache_env, name, 5)
     path.unlink()
     (path / "blocker").mkdir(parents=True)     # nothing can be written there
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
@@ -550,7 +715,7 @@ def test_map_needs_every_catalog_file_it_names(name, cache_env, caplog):
     # The k = 5 map names k4.catalog, or k5.catalog when it reads no
     # lower catalog: without it the map is computed and not written, and
     # nothing is logged.
-    path, _, want = _written(cache_env, name, 5)
+    path, _, _, want = _written(cache_env, name, 5)
     path.unlink()
     (cache_env / f"k{max(MAPS[name].lowest(5), 4)}.catalog").unlink()
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
@@ -587,7 +752,7 @@ def test_building_or_loading_never_computes_the_invariant(tmp_path,
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     build_catalog(5)
     for k in range(1, 6):
-        cat = catalog._read_cache(k, tmp_path / f"k{k}.catalog")
+        cat = _read_catalog(k, tmp_path / f"k{k}.catalog")
         assert cat.class_count == CLASS_COUNTS[k]
         assert "_buckets" not in vars(cat)
     monkeypatch.undo()
@@ -595,66 +760,88 @@ def test_building_or_loading_never_computes_the_invariant(tmp_path,
 
 
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    from indsub.catalog import _read_cache
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     first = build_catalog(5)
     assert (tmp_path / "k5.catalog").exists()
-    again = _read_cache(5, tmp_path / "k5.catalog")
+    again = _read_catalog(5, tmp_path / "k5.catalog")
     assert again == first
 
 
+def test_cache_files_round_trip_to_the_same_bytes(tmp_path):
+    # A value read back and written again gives the bytes it was read
+    # from, so a catalog rewritten unchanged keeps the maps' inputs: the
+    # writer's marshal version 2 sets no reference flags.
+    build_catalog(8)
+    MAPS["quotients"](7)
+    directory = catalog.default_cache_dir()
+    for name in ("k8.catalog", "k7.quotients"):
+        inputs = catalog._CATALOG_INPUTS if name.endswith("catalog") \
+            else _map_inputs(MAPS["quotients"], 7)
+        value = catalog._read_cache(directory / name, inputs)
+        catalog._write_cache(value, tmp_path / name, inputs)
+        assert (tmp_path / name).read_bytes() == \
+            (directory / name).read_bytes()
+
+
+# k = 3: the classes are the graphs with 0, 1, 2 and 3 edges, K3 last
+# with edge bitset 7 and 6 automorphisms.  Each corruption is a value
+# of the right envelope, and the words its FormatError holds.
+K3_CATALOG = ((0, 4, 6, 7), (6, 2, 2, 6))
+CATALOG_CORRUPTIONS = {
+    "not a pair": ([0, 1, 3, 7], "not a pair of tuples"),
+    "three tuples": (K3_CATALOG + ((),), "not a pair of tuples"),
+    "a str bitset": (((0, 4, 6, "Bw"), (6, 2, 2, 6)), "tuples of ints"),
+    "a bool bitset": (((0, 4, 6, True), (6, 2, 2, 6)), "tuples of ints"),
+    "class count lies": (((0, 4, 6, 7), (6, 2, 2)),
+                         "one automorphism count per class"),
+    "out of order": (((0, 6, 4, 7), (6, 2, 2, 6)), "catalog order"),
+    "a padding bit set": (((0, 4, 6, 15), (6, 2, 2, 6)), "out of range"),
+    "a negative bitset": (((-1, 4, 6, 7), (6, 2, 2, 6)), "out of range"),
+    "automorphism count of zero": (((0, 4, 6, 7), (6, 2, 2, 0)),
+                                   "does not divide k!"),
+    "automorphism count not dividing k!": (((0, 4, 6, 7), (6, 4, 2, 6)),
+                                           "does not divide k!"),
+    "labeled total": (((0, 4, 6, 7), (6, 2, 2, 3)), "labeled total"),
+}
+
+
 def test_corrupt_cache_rejected(tmp_path):
-    from indsub.catalog import _read_cache
     path = tmp_path / "k3.catalog"
-    path.write_text("junk\n")
-    with pytest.raises(FormatError):
-        _read_cache(3, path)
-    path.write_text("# indsub catalog v1 k=3 classes=4\nBw 6\n")
-    with pytest.raises(FormatError):       # class count lies
-        _read_cache(3, path)
-    path.write_text("# indsub catalog v1 k=4 classes=1\nBw 6\n")
-    with pytest.raises(FormatError):       # header k mismatch
-        _read_cache(3, path)
-    path.write_text("# indsub catalog v1 k=x=3 classes=1\nBw 6\n")
-    with pytest.raises(FormatError):       # malformed header field
-        _read_cache(3, path)
-    path.write_text("# indsub catalog v1 k=3 classes=1\nBw 0\n")
-    with pytest.raises(FormatError):       # automorphism count of zero
-        _read_cache(3, path)
-    path.write_bytes(b"# indsub catalog v1 k=3 classes=1\n\xff\xfe 6\n")
-    with pytest.raises(FormatError):       # not text
-        _read_cache(3, path)
-    # The last line of the k = 3 file is K3 as "Bw 6"; each of these
-    # lines differs from the writer's text for it.
+    path.write_bytes(b"junk\n")
+    path.chmod(0o600)
+    with pytest.raises(FormatError, match="bad magic number"):
+        _read_catalog(3, path)
     cat = build_catalog(3)
-    good = (catalog.default_cache_dir() / "k3.catalog").read_text()
-    assert good.endswith("\nBw 6\n")
-    path.write_text(good)
-    assert _read_cache(3, path) == cat
-    for line in ("Bx 6",       # a padding bit set: decodes to K3 too
-                 "Cw 6",       # the header character of 4 vertices
-                 "B 6",        # a body too short
-                 "Bw? 6",      # a body too long
-                 "Bw  6"):     # two spaces before the automorphism count
-        path.write_text(good.replace("\nBw 6\n", f"\n{line}\n"))
-        with pytest.raises(FormatError):
-            _read_cache(3, path)
+    assert (cat.edges, cat.auts) == K3_CATALOG
+    _write_catalog(K3_CATALOG, path)
+    assert _read_catalog(3, path) == cat
+    four = build_catalog(4)
+    for value, words in [*CATALOG_CORRUPTIONS.values(),
+                         ((four.edges, four.auts), "out of range")]:
+        _write_catalog(value, path)
+        with pytest.raises(FormatError, match=words):
+            _read_catalog(3, path)
+    # The catalog of another format version is stale.
+    catalog._write_cache(K3_CATALOG, path, b"indsub catalog v1")
+    with pytest.raises(catalog._Stale):
+        _read_catalog(3, path)
 
 
 def test_padding_bit_line_is_rebuilt_and_logged(tmp_path, caplog,
                                                 monkeypatch):
-    # "Bx" decodes to K3 like "Bw" but is not the writer's text for it, and
-    # the listing prints the stored text.
+    # K3's edge bitset with a bit past its C(3, 2) = 3 pairs set would give
+    # K3 in graph6 too, but no graph has it.
     build_catalog(3)
-    good = (catalog.default_cache_dir() / "k3.catalog").read_text()
+    good = (catalog.default_cache_dir() / "k3.catalog").read_bytes()
     path = tmp_path / "k3.catalog"
-    path.write_text(good.replace("\nBw 6\n", "\nBx 6\n"))
+    _write_catalog(((0, 4, 6, 7 | 1 << 3), (6, 2, 2, 6)), path)
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert build_catalog(3).graph6[-1] == "Bw"
     assert any("rebuilding catalog k=3" in r.getMessage()
+               and "an edge bitset out of range" in r.getMessage()
                for r in caplog.records)
-    assert path.read_text() == good
+    assert path.read_bytes() == good
 
 
 def test_user_graph6_reader_stays_lenient():
@@ -668,6 +855,7 @@ def test_warm_load_builds_no_graph(tmp_path, monkeypatch):
         name = f"k{k}.catalog"
         (tmp_path / name).write_bytes(
             (catalog.default_cache_dir() / name).read_bytes())
+        (tmp_path / name).chmod(0o600)     # whatever the umask
 
     def refuse(*args):
         raise AssertionError("SmallGraph built or graph6 coded")
@@ -700,14 +888,13 @@ def test_stored_forms_match_the_graphs(tmp_path, monkeypatch):
 
 
 def test_corrupt_cache_is_rebuilt_and_logged(tmp_path, caplog, monkeypatch):
-    from indsub.catalog import _read_cache
     path = tmp_path / "k3.catalog"
     path.write_text("junk\n")
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         cat = build_catalog(3)
     assert cat.class_count == CLASS_COUNTS[3]
-    assert _read_cache(3, path) == cat
+    assert _read_catalog(3, path) == cat
     assert any("rebuilding catalog k=3" in r.getMessage()
                for r in caplog.records)
 
@@ -730,24 +917,25 @@ def test_unreadable_cache_is_rebuilt_and_logged(tmp_path, caplog,
 def test_out_of_order_cache_is_rebuilt(tmp_path, caplog, monkeypatch):
     # Truth tables and the deletion maps index classes by the builder's
     # order, so a file with the right classes in another order is corrupt.
-    from indsub.catalog import _read_cache, _write_cache
     cat = build_catalog(4)
     path = tmp_path / "k4.catalog"
-    _write_cache(cat, path)
-    head, *body = path.read_text().splitlines()
     i = next(i for i, (a, b) in enumerate(zip(cat.edges, cat.edges[1:]))
              if a.bit_count() == b.bit_count())
-    swapped = body[:i] + [body[i + 1], body[i]] + body[i + 2:]
-    for lines in (swapped, body[::-1]):
-        path.write_text("\n".join([head, *lines]) + "\n")
-        with pytest.raises(FormatError):
-            _read_cache(4, path)
+
+    def swapped(values):
+        return values[:i] + (values[i + 1], values[i]) + values[i + 2:]
+
+    for value in ((swapped(cat.edges), swapped(cat.auts)),
+                  (cat.edges[::-1], cat.auts[::-1])):
+        _write_catalog(value, path)
+        with pytest.raises(FormatError, match="catalog order"):
+            _read_catalog(4, path)
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="indsub.catalog"):
         assert build_catalog(4) == cat
     assert any("rebuilding catalog k=4" in r.getMessage()
                for r in caplog.records)
-    assert _read_cache(4, path) == cat
+    assert _read_catalog(4, path) == cat
 
 
 def test_cache_write_failure_is_logged(tmp_path, caplog, monkeypatch):
@@ -762,7 +950,6 @@ def test_cache_write_failure_is_logged(tmp_path, caplog, monkeypatch):
 
 
 def test_concurrent_cache_writers(tmp_path):
-    from indsub.catalog import _read_cache, _write_cache
     cat = build_catalog(5)
     path = tmp_path / "k5.catalog"
     threads = (os.cpu_count() or 1) + 2
@@ -774,8 +961,8 @@ def test_concurrent_cache_writers(tmp_path):
         try:
             barrier.wait(timeout=30)
             for _ in range(25):
-                _write_cache(cat, path)
-                assert _read_cache(5, path) == cat
+                _write_catalog((cat.edges, cat.auts), path)
+                assert _read_catalog(5, path) == cat
                 if time.monotonic() > deadline:
                     break
         except BaseException as exc:  # noqa: BLE001 - reported below
@@ -793,7 +980,7 @@ def test_concurrent_cache_writers(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in pool)
     assert errors == []
-    assert _read_cache(5, path) == cat
+    assert _read_catalog(5, path) == cat
     assert [p.name for p in tmp_path.iterdir()] == ["k5.catalog"]
 
 
@@ -813,7 +1000,7 @@ def test_switching_the_cache_dir_keeps_each_directory_whole(cache_env,
             {f"k{k}.{kind}" for kind in ("edges", "quotients")} \
             <= names
         for m in range(1, k + 1):
-            assert catalog._read_cache(
+            assert _read_catalog(
                 m, cache_env / name / f"k{m}.catalog") == build_catalog(m)
         for kind in (edge_deletions, MAPS["quotients"]):
             assert _read_file(kind, k) == kind(k)
@@ -882,66 +1069,68 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys, monkeypatch):
             reference_vertex_deletions(k)
 
 
-# The sha256 of every cache file built cold.  The catalogs are those built
-# without the vertex-key test, canonicalising one neighbor mask per orbit
-# of every parent; their k <= 7 files are those built by extending every
-# neighbor mask of every parent with the reference canoniser.  The maps
-# were built from those catalogs before the canoniser used twins.
+# The sha256 of every cache file built cold, in the one envelope with
+# marshal version 2.  The values they hold are those of the text files
+# they replaced: the catalogs are those built without the vertex-key
+# test, canonicalising one neighbor mask per orbit of every parent; their
+# k <= 7 classes are those built by extending every neighbor mask of
+# every parent with the reference canoniser.  The maps' rows are those
+# built from those catalogs before the canoniser used twins.
 COLD_CACHE_SHA256 = {
     "k1.catalog":
-        "f6ab303f5bdf26a18ea043b1696ed63192f31f4953c0e10b8caedf56a45c528b",
+        "11387769a0f85e202f6216bf6cad84e4c0d7c8c115f3cca50b51982465f189a1",
     "k2.catalog":
-        "17b0817ef9b4b2bfa2b072c6e99af295724658b1a54b0c8ebf7e1214605f4ce0",
+        "0ec1ef663e5232666f3f77b0320aaac7cacaee911e240fe48279abca1f8af32b",
     "k3.catalog":
-        "a5be7316ca2d8a725a6a00692e94c965488a3bfbcebf00c53aaa68fd71d3f47b",
+        "326777027d4b3dce8640b6f9bd8b68ab2ad0fe1236be18ba99be8b6656c49f51",
     "k4.catalog":
-        "abb6125d9e5d2553a32006213786838544580a7062312935b26507b0459ec260",
+        "cd5b415a6584cc9a7e24951e425a967553946229a0f7d2f191e192e86b056152",
     "k5.catalog":
-        "220e2578e06445fc9da20df310ea0d660dea6c6ad0c4e1a82d016150a5f9bb46",
+        "8e2bef0bff87b6991719fc7056e9637dee7ebd83e3f3b973dd4050eb7ed940fc",
     "k6.catalog":
-        "ffe2347ae7a58f2891a580e8c519e4a24fd55805f0d1e4007e61736eea992954",
+        "74ed0932fe1ac84208c3848cb078fb8cae260adeaf44114593745a55404e0255",
     "k7.catalog":
-        "790cd9409f7fcd3dc8f4ab121da208806a75a4f74df2e86d1096256c98873a3a",
+        "a294569f92ad478fbb2684141b13ef3fe5ab0dc285bda5bef971db2cf49f6b39",
     "k8.catalog":
-        "f28ab610fab6c3130a52beb223b39e32024a8ad727bba079522624cc0d974194",
+        "02aea481ec924a5646ef26a1c50af96d80d957429485c69a8a7d9e835b0d5a1e",
     "k1.edges":
-        "ff9d28d20664853eee5a1324334c47cab9122c29bb33f9aa5dd52e37e2912f03",
+        "b46ce69a63ccf69c1750e4c8c2065cd0d9d2f24f349b39d700ad9af06d5eb3e8",
     "k2.edges":
-        "9be55b92dde6f746954e3b002ce84abdcf6860e46c185fe7834c5f5481c75c84",
+        "ac84dfbadd8acb870f9131fae6e729d49ec186613b749b84deeead23fad471e4",
     "k3.edges":
-        "56c3c2270dce593999414db6d207d75e64318a928e19534a517b717f7d1d1b78",
+        "c8e95cea70b39264d16555f886745068cb4b7df1489fe0a2c01412615de9ed6a",
     "k4.edges":
-        "6a1cfe3385b29f01e13beb09a6117efdd0ffe754c625fb9920b58f80c3c1933f",
+        "09a6188231e364f6641f5c3f0fb6c1123c1ab7e042f24702240059690d063fa0",
     "k5.edges":
-        "eba72c061009377af0e92075c40b471e757f12fac2c0ad83a6334bc4250bad43",
+        "bdc00e2eccf011236a0838e6a88d6f5814cdaceb2c074ddf82040962c7103359",
     "k6.edges":
-        "e412491fa11854f1b1146a98b4dd9605b6ab2f4632fab81aebb261fd4758f7b2",
+        "20445dfc4e8cd16eb0a4045a9c83951f53bdcab487ec3dfc8e10eeb2d974b07d",
     "k7.edges":
-        "ef67a994fb1a3f5471943cd9887c103bf08dbcb58937522b886936ebc57efef4",
+        "9263a2efad388785ae2bd4578061e9e2b80b7f14bcac23e0eeff2b202edf810e",
     "k1.quotients":
-        "7b25d16ce0e1c98cfc9af505831b4d606a3d40e2eef7d10269742d7d8f585ea8",
+        "4290ccacf4f39c0f3b7ecf179ade51b6d7293f66f00e659d3af5483af2ac6f8d",
     "k2.quotients":
-        "0316466a1541aa11d9c1142f22e6d90819c6912a4c01ced72cbd2e660dd9dfcd",
+        "02908dcac0a2a0c1efad37705c25a440a1520cd2a520649b64883d4eed5e9311",
     "k3.quotients":
-        "98fe848a480f97e20cb9119e1757b8afd67d60fd77faec7f60b785be063dd158",
+        "e842df795292e8c1edaf0b725e8834096aa530ed921943048cb703ccd25b1163",
     "k4.quotients":
-        "7878f71bd802ef84b1cd3a38cb9dd5b2873534ed59eb4703918bc20c4231532c",
+        "362ffe087cf9fc3281ef2852d64de134f5eb39a1e82cf943d3e3c85366e70a1e",
     "k5.quotients":
-        "1065073c6d3de96558487313765fd2b9ff61a886cd433b5609229b3dc81629a5",
+        "8abfbdcec787509e82fba74ff996759272e80f225a9bd9f4c96e23dbdd0b1940",
     "k6.quotients":
-        "c6311650c5d6813489d9180f67e8afb501b6a42c9cd33e2cd3e163c8aad7109f",
+        "3fa911c4ea372b6eebcedc1212071c85830d6a93d7c47014745946963ae5fed7",
     "k7.quotients":
-        "7869c956323fb8f74c3e84c803d43704fecf08b9a651cdd264da89c4444c1ffb",
+        "649b15fc6506429ceaf996084defea54ef24dfbd74d26ea889943b06096aa56b",
     "k2.vertices":
-        "24387c9656a35c86757692bce34f136037f03a1c22b3cdec116e86105dc9c9c3",
+        "dce0ba160cee9e392572cce6f99b77ccd525baaad5e08867b54c50c0162a40b6",
     "k3.vertices":
-        "1402f91138d1fa8e78ca528a7b7febc3841f9f3d727346369e915084a52457d0",
+        "dac3586815347c34a92584a2b02137e1be25bbe88cab20bf1fcee685ad2621ca",
     "k4.vertices":
-        "3e12286c9c43632ae4a21a005ae89bad65d27166e91d439ab292897497a9b0bb",
+        "37aff807dddce85a65ef224a2baf9ae5e9b21b3ef47c6f0ebed62120f94d9d6c",
     "k5.vertices":
-        "dc1ac4dfd1d90932ab73a47a11148393790521d04963e5b840344f0b8851ab16",
+        "c35cbc18966b65aedf8588ac5057f87caae317456652fd88e3cea66c6e0fe41f",
     "k6.vertices":
-        "782148b9e0b9f79b86bd8c262df5415e2f7bbc2769a2533e25ceef3a7097de65",
+        "3bef9eca22da5b5d8be70a2492971b7def690f7f0fc1da4401e139663c1458cb",
 }
 
 

@@ -2,7 +2,6 @@
 
 import builtins
 import hashlib
-import importlib.util
 import itertools
 import logging
 import marshal
@@ -12,7 +11,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from importlib.util import MAGIC_NUMBER
 from math import comb
 from pathlib import Path
 
@@ -650,15 +648,20 @@ def _count_planning(monkeypatch) -> dict:
     return calls
 
 
-def _plan_file(table, digest=None) -> bytes:
-    body = marshal.dumps(table)
-    return (MAGIC_NUMBER + (digest or homcount._planner_digest())
-            + hashlib.sha256(body).digest() + body)
+def _write_plans(table, path: Path, inputs=None) -> None:
+    """table written to path as a plan file, of inputs when given."""
+    catalog._write_cache(table, path, inputs or homcount._planner_inputs(),
+                         marshal.version)
 
 
 def _stored(path: Path) -> dict:
     """The plans of the plan file at path, as marshal data."""
-    return marshal.loads(path.read_bytes()[len(MAGIC_NUMBER) + 64:])
+    return catalog._read_cache(path, homcount._planner_inputs())
+
+
+def _read_plans(path: Path) -> dict:
+    """The plan table of the plan file at path, or FormatError."""
+    return homcount._checked_plans(_stored(path))
 
 
 def test_warm_plan_file_compiles_no_join(plan_dir, tmp_path, capsys,
@@ -681,8 +684,8 @@ def test_warm_plan_file_compiles_no_join(plan_dir, tmp_path, capsys,
     # each file holds the plans of the classes on its vertex count
     planned = calls["_plan"]
     assert sorted(g.edges for g in planned if g.n == 5) == \
-        sorted(homcount._read_plans(paths[-1]))
-    assert sum(len(homcount._read_plans(path)) for path in paths) == \
+        sorted(_read_plans(paths[-1]))
+    assert sum(len(_read_plans(path)) for path in paths) == \
         len(planned) == 30
     _new_process()
     for made in calls.values():
@@ -723,20 +726,36 @@ def _plan_texts(classes, plans):
                     plan.orders, plan.levels, plan.keys, joins))
 
 
-def test_plan_files_hold_every_class_plan(plan_dir, monkeypatch):
+@pytest.fixture(scope="module")
+def planned_dir(tmp_path_factory):
+    """A cache directory in which one process planned every class on at
+    most MAX_HOM_VECTOR_K vertices, counting its planning steps: the
+    directory, the classes, the steps' calls (_count_planning) and the
+    plans.  Planning all 1,252 classes is the slowest step of the plan
+    file tests, so the tests that read such a directory share one."""
+    directory = tmp_path_factory.mktemp("planned") / "cache"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("INDSUB_CACHE_DIR", str(directory))
+        _new_process()
+        classes = [g for k in range(1, MAX_HOM_VECTOR_K + 1)
+                   for g in build_catalog(k).graphs()]
+        calls = _count_planning(mp)
+        plans = counting_module.class_plans(classes)
+    _new_process()
+    return directory, classes, calls, plans
+
+
+def test_plan_files_hold_every_class_plan(planned_dir, monkeypatch):
     """Every class count_basis may plan fits the plan files: after one
     process plans them all, a new one takes them all from the files, and
     plans and compiles nothing.  Every plan is the one pinned above."""
-    classes = [g for k in range(1, MAX_HOM_VECTOR_K + 1)
-               for g in build_catalog(k).graphs()]
-    calls = _count_planning(monkeypatch)
-    first = counting_module.class_plans(classes)
+    directory, classes, calls, first = planned_dir
     assert len(calls["_plan"]) == len(classes) == 1252
     # the first process compiled each join once
     assert len(set(calls["compile"])) == len(calls["compile"]) == 594
+    monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
     _new_process()
-    for made in calls.values():
-        made.clear()
+    calls = _count_planning(monkeypatch)
     again = counting_module.class_plans(classes)
     assert not any(calls.values())
     # the plans read back are the plans made, their joins the same code
@@ -747,7 +766,7 @@ def test_plan_files_hold_every_class_plan(plan_dir, monkeypatch):
         [[(join.__code__, *rest) for join, *rest in plan.joins]
          for plan in first]
     for m in range(1, MAX_HOM_VECTOR_K + 1):
-        assert homcount._read_plans(_plan_path(plan_dir, m)).keys() == \
+        assert _read_plans(_plan_path(directory, m)).keys() == \
             set(build_catalog(m).edges)
     digest = hashlib.sha256()
     for text in _plan_texts(classes, first):
@@ -759,7 +778,8 @@ def _corrupt_plans(path: Path, how: str) -> str:
     """Spoil the plan file at path as how says; the words the logged
     rebuild names."""
     data = path.read_bytes()
-    head = len(MAGIC_NUMBER) + 64
+    magic = catalog._CACHE_MAGIC
+    head = len(magic) + 64
     if how == "truncated":
         path.write_bytes(data[:len(data) // 2])
         return "checksum mismatch"
@@ -768,18 +788,17 @@ def _corrupt_plans(path: Path, how: str) -> str:
         path.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1:])
         return "checksum mismatch"
     if how == "wrong magic":
-        path.write_bytes(bytes(b ^ 0xFF for b in MAGIC_NUMBER)
-                         + data[len(MAGIC_NUMBER):])
+        path.write_bytes(bytes(b ^ 0xFF for b in magic) + data[len(magic):])
         return "bad magic number"
     if how == "not a dict":
-        path.write_bytes(_plan_file(list(_stored(path).items())))
+        _write_plans(list(_stored(path).items()), path)
         return "not a table of plans"
     if how == "not code":
         # plans of the right shape whose joins hold bytes, not code
-        path.write_bytes(_plan_file({
+        _write_plans({
             edges: (*plan[:5], tuple((b"join", *rest) for _, *rest in plan[5]),
                     plan[6])
-            for edges, plan in _stored(path).items()}))
+            for edges, plan in _stored(path).items()}, path)
         return "not a table of plans"
     assert how == "group-writable"
     path.chmod(0o664)
@@ -796,26 +815,26 @@ def test_bad_plan_file_is_ignored_logged_and_rebuilt(how, plan_dir, caplog,
     want = _brute_count()
     assert _basis_count() == want
     path = _plan_path(plan_dir, 5)
-    good = homcount._read_plans(path)
+    good = _read_plans(path)
     rule = _corrupt_plans(path, how)
     with pytest.raises(FormatError, match=rule):
-        homcount._read_plans(path)
+        _read_plans(path)
     _new_process()
     calls = _count_planning(monkeypatch)
     with caplog.at_level(logging.WARNING):
         assert _basis_count() == want
-    assert any(r.getMessage() == f"rebuilding plans: {path}: {rule}"
+    assert any(r.getMessage() == f"rebuilding plans k=5: {path}: {rule}"
                for r in caplog.records)
     # nothing was read: every class on 5 vertices was planned, and the
     # file written anew; the other files were read
     assert sorted(g.edges for g in calls["_plan"]) == sorted(good)
-    assert homcount._read_plans(path).keys() == good.keys()
+    assert _read_plans(path).keys() == good.keys()
     assert os.stat(path).st_mode & 0o777 == 0o600
 
 
 def test_plans_of_other_planning_code_are_never_used(plan_dir, caplog,
                                                      monkeypatch):
-    """A plan file with a valid checksum whose source digest is not this
+    """A plan file with a valid checksum whose inputs digest is not this
     code's is ignored without a warning, as a missing file is, however
     plausible its plans, and the count rewrites it with this code's
     digest."""
@@ -826,22 +845,20 @@ def test_plans_of_other_planning_code_are_never_used(plan_dir, caplog,
     # the plans of another class, each under a key of this file, would
     # give a wrong count if they were used
     plans = list(good.values())
-    other = hashlib.sha256(b"other planning code").digest()
-    path.write_bytes(_plan_file(dict(zip(good, plans[1:] + plans[:1])),
-                                other))
-    path.chmod(0o600)
-    with pytest.raises(FormatError, match="written by other planning code"):
-        homcount._read_plans(path)
+    _write_plans(dict(zip(good, plans[1:] + plans[:1])), path,
+                 b"other planning code")
+    with pytest.raises(FormatError, match="written from other inputs"):
+        _read_plans(path)
     _new_process()
     calls = _count_planning(monkeypatch)
     with caplog.at_level(logging.WARNING):
         assert _basis_count() == want
     assert not any("plans" in r.getMessage() for r in caplog.records)
     assert sorted(g.edges for g in calls["_plan"]) == sorted(good)
-    data = path.read_bytes()
-    assert data[len(MAGIC_NUMBER):len(MAGIC_NUMBER) + 32] == \
-        homcount._planner_digest()
-    assert homcount._read_plans(path).keys() == good.keys()
+    head = len(catalog._CACHE_MAGIC)
+    assert path.read_bytes()[head:head + 32] == \
+        hashlib.sha256(homcount._planner_inputs()).digest()
+    assert _read_plans(path).keys() == good.keys()
 
 
 @pytest.mark.parametrize("blocked", ["by a directory", "below a file"])
@@ -858,7 +875,7 @@ def test_plan_save_failure_is_logged(blocked, plan_dir, caplog):
     with caplog.at_level(logging.WARNING):
         assert _basis_count() == _brute_count()
     messages = [r.getMessage() for r in caplog.records]
-    assert any(m.startswith("rebuilding plans: ") for m in messages)
+    assert any(m.startswith("rebuilding plans k=5: ") for m in messages)
     assert any(m.startswith(f"could not write plans {path}: ")
                for m in messages)
     if blocked == "by a directory":
@@ -878,7 +895,7 @@ def test_plan_file_holds_only_its_catalogs_classes(plan_dir):
                     ("no-edges", 3)):
         phi = get_property(name)
         assert count_basis(phi, k, host) == count_brute(phi, k, host)
-    held = {m: homcount._read_plans(_plan_path(plan_dir, m))
+    held = {m: _read_plans(_plan_path(plan_dir, m))
             for m in range(1, 6)}
     assert all(held.values())
     assert not list(plan_dir.glob(f"k[67].{PLAN_SUFFIX}"))
@@ -893,17 +910,12 @@ def test_plan_file_holds_only_its_catalogs_classes(plan_dir):
                 g, None)._replace(joins=plan.joins)
 
 
-def test_count_at_k4_reads_no_larger_plan_file(tmp_path, capsys,
+def test_count_at_k4_reads_no_larger_plan_file(planned_dir, tmp_path, capsys,
                                                monkeypatch):
-    """After scripts/build_catalogs.py warms a directory up to k = 7, a
+    """In a directory whose plan files hold every class up to k = 7, a
     count at k = 4 opens the plan files of at most 4 vertices only."""
-    script = Path(__file__).parent.parent / "scripts" / "build_catalogs.py"
-    spec = importlib.util.spec_from_file_location("build_catalogs", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    directory = tmp_path / "cache"
+    directory = planned_dir[0]
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
-    assert module.main(["--kmax", "7"]) == 0
     assert len(list(directory.glob(f"k*.{PLAN_SUFFIX}"))) == 7
     host_file = tmp_path / "host.txt"
     host_file.write_text(PLAN_HOST.to_edge_list_text())
@@ -915,15 +927,15 @@ def test_count_at_k4_reads_no_larger_plan_file(tmp_path, capsys,
         opened.append(Path(path).name)
         return builtins.open(path, *args, **kwargs)
 
-    monkeypatch.setattr(homcount, "open", recorded, raising=False)
+    monkeypatch.setattr(catalog, "open", recorded, raising=False)
     calls = _count_planning(monkeypatch)
     assert cli.main(["count", "--property", "connected", "--k", "4",
                      "--graph", str(host_file), "--method", "basis"]) == 0
     want = count_brute(get_property("connected"), 4, PLAN_HOST)
     assert f'"count": "{want}"' in capsys.readouterr().out
     assert not any(calls.values())
-    assert sorted(opened) == [f"k{m}.{PLAN_SUFFIX}"
-                              for m in _support_sizes("connected", 4)]
+    assert sorted(name for name in opened if name.endswith(PLAN_SUFFIX)) \
+        == [f"k{m}.{PLAN_SUFFIX}" for m in _support_sizes("connected", 4)]
 
 
 _PLAN_WRITER = """
@@ -972,7 +984,7 @@ def test_concurrent_plan_writers(plan_dir, monkeypatch):
     assert not [p.name for p in plan_dir.iterdir() if p.name.startswith(".")]
     for m in _support_sizes("connected", 5):
         path = _plan_path(plan_dir, m)
-        assert homcount._read_plans(path)
+        assert _read_plans(path)
         assert os.stat(path).st_mode & 0o777 == 0o600
     _new_process()
     calls = _count_planning(monkeypatch)

@@ -26,7 +26,6 @@ from indsub.graphs import (
     load_host_graph,
     load_small_graph,
     _decode_graph6,
-    _graph6_line_tables,
     _pair_index_map,
     _small_graph6,
 )
@@ -589,24 +588,6 @@ def test_graph6_tables_match_the_bit_writer_on_random_graphs():
             for _ in range(8):
                 g = random_small_graph(rng, n, p)
                 assert g.to_graph6() == reference_graph6(g), g
-
-
-def test_strict_line_tables_read_the_table_writer():
-    rng = random.Random(33)
-    for n in range(MAX_SMALL_VERTICES + 1):
-        tables = _graph6_line_tables(n)
-        assert list(tables[0]) == [chr(n + 63)]
-        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
-            g = random_small_graph(rng, n, p)
-            text = _small_graph6(n, g.edges)
-            assert len(text) == len(tables)
-            assert sum(map(dict.__getitem__, tables, text)) == g.edges
-        if pair_count(n) % 6:
-            # the last character with its lowest bit, a padding bit, set:
-            # the strict tables refuse it, the user reader ignores the bit
-            padded = text[:-1] + chr((ord(text[-1]) - 63 | 1) + 63)
-            assert padded[-1] not in tables[-1]
-            assert SmallGraph.from_graph6(padded) == g
 
 
 @st.composite

@@ -17,8 +17,10 @@ t += [e | w for e in t].
 
 Code runs from one module: homcount.py, which compiles the bag joins and
 keeps their code objects in the plan files, is the only module that calls
-compile, exec or eval, makes a function from a code object with
-types.FunctionType, or imports marshal.
+compile, exec or eval or makes a function from a code object with
+types.FunctionType.  marshal, which loads code objects, is imported only
+there, for the version its plan files are written in, and in catalog.py,
+whose one reader and one writer hold every cache file.
 
 One rule for the cache directory: catalog.py is the only module that
 names INDSUB_CACHE_DIR, as catalog.CACHE_ENV_VAR or as the string itself,
@@ -178,6 +180,8 @@ def test_only_homcount_executes_code(path):
         assert {f.split(": ", 1)[1] for f in found} == {
             "call to compile", "call to exec", "call to FunctionType",
             "import marshal"}
+    elif path.name == "catalog.py":
+        assert [f.split(": ", 1)[1] for f in found] == ["import marshal"]
     else:
         assert found == []
 
