@@ -521,7 +521,7 @@ def _cmd_selftest(args) -> int:
                and cat.graph(i).to_graph6() == text
                for cat in map(build_catalog, range(1, 6))
                for i, text in enumerate(cat.graph6)),
-           "stored graph6 of the k<=5 catalogs round-trips")
+           "graph6 of the k<=5 catalogs round-trips")
     # Before any hom vector reads them, so the maps come from the cache
     # files when those exist.
     for kind in CLASS_MAPS:

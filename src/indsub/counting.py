@@ -26,11 +26,11 @@ the coefficients depend on Phi: #Hom(H, host) depends on the pattern and
 the host alone, so count_basis keeps the counts of the last host it
 counted (one dict, keyed by pattern, held by an lru_cache of size 1 keyed
 by the HostGraph, so an equal host built apart finds it) and counts only
-the vector's patterns not in it yet.  It plans those patterns into one
-homcount.HomStore before counting any, so they share their rooted
-sub-pattern tables and repeated components within the call.  Each class
-is planned once per cache directory: class_plans takes its plan, bag
-joins compiled, from homcount's plan file for its vertex count m,
+the vector's patterns not in it yet.  It counts those patterns in one
+homcount.count_homs call, so they share their rooted sub-pattern tables
+and repeated components within the call.  Each class is planned once
+per cache directory: class_plans takes its plan, bag joins compiled,
+from homcount's plan file for its vertex count m,
 k{m}.plans.<interpreter cache tag>.  Each file is read once per process
 and directory, and only the files of the vertex counts the vector holds
 are read.  A class that its file lacks is planned and added to it, and
@@ -69,13 +69,7 @@ from .graphs import (
     subset_sums,
 )
 from .hombasis import hom_vector
-from .homcount import (
-    HomStore,
-    _validated_plan,
-    count_hom,
-    load_plans,
-    save_plans,
-)
+from .homcount import count_homs, load_plans, plan_of, save_plans
 from .properties import PropertySpec, evaluate
 
 DEFAULT_SUBSET_BUDGET = 10 ** 8
@@ -175,15 +169,15 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     """#IndSub(phi, k, host) as sum_H a(H) * #Hom(H, host).
 
     #Hom(H, host) is taken from the counts kept for the last host when
-    that host equals this one.  The patterns not kept yet are planned
-    into one HomStore before any is counted, so a rooted sub-pattern
-    table, or a whole component's count, is computed once per call and
-    shared by every pattern that holds it; each table is dropped after
-    its last planned read, and none outlives the call.  The counts it
-    makes are kept for later calls on this host, and each class's plan
-    for later calls on any host.  The plans come from the cache
-    directory's plan files (class_plans), which are saved before counting
-    when planning added a class to them.
+    that host equals this one.  The patterns not kept yet are counted in
+    one count_homs call, so a rooted sub-pattern table, or a whole
+    component's count, is computed once per call and shared by every
+    pattern that holds it; each table is dropped after its last planned
+    read, and none outlives the call.  The counts it makes are kept for
+    later calls on this host, and each class's plan for later calls on
+    any host.  The plans come from the cache directory's plan files
+    (class_plans), which are saved before counting when planning added a
+    class to them.
     """
     if k <= 0 or k > host.n:
         return count_brute(phi, k, host)
@@ -191,11 +185,7 @@ def count_basis(phi: PropertySpec, k: int, host: HostGraph) -> int:
     homs = _host_homs(host)
     new = [g for g, _ in entries if g not in homs]
     if new:
-        store = HomStore(host)
-        for g, plan in zip(new, class_plans(new)):
-            store.plan(g, plan)
-        for g in new:
-            homs[g] = count_hom(g, host, store=store)
+        homs.update(zip(new, count_homs(host, class_plans(new))))
     total = Fraction(0)
     for g, coef in entries:
         total += coef * homs[g]
@@ -217,16 +207,16 @@ def _host_homs(host: HostGraph) -> dict[SmallGraph, int]:
 def class_plans(classes) -> list:
     """The plan of each of classes, catalog representatives on at most
     MAX_HOM_VECTOR_K vertices: the one the cache directory's plan file for
-    its vertex count holds, or else the plan of its tree_decomposition,
-    which is added to that file's table.  Each table that gained a plan
-    is saved once, after every class has its plan."""
+    its vertex count holds, or else plan_of's, which is added to that
+    file's table.  Each table that gained a plan is saved once, after
+    every class has its plan."""
     directory = default_cache_dir()
     plans, grown = [], set()
     for g in classes:
         table = load_plans(directory, g.n)
         plan = table.get(g.edges)
         if plan is None:
-            plan = table[g.edges] = _validated_plan(g, None)
+            plan = table[g.edges] = plan_of(g)
             grown.add(g.n)
         plans.append(plan)
     for m in grown:

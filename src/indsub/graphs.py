@@ -326,11 +326,6 @@ class SmallGraph(_SmallGraph):
             raise ValueError(f"graph6 graph has {n} > {MAX_SMALL_VERTICES} vertices")
         return cls.from_edges(n, _graph6_pairs(n, body))
 
-    def to_edge_list_text(self) -> str:
-        lines = [f"{self.n} {self.edge_count}"]
-        lines += [f"{u} {v}" for u, v in self.edge_pairs()]
-        return "\n".join(lines) + "\n"
-
 
 def _neighbor_table(n: int, pairs) -> tuple[tuple[int, ...], ...]:
     """The one rule of a valid host: the sorted, repeat-free neighbor lists
@@ -392,11 +387,6 @@ class HostGraph(Frozen):
         pairs = [(idx[u], idx[v]) for u, v in self.edge_pairs()
                  if u not in dropped and v not in dropped]
         return HostGraph.from_edges(len(keep), pairs)
-
-    def to_edge_list_text(self) -> str:
-        lines = [f"{self.n} {self.edge_count}"]
-        lines += [f"{u} {v}" for u, v in self.edge_pairs()]
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- graph6

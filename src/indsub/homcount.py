@@ -24,9 +24,8 @@ that takes a bag's place keeps its own children, and its eliminated vertex
 is not in its new parent's bag either.  The join order assigns that vertex
 before the last position, and places a vertex so joined to one already
 placed while there is one, so only the first vertex assigned may range
-over all host vertices.  A decomposition given to HomStore.plan is
-planned as it is: the DP is exact on any valid decomposition, though its
-joins may then range wider.
+over all host vertices.  _plan takes any valid decomposition as it is:
+the DP is exact on it, though its joins may then range wider.
 
 Join orders are fixed top-down, so each bag knows the order its parent
 keys it in.  A bag assigns the vertex its parent keys deepest last, and
@@ -76,8 +75,8 @@ replaces both, a failed save is logged, and the cache ignores
 sys.dont_write_bytecode.  A plan file of the envelope before catalog's
 fails the magic number, so it is logged and rebuilt once.
 
-Tables are shared through a HomStore, which lives for one count_basis
-call (or one lone count_hom call) and serves one host.  Every bag has a
+count_homs counts a list of plans into one host and shares tables
+among them for the length of the call.  Every bag has a
 key: the interface size, the number of vertices in the bag's subtree, and
 the edge bitset of the pattern induced on those vertices, relabelled
 interface first, in the order the parent's trie keys it, then the rest in
@@ -93,20 +92,19 @@ count, their edges relabelled in increasing order).  So a component that
 recurs across patterns, or within one, is counted once.  graphs.pair_bits
 builds every key's edge bitset.
 
-The store plans before it counts.  HomStore.plan fixes each pattern's
-decomposition, join orders and keys, and walks its bags in the DP's
-order to learn which bags will find their key already computed: such a
-bag takes the stored table and skips its whole subtree.  Each key's
-number of such reads is its use count.  While counting, a table is stored
-only if a read remains and dropped at its last read, so the store is
-empty once every planned pattern is counted.  No table outlives its call;
-count_basis keeps the counts it makes, for the last host it counted.
-Plans are kept per process, bounded: a plan depends on the pattern and
-its decomposition alone, never on the host, so every store, and every
-lone count_hom, takes it from one lru_cache keyed by the two, which
-validates a given decomposition before its first plan; count_basis hands
-a store the plans its plan files hold.  A plan is made of tuples and is
-only read, so the stores that share it cannot change it.
+Before it counts, count_homs walks every plan's bags in the DP's order
+to learn which bags will find their key already computed: such a bag
+takes the kept table and skips its whole subtree.  Each key's number of
+such reads is its use count.  While counting, a table is kept only if a
+read remains and dropped at its last read, so nothing is kept once every
+plan is counted, and no table outlives the call; count_basis keeps the
+counts it makes, for the last host it counted.  A plan depends on the
+pattern alone, never on the host, so plan_of keeps one per pattern and
+process, bounded: the plan of tree_decomposition's decomposition, which
+count_hom counts on and counting.class_plans adds to a plan file that
+lacks it; count_basis hands count_homs the plans its plan files hold.  A
+plan is made of tuples and is only read, so the calls that share it
+cannot change it.
 
 The cost is bounded by n^(tw+1) but follows the child-table sizes, which
 are far smaller on sparse hosts.  Treewidth is computed exactly by the
@@ -118,7 +116,7 @@ tree_decomposition concatenates one optimal order peeled off each
 component's table, so the order is optimal on every component.
 decomposition_from_order is the one bag builder: tree_decomposition is
 that builder on that order, checked against the DP's width.  The DP runs
-for a pattern only when it is planned without a given decomposition, so
+for a pattern only when plan_of plans it, so
 count_basis, whose classes' plans the plan files keep, runs it once per
 class and cache directory; tree_decomposition, count_hom and
 exact_treewidth run it on any graph and read no catalog.
@@ -143,9 +141,9 @@ MAX_TREEWIDTH_N = 12
 # a plan file's name in a cache directory is k{m}.{PLAN_SUFFIX} for the
 # classes on m vertices, one per interpreter
 PLAN_SUFFIX = f"plans.{sys.implementation.cache_tag}"
-# validated plans kept, by pattern and decomposition: count_basis plans
-# each of the 1,252 classes on at most 7 vertices with one decomposition,
-# so a process that counts every one of them plans each once
+# plans plan_of keeps, one per pattern: count_basis may count any of the
+# 1,252 classes on at most 7 vertices, so a process that counts every one
+# of them plans each once
 PLAN_CACHE_SIZE = 2048
 
 
@@ -343,113 +341,58 @@ def decomposition_from_order(g: SmallGraph, order: tuple[int, ...]
 
 # --------------------------------------------------------- hom counting
 
-def count_hom(pattern: SmallGraph, host: HostGraph, *,
-              store: HomStore | None = None) -> int:
-    """Number of homomorphisms pattern -> host.  Disconnected patterns
-    factor into the product of their components' counts.
-
-    With store, the pattern is counted with the tables that store shares,
-    which it shares fully when it was planned into the store beforehand
-    (HomStore.plan, which also takes a decomposition to plan in place of
-    tree_decomposition's).  Without one, it is counted through a store of
-    its own, on tree_decomposition's decomposition, planned once per
-    process.
-    """
-    if store is None:
-        store = HomStore(host)
-        store.plan(pattern)
-    elif store.host != host:
-        raise ValueError("the store counts into a different host")
-    return store.count(pattern)
+def count_hom(pattern: SmallGraph, host: HostGraph) -> int:
+    """Number of homomorphisms pattern -> host, on plan_of(pattern).
+    Disconnected patterns factor into the product of their components'
+    counts.  Into a host without vertices it is 1 for the empty pattern,
+    else 0, and nothing is planned."""
+    if not host.n:
+        return 0 if pattern.n else 1
+    return count_homs(host, [plan_of(pattern)])[0]
 
 
-class HomStore:
-    """Rooted sub-pattern tables shared by the hom counts of several
-    patterns into one host.
-
-    plan() every pattern in the order count() will be asked for it, then
-    count() each.  A table is kept only while a planned read of its key
-    remains, so the store is empty once every planned count has been
-    made.  A count the plan did not foresee is still exact; it only
-    shares less.  The store records the plan it counts each pattern
-    with, the first it was planned with; the plans themselves are kept
-    per process, bounded, and shared with other stores.
-    """
-
-    def __init__(self, host: HostGraph):
-        self.host = host
-        self._plans: dict[SmallGraph, _Plan] = {}
-        # keys some planned bag computes, as far as planning has got
-        self._seen: set[tuple[int, int, int]] = set()
-        # key -> planned reads not yet made; key -> table while one remains
-        self._reads: dict[tuple[int, int, int], int] = {}
-        self._tables: dict = {}
-
-    def plan(self, pattern: SmallGraph,
-             td: TreeDecomposition | _Plan | None = None) -> None:
-        """Plan one later count(pattern).  td, a decomposition of the
-        pattern, is validated and planned as given, in place of
-        tree_decomposition(pattern); a plan of the pattern, as
-        counting.class_plans gives, is taken as it is."""
-        if not self.host.n:
-            # every count is 0 or 1: td is checked, no decomposition built
-            if isinstance(td, TreeDecomposition):
-                _validated_plan(pattern, td)
-            return
-        plan = self._plan_of(pattern, td)
-        seen, reads = self._seen, self._reads
+def count_homs(host: HostGraph, plans: list[_Plan]) -> list[int]:
+    """The hom count of each plan's pattern into host, in order.  Every
+    plan is walked first to learn each sub-pattern key's planned reads,
+    so a rooted sub-pattern table, or a whole component's count, is
+    computed once in the call and shared by every plan that holds it."""
+    seen: set[tuple[int, int, int]] = set()
+    reads: dict[tuple[int, int, int], int] = {}
+    for plan in plans:
         for b, read in _walk(plan, seen):
             key = plan.keys[b]
             if read:
                 reads[key] = reads.get(key, 0) + 1
             else:
                 seen.add(key)
+    kept: dict = {}
+    return [_run(plan, host, kept, reads) for plan in plans]
 
-    def count(self, pattern: SmallGraph) -> int:
-        if not self.host.n:
-            return 0 if pattern.n else 1
-        return self._run(self._plan_of(pattern))
 
-    def _plan_of(self, g: SmallGraph,
-                 td: TreeDecomposition | _Plan | None = None) -> _Plan:
-        """g's plan in this store: the one it was first planned with.  A
-        td given later is still validated."""
-        plan = self._plans.get(g)
-        if plan is None or td is not None:
-            plan = self._plans.setdefault(g, td if isinstance(td, _Plan)
-                                          else _validated_plan(g, td))
-        return plan
-
-    def _put(self, key, table) -> None:
-        if self._reads.get(key) and key not in self._tables:
-            self._tables[key] = table
-
-    def _take(self, key):
-        table = self._tables[key]
-        left = self._reads[key] - 1
-        if left:
-            self._reads[key] = left
-        else:
-            del self._reads[key], self._tables[key]
-        return table
-
-    def _run(self, plan: _Plan) -> int:
-        """The pattern's count: its bags in _walk order, each either
-        taken from the store, subtree skipped, or joined from its
-        children's tables, which it then drops; the product of its
-        roots' counts."""
-        tables: list = [None] * len(plan.bags)
-        for b, read in _walk(plan, self._tables):
-            key = plan.keys[b]
-            if read:
-                tables[b] = self._take(key)
-                continue
-            table = _bag_table(plan, b, self.host, tables)
-            for c in plan.children[b]:
-                tables[c] = None
-            tables[b] = table
-            self._put(key, table)
-        return prod(tables[r] for r in plan.roots)
+def _run(plan: _Plan, host: HostGraph, kept: dict, reads: dict) -> int:
+    """The pattern's count: its bags in _walk order, each either taken
+    from kept, subtree skipped, or joined from its children's tables,
+    which it then drops; the product of its roots' counts.  reads holds
+    each key's planned reads not yet made; a table is kept while one
+    remains and dropped from kept at its last."""
+    tables: list = [None] * len(plan.bags)
+    for b, read in _walk(plan, kept):
+        key = plan.keys[b]
+        if read:
+            tables[b] = kept[key]
+            left = reads[key] - 1
+            if left:
+                reads[key] = left
+            else:
+                del reads[key], kept[key]
+            continue
+        table = _bag_table(plan, b, host, tables)
+        for c in plan.children[b]:
+            tables[c] = None
+        tables[b] = table
+        if reads.get(key) and key not in kept:
+            kept[key] = table
+    return prod(tables[r] for r in plan.roots)
 
 
 class _Plan(NamedTuple):
@@ -457,8 +400,8 @@ class _Plan(NamedTuple):
     order, its interface with its parent in the order the parent's trie
     keys it (levels, empty for a root), its compiled join with the
     children it reads as tries and those it only multiplies in (joins),
-    and its sub-pattern key.  All tuples: the stores of a process share
-    one plan per pattern and decomposition, and none may change it."""
+    and its sub-pattern key.  All tuples: the calls of a process share
+    one plan per pattern, and none may change it."""
 
     bags: tuple[tuple[int, ...], ...]
     children: tuple[tuple[int, ...], ...]
@@ -470,22 +413,10 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _validated_plan(pattern: SmallGraph,
-                    td: TreeDecomposition | None) -> _Plan:
-    """The plan of pattern on td, or on tree_decomposition(pattern) when
-    td is None.  A given td is validated first; one that fails raises
-    ValueError, and raises it again on every call, since nothing is kept
-    for a call that raises."""
-    if td is None:
-        td = tree_decomposition(pattern)
-    else:
-        if td.graph != pattern:
-            raise ValueError("tree decomposition belongs to a different pattern")
-        try:
-            td.validate()
-        except InternalConsistencyError as exc:
-            raise ValueError(f"invalid tree decomposition: {exc}") from exc
-    return _plan(pattern, td)
+def plan_of(pattern: SmallGraph) -> _Plan:
+    """The plan of pattern on tree_decomposition(pattern), made once per
+    process while the memo holds it."""
+    return _plan(pattern, tree_decomposition(pattern))
 
 
 def _plan(pattern: SmallGraph, td: TreeDecomposition) -> _Plan:

@@ -52,6 +52,6 @@ def _fresh_host_homs():
     from indsub import counting, homcount
 
     counting._host_homs.cache_clear()
-    homcount._validated_plan.cache_clear()
+    homcount.plan_of.cache_clear()
     homcount._compiled.cache_clear()
     homcount.load_plans.cache_clear()

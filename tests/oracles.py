@@ -788,6 +788,15 @@ def host_graph6(host: HostGraph) -> str:
         host.n, [adj[j] >> i & 1 for j in range(1, host.n) for i in range(j)])
 
 
+def edge_list_text(g) -> str:
+    """The edge-list text of a SmallGraph or a HostGraph, as
+    load_small_graph and load_host_graph read it: "n m", then one "u v"
+    line per edge."""
+    lines = [f"{g.n} {g.edge_count}"]
+    lines += [f"{u} {v}" for u, v in g.edge_pairs()]
+    return "\n".join(lines) + "\n"
+
+
 # -------------------------------------------------------------- reports
 
 

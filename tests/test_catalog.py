@@ -440,7 +440,7 @@ def _forget_maps():
     catalog._class_map_cached.cache_clear()
     hom_vector.cache_clear()
     counting._host_homs.cache_clear()
-    homcount._validated_plan.cache_clear()
+    homcount.plan_of.cache_clear()
     homcount.load_plans.cache_clear()
 
 
@@ -607,7 +607,7 @@ def _cache_file(kind):
     if kind == "plans":
         def read():
             homcount.load_plans.cache_clear()
-            homcount._validated_plan.cache_clear()
+            homcount.plan_of.cache_clear()
             return list(map(_plan_value, counting.class_plans(
                 build_catalog(4).graphs())))
         return (directory / f"k4.{homcount.PLAN_SUFFIX}",
@@ -1045,7 +1045,7 @@ def test_build_catalogs_script_on_cold_cache(tmp_path, capsys, monkeypatch):
         + [f"k{k}.vertices" for k in range(2, 5)] + plan_files)
     # the plan files hold every class it planned: a new process plans none
     homcount._compiled.cache_clear()
-    homcount._validated_plan.cache_clear()
+    homcount.plan_of.cache_clear()
     homcount.load_plans.cache_clear()
     monkeypatch.setattr(homcount, "compile", None, raising=False)
     monkeypatch.setattr(homcount, "_plan", None)

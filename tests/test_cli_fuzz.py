@@ -24,7 +24,7 @@ from indsub.catalog import build_catalog
 from indsub.cli import main
 from indsub.graphs import HostGraph, pair_table
 from indsub.properties import BUILTIN_PROPERTIES
-from oracles import host_graph6
+from oracles import edge_list_text, host_graph6
 
 PREFIXES = ("usage error:", "unknown property:", "malformed graph file:",
             "budget exceeded:", "property evaluation failed:")
@@ -51,12 +51,6 @@ def graphs(draw, max_n):
     n = draw(st.integers(0, max_n))
     pairs = [p for p in pair_table(n) if draw(st.booleans())]
     return HostGraph.from_edges(n, pairs)
-
-
-def edge_list_text(g):
-    lines = [f"{g.n} {g.edge_count}"]
-    lines += [f"{u} {v}" for u, v in g.edge_pairs()]
-    return "\n".join(lines) + "\n"
 
 
 @st.composite

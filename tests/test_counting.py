@@ -39,6 +39,7 @@ from indsub.properties import BUILTIN_PROPERTIES, PropertySpec, get_property, in
 
 from oracles import (
     brute_indsub_count,
+    edge_list_text,
     host_complement,
     host_disjoint_union,
     host_graph6,
@@ -88,7 +89,7 @@ def test_basis_equals_brute_at_k_6_and_7():
                 expected = count_brute(phi, k, host)
                 got = count_basis(phi, k, host)
                 if got != expected:
-                    mismatches.append((host.to_edge_list_text(), k, name, got, expected))
+                    mismatches.append((edge_list_text(host), k, name, got, expected))
     assert not mismatches
 
 
@@ -378,40 +379,30 @@ def test_hom_counts_on_representatives_build_no_catalog(monkeypatch):
         assert count_hom(g, host) == homs
 
 
-class _CheckedStore(homcount.HomStore):
-    """A HomStore that checks, after every store and take, that it holds
-    no table whose planned reads are all made."""
-
-    made: list = []
-
-    def __init__(self, host):
-        super().__init__(host)
-        self.made.append(self)
-
-    def _check(self):
-        assert all(self._reads.get(key, 0) > 0 for key in self._tables)
-
-    def _put(self, key, table):
-        super()._put(key, table)
-        self._check()
-
-    def _take(self, key):
-        table = super()._take(key)
-        self._check()
-        return table
-
-
 @pytest.mark.parametrize("name, k", [("connected", 5), ("split", 5),
                                      ("bipartite", 4)])
 def test_count_basis_frees_each_table_after_its_last_read(monkeypatch, name, k):
-    monkeypatch.setattr(counting_module, "HomStore", _CheckedStore)
-    monkeypatch.setattr(_CheckedStore, "made", [])
+    """homcount._run checked after every pattern it counts: each table it
+    keeps still has a planned read.  The one count_homs call shares one
+    kept dict and one reads dict, and every planned read was made, so
+    nothing is left in either."""
+    runs = []
+    run = homcount._run
+
+    def checked(plan, host, kept, reads):
+        count = run(plan, host, kept, reads)
+        assert all(reads.get(key, 0) > 0 for key in kept)
+        runs.append((kept, reads))
+        return count
+
+    monkeypatch.setattr(homcount, "_run", checked)
     phi = get_property(name)
     host = random_host(random.Random(63), 12, p=0.4)
     assert count_basis(phi, k, host) == count_brute(phi, k, host)
-    (store,) = _CheckedStore.made
-    # every planned read was made, so nothing is left
-    assert not store._tables and not store._reads
+    kept, reads = runs[0]
+    assert len(runs) > 1
+    assert all(r[0] is kept and r[1] is reads for r in runs)
+    assert not kept and not reads
 
 
 def _triangles(host: HostGraph) -> int:
@@ -616,7 +607,7 @@ def _new_process() -> None:
     """Forget what a process keeps of its counts, plans and plan tables,
     as a new process starts (and as each test starts)."""
     counting_module._host_homs.cache_clear()
-    homcount._validated_plan.cache_clear()
+    homcount.plan_of.cache_clear()
     homcount._compiled.cache_clear()
     homcount.load_plans.cache_clear()
 
@@ -670,7 +661,7 @@ def test_warm_plan_file_compiles_no_join(plan_dir, tmp_path, capsys,
     it builds no decomposition, runs no _plan and compiles nothing, and
     writes no file."""
     host_file = tmp_path / "host.txt"
-    host_file.write_text(PLAN_HOST.to_edge_list_text())
+    host_file.write_text(edge_list_text(PLAN_HOST))
     argv = ["count", "--property", "connected", "--k", "5",
             "--graph", str(host_file), "--method", "basis"]
     calls = _count_planning(monkeypatch)
@@ -906,8 +897,7 @@ def test_plan_file_holds_only_its_catalogs_classes(plan_dir):
             # and it is the plan of that class's tree_decomposition
             g = SmallGraph(m, edges)
             assert {v for bag in plan.bags for v in bag} == set(range(m))
-            assert plan == homcount._validated_plan(
-                g, None)._replace(joins=plan.joins)
+            assert plan == homcount.plan_of(g)._replace(joins=plan.joins)
 
 
 def test_count_at_k4_reads_no_larger_plan_file(planned_dir, tmp_path, capsys,
@@ -918,7 +908,7 @@ def test_count_at_k4_reads_no_larger_plan_file(planned_dir, tmp_path, capsys,
     monkeypatch.setenv("INDSUB_CACHE_DIR", str(directory))
     assert len(list(directory.glob(f"k*.{PLAN_SUFFIX}"))) == 7
     host_file = tmp_path / "host.txt"
-    host_file.write_text(PLAN_HOST.to_edge_list_text())
+    host_file.write_text(edge_list_text(PLAN_HOST))
     _new_process()
     capsys.readouterr()
     opened = []

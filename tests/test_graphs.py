@@ -30,6 +30,7 @@ from indsub.graphs import (
     _small_graph6,
 )
 from oracles import (
+    edge_list_text,
     graph6_text,
     host_complement,
     host_graph6,
@@ -610,5 +611,5 @@ def test_decode_graph6_matches_pair_walk(text):
 
 def test_edge_list_text_round_trip():
     g = SmallGraph.cycle(6)
-    n, pairs = parse_graph_text(g.to_edge_list_text())
+    n, pairs = parse_graph_text(edge_list_text(g))
     assert SmallGraph.from_edges(n, pairs) == g

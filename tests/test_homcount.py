@@ -3,6 +3,7 @@ import gc
 import random
 import re
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,21 +12,22 @@ from hypothesis import strategies as st
 import indsub.homcount as homcount
 from indsub.catalog import MAX_HOM_VECTOR_K, build_catalog
 from indsub.counting import count_basis, count_brute
+from indsub.errors import InternalConsistencyError
 from indsub.graphs import HostGraph, SmallGraph
 from indsub.homcount import (
     MAX_TREEWIDTH_N,
-    HomStore,
     TreeDecomposition,
     _bag_table,
     _compiled,
     _plan,
     _shape,
     _source,
-    _validated_plan,
     _walk,
     count_hom,
+    count_homs,
     decomposition_from_order,
     exact_treewidth,
+    plan_of,
     tree_decomposition,
 )
 from indsub.properties import get_property
@@ -125,10 +127,26 @@ def test_count_hom_matches_map_enumeration():
 
 
 def _count_with(pattern, host, td):
-    """count_hom of pattern with td planned into its store."""
-    store = HomStore(host)
-    store.plan(pattern, td)
-    return count_hom(pattern, host, store=store)
+    """The count of pattern into host on its plan on td, which is
+    validated first."""
+    td.validate()
+    return count_homs(host, [_plan(pattern, td)])[0]
+
+
+def _counts_leaving_nothing(host, plans):
+    """count_homs(host, plans), checked to leave no table kept and no
+    planned read unmade once every plan is counted."""
+    left = []
+    run = homcount._run
+
+    def recorded(plan, host, kept, reads):
+        left[:] = [kept, reads]
+        return run(plan, host, kept, reads)
+
+    with mock.patch.object(homcount, "_run", recorded):
+        counts = count_homs(host, plans)
+    assert not any(left)
+    return counts
 
 
 def _connected_pattern(rng, n):
@@ -270,13 +288,9 @@ def test_count_hom_matches_map_enumeration_on_any_elimination_order(case):
         expected.append(brute_hom_count(pattern, host))
         assert _count_with(pattern, host, td) == expected[-1]
         assert _checked_bag_tables(pattern, td, host) == expected[-1]
-    # both patterns through one store, their decompositions planned in
-    store = HomStore(host)
-    for pattern, td in cases:
-        store.plan(pattern, td)
-    assert [count_hom(pattern, host, store=store)
-            for pattern, _ in cases] == expected
-    assert not store._tables and not store._reads
+    # both patterns in one call, on their plans of those decompositions
+    assert _counts_leaving_nothing(
+        host, [_plan(pattern, td) for pattern, td in cases]) == expected
 
 
 def _bag_sources(pattern, td):
@@ -290,7 +304,7 @@ def _bag_sources(pattern, td):
 def _checked_bag_tables(pattern, td, host):
     """The product of the root tables, every bag's compiled table checked
     against the interpreting reference join, as mappings, on the same
-    child tables.  No store: every bag is joined."""
+    child tables.  Nothing is shared: every bag is joined."""
     plan, rows = _plan(pattern, td), pattern.adj_rows()
     tables = [None] * len(plan.bags)
     for b, _ in _walk(plan, ()):
@@ -410,12 +424,12 @@ def test_store_keys_a_sub_pattern_by_its_interface_order():
     td2 = TreeDecomposition(g2, ((1, 0, 3), (0, 1, 2)), (-1, 0))
     host = HostGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5),
                                     (0, 5), (1, 5)])
+    td1.validate()
+    td2.validate()
     expected = [brute_hom_count(g, host) for g in (g1, g2)]
-    for first, second in (((g1, td1), (g2, td2)), ((g2, td2), (g1, td1))):
-        store = HomStore(host)
-        store.plan(*first)
-        store.plan(*second)
-        got = {g: count_hom(g, host, store=store) for g, _ in (first, second)}
+    for pair in (((g1, td1), (g2, td2)), ((g2, td2), (g1, td1))):
+        got = dict(zip([g for g, _ in pair],
+                       count_homs(host, [_plan(g, td) for g, td in pair])))
         assert [got[g1], got[g2]] == expected
 
 
@@ -507,13 +521,9 @@ def test_count_hom_on_contracted_hand_built_decompositions(
         expected = brute_hom_count(pattern, host)
         assert _count_with(pattern, host, td) == expected
         assert _checked_bag_tables(pattern, td, host) == expected
-        store = HomStore(host)
-        for g in (pattern, _C5, pattern):
-            store.plan(g, td if g is pattern else None)
-        assert [count_hom(g, host, store=store)
-                for g in (pattern, _C5, pattern)] == \
+        plan = _plan(pattern, td)
+        assert _counts_leaving_nothing(host, [plan, plan_of(_C5), plan]) == \
             [expected, brute_hom_count(_C5, host), expected]
-        assert not store._tables and not store._reads
 
 
 @settings(max_examples=100, deadline=None)
@@ -524,17 +534,13 @@ def test_count_hom_on_contracted_hand_built_decompositions(
        _host(5))
 def test_one_store_counts_every_pattern_as_alone(patterns, host):
     """Connected patterns and disconnected ones with a repeated component,
-    repeats included, planned into one store and counted in order match
-    the map enumeration and the lone count_hom."""
-    store = HomStore(host)
-    for pattern in patterns:
-        store.plan(pattern)
-    for pattern in patterns:
-        got = count_hom(pattern, host, store=store)
+    repeats included, counted in one count_homs call match the map
+    enumeration and the lone count_hom."""
+    counts = _counts_leaving_nothing(host, [plan_of(p) for p in patterns])
+    for pattern, got in zip(patterns, counts):
         assert got == count_hom(pattern, host)
         assert got == brute_hom_count(pattern, host), \
             (pattern.to_graph6(), host_graph6(host))
-    assert not store._tables and not store._reads
 
 
 def _last_position_writes(pattern, td):
@@ -599,35 +605,23 @@ def test_join_order_ends_on_parents_deepest_key(k):
 def test_count_hom_leaves_no_cyclic_garbage():
     c5 = SmallGraph.cycle(5)
     host = HostGraph.from_small(c5)
-    # a star and a path share their leaves' tables through the store
+    # a star and a path share their leaves' tables within one call
     star, p4 = SmallGraph.complete_bipartite(1, 3), SmallGraph.path(4)
     gc.collect()
     gc.disable()
     try:
         assert count_hom(c5, host) == 10
         assert gc.collect() == 0
-        store = HomStore(host)
-        for pattern in (star, p4, c5, star):
-            store.plan(pattern)
-        assert [count_hom(pattern, host, store=store)
-                for pattern in (star, p4, c5, star)] == [40, 40, 10, 40]
-        del store
+        assert count_homs(host, [plan_of(pattern) for pattern in
+                                 (star, p4, c5, star)]) == [40, 40, 10, 40]
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_count_hom_rejects_foreign_decomposition():
-    td = tree_decomposition(SmallGraph.path(3))
-    host = HostGraph.from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        _count_with(SmallGraph.complete(3), host, td)
-    # a disconnected pattern is checked before it is split into components
-    with pytest.raises(ValueError):
-        _count_with(SmallGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
-                    HostGraph.from_small(SmallGraph.complete(4)), td)
-    # matching decomposition is accepted
-    assert _count_with(SmallGraph.path(3), host,
+    # a matching decomposition is accepted
+    assert _count_with(SmallGraph.path(3), HostGraph.from_edges(2, [(0, 1)]),
                        tree_decomposition(SmallGraph.path(3))) == 2
     # invalid decompositions of the pattern itself: an uncovered edge, the
     # bags holding vertex 0 disconnected, bags cut off from the root by a
@@ -640,24 +634,8 @@ def test_count_hom_rejects_foreign_decomposition():
                          (((0, 1), (1, 2), (1, 2)), (-1, 2, 1)),
                          (((0, 1), (1, 2)), (-1, 5)),
                          (((0, 1), (1, 2)), (-1,))):
-        with pytest.raises(ValueError, match="invalid tree decomposition"):
-            _count_with(p3, k3, TreeDecomposition(p3, bags, parent))
-
-
-def test_count_hom_rejects_a_store_beside_a_decomposition_or_another_host():
-    p3, k3 = SmallGraph.path(3), HostGraph.from_small(SmallGraph.complete(3))
-    store = HomStore(k3)
-    store.plan(p3)
-    # a decomposition enters only through HomStore.plan
-    with pytest.raises(TypeError):
-        count_hom(p3, k3, td=tree_decomposition(p3), store=store)
-    with pytest.raises(ValueError,
-                       match="the store counts into a different host"):
-        count_hom(p3, HostGraph.from_small(SmallGraph.complete(4)),
-                  store=store)
-    # an equal host built apart is the same host
-    assert count_hom(p3, HostGraph.from_small(SmallGraph.complete(3)),
-                     store=store) == 12
+        with pytest.raises(InternalConsistencyError):
+            TreeDecomposition(p3, bags, parent).validate()
 
 
 def _all_tuples(value) -> bool:
@@ -667,10 +645,10 @@ def _all_tuples(value) -> bool:
 
 
 def test_stores_on_different_hosts_share_exact_read_only_plans():
-    """Plans are kept per process: two stores on different hosts take the
-    same plan objects, which are tuples throughout, and equal after
-    counting a deep copy taken before; the counts on both hosts match the
-    map enumeration and the reference bag tables."""
+    """Plans are kept per process: counts into different hosts take the
+    same plan objects from plan_of, which are tuples throughout, and equal
+    after counting a deep copy taken before; the counts on both hosts
+    match the map enumeration and the reference bag tables."""
     # the classes, as count_basis plans them, and two labelled graphs the
     # catalog does not hold, as a lone count_hom plans them, all on the
     # DP's decomposition
@@ -679,56 +657,23 @@ def test_stores_on_different_hosts_share_exact_read_only_plans():
     assert len(set(patterns)) == 54
     rng = random.Random(53)
     hosts = [random_host(rng, 5, 0.6), random_host(rng, 6, 0.4)]
-    stores = [HomStore(host) for host in hosts]
-    for store in stores:
-        for g in patterns:
-            store.plan(g)
-    first, second = stores
-    assert all(first._plans[g] is second._plans[g] for g in patterns)
-    plans = {g: first._plans[g] for g in patterns}
+    plans = {g: plan_of(g) for g in patterns}
     before = copy.deepcopy(plans)
     assert all(_all_tuples(plan) for plan in plans.values())
-    for store, host in zip(stores, hosts):
-        for g in patterns:
-            want = brute_hom_count(g, host)
-            assert count_hom(g, host, store=store) == want, g.to_graph6()
+    for host in hosts:
+        assert all(plan_of(g) is plans[g] for g in patterns)
+        want = [brute_hom_count(g, host) for g in patterns]
+        assert _counts_leaving_nothing(host, [plan_of(g) for g in patterns]) \
+            == want
+        for g, count in zip(patterns, want):
             assert _checked_bag_tables(g, tree_decomposition(g), host) \
-                == want
-        assert not store._tables and not store._reads
+                == count, g.to_graph6()
     assert plans == before
     for name in ("connected", "chordal"):
         phi = get_property(name)
         for host in hosts:
             assert count_basis(phi, 5, host) == count_brute(phi, 5, host)
     assert plans == before
-
-
-def test_a_bad_decomposition_raises_on_every_plan():
-    """Nothing is kept for a decomposition that fails its checks: an
-    invalid one, or one of another pattern, raises on the first and on a
-    repeated plan, in one store and in a fresh one."""
-    p3 = SmallGraph.path(3)
-    host = HostGraph.from_small(SmallGraph.complete(3))
-    invalid = TreeDecomposition(p3, ((0, 1), (2,)), (-1, 0))
-    foreign = tree_decomposition(SmallGraph.complete(3))
-    for td, message in ((invalid, "invalid tree decomposition"),
-                        (foreign, "belongs to a different pattern")):
-        store = HomStore(host)
-        for _ in range(2):
-            with pytest.raises(ValueError, match=message):
-                store.plan(p3, td)
-        with pytest.raises(ValueError, match=message):
-            HomStore(host).plan(p3, td)
-        # a store on a host without vertices checks it too
-        with pytest.raises(ValueError, match=message):
-            HomStore(HostGraph.from_edges(0, ())).plan(p3, td)
-        assert not store._plans
-    # a valid plan of the pattern does not let a bad one through later
-    store = HomStore(host)
-    store.plan(p3)
-    with pytest.raises(ValueError, match="invalid tree decomposition"):
-        store.plan(p3, invalid)
-    assert count_hom(p3, host, store=store) == 12
 
 
 def test_plan_memo_holds_every_class_it_serves():
@@ -738,16 +683,47 @@ def test_plan_memo_holds_every_class_it_serves():
     classes = [g for k in range(1, MAX_HOM_VECTOR_K + 1)
                for g in build_catalog(k).graphs()]
     assert len(classes) == 1252
-    maxsize = _validated_plan.cache_info().maxsize
+    maxsize = plan_of.cache_info().maxsize
     assert isinstance(maxsize, int) and maxsize >= len(classes)
-    host = HostGraph.from_small(SmallGraph.complete(2))
     misses = []
     for _ in range(2):
-        store = HomStore(host)
         for g in classes:
-            store.plan(g)
-        info = _validated_plan.cache_info()
+            plan_of(g)
+        info = plan_of.cache_info()
         assert info.currsize <= info.maxsize
         misses.append(info.misses)
     assert misses[0] == len(classes)
     assert misses[1] == misses[0]
+
+
+def test_count_homs_of_no_plan_and_of_a_plan_listed_twice(monkeypatch):
+    """No plan counts to no count, and a plan listed twice joins its bags
+    once: the second count reads the first's root table."""
+    host = random_host(random.Random(54), 7, p=0.5)
+    assert count_homs(host, []) == []
+    runs = []
+
+    def counted(plan, b, *args):
+        runs.append(b)
+        return _bag_table(plan, b, *args)
+
+    monkeypatch.setattr(homcount, "_bag_table", counted)
+    plan, want = plan_of(_C5), brute_hom_count(_C5, host)
+    assert count_homs(host, [plan]) == [want]
+    once = len(runs)
+    assert once == len(plan.bags)
+    runs.clear()
+    assert count_homs(host, [plan, plan]) == [want, want]
+    assert len(runs) == once
+
+
+def test_count_hom_into_the_empty_host_plans_nothing():
+    """Into a host without vertices the empty pattern counts 1 and any
+    other 0, one too large for the treewidth solver included, and no
+    pattern is planned."""
+    empty = HostGraph.from_edges(0, ())
+    misses = plan_of.cache_info().misses
+    assert count_hom(SmallGraph(0), empty) == 1
+    for pattern in (SmallGraph(1), _C5, SmallGraph.path(MAX_TREEWIDTH_N + 1)):
+        assert count_hom(pattern, empty) == 0
+    assert plan_of.cache_info().misses == misses

@@ -29,10 +29,6 @@ ALLOWED = {
     "load_small_graph": "small-graph file loader pinned by the fuzz tests",
     "SmallGraph.with_edge": "exported graph type's inverse of without_edge",
     "SmallGraph.relabel": "exported graph type's vertex renaming",
-    "SmallGraph.to_edge_list_text": "writes the edge-list text that "
-                                    "load_small_graph reads",
-    "HostGraph.to_edge_list_text": "writes the edge-list text that "
-                                   "load_host_graph reads",
     "HomVector.coefficient": "exported result type's lookup of a(H) for any "
                              "pattern H",
     "CanonicalForm.relabeling": "documented canon API: the relabeling that "
